@@ -123,15 +123,9 @@ class TransformBlock:
         return T.conv1x1(x, self.weight)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        h = self._linear(x)
-        inv_std = T.Tensor(1.0 / np.sqrt(self.bn_var + self.eps))
-        neg_mean = T.Tensor(-self.bn_mean)
-        centered = T.add_col(h, neg_mean)
-        eff_scale = T.mul(self.bn_scale, inv_std)
-        pre = T.add_col(T.mul_col(centered, eff_scale), self.bn_shift)
-        if _PREACT_TRACE is not None and pre.data.size:
-            _PREACT_TRACE.append(float(np.abs(pre.data).min()))
-        return T.relu(pre)
+        inv_std = 1.0 / np.sqrt(self.bn_var + self.eps)
+        return T.affine_relu(self._linear(x), self.bn_scale, self.bn_shift,
+                             inv_std, self.bn_mean, _PREACT_TRACE)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, T.Tensor]]:
         return [(prefix + "weight", self.weight),
@@ -142,8 +136,8 @@ class TransformBlock:
 class Conv3x3Block(TransformBlock):
     """3x3 conv (dilation 1, zero padding) -> frozen-stats BN -> ReLU.
 
-    Operates on (C_in, H, W); flattens to (C_out, N) internally so the BN and
-    ReLU stages are shared with the pointwise block.
+    Operates on (C_in, H, W); the fused BN and ReLU stage is shared with the
+    pointwise block and acts per channel on any rank.
     """
 
     kernel_size = 3
@@ -160,16 +154,12 @@ class Conv3x3Block(TransformBlock):
                    np.ones(out_channels, dtype=dtype))
 
     def _linear(self, x: T.Tensor) -> T.Tensor:
-        conv = T.conv_spatial(x, self.weight, dilation=1)
-        c, h, w = conv.shape
-        return T.reshape(conv, (c, h * w))
+        return T.conv_spatial(x, self.weight, dilation=1)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         if x.data.ndim != 3:
             raise DimensionError(f"Conv3x3Block input must be (C, H, W), got {x.data.shape}")
-        _, h, w = x.data.shape
-        flat = super().__call__(x)
-        return T.reshape(flat, (self.out_channels, h, w))
+        return super().__call__(x)
 
 
 def transform_forward(block: TransformBlock, x: T.Tensor) -> T.Tensor:

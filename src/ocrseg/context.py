@@ -59,18 +59,24 @@ class FeatureMap:
 
 
 def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str) -> None:
+    """Every row of ``mat`` sums to 1 within ``SIMPLEX_TOL``, except rows in
+    ``exempt``, which must be all zero. Reports the first offending row."""
     if mat.size == 0:
         return
     if mat.min() < -SIMPLEX_TOL:
         raise ParameterError(f"{what} contains negative weights")
     sums = mat.sum(axis=1)
-    exempt_set = set(int(i) for i in exempt)
-    for i, s in enumerate(sums):
-        if i in exempt_set:
-            if np.any(mat[i] != 0.0):
-                raise ParameterError(f"{what} row {i} is flagged empty but not zero")
-        elif abs(s - 1.0) > SIMPLEX_TOL:
-            raise ParameterError(f"{what} row {i} sums to {s!r}, expected 1")
+    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    flagged = np.unique(np.array([int(i) for i in exempt], dtype=np.int64))
+    flagged = flagged[(flagged >= 0) & (flagged < mat.shape[0])]
+    off[flagged] = False
+    not_zero = flagged[np.any(mat[flagged] != 0.0, axis=1)]
+    bad_sum = np.flatnonzero(off)
+    if not_zero.size and (not bad_sum.size or not_zero[0] < bad_sum[0]):
+        raise ParameterError(f"{what} row {not_zero[0]} is flagged empty but not zero")
+    if bad_sum.size:
+        i = bad_sum[0]
+        raise ParameterError(f"{what} row {i} sums to {sums[i]!r}, expected 1")
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Dense tensor engine: reverse-mode autodiff over numpy buffers, plus
 allocation accounting for the memory profiler.
 
-Every operation allocates a fresh contiguous buffer, so tracked byte counts
-are reproducible run to run. Each op result carries a backward closure and a
+Layout ops (``reshape``, ``transpose``) return views of their input's buffer
+and allocate nothing; every other op writes into a fresh buffer it allocates
+itself. No op writes into a buffer it did not allocate, so a view stays valid
+for as long as it lives. Each op result carries a backward closure and a
 creation index; ``backward`` linearizes the subgraph reachable from a scalar
 loss into a :class:`GradTape` (creation order is a valid topological order)
 and replays it exactly once in reverse.
@@ -54,6 +56,9 @@ def _release_bytes(trackers: tuple["AllocationTracker", ...], nbytes: int) -> No
 class AllocationTracker:
     """Tracks bytes held by Tensor data buffers created inside its scope.
 
+    Only a tensor that owns its buffer (``data.base is None``) is charged; a
+    view of another buffer adds nothing. The charge is released when the
+    buffer itself is freed, which a view can postpone past its owner tensor.
     Peak is monotone nondecreasing within the scope; a new scope starts from
     zero. Buffers allocated before the scope opened are never charged, so a
     measurement excludes its inputs by construction.
@@ -107,26 +112,24 @@ class Tensor:
     ``requires_grad`` is set. ``grad`` matches ``data``'s shape after backward."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_index", "_opname", "__weakref__")
+                 "_index", "_opname")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None) -> None:
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (
                 np.float32, np.float64) else DEFAULT_DTYPE
-        # asarray with order="C", not ascontiguousarray: the latter promotes
-        # 0-d scalars (losses) to shape (1,)
-        self.data = np.asarray(data, dtype=dtype, order="C")
+        self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple["Tensor", ...] = ()
         self._backward_fn: Callable[[np.ndarray], tuple] | None = None
         self._index = next(_node_ids)
         self._opname = "leaf"
-        if _TRACKER_STACK:
+        if _TRACKER_STACK and self.data.base is None:
             trackers = tuple(t for t in _TRACKER_STACK if t.active)
             for tracker in trackers:
                 tracker._alloc(self.data.nbytes)
-            weakref.finalize(self, _release_bytes, trackers, self.data.nbytes)
+            weakref.finalize(self.data, _release_bytes, trackers, self.data.nbytes)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -251,19 +254,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(t: Tensor) -> Tensor:
+    """Transposed view of a 2-D tensor; no data moves. ``matmul`` hands the
+    strided view to BLAS, which reads it through its transpose flag."""
     _require_2d(t, "transpose input")
-    out = np.ascontiguousarray(t.data.T)
 
     def back(g):
-        return (np.ascontiguousarray(g.T),)
+        return (g.T,)
 
-    return _result(out, (t,), back, "transpose")
+    return _result(t.data.T, (t,), back, "transpose")
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """View of ``t`` with a new shape; numpy copies only when the input's
+    strides cannot express it (e.g. flattening a transposed view)."""
     if int(np.prod(shape)) != t.data.size:
         raise DimensionError(f"cannot reshape {t.data.shape} to {shape}")
-    out = t.data.reshape(shape).copy()
+    out = t.data.reshape(shape)
 
     def back(g):
         return (g.reshape(t.data.shape),)
@@ -355,6 +361,45 @@ def relu(t: Tensor) -> Tensor:
     return _result(out, (t,), back, "relu")
 
 
+def affine_relu(h: Tensor, gain: Tensor, shift: Tensor, inv_std: np.ndarray,
+                mean: np.ndarray, trace: list | None = None) -> Tensor:
+    """Frozen-stats batchnorm and ReLU in one pass over a fresh buffer.
+
+    Computes ``relu(s * h + b)`` per channel (axis 0 of ``h``), with the
+    statistics folded into ``s = gain * inv_std`` and ``b = shift - mean * s``.
+    ``gain`` and ``shift`` are learnable (C,) tensors; ``inv_std`` and ``mean``
+    are fixed (C,) arrays. When ``trace`` is a list, the smallest absolute
+    pre-activation is appended to it. The backward returns grads for ``h``,
+    ``gain`` and ``shift`` and reads the ReLU mask off the output.
+    """
+    if h.data.ndim < 2:
+        raise DimensionError(f"affine_relu input must be (C, ...), got {h.data.shape}")
+    c = h.data.shape[0]
+    for name, arr in (("gain", gain.data), ("shift", shift.data),
+                      ("inv_std", inv_std), ("mean", mean)):
+        if arr.shape != (c,):
+            raise DimensionError(
+                f"affine_relu {name} shape {arr.shape} does not match {c} channels")
+    per_channel = (c,) + (1,) * (h.data.ndim - 1)
+    s = gain.data * inv_std
+    b = (shift.data - mean * s).reshape(per_channel)
+    s = s.reshape(per_channel)
+    out = h.data * s
+    out += b
+    if trace is not None and out.size:
+        trace.append(float(np.abs(out).min()))
+    np.maximum(out, 0.0, out=out)
+    other_axes = tuple(range(1, h.data.ndim))
+
+    def back(g):
+        g = g * (out > 0.0)
+        g_shift = g.sum(axis=other_axes)
+        g_gain = ((g * h.data).sum(axis=other_axes) - mean * g_shift) * inv_std
+        return g * s, g_gain, g_shift
+
+    return _result(out, (h, gain, shift), back, "affine_relu")
+
+
 def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax with max subtraction; logits are divided by
     ``temperature`` first. Rows of the result lie on the probability simplex."""
@@ -362,10 +407,10 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     temperature = float(temperature)
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise ParameterError(f"softmax temperature must be finite and > 0, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = x.data / temperature
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
 
     def back(g):
         inner = (g * s).sum(axis=1, keepdims=True)
@@ -422,15 +467,17 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise DimensionError(
             f"conv1x1 bias shape {bias.data.shape} does not match out channels "
             f"{weight.data.shape[0]}")
-    spatial = x.data.shape[1:]
+    c_out = weight.data.shape[0]
     flat = x.data.reshape(c_in, -1)
-    out = weight.data @ flat
+    # the result owns its buffer: the GEMM writes into a 2-D view of it
+    out = np.empty((c_out,) + x.data.shape[1:], dtype=np.result_type(weight.data, flat))
+    out2 = out.reshape(c_out, -1)
+    np.matmul(weight.data, flat, out=out2)
     if bias is not None:
-        out = out + bias.data[:, None]
-    out = out.reshape((weight.data.shape[0],) + spatial)
+        out2 += bias.data[:, None]
 
     def back(g):
-        g2 = g.reshape(weight.data.shape[0], -1)
+        g2 = g.reshape(c_out, -1)
         gx = (weight.data.T @ g2).reshape(x.data.shape)
         gw = g2 @ flat.T
         gb = g2.sum(axis=1) if bias is not None else None
@@ -466,7 +513,8 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
     xpad = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
     xpad[:, ph:ph + h, pw:pw + w] = x.data
     n = h * w
-    out2 = np.zeros((c_out, n), dtype=x.dtype)
+    out = np.zeros((c_out, h, w), dtype=x.dtype)
+    out2 = out.reshape(c_out, n)
     for ky in range(k):
         for kx in range(k):
             dy = (ky - r) * dilation
@@ -477,8 +525,7 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
         if bias.data.shape != (c_out,):
             raise DimensionError(f"conv_spatial bias shape {bias.data.shape} "
                                  f"does not match out channels {c_out}")
-        out2 = out2 + bias.data[:, None]
-    out = out2.reshape(c_out, h, w)
+        out2 += bias.data[:, None]
 
     def back(g):
         g2 = g.reshape(c_out, n)

@@ -245,3 +245,21 @@ def central_difference(param_data: np.ndarray, index: tuple, evaluate,
     minus = evaluate()
     param_data[index] = original
     return (plus - minus) / (2.0 * h)
+
+
+def simplex_rows_error(mat: np.ndarray, exempt, what: str) -> str | None:
+    """The message the row-by-row simplex check raises, or None if ``mat``
+    passes: rows sum to 1 within 1e-9 and exempt rows are all zero."""
+    if mat.size == 0:
+        return None
+    if mat.min() < -1e-9:
+        return f"{what} contains negative weights"
+    sums = mat.sum(axis=1)
+    exempt_set = set(int(i) for i in exempt)
+    for i, s in enumerate(sums):
+        if i in exempt_set:
+            if np.any(mat[i] != 0.0):
+                return f"{what} row {i} is flagged empty but not zero"
+        elif abs(s - 1.0) > 1e-9:
+            return f"{what} row {i} sums to {s!r}, expected 1"
+    return None

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
+from ocrseg import blocks
 from ocrseg.blocks import (BN_EPS, Conv1x1Head, Conv3x3Block, Sgd,
                            TransformBlock, transform_forward, uniform_init)
 from ocrseg.errors import DimensionError, ParameterError
@@ -67,6 +68,29 @@ class TestTransformBlock:
         block = TransformBlock.create(rng, 2, 3)
         x = tensor(rng.normal(0, 1, (2, 4)))
         assert np.array_equal(transform_forward(block, x).data, block(x).data)
+
+    def test_runs_as_conv_then_one_fused_op(self, rng):
+        block = TransformBlock.create(rng, 3, 4)
+        out = block(tensor(rng.normal(0, 1, (3, 5)), requires_grad=True))
+        assert out._opname == "affine_relu"
+        assert out._parents[0]._opname == "conv1x1"
+        stem = Conv3x3Block.create(rng, 2, 3)
+        out = stem(tensor(rng.normal(0, 1, (2, 4, 4)), requires_grad=True))
+        assert out._opname == "affine_relu"
+        assert out._parents[0]._opname == "conv_spatial"
+
+    def test_preact_trace_one_entry_per_call(self, rng):
+        block = TransformBlock.create(rng, 3, 4)
+        stem = Conv3x3Block.create(rng, 2, 3)
+        blocks._PREACT_TRACE = trace = []
+        try:
+            for _ in range(3):
+                block(tensor(rng.normal(0, 1, (3, 5))))
+            stem(tensor(rng.normal(0, 1, (2, 4, 4))))
+        finally:
+            blocks._PREACT_TRACE = None
+        assert len(trace) == 4
+        assert all(v >= 0.0 for v in trace)
 
     def test_created_shift_within_documented_band(self, rng):
         for _ in range(10):

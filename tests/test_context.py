@@ -39,6 +39,17 @@ class TestFeatureMap:
         with pytest.raises(DimensionError):
             FeatureMap(tensor(np.ones((2, 6))))
 
+    def test_pixels_is_a_view_that_passes_gradients(self, rng):
+        data = rng.normal(0, 1, (2, 2, 3))
+        fm = FeatureMap(tensor(data, requires_grad=True))
+        px = fm.pixels()
+        assert np.shares_memory(px.data, fm.tensor.data)
+        back = FeatureMap.from_pixels(px, 2, 3)
+        assert np.shares_memory(back.tensor.data, fm.tensor.data)
+        weights = rng.normal(0, 1, (2, 2, 3))
+        T.backward(T.sum_all(T.mul(back.tensor, tensor(weights))))
+        assert np.array_equal(fm.tensor.grad, weights)
+
 
 class TestSimplexValidation:
     def test_negative_entry_rejected(self):
@@ -58,6 +69,57 @@ class TestSimplexValidation:
         rows[1] = 0.0
         rel = RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
         assert rel.num_regions == 2
+
+    def test_negative_entry_message(self):
+        bad = np.array([[1.2, -0.2], [0.5, 0.5]])
+        with pytest.raises(ParameterError) as err:
+            RelationMatrix(tensor(bad), 1, 2)
+        assert str(err.value) == "RelationMatrix.weights contains negative weights"
+
+    def test_flagged_nonzero_row_message(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1e-300]])
+        with pytest.raises(ParameterError) as err:
+            RelationMatrix(tensor(rows), 1, 3, zero_rows=(2,))
+        assert str(err.value) == "RelationMatrix.weights row 2 is flagged empty but not zero"
+
+    def test_first_off_sum_row_reported(self):
+        rows = np.array([[0.5, 0.5], [0.6, 0.6], [0.1, 0.1], [1.0, 0.0]])
+        with pytest.raises(ParameterError) as err:
+            RelationMatrix(tensor(rows), 2, 2)
+        want = f"RelationMatrix.weights row 1 sums to {rows[1].sum()!r}, expected 1"
+        assert str(err.value) == want
+
+    def test_earliest_offender_wins_across_kinds(self):
+        rows = np.array([[0.5, 0.5], [0.2, 0.2], [0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ParameterError, match="row 0 is flagged empty"):
+            RelationMatrix(tensor(rows), 2, 2, zero_rows=(3, 0))
+        with pytest.raises(ParameterError, match="row 1 sums to"):
+            RelationMatrix(tensor(rows), 2, 2, zero_rows=(3, 2))
+
+    def test_exempt_rows_need_not_sum_to_one(self):
+        rows = np.array([[0.0, 0.0], [0.25, 0.75], [0.0, 0.0]])
+        rel = RelationMatrix(tensor(rows), 1, 3, zero_rows=(0, 2, 2, 7, -1))
+        assert rel.num_regions == 2
+        with pytest.raises(ParameterError, match="row 0 sums to"):
+            RelationMatrix(tensor(rows), 1, 3, zero_rows=(2,))
+
+    def test_matches_row_loop_on_random_matrices(self, rng):
+        for _ in range(300):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            mat = rng.dirichlet(np.ones(k), size=n)
+            exempt = tuple(int(i) for i in rng.integers(-1, n + 1, rng.integers(0, 3)))
+            for i in exempt:
+                if 0 <= i < n and rng.random() < 0.7:
+                    mat[i] = 0.0
+            if rng.random() < 0.5:
+                mat[rng.integers(n), rng.integers(k)] += rng.choice([-2e-9, 0.3, 1e-10])
+            want = oracles.simplex_rows_error(mat, exempt, "M")
+            if want is None:
+                RelationMatrix(tensor(mat), 1, n, zero_rows=exempt)
+                continue
+            with pytest.raises(ParameterError) as err:
+                RelationMatrix(tensor(mat), 1, n, zero_rows=exempt)
+            assert str(err.value) == want.replace("M", "RelationMatrix.weights", 1)
 
     def test_region_set_shape_checks(self):
         norm = np.array([[1.0, 0.0]])

@@ -157,12 +157,115 @@ class TestElementwiseAndShapes:
         assert cat.shape == (3, 3)
         assert np.array_equal(cat.data[2], [7.0, 8.0, 9.0])
 
+    def test_layout_ops_are_views(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 6)))
+        assert np.shares_memory(T.reshape(x, (3, 4)).data, x.data)
+        assert np.shares_memory(T.transpose(x).data, x.data)
+        assert np.shares_memory(T.reshape(T.reshape(x, (12,)), (2, 6)).data, x.data)
+
+    def test_reshape_of_transposed_view_has_transposed_order(self):
+        x = tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        flat = T.reshape(T.transpose(x), (6,))
+        assert np.array_equal(flat.data, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0])
+
+    def test_gradients_flow_through_views(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+        w = rng.normal(0, 1, (3, 2))
+        T.backward(T.sum_all(T.mul(T.transpose(x), tensor(w))))
+        assert np.array_equal(x.grad, w.T)
+        x.zero_grad()
+        T.backward(T.sum_all(T.mul(T.reshape(x, (6,)), tensor(w.ravel()))))
+        assert np.array_equal(x.grad, w.ravel().reshape(2, 3))
+
+    def test_matmul_reads_transposed_views(self, rng):
+        a = rng.normal(0, 1, (4, 3))
+        b = rng.normal(0, 1, (5, 3))
+        got = T.matmul(T.transpose(tensor(a.T.copy())), T.transpose(tensor(b)))
+        assert np.max(np.abs(got.data - oracles.matmul_loops(a, b.T))) < 1e-12
+
     def test_reductions_and_tiling(self):
         x = tensor([[1.0, 3.0], [2.0, 6.0]])
         assert float(T.sum_all(x).data) == 12.0
         assert np.array_equal(T.mean_cols(x).data, [[2.0], [4.0]])
         tiled = T.tile_cols(tensor([[5.0], [7.0]]), 3)
         assert np.array_equal(tiled.data, [[5.0, 5.0, 5.0], [7.0, 7.0, 7.0]])
+
+
+# ---------------------------------------------------------------------------
+# fused frozen-BN + ReLU
+
+
+def bn_chain(h, gain, shift, inv_std, mean):
+    """The unfused op chain affine_relu replaces: center, scale, shift, rectify."""
+    centered = T.add_col(h, T.Tensor(-mean))
+    return T.relu(T.add_col(T.mul_col(centered, T.mul(gain, T.Tensor(inv_std))), shift))
+
+
+def affine_args(rng, channels):
+    gain = tensor(rng.uniform(0.5, 1.5, channels), requires_grad=True)
+    shift = tensor(rng.uniform(-0.5, 0.5, channels), requires_grad=True)
+    inv_std = 1.0 / np.sqrt(rng.uniform(0.5, 2.0, channels) + 1e-5)
+    return gain, shift, inv_std, rng.normal(0, 1, channels)
+
+
+class TestAffineRelu:
+    def test_matches_unfused_chain(self, rng):
+        for _ in range(20):
+            c, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            h = tensor(rng.normal(0, 2, (c, m)))
+            args = affine_args(rng, c)
+            got = T.affine_relu(h, *args).data
+            want = bn_chain(h, *args).data
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_acts_per_channel_on_any_rank(self, rng):
+        h = rng.normal(0, 1, (3, 4, 5))
+        args = affine_args(rng, 3)
+        got = T.affine_relu(tensor(h), *args).data
+        flat = T.affine_relu(tensor(h.reshape(3, 20)), *args).data
+        assert np.array_equal(got, flat.reshape(3, 4, 5))
+
+    def test_output_owns_fresh_buffer(self, rng):
+        h = tensor(rng.normal(0, 1, (2, 5)))
+        before = h.data.copy()
+        out = T.affine_relu(h, *affine_args(rng, 2))
+        assert not np.shares_memory(out.data, h.data)
+        assert np.array_equal(h.data, before)
+
+    def test_shape_checks(self, rng):
+        gain, shift, inv_std, mean = affine_args(rng, 3)
+        with pytest.raises(DimensionError):
+            T.affine_relu(tensor(np.ones((2, 4))), gain, shift, inv_std, mean)
+        with pytest.raises(DimensionError):
+            T.affine_relu(tensor(np.ones(3)), gain, shift, inv_std, mean)
+        with pytest.raises(DimensionError):
+            T.affine_relu(tensor(np.ones((3, 4))), gain, shift, inv_std, mean[:2])
+
+    def test_records_op_and_parents(self, rng):
+        h = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        gain, shift, inv_std, mean = affine_args(rng, 3)
+        out = T.affine_relu(h, gain, shift, inv_std, mean)
+        assert out._opname == "affine_relu"
+        assert out._parents == (h, gain, shift)
+
+    def test_no_grad_records_nothing(self, rng):
+        h = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        with T.no_grad():
+            out = T.affine_relu(h, *affine_args(rng, 3))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
+    def test_trace_gets_min_abs_preactivation(self, rng):
+        h = tensor(rng.normal(0, 1, (3, 4)))
+        args = affine_args(rng, 3)
+        trace = []
+        T.affine_relu(h, *args, trace=trace)
+        gain, shift, inv_std, mean = args
+        pre = (h.data - mean[:, None]) * (gain.data * inv_std)[:, None] + shift.data[:, None]
+        assert len(trace) == 1
+        assert abs(trace[0] - np.abs(pre).min()) < 1e-12
+        T.affine_relu(tensor(np.ones((3, 0))), *args, trace=trace)
+        assert len(trace) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +549,18 @@ class TestGradientsEveryOp:
                                 np.random.default_rng(17))
         assert max_grad_fd_error([x], fwd) < self.TOL
 
+    def test_affine_relu(self, rng):
+        h = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+        gain, shift, inv_std, mean = affine_args(rng, 3)
+        trace = []
+
+        def fwd():
+            out = T.affine_relu(h, gain, shift, inv_std, mean, trace=trace)
+            return projected(out, np.random.default_rng(18))
+
+        assert max_grad_fd_error([h, gain, shift], fwd) < self.TOL
+        assert min(trace) > 1e-3  # every finite difference stays off the kink
+
     def test_cross_entropy(self, rng):
         x = tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
         labels = np.array([0, 1, 2, 255, 1, 0])
@@ -494,6 +609,34 @@ class TestAllocationTracker:
         assert first >= 4000
         assert current < first
         assert peak >= first
+
+    def test_layout_views_add_no_bytes(self, rng):
+        with T.AllocationTracker():
+            x = T.Tensor(rng.normal(0, 1, (4, 6)))
+            before = T.tracked_alloc_stats()
+            views = [T.reshape(x, (6, 4)), T.transpose(x), T.reshape(x, (24,))]
+            assert T.tracked_alloc_stats() == before
+        assert all(np.shares_memory(v.data, x.data) for v in views)
+
+    def test_compute_ops_charge_their_output(self, rng):
+        x = T.Tensor(rng.normal(0, 1, (2, 3, 4)))
+        w = T.Tensor(rng.normal(0, 1, (5, 2)))
+        k = T.Tensor(rng.normal(0, 1, (5, 2, 3, 3)))
+        ops = (lambda: T.conv1x1(x, w), lambda: T.conv_spatial(x, k),
+               lambda: T.upsample_nearest(x, 6, 8), lambda: T.avg_pool2d(x, 1, 2))
+        for op in ops:
+            with T.AllocationTracker():
+                out = op()
+                assert T.tracked_alloc_stats()[0] == out.data.nbytes
+
+    def test_view_keeps_buffer_charged_until_freed(self, rng):
+        with T.AllocationTracker():
+            owner = T.Tensor(rng.normal(0, 1, (10, 10)))
+            view = T.transpose(owner)
+            del owner
+            assert T.tracked_alloc_stats()[0] == 800
+            del view
+            assert T.tracked_alloc_stats()[0] == 0
 
     def test_repeated_runs_identical_peaks(self, rng):
         def run():
