@@ -162,11 +162,6 @@ class Conv3x3Block(TransformBlock):
         return super().__call__(x)
 
 
-def transform_forward(block: TransformBlock, x: T.Tensor) -> T.Tensor:
-    """Apply a transform block; the free-function spelling of ``block(x)``."""
-    return block(x)
-
-
 class Sgd:
     """Plain SGD with optional momentum and L2 weight decay."""
 

@@ -20,11 +20,9 @@ from .attention import EquivalenceMapping, EquivalenceReport, \
     transformer_equivalence_check
 from .context import FeatureMap
 from .errors import ParameterError
-from .models import OcrModel, ModelConfig, build_model
+from .models import MODULE_CHOICES, ModelConfig, SegmentationModel, build_model
 from .supervision import IGNORE_INDEX, LabelMap, LossConfig, combined_loss
 
-GRAD_MODULES = ("ocr", "da", "acf", "gt_ocr", "self_attn", "global",
-                "aspp_lite", "ppm_lite")
 _KINK_MARGIN = 1e-4
 _MAX_REDRAWS = 25
 
@@ -56,7 +54,7 @@ def finite_difference_grad(param: T.Tensor, objective, h: float = 1e-6) -> np.nd
 def _grad_instance(seed: int, index: int):
     """One tiny seeded model plus input and labels, redrawn until every
     rectifier pre-activation clears the finite-difference stencil."""
-    module = GRAD_MODULES[index % len(GRAD_MODULES)]
+    module = MODULE_CHOICES[index % len(MODULE_CHOICES)]
     height, width = 3, 4
     classes = 3
     for attempt in range(_MAX_REDRAWS):
@@ -214,12 +212,12 @@ class EquivalenceSuiteReport:
 
 
 def _equivalence_model(rng: np.random.Generator, channels: int, classes: int,
-                       key: int, scale_mode: str) -> OcrModel:
+                       key: int, scale_mode: str) -> SegmentationModel:
     cfg = ModelConfig(module="ocr", in_channels=channels, num_classes=classes,
                       key_channels=key, mid_channels=5,
                       attention_scale=scale_mode, use_stem=False,
                       seed=int(rng.integers(1 << 30)))
-    return OcrModel(cfg)
+    return build_model(cfg)
 
 
 def run_equivalence_suite(instances: int = 100, seed: int = 0,
@@ -240,7 +238,7 @@ def run_equivalence_suite(instances: int = 100, seed: int = 0,
         mapping = EquivalenceMapping.from_params(model.params)
         reports.append(transformer_equivalence_check(
             x, mapping, tolerance=tolerance,
-            relation_scale=model.ocr_config.relation_scale))
+            relation_scale=model.params.config.relation_scale))
 
     # Control: encoder runs at 1/sqrt(d) while the region pipeline stays at
     # unit scale. The checker must fail and name the mismatched scale.

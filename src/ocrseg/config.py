@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
+from .context import check_scheme_settings
 from .errors import ConfigError
 from .models import MODULE_CHOICES, ModelConfig
 
@@ -71,6 +72,8 @@ class RunConfig:
         if self.module not in MODULE_CHOICES:
             raise ConfigError(f"module must be one of {MODULE_CHOICES}, "
                               f"got {self.module!r}")
+        check_scheme_settings(self.key_channels, self.mid_channels,
+                              self.attention_scale, self.da_regions)
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.train_scenes < 1 or self.eval_scenes < 1:
@@ -93,9 +96,6 @@ class RunConfig:
             da_regions=self.da_regions, use_stem=self.use_stem,
             aspp_rates=self.aspp_rates, ppm_bins=self.ppm_bins,
             seed=self.seed, dtype=self.precision)
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

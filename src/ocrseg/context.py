@@ -20,6 +20,9 @@ from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock
 from .errors import ConfigError, DimensionError, ParameterError
 
 SIMPLEX_TOL = 1e-9
+# float32 softmax rows miss 1 by up to a few 1e-7 (3.6e-7 measured at
+# N <= 16,384), far above the float64 tolerance
+SIMPLEX_TOL_SINGLE = 1e-5
 
 
 @dataclass
@@ -59,14 +62,16 @@ class FeatureMap:
 
 
 def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str) -> None:
-    """Every row of ``mat`` sums to 1 within ``SIMPLEX_TOL``, except rows in
-    ``exempt``, which must be all zero. Reports the first offending row."""
+    """Every row of ``mat`` sums to 1 within ``SIMPLEX_TOL`` (float32 rows:
+    ``SIMPLEX_TOL_SINGLE``), except rows in ``exempt``, which must be all
+    zero. Reports the first offending row."""
     if mat.size == 0:
         return
-    if mat.min() < -SIMPLEX_TOL:
+    tol = SIMPLEX_TOL_SINGLE if mat.dtype == np.float32 else SIMPLEX_TOL
+    if mat.min() < -tol:
         raise ParameterError(f"{what} contains negative weights")
     sums = mat.sum(axis=1)
-    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    off = np.abs(sums - 1.0) > tol
     flagged = np.unique(np.array([int(i) for i in exempt], dtype=np.int64))
     flagged = flagged[(flagged >= 0) & (flagged < mat.shape[0])]
     off[flagged] = False
@@ -156,6 +161,27 @@ _SCALE_MODES = ("unit", "rsqrt_key")
 _RELATION_SCHEMES = ("ocr", "da", "acf")
 
 
+def check_scheme_settings(key_channels: int, mid_channels: int,
+                          attention_scale: str, da_regions: int) -> None:
+    """The width and scheme settings every context scheme shares; raises
+    ``ConfigError`` on the first one out of range."""
+    if key_channels < 1 or mid_channels < 1:
+        raise ConfigError("key_channels and mid_channels must be >= 1")
+    if attention_scale not in _SCALE_MODES:
+        raise ConfigError(f"attention_scale must be one of {_SCALE_MODES}, "
+                          f"got {attention_scale!r}")
+    if da_regions < 0:
+        raise ConfigError(f"da_regions must be >= 0, got {da_regions}")
+
+
+def attention_logit_scale(attention_scale: str, key_channels: int) -> float:
+    """Relation-logit scale: ``unit`` leaves dot products unscaled,
+    ``rsqrt_key`` divides them by sqrt(key_channels)."""
+    if attention_scale == "unit":
+        return 1.0
+    return 1.0 / float(np.sqrt(key_channels))
+
+
 @dataclass
 class OcrConfig:
     """Width and scheme settings for the region-context pipeline.
@@ -176,22 +202,15 @@ class OcrConfig:
     def __post_init__(self) -> None:
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.key_channels < 1 or self.mid_channels < 1:
-            raise ConfigError("key_channels and mid_channels must be >= 1")
-        if self.attention_scale not in _SCALE_MODES:
-            raise ConfigError(f"attention_scale must be one of {_SCALE_MODES}, "
-                              f"got {self.attention_scale!r}")
+        check_scheme_settings(self.key_channels, self.mid_channels,
+                              self.attention_scale, self.da_regions)
         if self.relation_scheme not in _RELATION_SCHEMES:
             raise ConfigError(f"relation_scheme must be one of {_RELATION_SCHEMES}, "
                               f"got {self.relation_scheme!r}")
-        if self.da_regions < 0:
-            raise ConfigError(f"da_regions must be >= 0, got {self.da_regions}")
 
     @property
     def relation_scale(self) -> float:
-        if self.attention_scale == "unit":
-            return 1.0
-        return 1.0 / float(np.sqrt(self.key_channels))
+        return attention_logit_scale(self.attention_scale, self.key_channels)
 
 
 @dataclass
@@ -320,16 +339,33 @@ def acf_scheme_relations(regions: SoftRegionSet) -> RelationMatrix:
     return RelationMatrix(weights, regions.height, regions.width)
 
 
-def ocr_forward(x: FeatureMap, params: OcrParams) -> tuple[FeatureMap, SoftRegionSet]:
+def ocr_forward(x: FeatureMap, params: OcrParams,
+                oracle: tuple[SoftRegionSet, RelationMatrix] | None = None,
+                ) -> tuple[FeatureMap, SoftRegionSet]:
     """Full pipeline: soft regions from the raw map, then region pooling,
     relations (scheme-dependent), aggregation, and fusion on the (optionally
     3x3-stemmed) pipeline features. Returns the augmented map and the region
-    set (whose logits double as the coarse segmentation)."""
+    set (whose logits double as the coarse segmentation).
+
+    ``oracle`` substitutes given regions and relations, such as the
+    ground-truth ones of ``supervision.gt_regions``/``gt_relations``, for the
+    computed ones: neither the region head nor the relation step runs, so
+    pixels with equal relation rows receive identical contextual features.
+    The value, output, and fuse transforms (and the optional stem) stay
+    learned."""
     cfg = params.config
-    regions = compute_soft_regions(x, params.region_head)
+    if oracle is None:
+        regions = compute_soft_regions(x, params.region_head)
+    else:
+        regions, relations = oracle
+        for part in oracle:
+            if (part.height, part.width) != (x.height, x.width):
+                raise DimensionError(
+                    f"oracle {type(part).__name__} covers {part.height}x"
+                    f"{part.width} pixels, features are {x.height}x{x.width}")
     feats = x if params.stem is None else FeatureMap(params.stem(x.tensor))
 
-    if cfg.relation_scheme == "da" and params.da_maps is not None:
+    if oracle is None and cfg.relation_scheme == "da" and params.da_maps is not None:
         # Wider unsupervised region maps: the pipeline runs on these while the
         # supervised classifier above still feeds the auxiliary loss.
         pipeline_regions = compute_soft_regions(feats, params.da_maps)
@@ -338,18 +374,19 @@ def ocr_forward(x: FeatureMap, params: OcrParams) -> tuple[FeatureMap, SoftRegio
 
     reps = region_representations(T.transpose(feats.pixels()), pipeline_regions)
 
-    if cfg.relation_scheme == "ocr":
-        relations = pixel_region_relations(
-            feats, reps, params.pixel_transform, params.region_transform,
-            scale=cfg.relation_scale)
-    elif cfg.relation_scheme == "da":
-        if params.da_predictor is None:
-            raise ConfigError("relation_scheme 'da' requires a da_predictor head")
-        relations = da_scheme_relations(feats, params.da_predictor)
-    elif cfg.relation_scheme == "acf":
-        relations = acf_scheme_relations(pipeline_regions)
-    else:  # pragma: no cover - OcrConfig validates the scheme
-        raise ConfigError(f"unknown relation scheme {cfg.relation_scheme!r}")
+    if oracle is None:
+        if cfg.relation_scheme == "ocr":
+            relations = pixel_region_relations(
+                feats, reps, params.pixel_transform, params.region_transform,
+                scale=cfg.relation_scale)
+        elif cfg.relation_scheme == "da":
+            if params.da_predictor is None:
+                raise ConfigError("relation_scheme 'da' requires a da_predictor head")
+            relations = da_scheme_relations(feats, params.da_predictor)
+        elif cfg.relation_scheme == "acf":
+            relations = acf_scheme_relations(pipeline_regions)
+        else:  # pragma: no cover - OcrConfig validates the scheme
+            raise ConfigError(f"unknown relation scheme {cfg.relation_scheme!r}")
 
     y = ocr_aggregate(relations, reps, params.value_transform, params.output_transform)
     z = augment(feats, y, params.fuse_transform)

@@ -42,11 +42,6 @@ def softmax_flops(rows: int, cols: int) -> int:
     return 5 * rows * cols
 
 
-def relu_flops(n: int) -> int:
-    _check_positive(n=n)
-    return n
-
-
 def pool_flops(c: int, n_in: int, cells: int) -> int:
     _check_positive(c=c, n_in=n_in, cells=cells)
     return c * (n_in + cells)

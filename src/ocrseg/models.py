@@ -1,9 +1,12 @@
-"""Trainable segmentation heads, one per context scheme.
+"""Trainable segmentation heads: one context stage, then a 1x1 classifier.
 
-Each model owns its parameters, exposes ``forward`` (final logits plus
-optional coarse/auxiliary logits) and a closed-form ``flop_breakdown`` used by
-the profiler. The same assemblies are trained at desk scale and profiled at
-full scale, so the analytic counts describe exactly the code that runs.
+Every scheme is the same ``SegmentationModel``; ``STAGES`` maps each module
+name to its context stage. The model draws the stage's parameters from one
+seeded stream, registering each under its checkpoint name as it is drawn,
+exposes ``forward`` (final logits plus optional coarse/auxiliary logits) and a
+closed-form ``flop_breakdown`` used by the profiler. The same assemblies are
+trained at desk scale and profiled at full scale, so the analytic counts
+describe exactly the code that runs.
 """
 from __future__ import annotations
 
@@ -15,13 +18,11 @@ from . import flopcount as F
 from . import tensor as T
 from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock, uniform_init
 from .context import (DilatedConvSpec, FeatureMap, OcrConfig, OcrParams,
-                      aspp_lite, augment, global_context, ocr_forward, ppm_lite,
-                      scaled_rates, self_attention_context)
+                      aspp_lite, attention_logit_scale, augment,
+                      check_scheme_settings, global_context, ocr_forward,
+                      ppm_lite, scaled_rates, self_attention_context)
 from .errors import ConfigError
-from .supervision import LabelMap, gt_ocr_forward
-
-MODULE_CHOICES = ("ocr", "da", "acf", "gt_ocr", "self_attn", "global",
-                  "aspp_lite", "ppm_lite")
+from .supervision import LabelMap, gt_regions, gt_relations
 
 
 @dataclass
@@ -47,6 +48,8 @@ class ModelConfig:
                               f"got {self.module!r}")
         if self.in_channels < 1 or self.num_classes < 1:
             raise ConfigError("in_channels and num_classes must be >= 1")
+        check_scheme_settings(self.key_channels, self.mid_channels,
+                              self.attention_scale, self.da_regions)
         if self.dtype not in ("double", "single"):
             raise ConfigError(f"dtype must be 'double' or 'single', got {self.dtype!r}")
 
@@ -62,17 +65,40 @@ class ModelOutput:
 
 
 class SegmentationModel:
-    """Base: named parameters, forward, and analytic cost breakdown."""
+    """One segmentation head: a context stage, then a 1x1 classifier.
 
-    name = "base"
-    needs_labels = False
+    ``stage(model, image_size)`` builds the stage, drawing its parameters
+    through ``draw``; the final head is drawn last. Names, draw order and
+    values are the checkpoint format. A stage has ``out_channels``, maps
+    ``(x, labels)`` to the features the final head reads plus the auxiliary
+    logits (or None), and gives its closed-form FLOP terms with ``flops(n)``.
+    """
 
-    def __init__(self, cfg: ModelConfig) -> None:
+    def __init__(self, cfg: ModelConfig, stage, image_size: int = 64) -> None:
         self.cfg = cfg
+        self.needs_labels = cfg.module == "gt_ocr"
         self._named: list[tuple[str, T.Tensor]] = []
+        self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        self.stage = stage(self, image_size)
+        self.final_head = self.draw("final_head", Conv1x1Head.create,
+                                    self.stage.out_channels, cfg.num_classes,
+                                    bias=True)
 
-    def _register(self, prefix: str, obj) -> None:
-        self._named.extend(obj.named_parameters(prefix + "."))
+    def draw(self, name: str | None, create, *args, **kwargs):
+        """``create(rng, *args, dtype=..., **kwargs)`` on the model's seeded
+        stream. The result, a block or one tensor, is registered under
+        ``name`` as it is drawn (a block's parameters as ``name.<field>``);
+        ``name=None`` draws it without making it state."""
+        obj = create(self._rng, *args, dtype=self.cfg.np_dtype, **kwargs)
+        if name is not None:
+            self._named.extend([(name, obj)] if isinstance(obj, T.Tensor)
+                               else obj.named_parameters(name + "."))
+        return obj
+
+    @property
+    def params(self) -> OcrParams:
+        """The region pipeline's parameter bundle (region schemes only)."""
+        return self.stage.params
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self._named)
@@ -91,340 +117,254 @@ class SegmentationModel:
                 raise ConfigError(
                     f"checkpoint entry {name} has shape {state[name].shape}, "
                     f"model expects {tensor.data.shape}")
+            if tensor.data.dtype != state[name].dtype:
+                raise ConfigError(
+                    f"checkpoint entry {name} has dtype {state[name].dtype}, "
+                    f"model expects {tensor.data.dtype}")
+        for name, tensor in own.items():
             tensor.data[...] = state[name]
 
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        raise NotImplementedError
+        z, aux = self.stage(x, labels)
+        return ModelOutput(self.final_head(z.pixels()), aux)
 
     def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
-        raise NotImplementedError
+        n = height * width
+        out = self.stage.flops(n)
+        out["final_head"] = F.conv1x1_flops(self.stage.out_channels,
+                                            self.cfg.num_classes, n, bias=True)
+        return out
 
     def analytic_flops(self, height: int, width: int) -> int:
         return sum(self.flop_breakdown(height, width).values())
 
 
-def _final_head_flops(cfg: ModelConfig, c_in: int, n: int) -> int:
-    return F.conv1x1_flops(c_in, cfg.num_classes, n, bias=True)
+class RelationalStage:
+    """Optional 3x3 stem, a relational context, then the fuse of features and
+    context. Every relational scheme draws the stem first and the value,
+    output and fuse transforms in ``_draw_shared``; a subclass draws its own
+    parameters around them in ``_draw`` and supplies ``context_flops`` and
+    ``context`` (the region pipeline, which runs its own stem and fuse in
+    ``ocr_forward``, replaces ``__call__`` instead)."""
+
+    def __init__(self, model: SegmentationModel, image_size: int) -> None:
+        cfg = self.cfg = model.cfg
+        self.pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
+        self.out_channels = cfg.mid_channels
+        self.stem = model.draw("stem", Conv3x3Block.create, cfg.in_channels,
+                               cfg.mid_channels) if cfg.use_stem else None
+        self._draw(model)
+
+    def _draw(self, model: SegmentationModel) -> None:
+        self._draw_shared(model)
+
+    def _draw_shared(self, model: SegmentationModel) -> None:
+        cfg = self.cfg
+        self.value_t = model.draw("value_transform", TransformBlock.create,
+                                  self.pipe_in, cfg.key_channels)
+        self.output_t = model.draw("output_transform", TransformBlock.create,
+                                   cfg.key_channels, cfg.mid_channels)
+        self.fuse_t = model.draw("fuse_transform", TransformBlock.create,
+                                 self.pipe_in + cfg.mid_channels, cfg.mid_channels)
+
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+        feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
+        return augment(feats, self.context(feats), self.fuse_t), None
+
+    def flops(self, n: int) -> dict[str, int]:
+        cfg = self.cfg
+        out: dict[str, int] = {}
+        if self.stem is not None:
+            out["stem"] = F.block_flops(cfg.in_channels, cfg.mid_channels, n, kernel=3)
+        out.update(self.context_flops(n))
+        out["fuse"] = F.block_flops(self.pipe_in + cfg.mid_channels,
+                                    cfg.mid_channels, n)
+        return out
 
 
-class OcrModel(SegmentationModel):
-    """Region-context pipeline; relation scheme per config (ocr / da / acf) or
-    oracle regions and relations (gt_ocr)."""
+class RegionStage(RelationalStage):
+    """The region-context pipeline, ``ocr_forward``: relation scheme per
+    config (ocr / da / acf) or oracle regions and relations (gt_ocr)."""
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        super().__init__(cfg)
-        self.name = cfg.module
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        dt = cfg.np_dtype
-        scheme = "ocr" if cfg.module == "gt_ocr" else cfg.module
-        self.ocr_config = OcrConfig(
-            num_classes=cfg.num_classes, key_channels=cfg.key_channels,
-            mid_channels=cfg.mid_channels, attention_scale=cfg.attention_scale,
-            relation_scheme=scheme, da_regions=cfg.da_regions)
-        pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
-        self.pipe_in = pipe_in
-
-        stem = None
-        if cfg.use_stem:
-            stem = Conv3x3Block.create(rng, cfg.in_channels, cfg.mid_channels, dt)
-        region_head = Conv1x1Head.create(rng, cfg.in_channels, cfg.num_classes,
-                                         bias=False, dtype=dt)
+    def _draw(self, model: SegmentationModel) -> None:
+        cfg = self.cfg
+        oracle = cfg.module == "gt_ocr"
+        scheme = "ocr" if oracle else cfg.module
+        # Under oracle regions and relations the classifier and both key
+        # transforms never receive gradients, so they are drawn (the stream
+        # stays the same) but are not state.
+        region_head = model.draw(None if oracle else "region_head",
+                                 Conv1x1Head.create, cfg.in_channels,
+                                 cfg.num_classes, bias=False)
         pixel_t = region_t = None
         if scheme == "ocr":
             # only the learned-relation scheme compares pixel and region keys
-            pixel_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-            region_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        value_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        output_t = TransformBlock.create(rng, cfg.key_channels, cfg.mid_channels, dt)
-        fuse_t = TransformBlock.create(rng, pipe_in + cfg.mid_channels,
-                                       cfg.mid_channels, dt)
+            pixel_t = model.draw(None if oracle else "pixel_transform",
+                                 TransformBlock.create, self.pipe_in, cfg.key_channels)
+            region_t = model.draw(None if oracle else "region_transform",
+                                  TransformBlock.create, self.pipe_in, cfg.key_channels)
+        self._draw_shared(model)
+        self.regions = cfg.num_classes
         da_predictor = da_maps = None
         if scheme == "da":
-            regions = cfg.da_regions or cfg.num_classes
-            da_predictor = Conv1x1Head.create(rng, pipe_in, regions, bias=True, dtype=dt)
-            if regions != cfg.num_classes:
-                da_maps = Conv1x1Head.create(rng, pipe_in, regions, bias=False, dtype=dt)
-        self.params = OcrParams(self.ocr_config, region_head, pixel_t, region_t,
-                                value_t, output_t, fuse_t, stem, da_predictor, da_maps)
-        self.final_head = Conv1x1Head.create(rng, cfg.mid_channels, cfg.num_classes,
-                                             bias=True, dtype=dt)
-        self.needs_labels = cfg.module == "gt_ocr"
+            self.regions = cfg.da_regions or cfg.num_classes
+            da_predictor = model.draw("da_predictor", Conv1x1Head.create,
+                                      self.pipe_in, self.regions, bias=True)
+            if self.regions != cfg.num_classes:
+                da_maps = model.draw("da_maps", Conv1x1Head.create,
+                                     self.pipe_in, self.regions, bias=False)
+        ocr_config = OcrConfig(
+            num_classes=cfg.num_classes, key_channels=cfg.key_channels,
+            mid_channels=cfg.mid_channels, attention_scale=cfg.attention_scale,
+            relation_scheme=scheme, da_regions=cfg.da_regions)
+        self.params = OcrParams(ocr_config, region_head, pixel_t, region_t,
+                                self.value_t, self.output_t, self.fuse_t,
+                                self.stem, da_predictor, da_maps)
 
-        gt = cfg.module == "gt_ocr"
-        if stem is not None:
-            self._register("stem", stem)
-        if not gt:
-            # Under oracle regions and relations the classifier and both key
-            # transforms never receive gradients, so they are not state.
-            self._register("region_head", region_head)
-            if pixel_t is not None:
-                self._register("pixel_transform", pixel_t)
-                self._register("region_transform", region_t)
-        self._register("value_transform", value_t)
-        self._register("output_transform", output_t)
-        self._register("fuse_transform", fuse_t)
-        if da_predictor is not None:
-            self._register("da_predictor", da_predictor)
-        if da_maps is not None:
-            self._register("da_maps", da_maps)
-        self._register("final_head", self.final_head)
-
-    def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        if self.cfg.module == "gt_ocr":
-            if labels is None:
-                raise ConfigError("gt_ocr forward requires a label map")
-            z, regions = gt_ocr_forward(x, labels, self.params)
-            aux = None
-        else:
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+        if self.cfg.module != "gt_ocr":
             z, regions = ocr_forward(x, self.params)
-            aux = regions.logits
-        final = self.final_head(z.pixels())
-        return ModelOutput(final, aux)
+            return z, regions.logits
+        if labels is None:
+            raise ConfigError("gt_ocr forward requires a label map")
+        z, _ = ocr_forward(x, self.params,
+                           oracle=(gt_regions(labels), gt_relations(labels)))
+        return z, None
 
-    def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
+    def context_flops(self, n: int) -> dict[str, int]:
         cfg = self.cfg
-        n = height * width
-        k = cfg.num_classes
-        pipe_regions = k
-        scheme = self.ocr_config.relation_scheme
-        if scheme == "da":
-            pipe_regions = cfg.da_regions or k
+        c, d, k, r = self.pipe_in, cfg.key_channels, cfg.num_classes, self.regions
+        scheme = "oracle" if cfg.module == "gt_ocr" else cfg.module
         out: dict[str, int] = {}
-        if cfg.use_stem:
-            out["stem"] = F.block_flops(cfg.in_channels, cfg.mid_channels, n, kernel=3)
-        if cfg.module != "gt_ocr":
+        if scheme != "oracle":
             out["region_head"] = F.conv1x1_flops(cfg.in_channels, k, n)
             out["region_softmax"] = F.softmax_flops(k, n)
-        if scheme == "da" and self.params.da_maps is not None:
-            out["da_maps"] = (F.conv1x1_flops(self.pipe_in, pipe_regions, n)
-                              + F.softmax_flops(pipe_regions, n))
-        out["region_pool"] = F.matmul_flops(pipe_regions, n, self.pipe_in)
-        if scheme == "ocr" and cfg.module != "gt_ocr":
-            out["pixel_keys"] = F.block_flops(self.pipe_in, cfg.key_channels, n)
-            out["region_keys"] = F.block_flops(self.pipe_in, cfg.key_channels,
-                                               pipe_regions)
-            out["relation_logits"] = F.matmul_flops(n, cfg.key_channels, pipe_regions)
-            out["relation_softmax"] = F.softmax_flops(n, pipe_regions)
+        if self.params.da_maps is not None:
+            out["da_maps"] = F.conv1x1_flops(c, r, n) + F.softmax_flops(r, n)
+        out["region_pool"] = F.matmul_flops(r, n, c)
+        if scheme == "ocr":
+            out["pixel_keys"] = F.block_flops(c, d, n)
+            out["region_keys"] = F.block_flops(c, d, r)
+            out["relation_logits"] = F.matmul_flops(n, d, r)
+            out["relation_softmax"] = F.softmax_flops(n, r)
         elif scheme == "da":
-            out["relation_predictor"] = F.conv1x1_flops(
-                self.pipe_in, pipe_regions, n, bias=True)
-            out["relation_softmax"] = F.softmax_flops(n, pipe_regions)
+            out["relation_predictor"] = F.conv1x1_flops(c, r, n, bias=True)
+            out["relation_softmax"] = F.softmax_flops(n, r)
         elif scheme == "acf":
             out["relation_softmax"] = F.softmax_flops(n, k)
-        out["region_values"] = F.block_flops(self.pipe_in, cfg.key_channels,
-                                             pipe_regions)
-        out["aggregation"] = F.matmul_flops(n, pipe_regions, cfg.key_channels)
-        out["output_transform"] = F.block_flops(cfg.key_channels, cfg.mid_channels, n)
-        out["fuse"] = F.block_flops(self.pipe_in + cfg.mid_channels,
-                                    cfg.mid_channels, n)
-        out["final_head"] = _final_head_flops(cfg, cfg.mid_channels, n)
+        out["region_values"] = F.block_flops(c, d, r)
+        out["aggregation"] = F.matmul_flops(n, r, d)
+        out["output_transform"] = F.block_flops(d, cfg.mid_channels, n)
         return out
 
 
-class SelfAttentionModel(SegmentationModel):
+class SelfAttentionStage(RelationalStage):
     """Dense pairwise attention context: the quadratic-cost baseline."""
 
-    name = "self_attn"
-
-    def __init__(self, cfg: ModelConfig) -> None:
-        super().__init__(cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        dt = cfg.np_dtype
-        pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
-        self.pipe_in = pipe_in
-        self.stem = Conv3x3Block.create(rng, cfg.in_channels, cfg.mid_channels, dt) \
-            if cfg.use_stem else None
-        self.pixel_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        self.context_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        self.value_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        self.output_t = TransformBlock.create(rng, cfg.key_channels, cfg.mid_channels, dt)
-        self.fuse_t = TransformBlock.create(rng, pipe_in + cfg.mid_channels,
-                                            cfg.mid_channels, dt)
-        self.final_head = Conv1x1Head.create(rng, cfg.mid_channels, cfg.num_classes,
-                                             bias=True, dtype=dt)
-        self.scale = 1.0 if cfg.attention_scale == "unit" else \
-            1.0 / float(np.sqrt(cfg.key_channels))
-        if self.stem is not None:
-            self._register("stem", self.stem)
-        for prefix, obj in (("pixel_transform", self.pixel_t),
-                            ("context_transform", self.context_t),
-                            ("value_transform", self.value_t),
-                            ("output_transform", self.output_t),
-                            ("fuse_transform", self.fuse_t),
-                            ("final_head", self.final_head)):
-            self._register(prefix, obj)
-
-    def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
-        y = self_attention_context(feats, self.pixel_t, self.context_t,
-                                   self.value_t, self.output_t, scale=self.scale)
-        z = augment(feats, y, self.fuse_t)
-        return ModelOutput(self.final_head(z.pixels()), None)
-
-    def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
+    def _draw(self, model: SegmentationModel) -> None:
         cfg = self.cfg
-        n = height * width
-        out: dict[str, int] = {}
-        if cfg.use_stem:
-            out["stem"] = F.block_flops(cfg.in_channels, cfg.mid_channels, n, kernel=3)
-        out["pixel_keys"] = F.block_flops(self.pipe_in, cfg.key_channels, n)
-        out["context_keys"] = F.block_flops(self.pipe_in, cfg.key_channels, n)
-        out["values"] = F.block_flops(self.pipe_in, cfg.key_channels, n)
-        out["relation_logits"] = F.matmul_flops(n, cfg.key_channels, n)
-        out["relation_softmax"] = F.softmax_flops(n, n)
-        out["aggregation"] = F.matmul_flops(n, n, cfg.key_channels)
-        out["output_transform"] = F.block_flops(cfg.key_channels, cfg.mid_channels, n)
-        out["fuse"] = F.block_flops(self.pipe_in + cfg.mid_channels,
-                                    cfg.mid_channels, n)
-        out["final_head"] = _final_head_flops(cfg, cfg.mid_channels, n)
-        return out
+        self.pixel_t = model.draw("pixel_transform", TransformBlock.create,
+                                  self.pipe_in, cfg.key_channels)
+        self.context_t = model.draw("context_transform", TransformBlock.create,
+                                    self.pipe_in, cfg.key_channels)
+        self._draw_shared(model)
+        self.scale = attention_logit_scale(cfg.attention_scale, cfg.key_channels)
+
+    def context(self, feats: FeatureMap) -> FeatureMap:
+        return self_attention_context(feats, self.pixel_t, self.context_t,
+                                      self.value_t, self.output_t, scale=self.scale)
+
+    def context_flops(self, n: int) -> dict[str, int]:
+        c, d = self.pipe_in, self.cfg.key_channels
+        return {"pixel_keys": F.block_flops(c, d, n),
+                "context_keys": F.block_flops(c, d, n),
+                "values": F.block_flops(c, d, n),
+                "relation_logits": F.matmul_flops(n, d, n),
+                "relation_softmax": F.softmax_flops(n, n),
+                "aggregation": F.matmul_flops(n, n, d),
+                "output_transform": F.block_flops(d, self.cfg.mid_channels, n)}
 
 
-class GlobalContextModel(SegmentationModel):
+class GlobalStage(RelationalStage):
     """Single pooled context shared by every pixel."""
 
-    name = "global"
+    def context(self, feats: FeatureMap) -> FeatureMap:
+        return global_context(feats, self.value_t, self.output_t)
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        super().__init__(cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        dt = cfg.np_dtype
-        pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
-        self.pipe_in = pipe_in
-        self.stem = Conv3x3Block.create(rng, cfg.in_channels, cfg.mid_channels, dt) \
-            if cfg.use_stem else None
-        self.value_t = TransformBlock.create(rng, pipe_in, cfg.key_channels, dt)
-        self.output_t = TransformBlock.create(rng, cfg.key_channels, cfg.mid_channels, dt)
-        self.fuse_t = TransformBlock.create(rng, pipe_in + cfg.mid_channels,
-                                            cfg.mid_channels, dt)
-        self.final_head = Conv1x1Head.create(rng, cfg.mid_channels, cfg.num_classes,
-                                             bias=True, dtype=dt)
-        if self.stem is not None:
-            self._register("stem", self.stem)
-        for prefix, obj in (("value_transform", self.value_t),
-                            ("output_transform", self.output_t),
-                            ("fuse_transform", self.fuse_t),
-                            ("final_head", self.final_head)):
-            self._register(prefix, obj)
-
-    def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
-        y = global_context(feats, self.value_t, self.output_t)
-        z = augment(feats, y, self.fuse_t)
-        return ModelOutput(self.final_head(z.pixels()), None)
-
-    def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
-        cfg = self.cfg
-        n = height * width
-        out: dict[str, int] = {}
-        if cfg.use_stem:
-            out["stem"] = F.block_flops(cfg.in_channels, cfg.mid_channels, n, kernel=3)
-        out["values"] = F.block_flops(self.pipe_in, cfg.key_channels, n)
-        out["pool"] = F.mean_flops(cfg.key_channels, n)
-        out["output_transform"] = F.block_flops(cfg.key_channels, cfg.mid_channels, 1)
-        out["fuse"] = F.block_flops(self.pipe_in + cfg.mid_channels,
-                                    cfg.mid_channels, n)
-        out["final_head"] = _final_head_flops(cfg, cfg.mid_channels, n)
-        return out
+    def context_flops(self, n: int) -> dict[str, int]:
+        d = self.cfg.key_channels
+        return {"values": F.block_flops(self.pipe_in, d, n),
+                "pool": F.mean_flops(d, n),
+                "output_transform": F.block_flops(d, self.cfg.mid_channels, 1)}
 
 
-class AsppModel(SegmentationModel):
-    """Parallel dilated convolutions, concatenated, then classified."""
+def _dilated_kernel(rng: np.random.Generator, in_channels: int, out_channels: int,
+                    dtype) -> T.Tensor:
+    return T.Tensor(uniform_init(rng, (out_channels, in_channels, 3, 3),
+                                 in_channels * 9, dtype), requires_grad=True)
 
-    name = "aspp_lite"
 
-    def __init__(self, cfg: ModelConfig, image_size: int = 64) -> None:
-        super().__init__(cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        dt = cfg.np_dtype
+class AsppStage:
+    """Parallel dilated convolutions of the raw map, concatenated."""
+
+    def __init__(self, model: SegmentationModel, image_size: int) -> None:
+        cfg = self.cfg = model.cfg
         self.branch_channels = cfg.key_channels
         rates, self.rates_clipped = scaled_rates(cfg.aspp_rates, image_size, image_size)
-        kernels = []
-        for i, _ in enumerate(rates):
-            kern = T.Tensor(uniform_init(rng, (self.branch_channels, cfg.in_channels,
-                                               3, 3), cfg.in_channels * 9, dt),
-                            requires_grad=True)
-            kernels.append(kern)
-            self._named.append((f"branch_{i}.weight", kern))
-        self.spec = DilatedConvSpec(rates, tuple(kernels))
-        cat_channels = self.branch_channels * len(rates)
-        self.final_head = Conv1x1Head.create(rng, cat_channels, cfg.num_classes,
-                                             bias=True, dtype=dt)
-        self._register("final_head", self.final_head)
+        kernels = tuple(model.draw(f"branch_{i}.weight", _dilated_kernel,
+                                   cfg.in_channels, self.branch_channels)
+                        for i in range(len(rates)))
+        self.spec = DilatedConvSpec(rates, kernels)
+        self.out_channels = self.branch_channels * len(rates)
 
-    def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        z = aspp_lite(x, self.spec)
-        return ModelOutput(self.final_head(z.pixels()), None)
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+        return aspp_lite(x, self.spec), None
 
-    def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
-        cfg = self.cfg
-        n = height * width
-        out: dict[str, int] = {}
-        for i, _ in enumerate(self.spec.rates):
-            out[f"branch_{i}"] = F.conv_kxk_flops(cfg.in_channels,
-                                                  self.branch_channels, n, 3)
-        cat = self.branch_channels * len(self.spec.rates)
-        out["final_head"] = _final_head_flops(cfg, cat, n)
-        return out
+    def flops(self, n: int) -> dict[str, int]:
+        return {f"branch_{i}": F.conv_kxk_flops(self.cfg.in_channels,
+                                                self.branch_channels, n, 3)
+                for i in range(len(self.spec.rates))}
 
 
-class PpmModel(SegmentationModel):
+class PpmStage:
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation."""
 
-    name = "ppm_lite"
+    def __init__(self, model: SegmentationModel, image_size: int) -> None:
+        cfg = self.cfg = model.cfg
+        self.bins = tuple(cfg.ppm_bins)
+        self.branch_channels = max(1, cfg.in_channels // len(self.bins))
+        self.projections = [model.draw(f"branch_{i}", Conv1x1Head.create,
+                                       cfg.in_channels, self.branch_channels,
+                                       bias=False)
+                            for i in range(len(self.bins))]
+        self.cat_channels = cfg.in_channels + self.branch_channels * len(self.bins)
+        self.fuse = model.draw("fuse", Conv3x3Block.create, self.cat_channels,
+                               cfg.mid_channels)
+        self.out_channels = cfg.mid_channels
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        super().__init__(cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        dt = cfg.np_dtype
-        bins = tuple(cfg.ppm_bins)
-        self.bins = bins
-        self.branch_channels = max(1, cfg.in_channels // len(bins))
-        self.projections = []
-        for i, _ in enumerate(bins):
-            proj = Conv1x1Head.create(rng, cfg.in_channels, self.branch_channels,
-                                      bias=False, dtype=dt)
-            self.projections.append(proj)
-            self._register(f"branch_{i}", proj)
-        cat_channels = cfg.in_channels + self.branch_channels * len(bins)
-        self.cat_channels = cat_channels
-        self.fuse = Conv3x3Block.create(rng, cat_channels, cfg.mid_channels, dt)
-        self._register("fuse", self.fuse)
-        self.final_head = Conv1x1Head.create(rng, cfg.mid_channels, cfg.num_classes,
-                                             bias=True, dtype=dt)
-        self._register("final_head", self.final_head)
-
-    def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
         cat = ppm_lite(x, self.bins, self.projections)
-        z = FeatureMap(self.fuse(cat.tensor))
-        return ModelOutput(self.final_head(z.pixels()), None)
+        return FeatureMap(self.fuse(cat.tensor)), None
 
-    def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
+    def flops(self, n: int) -> dict[str, int]:
         cfg = self.cfg
-        n = height * width
         out: dict[str, int] = {}
         for i, b in enumerate(self.bins):
-            cells = b * b
-            out[f"pool_{i}"] = F.pool_flops(cfg.in_channels, n, cells)
+            out[f"pool_{i}"] = F.pool_flops(cfg.in_channels, n, b * b)
             out[f"branch_{i}"] = F.conv1x1_flops(cfg.in_channels,
-                                                 self.branch_channels, cells)
+                                                 self.branch_channels, b * b)
         out["fuse"] = F.block_flops(self.cat_channels, cfg.mid_channels, n, kernel=3)
-        out["final_head"] = _final_head_flops(cfg, cfg.mid_channels, n)
         return out
+
+
+STAGES = {"ocr": RegionStage, "da": RegionStage, "acf": RegionStage,
+          "gt_ocr": RegionStage, "self_attn": SelfAttentionStage,
+          "global": GlobalStage, "aspp_lite": AsppStage, "ppm_lite": PpmStage}
+MODULE_CHOICES = tuple(STAGES)
 
 
 def build_model(cfg: ModelConfig, image_size: int = 64) -> SegmentationModel:
-    if cfg.module in ("ocr", "da", "acf", "gt_ocr"):
-        return OcrModel(cfg)
-    if cfg.module == "self_attn":
-        return SelfAttentionModel(cfg)
-    if cfg.module == "global":
-        return GlobalContextModel(cfg)
-    if cfg.module == "aspp_lite":
-        return AsppModel(cfg, image_size=image_size)
-    if cfg.module == "ppm_lite":
-        return PpmModel(cfg)
-    raise ConfigError(f"unknown module {cfg.module!r}")  # pragma: no cover
+    return SegmentationModel(cfg, STAGES[cfg.module], image_size)
 
 
 def full_scale_config(module: str, num_classes: int = 19) -> ModelConfig:

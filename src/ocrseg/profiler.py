@@ -32,6 +32,10 @@ DEFAULT_BENCH_MODULES = ("ocr", "da", "self_attn", "global", "aspp_lite", "ppm_l
 
 CSV_HEADER = "module,params,flops,peak_bytes,wall_ms,input_shape"
 
+# Verdicts that compare wall times; they are no more repeatable than the times
+# themselves, so the JSON keeps them apart from the deterministic ones.
+TIMING_VERDICTS = ("ocr_time_below_self_attention", "ocr_time_below_ppm_lite")
+
 
 @dataclass
 class BenchConfig:
@@ -266,6 +270,8 @@ def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,
                                      else round(r.wall_ms_spread, 3))
         return obj
 
+    verdicts = dict(extras["verdicts"])
+    timing = {name: verdicts.pop(name) for name in TIMING_VERDICTS if name in verdicts}
     payload = {
         "bench_config": {
             "input_shape": list(cfg.input_shape), "num_classes": cfg.num_classes,
@@ -276,7 +282,8 @@ def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,
         },
         "full_scale": [report_obj(r, False) for r in extras["full_scale"]],
         "measured": [report_obj(r, True) for r in measured],
-        "verdicts": extras["verdicts"],
+        "verdicts": verdicts,
+        "timing_verdicts": timing,
         "errors": errors,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .context import (FeatureMap, OcrParams, RegionReps, RelationMatrix,
-                      SoftRegionSet, augment, ocr_aggregate)
+from .context import RelationMatrix, SoftRegionSet
 from .errors import ConfigError, DataError, DimensionError, ParameterError
 
 IGNORE_INDEX = 255
@@ -137,24 +136,6 @@ def gt_relations(labels: LabelMap, num_regions: int | None = None) -> RelationMa
     weights[np.where(valid)[0], flat[valid]] = 1.0
     zero_rows = tuple(int(i) for i in np.where(~valid)[0])
     return RelationMatrix(T.Tensor(weights), labels.height, labels.width, zero_rows)
-
-
-def gt_ocr_forward(x: FeatureMap, labels: LabelMap,
-                   params: OcrParams) -> tuple[FeatureMap, SoftRegionSet]:
-    """The context pipeline with oracle regions and relations substituted.
-    Pixels sharing a label receive identical contextual features. The value,
-    output, and fuse transforms (and the optional stem) stay learned."""
-    if (labels.height, labels.width) != (x.height, x.width):
-        raise DimensionError(
-            f"labels {labels.height}x{labels.width} do not match features "
-            f"{x.height}x{x.width}")
-    regions = gt_regions(labels)
-    relations = gt_relations(labels)
-    feats = x if params.stem is None else FeatureMap(params.stem(x.tensor))
-    reps = RegionReps(T.matmul(regions.normalized, T.transpose(feats.pixels())))
-    y = ocr_aggregate(relations, reps, params.value_transform, params.output_transform)
-    z = augment(feats, y, params.fuse_transform)
-    return z, regions
 
 
 def pixel_cross_entropy(logits: T.Tensor, labels: LabelMap,

@@ -184,6 +184,8 @@ def ablation_csv(cells: list[AblationCell],
 # checkpoints: tiny self-describing binary, byte-stable across runs
 
 _CKPT_MAGIC = b"OCRSEG1\n"
+_CKPT_DTYPES = ("float64", "float32")
+_CKPT_FIELDS = ("name", "shape", "dtype", "offset", "nbytes")
 
 
 def save_checkpoint(path: str, model: SegmentationModel) -> None:
@@ -206,20 +208,49 @@ def save_checkpoint(path: str, model: SegmentationModel) -> None:
         f.write(b"".join(blobs))
 
 
+def _entry_problem(entry) -> str | None:
+    """Why a checkpoint header entry is malformed, or None when it is not."""
+    if not isinstance(entry, dict) or any(f not in entry for f in _CKPT_FIELDS):
+        return f"an entry lacks one of the fields {_CKPT_FIELDS}"
+    name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+    counts = [entry["offset"], entry["nbytes"]] + (
+        shape if isinstance(shape, list) else [None])
+    if not isinstance(name, str) or not all(type(v) is int and v >= 0 for v in counts):
+        return (f"entry {name!r} needs a string name and non-negative integer "
+                f"shape, offset and nbytes")
+    if dtype not in _CKPT_DTYPES:
+        return f"entry {name!r} has dtype {dtype!r}, not one of {_CKPT_DTYPES}"
+    if entry["nbytes"] != math.prod(shape) * np.dtype(dtype).itemsize:
+        return f"entry {name!r} has nbytes that do not match its shape and dtype"
+    return None
+
+
 def load_checkpoint(path: str, model: SegmentationModel) -> None:
     with open(path, "rb") as f:
-        magic = f.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"not a checkpoint file: {path}")
-        header_len = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(header_len).decode("ascii"))
-        body = f.read()
+        blob = f.read()
+    if not blob.startswith(_CKPT_MAGIC):
+        raise DataError(f"not a checkpoint file: {path}")
+    start = len(_CKPT_MAGIC) + 8
+    header_len = int.from_bytes(blob[len(_CKPT_MAGIC):start], "little")
+    if len(blob) < start or header_len > len(blob) - start:
+        raise DataError(f"checkpoint header runs past the end of the file: {path}")
+    try:
+        header = json.loads(blob[start:start + header_len].decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"malformed checkpoint header in {path}: {exc}") from None
+    entries = header.get("entries") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise DataError(f"malformed checkpoint header in {path}: no entry list")
+    body = blob[start + header_len:]
     state = {}
-    for entry in header["entries"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(body):
+    for entry in entries:
+        problem = _entry_problem(entry)
+        if problem is not None:
+            raise DataError(f"malformed checkpoint header in {path}: {problem}")
+        offset, nbytes = entry["offset"], entry["nbytes"]
+        if offset + nbytes > len(body):
             raise DataError(f"truncated checkpoint: {path}")
-        flat = np.frombuffer(body[start:start + nbytes],
+        flat = np.frombuffer(body[offset:offset + nbytes],
                              dtype=np.dtype(entry["dtype"]))
         state[entry["name"]] = flat.reshape(entry["shape"]).copy()
     model.load_state(state)

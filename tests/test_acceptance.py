@@ -150,14 +150,13 @@ def _ocr_family_oracle(model, x_arr, labels):
         aux = region_logits
     reps = oracles.region_reps_loops(normalized, feats.T)
 
-    scheme = model.ocr_config.relation_scheme
+    scheme = p.config.relation_scheme
     if cfg.module == "gt_ocr":
         pass  # one-hot relations already built
     elif scheme == "ocr":
         q = oracles.apply_block_loops(p.pixel_transform, feats)
         rk = oracles.apply_block_loops(p.region_transform, reps.T)
-        relations = oracles.relations_loops(q, rk,
-                                            model.ocr_config.relation_scale)
+        relations = oracles.relations_loops(q, rk, p.config.relation_scale)
     elif scheme == "da":
         logits = _head_loops(p.da_predictor, feats)
         relations = oracles.softmax_rows_loops(logits.T)
@@ -173,58 +172,62 @@ def _ocr_family_oracle(model, x_arr, labels):
 
 
 def _self_attn_oracle(model, x_arr):
+    stage = model.stage
     c, h, w = x_arr.shape
     n = h * w
-    feats = x_arr.reshape(c, n) if model.stem is None else \
-        _block3x3_loops(model.stem, x_arr).reshape(-1, n)
-    q = oracles.apply_block_loops(model.pixel_t, feats)
-    k = oracles.apply_block_loops(model.context_t, feats)
-    weights = oracles.relations_loops(q, k, model.scale)
-    vals = oracles.apply_block_loops(model.value_t, feats)
+    feats = x_arr.reshape(c, n) if stage.stem is None else \
+        _block3x3_loops(stage.stem, x_arr).reshape(-1, n)
+    q = oracles.apply_block_loops(stage.pixel_t, feats)
+    k = oracles.apply_block_loops(stage.context_t, feats)
+    weights = oracles.relations_loops(q, k, stage.scale)
+    vals = oracles.apply_block_loops(stage.value_t, feats)
     ctx = oracles.aggregate_loops(weights, vals.T)
-    y = oracles.apply_block_loops(model.output_t, ctx.T)
-    z = oracles.apply_block_loops(model.fuse_t,
+    y = oracles.apply_block_loops(stage.output_t, ctx.T)
+    z = oracles.apply_block_loops(stage.fuse_t,
                                   np.concatenate([feats, y], axis=0))
     return _head_loops(model.final_head, z), None
 
 
 def _global_oracle(model, x_arr):
+    stage = model.stage
     c, h, w = x_arr.shape
     n = h * w
-    feats = x_arr.reshape(c, n) if model.stem is None else \
-        _block3x3_loops(model.stem, x_arr).reshape(-1, n)
-    vals = oracles.apply_block_loops(model.value_t, feats)
+    feats = x_arr.reshape(c, n) if stage.stem is None else \
+        _block3x3_loops(stage.stem, x_arr).reshape(-1, n)
+    vals = oracles.apply_block_loops(stage.value_t, feats)
     pooled = np.zeros((vals.shape[0], 1))
     for ch in range(vals.shape[0]):
         acc = 0.0
         for p in range(n):
             acc += float(vals[ch, p])
         pooled[ch, 0] = acc / n
-    y = oracles.apply_block_loops(model.output_t, pooled)
+    y = oracles.apply_block_loops(stage.output_t, pooled)
     y = np.repeat(y, n, axis=1)
-    z = oracles.apply_block_loops(model.fuse_t,
+    z = oracles.apply_block_loops(stage.fuse_t,
                                   np.concatenate([feats, y], axis=0))
     return _head_loops(model.final_head, z), None
 
 
 def _aspp_oracle(model, x_arr):
+    stage = model.stage
     branches = [oracles.conv_spatial_loops(x_arr, kern.data, dilation=rate)
-                for rate, kern in zip(model.spec.rates, model.spec.kernels)]
+                for rate, kern in zip(stage.spec.rates, stage.spec.kernels)]
     cat = np.concatenate(branches, axis=0)
     flat = cat.reshape(cat.shape[0], -1)
     return _head_loops(model.final_head, flat), None
 
 
 def _ppm_oracle(model, x_arr):
+    stage = model.stage
     c, h, w = x_arr.shape
     outs = [x_arr]
-    for b, proj in zip(model.bins, model.projections):
+    for b, proj in zip(stage.bins, stage.projections):
         pooled = oracles.avg_pool_loops(x_arr, b, b)
         projected = _head_loops(proj, pooled.reshape(c, b * b))
         projected = projected.reshape(-1, b, b)
         outs.append(oracles.upsample_nearest_loops(projected, h, w))
     cat = np.concatenate(outs, axis=0)
-    z = _block3x3_loops(model.fuse, cat).reshape(model.cfg.mid_channels, -1)
+    z = _block3x3_loops(stage.fuse, cat).reshape(model.cfg.mid_channels, -1)
     return _head_loops(model.final_head, z), None
 
 
@@ -298,11 +301,11 @@ def test_module_outputs_match_loop_oracles(capsys):
 
     relations = pixel_region_relations(feats, reps, p.pixel_transform,
                                        p.region_transform,
-                                       scale=model.ocr_config.relation_scale)
+                                       scale=p.config.relation_scale)
     want_rel = oracles.relations_loops(
         oracles.apply_block_loops(p.pixel_transform, feats_flat),
         oracles.apply_block_loops(p.region_transform, want_reps.T),
-        model.ocr_config.relation_scale)
+        p.config.relation_scale)
     assert float(np.abs(relations.weights.data - want_rel).max()) <= stage_tol
 
     y = ocr_aggregate(relations, reps, p.value_transform, p.output_transform)
@@ -433,7 +436,8 @@ def test_flop_growth_orders(capsys):
 
 
 def _masked_tree(root):
-    """All output bytes under root, with wall-clock fields blanked."""
+    """All output bytes under root, with wall-clock fields and the verdicts
+    that compare them blanked."""
     out = {}
     for base, _, files in os.walk(root):
         for name in files:
@@ -444,6 +448,7 @@ def _masked_tree(root):
                 payload = json.loads(blob.decode())
                 for row in payload["measured"]:
                     row["wall_ms"] = row["wall_ms_spread"] = None
+                payload["timing_verdicts"] = None
                 blob = json.dumps(payload, sort_keys=True).encode()
             elif name == "bench.csv":
                 lines = []

@@ -5,7 +5,7 @@ import pytest
 import ocrseg.tensor as T
 from ocrseg import blocks
 from ocrseg.blocks import (BN_EPS, Conv1x1Head, Conv3x3Block, Sgd,
-                           TransformBlock, transform_forward, uniform_init)
+                           TransformBlock, uniform_init)
 from ocrseg.errors import DimensionError, ParameterError
 
 import oracles
@@ -63,11 +63,6 @@ class TestTransformBlock:
         got = block(tensor(x)).data
         want = oracles.apply_block_loops(block, x)
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_free_function_matches_method(self, rng):
-        block = TransformBlock.create(rng, 2, 3)
-        x = tensor(rng.normal(0, 1, (2, 4)))
-        assert np.array_equal(transform_forward(block, x).data, block(x).data)
 
     def test_runs_as_conv_then_one_fused_op(self, rng):
         block = TransformBlock.create(rng, 3, 4)

@@ -7,11 +7,12 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg.attention import EquivalenceReport
-from ocrseg.checks import (GRAD_MODULES, GradCheckReport, GradInstance,
+from ocrseg.checks import (GradCheckReport, GradInstance,
                            EquivalenceSuiteReport, finite_difference_grad,
                            rel_error, run_equivalence_suite,
                            run_gradient_suite)
 from ocrseg.errors import ParameterError
+from ocrseg.models import MODULE_CHOICES
 
 from conftest import tensor
 
@@ -49,7 +50,7 @@ class TestGradientSuite:
         report = run_gradient_suite(instances=8, seed=0)
         assert report.passed
         assert report.max_rel_error < 1e-4
-        assert [i.module for i in report.instances] == list(GRAD_MODULES)
+        assert [i.module for i in report.instances] == list(MODULE_CHOICES)
         assert report.summary().startswith("[PASS] gradient check: 8 instances")
         payload = json.loads(report.to_json())
         assert payload["passed"] is True

@@ -54,6 +54,15 @@ class TestUsageErrors:
         assert cli_main(["gen-data", "--set", "iterations=soon"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_scheme_setting_checked_for_baselines(self, tmp_path, capsys):
+        for bad in ("attention_scale=bogus", "da_regions=-3"):
+            for cmd in ("train", "bench"):
+                code = cli_main([cmd, "--set", "module=self_attn", "--set", bad,
+                                 "--set", f"out_dir={tmp_path / 'out'}"])
+                assert code == 2
+                assert "configuration error" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["gen-data", "--config", "/no/such/file.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -62,6 +62,21 @@ class TestSimplexValidation:
         with pytest.raises(ParameterError):
             RelationMatrix(tensor(bad), 1, 2)
 
+    def test_float32_rows_use_the_single_tolerance(self):
+        # float32 softmax rows miss 1 by a few 1e-7; 1e-4 is still an error
+        near = np.array([[0.5, 0.5 + 4e-7], [0.25, 0.75]], dtype=np.float32)
+        assert RelationMatrix(T.Tensor(near), 1, 2).num_regions == 2
+        off = np.array([[0.5, 0.5 + 1e-4], [0.25, 0.75]], dtype=np.float32)
+        with pytest.raises(ParameterError) as err:
+            RelationMatrix(T.Tensor(off), 1, 2)
+        assert "row 0 sums to" in str(err.value)
+
+    def test_float64_tolerance_stays_1e_9(self):
+        with pytest.raises(ParameterError):
+            RelationMatrix(tensor([[0.5, 0.5 + 1e-8], [0.25, 0.75]]), 1, 2)
+        assert RelationMatrix(tensor([[0.5, 0.5 + 1e-10], [0.25, 0.75]]),
+                              1, 2).num_regions == 2
+
     def test_exempt_rows_must_be_zero(self):
         rows = np.array([[0.5, 0.5], [0.3, 0.3]])
         with pytest.raises(ParameterError):

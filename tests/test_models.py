@@ -1,13 +1,14 @@
-"""Model assembly: one trainable segmentation head per context scheme, with
-deterministic seeded construction and checkpointable state."""
+"""Model assembly: one trainable segmentation head with a context stage per
+scheme, deterministic seeded construction and checkpointable state."""
 import numpy as np
 import pytest
 
+import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import ConfigError
-from ocrseg.models import (AsppModel, GlobalContextModel, ModelConfig,
-                           MODULE_CHOICES, OcrModel, PpmModel,
-                           SegmentationModel, SelfAttentionModel, build_model,
+from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
+                           PpmStage, RegionStage, SegmentationModel,
+                           SelfAttentionStage, STAGES, build_model,
                            full_scale_config)
 from ocrseg.supervision import LabelMap
 
@@ -40,18 +41,81 @@ class TestModelConfig:
         assert ModelConfig(dtype="double").np_dtype == np.float64
         assert ModelConfig(dtype="single").np_dtype == np.float32
 
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_unknown_attention_scale_rejected_for_every_scheme(self, module):
+        with pytest.raises(ConfigError) as err:
+            ModelConfig(module=module, attention_scale="bogus")
+        assert "attention_scale" in str(err.value)
+
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_negative_da_regions_rejected_for_every_scheme(self, module):
+        with pytest.raises(ConfigError) as err:
+            ModelConfig(module=module, da_regions=-3)
+        assert "da_regions" in str(err.value)
+
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_zero_key_or_mid_width_rejected_for_every_scheme(self, module):
+        with pytest.raises(ConfigError):
+            ModelConfig(module=module, key_channels=0)
+        with pytest.raises(ConfigError):
+            ModelConfig(module=module, mid_channels=0)
+
+    def test_self_attention_uses_the_relation_scale(self):
+        for scale in ("unit", "rsqrt_key"):
+            cfg = small_config("self_attn", attention_scale=scale, key_channels=9)
+            ocr = build_model(small_config("ocr", attention_scale=scale,
+                                           key_channels=9))
+            assert build_model(cfg).stage.scale == ocr.params.config.relation_scale
+        assert build_model(cfg).stage.scale == 1.0 / 3.0
+
 
 class TestBuildModel:
     def test_scheme_to_class(self):
-        expected = {"ocr": OcrModel, "da": OcrModel, "acf": OcrModel,
-                    "gt_ocr": OcrModel, "self_attn": SelfAttentionModel,
-                    "global": GlobalContextModel, "aspp_lite": AsppModel,
-                    "ppm_lite": PpmModel}
-        assert set(expected) == set(MODULE_CHOICES)
-        for module, klass in expected.items():
+        # every scheme is one head class; only the context stage differs
+        expected = {"ocr": RegionStage, "da": RegionStage, "acf": RegionStage,
+                    "gt_ocr": RegionStage, "self_attn": SelfAttentionStage,
+                    "global": GlobalStage, "aspp_lite": AsppStage,
+                    "ppm_lite": PpmStage}
+        assert STAGES == expected
+        assert MODULE_CHOICES == tuple(expected)
+        for module, stage in expected.items():
             model = build_model(small_config(module), image_size=8)
-            assert isinstance(model, klass)
-            assert isinstance(model, SegmentationModel)
+            assert type(model) is SegmentationModel
+            assert type(model.stage) is stage
+
+    @pytest.mark.parametrize("use_stem", [True, False])
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_checkpoint_names_are_pinned(self, module, use_stem):
+        # checkpoints and the benchmark's reference heads read these names
+        def block(prefix):
+            return [f"{prefix}.weight", f"{prefix}.bn_scale", f"{prefix}.bn_shift"]
+
+        stem = block("stem") if use_stem else []
+        shared = (block("value_transform") + block("output_transform")
+                  + block("fuse_transform"))
+        final = ["final_head.weight", "final_head.bias"]
+        da = ["da_predictor.weight", "da_predictor.bias"]
+        expected = {
+            "ocr": stem + ["region_head.weight"] + block("pixel_transform")
+            + block("region_transform") + shared + final,
+            "da": stem + ["region_head.weight"] + shared + da + final,
+            "acf": stem + ["region_head.weight"] + shared + final,
+            "gt_ocr": stem + shared + final,
+            "self_attn": stem + block("pixel_transform")
+            + block("context_transform") + shared + final,
+            "global": stem + shared + final,
+            "aspp_lite": ["branch_0.weight", "branch_1.weight",
+                          "branch_2.weight"] + final,
+            "ppm_lite": ["branch_0.weight", "branch_1.weight", "branch_2.weight",
+                         "branch_3.weight"] + block("fuse") + final,
+        }
+        model = build_model(small_config(module, use_stem=use_stem), image_size=8)
+        assert [name for name, _ in model.named_parameters()] == expected[module]
+        if module == "da":
+            wide = build_model(small_config("da", use_stem=use_stem, da_regions=7))
+            assert [name for name, _ in wide.named_parameters()] == (
+                stem + ["region_head.weight"] + shared + da + ["da_maps.weight"]
+                + final)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_parameter_names_unique(self, module):
@@ -98,6 +162,17 @@ class TestForward:
         for module in ("self_attn", "global", "aspp_lite", "ppm_lite"):
             out = build_model(small_config(module), image_size=8).forward(x)
             assert out.aux_logits is None
+
+    @pytest.mark.parametrize("module", ["ocr", "da"])
+    def test_single_precision_region_schemes_run(self, rng, module):
+        # float32 softmax rows are checked at the single-precision tolerance
+        model = build_model(ModelConfig(module=module, in_channels=5, num_classes=4,
+                                        key_channels=4, mid_channels=6,
+                                        da_regions=7, dtype="single"))
+        x = FeatureMap(T.Tensor(rng.normal(0, 1, (5, 64, 64)).astype(np.float32)))
+        out = model.forward(x)
+        assert out.final_logits.data.dtype == np.float32
+        assert np.all(np.isfinite(out.final_logits.data))
 
     def test_gt_scheme_requires_labels(self, rng):
         model = build_model(small_config("gt_ocr"))
@@ -174,6 +249,19 @@ class TestLoadState:
         with pytest.raises(ConfigError):
             model.load_state(state)
 
+    def test_dtype_mismatch(self):
+        model = build_model(small_config("ocr", dtype="single"))
+        state = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
+        state["final_head.bias"] = state["final_head.bias"].astype(np.float64)
+        before = [t.data.copy() for t in model.parameters()]
+        with pytest.raises(ConfigError) as err:
+            model.load_state(state)
+        assert "final_head.bias" in str(err.value)
+        assert "float64" in str(err.value)
+        # nothing is loaded from a checkpoint that fails the check
+        assert all(np.array_equal(t.data, b)
+                   for t, b in zip(model.parameters(), before))
+
 
 class TestFlopBreakdown:
     @pytest.mark.parametrize("module", MODULE_CHOICES)
@@ -192,15 +280,15 @@ class TestFlopBreakdown:
 
     def test_aspp_rates_clip_at_small_images(self):
         clipped = build_model(small_config("aspp_lite"), image_size=8)
-        assert clipped.rates_clipped
+        assert clipped.stage.rates_clipped
         full = build_model(small_config("aspp_lite"), image_size=64)
-        assert not full.rates_clipped
+        assert not full.stage.rates_clipped
 
     def test_ppm_branch_width_floor(self):
         narrow = build_model(small_config("ppm_lite", in_channels=3))
-        assert narrow.branch_channels == 1
+        assert narrow.stage.branch_channels == 1
         wide = build_model(small_config("ppm_lite", in_channels=16))
-        assert wide.branch_channels == 4
+        assert wide.stage.branch_channels == 4
 
 
 class TestFullScaleConfig:

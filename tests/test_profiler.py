@@ -45,7 +45,6 @@ class TestFlopConventions:
 
     def test_pointwise_conventions(self):
         assert F.softmax_flops(3, 4) == 60
-        assert F.relu_flops(7) == 7
         assert F.pool_flops(2, 16, 4) == 2 * 20
         assert F.mean_flops(3, 9) == 30
 
@@ -182,7 +181,7 @@ class TestReportSerialization:
         assert a == b
         payload = json.loads(a)
         assert set(payload) == {"bench_config", "full_scale", "measured",
-                                "verdicts", "errors"}
+                                "verdicts", "timing_verdicts", "errors"}
         assert payload["measured"][0]["peak_bytes"] == 3
 
 

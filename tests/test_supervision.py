@@ -7,12 +7,12 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg.blocks import TransformBlock
-from ocrseg.context import FeatureMap, ocr_aggregate
+from ocrseg.context import FeatureMap, ocr_aggregate, ocr_forward
 from ocrseg.errors import (ConfigError, DataError, DimensionError,
                            ParameterError)
 from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
-                                combined_loss, gt_ocr_forward, gt_regions,
-                                gt_relations, pixel_cross_entropy, poly_lr)
+                                combined_loss, gt_regions, gt_relations,
+                                pixel_cross_entropy, poly_lr)
 
 import oracles
 from conftest import feature_map, make_ocr_params, tensor
@@ -20,6 +20,11 @@ from conftest import feature_map, make_ocr_params, tensor
 
 def label_map(array, num_classes):
     return LabelMap(np.asarray(array, dtype=np.int64), num_classes)
+
+
+def oracle_forward(x, labels, params):
+    """The pipeline with ground-truth regions and relations substituted."""
+    return ocr_forward(x, params, oracle=(gt_regions(labels), gt_relations(labels)))
 
 
 class TestLabelMap:
@@ -152,6 +157,8 @@ class TestGtRelations:
 
 
 class TestGtOcrForward:
+    """``ocr_forward`` with ground-truth regions and relations as its oracle."""
+
     def test_same_label_pixels_identical_context(self, rng):
         # identity fuse on nonnegative features makes z = [x; y] exactly,
         # exposing the context half for comparison
@@ -160,7 +167,7 @@ class TestGtOcrForward:
         params.fuse_transform = TransformBlock.identity(8)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 3)))))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z, _ = gt_ocr_forward(x, labels, params)
+        z, _ = oracle_forward(x, labels, params)
         y = z.pixels().data[3:]
         flat = labels.flat
         for a in range(6):
@@ -173,7 +180,7 @@ class TestGtOcrForward:
                                  mid_channels=4)
         params.fuse_transform = TransformBlock.identity(7)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
-        z, _ = gt_ocr_forward(x, label_map(np.zeros((2, 2), dtype=np.int64), 1),
+        z, _ = oracle_forward(x, label_map(np.zeros((2, 2), dtype=np.int64), 1),
                               params)
         y = z.pixels().data[3:]
         assert np.max(np.abs(y - y[:, [0]])) < 1e-12
@@ -185,7 +192,7 @@ class TestGtOcrForward:
         labels[1, 3] = 255
         lm = label_map(labels, 3)
         x = feature_map(rng, 3, 4, 4)
-        z, regions = gt_ocr_forward(x, lm, params)
+        z, regions = oracle_forward(x, lm, params)
 
         px = x.tensor.data.reshape(3, 16)
         norm = oracles.gt_region_rows_loops(lm.flat, 3)
@@ -206,14 +213,14 @@ class TestGtOcrForward:
         params.fuse_transform = TransformBlock.identity(7)
         data = np.abs(rng.normal(0, 1, (3, 2, 3)))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z1, _ = gt_ocr_forward(FeatureMap(tensor(data)), labels, params)
+        z1, _ = oracle_forward(FeatureMap(tensor(data)), labels, params)
 
         replaced = data.reshape(3, 6).copy()
         flat = labels.flat
         for k in range(2):
             members = flat == k
             replaced[:, members] = replaced[:, members].mean(axis=1, keepdims=True)
-        z2, _ = gt_ocr_forward(FeatureMap(tensor(replaced.reshape(3, 2, 3))),
+        z2, _ = oracle_forward(FeatureMap(tensor(replaced.reshape(3, 2, 3))),
                                labels, params)
         y1 = z1.pixels().data[3:]
         y2 = z2.pixels().data[3:]
@@ -222,8 +229,17 @@ class TestGtOcrForward:
     def test_shape_mismatch(self, rng):
         params = make_ocr_params(rng, 3, 2)
         with pytest.raises(DimensionError):
-            gt_ocr_forward(feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2),
+            oracle_forward(feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2),
                            params)
+
+    def test_runs_neither_region_head_nor_relation_step(self, rng):
+        params = make_ocr_params(rng, in_channels=3, num_classes=2)
+        x = feature_map(rng, 3, 2, 3)
+        labels = label_map([[0, 1, 0], [1, 1, 255]], 2)
+        want, _ = oracle_forward(x, labels, params)
+        params.region_head = params.pixel_transform = params.region_transform = None
+        got, _ = oracle_forward(x, labels, params)
+        assert np.array_equal(got.pixels().data, want.pixels().data)
 
 
 class TestPixelCrossEntropy:

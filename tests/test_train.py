@@ -1,5 +1,8 @@
 """Training loop determinism, evaluation metrics against a hand confusion
 oracle, the ablation grid, and checkpoint round-trips."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,7 +153,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
 
-        fresh = build_model(cfg.with_overrides(seed=9).model_config(),
+        fresh = build_model(replace(cfg, seed=9).model_config(),
                             image_size=cfg.grid)
         load_checkpoint(path, fresh)
         assert np.array_equal(fresh.forward(*pairs[0]).final_logits.data, want)
@@ -183,6 +186,55 @@ class TestCheckpoint:
         with pytest.raises(DataError) as err:
             load_checkpoint(str(path), model)
         assert "truncated" in str(err.value)
+
+    def test_rejects_precision_mismatch(self, tmp_path):
+        cfg = tiny_config(iterations=0)
+        model, _ = train_model(cfg, tiny_pairs(cfg, 2, 0))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, model)
+        single = build_model(replace(cfg, precision="single").model_config(),
+                             image_size=cfg.grid)
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path, single)
+        assert "dtype float64" in str(err.value)
+
+    def _with_header(self, tmp_path, header: bytes, length: int | None = None):
+        path = tmp_path / "forged.ckpt"
+        size = len(header) if length is None else length
+        path.write_bytes(b"OCRSEG1\n" + size.to_bytes(8, "little") + header)
+        return str(path)
+
+    def test_rejects_header_length_beyond_file(self, tmp_path):
+        cfg = tiny_config()
+        model = build_model(cfg.model_config(), image_size=cfg.grid)
+        path = self._with_header(tmp_path, b'{"entries": []}', length=10 ** 12)
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path, model)
+        assert "past the end" in str(err.value)
+
+    def test_rejects_header_that_is_not_json(self, tmp_path):
+        cfg = tiny_config()
+        model = build_model(cfg.model_config(), image_size=cfg.grid)
+        for header in (b"{not json", b"\xff\xfe", b"[1, 2]", b'{"entries": 3}',
+                       b"[" * 100_000):
+            with pytest.raises(DataError) as err:
+                load_checkpoint(self._with_header(tmp_path, header), model)
+            assert "malformed checkpoint header" in str(err.value)
+
+    def test_rejects_missing_or_negative_entry_fields(self, tmp_path):
+        cfg = tiny_config()
+        model = build_model(cfg.model_config(), image_size=cfg.grid)
+        good = {"name": "final_head.bias", "shape": [2], "dtype": "float64",
+                "offset": 0, "nbytes": 16}
+        forged = [{k: v for k, v in good.items() if k != "offset"},
+                  dict(good, offset=-8), dict(good, shape=[-2]),
+                  dict(good, nbytes=8), dict(good, dtype="object"),
+                  dict(good, name=7)]
+        for entry in forged:
+            header = json.dumps({"format": 1, "entries": [entry]}).encode()
+            with pytest.raises(DataError) as err:
+                load_checkpoint(self._with_header(tmp_path, header), model)
+            assert "malformed checkpoint header" in str(err.value)
 
     def test_rejects_mismatched_model(self, tmp_path):
         cfg = tiny_config(iterations=0)
