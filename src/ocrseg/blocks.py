@@ -67,7 +67,8 @@ class TransformBlock:
 
     ``bn_mean`` and ``bn_var`` are fixed statistics (never updated, never
     trained); ``bn_scale`` and ``bn_shift`` are learnable. Operates on any
-    (C_in, M) matrix: pixels, regions, or attention outputs as columns.
+    (C_in, M) matrix: pixels, regions, or attention outputs as columns. The
+    whole block is one ``conv_bn_relu`` op.
     """
 
     kernel_size = 1
@@ -119,13 +120,12 @@ class TransformBlock:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    def _linear(self, x: T.Tensor) -> T.Tensor:
-        return T.conv1x1(x, self.weight)
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
+    def __call__(self, *parts: T.Tensor) -> T.Tensor:
+        """The block applied to its input, given whole or as column parts
+        that the block reads as one channel concatenation; one tensor op."""
         inv_std = 1.0 / np.sqrt(self.bn_var + self.eps)
-        return T.affine_relu(self._linear(x), self.bn_scale, self.bn_shift,
-                             inv_std, self.bn_mean, _PREACT_TRACE)
+        return T.conv_bn_relu(parts, self.weight, self.bn_scale, self.bn_shift,
+                              inv_std, self.bn_mean, _PREACT_TRACE)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, T.Tensor]]:
         return [(prefix + "weight", self.weight),
@@ -136,8 +136,8 @@ class TransformBlock:
 class Conv3x3Block(TransformBlock):
     """3x3 conv (dilation 1, zero padding) -> frozen-stats BN -> ReLU.
 
-    Operates on (C_in, H, W); the fused BN and ReLU stage is shared with the
-    pointwise block and acts per channel on any rank.
+    Operates on (C_in, H, W) through the pointwise block's fused op, which
+    accumulates the nine taps into its output before the BN and ReLU.
     """
 
     kernel_size = 3
@@ -152,9 +152,6 @@ class Conv3x3Block(TransformBlock):
                          requires_grad=True)
         return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
                    np.ones(out_channels, dtype=dtype))
-
-    def _linear(self, x: T.Tensor) -> T.Tensor:
-        return T.conv_spatial(x, self.weight, dilation=1)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         if x.data.ndim != 3:

@@ -109,8 +109,10 @@ def _cmd_bench(cfg: RunConfig) -> int:
     bench = P.BenchConfig(
         channels=cfg.bench_channels, height=cfg.bench_size, width=cfg.bench_size,
         num_classes=cfg.bench_classes, key_channels=cfg.bench_key_channels,
-        mid_channels=cfg.bench_mid_channels, repeats=cfg.bench_repeats,
-        warmup=cfg.bench_warmup, precision=cfg.precision, seed=cfg.seed)
+        mid_channels=cfg.bench_mid_channels, attention_scale=cfg.attention_scale,
+        da_regions=cfg.da_regions or P.BenchConfig.da_regions,
+        repeats=cfg.bench_repeats, warmup=cfg.bench_warmup,
+        precision=cfg.precision, seed=cfg.seed)
     reports, extras, errors = P.bench_report(bench)
     _write(os.path.join(cfg.out_dir, "bench.csv"), P.reports_to_csv(reports))
     _write(os.path.join(cfg.out_dir, "bench.json"),

@@ -311,12 +311,12 @@ def ocr_aggregate(relations: RelationMatrix, reps: RegionReps,
 
 
 def augment(x: FeatureMap, y: FeatureMap, fuse_transform: TransformBlock) -> FeatureMap:
-    """Fuse pixel and contextual features: g applied to their channel concat."""
+    """Fuse pixel and contextual features: g applied to their channel concat,
+    which the block reads as two column parts without building it."""
     if (x.height, x.width) != (y.height, y.width):
         raise DimensionError(
             f"spatial sizes differ: {x.height}x{x.width} vs {y.height}x{y.width}")
-    cat = T.concat0(x.pixels(), y.pixels())
-    z = fuse_transform(cat)
+    z = fuse_transform(x.pixels(), y.pixels())
     return FeatureMap.from_pixels(z, x.height, x.width)
 
 

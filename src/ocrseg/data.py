@@ -143,10 +143,22 @@ def _read_pnm_header(f) -> tuple[bytes, int, int]:
             raise DataError("truncated pixmap header")
         text = line.split(b"#", 1)[0]
         fields.extend(text.split())
+    if not all(v.isdigit() for v in fields[:3]):
+        raise DataError(f"pixmap header fields {fields[:3]!r} are not all "
+                        f"non-negative integers")
     w, h, maxval = (int(v) for v in fields[:3])
     if maxval != 255:
         raise DataError(f"unsupported maxval {maxval}; expected 255")
     return magic, w, h
+
+
+def _read_pixels(f, path: str, count: int) -> bytes:
+    """The ``count`` pixel bytes after the header; the header's claim is
+    checked against the bytes the file has left before anything is read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise DataError(f"{path}: expected {count} pixel bytes, got {max(left, 0)}")
+    return f.read(count)
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -154,9 +166,7 @@ def read_ppm(path: str) -> np.ndarray:
         magic, w, h = _read_pnm_header(f)
         if magic != b"P6":
             raise DataError(f"{path} is not a P6 pixmap")
-        raw = f.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise DataError(f"{path}: expected {w * h * 3} pixel bytes, got {len(raw)}")
+        raw = _read_pixels(f, path, w * h * 3)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
@@ -165,9 +175,7 @@ def read_pgm(path: str) -> np.ndarray:
         magic, w, h = _read_pnm_header(f)
         if magic != b"P5":
             raise DataError(f"{path} is not a P5 graymap")
-        raw = f.read(w * h)
-    if len(raw) != w * h:
-        raise DataError(f"{path}: expected {w * h} pixel bytes, got {len(raw)}")
+        raw = _read_pixels(f, path, w * h)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
 
 

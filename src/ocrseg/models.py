@@ -227,8 +227,9 @@ class RegionStage(RelationalStage):
             return z, regions.logits
         if labels is None:
             raise ConfigError("gt_ocr forward requires a label map")
-        z, _ = ocr_forward(x, self.params,
-                           oracle=(gt_regions(labels), gt_relations(labels)))
+        dtype = x.tensor.dtype
+        z, _ = ocr_forward(x, self.params, oracle=(gt_regions(labels, dtype=dtype),
+                                                   gt_relations(labels, dtype=dtype)))
         return z, None
 
     def context_flops(self, n: int) -> dict[str, int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .context import FeatureMap
+from .context import FeatureMap, check_scheme_settings
 from .errors import ConfigError, ProfilerError
 from .models import ModelConfig, SegmentationModel, build_model, full_scale_config
 
@@ -40,7 +40,8 @@ TIMING_VERDICTS = ("ocr_time_below_self_attention", "ocr_time_below_ppm_lite")
 @dataclass
 class BenchConfig:
     """Empirical measurement settings: the desk-scale input (a divided-down
-    full-scale map), repetition counts, and float precision."""
+    full-scale map), the scheme settings of the measured heads, repetition
+    counts, and float precision. ``da_regions`` applies to the da head only."""
 
     channels: int = 256
     height: int = 64
@@ -48,6 +49,8 @@ class BenchConfig:
     num_classes: int = FULL_SCALE_CLASSES
     key_channels: int = 64
     mid_channels: int = 128
+    attention_scale: str = "unit"
+    da_regions: int = 64
     repeats: int = 5
     warmup: int = 2
     precision: str = "double"
@@ -64,6 +67,8 @@ class BenchConfig:
                               f"got {self.precision!r}")
         if min(self.channels, self.height, self.width) < 1:
             raise ConfigError("bench input shape entries must be >= 1")
+        check_scheme_settings(self.key_channels, self.mid_channels,
+                              self.attention_scale, self.da_regions)
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -77,7 +82,8 @@ class BenchConfig:
                            num_classes=self.num_classes,
                            key_channels=self.key_channels,
                            mid_channels=self.mid_channels,
-                           da_regions=64 if module == "da" else 0,
+                           attention_scale=self.attention_scale,
+                           da_regions=self.da_regions if module == "da" else 0,
                            use_stem=False,
                            dtype=self.precision, seed=self.seed)
 
@@ -276,6 +282,7 @@ def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,
         "bench_config": {
             "input_shape": list(cfg.input_shape), "num_classes": cfg.num_classes,
             "key_channels": cfg.key_channels, "mid_channels": cfg.mid_channels,
+            "attention_scale": cfg.attention_scale, "da_regions": cfg.da_regions,
             "repeats": cfg.repeats, "warmup": cfg.warmup,
             "precision": cfg.precision, "seed": cfg.seed,
             "modules": list(cfg.modules),

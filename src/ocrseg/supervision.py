@@ -97,17 +97,19 @@ def poly_lr(schedule: PolySchedule, iteration: int) -> float:
     return schedule.base_lr * factor
 
 
-def gt_regions(labels: LabelMap, num_regions: int | None = None) -> SoftRegionSet:
+def gt_regions(labels: LabelMap, num_regions: int | None = None,
+               dtype=np.float64) -> SoftRegionSet:
     """One-hot ground-truth regions, spatially normalized: row k weights the
     pixels labeled k uniformly (1/count). Classes with no pixels yield an
-    all-zero row and are flagged; ignored pixels belong to no region."""
+    all-zero row and are flagged; ignored pixels belong to no region. The
+    tensors take ``dtype``, the precision of the features they pool."""
     k = labels.num_classes if num_regions is None else int(num_regions)
     if k < labels.num_classes:
         raise ConfigError(
             f"num_regions {k} cannot be below num_classes {labels.num_classes}")
     flat = labels.flat
     n = flat.size
-    member = np.zeros((k, n))
+    member = np.zeros((k, n), dtype=dtype)
     valid = flat != labels.ignore_index
     member[flat[valid], np.where(valid)[0]] = 1.0
     counts = member.sum(axis=1)
@@ -122,16 +124,18 @@ def gt_regions(labels: LabelMap, num_regions: int | None = None) -> SoftRegionSe
                          labels.height, labels.width, tuple(empty))
 
 
-def gt_relations(labels: LabelMap, num_regions: int | None = None) -> RelationMatrix:
+def gt_relations(labels: LabelMap, num_regions: int | None = None,
+                 dtype=np.float64) -> RelationMatrix:
     """One-hot ground-truth relations: pixel i relates only to the region of
-    its own label. Ignored pixels get a zero row and are flagged."""
+    its own label. Ignored pixels get a zero row and are flagged. The matrix
+    takes ``dtype``, as ``gt_regions`` does."""
     k = labels.num_classes if num_regions is None else int(num_regions)
     if k < labels.num_classes:
         raise ConfigError(
             f"num_regions {k} cannot be below num_classes {labels.num_classes}")
     flat = labels.flat
     n = flat.size
-    weights = np.zeros((n, k))
+    weights = np.zeros((n, k), dtype=dtype)
     valid = flat != labels.ignore_index
     weights[np.where(valid)[0], flat[valid]] = 1.0
     zero_rows = tuple(int(i) for i in np.where(~valid)[0])

@@ -361,45 +361,6 @@ def relu(t: Tensor) -> Tensor:
     return _result(out, (t,), back, "relu")
 
 
-def affine_relu(h: Tensor, gain: Tensor, shift: Tensor, inv_std: np.ndarray,
-                mean: np.ndarray, trace: list | None = None) -> Tensor:
-    """Frozen-stats batchnorm and ReLU in one pass over a fresh buffer.
-
-    Computes ``relu(s * h + b)`` per channel (axis 0 of ``h``), with the
-    statistics folded into ``s = gain * inv_std`` and ``b = shift - mean * s``.
-    ``gain`` and ``shift`` are learnable (C,) tensors; ``inv_std`` and ``mean``
-    are fixed (C,) arrays. When ``trace`` is a list, the smallest absolute
-    pre-activation is appended to it. The backward returns grads for ``h``,
-    ``gain`` and ``shift`` and reads the ReLU mask off the output.
-    """
-    if h.data.ndim < 2:
-        raise DimensionError(f"affine_relu input must be (C, ...), got {h.data.shape}")
-    c = h.data.shape[0]
-    for name, arr in (("gain", gain.data), ("shift", shift.data),
-                      ("inv_std", inv_std), ("mean", mean)):
-        if arr.shape != (c,):
-            raise DimensionError(
-                f"affine_relu {name} shape {arr.shape} does not match {c} channels")
-    per_channel = (c,) + (1,) * (h.data.ndim - 1)
-    s = gain.data * inv_std
-    b = (shift.data - mean * s).reshape(per_channel)
-    s = s.reshape(per_channel)
-    out = h.data * s
-    out += b
-    if trace is not None and out.size:
-        trace.append(float(np.abs(out).min()))
-    np.maximum(out, 0.0, out=out)
-    other_axes = tuple(range(1, h.data.ndim))
-
-    def back(g):
-        g = g * (out > 0.0)
-        g_shift = g.sum(axis=other_axes)
-        g_gain = ((g * h.data).sum(axis=other_axes) - mean * g_shift) * inv_std
-        return g * s, g_gain, g_shift
-
-    return _result(out, (h, gain, shift), back, "affine_relu")
-
-
 def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax with max subtraction; logits are divided by
     ``temperature`` first. Rows of the result lie on the probability simplex."""
@@ -487,6 +448,56 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, parents, back, "conv1x1")
 
 
+# Bytes of the temporary through which a product is added into an output
+# that already holds another one: the product is made a block of columns at a
+# time, so the temporary is never as large as the output. Narrower blocks
+# cost BLAS speed: with single-threaded OpenBLAS on a 2-vCPU VM, 1 MiB blocks
+# made a 128-row product over 16384 columns about 10% slower than whole.
+_ACCUMULATE_BYTES = 1 << 22
+
+
+def _gemm_accumulate(out2: np.ndarray, terms) -> None:
+    """Write the sum of ``w @ x`` over ``terms`` (pairs of (M, K_t) and (K_t, N)
+    matrices) into ``out2`` (M, N). The first product goes straight into
+    ``out2``; each later one is added a block of columns at a time."""
+    m, n = out2.shape
+    cols = max(1, min(n, _ACCUMULATE_BYTES // (out2.itemsize * max(m, 1))))
+    for i, (w, x) in enumerate(terms):
+        if i == 0:
+            np.matmul(w, x, out=out2)
+            continue
+        for j in range(0, n, cols):
+            block = out2[:, j:j + cols]  # ``out2[...] += `` would copy it back
+            block += w @ x[:, j:j + cols]
+
+
+def _check_kernel(op: str, weight: np.ndarray, dilation: int) -> None:
+    if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
+        raise DimensionError(f"{op} weight must be (C_out, C_in, k, k), got {weight.shape}")
+    if weight.shape[2] % 2 == 0:
+        raise ParameterError(f"{op} kernel size must be odd, got {weight.shape[2]}")
+    if int(dilation) < 1:
+        raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
+
+
+def _padded(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """``x`` (C, H, W) zero-padded by the reach of a dilated k x k kernel."""
+    pad = (k // 2) * dilation
+    c, h, w = x.shape
+    xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xpad[:, pad:pad + h, pad:pad + w] = x
+    return xpad
+
+
+def _tap_windows(k: int, dilation: int, h: int, w: int):
+    """(ky, kx, window) per kernel tap; ``window`` slices the H x W patch the
+    tap reads out of the padded input."""
+    for ky in range(k):
+        for kx in range(k):
+            yield ky, kx, (slice(None), slice(ky * dilation, ky * dilation + h),
+                           slice(kx * dilation, kx * dilation + w))
+
+
 def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
                  bias: Tensor | None = None) -> Tensor:
     """Dilated 2-D convolution with zero padding that preserves H x W.
@@ -495,56 +506,144 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
     """
     if x.data.ndim != 3:
         raise DimensionError(f"conv_spatial input must be (C, H, W), got {x.data.shape}")
-    if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
-        raise DimensionError(f"conv_spatial weight must be (C_out, C_in, k, k), "
-                             f"got {weight.data.shape}")
+    _check_kernel("conv_spatial", weight.data, dilation)
     c_out, c_in, k, _ = weight.data.shape
-    if k % 2 == 0:
-        raise ParameterError(f"conv_spatial kernel size must be odd, got {k}")
-    if int(dilation) < 1:
-        raise ParameterError(f"conv_spatial dilation must be >= 1, got {dilation}")
     if c_in != x.data.shape[0]:
         raise DimensionError(
             f"conv_spatial weight {weight.data.shape} does not match input {x.data.shape}")
+    if bias is not None and bias.data.shape != (c_out,):
+        raise DimensionError(f"conv_spatial bias shape {bias.data.shape} "
+                             f"does not match out channels {c_out}")
     dilation = int(dilation)
     _, h, w = x.data.shape
-    r = k // 2
-    ph = pw = r * dilation
-    xpad = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xpad[:, ph:ph + h, pw:pw + w] = x.data
     n = h * w
-    out = np.zeros((c_out, h, w), dtype=x.dtype)
+    xpad = _padded(x.data, k, dilation)
+    taps = list(_tap_windows(k, dilation, h, w))
+    out = np.empty((c_out, h, w), dtype=x.dtype)
     out2 = out.reshape(c_out, n)
-    for ky in range(k):
-        for kx in range(k):
-            dy = (ky - r) * dilation
-            dx = (kx - r) * dilation
-            patch = xpad[:, ph + dy:ph + dy + h, pw + dx:pw + dx + w].reshape(c_in, n)
-            out2 += weight.data[:, :, ky, kx] @ patch
+    _gemm_accumulate(out2, ((weight.data[:, :, ky, kx], xpad[win].reshape(c_in, n))
+                            for ky, kx, win in taps))
     if bias is not None:
-        if bias.data.shape != (c_out,):
-            raise DimensionError(f"conv_spatial bias shape {bias.data.shape} "
-                                 f"does not match out channels {c_out}")
         out2 += bias.data[:, None]
 
     def back(g):
         g2 = g.reshape(c_out, n)
         gxpad = np.zeros_like(xpad)
         gw = np.zeros_like(weight.data)
-        for ky in range(k):
-            for kx in range(k):
-                dy = (ky - r) * dilation
-                dx = (kx - r) * dilation
-                patch = xpad[:, ph + dy:ph + dy + h, pw + dx:pw + dx + w].reshape(c_in, n)
-                gw[:, :, ky, kx] = g2 @ patch.T
-                gxpad[:, ph + dy:ph + dy + h, pw + dx:pw + dx + w] += (
-                    weight.data[:, :, ky, kx].T @ g2).reshape(c_in, h, w)
-        gx = gxpad[:, ph:ph + h, pw:pw + w]
+        for ky, kx, win in taps:
+            gw[:, :, ky, kx] = g2 @ xpad[win].reshape(c_in, n).T
+            gxpad[win] += (weight.data[:, :, ky, kx].T @ g2).reshape(c_in, h, w)
+        pad = (k // 2) * dilation
+        gx = gxpad[:, pad:pad + h, pad:pad + w]
         gb = g2.sum(axis=1) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, back, "conv_spatial")
+
+
+def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
+                 shift: Tensor, inv_std: np.ndarray, mean: np.ndarray,
+                 trace: list | None = None) -> Tensor:
+    """One transform block, ``relu(s * (W x) + b)`` per output channel, in the
+    one buffer the op allocates; the frozen statistics fold into
+    ``s = gain * inv_std`` and ``b = shift - mean * s``.
+
+    A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
+    tensor or a sequence of column parts whose channels add up to C_in: each
+    part meets its own weight columns, so the parts are never concatenated.
+    A (C_out, C_in, k, k) ``weight`` convolves one zero-padded (C_in, H, W)
+    tensor. Each part's or tap's product accumulates into the output, which
+    then takes the batchnorm and the ReLU in place. When ``trace`` is a
+    list, the smallest absolute pre-activation is appended to it. The
+    backward reads the ReLU mask off the output: with g' the masked gradient
+    and M = g' x^T per part or tap, the weight gets s * M, the gain
+    (sum of W * M - mean * g_shift) * inv_std, and the input (s * W)^T g'.
+    """
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts:
+        raise DimensionError("conv_bn_relu needs at least one input part")
+    c_out = weight.data.shape[0]
+    lead = parts[0].data.shape[1:]
+    if weight.data.ndim == 2:
+        for p in parts:
+            if p.data.ndim not in (2, 3) or p.data.shape[1:] != lead:
+                raise DimensionError(
+                    f"conv_bn_relu parts must be 2-D or 3-D with equal trailing "
+                    f"dims, got {[q.data.shape for q in parts]}")
+        if sum(p.data.shape[0] for p in parts) != weight.data.shape[1]:
+            raise DimensionError(
+                f"conv_bn_relu weight {weight.data.shape} does not match input "
+                f"channels {[p.data.shape[0] for p in parts]}")
+    else:
+        _check_kernel("conv_bn_relu", weight.data, 1)
+        if len(parts) != 1 or parts[0].data.ndim != 3:
+            raise DimensionError(f"a spatial conv_bn_relu takes one (C, H, W) input, "
+                                 f"got {[p.data.shape for p in parts]}")
+        if weight.data.shape[1] != parts[0].data.shape[0]:
+            raise DimensionError(f"conv_bn_relu weight {weight.data.shape} does not "
+                                 f"match input {parts[0].data.shape}")
+    for name, arr in (("gain", gain.data), ("shift", shift.data),
+                      ("inv_std", inv_std), ("mean", mean)):
+        if arr.shape != (c_out,):
+            raise DimensionError(
+                f"conv_bn_relu {name} shape {arr.shape} does not match {c_out} channels")
+
+    # terms(): (weight index, input matrix, where the input gradient goes),
+    # one per column part or per kernel tap; taps re-read the padded input
+    if weight.data.ndim == 2:
+        xpad = None
+        bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+        def terms():
+            for i, p in enumerate(parts):
+                yield ((slice(None), slice(bounds[i], bounds[i + 1])),
+                       p.data.reshape(p.data.shape[0], -1), i)
+    else:
+        k = weight.data.shape[2]
+        c_in, h, w = parts[0].data.shape
+        xpad = _padded(parts[0].data, k, 1)
+        taps = list(_tap_windows(k, 1, h, w))
+
+        def terms():
+            for ky, kx, win in taps:
+                yield (slice(None), slice(None), ky, kx), xpad[win].reshape(c_in, h * w), win
+
+    out = np.empty((c_out,) + lead,
+                   dtype=np.result_type(weight.data, *(p.data for p in parts)))
+    out2 = out.reshape(c_out, -1)
+    _gemm_accumulate(out2, ((weight.data[idx], xm) for idx, xm, _ in terms()))
+    s = gain.data * inv_std
+    out2 *= s[:, None]
+    out2 += (shift.data - mean * s)[:, None]
+    if trace is not None and out.size:
+        trace.append(float(np.abs(out2).min()))
+    np.maximum(out2, 0.0, out=out2)
+
+    def back(g):
+        g = g.reshape(c_out, -1) * (out2 > 0.0)
+        g_shift = g.sum(axis=1)
+        scaled = weight.data * s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
+        gw = np.empty_like(weight.data)
+        g_wm = np.zeros_like(g_shift)
+        gparts = [None] * len(parts)
+        gxpad = None if xpad is None else np.zeros_like(xpad)
+        for idx, xm, sink in terms():
+            m = g @ xm.T
+            gw[idx] = s[:, None] * m
+            g_wm += (weight.data[idx] * m).sum(axis=1)
+            gx = scaled[idx].T @ g
+            if xpad is None:
+                gparts[sink] = gx.reshape(parts[sink].data.shape)
+            else:
+                gxpad[sink] += gx.reshape(gxpad[sink].shape)
+        if xpad is not None:
+            pad = k // 2
+            gparts[0] = gxpad[:, pad:pad + h, pad:pad + w]
+        g_gain = (g_wm - mean * g_shift) * inv_std
+        return (*gparts, gw, g_gain, g_shift)
+
+    return _result(out, (*parts, weight, gain, shift), back, "conv_bn_relu")
 
 
 def _pool_bounds(size: int, bins: int) -> list[tuple[int, int]]:

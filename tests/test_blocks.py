@@ -65,14 +65,47 @@ class TestTransformBlock:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_runs_as_conv_then_one_fused_op(self, rng):
+        # one tape op per block call: the GEMM (or the 3x3 taps), the frozen
+        # BN and the ReLU all happen inside it
         block = TransformBlock.create(rng, 3, 4)
-        out = block(tensor(rng.normal(0, 1, (3, 5)), requires_grad=True))
-        assert out._opname == "affine_relu"
-        assert out._parents[0]._opname == "conv1x1"
+        x = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+        out = block(x)
+        assert out._opname == "conv_bn_relu"
+        assert out._parents == (x, block.weight, block.bn_scale, block.bn_shift)
+        a = tensor(rng.normal(0, 1, (1, 5)), requires_grad=True)
+        b = tensor(rng.normal(0, 1, (2, 5)), requires_grad=True)
+        out = block(a, b)
+        assert out._opname == "conv_bn_relu"
+        assert out._parents[:2] == (a, b)
         stem = Conv3x3Block.create(rng, 2, 3)
-        out = stem(tensor(rng.normal(0, 1, (2, 4, 4)), requires_grad=True))
-        assert out._opname == "affine_relu"
-        assert out._parents[0]._opname == "conv_spatial"
+        img = tensor(rng.normal(0, 1, (2, 4, 4)), requires_grad=True)
+        out = stem(img)
+        assert out._opname == "conv_bn_relu"
+        assert out._parents[0] is img
+
+    def test_tracker_charges_one_output_per_call(self, rng):
+        block = TransformBlock.create(rng, 5, 4)
+        stem = Conv3x3Block.create(rng, 2, 3)
+        x = tensor(rng.normal(0, 1, (5, 6)), requires_grad=True)
+        a = tensor(rng.normal(0, 1, (2, 6)), requires_grad=True)
+        b = tensor(rng.normal(0, 1, (3, 6)), requires_grad=True)
+        img = tensor(rng.normal(0, 1, (2, 4, 4)), requires_grad=True)
+        calls = ((lambda: block(x), (4, 6)), (lambda: block(a, b), (4, 6)),
+                 (lambda: stem(img), (3, 4, 4)))
+        for call, shape in calls:
+            with T.AllocationTracker() as tracker:
+                out = call()
+                assert out.shape == shape
+                assert T.tracked_alloc_stats()[0] == out.data.nbytes
+            assert tracker.peak_bytes == out.data.nbytes
+
+    def test_parts_match_concatenated_input(self, rng):
+        block = TransformBlock.create(rng, 5, 4)
+        a, b = rng.normal(0, 1, (2, 7)), rng.normal(0, 1, (3, 7))
+        whole = block(tensor(np.concatenate([a, b]))).data
+        assert np.max(np.abs(block(tensor(a), tensor(b)).data - whole)) < 1e-12
+        with pytest.raises(DimensionError):
+            block(tensor(a), tensor(a))
 
     def test_preact_trace_one_entry_per_call(self, rng):
         block = TransformBlock.create(rng, 3, 4)
@@ -81,10 +114,11 @@ class TestTransformBlock:
         try:
             for _ in range(3):
                 block(tensor(rng.normal(0, 1, (3, 5))))
+            block(tensor(rng.normal(0, 1, (1, 5))), tensor(rng.normal(0, 1, (2, 5))))
             stem(tensor(rng.normal(0, 1, (2, 4, 4))))
         finally:
             blocks._PREACT_TRACE = None
-        assert len(trace) == 4
+        assert len(trace) == 5
         assert all(v >= 0.0 for v in trace)
 
     def test_created_shift_within_documented_band(self, rng):

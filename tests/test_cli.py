@@ -84,6 +84,18 @@ class TestGenData:
         assert tree_bytes(other) == first
 
 
+class TestHostileData:
+    @pytest.mark.parametrize("header", [b"P6\nwide 12\n255\n", b"P6\n12"])
+    def test_bad_pixmap_header_exits_one(self, tmp_path, capsys, header):
+        assert run_cli("gen-data", tmp_path) == 0
+        image = sorted(p for p in tree_bytes(tmp_path / "data") if p.endswith(".ppm"))[0]
+        (tmp_path / "data" / image).write_bytes(header)
+        capsys.readouterr()
+        assert run_cli("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestTrainEval:
     def test_train_emits_log_checkpoint_metrics(self, tmp_path, capsys):
         assert run_cli("train", tmp_path) == 0
@@ -151,6 +163,36 @@ class TestBench:
         assert payload["verdicts"]["full_scale_flops_rank_matches_expected"]
         printed = capsys.readouterr().out
         assert "verdict ocr_peak_below_self_attention:" in printed
+
+    def test_bench_builds_heads_with_the_run_scheme_settings(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import ocrseg.profiler as P
+        built = []
+        real = P.build_model
+
+        def spy(cfg, *args, **kwargs):
+            model = real(cfg, *args, **kwargs)
+            built.append(model)
+            return model
+
+        monkeypatch.setattr(P, "build_model", spy)
+        code = cli_main(["bench"] + tiny_overrides(
+            tmp_path, bench_channels=8, bench_size=8, bench_classes=3,
+            bench_key_channels=4, bench_mid_channels=8,
+            attention_scale="rsqrt_key", da_regions=5))
+        assert code == 0
+        # the measured heads, not the full-scale table's analytic ones
+        region = [m for m in built if m.cfg.module in ("ocr", "da")
+                  and m.cfg.in_channels == 8]
+        assert {m.cfg.module for m in region} == {"ocr", "da"}
+        for model in region:
+            assert model.params.config.relation_scale == 1.0 / np.sqrt(4)
+            if model.cfg.module == "da":
+                assert model.params.da_maps.out_channels == 5
+        payload = json.loads((tmp_path / "out" / "bench.json").read_text())
+        assert payload["bench_config"]["attention_scale"] == "rsqrt_key"
+        assert payload["bench_config"]["da_regions"] == 5
+        capsys.readouterr()
 
 
 class TestChecks:

@@ -1,5 +1,7 @@
 """Region-context pipeline stages, baseline context schemes, and their
 simplex/equivariance properties, each checked against loop-written oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,36 @@ class TestAugment:
         y = FeatureMap(tensor(rng.normal(0, 1, (3, 2, 3))))
         with pytest.raises(DimensionError):
             augment(x, y, TransformBlock.identity(5))
+
+    def test_channel_mismatch(self, rng):
+        x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
+        y = FeatureMap(tensor(rng.normal(0, 1, (3, 2, 2))))
+        for wrong in (4, 6):
+            with pytest.raises(DimensionError):
+                augment(x, y, TransformBlock.create(rng, wrong, 3))
+
+    def test_fuse_allocates_no_concatenation(self, rng):
+        # (16 + 16) x 16384 float64 would be 4 MiB; the fuse output is 0.5 MiB
+        x = feature_map(rng, 16, 128, 128, requires_grad=True)
+        y = feature_map(rng, 16, 128, 128, requires_grad=True)
+        g = TransformBlock.create(rng, 32, 4)
+        concat_bytes = 32 * 128 * 128 * 8
+        with T.AllocationTracker() as tracker:
+            z = augment(x, y, g)
+        assert tracker.peak_bytes == z.tensor.data.nbytes
+        out = z.tensor
+        while out._opname != "conv_bn_relu":
+            out = out._parents[0]
+        assert all(np.shares_memory(p.data, src.tensor.data)
+                   for p, src in zip(out._parents[:2], (x, y)))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                augment(x, y, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < concat_bytes / 2
 
 
 class TestOcrForward:

@@ -157,6 +157,32 @@ class TestPixmapIO:
         with pytest.raises(DataError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\nfour 4\n255\n", b"P5\n4 4 0x10\n",
+                                        b"P6\n-2 2\n255\n", b"P5\n4 4\n25.5\n"])
+    def test_non_numeric_header_fields(self, tmp_path, header):
+        path = str(tmp_path / "words.pgm")
+        with open(path, "wb") as f:
+            f.write(header + bytes(16 * 3))
+        with pytest.raises(DataError):
+            (read_ppm if header.startswith(b"P6") else read_pgm)(path)
+
+    @pytest.mark.parametrize("header", [b"P5", b"P5\n", b"P5 4 4", b"P5\n4 # 4 255\n"])
+    def test_short_header(self, tmp_path, header):
+        path = str(tmp_path / "short.pgm")
+        with open(path, "wb") as f:
+            f.write(header)
+        with pytest.raises(DataError):
+            read_pgm(path)
+
+    def test_header_size_bounded_by_file(self, tmp_path):
+        # a claimed 10^6 x 10^6 image in a file of a few bytes is rejected
+        # before the read, which would otherwise ask for 3 TB at once
+        path = str(tmp_path / "huge.ppm")
+        with open(path, "wb") as f:
+            f.write(b"P6\n1000000 1000000\n255\n" + bytes(12))
+        with pytest.raises(DataError, match="expected 3000000000000 pixel bytes, got 12"):
+            read_ppm(path)
+
     def test_unsupported_maxval(self, tmp_path):
         path = str(tmp_path / "deep.pgm")
         with open(path, "wb") as f:

@@ -7,7 +7,7 @@ import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import ConfigError
 from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
-                           PpmStage, RegionStage, SegmentationModel,
+                           PpmStage, RegionStage, RelationalStage, SegmentationModel,
                            SelfAttentionStage, STAGES, build_model,
                            full_scale_config)
 from ocrseg.supervision import LabelMap
@@ -173,6 +173,27 @@ class TestForward:
         out = model.forward(x)
         assert out.final_logits.data.dtype == np.float32
         assert np.all(np.isfinite(out.final_logits.data))
+
+    def test_single_precision_oracle_scheme_stays_single(self, rng):
+        model = build_model(ModelConfig(module="gt_ocr", in_channels=5, num_classes=4,
+                                        key_channels=4, mid_channels=6, dtype="single"))
+        x = FeatureMap(T.Tensor(rng.normal(0, 1, (5, 16, 16)).astype(np.float32)))
+        labels = LabelMap(rng.integers(0, 4, (16, 16)), 4)
+        out = model.forward(x, labels)
+        assert out.final_logits.data.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "module", [m for m in MODULE_CHOICES if issubclass(STAGES[m], RelationalStage)])
+    def test_relational_fuse_builds_no_concatenation(self, rng, monkeypatch, module):
+        def no_concat(*args):
+            raise AssertionError("the fuse must not concatenate its inputs")
+
+        monkeypatch.setattr(T, "concat0", no_concat)
+        model = build_model(small_config(module, use_stem=True), image_size=8)
+        x = feature_map(rng, 5, 8, 8)
+        labels = LabelMap(rng.integers(0, 3, (8, 8)), 3) if model.needs_labels else None
+        out = model.forward(x, labels)
+        assert out.final_logits.data.shape == (3, 64)
 
     def test_gt_scheme_requires_labels(self, rng):
         model = build_model(small_config("gt_ocr"))

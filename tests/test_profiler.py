@@ -195,6 +195,10 @@ class TestBenchConfig:
             BenchConfig(precision="half")
         with pytest.raises(ConfigError):
             BenchConfig(channels=0)
+        with pytest.raises(ConfigError):
+            BenchConfig(attention_scale="bogus")
+        with pytest.raises(ConfigError):
+            BenchConfig(da_regions=-1)
 
     def test_model_config_wiring(self):
         cfg = small_bench()
@@ -204,6 +208,17 @@ class TestBenchConfig:
         assert mc.in_channels == cfg.channels
         assert cfg.model_config("ocr").da_regions == 0
         assert cfg.input_shape == (8, 8, 8)
+
+    def test_scheme_settings_reach_the_heads(self):
+        default = small_bench()
+        assert default.model_config("ocr").attention_scale == "unit"
+        rsqrt = small_bench(attention_scale="rsqrt_key", da_regions=5)
+        for module in ("ocr", "da", "self_attn"):
+            assert rsqrt.model_config(module).attention_scale == "rsqrt_key"
+        assert rsqrt.model_config("da").da_regions == 5
+        assert rsqrt.model_config("ocr").da_regions == 0
+        model = build_model(rsqrt.model_config("ocr"), image_size=rsqrt.height)
+        assert model.params.config.relation_scale == 1.0 / np.sqrt(rsqrt.key_channels)
 
 
 class TestMeasurement:

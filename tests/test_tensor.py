@@ -192,80 +192,186 @@ class TestElementwiseAndShapes:
 
 
 # ---------------------------------------------------------------------------
-# fused frozen-BN + ReLU
+# fused transform block: GEMM, frozen-BN affine and ReLU in one buffer
+
+
+BN_EPS = 1e-5
 
 
 def bn_chain(h, gain, shift, inv_std, mean):
-    """The unfused op chain affine_relu replaces: center, scale, shift, rectify."""
+    """The unfused frozen-BN chain: center, scale, shift, rectify."""
     centered = T.add_col(h, T.Tensor(-mean))
     return T.relu(T.add_col(T.mul_col(centered, T.mul(gain, T.Tensor(inv_std))), shift))
+
+
+def bn_stats(rng, channels):
+    """(var, mean) frozen statistics; ``inv_std`` is 1/sqrt(var + BN_EPS)."""
+    return rng.uniform(0.5, 2.0, channels), rng.normal(0, 1, channels)
 
 
 def affine_args(rng, channels):
     gain = tensor(rng.uniform(0.5, 1.5, channels), requires_grad=True)
     shift = tensor(rng.uniform(-0.5, 0.5, channels), requires_grad=True)
-    inv_std = 1.0 / np.sqrt(rng.uniform(0.5, 2.0, channels) + 1e-5)
-    return gain, shift, inv_std, rng.normal(0, 1, channels)
+    var, mean = bn_stats(rng, channels)
+    return gain, shift, 1.0 / np.sqrt(var + BN_EPS), mean
+
+
+def block_args(rng, c_in, c_out, kernel=None):
+    """(weight, gain, shift, inv_std, mean) of one block, all grads on."""
+    shape = (c_out, c_in) if kernel is None else (c_out, c_in, kernel, kernel)
+    return (tensor(rng.normal(0, 1, shape), requires_grad=True),) + affine_args(rng, c_out)
 
 
 class TestAffineRelu:
+    """The folded frozen-BN affine and ReLU epilogue of ``conv_bn_relu``."""
+
     def test_matches_unfused_chain(self, rng):
         for _ in range(20):
-            c, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-            h = tensor(rng.normal(0, 2, (c, m)))
-            args = affine_args(rng, c)
-            got = T.affine_relu(h, *args).data
-            want = bn_chain(h, *args).data
+            c_in, c, m = (int(v) for v in rng.integers(1, 9, size=3))
+            x = tensor(rng.normal(0, 2, (c_in, m)))
+            w, *args = block_args(rng, c_in, c)
+            got = T.conv_bn_relu(x, w, *args).data
+            want = bn_chain(T.conv1x1(x, w), *args).data
             assert np.max(np.abs(got - want)) < 1e-12
+            # one input keeps the two-op chain's values bit for bit
+            gain, shift, inv_std, mean = args
+            s = gain.data * inv_std
+            old = (w.data @ x.data) * s[:, None]
+            old += (shift.data - mean * s)[:, None]
+            assert np.array_equal(got, np.maximum(old, 0.0))
 
     def test_acts_per_channel_on_any_rank(self, rng):
-        h = rng.normal(0, 1, (3, 4, 5))
-        args = affine_args(rng, 3)
-        got = T.affine_relu(tensor(h), *args).data
-        flat = T.affine_relu(tensor(h.reshape(3, 20)), *args).data
-        assert np.array_equal(got, flat.reshape(3, 4, 5))
+        x = rng.normal(0, 1, (3, 4, 5))
+        w, *args = block_args(rng, 3, 2)
+        got = T.conv_bn_relu(tensor(x), w, *args).data
+        flat = T.conv_bn_relu(tensor(x.reshape(3, 20)), w, *args).data
+        assert got.shape == (2, 4, 5)
+        assert np.array_equal(got, flat.reshape(2, 4, 5))
 
     def test_output_owns_fresh_buffer(self, rng):
-        h = tensor(rng.normal(0, 1, (2, 5)))
-        before = h.data.copy()
-        out = T.affine_relu(h, *affine_args(rng, 2))
-        assert not np.shares_memory(out.data, h.data)
-        assert np.array_equal(h.data, before)
+        x = tensor(rng.normal(0, 1, (2, 5)))
+        before = x.data.copy()
+        out = T.conv_bn_relu(x, *block_args(rng, 2, 2))
+        assert out.data.base is None
+        assert not np.shares_memory(out.data, x.data)
+        assert np.array_equal(x.data, before)
 
     def test_shape_checks(self, rng):
-        gain, shift, inv_std, mean = affine_args(rng, 3)
+        w, gain, shift, inv_std, mean = block_args(rng, 4, 3)
         with pytest.raises(DimensionError):
-            T.affine_relu(tensor(np.ones((2, 4))), gain, shift, inv_std, mean)
+            T.conv_bn_relu(tensor(np.ones(4)), w, gain, shift, inv_std, mean)
         with pytest.raises(DimensionError):
-            T.affine_relu(tensor(np.ones(3)), gain, shift, inv_std, mean)
+            T.conv_bn_relu(tensor(np.ones((4, 2))), w, gain, shift, inv_std, mean[:2])
         with pytest.raises(DimensionError):
-            T.affine_relu(tensor(np.ones((3, 4))), gain, shift, inv_std, mean[:2])
+            T.conv_bn_relu(tensor(np.ones((4, 2))), w, gain, tensor(np.ones(2)),
+                           inv_std, mean)
+        with pytest.raises(DimensionError):
+            T.conv_bn_relu(tensor(np.ones((4, 2))), w, gain, shift, inv_std[:1], mean)
 
     def test_records_op_and_parents(self, rng):
-        h = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        gain, shift, inv_std, mean = affine_args(rng, 3)
-        out = T.affine_relu(h, gain, shift, inv_std, mean)
-        assert out._opname == "affine_relu"
-        assert out._parents == (h, gain, shift)
+        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        y = tensor(rng.normal(0, 1, (2, 4)), requires_grad=True)
+        w, gain, shift, inv_std, mean = block_args(rng, 5, 3)
+        out = T.conv_bn_relu((x, y), w, gain, shift, inv_std, mean)
+        assert out._opname == "conv_bn_relu"
+        assert out._parents == (x, y, w, gain, shift)
+        w3, *args3 = block_args(rng, 3, 2, kernel=3)
+        img = tensor(rng.normal(0, 1, (3, 4, 4)), requires_grad=True)
+        out = T.conv_bn_relu(img, w3, *args3)
+        assert out._opname == "conv_bn_relu"
+        assert out._parents == (img, w3, args3[0], args3[1])
 
     def test_no_grad_records_nothing(self, rng):
-        h = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        y = tensor(rng.normal(0, 1, (2, 4)), requires_grad=True)
+        img = tensor(rng.normal(0, 1, (3, 4, 4)), requires_grad=True)
         with T.no_grad():
-            out = T.affine_relu(h, *affine_args(rng, 3))
-        assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
+            outs = [T.conv_bn_relu((x, y), *block_args(rng, 5, 3)),
+                    T.conv_bn_relu(img, *block_args(rng, 3, 2, kernel=3))]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward_fn is None
 
     def test_trace_gets_min_abs_preactivation(self, rng):
-        h = tensor(rng.normal(0, 1, (3, 4)))
-        args = affine_args(rng, 3)
+        x = rng.normal(0, 1, (3, 4))
+        w, *args = block_args(rng, 3, 3)
         trace = []
-        T.affine_relu(h, *args, trace=trace)
+        T.conv_bn_relu(tensor(x), w, *args, trace=trace)
         gain, shift, inv_std, mean = args
-        pre = (h.data - mean[:, None]) * (gain.data * inv_std)[:, None] + shift.data[:, None]
+        pre = ((w.data @ x - mean[:, None]) * (gain.data * inv_std)[:, None]
+               + shift.data[:, None])
         assert len(trace) == 1
         assert abs(trace[0] - np.abs(pre).min()) < 1e-12
-        T.affine_relu(tensor(np.ones((3, 0))), *args, trace=trace)
+        T.conv_bn_relu(tensor(np.ones((3, 0))), w, *args, trace=trace)
         assert len(trace) == 1
+
+
+class TestConvBnRelu:
+    def test_pointwise_matches_column_loops(self, rng):
+        for _ in range(10):
+            c_in, c_out, n = (int(v) for v in rng.integers(1, 8, size=3))
+            x = rng.normal(0, 1, (c_in, n))
+            w, gain, shift, _, _ = block_args(rng, c_in, c_out)
+            var, mean = bn_stats(rng, c_out)
+            got = T.conv_bn_relu(tensor(x), w, gain, shift,
+                                 1.0 / np.sqrt(var + BN_EPS), mean).data
+            want = oracles.transform_loops(x, w.data, gain.data, shift.data,
+                                           mean, var, BN_EPS)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_spatial_matches_tap_loops(self, rng):
+        x = rng.normal(0, 1, (2, 5, 4))
+        w, gain, shift, _, _ = block_args(rng, 2, 3, kernel=3)
+        var, mean = bn_stats(rng, 3)
+        got = T.conv_bn_relu(tensor(x), w, gain, shift,
+                             1.0 / np.sqrt(var + BN_EPS), mean).data
+        pre = oracles.conv_spatial_loops(x, w.data, dilation=1)
+        want = oracles.transform_loops(pre.reshape(3, -1), np.eye(3), gain.data,
+                                       shift.data, mean, var, BN_EPS)
+        assert got.shape == (3, 5, 4)
+        assert np.max(np.abs(got - want.reshape(3, 5, 4))) < 1e-12
+
+    @pytest.mark.parametrize("block_bytes", [24, 1 << 20])
+    def test_parts_equal_concatenated_input(self, rng, monkeypatch, block_bytes):
+        # 24 bytes = 3 float64 columns of a 1-row output, ragged last block
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", block_bytes)
+        for shape in ((7,), (2, 5)):
+            a, b, c = (rng.normal(0, 1, (ch,) + shape) for ch in (3, 1, 2))
+            w, *args = block_args(rng, 6, 1)
+            whole = T.conv_bn_relu(tensor(np.concatenate([a, b, c])), w, *args).data
+            two = T.conv_bn_relu((tensor(np.concatenate([a, b])), tensor(c)), w, *args).data
+            three = T.conv_bn_relu((tensor(a), tensor(b), tensor(c)), w, *args).data
+            assert np.max(np.abs(two - whole)) < 1e-12
+            assert np.max(np.abs(three - whole)) < 1e-12
+
+    def test_single_precision_stays_single(self, rng):
+        x = T.Tensor(rng.normal(0, 1, (3, 6)).astype(np.float32))
+        y = T.Tensor(rng.normal(0, 1, (2, 6)).astype(np.float32))
+        w = T.Tensor(rng.normal(0, 1, (4, 5)).astype(np.float32))
+        gain, shift = (T.Tensor(np.ones(4, np.float32)) for _ in range(2))
+        out = T.conv_bn_relu((x, y), w, gain, shift, np.ones(4, np.float32),
+                             np.zeros(4, np.float32))
+        assert out.dtype == np.float32
+
+    def test_part_and_channel_mismatches(self, rng):
+        w, *args = block_args(rng, 5, 3)
+        with pytest.raises(DimensionError):  # channels add up to 4, not 5
+            T.conv_bn_relu((tensor(np.ones((3, 2))), tensor(np.ones((1, 2)))), w, *args)
+        with pytest.raises(DimensionError):  # trailing dims differ
+            T.conv_bn_relu((tensor(np.ones((3, 2))), tensor(np.ones((2, 3)))), w, *args)
+        with pytest.raises(DimensionError):
+            T.conv_bn_relu((), w, *args)
+        w3, *args3 = block_args(rng, 2, 3, kernel=3)
+        with pytest.raises(DimensionError):  # kxk takes one (C, H, W) input
+            T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 3, 3)))),
+                           w3, *args3)
+        with pytest.raises(DimensionError):
+            T.conv_bn_relu(tensor(np.ones((2, 9))), w3, *args3)
+        with pytest.raises(DimensionError):
+            T.conv_bn_relu(tensor(np.ones((4, 3, 3))), w3, *args3)
+        with pytest.raises(ParameterError):
+            T.conv_bn_relu(tensor(np.ones((2, 3, 3))),
+                           tensor(np.ones((3, 2, 2, 2))), *args3)
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +656,26 @@ class TestGradientsEveryOp:
         assert max_grad_fd_error([x], fwd) < self.TOL
 
     def test_affine_relu(self, rng):
-        h = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
-        gain, shift, inv_std, mean = affine_args(rng, 3)
-        trace = []
+        # the fused block: every part, the weight, gain and shift, for a
+        # one-part, a two-part and a 3x3 call
+        cases = [
+            ((tensor(rng.normal(0, 1, (3, 5)), requires_grad=True),),
+             block_args(rng, 3, 3)),
+            ((tensor(rng.normal(0, 1, (2, 5)), requires_grad=True),
+              tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)),
+             block_args(rng, 5, 3)),
+            ((tensor(rng.normal(0, 1, (2, 3, 3)), requires_grad=True),),
+             block_args(rng, 2, 2, kernel=3)),
+        ]
+        for parts, (w, gain, shift, inv_std, mean) in cases:
+            trace = []
 
-        def fwd():
-            out = T.affine_relu(h, gain, shift, inv_std, mean, trace=trace)
-            return projected(out, np.random.default_rng(18))
+            def fwd():
+                out = T.conv_bn_relu(parts, w, gain, shift, inv_std, mean, trace=trace)
+                return projected(out, np.random.default_rng(18))
 
-        assert max_grad_fd_error([h, gain, shift], fwd) < self.TOL
-        assert min(trace) > 1e-3  # every finite difference stays off the kink
+            assert max_grad_fd_error([*parts, w, gain, shift], fwd) < self.TOL
+            assert min(trace) > 1e-3  # every finite difference stays off the kink
 
     def test_cross_entropy(self, rng):
         x = tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
