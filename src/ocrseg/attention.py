@@ -69,9 +69,12 @@ def rsqrt_scale(key_width: int) -> float:
     return 1.0 / float(np.sqrt(key_width))
 
 
-def scaled_dot_attention(bundle: AttentionBundle) -> tuple[T.Tensor, T.Tensor]:
-    """Softmax(scale * Q K^T) V. Returns (weights (Nq, Nkv), output (Nq, dv))."""
-    logits = T.matmul(bundle.queries, T.transpose(bundle.keys))
+def scaled_dot_attention(bundle: AttentionBundle,
+                         logits: T.Tensor | None = None) -> tuple[T.Tensor, T.Tensor]:
+    """Softmax(scale * Q K^T) V. Returns (weights (Nq, Nkv), output (Nq, dv)).
+    A caller that already holds the unscaled logits Q K^T passes them in."""
+    if logits is None:
+        logits = T.matmul(bundle.queries, T.transpose(bundle.keys))
     weights = T.softmax_rows(logits, temperature=1.0 / bundle.scale)
     output = T.matmul(weights, bundle.values)
     return weights, output
@@ -93,7 +96,7 @@ def decoder_cross_attention(image_features: T.Tensor, queries: QuerySet,
     bundle = AttentionBundle(queries.queries, image_features, image_features,
                              scale=scale)
     region_maps = T.matmul(queries.queries, T.transpose(image_features))  # (K, N)
-    weights, reps = scaled_dot_attention(bundle)
+    _, reps = scaled_dot_attention(bundle, logits=region_maps)
     return region_maps, reps
 
 

@@ -23,7 +23,17 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     if fan_in < 1:
         raise ParameterError(f"fan_in must be >= 1, got {fan_in}")
     bound = float(np.sqrt(1.0 / fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
+
+
+class ShapeOnlyRng:
+    """Stands in for a ``np.random.Generator`` when only parameter shapes are
+    wanted: every draw is a read-only zero-stride view of one zero, so a
+    model built through it allocates no weight buffer. Such a model can be
+    counted (parameters, analytic FLOPs) but not run or trained."""
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.broadcast_to(np.float64(0.0), () if size is None else size)
 
 
 class Conv1x1Head:

@@ -5,6 +5,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .context import check_scheme_settings
+from .data import scene_shape_problem
 from .errors import ConfigError
 from .models import MODULE_CHOICES, ModelConfig
 
@@ -83,6 +84,9 @@ class RunConfig:
                               f"got {self.ignore_fraction}")
         if self.shapes_min < 1 or self.shapes_max < self.shapes_min:
             raise ConfigError("need shapes_max >= shapes_min >= 1")
+        problem = scene_shape_problem(self.grid, self.classes)
+        if problem is not None:
+            raise ConfigError(f"classes/grid: {problem}")
 
     @property
     def in_channels(self) -> int:

@@ -489,10 +489,7 @@ def aspp_lite(x: FeatureMap, spec: DilatedConvSpec) -> FeatureMap:
             raise DimensionError(
                 f"kernel {kern.data.shape} does not match {x.channels} input channels")
         branches.append(T.conv_spatial(x.tensor, kern, dilation=rate))
-    out = branches[0]
-    for b in branches[1:]:
-        out = T.concat0(out, b)
-    return FeatureMap(out)
+    return FeatureMap(T.concat0(*branches))
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],
@@ -508,10 +505,6 @@ def ppm_lite(x: FeatureMap, bins: Sequence[int],
     for b in bins:
         if b < 1 or b > limit:
             raise ConfigError(f"bin {b} invalid for {x.height}x{x.width} input")
-    out = x.tensor
-    for b, proj in zip(bins, projections):
-        pooled = T.avg_pool2d(x.tensor, b, b)
-        projected = proj(pooled)
-        up = T.upsample_nearest(projected, x.height, x.width)
-        out = T.concat0(out, up)
-    return FeatureMap(out)
+    ups = [T.upsample_nearest(proj(T.avg_pool2d(x.tensor, b, b)), x.height, x.width)
+           for b, proj in zip(bins, projections)]
+    return FeatureMap(T.concat0(x.tensor, *ups))

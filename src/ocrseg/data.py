@@ -34,6 +34,21 @@ PALETTE = np.array([
 
 COORD_CHANNELS = 2
 
+# Scene-shape limits: one palette color per class, and shapes need room.
+MIN_CLASSES, MAX_CLASSES = 2, PALETTE.shape[0]
+MIN_GRID = 8
+
+
+def scene_shape_problem(grid: int, num_classes: int) -> str | None:
+    """Why scenes of this grid side and class count cannot be generated, or
+    None when they can."""
+    if not MIN_CLASSES <= num_classes <= MAX_CLASSES:
+        return (f"num_classes must be in [{MIN_CLASSES}, {MAX_CLASSES}], "
+                f"got {num_classes}")
+    if grid < MIN_GRID:
+        return f"grid must be >= {MIN_GRID}, got {grid}"
+    return None
+
 
 @dataclass
 class SyntheticScene:
@@ -66,11 +81,9 @@ def generate_scene(rng: np.random.Generator, grid: int, num_classes: int,
                    ignore_fraction: float = 0.0) -> SyntheticScene:
     """Place shapes_min..shapes_max random shapes; overlaps belong to the
     later shape. ``noise`` and ``jitter`` are 8-bit color units."""
-    if num_classes < 2 or num_classes > PALETTE.shape[0]:
-        raise DataError(f"num_classes must be in [2, {PALETTE.shape[0]}], "
-                        f"got {num_classes}")
-    if grid < 8:
-        raise DataError(f"grid must be >= 8, got {grid}")
+    problem = scene_shape_problem(grid, num_classes)
+    if problem is not None:
+        raise DataError(problem)
     labels = np.zeros((grid, grid), dtype=np.uint8)
     scene_colors = PALETTE[:num_classes] + rng.normal(0.0, jitter, (num_classes, 3))
     count = int(rng.integers(shapes_min, shapes_max + 1))

@@ -68,17 +68,20 @@ class SegmentationModel:
     """One segmentation head: a context stage, then a 1x1 classifier.
 
     ``stage(model, image_size)`` builds the stage, drawing its parameters
-    through ``draw``; the final head is drawn last. Names, draw order and
+    through ``draw`` from ``rng`` (by default the stream seeded with
+    ``cfg.seed``); the final head is drawn last. Names, draw order and
     values are the checkpoint format. A stage has ``out_channels``, maps
     ``(x, labels)`` to the features the final head reads plus the auxiliary
     logits (or None), and gives its closed-form FLOP terms with ``flops(n)``.
     """
 
-    def __init__(self, cfg: ModelConfig, stage, image_size: int = 64) -> None:
+    def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
+                 rng=None) -> None:
         self.cfg = cfg
         self.needs_labels = cfg.module == "gt_ocr"
         self._named: list[tuple[str, T.Tensor]] = []
-        self._rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        self._rng = (np.random.default_rng(np.random.SeedSequence(cfg.seed))
+                     if rng is None else rng)
         self.stage = stage(self, image_size)
         self.final_head = self.draw("final_head", Conv1x1Head.create,
                                     self.stage.out_channels, cfg.num_classes,
@@ -364,8 +367,8 @@ STAGES = {"ocr": RegionStage, "da": RegionStage, "acf": RegionStage,
 MODULE_CHOICES = tuple(STAGES)
 
 
-def build_model(cfg: ModelConfig, image_size: int = 64) -> SegmentationModel:
-    return SegmentationModel(cfg, STAGES[cfg.module], image_size)
+def build_model(cfg: ModelConfig, image_size: int = 64, rng=None) -> SegmentationModel:
+    return SegmentationModel(cfg, STAGES[cfg.module], image_size, rng)
 
 
 def full_scale_config(module: str, num_classes: int = 19) -> ModelConfig:

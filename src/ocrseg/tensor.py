@@ -277,18 +277,21 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (t,), back, "reshape")
 
 
-def concat0(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along axis 0 (the channel axis for pixel matrices)."""
-    if a.data.shape[1:] != b.data.shape[1:]:
+def concat0(*parts: Tensor) -> Tensor:
+    """Concatenate along axis 0 (the channel axis for pixel matrices), in one
+    copy however many parts there are."""
+    if not parts:
+        raise DimensionError("concat0 needs at least one part")
+    if any(p.data.shape[1:] != parts[0].data.shape[1:] for p in parts):
         raise DimensionError(
-            f"concat0 trailing dims differ: {a.data.shape} vs {b.data.shape}")
-    out = np.concatenate([a.data, b.data], axis=0)
-    split = a.data.shape[0]
+            f"concat0 trailing dims differ: {' vs '.join(str(p.data.shape) for p in parts)}")
+    out = np.concatenate([p.data for p in parts], axis=0)
+    splits = np.cumsum([p.data.shape[0] for p in parts[:-1]])
 
     def back(g):
-        return g[:split], g[split:]
+        return tuple(np.split(g, splits, axis=0))
 
-    return _result(out, (a, b), back, "concat0")
+    return _result(out, parts, back, "concat0")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -480,22 +483,60 @@ def _check_kernel(op: str, weight: np.ndarray, dilation: int) -> None:
         raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
 
 
-def _padded(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
-    """``x`` (C, H, W) zero-padded by the reach of a dilated k x k kernel."""
-    pad = (k // 2) * dilation
-    c, h, w = x.shape
-    xpad = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xpad[:, pad:pad + h, pad:pad + w] = x
-    return xpad
+class _TapGrid:
+    """A (C, H, W) input zero-padded once for a dilated k x k kernel, stored
+    flat as (C, Hp*Wp + 2*pad) with Hp, Wp = H + 2*pad, W + 2*pad.
 
+    Tap (ky, kx) reads the strided (C, H*Wp) window ``flat[:, o:o + H*Wp]``,
+    o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
+    (y + ky*d, x + kx*d), so the first W columns of each Wp-wide row are the
+    tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
+    it is, so no tap is copied; products over the padded width are cropped
+    to H x W once (``conv``), and gradients enter with zero spill columns
+    (``widen``) and leave through ``unpad``.
+    """
 
-def _tap_windows(k: int, dilation: int, h: int, w: int):
-    """(ky, kx, window) per kernel tap; ``window`` slices the H x W patch the
-    tap reads out of the padded input."""
-    for ky in range(k):
-        for kx in range(k):
-            yield ky, kx, (slice(None), slice(ky * dilation, ky * dilation + h),
-                           slice(kx * dilation, kx * dilation + w))
+    def __init__(self, x: np.ndarray, k: int, dilation: int) -> None:
+        c, self.h, self.w = x.shape
+        self.pad = pad = (k // 2) * dilation
+        self.wp = wp = self.w + 2 * pad
+        self.cols = self.h * wp
+        self.flat = np.zeros((c, (self.h + 2 * pad) * wp + 2 * pad), dtype=x.dtype)
+        self._image(self.flat)[:, pad:pad + self.h, pad:pad + self.w] = x
+        self.taps = []
+        for ky in range(k):
+            for kx in range(k):
+                o = (ky * wp + kx) * dilation
+                self.taps.append((ky, kx, slice(o, o + self.cols)))
+
+    def _image(self, flat: np.ndarray) -> np.ndarray:
+        return flat[:, :flat.shape[1] - 2 * self.pad].reshape(
+            flat.shape[0], -1, self.wp)
+
+    def conv(self, weight: np.ndarray, dtype) -> np.ndarray:
+        """Sum of the taps' products as a fresh (C_out, H, W) array: one
+        (C_out, H*Wp) product over the padded width, cropped once. The output
+        is allocated after the product, so it never coexists with the
+        accumulation's temporary."""
+        wide = np.empty((weight.shape[0], self.cols), dtype=dtype)
+        _gemm_accumulate(wide, ((weight[:, :, ky, kx], self.flat[:, win])
+                                for ky, kx, win in self.taps))
+        return wide.reshape(weight.shape[0], self.h, self.wp)[:, :, :self.w].copy()
+
+    def widen(self, g: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """(C_out, H*Wp) copy of ``g`` (C_out, H, W), times ``mask`` if given,
+        with zero spill columns."""
+        wide = np.zeros((g.shape[0], self.h, self.wp), dtype=g.dtype)
+        if mask is None:
+            wide[:, :, :self.w] = g
+        else:
+            np.multiply(g, mask, out=wide[:, :, :self.w])
+        return wide.reshape(g.shape[0], self.cols)
+
+    def unpad(self, gflat: np.ndarray) -> np.ndarray:
+        """The (C, H, W) input part of a gradient laid out like ``flat``."""
+        return self._image(gflat)[:, self.pad:self.pad + self.h,
+                                  self.pad:self.pad + self.w]
 
 
 def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
@@ -514,29 +555,22 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
     if bias is not None and bias.data.shape != (c_out,):
         raise DimensionError(f"conv_spatial bias shape {bias.data.shape} "
                              f"does not match out channels {c_out}")
-    dilation = int(dilation)
-    _, h, w = x.data.shape
-    n = h * w
-    xpad = _padded(x.data, k, dilation)
-    taps = list(_tap_windows(k, dilation, h, w))
-    out = np.empty((c_out, h, w), dtype=x.dtype)
-    out2 = out.reshape(c_out, n)
-    _gemm_accumulate(out2, ((weight.data[:, :, ky, kx], xpad[win].reshape(c_in, n))
-                            for ky, kx, win in taps))
+    grid = _TapGrid(x.data, k, int(dilation))
+    out = grid.conv(weight.data, x.dtype)
     if bias is not None:
-        out2 += bias.data[:, None]
+        out += bias.data[:, None, None]
 
     def back(g):
-        g2 = g.reshape(c_out, n)
-        gxpad = np.zeros_like(xpad)
-        gw = np.zeros_like(weight.data)
-        for ky, kx, win in taps:
-            gw[:, :, ky, kx] = g2 @ xpad[win].reshape(c_in, n).T
-            gxpad[win] += (weight.data[:, :, ky, kx].T @ g2).reshape(c_in, h, w)
-        pad = (k // 2) * dilation
-        gx = gxpad[:, pad:pad + h, pad:pad + w]
-        gb = g2.sum(axis=1) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        g_wide = grid.widen(g)
+        gflat = np.zeros_like(grid.flat)
+        gw = np.empty_like(weight.data)
+        for ky, kx, win in grid.taps:
+            gw[:, :, ky, kx] = g_wide @ grid.flat[:, win].T
+            gflat[:, win] += weight.data[:, :, ky, kx].T @ g_wide
+        gx = grid.unpad(gflat)
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.reshape(c_out, -1).sum(axis=1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, back, "conv_spatial")
@@ -553,12 +587,14 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     tensor or a sequence of column parts whose channels add up to C_in: each
     part meets its own weight columns, so the parts are never concatenated.
     A (C_out, C_in, k, k) ``weight`` convolves one zero-padded (C_in, H, W)
-    tensor. Each part's or tap's product accumulates into the output, which
-    then takes the batchnorm and the ReLU in place. When ``trace`` is a
-    list, the smallest absolute pre-activation is appended to it. The
-    backward reads the ReLU mask off the output: with g' the masked gradient
-    and M = g' x^T per part or tap, the weight gets s * M, the gain
-    (sum of W * M - mean * g_shift) * inv_std, and the input (s * W)^T g'.
+    tensor, its taps reading windows of one flat padded buffer (``_TapGrid``).
+    Each part's or tap's product accumulates into the output (the taps' over
+    the padded width, cropped once), which then takes the batchnorm and the
+    ReLU in place. When ``trace`` is a list, the smallest absolute
+    pre-activation is appended to it. The backward reads the ReLU mask off
+    the output: with g' the masked gradient and M = g' x^T per part or tap,
+    the weight gets s * M, the gain (sum of W * M - mean * g_shift) *
+    inv_std, and the input (s * W)^T g'.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if not parts:
@@ -590,9 +626,10 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
                 f"conv_bn_relu {name} shape {arr.shape} does not match {c_out} channels")
 
     # terms(): (weight index, input matrix, where the input gradient goes),
-    # one per column part or per kernel tap; taps re-read the padded input
+    # one per column part or per kernel tap; a tap's matrix is a window of
+    # the padded input's flat grid
     if weight.data.ndim == 2:
-        xpad = None
+        grid = None
         bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
         def terms():
@@ -600,19 +637,20 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
                 yield ((slice(None), slice(bounds[i], bounds[i + 1])),
                        p.data.reshape(p.data.shape[0], -1), i)
     else:
-        k = weight.data.shape[2]
-        c_in, h, w = parts[0].data.shape
-        xpad = _padded(parts[0].data, k, 1)
-        taps = list(_tap_windows(k, 1, h, w))
+        grid = _TapGrid(parts[0].data, weight.data.shape[2], 1)
 
         def terms():
-            for ky, kx, win in taps:
-                yield (slice(None), slice(None), ky, kx), xpad[win].reshape(c_in, h * w), win
+            for ky, kx, win in grid.taps:
+                yield (slice(None), slice(None), ky, kx), grid.flat[:, win], win
 
-    out = np.empty((c_out,) + lead,
-                   dtype=np.result_type(weight.data, *(p.data for p in parts)))
+    dtype = np.result_type(weight.data, *(p.data for p in parts))
+    if grid is None:
+        out = np.empty((c_out,) + lead, dtype=dtype)
+        _gemm_accumulate(out.reshape(c_out, -1),
+                         ((weight.data[idx], xm) for idx, xm, _ in terms()))
+    else:
+        out = grid.conv(weight.data, dtype)
     out2 = out.reshape(c_out, -1)
-    _gemm_accumulate(out2, ((weight.data[idx], xm) for idx, xm, _ in terms()))
     s = gain.data * inv_std
     out2 *= s[:, None]
     out2 += (shift.data - mean * s)[:, None]
@@ -621,25 +659,27 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     np.maximum(out2, 0.0, out=out2)
 
     def back(g):
-        g = g.reshape(c_out, -1) * (out2 > 0.0)
+        if grid is None:
+            g = g.reshape(c_out, -1) * (out2 > 0.0)
+        else:  # masked straight onto the padded-width grid
+            g = grid.widen(g, out > 0.0)
         g_shift = g.sum(axis=1)
         scaled = weight.data * s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
         gw = np.empty_like(weight.data)
         g_wm = np.zeros_like(g_shift)
         gparts = [None] * len(parts)
-        gxpad = None if xpad is None else np.zeros_like(xpad)
+        gflat = None if grid is None else np.zeros_like(grid.flat)
         for idx, xm, sink in terms():
             m = g @ xm.T
             gw[idx] = s[:, None] * m
             g_wm += (weight.data[idx] * m).sum(axis=1)
             gx = scaled[idx].T @ g
-            if xpad is None:
+            if grid is None:
                 gparts[sink] = gx.reshape(parts[sink].data.shape)
             else:
-                gxpad[sink] += gx.reshape(gxpad[sink].shape)
-        if xpad is not None:
-            pad = k // 2
-            gparts[0] = gxpad[:, pad:pad + h, pad:pad + w]
+                gflat[:, sink] += gx
+        if grid is not None:
+            gparts[0] = grid.unpad(gflat)
         g_gain = (g_wm - mean * g_shift) * inv_std
         return (*gparts, gw, g_gain, g_shift)
 

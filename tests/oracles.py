@@ -79,6 +79,29 @@ def conv_spatial_loops(x: np.ndarray, weight: np.ndarray, dilation: int = 1,
     return out
 
 
+def conv_taps_copy(x: np.ndarray, weight: np.ndarray, dilation: int = 1) -> np.ndarray:
+    """The engine's former tap-copy convolution forward, kept as a bit-equality
+    reference (vectorized, unlike the loop oracles): zero-pad (C_in, H, W),
+    copy each tap's (C_in, H*W) patch, and add the taps' products in tap
+    order into a (C_out, H, W) sum. No bias, batchnorm or ReLU."""
+    c_in, h, w = x.shape
+    c_out, _, k, _ = weight.shape
+    pad = (k // 2) * dilation
+    xpad = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    xpad[:, pad:pad + h, pad:pad + w] = x
+    out = None
+    for ky in range(k):
+        for kx in range(k):
+            patch = xpad[:, ky * dilation:ky * dilation + h,
+                         kx * dilation:kx * dilation + w].reshape(c_in, h * w)
+            term = weight[:, :, ky, kx] @ patch
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out.reshape(c_out, h, w)
+
+
 def avg_pool_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Adaptive average pooling over disjoint floor-arithmetic bins."""
     c, h, w = x.shape

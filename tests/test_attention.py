@@ -141,6 +141,21 @@ class TestDecoderCrossAttention:
                                           QuerySet(head.weight))
         assert np.max(np.abs(reps.data - pooled.reps.data)) < 1e-12
 
+    def test_logits_computed_once(self, rng, monkeypatch):
+        calls = []
+        real = T.matmul
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(T, "matmul", counting)
+        maps, reps = decoder_cross_attention(tensor(rng.normal(0, 1, (6, 3))),
+                                             QuerySet(tensor(rng.normal(0, 1, (4, 3)))))
+        # one (K, N) logit product and one (K, N) @ (N, C) aggregation
+        assert calls == [((4, 3), (3, 6)), ((4, 6), (6, 3))]
+        assert maps.shape == (4, 6) and reps.shape == (4, 3)
+
     def test_requires_2d_features(self, rng):
         with pytest.raises(DimensionError):
             decoder_cross_attention(tensor(rng.normal(0, 1, (2, 2, 3))),

@@ -8,6 +8,7 @@ import pytest
 
 from ocrseg.cli import cli_main
 from ocrseg.config import RunConfig, load_config, parse_assignments
+from ocrseg.data import MAX_CLASSES, MIN_CLASSES, MIN_GRID
 from ocrseg.errors import ConfigError
 from ocrseg.models import build_model
 from ocrseg.train import save_checkpoint
@@ -62,6 +63,16 @@ class TestUsageErrors:
                 assert code == 2
                 assert "configuration error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["classes=20", "classes=1", "grid=2"])
+    def test_data_shape_limits_are_config_errors(self, tmp_path, capsys, bad):
+        for cmd in ("gen-data", "train"):
+            code = cli_main([cmd, "--set", bad, "--set", f"data_dir={tmp_path / 'data'}",
+                             "--set", f"out_dir={tmp_path / 'out'}"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, capsys):
         assert cli_main(["gen-data", "--config", "/no/such/file.cfg"]) == 2
@@ -256,6 +267,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig(shapes_min=3, shapes_max=2)
         assert RunConfig(iterations=0).iterations == 0
+
+    def test_data_shape_limits_come_from_the_data_module(self):
+        for classes in (MIN_CLASSES, MAX_CLASSES):
+            assert RunConfig(classes=classes, grid=MIN_GRID).classes == classes
+        for bad in (dict(classes=MIN_CLASSES - 1), dict(classes=MAX_CLASSES + 1),
+                    dict(grid=MIN_GRID - 1)):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad)
 
     def test_in_channels_adds_coordinates(self):
         assert RunConfig(feat_channels=14).in_channels == 16

@@ -665,6 +665,13 @@ class TestAsppLite:
                                oracles.conv_spatial_loops(x, k2, 2)])
         assert np.max(np.abs(out.tensor.data - want)) < 1e-12
 
+    def test_branches_concatenated_in_one_copy(self, rng, monkeypatch):
+        calls = []
+        real = T.concat0
+        monkeypatch.setattr(T, "concat0", lambda *p: calls.append(len(p)) or real(*p))
+        aspp_lite(feature_map(rng, 2, 4, 4), self._delta_spec(2, (1, 2, 3)))
+        assert calls == [3]
+
     def test_spec_validation(self, rng):
         with pytest.raises(ConfigError):
             DilatedConvSpec((2,), (tensor(np.ones((1, 1, 2, 2))),))  # even
@@ -721,6 +728,14 @@ class TestPpmLite:
             pieces.append(oracles.upsample_nearest_loops(projected, 4, 4))
         want = np.concatenate(pieces)
         assert np.max(np.abs(out.tensor.data - want)) < 1e-12
+
+    def test_branches_concatenated_in_one_copy(self, rng, monkeypatch):
+        calls = []
+        real = T.concat0
+        monkeypatch.setattr(T, "concat0", lambda *p: calls.append(len(p)) or real(*p))
+        projs = [Conv1x1Head.create(rng, 3, 2, bias=False) for _ in range(4)]
+        out = ppm_lite(feature_map(rng, 3, 6, 6), (1, 2, 3, 6), projs)
+        assert calls == [5] and out.channels == 3 + 4 * 2
 
     def test_bin_larger_than_image(self, rng):
         x = feature_map(rng, 3, 4, 4)

@@ -1,6 +1,7 @@
 """Analytic cost counting conventions, the full-scale comparison table, and
 the empirical peak-memory/wall-time bench."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ class TestFullScaleTable:
         assert abs(flops["self_attn"] - 6.19e11) <= 0.10 * 6.19e11
         assert all(r.input_shape == FULL_SCALE for r in reports)
         assert all(r.peak_bytes is None and r.wall_ms is None for r in reports)
+
+    def test_counts_without_allocating_weights(self):
+        tracemalloc.start()
+        try:
+            reports = full_scale_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # drawn weights would take ~336 MB
+        # the shape-only count equals the count on a model with drawn weights
+        # (ocr is the smallest full-scale head: 10.5M parameters)
+        ocr = next(r for r in reports if r.module == "ocr")
+        drawn = build_model(full_scale_config("ocr"), image_size=FULL_SCALE[1])
+        assert ocr.params == count_params(drawn)
+        assert ocr.flops == count_flops(drawn, FULL_SCALE)
 
     def test_rank_matcher_logic(self):
         good = {"da": 1, "ocr": 2, "aspp_lite": 3, "self_attn": 5, "ppm_lite": 4}

@@ -157,6 +157,16 @@ class TestElementwiseAndShapes:
         assert cat.shape == (3, 3)
         assert np.array_equal(cat.data[2], [7.0, 8.0, 9.0])
 
+    def test_concat0_takes_any_number_of_parts(self, rng):
+        parts = [tensor(rng.normal(0, 1, (c, 2, 3))) for c in (2, 1, 3)]
+        cat = T.concat0(*parts)
+        assert np.array_equal(cat.data, np.concatenate([p.data for p in parts]))
+        assert np.array_equal(T.concat0(parts[0]).data, parts[0].data)
+        with pytest.raises(DimensionError):
+            T.concat0(parts[0], tensor(np.ones((1, 2, 4))), parts[1])
+        with pytest.raises(DimensionError):
+            T.concat0()
+
     def test_layout_ops_are_views(self, rng):
         x = tensor(rng.normal(0, 1, (2, 6)))
         assert np.shares_memory(T.reshape(x, (3, 4)).data, x.data)
@@ -444,6 +454,98 @@ class TestConvSpatial:
             T.conv_spatial(tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 1, 2, 2))))
 
 
+class TestTapGrid:
+    """The 3x3 taps read strided windows of one flat padded buffer."""
+
+    # (C_in, C_out, H, W, dilation): square and not, one row, one column,
+    # dilation at or past the image side
+    SHAPES = [(3, 4, 5, 7, 1), (2, 3, 6, 3, 2), (3, 2, 1, 6, 1), (2, 3, 5, 1, 2),
+              (2, 2, 3, 4, 4), (1, 2, 2, 2, 3), (2, 1, 1, 1, 1)]
+
+    def test_conv_spatial_bitwise_equals_tap_copies(self, rng):
+        for c_in, c_out, h, w, d in self.SHAPES + [(16, 8, 12, 10, 3)]:
+            x = rng.normal(0, 1, (c_in, h, w))
+            k = rng.normal(0, 1, (c_out, c_in, 3, 3))
+            b = rng.normal(0, 1, c_out)
+            got = T.conv_spatial(tensor(x), tensor(k), dilation=d, bias=tensor(b)).data
+            want = oracles.conv_taps_copy(x, k, d) + b[:, None, None]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block_bytes", [8 * 8 * 12, 8 * 8 * 7])
+    def test_blocked_accumulation_matches_tap_copies(self, rng, monkeypatch, block_bytes):
+        # later taps are added 12 (even) or 7 (ragged) columns at a time to
+        # the 12 x 12 padded-width product of an 8-channel output. BLAS may
+        # round a narrow product differently from a wide one, so this agrees
+        # to 1e-12 rather than bitwise.
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", block_bytes)
+        x = rng.normal(0, 1, (16, 12, 10))
+        k = rng.normal(0, 1, (8, 16, 3, 3))
+        got = T.conv_spatial(tensor(x), tensor(k)).data
+        assert np.max(np.abs(got - oracles.conv_taps_copy(x, k))) < 1e-12
+
+    def test_conv_bn_relu_bitwise_equals_tap_copies(self, rng):
+        for c_in, c_out, h, w, _ in self.SHAPES + [(16, 8, 12, 10, 1)]:
+            x = rng.normal(0, 1, (c_in, h, w))
+            wt, gain, shift, inv_std, mean = block_args(rng, c_in, c_out, kernel=3)
+            trace = []
+            got = T.conv_bn_relu(tensor(x), wt, gain, shift, inv_std, mean, trace).data
+            s = gain.data * inv_std
+            pre = oracles.conv_taps_copy(x, wt.data).reshape(c_out, -1)
+            pre *= s[:, None]
+            pre += (shift.data - mean * s)[:, None]
+            assert trace == [float(np.abs(pre).min())]
+            assert np.array_equal(got, np.maximum(pre, 0.0).reshape(c_out, h, w))
+
+    def test_edge_shapes_match_loop_oracles(self, rng):
+        for c_in, c_out, h, w, d in self.SHAPES:
+            x = rng.normal(0, 1, (c_in, h, w))
+            k = rng.normal(0, 1, (c_out, c_in, 3, 3))
+            b = rng.normal(0, 1, c_out)
+            got = T.conv_spatial(tensor(x), tensor(k), dilation=d, bias=tensor(b)).data
+            assert np.max(np.abs(got - oracles.conv_spatial_loops(x, k, d, b))) < 1e-12
+            wt, gain, shift, _, _ = block_args(rng, c_in, c_out, kernel=3)
+            var, mean = bn_stats(rng, c_out)
+            got = T.conv_bn_relu(tensor(x), wt, gain, shift,
+                                 1.0 / np.sqrt(var + BN_EPS), mean).data
+            pre = oracles.conv_spatial_loops(x, wt.data).reshape(c_out, -1)
+            want = oracles.transform_loops(pre, np.eye(c_out), gain.data, shift.data,
+                                           mean, var, BN_EPS)
+            assert np.max(np.abs(got - want.reshape(c_out, h, w))) < 1e-12
+
+    def test_dilated_conv_spatial_gradients_non_square(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 4, 3)), requires_grad=True)
+        w = tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = tensor(rng.normal(0, 1, 3), requires_grad=True)
+        for d in (2, 3):
+            fwd = lambda: projected(T.conv_spatial(x, w, dilation=d, bias=b),
+                                    np.random.default_rng(19))
+            assert max_grad_fd_error([x, w, b], fwd) < TestGradientsEveryOp.TOL
+
+    def test_conv_bn_relu_gradients_non_square(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 3, 5)), requires_grad=True)
+        w, gain, shift, inv_std, mean = block_args(rng, 2, 3, kernel=3)
+        trace = []
+
+        def fwd():
+            out = T.conv_bn_relu(x, w, gain, shift, inv_std, mean, trace=trace)
+            return projected(out, np.random.default_rng(20))
+
+        assert max_grad_fd_error([x, w, gain, shift], fwd) < TestGradientsEveryOp.TOL
+        assert min(trace) > 1e-3  # every finite difference stays off the kink
+
+    def test_tracker_charges_one_owned_output(self, rng):
+        x = tensor(rng.normal(0, 1, (3, 6, 5)))
+        k = tensor(rng.normal(0, 1, (4, 3, 3, 3)))
+        wt, *bn = block_args(rng, 3, 4, kernel=3)
+        for call in (lambda: T.conv_spatial(x, k, dilation=2),
+                     lambda: T.conv_bn_relu(x, wt, *bn)):
+            with T.no_grad(), T.AllocationTracker() as tracker:
+                out = call()
+                assert out.data.base is None and out.data.flags.c_contiguous
+                assert out.shape == (4, 6, 5)
+                assert tracker.current_bytes == tracker.peak_bytes == out.data.nbytes
+
+
 class TestPoolingAndResize:
     def test_avg_pool_matches_loop(self, rng):
         x = rng.normal(0, 1, (2, 5, 5))
@@ -586,6 +688,12 @@ class TestGradientsEveryOp:
             return projected(cat, np.random.default_rng(8))
 
         assert max_grad_fd_error([a, b], fwd) < self.TOL
+
+    def test_concat0_many_parts(self, rng):
+        parts = [tensor(rng.normal(0, 1, (c, 2, 2)), requires_grad=True)
+                 for c in (1, 3, 2)]
+        fwd = lambda: projected(T.concat0(*parts), np.random.default_rng(21))
+        assert max_grad_fd_error(parts, fwd) < self.TOL
 
     def test_add_mul_scale(self, rng):
         a = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
