@@ -23,18 +23,6 @@ from .errors import ConfigError, DimensionError, ParameterError
 
 
 @dataclass
-class QuerySet:
-    """A (K, d) matrix of learned queries, one per category/region."""
-
-    queries: T.Tensor
-
-    def __post_init__(self) -> None:
-        if self.queries.data.ndim != 2:
-            raise DimensionError(
-                f"queries must be (K, d), got {self.queries.data.shape}")
-
-
-@dataclass
 class AttentionBundle:
     """Inputs for one attention application: queries (Nq, d), keys (Nkv, d),
     values (Nkv, dv), and the logit scale."""
@@ -62,13 +50,6 @@ class AttentionBundle:
                                  f"got {self.scale}")
 
 
-def rsqrt_scale(key_width: int) -> float:
-    """The conventional 1/sqrt(d) logit scale for key width d."""
-    if key_width < 1:
-        raise ParameterError(f"key width must be >= 1, got {key_width}")
-    return 1.0 / float(np.sqrt(key_width))
-
-
 def scaled_dot_attention(bundle: AttentionBundle,
                          logits: T.Tensor | None = None) -> tuple[T.Tensor, T.Tensor]:
     """Softmax(scale * Q K^T) V. Returns (weights (Nq, Nkv), output (Nq, dv)).
@@ -80,11 +61,11 @@ def scaled_dot_attention(bundle: AttentionBundle,
     return weights, output
 
 
-def decoder_cross_attention(image_features: T.Tensor, queries: QuerySet,
+def decoder_cross_attention(image_features: T.Tensor, queries: T.Tensor,
                             scale: float = 1.0) -> tuple[T.Tensor, T.Tensor]:
-    """Category queries attend over pixels; keys and values are both the image
-    features. Returns (region_maps, region_reps): the pre-softmax logits
-    (K, N) and the attention outputs (K, C).
+    """Category queries (K, C) attend over pixels; keys and values are both
+    the (N, C) image features. Returns (region_maps, region_reps): the
+    pre-softmax logits (K, N) and the attention outputs (K, C).
 
     With queries equal to the region classifier's weight rows and scale 1,
     region_maps equal that classifier's logits and region_reps equal the
@@ -93,9 +74,8 @@ def decoder_cross_attention(image_features: T.Tensor, queries: QuerySet,
     if image_features.data.ndim != 2:
         raise DimensionError(
             f"image features must be (N, C), got {image_features.data.shape}")
-    bundle = AttentionBundle(queries.queries, image_features, image_features,
-                             scale=scale)
-    region_maps = T.matmul(queries.queries, T.transpose(image_features))  # (K, N)
+    bundle = AttentionBundle(queries, image_features, image_features, scale=scale)
+    region_maps = T.matmul(queries, T.transpose(image_features))  # (K, N)
     _, reps = scaled_dot_attention(bundle, logits=region_maps)
     return region_maps, reps
 
@@ -134,7 +114,7 @@ class EquivalenceMapping:
                               + ", ".join(missing))
 
     @classmethod
-    def from_params(cls, params: OcrParams, decoder_scale: float = 1.0,
+    def from_params(cls, params: OcrParams,
                     encoder_scale: float | None = None) -> "EquivalenceMapping":
         if encoder_scale is None:
             encoder_scale = params.config.relation_scale
@@ -143,7 +123,6 @@ class EquivalenceMapping:
                    region_transform=params.region_transform,
                    value_transform=params.value_transform,
                    output_transform=params.output_transform,
-                   decoder_scale=decoder_scale,
                    encoder_scale=encoder_scale)
 
 
@@ -187,7 +166,7 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
 
     # Attention path: decoder over pixels, encoder back onto its outputs.
     feats_nc = T.transpose(x.pixels())  # (N, C)
-    _, reps_att = decoder_cross_attention(feats_nc, QuerySet(mapping.queries.weight),
+    _, reps_att = decoder_cross_attention(feats_nc, mapping.queries.weight,
                                           scale=mapping.decoder_scale)
     pixel_q = T.transpose(mapping.pixel_transform(x.pixels()))  # (N, key)
     region_k = T.transpose(mapping.region_transform(T.transpose(reps_att)))  # (K, key)

@@ -81,10 +81,8 @@ class TransformBlock:
     whole block is one ``conv_bn_relu`` op.
     """
 
-    kernel_size = 1
-
     def __init__(self, weight: T.Tensor, bn_scale: T.Tensor, bn_shift: T.Tensor,
-                 bn_mean: np.ndarray, bn_var: np.ndarray, eps: float = BN_EPS) -> None:
+                 bn_mean: np.ndarray, bn_var: np.ndarray) -> None:
         c_out = weight.shape[0]
         for name, arr in (("bn_scale", bn_scale.data), ("bn_shift", bn_shift.data),
                           ("bn_mean", bn_mean), ("bn_var", bn_var)):
@@ -98,7 +96,6 @@ class TransformBlock:
         self.bn_shift = bn_shift
         self.bn_mean = np.asarray(bn_mean, dtype=weight.dtype)
         self.bn_var = np.asarray(bn_var, dtype=weight.dtype)
-        self.eps = float(eps)
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
@@ -113,15 +110,6 @@ class TransformBlock:
         return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
                    np.ones(out_channels, dtype=dtype))
 
-    @classmethod
-    def identity(cls, channels: int, dtype=np.float64) -> "TransformBlock":
-        """Pass-through block (on nonnegative inputs): identity weight, neutral BN."""
-        w = T.Tensor(np.eye(channels, dtype=dtype), requires_grad=False)
-        scale = T.Tensor(np.full(channels, np.sqrt(1.0 + BN_EPS), dtype=dtype))
-        shift = T.Tensor(np.zeros(channels, dtype=dtype))
-        return cls(w, scale, shift, np.zeros(channels, dtype=dtype),
-                   np.ones(channels, dtype=dtype))
-
     @property
     def in_channels(self) -> int:
         return self.weight.shape[1]
@@ -133,7 +121,7 @@ class TransformBlock:
     def __call__(self, *parts: T.Tensor) -> T.Tensor:
         """The block applied to its input, given whole or as column parts
         that the block reads as one channel concatenation; one tensor op."""
-        inv_std = 1.0 / np.sqrt(self.bn_var + self.eps)
+        inv_std = 1.0 / np.sqrt(self.bn_var + BN_EPS)
         return T.conv_bn_relu(parts, self.weight, self.bn_scale, self.bn_shift,
                               inv_std, self.bn_mean, _PREACT_TRACE)
 
@@ -149,8 +137,6 @@ class Conv3x3Block(TransformBlock):
     Operates on (C_in, H, W) through the pointwise block's fused op, which
     accumulates the nine taps into its output before the BN and ReLU.
     """
-
-    kernel_size = 3
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,

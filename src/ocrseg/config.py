@@ -1,6 +1,7 @@
 """Flat key=value run configuration shared by every CLI subcommand."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -75,6 +76,12 @@ class RunConfig:
                               f"got {self.module!r}")
         check_scheme_settings(self.key_channels, self.mid_channels,
                               self.attention_scale, self.da_regions)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.feat_channels < 0:
+            raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
+        if self.equiv_instances < 1 or self.grad_instances < 1:
+            raise ConfigError("equiv_instances and grad_instances must be >= 1")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.train_scenes < 1 or self.eval_scenes < 1:
@@ -112,7 +119,10 @@ def _coerce(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         if kind == "bool":
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):

@@ -184,33 +184,17 @@ def attention_logit_scale(attention_scale: str, key_channels: int) -> float:
 
 @dataclass
 class OcrConfig:
-    """Width and scheme settings for the region-context pipeline.
+    """The scheme settings the region-context pipeline reads: how relations
+    are formed (``relation_scheme``) and the scale of the learned relation
+    logits (``relation_scale``, see ``attention_logit_scale``)."""
 
-    ``attention_scale`` selects the relation-logit scale: ``unit`` leaves
-    dot products unscaled, ``rsqrt_key`` divides by sqrt(key_channels).
-    ``da_regions`` overrides the region count for the ``da`` relation scheme
-    (0 means: use ``num_classes`` regions).
-    """
-
-    num_classes: int
-    key_channels: int = 256
-    mid_channels: int = 512
-    attention_scale: str = "unit"
     relation_scheme: str = "ocr"
-    da_regions: int = 0
+    relation_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        check_scheme_settings(self.key_channels, self.mid_channels,
-                              self.attention_scale, self.da_regions)
         if self.relation_scheme not in _RELATION_SCHEMES:
             raise ConfigError(f"relation_scheme must be one of {_RELATION_SCHEMES}, "
                               f"got {self.relation_scheme!r}")
-
-    @property
-    def relation_scale(self) -> float:
-        return attention_logit_scale(self.attention_scale, self.key_channels)
 
 
 @dataclass
@@ -465,20 +449,12 @@ class DilatedConvSpec:
                     f"kernel size must be odd, got {kern.data.shape[2]}")
 
 
-def scaled_rates(base_rates: Sequence[int], height: int, width: int,
-                 reference: int = 64) -> tuple[tuple[int, ...], bool]:
-    """Scale dilation rates by image-size/reference, flooring at 1.
-    Returns (rates, clipped_flag)."""
-    factor = min(height, width) / float(reference)
-    out = []
-    clipped = False
-    for r in base_rates:
-        scaled = int(round(r * factor))
-        if scaled < 1:
-            scaled = 1
-            clipped = True
-        out.append(scaled)
-    return tuple(out), clipped
+def scaled_rates(base_rates: Sequence[int], height: int,
+                 width: int) -> tuple[int, ...]:
+    """Scale dilation rates set for a 64-pixel image to this image's size,
+    flooring at 1."""
+    factor = min(height, width) / 64.0
+    return tuple(max(1, int(round(r * factor))) for r in base_rates)
 
 
 def aspp_lite(x: FeatureMap, spec: DilatedConvSpec) -> FeatureMap:

@@ -24,12 +24,10 @@ def conv1x1_flops(c_in: int, c_out: int, n: int, bias: bool = False) -> int:
     return flops
 
 
-def conv_kxk_flops(c_in: int, c_out: int, n: int, k: int, bias: bool = False) -> int:
+def conv_kxk_flops(c_in: int, c_out: int, n: int, k: int) -> int:
+    """Bias-free k x k convolution: 2 k^2 c_in c_out n."""
     _check_positive(c_in=c_in, c_out=c_out, n=n, k=k)
-    flops = 2 * k * k * c_in * c_out * n
-    if bias:
-        flops += c_out * n
-    return flops
+    return 2 * k * k * c_in * c_out * n
 
 
 def block_flops(c_in: int, c_out: int, n: int, kernel: int = 1) -> int:

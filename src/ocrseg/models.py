@@ -216,10 +216,8 @@ class RegionStage(RelationalStage):
             if self.regions != cfg.num_classes:
                 da_maps = model.draw("da_maps", Conv1x1Head.create,
                                      self.pipe_in, self.regions, bias=False)
-        ocr_config = OcrConfig(
-            num_classes=cfg.num_classes, key_channels=cfg.key_channels,
-            mid_channels=cfg.mid_channels, attention_scale=cfg.attention_scale,
-            relation_scheme=scheme, da_regions=cfg.da_regions)
+        ocr_config = OcrConfig(scheme, attention_logit_scale(cfg.attention_scale,
+                                                             cfg.key_channels))
         self.params = OcrParams(ocr_config, region_head, pixel_t, region_t,
                                 self.value_t, self.output_t, self.fuse_t,
                                 self.stem, da_predictor, da_maps)
@@ -314,7 +312,7 @@ class AsppStage:
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.cfg = model.cfg
         self.branch_channels = cfg.key_channels
-        rates, self.rates_clipped = scaled_rates(cfg.aspp_rates, image_size, image_size)
+        rates = scaled_rates(cfg.aspp_rates, image_size, image_size)
         kernels = tuple(model.draw(f"branch_{i}.weight", _dilated_kernel,
                                    cfg.in_channels, self.branch_channels)
                         for i in range(len(rates)))

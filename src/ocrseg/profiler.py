@@ -237,24 +237,6 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
     return reports, {"full_scale": full, "verdicts": verdicts}, errors
 
 
-def quadratic_share(module: str, sides: tuple[int, ...] = (64, 128, 256),
-                    bench: BenchConfig | None = None) -> tuple[float, float]:
-    """Fit flops(N) to a degree-2 polynomial over N = side^2 and return
-    (quadratic term's share of the fitted total at the largest N, max relative
-    fit residual)."""
-    cfg = bench or BenchConfig()
-    model = build_model(cfg.model_config(module), image_size=max(sides))
-    ns = np.array([s * s for s in sides], dtype=np.float64)
-    flops = np.array([model.analytic_flops(s, s) for s in sides], dtype=np.float64)
-    coeffs = np.polyfit(ns, flops, 2)  # a, b, c
-    fitted = np.polyval(coeffs, ns)
-    residual = float(np.abs((fitted - flops) / flops).max())
-    n_max = ns.max()
-    total = float(np.polyval(coeffs, n_max))
-    share = float(coeffs[0] * n_max * n_max / total)
-    return share, residual
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 

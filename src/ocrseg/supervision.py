@@ -97,16 +97,12 @@ def poly_lr(schedule: PolySchedule, iteration: int) -> float:
     return schedule.base_lr * factor
 
 
-def gt_regions(labels: LabelMap, num_regions: int | None = None,
-               dtype=np.float64) -> SoftRegionSet:
+def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
     """One-hot ground-truth regions, spatially normalized: row k weights the
     pixels labeled k uniformly (1/count). Classes with no pixels yield an
     all-zero row and are flagged; ignored pixels belong to no region. The
     tensors take ``dtype``, the precision of the features they pool."""
-    k = labels.num_classes if num_regions is None else int(num_regions)
-    if k < labels.num_classes:
-        raise ConfigError(
-            f"num_regions {k} cannot be below num_classes {labels.num_classes}")
+    k = labels.num_classes
     flat = labels.flat
     n = flat.size
     member = np.zeros((k, n), dtype=dtype)
@@ -124,15 +120,11 @@ def gt_regions(labels: LabelMap, num_regions: int | None = None,
                          labels.height, labels.width, tuple(empty))
 
 
-def gt_relations(labels: LabelMap, num_regions: int | None = None,
-                 dtype=np.float64) -> RelationMatrix:
+def gt_relations(labels: LabelMap, dtype=np.float64) -> RelationMatrix:
     """One-hot ground-truth relations: pixel i relates only to the region of
     its own label. Ignored pixels get a zero row and are flagged. The matrix
     takes ``dtype``, as ``gt_regions`` does."""
-    k = labels.num_classes if num_regions is None else int(num_regions)
-    if k < labels.num_classes:
-        raise ConfigError(
-            f"num_regions {k} cannot be below num_classes {labels.num_classes}")
+    k = labels.num_classes
     flat = labels.flat
     n = flat.size
     weights = np.zeros((n, k), dtype=dtype)

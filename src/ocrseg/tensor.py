@@ -7,7 +7,8 @@ itself. No op writes into a buffer it did not allocate, so a view stays valid
 for as long as it lives. Each op result carries a backward closure and a
 creation index; ``backward`` linearizes the subgraph reachable from a scalar
 loss into a :class:`GradTape` (creation order is a valid topological order)
-and replays it exactly once in reverse.
+and replays it exactly once in reverse. Only leaves (parameters, inputs)
+keep a gradient; an op result's is dropped once its backward has run.
 """
 from __future__ import annotations
 
@@ -92,16 +93,6 @@ class AllocationTracker:
         if self.active:
             self.current_bytes -= nbytes
 
-    def stats(self) -> tuple[int, int]:
-        return self.current_bytes, self.peak_bytes
-
-
-def tracked_alloc_stats() -> tuple[int, int]:
-    """(current_bytes, peak_bytes) of the innermost open tracking scope."""
-    if not _TRACKER_STACK:
-        raise StateError("allocation tracking is not enabled; open an AllocationTracker scope")
-    return _TRACKER_STACK[-1].stats()
-
 
 # ---------------------------------------------------------------------------
 # tensor and tape
@@ -109,7 +100,9 @@ def tracked_alloc_stats() -> tuple[int, int]:
 
 class Tensor:
     """Dense real-valued array that participates in the gradient tape when
-    ``requires_grad`` is set. ``grad`` matches ``data``'s shape after backward."""
+    ``requires_grad`` is set. Only a leaf (a tensor no recorded op produced,
+    such as a parameter) keeps a ``grad``, of ``data``'s shape, after
+    backward; an op result's gradient lives only while the tape replays."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
                  "_index", "_opname")
@@ -139,12 +132,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> "GradTape":
-        return backward(self)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self._opname}{flag})"
@@ -166,7 +153,8 @@ class GradTape:
 
     ``nodes`` holds op-result tensors in ascending creation index, which is a
     topological order because an op's inputs always predate its output. The
-    tape is single-use: replaying it twice would double-accumulate gradients.
+    tape is single-use: replaying it twice would double-accumulate the
+    leaves' gradients.
     """
 
     def __init__(self, nodes: list[Tensor]) -> None:
@@ -189,6 +177,9 @@ class GradTape:
         return cls(nodes)
 
     def run(self, root: Tensor) -> None:
+        """Propagate d(root)/d(node) backward through the nodes. An op result's
+        gradient is held only until its own backward has consumed it; a
+        leaf's is added to its ``grad``."""
         if self.consumed:
             raise StateError("gradient tape already replayed; tapes are single-use")
         self.consumed = True
@@ -197,7 +188,6 @@ class GradTape:
             out_grad = pending.pop(id(t), None)
             if out_grad is None:
                 continue  # recorded but not on a path to the root
-            t.grad = out_grad if t.grad is None else t.grad + out_grad
             grads = t._backward_fn(out_grad)
             for parent, g in zip(t._parents, grads):
                 if g is None or not parent.requires_grad:
@@ -209,8 +199,9 @@ class GradTape:
                     pending[key] = g if key not in pending else pending[key] + g
 
 
-def backward(loss: Tensor, tape: GradTape | None = None) -> GradTape:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+def backward(loss: Tensor) -> GradTape:
+    """Add d(loss)/d(leaf) to ``grad`` of every requires_grad leaf reachable
+    from ``loss``; op results keep no gradient.
 
     ``loss`` must be scalar. Returns the (now consumed) tape.
     """
@@ -219,8 +210,7 @@ def backward(loss: Tensor, tape: GradTape | None = None) -> GradTape:
             f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ParameterError("loss does not require grad; nothing to differentiate")
-    if tape is None:
-        tape = GradTape.trace(loss)
+    tape = GradTape.trace(loss)
     tape.run(loss)
     return tape
 
@@ -305,17 +295,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), back, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data * b.data
-
-    def back(g):
-        return g * b.data, g * a.data
-
-    return _result(out, (a, b), back, "mul")
-
-
 def scale(t: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     out = t.data * factor
@@ -324,44 +303,6 @@ def scale(t: Tensor, factor: float) -> Tensor:
         return (g * factor,)
 
     return _result(out, (t,), back, "scale")
-
-
-def add_col(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-row vector ``v`` (length M) to every column of ``x`` (M x N)."""
-    _require_2d(x, "add_col input")
-    if v.data.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"add_col vector shape {v.data.shape} does not match rows of {x.data.shape}")
-    out = x.data + v.data[:, None]
-
-    def back(g):
-        return g, g.sum(axis=1)
-
-    return _result(out, (x, v), back, "add_col")
-
-
-def mul_col(x: Tensor, v: Tensor) -> Tensor:
-    """Scale every column of ``x`` (M x N) by the per-row vector ``v``."""
-    _require_2d(x, "mul_col input")
-    if v.data.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"mul_col vector shape {v.data.shape} does not match rows of {x.data.shape}")
-    out = x.data * v.data[:, None]
-
-    def back(g):
-        return g * v.data[:, None], (g * x.data).sum(axis=1)
-
-    return _result(out, (x, v), back, "mul_col")
-
-
-def relu(t: Tensor) -> Tensor:
-    out = np.maximum(t.data, 0.0)
-    mask = t.data > 0.0
-
-    def back(g):
-        return (g * mask,)
-
-    return _result(out, (t,), back, "relu")
 
 
 def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -381,15 +322,6 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
         return (s * (g - inner) / temperature,)
 
     return _result(s, (x,), back, "softmax_rows")
-
-
-def sum_all(t: Tensor) -> Tensor:
-    out = np.asarray(t.data.sum())
-
-    def back(g):
-        return (np.full(t.data.shape, g, dtype=t.dtype),)
-
-    return _result(out, (t,), back, "sum_all")
 
 
 def mean_cols(x: Tensor) -> Tensor:
@@ -539,26 +471,20 @@ class _TapGrid:
                                   self.pad:self.pad + self.w]
 
 
-def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
-                 bias: Tensor | None = None) -> Tensor:
-    """Dilated 2-D convolution with zero padding that preserves H x W.
+def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1) -> Tensor:
+    """Bias-free dilated 2-D convolution with zero padding that preserves H x W.
 
     ``x`` is (C_in, H, W); ``weight`` is (C_out, C_in, k, k) with odd k.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"conv_spatial input must be (C, H, W), got {x.data.shape}")
     _check_kernel("conv_spatial", weight.data, dilation)
-    c_out, c_in, k, _ = weight.data.shape
+    _, c_in, k, _ = weight.data.shape
     if c_in != x.data.shape[0]:
         raise DimensionError(
             f"conv_spatial weight {weight.data.shape} does not match input {x.data.shape}")
-    if bias is not None and bias.data.shape != (c_out,):
-        raise DimensionError(f"conv_spatial bias shape {bias.data.shape} "
-                             f"does not match out channels {c_out}")
     grid = _TapGrid(x.data, k, int(dilation))
     out = grid.conv(weight.data, x.dtype)
-    if bias is not None:
-        out += bias.data[:, None, None]
 
     def back(g):
         g_wide = grid.widen(g)
@@ -567,13 +493,9 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1,
         for ky, kx, win in grid.taps:
             gw[:, :, ky, kx] = g_wide @ grid.flat[:, win].T
             gflat[:, win] += weight.data[:, :, ky, kx].T @ g_wide
-        gx = grid.unpad(gflat)
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.reshape(c_out, -1).sum(axis=1)
+        return grid.unpad(gflat), gw
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, back, "conv_spatial")
+    return _result(out, (x, weight), back, "conv_spatial")
 
 
 def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import Conv1x1Head, TransformBlock
-from ocrseg.context import FeatureMap, OcrConfig, OcrParams
+from ocrseg.blocks import BN_EPS, Conv1x1Head, TransformBlock
+from ocrseg.context import (FeatureMap, OcrConfig, OcrParams,
+                            attention_logit_scale)
+from ocrseg.models import build_model
+from ocrseg.profiler import BenchConfig
 
 
 @pytest.fixture
@@ -14,6 +17,50 @@ def rng():
 
 def tensor(data, requires_grad=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def dot_all(a, b):
+    """Scalar loss sum(a * b) of two same-shape tensors, as public ops: the
+    (1, n) @ (n, 1) product of their flattenings."""
+    n = a.data.size
+    return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
+
+
+def sum_all(t):
+    """Scalar loss: the sum of every entry of ``t``."""
+    return dot_all(t, T.Tensor(np.ones(t.shape, dtype=t.dtype)))
+
+
+def projected(out, rng):
+    """Scalarize an op output with a fixed random projection."""
+    return dot_all(out, T.Tensor(rng.normal(0.0, 1.0, out.data.shape)))
+
+
+def identity_block(channels, dtype=np.float64):
+    """Pass-through transform block (on nonnegative inputs): identity weight,
+    and a BN scale of sqrt(1 + eps) that cancels the unit frozen variance."""
+    w = T.Tensor(np.eye(channels, dtype=dtype))
+    scale = T.Tensor(np.full(channels, np.sqrt(1.0 + BN_EPS), dtype=dtype))
+    shift = T.Tensor(np.zeros(channels, dtype=dtype))
+    return TransformBlock(w, scale, shift, np.zeros(channels, dtype=dtype),
+                          np.ones(channels, dtype=dtype))
+
+
+def quadratic_share(module, sides=(64, 128, 256), bench=None):
+    """Fit flops(N) to a degree-2 polynomial over N = side^2 and return
+    (quadratic term's share of the fitted total at the largest N, max relative
+    fit residual)."""
+    cfg = bench or BenchConfig()
+    model = build_model(cfg.model_config(module), image_size=max(sides))
+    ns = np.array([s * s for s in sides], dtype=np.float64)
+    flops = np.array([model.analytic_flops(s, s) for s in sides], dtype=np.float64)
+    coeffs = np.polyfit(ns, flops, 2)  # a, b, c
+    fitted = np.polyval(coeffs, ns)
+    residual = float(np.abs((fitted - flops) / flops).max())
+    n_max = ns.max()
+    total = float(np.polyval(coeffs, n_max))
+    share = float(coeffs[0] * n_max * n_max / total)
+    return share, residual
 
 
 def feature_map(rng, channels, height, width, requires_grad=False, loc=0.0):
@@ -27,9 +74,7 @@ def make_ocr_params(rng, in_channels, num_classes, key_channels=4,
     """A full parameter bundle with freshly initialized blocks."""
     from ocrseg.blocks import Conv3x3Block
 
-    cfg = OcrConfig(num_classes=num_classes, key_channels=key_channels,
-                    mid_channels=mid_channels, attention_scale=attention_scale,
-                    relation_scheme=scheme, da_regions=da_regions)
+    cfg = OcrConfig(scheme, attention_logit_scale(attention_scale, key_channels))
     stem = Conv3x3Block.create(rng, in_channels, in_channels) if use_stem else None
     pixel_t = region_t = None
     if scheme == "ocr":

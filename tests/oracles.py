@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from ocrseg.blocks import BN_EPS
+
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
@@ -163,11 +165,21 @@ def transform_loops(x: np.ndarray, weight: np.ndarray, bn_scale: np.ndarray,
     return out.reshape(pre.shape)
 
 
+def bn_chain(h: np.ndarray, gain: np.ndarray, shift: np.ndarray,
+             inv_std: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The unfused frozen-BN chain on a (C, M) pre-activation, one NumPy step
+    per stage in this order: center, scale by gain * inv_std, shift,
+    rectify."""
+    centered = h + (-mean)[:, None]
+    scaled = centered * (gain * inv_std)[:, None]
+    return np.maximum(scaled + shift[:, None], 0.0)
+
+
 def apply_block_loops(block, x: np.ndarray) -> np.ndarray:
     """transform_loops driven by a live block's parameter arrays."""
     return transform_loops(x, block.weight.data, block.bn_scale.data,
                            block.bn_shift.data, block.bn_mean, block.bn_var,
-                           block.eps)
+                           BN_EPS)
 
 
 def region_reps_loops(m_norm: np.ndarray, pixels: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 import ocrseg.tensor as T
 from ocrseg.attention import AttentionBundle, scaled_dot_attention
-from ocrseg.blocks import Conv1x1Head
+from ocrseg.blocks import BN_EPS, Conv1x1Head
 from ocrseg.checks import run_equivalence_suite, run_gradient_suite
 from ocrseg.cli import cli_main
 from ocrseg.config import RunConfig
@@ -18,12 +18,13 @@ from ocrseg.context import (FeatureMap, augment, compute_soft_regions,
                             region_representations)
 from ocrseg.data import generate_scenes
 from ocrseg.models import MODULE_CHOICES, ModelConfig, build_model
-from ocrseg.profiler import BenchConfig, bench_report, quadratic_share
+from ocrseg.profiler import BenchConfig, bench_report
 from ocrseg.supervision import LabelMap
 from ocrseg.train import (evaluate_model, prepare_features, run_ablation,
                           train_model)
 
 import oracles
+from conftest import quadratic_share
 
 
 def _emit(capsys, name, detail, elapsed, budget=None):
@@ -121,7 +122,7 @@ def _block3x3_loops(block, x):
     flat = conv.reshape(conv.shape[0], -1)
     out = oracles.transform_loops(flat, np.eye(conv.shape[0]),
                                   block.bn_scale.data, block.bn_shift.data,
-                                  block.bn_mean, block.bn_var, block.eps)
+                                  block.bn_mean, block.bn_var, BN_EPS)
     return out.reshape(conv.shape)
 
 

@@ -5,12 +5,12 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg.attention import (AttentionBundle, EquivalenceMapping,
-                              EquivalenceReport, QuerySet,
-                              decoder_cross_attention, encoder_cross_attention,
-                              rsqrt_scale, scaled_dot_attention,
+                              EquivalenceReport, decoder_cross_attention,
+                              encoder_cross_attention, scaled_dot_attention,
                               transformer_equivalence_check)
 from ocrseg.blocks import Conv1x1Head, TransformBlock
 from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix,
+                            attention_logit_scale, check_scheme_settings,
                             compute_soft_regions, ocr_aggregate,
                             pixel_region_relations, region_representations)
 from ocrseg.errors import ConfigError, DimensionError, ParameterError
@@ -19,14 +19,18 @@ import oracles
 from conftest import feature_map, make_ocr_params, tensor
 
 
+def rsqrt_scale(key_width):
+    return attention_logit_scale("rsqrt_key", key_width)
+
+
 class TestRsqrtScale:
     def test_known_value(self):
         assert rsqrt_scale(4) == 0.5
         assert abs(rsqrt_scale(64) - 0.125) < 1e-15
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ParameterError):
-            rsqrt_scale(0)
+        with pytest.raises(ConfigError):
+            check_scheme_settings(0, 1, "rsqrt_key", 0)
 
 
 class TestAttentionBundle:
@@ -52,7 +56,9 @@ class TestAttentionBundle:
 
     def test_requires_2d(self, rng):
         with pytest.raises(DimensionError):
-            QuerySet(tensor(rng.normal(0, 1, 3)))
+            AttentionBundle(tensor(rng.normal(0, 1, 3)),
+                            tensor(rng.normal(0, 1, (4, 3))),
+                            tensor(rng.normal(0, 1, (4, 5))))
         with pytest.raises(DimensionError):
             AttentionBundle(tensor(rng.normal(0, 1, (2, 3))),
                             tensor(rng.normal(0, 1, (4, 3, 1))),
@@ -121,7 +127,7 @@ class TestDecoderCrossAttention:
         head = Conv1x1Head.create(rng, 3, 4, bias=False)
         regions = compute_soft_regions(x, head)
         maps, _ = decoder_cross_attention(T.transpose(x.pixels()),
-                                          QuerySet(head.weight))
+                                          head.weight)
         assert np.array_equal(maps.data, regions.logits.data)
         softmaxed = T.softmax_rows(maps)
         assert np.array_equal(softmaxed.data, regions.normalized.data)
@@ -129,7 +135,7 @@ class TestDecoderCrossAttention:
     def test_single_pixel_reps_equal_pixel(self, rng):
         feats = rng.normal(0, 1, (1, 3))
         _, reps = decoder_cross_attention(tensor(feats),
-                                          QuerySet(tensor(rng.normal(0, 1, (4, 3)))))
+                                          tensor(rng.normal(0, 1, (4, 3))))
         assert np.max(np.abs(reps.data - np.repeat(feats, 4, axis=0))) < 1e-12
 
     def test_reps_match_region_pooling(self, rng):
@@ -138,7 +144,7 @@ class TestDecoderCrossAttention:
         regions = compute_soft_regions(x, head)
         pooled = region_representations(T.transpose(x.pixels()), regions)
         _, reps = decoder_cross_attention(T.transpose(x.pixels()),
-                                          QuerySet(head.weight))
+                                          head.weight)
         assert np.max(np.abs(reps.data - pooled.reps.data)) < 1e-12
 
     def test_logits_computed_once(self, rng, monkeypatch):
@@ -151,7 +157,7 @@ class TestDecoderCrossAttention:
 
         monkeypatch.setattr(T, "matmul", counting)
         maps, reps = decoder_cross_attention(tensor(rng.normal(0, 1, (6, 3))),
-                                             QuerySet(tensor(rng.normal(0, 1, (4, 3)))))
+                                             tensor(rng.normal(0, 1, (4, 3))))
         # one (K, N) logit product and one (K, N) @ (N, C) aggregation
         assert calls == [((4, 3), (3, 6)), ((4, 6), (6, 3))]
         assert maps.shape == (4, 6) and reps.shape == (4, 3)
@@ -159,7 +165,7 @@ class TestDecoderCrossAttention:
     def test_requires_2d_features(self, rng):
         with pytest.raises(DimensionError):
             decoder_cross_attention(tensor(rng.normal(0, 1, (2, 2, 3))),
-                                    QuerySet(tensor(rng.normal(0, 1, (2, 3)))))
+                                    tensor(rng.normal(0, 1, (2, 3))))
 
 
 class TestEncoderCrossAttention:
@@ -226,7 +232,7 @@ class TestEquivalenceCheck:
     def test_scale_mismatch_fails_and_is_reported(self, rng):
         params = make_ocr_params(rng, in_channels=4, num_classes=3)
         mapping = EquivalenceMapping.from_params(
-            params, encoder_scale=rsqrt_scale(params.config.key_channels))
+            params, encoder_scale=rsqrt_scale(4))  # the params' key width
         report = transformer_equivalence_check(feature_map(rng, 4, 3, 3),
                                                mapping, relation_scale=1.0)
         assert not report.passed

@@ -9,7 +9,7 @@ from ocrseg.blocks import (BN_EPS, Conv1x1Head, Conv3x3Block, Sgd,
 from ocrseg.errors import DimensionError, ParameterError
 
 import oracles
-from conftest import tensor
+from conftest import identity_block, tensor
 
 
 class TestUniformInit:
@@ -33,7 +33,7 @@ class TestUniformInit:
 class TestTransformBlock:
     def test_identity_block_passes_through_nonneg(self, rng):
         x = np.abs(rng.normal(0, 1, (3, 6)))
-        block = TransformBlock.identity(3)
+        block = identity_block(3)
         out = block(tensor(x))
         assert np.max(np.abs(out.data - x)) < 1e-12
 
@@ -96,7 +96,7 @@ class TestTransformBlock:
             with T.AllocationTracker() as tracker:
                 out = call()
                 assert out.shape == shape
-                assert T.tracked_alloc_stats()[0] == out.data.nbytes
+                assert tracker.current_bytes == out.data.nbytes
             assert tracker.peak_bytes == out.data.nbytes
 
     def test_parts_match_concatenated_input(self, rng):
@@ -160,7 +160,7 @@ class TestConv3x3Block:
         want = oracles.transform_loops(
             pre.reshape(3, -1), np.eye(3), block.bn_scale.data,
             block.bn_shift.data, block.bn_mean, block.bn_var,
-            block.eps).reshape(3, 4, 4)
+            BN_EPS).reshape(3, 4, 4)
         assert got.shape == (3, 4, 4)
         assert np.max(np.abs(got - want)) < 1e-12
 

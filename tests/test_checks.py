@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-import ocrseg.tensor as T
 from ocrseg.attention import EquivalenceReport
 from ocrseg.checks import (GradCheckReport, GradInstance,
                            EquivalenceSuiteReport, finite_difference_grad,
@@ -14,7 +13,7 @@ from ocrseg.checks import (GradCheckReport, GradInstance,
 from ocrseg.errors import ParameterError
 from ocrseg.models import MODULE_CHOICES
 
-from conftest import tensor
+from conftest import dot_all, sum_all, tensor
 
 
 class TestRelError:
@@ -33,7 +32,7 @@ class TestFiniteDifferenceGrad:
         param = tensor(data.copy(), requires_grad=True)
 
         def objective():
-            return T.sum_all(T.mul(param, param))
+            return dot_all(param, param)
 
         grad = finite_difference_grad(param, objective)
         assert np.max(np.abs(grad - 2 * data)) < 1e-6
@@ -42,7 +41,7 @@ class TestFiniteDifferenceGrad:
     def test_rejects_bad_step(self, rng):
         param = tensor(rng.normal(0, 1, 3), requires_grad=True)
         with pytest.raises(ParameterError):
-            finite_difference_grad(param, lambda: T.sum_all(param), h=0.0)
+            finite_difference_grad(param, lambda: sum_all(param), h=0.0)
 
 
 class TestGradientSuite:

@@ -74,6 +74,20 @@ class TestUsageErrors:
             assert "configuration error" in err and "Traceback" not in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cmd, bad", [
+        ("train", "seed=-1"), ("gen-data", "seed=-1"), ("train", "feat_channels=-5"),
+        ("train", "poly_power=inf"), ("train", "base_lr=nan"),
+        ("grad-check", "grad_instances=0"), ("equiv-check", "equiv_instances=0")])
+    def test_bad_values_exit_two_without_traceback(self, tmp_path, capsys, cmd, bad):
+        code = cli_main([cmd, "--set", "iterations=1", "--set", bad,
+                         "--set", f"data_dir={tmp_path / 'data'}",
+                         "--set", f"out_dir={tmp_path / 'out'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert bad.split("=")[0] in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["gen-data", "--config", "/no/such/file.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -256,6 +270,9 @@ class TestConfigParsing:
             parse_assignments(["use_stem=maybe"])
         with pytest.raises(ConfigError):
             parse_assignments(["no_equals_sign"])
+        for bad in ("noise=nan", "base_lr=inf", "poly_power=-inf"):
+            with pytest.raises(ConfigError):
+                parse_assignments([bad])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -266,7 +283,12 @@ class TestConfigParsing:
             RunConfig(ignore_fraction=1.0)
         with pytest.raises(ConfigError):
             RunConfig(shapes_min=3, shapes_max=2)
+        for bad in (dict(seed=-1), dict(feat_channels=-1), dict(equiv_instances=0),
+                    dict(grad_instances=0)):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad)
         assert RunConfig(iterations=0).iterations == 0
+        assert RunConfig(feat_channels=0).in_channels == 2
 
     def test_data_shape_limits_come_from_the_data_module(self):
         for classes in (MIN_CLASSES, MAX_CLASSES):

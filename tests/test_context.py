@@ -18,7 +18,7 @@ from ocrseg.context import (FeatureMap, DilatedConvSpec, OcrConfig, OcrParams,
 from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
 
 import oracles
-from conftest import feature_map, make_ocr_params, tensor
+from conftest import dot_all, feature_map, identity_block, make_ocr_params, tensor
 
 
 def region_set(normalized, height, width, logits=None, empty=()):
@@ -49,7 +49,7 @@ class TestFeatureMap:
         back = FeatureMap.from_pixels(px, 2, 3)
         assert np.shares_memory(back.tensor.data, fm.tensor.data)
         weights = rng.normal(0, 1, (2, 2, 3))
-        T.backward(T.sum_all(T.mul(back.tensor, tensor(weights))))
+        T.backward(dot_all(back.tensor, tensor(weights)))
         assert np.array_equal(fm.tensor.grad, weights)
 
 
@@ -220,7 +220,7 @@ class TestPixelRegionRelations:
     def test_identity_keys_hand_value(self):
         x = FeatureMap(tensor(np.array([1.0, 0.0]).reshape(2, 1, 1)))
         reps = RegionReps(tensor([[1.0, 0.0], [0.0, 1.0]]))
-        ident = TransformBlock.identity(2)
+        ident = identity_block(2)
         rel = pixel_region_relations(x, reps, ident, ident, scale=1.0)
         assert abs(rel.weights.data[0, 0] - 0.7311) < 1e-4
         assert abs(rel.weights.data[0, 1] - 0.2689) < 1e-4
@@ -351,7 +351,7 @@ class TestAugment:
     def test_identity_on_concat_recovers_both(self, rng):
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (2, 2, 2)))))
         y = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
-        z = augment(x, y, TransformBlock.identity(5))
+        z = augment(x, y, identity_block(5))
         assert np.max(np.abs(z.tensor.data[:2] - x.tensor.data)) < 1e-12
         assert np.max(np.abs(z.tensor.data[2:] - y.tensor.data)) < 1e-12
 
@@ -378,7 +378,7 @@ class TestAugment:
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
         y = FeatureMap(tensor(rng.normal(0, 1, (3, 2, 3))))
         with pytest.raises(DimensionError):
-            augment(x, y, TransformBlock.identity(5))
+            augment(x, y, identity_block(5))
 
     def test_channel_mismatch(self, rng):
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
@@ -463,7 +463,7 @@ class TestOcrForward:
     def test_learned_scheme_requires_key_transforms(self, rng):
         with pytest.raises(ConfigError):
             make_ocr_params(rng, 3, 2, scheme="ocr").__class__(
-                config=OcrConfig(num_classes=2, key_channels=4, mid_channels=5),
+                config=OcrConfig(),
                 region_head=Conv1x1Head.create(rng, 3, 2, bias=False),
                 pixel_transform=None, region_transform=None,
                 value_transform=TransformBlock.create(rng, 3, 5),
@@ -477,7 +477,7 @@ class TestOcrForward:
         z, regions = ocr_forward(x, params)
         # auxiliary regions still carry one row per class
         assert regions.num_regions == 2
-        assert z.pixels().data.shape[0] == params.config.mid_channels
+        assert z.pixels().data.shape[0] == params.fuse_transform.out_channels
 
     def test_stem_reroutes_pipeline_but_not_region_head(self, rng):
         params = make_ocr_params(rng, in_channels=3, num_classes=2, use_stem=True)
@@ -690,16 +690,14 @@ class TestAsppLite:
 
 class TestScaledRates:
     def test_reference_size_unchanged(self):
-        rates, clipped = scaled_rates((1, 6, 12), 64, 64)
-        assert rates == (1, 6, 12) and not clipped
+        assert scaled_rates((1, 6, 12), 64, 64) == (1, 6, 12)
 
     def test_half_size_halves_and_clips(self):
-        rates, clipped = scaled_rates((1, 6, 12), 32, 32)
-        assert rates == (1, 3, 6) and clipped
+        # 1 * 0.5 rounds to 0 and is floored at 1
+        assert scaled_rates((1, 6, 12), 32, 32) == (1, 3, 6)
 
     def test_double_size_doubles(self):
-        rates, clipped = scaled_rates((1, 6, 12), 128, 128)
-        assert rates == (2, 12, 24) and not clipped
+        assert scaled_rates((1, 6, 12), 128, 128) == (2, 12, 24)
 
 
 class TestPpmLite:

@@ -1,5 +1,7 @@
 """Model assembly: one trainable segmentation head with a context stage per
 scheme, deterministic seeded construction and checkpointable state."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
                            PpmStage, RegionStage, RelationalStage, SegmentationModel,
                            SelfAttentionStage, STAGES, build_model,
                            full_scale_config)
-from ocrseg.supervision import LabelMap
+from ocrseg.supervision import LabelMap, LossConfig, combined_loss
 
 from conftest import feature_map, tensor
 
@@ -301,9 +303,9 @@ class TestFlopBreakdown:
 
     def test_aspp_rates_clip_at_small_images(self):
         clipped = build_model(small_config("aspp_lite"), image_size=8)
-        assert clipped.stage.rates_clipped
+        assert clipped.stage.spec.rates == (1, 1, 2)  # 0.125, 0.75, 1.5 rounded, floored at 1
         full = build_model(small_config("aspp_lite"), image_size=64)
-        assert not full.stage.rates_clipped
+        assert full.stage.spec.rates == (1, 6, 12)
 
     def test_ppm_branch_width_floor(self):
         narrow = build_model(small_config("ppm_lite", in_channels=3))
@@ -325,3 +327,44 @@ class TestFullScaleConfig:
     def test_da_region_count(self):
         assert full_scale_config("da").da_regions == 64
         assert full_scale_config("self_attn").da_regions == 0
+
+
+class TestEngineSurface:
+    """The engine keeps only ops some scheme's training step runs, and a
+    backward leaves gradients on leaves only."""
+
+    # public op functions whose tape name differs from the function name
+    TAPE_NAMES = {"cross_entropy_logits": "cross_entropy"}
+
+    @staticmethod
+    def training_tape(module):
+        """One tiny forward, combined loss and backward; the input features
+        require grad, so ops applied to them directly are recorded too."""
+        rng = np.random.default_rng(3)
+        model = build_model(small_config(module, aspp_rates=(1, 2), ppm_bins=(1, 2)),
+                            image_size=4)
+        x = feature_map(rng, 5, 4, 4, requires_grad=True)
+        labels = LabelMap(rng.integers(0, 3, size=(4, 4)), 3)
+        out = model.forward(x, labels)
+        loss = combined_loss(out.final_logits, out.aux_logits, labels, LossConfig())
+        return model, x, T.backward(loss)
+
+    def test_every_public_op_is_recorded_by_some_scheme(self):
+        ops = {name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and fn.__module__ == T.__name__
+               and not name.startswith("_")
+               and inspect.signature(fn).return_annotation in ("Tensor", T.Tensor)}
+        recorded = set()
+        for module in MODULE_CHOICES:
+            recorded |= {node._opname for node in self.training_tape(module)[2].nodes}
+        assert "conv_bn_relu" in ops and "backward" not in ops
+        missing = sorted(op for op in ops if self.TAPE_NAMES.get(op, op) not in recorded)
+        assert not missing, f"tensor ops no scheme's training step runs: {missing}"
+
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_only_leaves_keep_gradients(self, module):
+        model, x, tape = self.training_tape(module)
+        assert tape.nodes
+        assert all(node.grad is None for node in tape.nodes)
+        assert x.tensor.grad is not None and x.tensor.grad.shape == x.tensor.shape
+        assert all(p.grad is not None for p in model.parameters())

@@ -15,11 +15,10 @@ from ocrseg.profiler import (BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
                              bench_report, bench_to_json, count_flops,
                              count_params, full_scale_table,
                              measure_peak_memory, measure_wall_time,
-                             quadratic_share, rank_matches_expected,
-                             reports_to_csv)
+                             rank_matches_expected, reports_to_csv)
 from ocrseg.blocks import Conv1x1Head
 
-from conftest import tensor
+from conftest import quadratic_share, tensor
 
 
 def small_bench(**overrides):
@@ -39,7 +38,6 @@ class TestFlopConventions:
 
     def test_conv_kxk(self):
         assert F.conv_kxk_flops(2, 3, 4, 3) == 2 * 9 * 2 * 3 * 4
-        assert F.conv_kxk_flops(2, 3, 4, 3, bias=True) == 2 * 9 * 2 * 3 * 4 + 12
 
     def test_block_adds_norm_and_relu(self):
         assert F.block_flops(2, 3, 4) == F.conv_kxk_flops(2, 3, 4, 1) + 3 * 3 * 4

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import TransformBlock
 from ocrseg.context import FeatureMap, ocr_aggregate, ocr_forward
 from ocrseg.errors import (ConfigError, DataError, DimensionError,
                            ParameterError)
@@ -15,7 +14,7 @@ from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
                                 pixel_cross_entropy, poly_lr)
 
 import oracles
-from conftest import feature_map, make_ocr_params, tensor
+from conftest import feature_map, identity_block, make_ocr_params, tensor
 
 
 def label_map(array, num_classes):
@@ -128,14 +127,6 @@ class TestGtRegions:
                 assert nonzero.size == count
                 assert np.all(nonzero == 1.0 / count)
 
-    def test_extra_regions_allowed_not_fewer(self):
-        lm = label_map([[0, 1]], 2)
-        wide = gt_regions(lm, num_regions=4)
-        assert wide.normalized.data.shape == (4, 2)
-        assert wide.empty_regions == (2, 3)
-        with pytest.raises(ConfigError):
-            gt_regions(lm, num_regions=1)
-
 
 class TestGtRelations:
     def test_hand_row(self):
@@ -164,7 +155,7 @@ class TestGtOcrForward:
         # exposing the context half for comparison
         params = make_ocr_params(rng, in_channels=3, num_classes=2,
                                  mid_channels=5)
-        params.fuse_transform = TransformBlock.identity(8)
+        params.fuse_transform = identity_block(8)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 3)))))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
         z, _ = oracle_forward(x, labels, params)
@@ -178,7 +169,7 @@ class TestGtOcrForward:
     def test_single_class_constant_context(self, rng):
         params = make_ocr_params(rng, in_channels=3, num_classes=1,
                                  mid_channels=4)
-        params.fuse_transform = TransformBlock.identity(7)
+        params.fuse_transform = identity_block(7)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
         z, _ = oracle_forward(x, label_map(np.zeros((2, 2), dtype=np.int64), 1),
                               params)
@@ -210,7 +201,7 @@ class TestGtOcrForward:
         # the context half only sees per-class means of the pixel features
         params = make_ocr_params(rng, in_channels=3, num_classes=2,
                                  mid_channels=4)
-        params.fuse_transform = TransformBlock.identity(7)
+        params.fuse_transform = identity_block(7)
         data = np.abs(rng.normal(0, 1, (3, 2, 3)))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
         z1, _ = oracle_forward(FeatureMap(tensor(data)), labels, params)
