@@ -16,8 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Conv1x1Head, TransformBlock
-from .context import (FeatureMap, OcrParams, RegionReps, SoftRegionSet,
-                      compute_soft_regions, ocr_aggregate,
+from .context import (FeatureMap, OcrParams, compute_soft_regions, ocr_aggregate,
                       pixel_region_relations, region_representations)
 from .errors import ConfigError, DimensionError, ParameterError
 
@@ -55,8 +54,10 @@ def scaled_dot_attention(bundle: AttentionBundle,
     """Softmax(scale * Q K^T) V. Returns (weights (Nq, Nkv), output (Nq, dv)).
     A caller that already holds the unscaled logits Q K^T passes them in."""
     if logits is None:
-        logits = T.matmul(bundle.queries, T.transpose(bundle.keys))
-    weights = T.softmax_rows(logits, temperature=1.0 / bundle.scale)
+        weights = T.relation_softmax(T.transpose(bundle.queries),
+                                     T.transpose(bundle.keys), bundle.scale)
+    else:
+        weights = T.softmax_rows(logits, temperature=1.0 / bundle.scale)
     output = T.matmul(weights, bundle.values)
     return weights, output
 

@@ -9,7 +9,6 @@ wrong one-sided slope, which says nothing about the analytic gradient.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .context import check_scheme_settings
-from .data import scene_shape_problem
+from .data import read_text_lines, scene_shape_problem
 from .errors import ConfigError
 from .models import MODULE_CHOICES, ModelConfig
 
@@ -157,14 +157,13 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         assignments = []
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                assignments.append(line)
+        for lineno, line in enumerate(read_text_lines(path, ConfigError), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            assignments.append(line)
         values.update(parse_assignments(assignments))
     if overrides:
         values.update(parse_assignments(list(overrides)))

@@ -10,7 +10,7 @@ and pooling pyramids).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -257,8 +257,6 @@ def pixel_region_relations(x: FeatureMap, reps: RegionReps,
                            scale: float = 1.0) -> RelationMatrix:
     """Relation of every pixel to every region: softmax over regions of the
     scaled key-space dot products. ``None`` transforms mean identity."""
-    if not np.isfinite(scale) or scale <= 0:
-        raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
     q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
     k = transpose_reps(reps) if region_transform is None else region_transform(
         transpose_reps(reps))
@@ -266,8 +264,7 @@ def pixel_region_relations(x: FeatureMap, reps: RegionReps,
         raise DimensionError(
             f"pixel keys {q.data.shape} and region keys {k.data.shape} disagree "
             f"on key width")
-    logits = T.matmul(T.transpose(q), k)  # (N, K)
-    weights = T.softmax_rows(logits, temperature=1.0 / scale)
+    weights = T.relation_softmax(q, k, scale)  # (N, K)
     return RelationMatrix(weights, x.height, x.width)
 
 
@@ -390,16 +387,13 @@ def self_attention_context(x: FeatureMap,
                            return_relations: bool = False):
     """Dense pairwise context: every pixel attends over every pixel. The
     relation matrix is N x N, the quadratic-cost baseline."""
-    if not np.isfinite(scale) or scale <= 0:
-        raise ParameterError(f"attention scale must be finite and > 0, got {scale}")
     px = x.pixels()
     q = px if pixel_transform is None else pixel_transform(px)
     k = px if context_transform is None else context_transform(px)
     if q.data.shape[0] != k.data.shape[0]:
         raise DimensionError(
             f"query keys {q.data.shape} and context keys {k.data.shape} disagree")
-    logits = T.matmul(T.transpose(q), k)  # (N, N)
-    weights = T.softmax_rows(logits, temperature=1.0 / scale)
+    weights = T.relation_softmax(q, k, scale)  # (N, N)
     vals = px if value_transform is None else value_transform(px)  # (C_v, N)
     ctx = T.matmul(weights, T.transpose(vals))  # (N, C_v)
     y = T.transpose(ctx)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .context import FeatureMap
-from .errors import DataError
+from .errors import DataError, OcrsegError
 from .supervision import IGNORE_INDEX, LabelMap
 
 # Base colors per class (background first). Classes 2 and 3 are deliberately
@@ -215,26 +215,36 @@ def write_dataset(out_dir: str, train: list[SyntheticScene],
     return manifest
 
 
+def read_text_lines(path: str, error: type[OcrsegError]) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``; bytes that do not
+    decode raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                    f"{exc.start}") from None
+
+
 def load_dataset(data_dir: str) -> dict[str, list[SyntheticScene]]:
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise DataError(f"no manifest at {manifest}")
     out: dict[str, list[SyntheticScene]] = {"train": [], "eval": []}
-    with open(manifest) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{manifest}:{lineno}: expected 3 fields, "
-                                f"got {len(parts)}")
-            split, img_rel, lab_rel = parts
-            if split not in out:
-                raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
-            image = read_ppm(os.path.join(data_dir, img_rel))
-            labels = read_pgm(os.path.join(data_dir, lab_rel))
-            out[split].append(SyntheticScene(image, labels))
+    for lineno, line in enumerate(read_text_lines(manifest, DataError), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise DataError(f"{manifest}:{lineno}: expected 3 fields, "
+                            f"got {len(parts)}")
+        split, img_rel, lab_rel = parts
+        if split not in out:
+            raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
+        image = read_ppm(os.path.join(data_dir, img_rel))
+        labels = read_pgm(os.path.join(data_dir, lab_rel))
+        out[split].append(SyntheticScene(image, labels))
     if not out["train"] and not out["eval"]:
         raise DataError(f"{manifest} lists no scenes")
     return out

@@ -54,12 +54,23 @@ def _release_bytes(trackers: tuple["AllocationTracker", ...], nbytes: int) -> No
         tracker._free(nbytes)
 
 
+def _charge(buf: np.ndarray) -> None:
+    """Charge ``buf``'s bytes to the active trackers until it is freed."""
+    trackers = tuple(t for t in _TRACKER_STACK if t.active)
+    for tracker in trackers:
+        tracker._alloc(buf.nbytes)
+    weakref.finalize(buf, _release_bytes, trackers, buf.nbytes)
+
+
 class AllocationTracker:
-    """Tracks bytes held by Tensor data buffers created inside its scope.
+    """Tracks bytes held by Tensor data buffers and by the gradients a
+    backward creates inside its scope.
 
     Only a tensor that owns its buffer (``data.base is None``) is charged; a
-    view of another buffer adds nothing. The charge is released when the
-    buffer itself is freed, which a view can postpone past its owner tensor.
+    view of another buffer adds nothing. A gradient charges the buffer it
+    owns or views, once however many gradients share it. The charge is
+    released when the buffer itself is freed, which a view can postpone past
+    its owner tensor.
     Peak is monotone nondecreasing within the scope; a new scope starts from
     zero. Buffers allocated before the scope opened are never charged, so a
     measurement excludes its inputs by construction.
@@ -119,10 +130,7 @@ class Tensor:
         self._index = next(_node_ids)
         self._opname = "leaf"
         if _TRACKER_STACK and self.data.base is None:
-            trackers = tuple(t for t in _TRACKER_STACK if t.active)
-            for tracker in trackers:
-                tracker._alloc(self.data.nbytes)
-            weakref.finalize(self.data, _release_bytes, trackers, self.data.nbytes)
+            _charge(self.data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -183,6 +191,9 @@ class GradTape:
         if self.consumed:
             raise StateError("gradient tape already replayed; tapes are single-use")
         self.consumed = True
+        # owner buffers of the gradients charged so far, by id; the weak
+        # reference tells a live owner from a freed one whose id was reused
+        charged: dict[int, weakref.ref] | None = {} if _TRACKER_STACK else None
         pending: dict[int, np.ndarray] = {id(root): np.ones((), dtype=root.dtype)}
         for t in reversed(self.nodes):
             out_grad = pending.pop(id(t), None)
@@ -193,10 +204,18 @@ class GradTape:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent._backward_fn is None:
-                    parent.grad = g if parent.grad is None else parent.grad + g
+                    parent.grad = kept = g if parent.grad is None else parent.grad + g
                 else:
                     key = id(parent)
-                    pending[key] = g if key not in pending else pending[key] + g
+                    pending[key] = kept = g if key not in pending else pending[key] + g
+                # a 0-d product can come back as a numpy scalar, not a buffer
+                if charged is not None and isinstance(kept, np.ndarray):
+                    while isinstance(kept.base, np.ndarray):
+                        kept = kept.base
+                    ref = charged.get(id(kept))
+                    if ref is None or ref() is not kept:
+                        charged[id(kept)] = weakref.ref(kept)
+                        _charge(kept)
 
 
 def backward(loss: Tensor) -> GradTape:
@@ -324,6 +343,56 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _result(s, (x,), back, "softmax_rows")
 
 
+def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
+    """Row softmax of ``scale * q^T k`` for (d, N) queries ``q`` and (d, M)
+    keys ``k``: the (N, M) relation weights, in the one buffer the op
+    allocates.
+
+    The product is written a block of rows at a time straight into the
+    output, and each block is normalised while it is still in cache, in the
+    operation order of ``softmax_rows`` at temperature 1/scale. The backward
+    runs in the same row blocks: ds = s * (g - rowsum(g * s)) / temperature,
+    then dq = (ds k^T)^T and dk = q ds.
+    """
+    _require_2d(q, "relation_softmax queries")
+    _require_2d(k, "relation_softmax keys")
+    if q.data.shape[0] != k.data.shape[0]:
+        raise DimensionError(
+            f"relation_softmax key widths differ: {q.data.shape} vs {k.data.shape}")
+    scale = float(scale)
+    if not np.isfinite(scale) or scale <= 0.0:
+        raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
+    temperature = 1.0 / scale
+    d, n = q.data.shape
+    m = k.data.shape[1]
+    s = np.empty((n, m), dtype=np.result_type(q.data, k.data))
+    step = max(1, _ACCUMULATE_BYTES // (s.itemsize * max(m, 1)))
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    for rows in blocks:
+        block = s[rows]
+        np.matmul(q.data[:, rows].T, k.data, out=block)
+        block /= temperature
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+
+    def back(g):
+        dq_t = np.empty((n, d), dtype=s.dtype)
+        dk = None
+        for rows in blocks:
+            sb, gb = s[rows], g[rows]
+            inner = (gb * sb).sum(axis=1, keepdims=True)
+            ds = sb * (gb - inner) / temperature
+            np.matmul(ds, k.data.T, out=dq_t[rows])
+            if dk is None:
+                dk = q.data[:, rows] @ ds
+            else:
+                dk += q.data[:, rows] @ ds
+        return dq_t.T, dk
+
+    return _result(s, (q, k), back, "relation_softmax")
+
+
 def mean_cols(x: Tensor) -> Tensor:
     """Column mean of an M x N matrix, returned as M x 1."""
     _require_2d(x, "mean_cols input")
@@ -383,11 +452,12 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, parents, back, "conv1x1")
 
 
-# Bytes of the temporary through which a product is added into an output
-# that already holds another one: the product is made a block of columns at a
-# time, so the temporary is never as large as the output. Narrower blocks
-# cost BLAS speed: with single-threaded OpenBLAS on a 2-vCPU VM, 1 MiB blocks
-# made a 128-row product over 16384 columns about 10% slower than whole.
+# Bytes of one block of a blocked product: the temporary through which a
+# product is added into an output that already holds another one (a block of
+# columns), and the rows ``relation_softmax`` normalises while they are in
+# cache. Narrower blocks cost BLAS speed: with single-threaded OpenBLAS on a
+# 2-vCPU VM, 1 MiB blocks made a 128-row product over 16384 columns about 10%
+# slower than whole.
 _ACCUMULATE_BYTES = 1 << 22
 
 

@@ -9,6 +9,8 @@ from ocrseg.context import (FeatureMap, OcrConfig, OcrParams,
 from ocrseg.models import build_model
 from ocrseg.profiler import BenchConfig
 
+import oracles
+
 
 @pytest.fixture
 def rng():
@@ -17,6 +19,28 @@ def rng():
 
 def tensor(data, requires_grad=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
+    return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def max_grad_fd_error(params, forward, h=1e-6):
+    """Worst relative disagreement between tape gradients and central
+    differences, swept over every entry of every parameter."""
+    loss = forward()
+    T.backward(loss)
+    grads = [np.array(p.grad, copy=True) for p in params]
+    T.zero_grads(params)
+    worst = 0.0
+    for p, g in zip(params, grads):
+        for idx in np.ndindex(p.data.shape):
+            def evaluate():
+                with T.no_grad():
+                    return float(forward().data)
+            fd = oracles.central_difference(p.data, idx, evaluate, h)
+            worst = max(worst, rel_err(float(g[idx]), fd))
+    return worst
 
 
 def dot_all(a, b):

@@ -16,7 +16,8 @@ from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix,
 from ocrseg.errors import ConfigError, DimensionError, ParameterError
 
 import oracles
-from conftest import feature_map, make_ocr_params, tensor
+from conftest import (feature_map, make_ocr_params, max_grad_fd_error, projected,
+                      tensor)
 
 
 def rsqrt_scale(key_width):
@@ -199,6 +200,16 @@ class TestEncoderCrossAttention:
         y_att = encoder_cross_attention(T.transpose(x.pixels()), reps.reps,
                                         region_values, output, scale=scale)
         assert np.max(np.abs(y_ctx.pixels().data - y_att.data.T)) < 1e-10
+
+    def test_gradient_through_fused_relation(self, rng):
+        # pixel queries, region keys and region values all receive
+        # central-difference gradients through the relation op
+        q = tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
+        k = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        v = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+        fwd = lambda: projected(encoder_cross_attention(q, k, v, None, scale=0.7),
+                                np.random.default_rng(25))
+        assert max_grad_fd_error([q, k, v], fwd) < 1e-4
 
 
 class TestEquivalenceMapping:

@@ -92,6 +92,27 @@ class TestUsageErrors:
         assert cli_main(["gen-data", "--config", "/no/such/file.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfeiterations = 1\n")
+        code = cli_main(["train", "--config", str(path),
+                         "--set", f"out_dir={tmp_path / 'out'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "UTF-8" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.txt").write_bytes(b"train scene\xff.ppm scene\xfe.pgm\n")
+        code = cli_main(["train", "--set", f"data_dir={data}",
+                         "--set", f"out_dir={tmp_path / 'out'}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
 
 class TestGenData:
     def test_writes_dataset_and_reruns_identically(self, tmp_path, capsys):

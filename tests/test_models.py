@@ -1,6 +1,8 @@
 """Model assembly: one trainable segmentation head with a context stage per
 scheme, deterministic seeded construction and checkpointable state."""
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
 from ocrseg.supervision import LabelMap, LossConfig, combined_loss
 
 from conftest import feature_map, tensor
+
+PACKAGE_DIR = Path(T.__file__).parent
 
 
 def small_config(module, **overrides):
@@ -330,8 +334,9 @@ class TestFullScaleConfig:
 
 
 class TestEngineSurface:
-    """The engine keeps only ops some scheme's training step runs, and a
-    backward leaves gradients on leaves only."""
+    """The engine keeps only ops some scheme's training step runs, a
+    backward leaves gradients on leaves only, and every package module reads
+    each name it imports."""
 
     # public op functions whose tape name differs from the function name
     TAPE_NAMES = {"cross_entropy_logits": "cross_entropy"}
@@ -360,6 +365,23 @@ class TestEngineSurface:
         assert "conv_bn_relu" in ops and "backward" not in ops
         missing = sorted(op for op in ops if self.TAPE_NAMES.get(op, op) not in recorded)
         assert not missing, f"tensor ops no scheme's training step runs: {missing}"
+
+    @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+    def test_every_imported_name_is_read(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread = sorted(f"{name} (line {line})" for name, line in imported.items()
+                        if name not in read)
+        assert not unread, f"{path.name} imports names it never reads: {unread}"
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_only_leaves_keep_gradients(self, module):

@@ -1,37 +1,18 @@
 """Dense-array core: forward values against loop-written oracles, reverse-mode
 gradients against central finite differences, and allocation tracking."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import ocrseg.tensor as T
+from ocrseg.context import FeatureMap
 from ocrseg.errors import DataError, DimensionError, ParameterError, StateError
+from ocrseg.models import ModelConfig, build_model
 
 import oracles
-from conftest import dot_all, projected, sum_all, tensor
-
-
-def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
-
-
-def max_grad_fd_error(params, forward, h=1e-6):
-    """Worst relative disagreement between tape gradients and central
-    differences, swept over every entry of every parameter."""
-    loss = forward()
-    T.backward(loss)
-    grads = [np.array(p.grad, copy=True) for p in params]
-    T.zero_grads(params)
-    worst = 0.0
-    for p, g in zip(params, grads):
-        for idx in np.ndindex(p.data.shape):
-            def evaluate():
-                with T.no_grad():
-                    return float(forward().data)
-            fd = oracles.central_difference(p.data, idx, evaluate, h)
-            worst = max(worst, rel_err(float(g[idx]), fd))
-    return worst
+from conftest import dot_all, max_grad_fd_error, projected, sum_all, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +96,63 @@ class TestSoftmaxRows:
     def test_bad_temperature(self, temperature):
         with pytest.raises(ParameterError):
             T.softmax_rows(tensor([[1.0, 2.0]]), temperature=temperature)
+
+
+class TestRelationSoftmax:
+    @staticmethod
+    def two_op(q, k, scale):
+        """The product, then the row softmax: the pair the fused op replaces."""
+        return T.softmax_rows(T.matmul(T.transpose(q), k), temperature=1.0 / scale).data
+
+    # (N, M, dtype): at the default 4 MiB budget a float64 block of 4096
+    # columns is 128 rows and a float32 one 256 rows
+    @pytest.mark.parametrize("n, m, dtype", [
+        (300, 4096, np.float64),   # N not a multiple of the block rows
+        (50, 19, np.float64),      # N below one block
+        (70, 1, np.float64),       # one key: every weight is 1
+        (600, 4096, np.float32),
+    ])
+    def test_forward_bitwise_equal_to_product_then_softmax(self, rng, n, m, dtype):
+        q = T.Tensor(rng.normal(0, 1, (8, n)).astype(dtype))
+        k = T.Tensor(rng.normal(0, 1, (8, m)).astype(dtype))
+        for scale in (1.0, 0.125):
+            got = T.relation_softmax(q, k, scale).data
+            assert got.dtype == dtype and got.shape == (n, m)
+            assert np.array_equal(got, self.two_op(q, k, scale))
+
+    def test_owns_its_buffer(self, rng):
+        # queries may arrive as a transposed view, as in scaled_dot_attention
+        q_rows, k = tensor(rng.normal(0, 1, (5, 3))), tensor(rng.normal(0, 1, (3, 4)))
+        out = T.relation_softmax(T.transpose(q_rows), k, 1.0)
+        assert out.data.base is None and out.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_scale(self, scale):
+        with pytest.raises(ParameterError):
+            T.relation_softmax(tensor([[1.0, 2.0]]), tensor([[1.0]]), scale)
+
+    def test_key_width_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.relation_softmax(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), 1.0)
+
+    def test_self_attention_holds_one_relation_buffer(self, rng):
+        # the dense baseline's N x N weights stay materialised, but no second
+        # N x N array (the pre-softmax logits) may coexist with them
+        side = 32
+        n = side * side
+        model = build_model(ModelConfig(module="self_attn", in_channels=5, num_classes=3,
+                                        key_channels=4, mid_channels=6, seed=7),
+                            image_size=side)
+        x = FeatureMap(tensor(rng.normal(0, 1, (5, side, side))))
+        with T.no_grad():
+            model.forward(x)  # warm-up
+            tracemalloc.start()
+            try:
+                model.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 8 * n * n <= peak < 1.5 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +738,13 @@ class TestGradientsEveryOp:
                                 np.random.default_rng(12))
         assert max_grad_fd_error([x], fwd) < self.TOL
 
+    def test_relation_softmax(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row blocks
+        q = tensor(rng.normal(0, 1, (3, 7)), requires_grad=True)
+        k = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        fwd = lambda: projected(T.relation_softmax(q, k, 0.6), np.random.default_rng(22))
+        assert max_grad_fd_error([q, k], fwd) < self.TOL
+
     def test_reductions(self, rng):
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
 
@@ -828,6 +873,33 @@ class TestAllocationTracker:
             assert tracker.current_bytes == 800
             del view
             assert tracker.current_bytes == 0
+
+    def test_backward_charges_gradients(self, rng):
+        a = tensor(rng.normal(0, 1, (30, 20)), requires_grad=True)
+        b = tensor(rng.normal(0, 1, (20, 40)), requires_grad=True)
+        loss = projected(T.matmul(a, b), np.random.default_rng(23))
+        with T.AllocationTracker() as tracker:
+            T.backward(loss)
+        assert tracker.peak_bytes >= a.grad.nbytes + b.grad.nbytes
+
+    def test_scalar_gradient_is_not_charged(self, rng):
+        # scale's backward of a 0-d gradient returns a numpy scalar
+        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        loss = T.scale(sum_all(x), 0.5)
+        with T.AllocationTracker() as tracker:
+            T.backward(loss)
+        assert np.array_equal(x.grad, np.full((3, 4), 0.5))
+        assert tracker.peak_bytes >= x.grad.nbytes
+
+    def test_shared_gradient_charged_once(self, rng):
+        # add's backward hands one array to both parents
+        a = tensor(rng.normal(0, 1, (10, 10)), requires_grad=True)
+        b = tensor(rng.normal(0, 1, (10, 10)), requires_grad=True)
+        loss = projected(T.add(a, b), np.random.default_rng(24))
+        with T.AllocationTracker() as tracker:
+            T.backward(loss)
+            assert a.grad is b.grad
+            assert tracker.current_bytes == a.grad.nbytes
 
     def test_repeated_runs_identical_peaks(self, rng):
         def run():
