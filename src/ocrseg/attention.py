@@ -18,48 +18,15 @@ from . import tensor as T
 from .blocks import Conv1x1Head, TransformBlock
 from .context import (FeatureMap, OcrParams, compute_soft_regions, ocr_aggregate,
                       pixel_region_relations, region_representations)
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, ParameterError
 
 
-@dataclass
-class AttentionBundle:
-    """Inputs for one attention application: queries (Nq, d), keys (Nkv, d),
-    values (Nkv, dv), and the logit scale."""
-
-    queries: T.Tensor
-    keys: T.Tensor
-    values: T.Tensor
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, t in (("queries", self.queries), ("keys", self.keys),
-                        ("values", self.values)):
-            if t.data.ndim != 2:
-                raise DimensionError(f"{name} must be 2-D, got {t.data.shape}")
-        if self.queries.data.shape[1] != self.keys.data.shape[1]:
-            raise DimensionError(
-                f"query width {self.queries.data.shape} does not match key width "
-                f"{self.keys.data.shape}")
-        if self.keys.data.shape[0] != self.values.data.shape[0]:
-            raise DimensionError(
-                f"keys {self.keys.data.shape} and values {self.values.data.shape} "
-                f"disagree on row count")
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ParameterError(f"attention scale must be finite and > 0, "
-                                 f"got {self.scale}")
-
-
-def scaled_dot_attention(bundle: AttentionBundle,
-                         logits: T.Tensor | None = None) -> tuple[T.Tensor, T.Tensor]:
-    """Softmax(scale * Q K^T) V. Returns (weights (Nq, Nkv), output (Nq, dv)).
-    A caller that already holds the unscaled logits Q K^T passes them in."""
-    if logits is None:
-        weights = T.relation_softmax(T.transpose(bundle.queries),
-                                     T.transpose(bundle.keys), bundle.scale)
-    else:
-        weights = T.softmax_rows(logits, temperature=1.0 / bundle.scale)
-    output = T.matmul(weights, bundle.values)
-    return weights, output
+def scaled_dot_attention(queries: T.Tensor, keys: T.Tensor, values: T.Tensor,
+                         scale: float = 1.0) -> tuple[T.Tensor, T.Tensor]:
+    """Softmax(scale * Q K^T) V for queries (Nq, d), keys (Nkv, d) and values
+    (Nkv, dv). Returns (weights (Nq, Nkv), output (Nq, dv))."""
+    weights = T.relation_softmax(T.transpose(queries), T.transpose(keys), scale)
+    return weights, T.matmul(weights, values)
 
 
 def decoder_cross_attention(image_features: T.Tensor, queries: T.Tensor,
@@ -72,13 +39,12 @@ def decoder_cross_attention(image_features: T.Tensor, queries: T.Tensor,
     region_maps equal that classifier's logits and region_reps equal the
     softly pooled region representations.
     """
-    if image_features.data.ndim != 2:
-        raise DimensionError(
-            f"image features must be (N, C), got {image_features.data.shape}")
-    bundle = AttentionBundle(queries, image_features, image_features, scale=scale)
+    # checked here because the softmax temperature below divides by it
+    if not np.isfinite(scale) or scale <= 0:
+        raise ParameterError(f"attention scale must be finite and > 0, got {scale}")
     region_maps = T.matmul(queries, T.transpose(image_features))  # (K, N)
-    _, reps = scaled_dot_attention(bundle, logits=region_maps)
-    return region_maps, reps
+    weights = T.softmax_rows(region_maps, temperature=1.0 / scale)
+    return region_maps, T.matmul(weights, image_features)
 
 
 def encoder_cross_attention(pixel_queries: T.Tensor, region_keys: T.Tensor,
@@ -86,8 +52,8 @@ def encoder_cross_attention(pixel_queries: T.Tensor, region_keys: T.Tensor,
                             scale: float = 1.0) -> T.Tensor:
     """Pixels attend over the decoder's region outputs; the feed-forward plays
     the output transform. Returns the (N, C_out) contextual features."""
-    bundle = AttentionBundle(pixel_queries, region_keys, region_values, scale=scale)
-    _, ctx = scaled_dot_attention(bundle)  # (N, dv)
+    _, ctx = scaled_dot_attention(pixel_queries, region_keys, region_values,
+                                  scale)  # (N, dv)
     if ffn is None:
         return ctx
     return T.transpose(ffn(T.transpose(ctx)))

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 BN_EPS = 1e-5
 
@@ -83,12 +83,6 @@ class TransformBlock:
 
     def __init__(self, weight: T.Tensor, bn_scale: T.Tensor, bn_shift: T.Tensor,
                  bn_mean: np.ndarray, bn_var: np.ndarray) -> None:
-        c_out = weight.shape[0]
-        for name, arr in (("bn_scale", bn_scale.data), ("bn_shift", bn_shift.data),
-                          ("bn_mean", bn_mean), ("bn_var", bn_var)):
-            if arr.shape != (c_out,):
-                raise DimensionError(
-                    f"{name} shape {arr.shape} does not match out channels {c_out}")
         if np.any(bn_var < 0):
             raise ParameterError("bn_var entries must be nonnegative")
         self.weight = weight
@@ -148,11 +142,6 @@ class Conv3x3Block(TransformBlock):
                          requires_grad=True)
         return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
                    np.ones(out_channels, dtype=dtype))
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        if x.data.ndim != 3:
-            raise DimensionError(f"Conv3x3Block input must be (C, H, W), got {x.data.shape}")
-        return super().__call__(x)
 
 
 class Sgd:

@@ -5,10 +5,9 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .context import check_scheme_settings
 from .data import read_text_lines, scene_shape_problem
 from .errors import ConfigError
-from .models import MODULE_CHOICES, ModelConfig
+from .models import ModelConfig
 
 
 @dataclass
@@ -71,15 +70,13 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.module not in MODULE_CHOICES:
-            raise ConfigError(f"module must be one of {MODULE_CHOICES}, "
-                              f"got {self.module!r}")
-        check_scheme_settings(self.key_channels, self.mid_channels,
-                              self.attention_scale, self.da_regions)
+        # feat_channels reaches the model config as in_channels: checked
+        # first, so that its error names the key that was set
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.feat_channels < 0:
             raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
+        self.model_config()
         if self.equiv_instances < 1 or self.grad_instances < 1:
             raise ConfigError("equiv_instances and grad_instances must be >= 1")
         if self.iterations < 0:

@@ -157,23 +157,6 @@ class RelationMatrix:
         return self.weights.shape[1]
 
 
-_SCALE_MODES = ("unit", "rsqrt_key")
-_RELATION_SCHEMES = ("ocr", "da", "acf")
-
-
-def check_scheme_settings(key_channels: int, mid_channels: int,
-                          attention_scale: str, da_regions: int) -> None:
-    """The width and scheme settings every context scheme shares; raises
-    ``ConfigError`` on the first one out of range."""
-    if key_channels < 1 or mid_channels < 1:
-        raise ConfigError("key_channels and mid_channels must be >= 1")
-    if attention_scale not in _SCALE_MODES:
-        raise ConfigError(f"attention_scale must be one of {_SCALE_MODES}, "
-                          f"got {attention_scale!r}")
-    if da_regions < 0:
-        raise ConfigError(f"da_regions must be >= 0, got {da_regions}")
-
-
 def attention_logit_scale(attention_scale: str, key_channels: int) -> float:
     """Relation-logit scale: ``unit`` leaves dot products unscaled,
     ``rsqrt_key`` divides them by sqrt(key_channels)."""
@@ -190,11 +173,6 @@ class OcrConfig:
 
     relation_scheme: str = "ocr"
     relation_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.relation_scheme not in _RELATION_SCHEMES:
-            raise ConfigError(f"relation_scheme must be one of {_RELATION_SCHEMES}, "
-                              f"got {self.relation_scheme!r}")
 
 
 @dataclass
@@ -231,10 +209,6 @@ def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
     distribution over the image's pixels."""
     if head.out_channels < 1:
         raise ConfigError("region head must produce at least one region")
-    if head.in_channels != x.channels:
-        raise DimensionError(
-            f"region head expects {head.in_channels} channels, feature map has "
-            f"{x.channels}")
     logits = head(x.pixels())  # (K, N)
     normalized = T.softmax_rows(logits, temperature=temperature)
     return SoftRegionSet(logits, normalized, x.height, x.width)
@@ -242,12 +216,6 @@ def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
 
 def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> RegionReps:
     """Weighted sum of pixel features per region: (K, N) @ (N, C) -> (K, C)."""
-    if x_pixels.data.ndim != 2:
-        raise DimensionError(f"x_pixels must be (N, C), got {x_pixels.data.shape}")
-    if x_pixels.data.shape[0] != regions.normalized.data.shape[1]:
-        raise DimensionError(
-            f"pixel count mismatch: features {x_pixels.data.shape} vs regions "
-            f"{regions.normalized.data.shape}")
     return RegionReps(T.matmul(regions.normalized, x_pixels))
 
 
@@ -260,10 +228,6 @@ def pixel_region_relations(x: FeatureMap, reps: RegionReps,
     q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
     k = transpose_reps(reps) if region_transform is None else region_transform(
         transpose_reps(reps))
-    if q.data.shape[0] != k.data.shape[0]:
-        raise DimensionError(
-            f"pixel keys {q.data.shape} and region keys {k.data.shape} disagree "
-            f"on key width")
     weights = T.relation_softmax(q, k, scale)  # (N, K)
     return RelationMatrix(weights, x.height, x.width)
 
@@ -278,10 +242,6 @@ def ocr_aggregate(relations: RelationMatrix, reps: RegionReps,
                   output_transform: TransformBlock | None) -> FeatureMap:
     """Per pixel, the relation-weighted sum of transformed region reps, passed
     through the output transform: the contextual representation y."""
-    if relations.num_regions != reps.num_regions:
-        raise DimensionError(
-            f"relations cover {relations.num_regions} regions, reps have "
-            f"{reps.num_regions}")
     vals = transpose_reps(reps) if value_transform is None else value_transform(
         transpose_reps(reps))  # (C_v, K)
     ctx = T.matmul(relations.weights, T.transpose(vals))  # (N, C_v)
@@ -304,10 +264,6 @@ def augment(x: FeatureMap, y: FeatureMap, fuse_transform: TransformBlock) -> Fea
 def da_scheme_relations(feats: FeatureMap, predictor: Conv1x1Head) -> RelationMatrix:
     """Relations predicted from the pixel representation alone: softmax over
     regions of a pointwise head, no region features involved."""
-    if predictor.in_channels != feats.channels:
-        raise DimensionError(
-            f"relation predictor expects {predictor.in_channels} channels, "
-            f"features have {feats.channels}")
     logits = predictor(feats.pixels())  # (K~, N)
     weights = T.softmax_rows(T.transpose(logits))
     return RelationMatrix(weights, feats.height, feats.width)
@@ -366,7 +322,7 @@ def ocr_forward(x: FeatureMap, params: OcrParams,
             relations = da_scheme_relations(feats, params.da_predictor)
         elif cfg.relation_scheme == "acf":
             relations = acf_scheme_relations(pipeline_regions)
-        else:  # pragma: no cover - OcrConfig validates the scheme
+        else:
             raise ConfigError(f"unknown relation scheme {cfg.relation_scheme!r}")
 
     y = ocr_aggregate(relations, reps, params.value_transform, params.output_transform)
@@ -390,9 +346,6 @@ def self_attention_context(x: FeatureMap,
     px = x.pixels()
     q = px if pixel_transform is None else pixel_transform(px)
     k = px if context_transform is None else context_transform(px)
-    if q.data.shape[0] != k.data.shape[0]:
-        raise DimensionError(
-            f"query keys {q.data.shape} and context keys {k.data.shape} disagree")
     weights = T.relation_softmax(q, k, scale)  # (N, N)
     vals = px if value_transform is None else value_transform(px)  # (C_v, N)
     ctx = T.matmul(weights, T.transpose(vals))  # (N, C_v)
@@ -418,31 +371,6 @@ def global_context(x: FeatureMap,
     return FeatureMap.from_pixels(y, x.height, x.width)
 
 
-@dataclass
-class DilatedConvSpec:
-    """Parallel dilated convolutions: one square odd kernel per rate."""
-
-    rates: tuple[int, ...]
-    kernels: tuple[T.Tensor, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rates) != len(self.kernels):
-            raise ConfigError(
-                f"{len(self.rates)} rates but {len(self.kernels)} kernels")
-        if not self.rates:
-            raise ConfigError("at least one dilation rate is required")
-        for rate in self.rates:
-            if int(rate) < 1:
-                raise ConfigError(f"dilation rates must be >= 1, got {rate}")
-        for kern in self.kernels:
-            if kern.data.ndim != 4 or kern.data.shape[2] != kern.data.shape[3]:
-                raise ConfigError(
-                    f"kernels must be (C_out, C_in, k, k), got {kern.data.shape}")
-            if kern.data.shape[2] % 2 == 0:
-                raise ConfigError(
-                    f"kernel size must be odd, got {kern.data.shape[2]}")
-
-
 def scaled_rates(base_rates: Sequence[int], height: int,
                  width: int) -> tuple[int, ...]:
     """Scale dilation rates set for a 64-pixel image to this image's size,
@@ -451,15 +379,12 @@ def scaled_rates(base_rates: Sequence[int], height: int,
     return tuple(max(1, int(round(r * factor))) for r in base_rates)
 
 
-def aspp_lite(x: FeatureMap, spec: DilatedConvSpec) -> FeatureMap:
-    """Multi-scale context from parallel dilated convs, channel-concatenated."""
-    branches = []
-    for rate, kern in zip(spec.rates, spec.kernels):
-        if kern.data.shape[1] != x.channels:
-            raise DimensionError(
-                f"kernel {kern.data.shape} does not match {x.channels} input channels")
-        branches.append(T.conv_spatial(x.tensor, kern, dilation=rate))
-    return FeatureMap(T.concat0(*branches))
+def aspp_lite(x: FeatureMap,
+              branches: Sequence[tuple[int, T.Tensor]]) -> FeatureMap:
+    """Multi-scale context from parallel dilated convs, one per (rate,
+    (C_out, C_in, k, k) kernel) branch, channel-concatenated."""
+    return FeatureMap(T.concat0(*(T.conv_spatial(x.tensor, kern, dilation=rate)
+                                  for rate, kern in branches)))
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],

@@ -25,9 +25,5 @@ class StateError(OcrsegError, RuntimeError):
     """An operation was issued in a state that does not allow it."""
 
 
-class ProfilerError(OcrsegError, ValueError):
-    """The profiler cannot enumerate the requested module."""
-
-
 class TrainingDiverged(OcrsegError, RuntimeError):
     """The optimizer produced a non-finite loss."""

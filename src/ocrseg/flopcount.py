@@ -7,17 +7,13 @@ per input element plus one per output cell.
 """
 from __future__ import annotations
 
-from .errors import ParameterError
-
 
 def matmul_flops(m: int, k: int, n: int) -> int:
     """(m x k) @ (k x n): 2 m k n."""
-    _check_positive(m=m, k=k, n=n)
     return 2 * m * k * n
 
 
 def conv1x1_flops(c_in: int, c_out: int, n: int, bias: bool = False) -> int:
-    _check_positive(c_in=c_in, c_out=c_out, n=n)
     flops = 2 * c_in * c_out * n
     if bias:
         flops += c_out * n
@@ -26,7 +22,6 @@ def conv1x1_flops(c_in: int, c_out: int, n: int, bias: bool = False) -> int:
 
 def conv_kxk_flops(c_in: int, c_out: int, n: int, k: int) -> int:
     """Bias-free k x k convolution: 2 k^2 c_in c_out n."""
-    _check_positive(c_in=c_in, c_out=c_out, n=n, k=k)
     return 2 * k * k * c_in * c_out * n
 
 
@@ -36,21 +31,12 @@ def block_flops(c_in: int, c_out: int, n: int, kernel: int = 1) -> int:
 
 
 def softmax_flops(rows: int, cols: int) -> int:
-    _check_positive(rows=rows, cols=cols)
     return 5 * rows * cols
 
 
 def pool_flops(c: int, n_in: int, cells: int) -> int:
-    _check_positive(c=c, n_in=n_in, cells=cells)
     return c * (n_in + cells)
 
 
 def mean_flops(c: int, n: int) -> int:
-    _check_positive(c=c, n=n)
     return c * (n + 1)
-
-
-def _check_positive(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if int(value) < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")

@@ -17,17 +17,19 @@ import numpy as np
 from . import flopcount as F
 from . import tensor as T
 from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock, uniform_init
-from .context import (DilatedConvSpec, FeatureMap, OcrConfig, OcrParams,
-                      aspp_lite, attention_logit_scale, augment,
-                      check_scheme_settings, global_context, ocr_forward,
-                      ppm_lite, scaled_rates, self_attention_context)
+from .context import (FeatureMap, OcrConfig, OcrParams, aspp_lite,
+                      attention_logit_scale, augment, global_context,
+                      ocr_forward, ppm_lite, scaled_rates, self_attention_context)
 from .errors import ConfigError
 from .supervision import LabelMap, gt_regions, gt_relations
+
+_SCALE_MODES = ("unit", "rsqrt_key")
 
 
 @dataclass
 class ModelConfig:
-    """Widths and scheme switches for one segmentation head."""
+    """Widths and scheme switches for one segmentation head; every setting
+    is checked here, and a bad one raises ``ConfigError`` naming its key."""
 
     module: str = "ocr"
     in_channels: int = 16
@@ -48,10 +50,21 @@ class ModelConfig:
                               f"got {self.module!r}")
         if self.in_channels < 1 or self.num_classes < 1:
             raise ConfigError("in_channels and num_classes must be >= 1")
-        check_scheme_settings(self.key_channels, self.mid_channels,
-                              self.attention_scale, self.da_regions)
+        if self.key_channels < 1 or self.mid_channels < 1:
+            raise ConfigError("key_channels and mid_channels must be >= 1")
+        if self.attention_scale not in _SCALE_MODES:
+            raise ConfigError(f"attention_scale must be one of {_SCALE_MODES}, "
+                              f"got {self.attention_scale!r}")
+        if self.da_regions < 0:
+            raise ConfigError(f"da_regions must be >= 0, got {self.da_regions}")
+        for key in ("aspp_rates", "ppm_bins"):
+            values = getattr(self, key)
+            if not values or min(values) < 1:
+                raise ConfigError(f"{key} must be one or more integers >= 1, "
+                                  f"got {values!r}")
         if self.dtype not in ("double", "single"):
-            raise ConfigError(f"dtype must be 'double' or 'single', got {self.dtype!r}")
+            raise ConfigError(f"precision (dtype) must be 'double' or 'single', "
+                              f"got {self.dtype!r}")
 
     @property
     def np_dtype(self):
@@ -313,19 +326,18 @@ class AsppStage:
         cfg = self.cfg = model.cfg
         self.branch_channels = cfg.key_channels
         rates = scaled_rates(cfg.aspp_rates, image_size, image_size)
-        kernels = tuple(model.draw(f"branch_{i}.weight", _dilated_kernel,
-                                   cfg.in_channels, self.branch_channels)
-                        for i in range(len(rates)))
-        self.spec = DilatedConvSpec(rates, kernels)
+        self.branches = [(rate, model.draw(f"branch_{i}.weight", _dilated_kernel,
+                                           cfg.in_channels, self.branch_channels))
+                         for i, rate in enumerate(rates)]
         self.out_channels = self.branch_channels * len(rates)
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        return aspp_lite(x, self.spec), None
+        return aspp_lite(x, self.branches), None
 
     def flops(self, n: int) -> dict[str, int]:
         return {f"branch_{i}": F.conv_kxk_flops(self.cfg.in_channels,
                                                 self.branch_channels, n, 3)
-                for i in range(len(self.spec.rates))}
+                for i in range(len(self.branches))}
 
 
 class PpmStage:

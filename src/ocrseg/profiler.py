@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import ShapeOnlyRng
-from .context import FeatureMap, check_scheme_settings
-from .errors import ConfigError, ProfilerError
+from .context import FeatureMap
+from .errors import ConfigError
 from .models import ModelConfig, SegmentationModel, build_model, full_scale_config
 
 FULL_SCALE = (2048, 128, 128)
@@ -63,13 +63,9 @@ class BenchConfig:
             raise ConfigError(f"repeats must be >= 5, got {self.repeats}")
         if self.warmup < 2:
             raise ConfigError(f"warmup must be >= 2, got {self.warmup}")
-        if self.precision not in ("double", "single"):
-            raise ConfigError(f"precision must be 'double' or 'single', "
-                              f"got {self.precision!r}")
         if min(self.channels, self.height, self.width) < 1:
             raise ConfigError("bench input shape entries must be >= 1")
-        check_scheme_settings(self.key_channels, self.mid_channels,
-                              self.attention_scale, self.da_regions)
+        self.model_config("da")
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -107,34 +103,14 @@ class CostReport:
 
 
 def count_params(module) -> int:
-    """Exact count of learnable scalar entries."""
-    if isinstance(module, T.Tensor):
-        return int(module.data.size)
-    if hasattr(module, "parameters"):
-        return int(sum(p.data.size for p in module.parameters()))
-    if hasattr(module, "named_parameters"):
-        return int(sum(t.data.size for _, t in module.named_parameters()))
-    try:
-        return int(sum(p.data.size for p in module))
-    except TypeError:
-        raise ProfilerError(
-            f"count_params cannot enumerate {type(module).__name__}: no "
-            f"parameters() and not an iterable of tensors") from None
+    """Exact count of learnable scalar entries of a model or block."""
+    return sum(t.data.size for _, t in module.named_parameters())
 
 
-def count_flops(module, input_shape: tuple[int, int, int]) -> int:
+def count_flops(model: SegmentationModel, input_shape: tuple[int, int, int]) -> int:
     """Closed-form FLOP count of one forward pass at ``input_shape`` (C, H, W)."""
-    if not hasattr(module, "analytic_flops"):
-        raise ProfilerError(
-            f"count_flops cannot enumerate {type(module).__name__}: it exposes "
-            f"no analytic_flops breakdown")
-    c, h, w = (int(s) for s in input_shape)
-    expected = getattr(module, "cfg", None)
-    if expected is not None and expected.in_channels != c:
-        raise ProfilerError(
-            f"input shape {input_shape} has {c} channels but module expects "
-            f"{expected.in_channels}")
-    return int(module.analytic_flops(h, w))
+    _, h, w = input_shape
+    return model.analytic_flops(h, w)
 
 
 def bench_input(cfg: BenchConfig) -> FeatureMap:

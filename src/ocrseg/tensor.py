@@ -203,13 +203,15 @@ class GradTape:
             for parent, g in zip(t._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
+                # the sum of two 0-d arrays is a numpy scalar, not a buffer
                 if parent._backward_fn is None:
-                    parent.grad = kept = g if parent.grad is None else parent.grad + g
+                    parent.grad = kept = (g if parent.grad is None
+                                          else np.asarray(parent.grad + g))
                 else:
                     key = id(parent)
-                    pending[key] = kept = g if key not in pending else pending[key] + g
-                # a 0-d product can come back as a numpy scalar, not a buffer
-                if charged is not None and isinstance(kept, np.ndarray):
+                    pending[key] = kept = (g if key not in pending
+                                           else np.asarray(pending[key] + g))
+                if charged is not None:
                     while isinstance(kept.base, np.ndarray):
                         kept = kept.base
                     ref = charged.get(id(kept))
@@ -319,7 +321,7 @@ def scale(t: Tensor, factor: float) -> Tensor:
     out = t.data * factor
 
     def back(g):
-        return (g * factor,)
+        return (np.asarray(g * factor),)
 
     return _result(out, (t,), back, "scale")
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 import ocrseg.tensor as T
-from ocrseg.attention import AttentionBundle, scaled_dot_attention
+from ocrseg.attention import scaled_dot_attention
 from ocrseg.blocks import BN_EPS, Conv1x1Head
 from ocrseg.checks import run_equivalence_suite, run_gradient_suite
 from ocrseg.cli import cli_main
@@ -71,8 +71,7 @@ def test_simplex_rows_are_distributions(capsys):
         queries = T.Tensor(rng.normal(size=(int(rng.integers(1, 6)), c)))
         keys = T.Tensor(rng.normal(size=(k, c)))
         values = T.Tensor(rng.normal(size=(k, 2)))
-        att, _ = scaled_dot_attention(
-            AttentionBundle(queries, keys, values, scale=scale))
+        att, _ = scaled_dot_attention(queries, keys, values, scale=scale)
         check(att.data)
 
     _emit(capsys, "simplex suite",
@@ -212,7 +211,7 @@ def _global_oracle(model, x_arr):
 def _aspp_oracle(model, x_arr):
     stage = model.stage
     branches = [oracles.conv_spatial_loops(x_arr, kern.data, dilation=rate)
-                for rate, kern in zip(stage.spec.rates, stage.spec.kernels)]
+                for rate, kern in stage.branches]
     cat = np.concatenate(branches, axis=0)
     flat = cat.reshape(cat.shape[0], -1)
     return _head_loops(model.final_head, flat), None

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.attention import (AttentionBundle, EquivalenceMapping,
-                              EquivalenceReport, decoder_cross_attention,
+from ocrseg.attention import (EquivalenceMapping, EquivalenceReport,
+                              decoder_cross_attention,
                               encoder_cross_attention, scaled_dot_attention,
                               transformer_equivalence_check)
 from ocrseg.blocks import Conv1x1Head, TransformBlock
 from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix,
-                            attention_logit_scale, check_scheme_settings,
+                            attention_logit_scale,
                             compute_soft_regions, ocr_aggregate,
                             pixel_region_relations, region_representations)
 from ocrseg.errors import ConfigError, DimensionError, ParameterError
+from ocrseg.models import ModelConfig
 
 import oracles
 from conftest import (feature_map, make_ocr_params, max_grad_fd_error, projected,
@@ -31,21 +32,23 @@ class TestRsqrtScale:
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigError):
-            check_scheme_settings(0, 1, "rsqrt_key", 0)
+            ModelConfig(key_channels=0, attention_scale="rsqrt_key")
 
 
 class TestAttentionBundle:
+    """Attention inputs (queries, keys, values, scale) that the ops reject."""
+
     def test_width_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            AttentionBundle(tensor(rng.normal(0, 1, (2, 3))),
-                            tensor(rng.normal(0, 1, (4, 2))),
-                            tensor(rng.normal(0, 1, (4, 5))))
+            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
+                                 tensor(rng.normal(0, 1, (4, 2))),
+                                 tensor(rng.normal(0, 1, (4, 5))))
 
     def test_key_value_row_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            AttentionBundle(tensor(rng.normal(0, 1, (2, 3))),
-                            tensor(rng.normal(0, 1, (4, 3))),
-                            tensor(rng.normal(0, 1, (3, 5))))
+            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
+                                 tensor(rng.normal(0, 1, (4, 3))),
+                                 tensor(rng.normal(0, 1, (3, 5))))
 
     def test_bad_scale(self, rng):
         q = tensor(rng.normal(0, 1, (2, 3)))
@@ -53,17 +56,17 @@ class TestAttentionBundle:
         v = tensor(rng.normal(0, 1, (4, 5)))
         for scale in (0.0, -2.0, float("inf")):
             with pytest.raises(ParameterError):
-                AttentionBundle(q, k, v, scale=scale)
+                scaled_dot_attention(q, k, v, scale=scale)
 
     def test_requires_2d(self, rng):
         with pytest.raises(DimensionError):
-            AttentionBundle(tensor(rng.normal(0, 1, 3)),
-                            tensor(rng.normal(0, 1, (4, 3))),
-                            tensor(rng.normal(0, 1, (4, 5))))
+            scaled_dot_attention(tensor(rng.normal(0, 1, 3)),
+                                 tensor(rng.normal(0, 1, (4, 3))),
+                                 tensor(rng.normal(0, 1, (4, 5))))
         with pytest.raises(DimensionError):
-            AttentionBundle(tensor(rng.normal(0, 1, (2, 3))),
-                            tensor(rng.normal(0, 1, (4, 3, 1))),
-                            tensor(rng.normal(0, 1, (4, 5))))
+            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
+                                 tensor(rng.normal(0, 1, (4, 3, 1))),
+                                 tensor(rng.normal(0, 1, (4, 5))))
 
 
 class TestScaledDotAttention:
@@ -72,8 +75,7 @@ class TestScaledDotAttention:
         keys = np.repeat(key[None, :], 4, axis=0)
         values = rng.normal(0, 1, (4, 5))
         weights, out = scaled_dot_attention(
-            AttentionBundle(tensor(rng.normal(0, 1, (2, 3))), tensor(keys),
-                            tensor(values)))
+            tensor(rng.normal(0, 1, (2, 3))), tensor(keys), tensor(values))
         assert np.max(np.abs(weights.data - 0.25)) < 1e-12
         assert np.max(np.abs(out.data - values.mean(axis=0))) < 1e-12
 
@@ -81,7 +83,7 @@ class TestScaledDotAttention:
         queries = tensor([[10.0, 0.0]])
         keys = tensor([[200.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # gaps >= 1000
         values = tensor([[1.0, -2.0], [5.0, 5.0], [7.0, 7.0]])
-        _, out = scaled_dot_attention(AttentionBundle(queries, keys, values))
+        _, out = scaled_dot_attention(queries, keys, values)
         assert np.max(np.abs(out.data[0] - np.array([1.0, -2.0]))) < 1e-9
 
     def test_matches_scalar_oracle(self, rng):
@@ -89,8 +91,8 @@ class TestScaledDotAttention:
         k = rng.normal(0, 1, (3, 2))
         v = rng.normal(0, 1, (3, 4))
         scale = 0.7
-        weights, out = scaled_dot_attention(
-            AttentionBundle(tensor(q), tensor(k), tensor(v), scale=scale))
+        weights, out = scaled_dot_attention(tensor(q), tensor(k), tensor(v),
+                                            scale=scale)
         want_w = oracles.relations_loops(q.T, k.T, scale)
         assert np.max(np.abs(weights.data - want_w)) < 1e-12
         want_out = oracles.aggregate_loops(want_w, v)
@@ -101,9 +103,8 @@ class TestScaledDotAttention:
             nq, nk = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             v = rng.normal(0, 1, (nk, 3))
             weights, out = scaled_dot_attention(
-                AttentionBundle(tensor(rng.normal(0, 1, (nq, 4))),
-                                tensor(rng.normal(0, 1, (nk, 4))),
-                                tensor(v), scale=rsqrt_scale(4)))
+                tensor(rng.normal(0, 1, (nq, 4))), tensor(rng.normal(0, 1, (nk, 4))),
+                tensor(v), scale=rsqrt_scale(4))
             assert np.all(weights.data >= 0)
             assert np.max(np.abs(weights.data.sum(axis=1) - 1.0)) < 1e-9
             low, high = v.min(axis=0) - 1e-12, v.max(axis=0) + 1e-12
@@ -116,9 +117,8 @@ class TestScaledDotAttention:
         k = rng.normal(0, 1, (5, 4))
         v = rng.normal(0, 1, (5, 2))
         shift = rng.normal(0, 3, 4)
-        w1, _ = scaled_dot_attention(AttentionBundle(tensor(q), tensor(k), tensor(v)))
-        w2, _ = scaled_dot_attention(
-            AttentionBundle(tensor(q), tensor(k + shift[None, :]), tensor(v)))
+        w1, _ = scaled_dot_attention(tensor(q), tensor(k), tensor(v))
+        w2, _ = scaled_dot_attention(tensor(q), tensor(k + shift[None, :]), tensor(v))
         assert np.max(np.abs(w1.data - w2.data)) < 1e-9
 
 

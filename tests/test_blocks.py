@@ -134,11 +134,12 @@ class TestTransformBlock:
                            bn_mean=np.zeros(2), bn_var=np.array([1.0, -0.1]))
 
     def test_bn_shape_mismatch_rejected(self, rng):
+        block = TransformBlock(weight=tensor(np.eye(2)),
+                               bn_scale=tensor(np.ones(3)),
+                               bn_shift=tensor(np.zeros(2)),
+                               bn_mean=np.zeros(2), bn_var=np.ones(2))
         with pytest.raises(DimensionError):
-            TransformBlock(weight=tensor(np.eye(2)),
-                           bn_scale=tensor(np.ones(3)),
-                           bn_shift=tensor(np.zeros(2)),
-                           bn_mean=np.zeros(2), bn_var=np.ones(2))
+            block(tensor(np.ones((2, 5))))
 
     def test_input_channel_mismatch(self, rng):
         block = TransformBlock.create(rng, 3, 2)

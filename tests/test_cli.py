@@ -77,7 +77,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("cmd, bad", [
         ("train", "seed=-1"), ("gen-data", "seed=-1"), ("train", "feat_channels=-5"),
         ("train", "poly_power=inf"), ("train", "base_lr=nan"),
-        ("grad-check", "grad_instances=0"), ("equiv-check", "equiv_instances=0")])
+        ("grad-check", "grad_instances=0"), ("equiv-check", "equiv_instances=0"),
+        ("train", "ppm_bins="), ("train", "aspp_rates=-5"), ("train", "aspp_rates=0"),
+        ("gen-data", "ppm_bins=0,2")])
     def test_bad_values_exit_two_without_traceback(self, tmp_path, capsys, cmd, bad):
         code = cli_main([cmd, "--set", "iterations=1", "--set", bad,
                          "--set", f"data_dir={tmp_path / 'data'}",

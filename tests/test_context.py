@@ -7,7 +7,7 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg.blocks import Conv1x1Head, TransformBlock
-from ocrseg.context import (FeatureMap, DilatedConvSpec, OcrConfig, OcrParams,
+from ocrseg.context import (FeatureMap, OcrConfig, OcrParams,
                             RegionReps, RelationMatrix, SoftRegionSet,
                             acf_scheme_relations, aspp_lite, augment,
                             compute_soft_regions, da_scheme_relations,
@@ -16,6 +16,7 @@ from ocrseg.context import (FeatureMap, DilatedConvSpec, OcrConfig, OcrParams,
                             region_representations, scaled_rates,
                             self_attention_context, transpose_reps)
 from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
+from ocrseg.models import ModelConfig
 
 import oracles
 from conftest import dot_all, feature_map, identity_block, make_ocr_params, tensor
@@ -454,6 +455,12 @@ class TestOcrForward:
         want = oracles.apply_block_loops(params.fuse_transform, np.vstack([px, y]))
         assert np.max(np.abs(z.pixels().data - want)) < 1e-10
 
+    def test_unknown_relation_scheme(self, rng):
+        params = make_ocr_params(rng, in_channels=3, num_classes=2, scheme="acf")
+        params.config.relation_scheme = "bogus"
+        with pytest.raises(ConfigError, match="bogus"):
+            ocr_forward(feature_map(rng, 3, 2, 2), params)
+
     def test_da_scheme_missing_predictor(self, rng):
         params = make_ocr_params(rng, in_channels=3, num_classes=2, scheme="da")
         params.da_predictor = None
@@ -630,18 +637,18 @@ class TestSchemeRelations:
 
 
 class TestAsppLite:
-    def _delta_spec(self, channels, rates):
-        kernels = []
-        for _ in rates:
+    def _delta_branches(self, channels, rates):
+        branches = []
+        for rate in rates:
             k = np.zeros((channels, channels, 3, 3))
             for c in range(channels):
                 k[c, c, 1, 1] = 1.0
-            kernels.append(tensor(k))
-        return DilatedConvSpec(tuple(rates), tuple(kernels))
+            branches.append((rate, tensor(k)))
+        return branches
 
     def test_center_delta_kernels_replicate_input(self, rng):
         x = feature_map(rng, 2, 4, 4)
-        out = aspp_lite(x, self._delta_spec(2, (1, 2, 3)))
+        out = aspp_lite(x, self._delta_branches(2, (1, 2, 3)))
         assert out.channels == 6
         for branch in range(3):
             sl = out.tensor.data[2 * branch:2 * branch + 2]
@@ -650,8 +657,7 @@ class TestAsppLite:
     def test_single_pixel_center_tap_only(self, rng):
         x = rng.normal(0, 1, (2, 1, 1))
         kern = rng.normal(0, 1, (1, 2, 3, 3))
-        spec = DilatedConvSpec((2,), (tensor(kern),))
-        out = aspp_lite(FeatureMap(tensor(x)), spec)
+        out = aspp_lite(FeatureMap(tensor(x)), [(2, tensor(kern))])
         want = sum(kern[0, c, 1, 1] * x[c, 0, 0] for c in range(2))
         assert abs(out.tensor.data[0, 0, 0] - want) < 1e-12
 
@@ -659,8 +665,7 @@ class TestAsppLite:
         x = rng.normal(0, 1, (2, 4, 4))
         k1 = rng.normal(0, 1, (3, 2, 3, 3))
         k2 = rng.normal(0, 1, (3, 2, 3, 3))
-        spec = DilatedConvSpec((1, 2), (tensor(k1), tensor(k2)))
-        out = aspp_lite(FeatureMap(tensor(x)), spec)
+        out = aspp_lite(FeatureMap(tensor(x)), [(1, tensor(k1)), (2, tensor(k2))])
         want = np.concatenate([oracles.conv_spatial_loops(x, k1, 1),
                                oracles.conv_spatial_loops(x, k2, 2)])
         assert np.max(np.abs(out.tensor.data - want)) < 1e-12
@@ -669,23 +674,26 @@ class TestAsppLite:
         calls = []
         real = T.concat0
         monkeypatch.setattr(T, "concat0", lambda *p: calls.append(len(p)) or real(*p))
-        aspp_lite(feature_map(rng, 2, 4, 4), self._delta_spec(2, (1, 2, 3)))
+        aspp_lite(feature_map(rng, 2, 4, 4), self._delta_branches(2, (1, 2, 3)))
         assert calls == [3]
 
     def test_spec_validation(self, rng):
-        with pytest.raises(ConfigError):
-            DilatedConvSpec((2,), (tensor(np.ones((1, 1, 2, 2))),))  # even
-        with pytest.raises(ConfigError):
-            DilatedConvSpec((0,), (tensor(np.ones((1, 1, 3, 3))),))  # rate < 1
-        with pytest.raises(ConfigError):
-            DilatedConvSpec((1, 2), (tensor(np.ones((1, 1, 3, 3))),))  # count
-        with pytest.raises(ConfigError):
-            DilatedConvSpec((), ())
+        x = feature_map(rng, 1, 4, 4)
+        with pytest.raises(ParameterError):
+            aspp_lite(x, [(2, tensor(np.ones((1, 1, 2, 2))))])  # even
+        with pytest.raises(ParameterError):
+            aspp_lite(x, [(0, tensor(np.ones((1, 1, 3, 3))))])  # rate < 1
+        with pytest.raises(DimensionError):
+            aspp_lite(x, [(1, tensor(np.ones((1, 1, 3))))])  # not 4-D
+        with pytest.raises(DimensionError):
+            aspp_lite(x, [])
+        for rates in ((0, 6), (-5,), ()):
+            with pytest.raises(ConfigError, match="aspp_rates"):
+                ModelConfig(module="aspp_lite", aspp_rates=rates)
 
     def test_channel_mismatch(self, rng):
-        spec = self._delta_spec(3, (1,))
         with pytest.raises(DimensionError):
-            aspp_lite(feature_map(rng, 2, 4, 4), spec)
+            aspp_lite(feature_map(rng, 2, 4, 4), self._delta_branches(3, (1,)))
 
 
 class TestScaledRates:

@@ -307,9 +307,10 @@ class TestFlopBreakdown:
 
     def test_aspp_rates_clip_at_small_images(self):
         clipped = build_model(small_config("aspp_lite"), image_size=8)
-        assert clipped.stage.spec.rates == (1, 1, 2)  # 0.125, 0.75, 1.5 rounded, floored at 1
+        # 0.125, 0.75, 1.5 rounded, floored at 1
+        assert [rate for rate, _ in clipped.stage.branches] == [1, 1, 2]
         full = build_model(small_config("aspp_lite"), image_size=64)
-        assert full.stage.spec.rates == (1, 6, 12)
+        assert [rate for rate, _ in full.stage.branches] == [1, 6, 12]
 
     def test_ppm_branch_width_floor(self):
         narrow = build_model(small_config("ppm_lite", in_channels=3))
@@ -335,8 +336,8 @@ class TestFullScaleConfig:
 
 class TestEngineSurface:
     """The engine keeps only ops some scheme's training step runs, a
-    backward leaves gradients on leaves only, and every package module reads
-    each name it imports."""
+    backward leaves gradients on leaves only, every package module reads
+    each name it imports, and every error class is raised somewhere."""
 
     # public op functions whose tape name differs from the function name
     TAPE_NAMES = {"cross_entropy_logits": "cross_entropy"}
@@ -382,6 +383,22 @@ class TestEngineSurface:
         unread = sorted(f"{name} (line {line})" for name, line in imported.items()
                         if name not in read)
         assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+    def test_every_error_class_is_raised(self):
+        classes = [node for node in ast.parse(
+            (PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)]
+        bases = {base.id for cls in classes for base in cls.bases}
+        raised = set()
+        for path in PACKAGE_DIR.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(getattr(exc, "id", None))
+        # a base class is raised through its subclasses
+        unraised = sorted(cls.name for cls in classes
+                          if cls.name not in raised | bases)
+        assert not unraised, f"error classes raised nowhere: {unraised}"
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_only_leaves_keep_gradients(self, module):

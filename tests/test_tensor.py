@@ -883,13 +883,23 @@ class TestAllocationTracker:
         assert tracker.peak_bytes >= a.grad.nbytes + b.grad.nbytes
 
     def test_scalar_gradient_is_not_charged(self, rng):
-        # scale's backward of a 0-d gradient returns a numpy scalar
+        # scale's backward hands on a 0-d gradient as an array, which the
+        # tracker charges like any other buffer
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
         loss = T.scale(sum_all(x), 0.5)
         with T.AllocationTracker() as tracker:
             T.backward(loss)
         assert np.array_equal(x.grad, np.full((3, 4), 0.5))
         assert tracker.peak_bytes >= x.grad.nbytes
+
+    def test_summed_scalar_gradient_is_an_array(self, rng):
+        # a 0-d result read twice sums two 0-d gradients, which numpy
+        # returns as a scalar unless the tape keeps the sum a buffer
+        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        total = sum_all(x)
+        with T.AllocationTracker():
+            T.backward(T.add(total, total))
+        assert np.array_equal(x.grad, np.full((3, 4), 2.0))
 
     def test_shared_gradient_charged_once(self, rng):
         # add's backward hands one array to both parents
