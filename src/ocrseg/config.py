@@ -5,7 +5,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .data import read_text_lines, scene_shape_problem
+from .data import COORD_CHANNELS, read_text_lines, scene_shape_problem
 from .errors import ConfigError
 from .models import ModelConfig
 
@@ -94,7 +94,7 @@ class RunConfig:
 
     @property
     def in_channels(self) -> int:
-        return self.feat_channels + 2  # lifted colors plus coordinates
+        return self.feat_channels + COORD_CHANNELS  # lifted colors plus coordinates
 
     def model_config(self, module: str | None = None) -> ModelConfig:
         return ModelConfig(

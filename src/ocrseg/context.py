@@ -362,13 +362,12 @@ def global_context(x: FeatureMap,
                    value_transform: TransformBlock | None,
                    output_transform: TransformBlock | None) -> FeatureMap:
     """Uniform relations: every pixel receives the same pooled context, the
-    w = 1/N special case of relational aggregation."""
-    px = x.pixels()
-    vals = px if value_transform is None else value_transform(px)
-    pooled = T.mean_cols(vals)  # (C_v, 1)
+    w = 1/N special case of relational aggregation and the 1 x 1 bin of the
+    pooling pyramid."""
+    vals = x.tensor if value_transform is None else value_transform(x.tensor)
+    pooled = T.avg_pool2d(vals, 1, 1)  # (C_v, 1, 1)
     y = pooled if output_transform is None else output_transform(pooled)
-    y = T.tile_cols(y, x.num_pixels)
-    return FeatureMap.from_pixels(y, x.height, x.width)
+    return FeatureMap(T.upsample_nearest(y, x.height, x.width))
 
 
 def scaled_rates(base_rates: Sequence[int], height: int,

@@ -37,6 +37,3 @@ def softmax_flops(rows: int, cols: int) -> int:
 def pool_flops(c: int, n_in: int, cells: int) -> int:
     return c * (n_in + cells)
 
-
-def mean_flops(c: int, n: int) -> int:
-    return c * (n + 1)

@@ -309,7 +309,7 @@ class GlobalStage(RelationalStage):
     def context_flops(self, n: int) -> dict[str, int]:
         d = self.cfg.key_channels
         return {"values": F.block_flops(self.pipe_in, d, n),
-                "pool": F.mean_flops(d, n),
+                "pool": F.pool_flops(d, n, 1),
                 "output_transform": F.block_flops(d, self.cfg.mid_channels, 1)}
 
 

@@ -326,21 +326,37 @@ def scale(t: Tensor, factor: float) -> Tensor:
     return _result(out, (t,), back, "scale")
 
 
-def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise softmax with max subtraction; logits are divided by
-    ``temperature`` first. Rows of the result lie on the probability simplex."""
-    _require_2d(x, "softmax_rows input")
-    temperature = float(temperature)
-    if not np.isfinite(temperature) or temperature <= 0.0:
-        raise ParameterError(f"softmax temperature must be finite and > 0, got {temperature}")
-    s = x.data / temperature
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float, if it is finite and > 0."""
+    value = float(value)
+    if not np.isfinite(value) or value <= 0.0:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _normalize_rows(s: np.ndarray) -> None:
+    """Row-wise softmax of the logits ``s``, in place, with max subtraction."""
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=1, keepdims=True)
 
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float) -> np.ndarray:
+    """Gradient of the logits of row softmax ``s`` at ``temperature``, given
+    the gradient ``g`` of ``s``."""
+    return s * (g - (g * s).sum(axis=1, keepdims=True)) / temperature
+
+
+def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
+    """Row-wise softmax with max subtraction; logits are divided by
+    ``temperature`` first. Rows of the result lie on the probability simplex."""
+    _require_2d(x, "softmax_rows input")
+    temperature = _positive("softmax temperature", temperature)
+    s = x.data / temperature
+    _normalize_rows(s)
+
     def back(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - inner) / temperature,)
+        return (_softmax_grad(s, g, temperature),)
 
     return _result(s, (x,), back, "softmax_rows")
 
@@ -351,20 +367,17 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
     allocates.
 
     The product is written a block of rows at a time straight into the
-    output, and each block is normalised while it is still in cache, in the
-    operation order of ``softmax_rows`` at temperature 1/scale. The backward
-    runs in the same row blocks: ds = s * (g - rowsum(g * s)) / temperature,
-    then dq = (ds k^T)^T and dk = q ds.
+    output, and each block is normalised while it is still in cache, as
+    ``softmax_rows`` normalises at temperature 1/scale. The backward runs in
+    the same row blocks: the logits' gradient ds of each block, then
+    dq = (ds k^T)^T and dk = q ds.
     """
     _require_2d(q, "relation_softmax queries")
     _require_2d(k, "relation_softmax keys")
     if q.data.shape[0] != k.data.shape[0]:
         raise DimensionError(
             f"relation_softmax key widths differ: {q.data.shape} vs {k.data.shape}")
-    scale = float(scale)
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
-    temperature = 1.0 / scale
+    temperature = 1.0 / _positive("relation scale", scale)
     d, n = q.data.shape
     m = k.data.shape[1]
     s = np.empty((n, m), dtype=np.result_type(q.data, k.data))
@@ -374,17 +387,13 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
         block = s[rows]
         np.matmul(q.data[:, rows].T, k.data, out=block)
         block /= temperature
-        block -= block.max(axis=1, keepdims=True)
-        np.exp(block, out=block)
-        block /= block.sum(axis=1, keepdims=True)
+        _normalize_rows(block)
 
     def back(g):
         dq_t = np.empty((n, d), dtype=s.dtype)
         dk = None
         for rows in blocks:
-            sb, gb = s[rows], g[rows]
-            inner = (gb * sb).sum(axis=1, keepdims=True)
-            ds = sb * (gb - inner) / temperature
+            ds = _softmax_grad(s[rows], g[rows], temperature)
             np.matmul(ds, k.data.T, out=dq_t[rows])
             if dk is None:
                 dk = q.data[:, rows] @ ds
@@ -393,65 +402,6 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
         return dq_t.T, dk
 
     return _result(s, (q, k), back, "relation_softmax")
-
-
-def mean_cols(x: Tensor) -> Tensor:
-    """Column mean of an M x N matrix, returned as M x 1."""
-    _require_2d(x, "mean_cols input")
-    n = x.data.shape[1]
-    out = x.data.mean(axis=1, keepdims=True)
-
-    def back(g):
-        return (np.repeat(g, n, axis=1) / n,)
-
-    return _result(out, (x,), back, "mean_cols")
-
-
-def tile_cols(x: Tensor, n: int) -> Tensor:
-    """Broadcast an M x 1 column to M x n."""
-    _require_2d(x, "tile_cols input")
-    if x.data.shape[1] != 1:
-        raise DimensionError(f"tile_cols expects one column, got {x.data.shape}")
-    out = np.repeat(x.data, n, axis=1)
-
-    def back(g):
-        return (g.sum(axis=1, keepdims=True),)
-
-    return _result(out, (x,), back, "tile_cols")
-
-
-def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Pointwise convolution. ``x`` is (C_in, N) or (C_in, H, W); ``weight`` is
-    (C_out, C_in); optional ``bias`` is (C_out,). Output rank matches input."""
-    _require_2d(weight, "conv1x1 weight")
-    if x.data.ndim not in (2, 3):
-        raise DimensionError(f"conv1x1 input must be 2-D or 3-D, got {x.data.shape}")
-    c_in = x.data.shape[0]
-    if weight.data.shape[1] != c_in:
-        raise DimensionError(
-            f"conv1x1 weight {weight.data.shape} does not match input channels {x.data.shape}")
-    if bias is not None and bias.data.shape != (weight.data.shape[0],):
-        raise DimensionError(
-            f"conv1x1 bias shape {bias.data.shape} does not match out channels "
-            f"{weight.data.shape[0]}")
-    c_out = weight.data.shape[0]
-    flat = x.data.reshape(c_in, -1)
-    # the result owns its buffer: the GEMM writes into a 2-D view of it
-    out = np.empty((c_out,) + x.data.shape[1:], dtype=np.result_type(weight.data, flat))
-    out2 = out.reshape(c_out, -1)
-    np.matmul(weight.data, flat, out=out2)
-    if bias is not None:
-        out2 += bias.data[:, None]
-
-    def back(g):
-        g2 = g.reshape(c_out, -1)
-        gx = (weight.data.T @ g2).reshape(x.data.shape)
-        gw = g2 @ flat.T
-        gb = g2.sum(axis=1) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, back, "conv1x1")
 
 
 # Bytes of one block of a blocked product: the temporary through which a
@@ -478,13 +428,51 @@ def _gemm_accumulate(out2: np.ndarray, terms) -> None:
             block += w @ x[:, j:j + cols]
 
 
-def _check_kernel(op: str, weight: np.ndarray, dilation: int) -> None:
-    if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
-        raise DimensionError(f"{op} weight must be (C_out, C_in, k, k), got {weight.shape}")
-    if weight.shape[2] % 2 == 0:
-        raise ParameterError(f"{op} kernel size must be odd, got {weight.shape[2]}")
-    if int(dilation) < 1:
-        raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
+# The two input layouts of a convolution. Each holds ``terms``, pairs of a
+# weight index and the input matrix that meets those weights; ``conv`` sums
+# the terms' products into a fresh output, ``widen`` lays an output gradient
+# out like the products, and ``backward`` returns the input gradients and the
+# weight-shaped sum of g x^T over the terms.
+
+
+class _Parts:
+    """Pointwise input as column parts: (C_i, ...) tensors with equal
+    trailing dims whose channels add up to the weight's C_in. Each part
+    meets its own weight columns, so the parts are never concatenated."""
+
+    def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray) -> None:
+        shapes = [p.data.shape for p in parts]
+        if not shapes:
+            raise DimensionError(f"{op} needs at least one input part")
+        if any(len(s) not in (2, 3) or s[1:] != shapes[0][1:] for s in shapes):
+            raise DimensionError(f"{op} input must be 2-D or 3-D, with equal "
+                                 f"trailing dims across parts, got {shapes}")
+        if sum(s[0] for s in shapes) != weight.shape[1]:
+            raise DimensionError(f"{op} weight {weight.shape} does not match input "
+                                 f"channels {[s[0] for s in shapes]}")
+        self.shapes = shapes
+        bounds = np.cumsum([0] + [s[0] for s in shapes])
+        self.terms = [((slice(None), slice(bounds[i], bounds[i + 1])),
+                       p.data.reshape(shapes[i][0], -1)) for i, p in enumerate(parts)]
+
+    def conv(self, weight: np.ndarray, dtype) -> np.ndarray:
+        out = np.empty((weight.shape[0],) + self.shapes[0][1:], dtype=dtype)
+        _gemm_accumulate(out.reshape(weight.shape[0], -1),
+                         ((weight[idx], xm) for idx, xm in self.terms))
+        return out
+
+    def widen(self, g: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """``g`` as (C_out, N), times ``mask`` if given."""
+        g = g.reshape(g.shape[0], -1)
+        return g if mask is None else g * mask.reshape(g.shape)
+
+    def backward(self, g: np.ndarray, weight: np.ndarray):
+        m = np.empty_like(weight)
+        grads = []
+        for (idx, xm), shape in zip(self.terms, self.shapes):
+            m[idx] = g @ xm.T
+            grads.append((weight[idx].T @ g).reshape(shape))
+        return grads, m
 
 
 class _TapGrid:
@@ -497,21 +485,40 @@ class _TapGrid:
     tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
     it is, so no tap is copied; products over the padded width are cropped
     to H x W once (``conv``), and gradients enter with zero spill columns
-    (``widen``) and leave through ``unpad``.
+    (``widen``) and leave cropped the same way (``backward``). From a
+    dilation of max(H, W) on, every off-centre tap reads only padding, so a
+    larger one is clamped to it.
     """
 
-    def __init__(self, x: np.ndarray, k: int, dilation: int) -> None:
+    def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
+                 dilation: int) -> None:
+        if len(parts) != 1 or parts[0].data.ndim != 3:
+            raise DimensionError(f"{op} takes one (C, H, W) input, "
+                                 f"got {[p.data.shape for p in parts]}")
+        if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
+            raise DimensionError(f"{op} weight must be (C_out, C_in, k, k), got {weight.shape}")
+        k = weight.shape[2]
+        if k % 2 == 0:
+            raise ParameterError(f"{op} kernel size must be odd, got {k}")
+        if int(dilation) < 1:
+            raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
+        x = parts[0].data
+        if weight.shape[1] != x.shape[0]:
+            raise DimensionError(f"{op} weight {weight.shape} does not match input {x.shape}")
         c, self.h, self.w = x.shape
+        dilation = min(int(dilation), max(self.h, self.w, 1))
         self.pad = pad = (k // 2) * dilation
         self.wp = wp = self.w + 2 * pad
         self.cols = self.h * wp
         self.flat = np.zeros((c, (self.h + 2 * pad) * wp + 2 * pad), dtype=x.dtype)
         self._image(self.flat)[:, pad:pad + self.h, pad:pad + self.w] = x
-        self.taps = []
+        self.windows, self.terms = [], []
         for ky in range(k):
             for kx in range(k):
                 o = (ky * wp + kx) * dilation
-                self.taps.append((ky, kx, slice(o, o + self.cols)))
+                self.windows.append(slice(o, o + self.cols))
+                self.terms.append(((slice(None), slice(None), ky, kx),
+                                   self.flat[:, self.windows[-1]]))
 
     def _image(self, flat: np.ndarray) -> np.ndarray:
         return flat[:, :flat.shape[1] - 2 * self.pad].reshape(
@@ -523,8 +530,7 @@ class _TapGrid:
         is allocated after the product, so it never coexists with the
         accumulation's temporary."""
         wide = np.empty((weight.shape[0], self.cols), dtype=dtype)
-        _gemm_accumulate(wide, ((weight[:, :, ky, kx], self.flat[:, win])
-                                for ky, kx, win in self.taps))
+        _gemm_accumulate(wide, ((weight[idx], xm) for idx, xm in self.terms))
         return wide.reshape(weight.shape[0], self.h, self.wp)[:, :, :self.w].copy()
 
     def widen(self, g: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -537,10 +543,36 @@ class _TapGrid:
             np.multiply(g, mask, out=wide[:, :, :self.w])
         return wide.reshape(g.shape[0], self.cols)
 
-    def unpad(self, gflat: np.ndarray) -> np.ndarray:
-        """The (C, H, W) input part of a gradient laid out like ``flat``."""
-        return self._image(gflat)[:, self.pad:self.pad + self.h,
-                                  self.pad:self.pad + self.w]
+    def backward(self, g: np.ndarray, weight: np.ndarray):
+        gflat = np.zeros_like(self.flat)
+        m = np.empty_like(weight)
+        for (idx, xm), win in zip(self.terms, self.windows):
+            m[idx] = g @ xm.T
+            gflat[:, win] += weight[idx].T @ g
+        return (self._image(gflat)[:, self.pad:self.pad + self.h,
+                                   self.pad:self.pad + self.w],), m
+
+
+def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Pointwise convolution. ``x`` is (C_in, N) or (C_in, H, W); ``weight`` is
+    (C_out, C_in); optional ``bias`` is (C_out,). Output rank matches input."""
+    _require_2d(weight, "conv1x1 weight")
+    layout = _Parts("conv1x1", (x,), weight.data)
+    if bias is not None and bias.data.shape != (weight.data.shape[0],):
+        raise DimensionError(
+            f"conv1x1 bias shape {bias.data.shape} does not match out channels "
+            f"{weight.data.shape[0]}")
+    out = layout.conv(weight.data, np.result_type(weight.data, x.data))
+    if bias is not None:
+        out += bias.data.reshape((-1,) + (1,) * (out.ndim - 1))
+
+    def back(g):
+        g = layout.widen(g)
+        (gx,), gw = layout.backward(g, weight.data)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=1))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out, parents, back, "conv1x1")
 
 
 def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1) -> Tensor:
@@ -548,24 +580,12 @@ def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1) -> Tensor:
 
     ``x`` is (C_in, H, W); ``weight`` is (C_out, C_in, k, k) with odd k.
     """
-    if x.data.ndim != 3:
-        raise DimensionError(f"conv_spatial input must be (C, H, W), got {x.data.shape}")
-    _check_kernel("conv_spatial", weight.data, dilation)
-    _, c_in, k, _ = weight.data.shape
-    if c_in != x.data.shape[0]:
-        raise DimensionError(
-            f"conv_spatial weight {weight.data.shape} does not match input {x.data.shape}")
-    grid = _TapGrid(x.data, k, int(dilation))
+    grid = _TapGrid("conv_spatial", (x,), weight.data, dilation)
     out = grid.conv(weight.data, x.dtype)
 
     def back(g):
-        g_wide = grid.widen(g)
-        gflat = np.zeros_like(grid.flat)
-        gw = np.empty_like(weight.data)
-        for ky, kx, win in grid.taps:
-            gw[:, :, ky, kx] = g_wide @ grid.flat[:, win].T
-            gflat[:, win] += weight.data[:, :, ky, kx].T @ g_wide
-        return grid.unpad(gflat), gw
+        (gx,), gw = grid.backward(grid.widen(g), weight.data)
+        return gx, gw
 
     return _result(out, (x, weight), back, "conv_spatial")
 
@@ -578,72 +598,29 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     ``s = gain * inv_std`` and ``b = shift - mean * s``.
 
     A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
-    tensor or a sequence of column parts whose channels add up to C_in: each
-    part meets its own weight columns, so the parts are never concatenated.
-    A (C_out, C_in, k, k) ``weight`` convolves one zero-padded (C_in, H, W)
-    tensor, its taps reading windows of one flat padded buffer (``_TapGrid``).
-    Each part's or tap's product accumulates into the output (the taps' over
-    the padded width, cropped once), which then takes the batchnorm and the
-    ReLU in place. When ``trace`` is a list, the smallest absolute
-    pre-activation is appended to it. The backward reads the ReLU mask off
-    the output: with g' the masked gradient and M = g' x^T per part or tap,
-    the weight gets s * M, the gain (sum of W * M - mean * g_shift) *
-    inv_std, and the input (s * W)^T g'.
+    tensor or a sequence of column parts whose channels add up to C_in
+    (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves one zero-padded
+    (C_in, H, W) tensor, its taps reading windows of one flat padded buffer
+    (``_TapGrid``). Each part's or tap's product accumulates into the output,
+    which then takes the batchnorm and the ReLU in place. When ``trace`` is
+    a list, the smallest absolute pre-activation is appended to it. The
+    backward reads the ReLU mask off the output: with g' the masked gradient
+    and M = g' x^T per part or tap, the weight gets s * M, the gain (sum of
+    W * M - mean * g_shift) * inv_std, and the input (s * W)^T g'.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
-    if not parts:
-        raise DimensionError("conv_bn_relu needs at least one input part")
-    c_out = weight.data.shape[0]
-    lead = parts[0].data.shape[1:]
     if weight.data.ndim == 2:
-        for p in parts:
-            if p.data.ndim not in (2, 3) or p.data.shape[1:] != lead:
-                raise DimensionError(
-                    f"conv_bn_relu parts must be 2-D or 3-D with equal trailing "
-                    f"dims, got {[q.data.shape for q in parts]}")
-        if sum(p.data.shape[0] for p in parts) != weight.data.shape[1]:
-            raise DimensionError(
-                f"conv_bn_relu weight {weight.data.shape} does not match input "
-                f"channels {[p.data.shape[0] for p in parts]}")
+        layout = _Parts("conv_bn_relu", parts, weight.data)
     else:
-        _check_kernel("conv_bn_relu", weight.data, 1)
-        if len(parts) != 1 or parts[0].data.ndim != 3:
-            raise DimensionError(f"a spatial conv_bn_relu takes one (C, H, W) input, "
-                                 f"got {[p.data.shape for p in parts]}")
-        if weight.data.shape[1] != parts[0].data.shape[0]:
-            raise DimensionError(f"conv_bn_relu weight {weight.data.shape} does not "
-                                 f"match input {parts[0].data.shape}")
+        layout = _TapGrid("conv_bn_relu", parts, weight.data, 1)
+    c_out = weight.data.shape[0]
     for name, arr in (("gain", gain.data), ("shift", shift.data),
                       ("inv_std", inv_std), ("mean", mean)):
         if arr.shape != (c_out,):
             raise DimensionError(
                 f"conv_bn_relu {name} shape {arr.shape} does not match {c_out} channels")
 
-    # terms(): (weight index, input matrix, where the input gradient goes),
-    # one per column part or per kernel tap; a tap's matrix is a window of
-    # the padded input's flat grid
-    if weight.data.ndim == 2:
-        grid = None
-        bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-        def terms():
-            for i, p in enumerate(parts):
-                yield ((slice(None), slice(bounds[i], bounds[i + 1])),
-                       p.data.reshape(p.data.shape[0], -1), i)
-    else:
-        grid = _TapGrid(parts[0].data, weight.data.shape[2], 1)
-
-        def terms():
-            for ky, kx, win in grid.taps:
-                yield (slice(None), slice(None), ky, kx), grid.flat[:, win], win
-
-    dtype = np.result_type(weight.data, *(p.data for p in parts))
-    if grid is None:
-        out = np.empty((c_out,) + lead, dtype=dtype)
-        _gemm_accumulate(out.reshape(c_out, -1),
-                         ((weight.data[idx], xm) for idx, xm, _ in terms()))
-    else:
-        out = grid.conv(weight.data, dtype)
+    out = layout.conv(weight.data, np.result_type(weight.data, *(p.data for p in parts)))
     out2 = out.reshape(c_out, -1)
     s = gain.data * inv_std
     out2 *= s[:, None]
@@ -653,29 +630,16 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     np.maximum(out2, 0.0, out=out2)
 
     def back(g):
-        if grid is None:
-            g = g.reshape(c_out, -1) * (out2 > 0.0)
-        else:  # masked straight onto the padded-width grid
-            g = grid.widen(g, out > 0.0)
+        g = layout.widen(g, out > 0.0)
         g_shift = g.sum(axis=1)
-        scaled = weight.data * s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
-        gw = np.empty_like(weight.data)
+        s_w = s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
+        gparts, m = layout.backward(g, weight.data * s_w)
+        # per term, in term order: one sum over the whole weight rounds differently
         g_wm = np.zeros_like(g_shift)
-        gparts = [None] * len(parts)
-        gflat = None if grid is None else np.zeros_like(grid.flat)
-        for idx, xm, sink in terms():
-            m = g @ xm.T
-            gw[idx] = s[:, None] * m
-            g_wm += (weight.data[idx] * m).sum(axis=1)
-            gx = scaled[idx].T @ g
-            if grid is None:
-                gparts[sink] = gx.reshape(parts[sink].data.shape)
-            else:
-                gflat[:, sink] += gx
-        if grid is not None:
-            gparts[0] = grid.unpad(gflat)
-        g_gain = (g_wm - mean * g_shift) * inv_std
-        return (*gparts, gw, g_gain, g_shift)
+        for idx, _ in layout.terms:
+            g_wm += (weight.data[idx] * m[idx]).sum(axis=1)
+        m *= s_w
+        return (*gparts, m, (g_wm - mean * g_shift) * inv_std, g_shift)
 
     return _result(out, (*parts, weight, gain, shift), back, "conv_bn_relu")
 
@@ -750,18 +714,13 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray,
     if m == 0:
         warnings.warn("cross entropy over fully ignored labels; loss defined as 0",
                       RuntimeWarning, stacklevel=2)
-
-        def back_zero(g):
-            return (np.zeros_like(logits.data),)
-
-        return _result(np.asarray(0.0, dtype=logits.dtype), (logits,), back_zero,
-                       "cross_entropy")
     z = logits.data - logits.data.max(axis=0, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=0, keepdims=True))
     logp = z - lse  # (K, N) log probabilities per pixel
     idx = np.where(valid)[0]
     picked = logp[labels[idx], idx]
-    loss = -picked.sum() / m
+    m = max(m, 1)  # no valid pixel: the empty sum over 1 is +0.0
+    loss = (0.0 - picked.sum()) / m
 
     def back(g):
         p = np.exp(logp)

@@ -384,6 +384,34 @@ class TestEngineSurface:
                         if name not in read)
         assert not unread, f"{path.name} imports names it never reads: {unread}"
 
+    def test_every_top_level_definition_is_read(self):
+        """A module-level function, class or constant that nothing in the
+        package reads (as a name, an attribute or an import) is dead."""
+        defined, read = {}, set()
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                where = f"{path.name}:{node.lineno}"
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = where
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        for name in ast.walk(target):
+                            if isinstance(name, ast.Name):
+                                defined[name.id] = where
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+        dead = sorted(f"{name} ({where})" for name, where in defined.items()
+                      if name not in read
+                      and not (name.startswith("__") and name.endswith("__")))
+        assert not dead, f"definitions nothing in the package reads: {dead}"
+
     def test_every_error_class_is_raised(self):
         classes = [node for node in ast.parse(
             (PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")).body

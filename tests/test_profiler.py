@@ -45,7 +45,7 @@ class TestFlopConventions:
     def test_pointwise_conventions(self):
         assert F.softmax_flops(3, 4) == 60
         assert F.pool_flops(2, 16, 4) == 2 * 20
-        assert F.mean_flops(3, 9) == 30
+        assert F.pool_flops(3, 9, 1) == 30
 
 
 class TestCountParams:
