@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Conv1x1Head, TransformBlock
-from .context import (FeatureMap, OcrParams, compute_soft_regions, ocr_aggregate,
+from .context import (FeatureMap, compute_soft_regions, ocr_aggregate,
                       pixel_region_relations, region_representations)
 from .errors import ConfigError, ParameterError
 
@@ -81,8 +81,10 @@ class EquivalenceMapping:
                               + ", ".join(missing))
 
     @classmethod
-    def from_params(cls, params: OcrParams,
+    def from_params(cls, params,
                     encoder_scale: float | None = None) -> "EquivalenceMapping":
+        """Map a region stage (``SegmentationModel.params``); the encoder scale
+        defaults to its ``config.relation_scale``."""
         if encoder_scale is None:
             encoder_scale = params.config.relation_scale
         return cls(queries=params.region_head,

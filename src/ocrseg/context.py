@@ -6,7 +6,7 @@ region representations back into each pixel. Baseline schemes share the same
 skeleton with different relation estimates (dense pairwise self-attention,
 a global average, relations predicted from the pixel alone, relations taken
 from the coarse classification posterior) or replace it outright (dilated-conv
-and pooling pyramids).
+and pooling pyramids). ``models.RegionStage`` runs the main pipeline's stages.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock
+from .blocks import Conv1x1Head, TransformBlock
 from .errors import ConfigError, DimensionError, ParameterError
 
 SIMPLEX_TOL = 1e-9
@@ -157,48 +157,6 @@ class RelationMatrix:
         return self.weights.shape[1]
 
 
-def attention_logit_scale(attention_scale: str, key_channels: int) -> float:
-    """Relation-logit scale: ``unit`` leaves dot products unscaled,
-    ``rsqrt_key`` divides them by sqrt(key_channels)."""
-    if attention_scale == "unit":
-        return 1.0
-    return 1.0 / float(np.sqrt(key_channels))
-
-
-@dataclass
-class OcrConfig:
-    """The scheme settings the region-context pipeline reads: how relations
-    are formed (``relation_scheme``) and the scale of the learned relation
-    logits (``relation_scale``, see ``attention_logit_scale``)."""
-
-    relation_scheme: str = "ocr"
-    relation_scale: float = 1.0
-
-
-@dataclass
-class OcrParams:
-    """Parameter bundle for ``ocr_forward``. ``stem`` is optional; when absent
-    the pipeline reads the raw feature map. ``da_predictor`` and ``da_maps``
-    exist only for the ``da`` relation scheme."""
-
-    config: OcrConfig
-    region_head: Conv1x1Head
-    pixel_transform: TransformBlock | None
-    region_transform: TransformBlock | None
-    value_transform: TransformBlock
-    output_transform: TransformBlock
-    fuse_transform: TransformBlock
-    stem: Conv3x3Block | None = None
-    da_predictor: Conv1x1Head | None = None
-    da_maps: Conv1x1Head | None = None
-
-    def __post_init__(self) -> None:
-        if self.config.relation_scheme == "ocr" and (
-                self.pixel_transform is None or self.region_transform is None):
-            raise ConfigError("the learned-relation scheme needs both the pixel "
-                              "and region key transforms")
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -274,60 +232,6 @@ def acf_scheme_relations(regions: SoftRegionSet) -> RelationMatrix:
     softmax over regions of the same classifier logits."""
     weights = T.softmax_rows(T.transpose(regions.logits))
     return RelationMatrix(weights, regions.height, regions.width)
-
-
-def ocr_forward(x: FeatureMap, params: OcrParams,
-                oracle: tuple[SoftRegionSet, RelationMatrix] | None = None,
-                ) -> tuple[FeatureMap, SoftRegionSet]:
-    """Full pipeline: soft regions from the raw map, then region pooling,
-    relations (scheme-dependent), aggregation, and fusion on the (optionally
-    3x3-stemmed) pipeline features. Returns the augmented map and the region
-    set (whose logits double as the coarse segmentation).
-
-    ``oracle`` substitutes given regions and relations, such as the
-    ground-truth ones of ``supervision.gt_regions``/``gt_relations``, for the
-    computed ones: neither the region head nor the relation step runs, so
-    pixels with equal relation rows receive identical contextual features.
-    The value, output, and fuse transforms (and the optional stem) stay
-    learned."""
-    cfg = params.config
-    if oracle is None:
-        regions = compute_soft_regions(x, params.region_head)
-    else:
-        regions, relations = oracle
-        for part in oracle:
-            if (part.height, part.width) != (x.height, x.width):
-                raise DimensionError(
-                    f"oracle {type(part).__name__} covers {part.height}x"
-                    f"{part.width} pixels, features are {x.height}x{x.width}")
-    feats = x if params.stem is None else FeatureMap(params.stem(x.tensor))
-
-    if oracle is None and cfg.relation_scheme == "da" and params.da_maps is not None:
-        # Wider unsupervised region maps: the pipeline runs on these while the
-        # supervised classifier above still feeds the auxiliary loss.
-        pipeline_regions = compute_soft_regions(feats, params.da_maps)
-    else:
-        pipeline_regions = regions
-
-    reps = region_representations(T.transpose(feats.pixels()), pipeline_regions)
-
-    if oracle is None:
-        if cfg.relation_scheme == "ocr":
-            relations = pixel_region_relations(
-                feats, reps, params.pixel_transform, params.region_transform,
-                scale=cfg.relation_scale)
-        elif cfg.relation_scheme == "da":
-            if params.da_predictor is None:
-                raise ConfigError("relation_scheme 'da' requires a da_predictor head")
-            relations = da_scheme_relations(feats, params.da_predictor)
-        elif cfg.relation_scheme == "acf":
-            relations = acf_scheme_relations(pipeline_regions)
-        else:
-            raise ConfigError(f"unknown relation scheme {cfg.relation_scheme!r}")
-
-    y = ocr_aggregate(relations, reps, params.value_transform, params.output_transform)
-    z = augment(feats, y, params.fuse_transform)
-    return z, regions
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,7 @@ def load_dataset(data_dir: str) -> dict[str, list[SyntheticScene]]:
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise DataError(f"no manifest at {manifest}")
+    root = os.path.realpath(data_dir)
     out: dict[str, list[SyntheticScene]] = {"train": [], "eval": []}
     for lineno, line in enumerate(read_text_lines(manifest, DataError), 1):
         line = line.strip()
@@ -242,9 +243,10 @@ def load_dataset(data_dir: str) -> dict[str, list[SyntheticScene]]:
         split, img_rel, lab_rel = parts
         if split not in out:
             raise DataError(f"{manifest}:{lineno}: unknown split {split!r}")
-        image = read_ppm(os.path.join(data_dir, img_rel))
-        labels = read_pgm(os.path.join(data_dir, lab_rel))
-        out[split].append(SyntheticScene(image, labels))
+        paths = [os.path.realpath(os.path.join(root, p)) for p in (img_rel, lab_rel)]
+        if any(os.path.commonpath([root, path]) != root for path in paths):
+            raise DataError(f"{manifest}:{lineno}: a scene path leaves {data_dir}")
+        out[split].append(SyntheticScene(read_ppm(paths[0]), read_pgm(paths[1])))
     if not out["train"] and not out["eval"]:
         raise DataError(f"{manifest} lists no scenes")
     return out

@@ -17,9 +17,10 @@ import numpy as np
 from . import flopcount as F
 from . import tensor as T
 from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock, uniform_init
-from .context import (FeatureMap, OcrConfig, OcrParams, aspp_lite,
-                      attention_logit_scale, augment, global_context,
-                      ocr_forward, ppm_lite, scaled_rates, self_attention_context)
+from .context import (FeatureMap, acf_scheme_relations, aspp_lite, augment,
+                      compute_soft_regions, da_scheme_relations, global_context,
+                      ocr_aggregate, pixel_region_relations, ppm_lite,
+                      region_representations, scaled_rates, self_attention_context)
 from .errors import ConfigError
 from .supervision import LabelMap, gt_regions, gt_relations
 
@@ -70,6 +71,14 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "double" else np.float32
 
+    @property
+    def relation_scale(self) -> float:
+        """Relation-logit scale: ``unit`` leaves dot products unscaled,
+        ``rsqrt_key`` divides them by sqrt(key_channels)."""
+        if self.attention_scale == "unit":
+            return 1.0
+        return 1.0 / float(np.sqrt(self.key_channels))
+
 
 @dataclass
 class ModelOutput:
@@ -112,9 +121,10 @@ class SegmentationModel:
         return obj
 
     @property
-    def params(self) -> OcrParams:
-        """The region pipeline's parameter bundle (region schemes only)."""
-        return self.stage.params
+    def params(self):
+        """The context stage, whose block attributes carry their checkpoint
+        names (``value_transform``, ...) and whose ``config`` is ``cfg``."""
+        return self.stage
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self._named)
@@ -160,11 +170,12 @@ class RelationalStage:
     context. Every relational scheme draws the stem first and the value,
     output and fuse transforms in ``_draw_shared``; a subclass draws its own
     parameters around them in ``_draw`` and supplies ``context_flops`` and
-    ``context`` (the region pipeline, which runs its own stem and fuse in
-    ``ocr_forward``, replaces ``__call__`` instead)."""
+    ``context(x, feats, labels)``, which maps the raw and stemmed features to
+    the context map and the auxiliary logits (or None). Each block attribute
+    is named as its checkpoint entry."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
-        cfg = self.cfg = model.cfg
+        cfg = self.config = model.cfg
         self.pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
         self.out_channels = cfg.mid_channels
         self.stem = model.draw("stem", Conv3x3Block.create, cfg.in_channels,
@@ -175,20 +186,22 @@ class RelationalStage:
         self._draw_shared(model)
 
     def _draw_shared(self, model: SegmentationModel) -> None:
-        cfg = self.cfg
-        self.value_t = model.draw("value_transform", TransformBlock.create,
-                                  self.pipe_in, cfg.key_channels)
-        self.output_t = model.draw("output_transform", TransformBlock.create,
-                                   cfg.key_channels, cfg.mid_channels)
-        self.fuse_t = model.draw("fuse_transform", TransformBlock.create,
-                                 self.pipe_in + cfg.mid_channels, cfg.mid_channels)
+        cfg = self.config
+        self.value_transform = model.draw("value_transform", TransformBlock.create,
+                                          self.pipe_in, cfg.key_channels)
+        self.output_transform = model.draw("output_transform", TransformBlock.create,
+                                           cfg.key_channels, cfg.mid_channels)
+        self.fuse_transform = model.draw("fuse_transform", TransformBlock.create,
+                                         self.pipe_in + cfg.mid_channels,
+                                         cfg.mid_channels)
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):
         feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
-        return augment(feats, self.context(feats), self.fuse_t), None
+        y, aux = self.context(x, feats, labels)
+        return augment(feats, y, self.fuse_transform), aux
 
     def flops(self, n: int) -> dict[str, int]:
-        cfg = self.cfg
+        cfg = self.config
         out: dict[str, int] = {}
         if self.stem is not None:
             out["stem"] = F.block_flops(cfg.in_channels, cfg.mid_channels, n, kernel=3)
@@ -199,73 +212,87 @@ class RelationalStage:
 
 
 class RegionStage(RelationalStage):
-    """The region-context pipeline, ``ocr_forward``: relation scheme per
-    config (ocr / da / acf) or oracle regions and relations (gt_ocr)."""
+    """The region-context pipeline: soft regions from the raw map's classifier,
+    one representation per region pooled from the stemmed features, then
+    pixel-region relations by ``config.module``: learned keys (ocr), predicted
+    from the pixel (da) or the classifier posterior (acf). gt_ocr substitutes
+    the label map's regions and relations and runs neither the region head nor
+    the relation step, so pixels of one class receive identical context."""
 
     def _draw(self, model: SegmentationModel) -> None:
-        cfg = self.cfg
+        cfg = self.config
         oracle = cfg.module == "gt_ocr"
-        scheme = "ocr" if oracle else cfg.module
         # Under oracle regions and relations the classifier and both key
         # transforms never receive gradients, so they are drawn (the stream
         # stays the same) but are not state.
-        region_head = model.draw(None if oracle else "region_head",
-                                 Conv1x1Head.create, cfg.in_channels,
-                                 cfg.num_classes, bias=False)
-        pixel_t = region_t = None
-        if scheme == "ocr":
+        self.region_head = model.draw(None if oracle else "region_head",
+                                      Conv1x1Head.create, cfg.in_channels,
+                                      cfg.num_classes, bias=False)
+        self.pixel_transform = self.region_transform = None
+        if cfg.module in ("ocr", "gt_ocr"):
             # only the learned-relation scheme compares pixel and region keys
-            pixel_t = model.draw(None if oracle else "pixel_transform",
-                                 TransformBlock.create, self.pipe_in, cfg.key_channels)
-            region_t = model.draw(None if oracle else "region_transform",
-                                  TransformBlock.create, self.pipe_in, cfg.key_channels)
+            self.pixel_transform = model.draw(
+                None if oracle else "pixel_transform", TransformBlock.create,
+                self.pipe_in, cfg.key_channels)
+            self.region_transform = model.draw(
+                None if oracle else "region_transform", TransformBlock.create,
+                self.pipe_in, cfg.key_channels)
         self._draw_shared(model)
         self.regions = cfg.num_classes
-        da_predictor = da_maps = None
-        if scheme == "da":
+        self.da_predictor = self.da_maps = None
+        if cfg.module == "da":
             self.regions = cfg.da_regions or cfg.num_classes
-            da_predictor = model.draw("da_predictor", Conv1x1Head.create,
-                                      self.pipe_in, self.regions, bias=True)
+            self.da_predictor = model.draw("da_predictor", Conv1x1Head.create,
+                                           self.pipe_in, self.regions, bias=True)
             if self.regions != cfg.num_classes:
-                da_maps = model.draw("da_maps", Conv1x1Head.create,
-                                     self.pipe_in, self.regions, bias=False)
-        ocr_config = OcrConfig(scheme, attention_logit_scale(cfg.attention_scale,
-                                                             cfg.key_channels))
-        self.params = OcrParams(ocr_config, region_head, pixel_t, region_t,
-                                self.value_t, self.output_t, self.fuse_t,
-                                self.stem, da_predictor, da_maps)
+                self.da_maps = model.draw("da_maps", Conv1x1Head.create,
+                                          self.pipe_in, self.regions, bias=False)
 
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        if self.cfg.module != "gt_ocr":
-            z, regions = ocr_forward(x, self.params)
-            return z, regions.logits
-        if labels is None:
-            raise ConfigError("gt_ocr forward requires a label map")
-        dtype = x.tensor.dtype
-        z, _ = ocr_forward(x, self.params, oracle=(gt_regions(labels, dtype=dtype),
-                                                   gt_relations(labels, dtype=dtype)))
-        return z, None
+    def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
+        module = self.config.module
+        if module == "gt_ocr":
+            if labels is None:
+                raise ConfigError("gt_ocr forward requires a label map")
+            regions = gt_regions(labels, dtype=x.tensor.dtype)
+            relations = gt_relations(labels, dtype=x.tensor.dtype)
+        else:
+            regions = compute_soft_regions(x, self.region_head)
+        # Wider unsupervised region maps: the pipeline pools these while the
+        # supervised classifier above still feeds the auxiliary loss.
+        pooled = regions if self.da_maps is None else compute_soft_regions(
+            feats, self.da_maps)
+        reps = region_representations(T.transpose(feats.pixels()), pooled)
+        if module == "ocr":
+            relations = pixel_region_relations(feats, reps, self.pixel_transform,
+                                               self.region_transform,
+                                               scale=self.config.relation_scale)
+        elif module == "da":
+            relations = da_scheme_relations(feats, self.da_predictor)
+        elif module == "acf":
+            relations = acf_scheme_relations(regions)
+        y = ocr_aggregate(relations, reps, self.value_transform, self.output_transform)
+        return y, None if module == "gt_ocr" else regions.logits
 
     def context_flops(self, n: int) -> dict[str, int]:
-        cfg = self.cfg
+        cfg = self.config
+        module = cfg.module
         c, d, k, r = self.pipe_in, cfg.key_channels, cfg.num_classes, self.regions
-        scheme = "oracle" if cfg.module == "gt_ocr" else cfg.module
         out: dict[str, int] = {}
-        if scheme != "oracle":
+        if module != "gt_ocr":
             out["region_head"] = F.conv1x1_flops(cfg.in_channels, k, n)
             out["region_softmax"] = F.softmax_flops(k, n)
-        if self.params.da_maps is not None:
+        if self.da_maps is not None:
             out["da_maps"] = F.conv1x1_flops(c, r, n) + F.softmax_flops(r, n)
         out["region_pool"] = F.matmul_flops(r, n, c)
-        if scheme == "ocr":
+        if module == "ocr":
             out["pixel_keys"] = F.block_flops(c, d, n)
             out["region_keys"] = F.block_flops(c, d, r)
             out["relation_logits"] = F.matmul_flops(n, d, r)
             out["relation_softmax"] = F.softmax_flops(n, r)
-        elif scheme == "da":
+        elif module == "da":
             out["relation_predictor"] = F.conv1x1_flops(c, r, n, bias=True)
             out["relation_softmax"] = F.softmax_flops(n, r)
-        elif scheme == "acf":
+        elif module == "acf":
             out["relation_softmax"] = F.softmax_flops(n, k)
         out["region_values"] = F.block_flops(c, d, r)
         out["aggregation"] = F.matmul_flops(n, r, d)
@@ -277,40 +304,42 @@ class SelfAttentionStage(RelationalStage):
     """Dense pairwise attention context: the quadratic-cost baseline."""
 
     def _draw(self, model: SegmentationModel) -> None:
-        cfg = self.cfg
-        self.pixel_t = model.draw("pixel_transform", TransformBlock.create,
-                                  self.pipe_in, cfg.key_channels)
-        self.context_t = model.draw("context_transform", TransformBlock.create,
-                                    self.pipe_in, cfg.key_channels)
+        cfg = self.config
+        self.pixel_transform = model.draw("pixel_transform", TransformBlock.create,
+                                          self.pipe_in, cfg.key_channels)
+        self.context_transform = model.draw("context_transform",
+                                            TransformBlock.create,
+                                            self.pipe_in, cfg.key_channels)
         self._draw_shared(model)
-        self.scale = attention_logit_scale(cfg.attention_scale, cfg.key_channels)
 
-    def context(self, feats: FeatureMap) -> FeatureMap:
-        return self_attention_context(feats, self.pixel_t, self.context_t,
-                                      self.value_t, self.output_t, scale=self.scale)
+    def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
+        return self_attention_context(
+            feats, self.pixel_transform, self.context_transform,
+            self.value_transform, self.output_transform,
+            scale=self.config.relation_scale), None
 
     def context_flops(self, n: int) -> dict[str, int]:
-        c, d = self.pipe_in, self.cfg.key_channels
+        c, d = self.pipe_in, self.config.key_channels
         return {"pixel_keys": F.block_flops(c, d, n),
                 "context_keys": F.block_flops(c, d, n),
                 "values": F.block_flops(c, d, n),
                 "relation_logits": F.matmul_flops(n, d, n),
                 "relation_softmax": F.softmax_flops(n, n),
                 "aggregation": F.matmul_flops(n, n, d),
-                "output_transform": F.block_flops(d, self.cfg.mid_channels, n)}
+                "output_transform": F.block_flops(d, self.config.mid_channels, n)}
 
 
 class GlobalStage(RelationalStage):
     """Single pooled context shared by every pixel."""
 
-    def context(self, feats: FeatureMap) -> FeatureMap:
-        return global_context(feats, self.value_t, self.output_t)
+    def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
+        return global_context(feats, self.value_transform, self.output_transform), None
 
     def context_flops(self, n: int) -> dict[str, int]:
-        d = self.cfg.key_channels
+        d = self.config.key_channels
         return {"values": F.block_flops(self.pipe_in, d, n),
                 "pool": F.pool_flops(d, n, 1),
-                "output_transform": F.block_flops(d, self.cfg.mid_channels, 1)}
+                "output_transform": F.block_flops(d, self.config.mid_channels, 1)}
 
 
 def _dilated_kernel(rng: np.random.Generator, in_channels: int, out_channels: int,
@@ -323,7 +352,7 @@ class AsppStage:
     """Parallel dilated convolutions of the raw map, concatenated."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
-        cfg = self.cfg = model.cfg
+        cfg = self.config = model.cfg
         self.branch_channels = cfg.key_channels
         rates = scaled_rates(cfg.aspp_rates, image_size, image_size)
         self.branches = [(rate, model.draw(f"branch_{i}.weight", _dilated_kernel,
@@ -335,7 +364,7 @@ class AsppStage:
         return aspp_lite(x, self.branches), None
 
     def flops(self, n: int) -> dict[str, int]:
-        return {f"branch_{i}": F.conv_kxk_flops(self.cfg.in_channels,
+        return {f"branch_{i}": F.conv_kxk_flops(self.config.in_channels,
                                                 self.branch_channels, n, 3)
                 for i in range(len(self.branches))}
 
@@ -344,7 +373,7 @@ class PpmStage:
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
-        cfg = self.cfg = model.cfg
+        cfg = self.config = model.cfg
         self.bins = tuple(cfg.ppm_bins)
         self.branch_channels = max(1, cfg.in_channels // len(self.bins))
         self.projections = [model.draw(f"branch_{i}", Conv1x1Head.create,
@@ -361,7 +390,7 @@ class PpmStage:
         return FeatureMap(self.fuse(cat.tensor)), None
 
     def flops(self, n: int) -> dict[str, int]:
-        cfg = self.cfg
+        cfg = self.config
         out: dict[str, int] = {}
         for i, b in enumerate(self.bins):
             out[f"pool_{i}"] = F.pool_flops(cfg.in_channels, n, b * b)

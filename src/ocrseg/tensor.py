@@ -686,9 +686,9 @@ def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = x.data[:, src_r][:, :, src_c]
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), src_r[:, None], src_c[None, :]), g)
-        return (gx,)
+        # every source row and column is hit, in order: sum each one's block
+        rows = np.add.reduceat(g, np.searchsorted(src_r, np.arange(h)), axis=1)
+        return (np.add.reduceat(rows, np.searchsorted(src_c, np.arange(w)), axis=2),)
 
     return _result(np.ascontiguousarray(out), (x,), back, "upsample_nearest")
 

@@ -243,14 +243,24 @@ def load_checkpoint(path: str, model: SegmentationModel) -> None:
         raise DataError(f"malformed checkpoint header in {path}: no entry list")
     body = blob[start + header_len:]
     state = {}
+    spans = []
     for entry in entries:
         problem = _entry_problem(entry)
+        if problem is None and entry["name"] in state:
+            problem = f"entry {entry['name']!r} repeats"
         if problem is not None:
             raise DataError(f"malformed checkpoint header in {path}: {problem}")
         offset, nbytes = entry["offset"], entry["nbytes"]
         if offset + nbytes > len(body):
             raise DataError(f"truncated checkpoint: {path}")
+        if nbytes:
+            spans.append((offset, offset + nbytes, entry["name"]))
         flat = np.frombuffer(body[offset:offset + nbytes],
                              dtype=np.dtype(entry["dtype"]))
         state[entry["name"]] = flat.reshape(entry["shape"]).copy()
+    spans.sort()  # by offset: an overlap shows between neighbours
+    for (_, end, first), (begin, _, second) in zip(spans, spans[1:]):
+        if begin < end:
+            raise DataError(f"malformed checkpoint header in {path}: entries "
+                            f"{first!r} and {second!r} overlap")
     model.load_state(state)

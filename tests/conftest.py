@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import BN_EPS, Conv1x1Head, TransformBlock
-from ocrseg.context import (FeatureMap, OcrConfig, OcrParams,
-                            attention_logit_scale)
-from ocrseg.models import build_model
+from ocrseg.blocks import BN_EPS, TransformBlock
+from ocrseg.context import FeatureMap
+from ocrseg.models import ModelConfig, build_model
 from ocrseg.profiler import BenchConfig
 
 import oracles
@@ -92,33 +91,8 @@ def feature_map(rng, channels, height, width, requires_grad=False, loc=0.0):
     return FeatureMap(T.Tensor(data, requires_grad=requires_grad))
 
 
-def make_ocr_params(rng, in_channels, num_classes, key_channels=4,
-                    mid_channels=5, scheme="ocr", attention_scale="unit",
-                    use_stem=False, da_regions=0):
-    """A full parameter bundle with freshly initialized blocks."""
-    from ocrseg.blocks import Conv3x3Block
-
-    cfg = OcrConfig(scheme, attention_logit_scale(attention_scale, key_channels))
-    stem = Conv3x3Block.create(rng, in_channels, in_channels) if use_stem else None
-    pixel_t = region_t = None
-    if scheme == "ocr":
-        pixel_t = TransformBlock.create(rng, in_channels, key_channels)
-        region_t = TransformBlock.create(rng, in_channels, key_channels)
-    da_predictor = da_maps = None
-    if scheme == "da":
-        regions = da_regions or num_classes
-        da_predictor = Conv1x1Head.create(rng, in_channels, regions)
-        if regions != num_classes:
-            da_maps = Conv1x1Head.create(rng, in_channels, regions, bias=False)
-    return OcrParams(
-        config=cfg,
-        region_head=Conv1x1Head.create(rng, in_channels, num_classes, bias=False),
-        pixel_transform=pixel_t,
-        region_transform=region_t,
-        value_transform=TransformBlock.create(rng, in_channels, mid_channels),
-        output_transform=TransformBlock.create(rng, mid_channels, mid_channels),
-        fuse_transform=TransformBlock.create(rng, in_channels + mid_channels,
-                                             mid_channels),
-        stem=stem,
-        da_predictor=da_predictor,
-        da_maps=da_maps)
+def region_stage(module="ocr", **settings):
+    """The context stage of a small region-scheme model (stem off unless
+    ``use_stem=True``): the blocks and settings the program itself builds."""
+    settings = {"key_channels": 4, "mid_channels": 5, "use_stem": False, **settings}
+    return build_model(ModelConfig(module=module, **settings)).stage

@@ -150,14 +150,13 @@ def _ocr_family_oracle(model, x_arr, labels):
         aux = region_logits
     reps = oracles.region_reps_loops(normalized, feats.T)
 
-    scheme = p.config.relation_scheme
     if cfg.module == "gt_ocr":
         pass  # one-hot relations already built
-    elif scheme == "ocr":
+    elif cfg.module == "ocr":
         q = oracles.apply_block_loops(p.pixel_transform, feats)
         rk = oracles.apply_block_loops(p.region_transform, reps.T)
         relations = oracles.relations_loops(q, rk, p.config.relation_scale)
-    elif scheme == "da":
+    elif cfg.module == "da":
         logits = _head_loops(p.da_predictor, feats)
         relations = oracles.softmax_rows_loops(logits.T)
     else:  # acf reads relations off the classifier posterior
@@ -177,13 +176,13 @@ def _self_attn_oracle(model, x_arr):
     n = h * w
     feats = x_arr.reshape(c, n) if stage.stem is None else \
         _block3x3_loops(stage.stem, x_arr).reshape(-1, n)
-    q = oracles.apply_block_loops(stage.pixel_t, feats)
-    k = oracles.apply_block_loops(stage.context_t, feats)
-    weights = oracles.relations_loops(q, k, stage.scale)
-    vals = oracles.apply_block_loops(stage.value_t, feats)
+    q = oracles.apply_block_loops(stage.pixel_transform, feats)
+    k = oracles.apply_block_loops(stage.context_transform, feats)
+    weights = oracles.relations_loops(q, k, stage.config.relation_scale)
+    vals = oracles.apply_block_loops(stage.value_transform, feats)
     ctx = oracles.aggregate_loops(weights, vals.T)
-    y = oracles.apply_block_loops(stage.output_t, ctx.T)
-    z = oracles.apply_block_loops(stage.fuse_t,
+    y = oracles.apply_block_loops(stage.output_transform, ctx.T)
+    z = oracles.apply_block_loops(stage.fuse_transform,
                                   np.concatenate([feats, y], axis=0))
     return _head_loops(model.final_head, z), None
 
@@ -194,16 +193,16 @@ def _global_oracle(model, x_arr):
     n = h * w
     feats = x_arr.reshape(c, n) if stage.stem is None else \
         _block3x3_loops(stage.stem, x_arr).reshape(-1, n)
-    vals = oracles.apply_block_loops(stage.value_t, feats)
+    vals = oracles.apply_block_loops(stage.value_transform, feats)
     pooled = np.zeros((vals.shape[0], 1))
     for ch in range(vals.shape[0]):
         acc = 0.0
         for p in range(n):
             acc += float(vals[ch, p])
         pooled[ch, 0] = acc / n
-    y = oracles.apply_block_loops(stage.output_t, pooled)
+    y = oracles.apply_block_loops(stage.output_transform, pooled)
     y = np.repeat(y, n, axis=1)
-    z = oracles.apply_block_loops(stage.fuse_t,
+    z = oracles.apply_block_loops(stage.fuse_transform,
                                   np.concatenate([feats, y], axis=0))
     return _head_loops(model.final_head, z), None
 

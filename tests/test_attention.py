@@ -10,19 +10,19 @@ from ocrseg.attention import (EquivalenceMapping, EquivalenceReport,
                               transformer_equivalence_check)
 from ocrseg.blocks import Conv1x1Head, TransformBlock
 from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix,
-                            attention_logit_scale,
                             compute_soft_regions, ocr_aggregate,
                             pixel_region_relations, region_representations)
 from ocrseg.errors import ConfigError, DimensionError, ParameterError
 from ocrseg.models import ModelConfig
 
 import oracles
-from conftest import (feature_map, make_ocr_params, max_grad_fd_error, projected,
+from conftest import (feature_map, max_grad_fd_error, projected, region_stage,
                       tensor)
 
 
 def rsqrt_scale(key_width):
-    return attention_logit_scale("rsqrt_key", key_width)
+    return ModelConfig(key_channels=key_width,
+                       attention_scale="rsqrt_key").relation_scale
 
 
 class TestRsqrtScale:
@@ -213,9 +213,9 @@ class TestEncoderCrossAttention:
 
 
 class TestEquivalenceMapping:
-    def test_validate_names_missing_fields(self, rng):
-        params = make_ocr_params(rng, 3, 2)
-        mapping = EquivalenceMapping.from_params(params)
+    def test_validate_names_missing_fields(self):
+        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
+                                                              num_classes=2))
         mapping.validate()
         mapping.region_transform = None
         mapping.value_transform = None
@@ -224,26 +224,26 @@ class TestEquivalenceMapping:
         assert "region_transform" in str(err.value)
         assert "value_transform" in str(err.value)
 
-    def test_from_params_inherits_relation_scale(self, rng):
-        params = make_ocr_params(rng, 3, 2, attention_scale="rsqrt_key")
-        mapping = EquivalenceMapping.from_params(params)
-        assert mapping.encoder_scale == params.config.relation_scale
+    def test_from_params_inherits_relation_scale(self):
+        stage = region_stage(in_channels=3, num_classes=2, attention_scale="rsqrt_key")
+        mapping = EquivalenceMapping.from_params(stage)
+        assert mapping.encoder_scale == stage.config.relation_scale == 0.5
         assert mapping.decoder_scale == 1.0
 
 
 class TestEquivalenceCheck:
     def test_mapped_instance_passes(self, rng):
-        params = make_ocr_params(rng, in_channels=4, num_classes=3)
-        mapping = EquivalenceMapping.from_params(params)
+        mapping = EquivalenceMapping.from_params(region_stage(in_channels=4,
+                                                              num_classes=3))
         report = transformer_equivalence_check(feature_map(rng, 4, 3, 3), mapping)
         assert report.passed
         assert report.max_abs_discrepancy <= 1e-10
         assert str(report).startswith("[PASS] max |y_context - y_attention|")
 
     def test_scale_mismatch_fails_and_is_reported(self, rng):
-        params = make_ocr_params(rng, in_channels=4, num_classes=3)
         mapping = EquivalenceMapping.from_params(
-            params, encoder_scale=rsqrt_scale(4))  # the params' key width
+            region_stage(in_channels=4, num_classes=3),
+            encoder_scale=rsqrt_scale(4))  # the stage's key width
         report = transformer_equivalence_check(feature_map(rng, 4, 3, 3),
                                                mapping, relation_scale=1.0)
         assert not report.passed
@@ -252,14 +252,14 @@ class TestEquivalenceCheck:
         assert "[FAIL]" in str(report)
 
     def test_single_region_collapse_passes(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=1)
-        mapping = EquivalenceMapping.from_params(params)
+        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
+                                                              num_classes=1))
         report = transformer_equivalence_check(feature_map(rng, 3, 2, 2), mapping)
         assert report.passed
 
     def test_biased_region_head_rejected(self, rng):
-        params = make_ocr_params(rng, 3, 2)
-        mapping = EquivalenceMapping.from_params(params)
+        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
+                                                              num_classes=2))
         mapping.queries = Conv1x1Head.create(rng, 3, 2, bias=True)
         with pytest.raises(ConfigError) as err:
             transformer_equivalence_check(feature_map(rng, 3, 2, 2), mapping)

@@ -144,6 +144,42 @@ class TestHostileData:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def edit_checkpoint(path, edit):
+    """Rewrite a checkpoint file after ``edit(entries, body)`` returns the
+    new body; the header is re-encoded to match."""
+    blob = path.read_bytes()
+    start = len(b"OCRSEG1\n") + 8
+    size = int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:start + size])
+    body = edit(header["entries"], blob[start + size:])
+    new = json.dumps(header).encode("ascii")
+    path.write_bytes(blob[:start - 8] + len(new).to_bytes(8, "little") + new + body)
+
+
+def repeat_first(entries, body):
+    # a second copy of the first name at a fresh range, which would win
+    entries.append(dict(entries[0], offset=len(body)))
+    return body + bytes(entries[0]["nbytes"])
+
+
+def overlap_first_two(entries, body):
+    entries[1]["offset"] = entries[0]["offset"] + 8
+    return body
+
+
+class TestHostileCheckpoint:
+    @pytest.mark.parametrize("edit, problem", [(repeat_first, "repeats"),
+                                               (overlap_first_two, "overlap")])
+    def test_eval_rejects_entries(self, tmp_path, capsys, edit, problem):
+        assert run_cli("train", tmp_path, iterations=0) == 0
+        edit_checkpoint(tmp_path / "out" / "checkpoint.ckpt", edit)
+        capsys.readouterr()
+        assert run_cli("eval", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and problem in err
+        assert "Traceback" not in err
+
+
 class TestTrainEval:
     def test_train_emits_log_checkpoint_metrics(self, tmp_path, capsys):
         assert run_cli("train", tmp_path) == 0

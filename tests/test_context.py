@@ -7,11 +7,10 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg.blocks import Conv1x1Head, TransformBlock
-from ocrseg.context import (FeatureMap, OcrConfig, OcrParams,
-                            RegionReps, RelationMatrix, SoftRegionSet,
+from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix, SoftRegionSet,
                             acf_scheme_relations, aspp_lite, augment,
                             compute_soft_regions, da_scheme_relations,
-                            global_context, ocr_aggregate, ocr_forward,
+                            global_context, ocr_aggregate,
                             pixel_region_relations, ppm_lite,
                             region_representations, scaled_rates,
                             self_attention_context, transpose_reps)
@@ -19,7 +18,7 @@ from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
 from ocrseg.models import ModelConfig
 
 import oracles
-from conftest import dot_all, feature_map, identity_block, make_ocr_params, tensor
+from conftest import dot_all, feature_map, identity_block, region_stage, tensor
 
 
 def region_set(normalized, height, width, logits=None, empty=()):
@@ -413,86 +412,63 @@ class TestAugment:
 
 
 class TestOcrForward:
+    """The region stage that every region-scheme model runs."""
+
     def test_single_pixel_single_region_collapse(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=1)
+        stage = region_stage(in_channels=3, num_classes=1)
         x = feature_map(rng, 3, 1, 1)
-        z, regions = ocr_forward(x, params)
-        assert np.array_equal(regions.normalized.data, np.ones((1, 1)))
+        z, aux = stage(x, None)
+        assert aux.data.shape == (1, 1)
         f = x.pixels()  # the single pixel is the region rep
-        y = params.output_transform(params.value_transform(f))
+        y = stage.output_transform(stage.value_transform(f))
         want = oracles.apply_block_loops(
-            params.fuse_transform, np.vstack([f.data, y.data]))
+            stage.fuse_transform, np.vstack([f.data, y.data]))
         assert np.max(np.abs(z.pixels().data - want)) < 1e-10
 
     @pytest.mark.parametrize("scheme", ["ocr", "da", "acf"])
     def test_permutation_equivariance(self, rng, scheme):
-        params = make_ocr_params(rng, in_channels=4, num_classes=3,
-                                 scheme=scheme, da_regions=0)
+        stage = region_stage(scheme, in_channels=4, num_classes=3)
         data = rng.normal(0, 1, (4, 6))
         perm = rng.permutation(6)
-        z1, _ = ocr_forward(FeatureMap(tensor(data.reshape(4, 2, 3))), params)
-        z2, _ = ocr_forward(FeatureMap(tensor(data[:, perm].reshape(4, 2, 3))), params)
+        z1, _ = stage(FeatureMap(tensor(data.reshape(4, 2, 3))), None)
+        z2, _ = stage(FeatureMap(tensor(data[:, perm].reshape(4, 2, 3))), None)
         assert np.max(np.abs(z2.pixels().data - z1.pixels().data[:, perm])) < 1e-10
 
     def test_full_composition_against_loop_oracle(self, rng):
-        params = make_ocr_params(rng, in_channels=4, num_classes=3,
-                                 key_channels=4, mid_channels=5)
+        stage = region_stage(in_channels=4, num_classes=3)
         x = feature_map(rng, 4, 8, 8)
-        z, regions = ocr_forward(x, params)
+        z, aux = stage(x, None)
 
         px = x.tensor.data.reshape(4, 64)
-        logits = oracles.conv1x1_loops(px, params.region_head.weight.data)
+        logits = oracles.conv1x1_loops(px, stage.region_head.weight.data)
+        assert np.max(np.abs(aux.data - logits)) < 1e-10
         norm = oracles.softmax_rows_loops(logits)
-        assert np.max(np.abs(regions.normalized.data - norm)) < 1e-10
         reps = oracles.region_reps_loops(norm, px.T)
-        pixel_keys = oracles.apply_block_loops(params.pixel_transform, px)
-        region_keys = oracles.apply_block_loops(params.region_transform, reps.T)
+        pixel_keys = oracles.apply_block_loops(stage.pixel_transform, px)
+        region_keys = oracles.apply_block_loops(stage.region_transform, reps.T)
         rel = oracles.relations_loops(pixel_keys, region_keys,
-                                      params.config.relation_scale)
-        vals = oracles.apply_block_loops(params.value_transform, reps.T)
+                                      stage.config.relation_scale)
+        vals = oracles.apply_block_loops(stage.value_transform, reps.T)
         pre = oracles.aggregate_loops(rel, vals.T)
-        y = oracles.apply_block_loops(params.output_transform, pre.T)
-        want = oracles.apply_block_loops(params.fuse_transform, np.vstack([px, y]))
+        y = oracles.apply_block_loops(stage.output_transform, pre.T)
+        want = oracles.apply_block_loops(stage.fuse_transform, np.vstack([px, y]))
         assert np.max(np.abs(z.pixels().data - want)) < 1e-10
 
-    def test_unknown_relation_scheme(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=2, scheme="acf")
-        params.config.relation_scheme = "bogus"
-        with pytest.raises(ConfigError, match="bogus"):
-            ocr_forward(feature_map(rng, 3, 2, 2), params)
-
-    def test_da_scheme_missing_predictor(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=2, scheme="da")
-        params.da_predictor = None
-        with pytest.raises(ConfigError):
-            ocr_forward(feature_map(rng, 3, 2, 2), params)
-
-    def test_learned_scheme_requires_key_transforms(self, rng):
-        with pytest.raises(ConfigError):
-            make_ocr_params(rng, 3, 2, scheme="ocr").__class__(
-                config=OcrConfig(),
-                region_head=Conv1x1Head.create(rng, 3, 2, bias=False),
-                pixel_transform=None, region_transform=None,
-                value_transform=TransformBlock.create(rng, 3, 5),
-                output_transform=TransformBlock.create(rng, 5, 5),
-                fuse_transform=TransformBlock.create(rng, 8, 5))
-
     def test_da_wide_regions_use_unsupervised_maps(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=2,
-                                 scheme="da", da_regions=5)
+        stage = region_stage("da", in_channels=3, num_classes=2, da_regions=5)
         x = feature_map(rng, 3, 2, 3)
-        z, regions = ocr_forward(x, params)
+        z, aux = stage(x, None)
         # auxiliary regions still carry one row per class
-        assert regions.num_regions == 2
-        assert z.pixels().data.shape[0] == params.fuse_transform.out_channels
+        assert aux.data.shape == (2, 6)
+        assert z.pixels().data.shape[0] == stage.fuse_transform.out_channels
 
     def test_stem_reroutes_pipeline_but_not_region_head(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=2, use_stem=True)
+        stage = region_stage(in_channels=3, num_classes=2, use_stem=True)
         x = feature_map(rng, 3, 3, 3)
-        _, regions = ocr_forward(x, params)
+        _, aux = stage(x, None)
         head_logits = oracles.conv1x1_loops(x.tensor.data.reshape(3, 9),
-                                            params.region_head.weight.data)
-        assert np.max(np.abs(regions.logits.data - head_logits)) < 1e-12
+                                            stage.region_head.weight.data)
+        assert np.max(np.abs(aux.data - head_logits)) < 1e-12
 
 
 class TestSelfAttention:

@@ -224,6 +224,19 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_scene_paths_stay_inside_the_data_dir(self, tmp_path, absolute):
+        # readable scene files one level up: only the manifest entry is wrong
+        data = tmp_path / "data"
+        write_dataset(str(data), generate_scenes(2, 1, 12, 3), [])
+        for name in ("outside.ppm", "outside.pgm"):
+            (tmp_path / name).write_bytes(
+                (data / "train" / ("scene_0000" + name[-4:])).read_bytes())
+        ref = str(tmp_path) + "/outside" if absolute else "../outside"
+        (data / "manifest.txt").write_text(f"train {ref}.ppm {ref}.pgm\n")
+        with pytest.raises(DataError, match="leaves"):
+            load_dataset(str(data))
+
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("\n")
         with pytest.raises(DataError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.context import FeatureMap
+from ocrseg.context import FeatureMap, self_attention_context
 from ocrseg.errors import ConfigError
 from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
                            PpmStage, RegionStage, RelationalStage, SegmentationModel,
@@ -66,13 +66,18 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(module=module, mid_channels=0)
 
-    def test_self_attention_uses_the_relation_scale(self):
-        for scale in ("unit", "rsqrt_key"):
-            cfg = small_config("self_attn", attention_scale=scale, key_channels=9)
-            ocr = build_model(small_config("ocr", attention_scale=scale,
-                                           key_channels=9))
-            assert build_model(cfg).stage.scale == ocr.params.config.relation_scale
-        assert build_model(cfg).stage.scale == 1.0 / 3.0
+    def test_self_attention_uses_the_relation_scale(self, rng):
+        cfg = small_config("self_attn", attention_scale="rsqrt_key", key_channels=9)
+        assert cfg.relation_scale == 1.0 / 3.0
+        assert small_config("self_attn", key_channels=9).relation_scale == 1.0
+        stage = build_model(cfg).stage
+        feats = feature_map(rng, cfg.mid_channels, 3, 3)
+        got, _ = stage.context(None, feats, None)
+        for scale, same in ((1.0 / 3.0, True), (1.0, False)):
+            want = self_attention_context(
+                feats, stage.pixel_transform, stage.context_transform,
+                stage.value_transform, stage.output_transform, scale=scale)
+            assert np.array_equal(got.tensor.data, want.tensor.data) == same
 
 
 class TestBuildModel:

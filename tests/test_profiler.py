@@ -1,13 +1,18 @@
 """Analytic cost counting conventions, the full-scale comparison table, and
 the empirical peak-memory/wall-time bench."""
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ocrseg.context as context
 import ocrseg.flopcount as F
 import ocrseg.tensor as T
+from ocrseg.attention import EquivalenceMapping, transformer_equivalence_check
+from ocrseg.context import FeatureMap
 from ocrseg.errors import ConfigError
 from ocrseg.models import ModelConfig, build_model, full_scale_config
 from ocrseg.profiler import (BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
@@ -19,6 +24,8 @@ from ocrseg.profiler import (BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
 from ocrseg.blocks import Conv1x1Head
 
 from conftest import quadratic_share
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_bench(**overrides):
@@ -191,6 +198,41 @@ class TestBenchConfig:
         assert rsqrt.model_config("ocr").da_regions == 0
         model = build_model(rsqrt.model_config("ocr"), image_size=rsqrt.height)
         assert model.params.config.relation_scale == 1.0 / np.sqrt(rsqrt.key_channels)
+
+
+class TestWhatTheBenchmarkReads:
+    """Names the benchmark under ``perfbench/`` reads from the package: a
+    rename fails here, not in the benchmark."""
+
+    def test_equivalence_check_through_model_params(self):
+        bench = BenchConfig(height=8, width=8)
+        model = build_model(bench.model_config("ocr"), image_size=8)
+        rng = np.random.default_rng(0)
+        fm = FeatureMap(T.Tensor(rng.normal(0.0, 1.0, bench.input_shape)))
+        with T.no_grad():
+            report = transformer_equivalence_check(
+                fm, EquivalenceMapping.from_params(model.params), tolerance=1e-10,
+                region_scale=1.0, relation_scale=model.params.config.relation_scale)
+        assert report.passed, str(report)
+
+    def test_flop_keys_are_the_ones_the_stage_table_sums(self):
+        layers = ast.parse((REPO / "perfbench" / "layers.py").read_text())
+        stages = next(ast.literal_eval(node.value) for node in layers.body
+                      if isinstance(node, ast.Assign)
+                      and getattr(node.targets[0], "id", None) == "STAGES")
+        assert all(callable(getattr(context, fn))
+                   for fns, _ in stages.values() for fn in fns)
+        summed = {key for _, keys in stages.values() for key in keys}
+        bench = BenchConfig(height=8, width=8)
+        seen = set()
+        for module in ("ocr", "da", "acf"):
+            model = build_model(bench.model_config(module), image_size=8)
+            # the stem and the classifier belong to no context stage
+            keys = set(model.flop_breakdown(8, 8)) - {"stem", "final_head"}
+            assert keys <= summed, module
+            seen |= keys
+        assert bench.model_config("da").da_regions > 0
+        assert seen == summed
 
 
 class TestMeasurement:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.context import FeatureMap, ocr_aggregate, ocr_forward
+from ocrseg.context import FeatureMap
 from ocrseg.errors import (ConfigError, DataError, DimensionError,
                            ParameterError)
 from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
@@ -14,16 +14,16 @@ from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
                                 pixel_cross_entropy, poly_lr)
 
 import oracles
-from conftest import feature_map, identity_block, make_ocr_params, tensor
+from conftest import feature_map, identity_block, region_stage, tensor
 
 
 def label_map(array, num_classes):
     return LabelMap(np.asarray(array, dtype=np.int64), num_classes)
 
 
-def oracle_forward(x, labels, params):
-    """The pipeline with ground-truth regions and relations substituted."""
-    return ocr_forward(x, params, oracle=(gt_regions(labels), gt_relations(labels)))
+def gt_stage(**settings):
+    """The region stage with ground-truth regions and relations substituted."""
+    return region_stage("gt_ocr", **settings)
 
 
 class TestLabelMap:
@@ -148,17 +148,17 @@ class TestGtRelations:
 
 
 class TestGtOcrForward:
-    """``ocr_forward`` with ground-truth regions and relations as its oracle."""
+    """The gt_ocr region stage: ground-truth regions and relations as its
+    oracle."""
 
     def test_same_label_pixels_identical_context(self, rng):
         # identity fuse on nonnegative features makes z = [x; y] exactly,
         # exposing the context half for comparison
-        params = make_ocr_params(rng, in_channels=3, num_classes=2,
-                                 mid_channels=5)
-        params.fuse_transform = identity_block(8)
+        stage = gt_stage(in_channels=3, num_classes=2, mid_channels=5)
+        stage.fuse_transform = identity_block(8)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 3)))))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z, _ = oracle_forward(x, labels, params)
+        z, _ = stage(x, labels)
         y = z.pixels().data[3:]
         flat = labels.flat
         for a in range(6):
@@ -167,69 +167,67 @@ class TestGtOcrForward:
                     assert np.max(np.abs(y[:, a] - y[:, b])) < 1e-12
 
     def test_single_class_constant_context(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=1,
-                                 mid_channels=4)
-        params.fuse_transform = identity_block(7)
+        stage = gt_stage(in_channels=3, num_classes=1, mid_channels=4)
+        stage.fuse_transform = identity_block(7)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
-        z, _ = oracle_forward(x, label_map(np.zeros((2, 2), dtype=np.int64), 1),
-                              params)
+        z, _ = stage(x, label_map(np.zeros((2, 2), dtype=np.int64), 1))
         y = z.pixels().data[3:]
         assert np.max(np.abs(y - y[:, [0]])) < 1e-12
 
     def test_matches_loop_composition(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=3,
-                                 mid_channels=5)
+        stage = gt_stage(in_channels=3, num_classes=3, mid_channels=5)
         labels = rng.integers(0, 3, (4, 4))
         labels[1, 3] = 255
         lm = label_map(labels, 3)
         x = feature_map(rng, 3, 4, 4)
-        z, regions = oracle_forward(x, lm, params)
+        z, aux = stage(x, lm)
+        assert aux is None
 
         px = x.tensor.data.reshape(3, 16)
         norm = oracles.gt_region_rows_loops(lm.flat, 3)
-        assert np.array_equal(regions.normalized.data, norm)
         rel = oracles.one_hot_rows_loops(lm.flat, 3)
         reps = oracles.region_reps_loops(norm, px.T)
-        vals = oracles.apply_block_loops(params.value_transform, reps.T)
+        vals = oracles.apply_block_loops(stage.value_transform, reps.T)
         pre = oracles.aggregate_loops(rel, vals.T)
-        y = oracles.apply_block_loops(params.output_transform, pre.T)
-        want = oracles.apply_block_loops(params.fuse_transform,
+        y = oracles.apply_block_loops(stage.output_transform, pre.T)
+        want = oracles.apply_block_loops(stage.fuse_transform,
                                          np.vstack([px, y]))
         assert np.max(np.abs(z.pixels().data - want)) < 1e-12
 
     def test_mean_replacement_leaves_context_unchanged(self, rng):
         # the context half only sees per-class means of the pixel features
-        params = make_ocr_params(rng, in_channels=3, num_classes=2,
-                                 mid_channels=4)
-        params.fuse_transform = identity_block(7)
+        stage = gt_stage(in_channels=3, num_classes=2, mid_channels=4)
+        stage.fuse_transform = identity_block(7)
         data = np.abs(rng.normal(0, 1, (3, 2, 3)))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z1, _ = oracle_forward(FeatureMap(tensor(data)), labels, params)
+        z1, _ = stage(FeatureMap(tensor(data)), labels)
 
         replaced = data.reshape(3, 6).copy()
         flat = labels.flat
         for k in range(2):
             members = flat == k
             replaced[:, members] = replaced[:, members].mean(axis=1, keepdims=True)
-        z2, _ = oracle_forward(FeatureMap(tensor(replaced.reshape(3, 2, 3))),
-                               labels, params)
+        z2, _ = stage(FeatureMap(tensor(replaced.reshape(3, 2, 3))), labels)
         y1 = z1.pixels().data[3:]
         y2 = z2.pixels().data[3:]
         assert np.max(np.abs(y1 - y2)) < 1e-10
 
     def test_shape_mismatch(self, rng):
-        params = make_ocr_params(rng, 3, 2)
+        stage = gt_stage(in_channels=3, num_classes=2)
         with pytest.raises(DimensionError):
-            oracle_forward(feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2),
-                           params)
+            stage(feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2))
+        with pytest.raises(DimensionError):  # as many pixels, transposed
+            stage(feature_map(rng, 3, 3, 2), label_map([[0, 1, 0], [1, 0, 1]], 2))
+        with pytest.raises(ConfigError):
+            stage(feature_map(rng, 3, 2, 2), None)
 
     def test_runs_neither_region_head_nor_relation_step(self, rng):
-        params = make_ocr_params(rng, in_channels=3, num_classes=2)
+        stage = gt_stage(in_channels=3, num_classes=2)
         x = feature_map(rng, 3, 2, 3)
         labels = label_map([[0, 1, 0], [1, 1, 255]], 2)
-        want, _ = oracle_forward(x, labels, params)
-        params.region_head = params.pixel_transform = params.region_transform = None
-        got, _ = oracle_forward(x, labels, params)
+        want, _ = stage(x, labels)
+        stage.region_head = stage.pixel_transform = stage.region_transform = None
+        got, _ = stage(x, labels)
         assert np.array_equal(got.pixels().data, want.pixels().data)
 
 

@@ -596,6 +596,22 @@ class TestPoolingAndResize:
         got = T.upsample_nearest(tensor(x), 5, 7).data
         assert np.array_equal(got, oracles.upsample_nearest_loops(x, 5, 7))
 
+    @pytest.mark.parametrize("size", [(2, 3, 5, 7), (1, 1, 4, 6), (3, 2, 3, 2)])
+    def test_upsample_backward_is_the_loop_adjoint(self, rng, size):
+        # uneven ratios: source cells cover blocks of unequal size
+        h, w, out_h, out_w = size
+        x = tensor(rng.normal(0, 1, (2, h, w)), requires_grad=True)
+        g = rng.normal(0, 1, (2, out_h, out_w))
+        T.backward(dot_all(T.upsample_nearest(x, out_h, out_w), tensor(g)))
+        want = np.zeros((2, h, w))
+        for i in range(h):
+            for j in range(w):
+                basis = np.zeros((2, h, w))
+                basis[:, i, j] = 1.0
+                up = oracles.upsample_nearest_loops(basis, out_h, out_w)
+                want[:, i, j] = (up * g).sum(axis=(1, 2))
+        assert np.max(np.abs(x.grad - want)) < 1e-12
+
     def test_upsample_cannot_shrink(self):
         with pytest.raises(ParameterError):
             T.upsample_nearest(tensor(np.ones((1, 4, 4))), 2, 4)
