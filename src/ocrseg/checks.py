@@ -235,16 +235,13 @@ def run_equivalence_suite(instances: int = 100, seed: int = 0,
         model = _equivalence_model(rng, channels, classes, key, scale_mode)
         x = FeatureMap(T.Tensor(rng.normal(0.0, 1.5, (channels, height, width))))
         mapping = EquivalenceMapping.from_params(model.params)
-        reports.append(transformer_equivalence_check(
-            x, mapping, tolerance=tolerance,
-            relation_scale=model.params.config.relation_scale))
+        reports.append(transformer_equivalence_check(x, mapping, tolerance=tolerance))
 
-    # Control: encoder runs at 1/sqrt(d) while the region pipeline stays at
-    # unit scale. The checker must fail and name the mismatched scale.
+    # Control: the encoder runs at 1/sqrt(d) = 1/3 while the unit-scale stage
+    # relates at 1. The checker must fail and name the mismatched scale.
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4, instances, 1)))
-    model = _equivalence_model(rng, 6, 4, 9, "rsqrt_key")
+    model = _equivalence_model(rng, 6, 4, 9, "unit")
     x = FeatureMap(T.Tensor(rng.normal(0.0, 1.5, (6, 3, 4))))
-    mapping = EquivalenceMapping.from_params(model.params)  # encoder 1/3
-    control = transformer_equivalence_check(x, mapping, tolerance=tolerance,
-                                            relation_scale=1.0)
+    mapping = EquivalenceMapping.from_params(model.params, encoder_scale=1 / 3)
+    control = transformer_equivalence_check(x, mapping, tolerance=tolerance)
     return EquivalenceSuiteReport(reports, control, float(tolerance))

@@ -79,6 +79,12 @@ class RunConfig:
         self.model_config()
         if self.equiv_instances < 1 or self.grad_instances < 1:
             raise ConfigError("equiv_instances and grad_instances must be >= 1")
+        # the gradient suite passes on error < tolerance, the equivalence
+        # suite on discrepancy <= tolerance: below these no run can pass
+        if self.grad_tolerance <= 0:
+            raise ConfigError(f"grad_tolerance must be > 0, got {self.grad_tolerance}")
+        if self.equiv_tolerance < 0:
+            raise ConfigError(f"equiv_tolerance must be >= 0, got {self.equiv_tolerance}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.train_scenes < 1 or self.eval_scenes < 1:

@@ -161,14 +161,11 @@ class RelationMatrix:
 # pipeline stages
 
 
-def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
-                         temperature: float = 1.0) -> SoftRegionSet:
+def compute_soft_regions(x: FeatureMap, head: Conv1x1Head) -> SoftRegionSet:
     """Classifier logits per region, spatially softmaxed: each region row is a
     distribution over the image's pixels."""
-    if head.out_channels < 1:
-        raise ConfigError("region head must produce at least one region")
     logits = head(x.pixels())  # (K, N)
-    normalized = T.softmax_rows(logits, temperature=temperature)
+    normalized = T.softmax_rows(logits)
     return SoftRegionSet(logits, normalized, x.height, x.width)
 
 
@@ -295,10 +292,6 @@ def ppm_lite(x: FeatureMap, bins: Sequence[int],
     """Pooling pyramid: per bin size, average-pool to bin x bin, project with
     a 1x1 conv, nearest-upsample back, and concatenate with x."""
     bins = tuple(int(b) for b in bins)
-    if len(bins) != len(projections):
-        raise ConfigError(f"{len(bins)} bins but {len(projections)} projections")
-    if not bins:
-        raise ConfigError("at least one pooling bin is required")
     limit = min(x.height, x.width)
     for b in bins:
         if b < 1 or b > limit:

@@ -3,6 +3,7 @@ correspondence between the attention pipeline and the region-context one."""
 import numpy as np
 import pytest
 
+import ocrseg.models as models
 import ocrseg.tensor as T
 from ocrseg.attention import (EquivalenceMapping, EquivalenceReport,
                               decoder_cross_attention,
@@ -213,22 +214,17 @@ class TestEncoderCrossAttention:
 
 
 class TestEquivalenceMapping:
-    def test_validate_names_missing_fields(self):
-        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
-                                                              num_classes=2))
-        mapping.validate()
-        mapping.region_transform = None
-        mapping.value_transform = None
-        with pytest.raises(ConfigError) as err:
-            mapping.validate()
-        assert "region_transform" in str(err.value)
-        assert "value_transform" in str(err.value)
+    def test_from_params_rejects_other_stages(self):
+        for stage in (region_stage("da", in_channels=3, num_classes=2),
+                      region_stage(in_channels=3, num_classes=2, use_stem=True)):
+            with pytest.raises(ConfigError) as err:
+                EquivalenceMapping.from_params(stage)
+            assert "no-stem ocr stage" in str(err.value)
 
     def test_from_params_inherits_relation_scale(self):
         stage = region_stage(in_channels=3, num_classes=2, attention_scale="rsqrt_key")
         mapping = EquivalenceMapping.from_params(stage)
         assert mapping.encoder_scale == stage.config.relation_scale == 0.5
-        assert mapping.decoder_scale == 1.0
 
 
 class TestEquivalenceCheck:
@@ -260,10 +256,42 @@ class TestEquivalenceCheck:
     def test_biased_region_head_rejected(self, rng):
         mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
                                                               num_classes=2))
-        mapping.queries = Conv1x1Head.create(rng, 3, 2, bias=True)
+        mapping.stage.region_head = Conv1x1Head.create(rng, 3, 2, bias=True)
         with pytest.raises(ConfigError) as err:
             transformer_equivalence_check(feature_map(rng, 3, 2, 2), mapping)
         assert "bias-free" in str(err.value)
+
+    def test_restated_scales_must_match_the_stage(self, rng):
+        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
+                                                              num_classes=2))
+        x = feature_map(rng, 3, 2, 2)
+        assert transformer_equivalence_check(x, mapping, region_scale=1.0,
+                                             relation_scale=1.0).passed
+        for restated in ({"region_scale": 2.0}, {"relation_scale": 0.5}):
+            with pytest.raises(ParameterError):
+                transformer_equivalence_check(x, mapping, **restated)
+
+    @pytest.mark.parametrize("scale_mode, fault", [
+        ("unit", "swapped_keys"), ("rsqrt_key", "unit_scale")])
+    def test_fault_in_the_stage_fails_the_gate(self, rng, monkeypatch,
+                                               scale_mode, fault):
+        # the gate runs the stage's own context, so a fault in the relation
+        # step the stage calls must surface as a discrepancy
+        real = models.pixel_region_relations
+
+        def faulty(x, reps, pixel_transform, region_transform, scale):
+            if fault == "swapped_keys":
+                return real(x, reps, region_transform, pixel_transform, scale=scale)
+            return real(x, reps, pixel_transform, region_transform, scale=1.0)
+
+        monkeypatch.setattr(models, "pixel_region_relations", faulty)
+        stage = region_stage(in_channels=4, num_classes=3, attention_scale=scale_mode)
+        report = transformer_equivalence_check(
+            feature_map(rng, 4, 3, 3), EquivalenceMapping.from_params(stage),
+            relation_scale=stage.config.relation_scale)
+        assert not report.passed
+        assert report.max_abs_discrepancy > 1e-10
+        assert "[FAIL]" in str(report)
 
     def test_report_string_carries_discrepancy(self):
         report = EquivalenceReport(2.5e-3, 1e-10, False, "paths disagree")

@@ -723,8 +723,3 @@ class TestPpmLite:
         x = feature_map(rng, 3, 4, 4)
         with pytest.raises(ConfigError):
             ppm_lite(x, (5,), (Conv1x1Head.create(rng, 3, 2),))
-
-    def test_count_mismatch(self, rng):
-        x = feature_map(rng, 3, 4, 4)
-        with pytest.raises(ConfigError):
-            ppm_lite(x, (1, 2), (Conv1x1Head.create(rng, 3, 2),))
