@@ -54,14 +54,6 @@ class Conv1x1Head:
                          requires_grad=True)
         return cls(w, b)
 
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
     def __call__(self, x: T.Tensor) -> T.Tensor:
         return T.conv1x1(x, self.weight, self.bias)
 
@@ -103,14 +95,6 @@ class TransformBlock:
                          requires_grad=True)
         return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
                    np.ones(out_channels, dtype=dtype))
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
 
     def __call__(self, *parts: T.Tensor) -> T.Tensor:
         """The block applied to its input, given whole or as column parts

@@ -92,6 +92,9 @@ class RunConfig:
         if not 0.0 <= self.ignore_fraction < 1.0:
             raise ConfigError(f"ignore_fraction must be in [0, 1), "
                               f"got {self.ignore_fraction}")
+        for key in ("noise", "jitter", "momentum", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.shapes_min < 1 or self.shapes_max < self.shapes_min:
             raise ConfigError("need shapes_max >= shapes_min >= 1")
         problem = scene_shape_problem(self.grid, self.classes)

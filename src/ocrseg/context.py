@@ -291,11 +291,10 @@ def ppm_lite(x: FeatureMap, bins: Sequence[int],
              projections: Sequence[Conv1x1Head]) -> FeatureMap:
     """Pooling pyramid: per bin size, average-pool to bin x bin, project with
     a 1x1 conv, nearest-upsample back, and concatenate with x."""
-    bins = tuple(int(b) for b in bins)
     limit = min(x.height, x.width)
     for b in bins:
-        if b < 1 or b > limit:
-            raise ConfigError(f"bin {b} invalid for {x.height}x{x.width} input")
+        if b > limit:
+            raise ConfigError(f"bin {b} exceeds the {x.height}x{x.width} input")
     ups = [T.upsample_nearest(proj(T.avg_pool2d(x.tensor, b, b)), x.height, x.width)
            for b, proj in zip(bins, projections)]
     return FeatureMap(T.concat0(x.tensor, *ups))

@@ -9,6 +9,11 @@ creation index; ``backward`` linearizes the subgraph reachable from a scalar
 loss into a :class:`GradTape` (creation order is a valid topological order)
 and replays it exactly once in reverse. Only leaves (parameters, inputs)
 keep a gradient; an op result's is dropped once its backward has run.
+
+A backward computes nothing for an input that does not require grad and
+returns ``None`` in its slot; it reads ``requires_grad`` when it runs, as
+the tape does, so a forward pays nothing for the rule. A convolution's
+weight, bias and batchnorm slots are always formed.
 """
 from __future__ import annotations
 
@@ -259,7 +264,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _result(out, (a, b), back, "matmul")
 
@@ -300,7 +306,8 @@ def concat0(*parts: Tensor) -> Tensor:
     splits = np.cumsum([p.data.shape[0] for p in parts[:-1]])
 
     def back(g):
-        return tuple(np.split(g, splits, axis=0))
+        return tuple(gp if p.requires_grad else None
+                     for p, gp in zip(parts, np.split(g, splits, axis=0)))
 
     return _result(out, parts, back, "concat0")
 
@@ -311,7 +318,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def back(g):
-        return g, g
+        return g if a.requires_grad else None, g if b.requires_grad else None
 
     return _result(out, (a, b), back, "add")
 
@@ -390,16 +397,19 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
         _normalize_rows(block)
 
     def back(g):
-        dq_t = np.empty((n, d), dtype=s.dtype)
+        dq_t = np.empty((n, d), dtype=s.dtype) if q.requires_grad else None
         dk = None
         for rows in blocks:
             ds = _softmax_grad(s[rows], g[rows], temperature)
-            np.matmul(ds, k.data.T, out=dq_t[rows])
+            if dq_t is not None:
+                np.matmul(ds, k.data.T, out=dq_t[rows])
+            if not k.requires_grad:
+                continue
             if dk is None:
                 dk = q.data[:, rows] @ ds
             else:
                 dk += q.data[:, rows] @ ds
-        return dq_t.T, dk
+        return None if dq_t is None else dq_t.T, dk
 
     return _result(s, (q, k), back, "relation_softmax")
 
@@ -431,8 +441,9 @@ def _gemm_accumulate(out2: np.ndarray, terms) -> None:
 # The two input layouts of a convolution. Each holds ``terms``, pairs of a
 # weight index and the input matrix that meets those weights; ``conv`` sums
 # the terms' products into a fresh output, ``widen`` lays an output gradient
-# out like the products, and ``backward`` returns the input gradients and the
-# weight-shaped sum of g x^T over the terms.
+# out like the products, and ``backward`` returns the input gradients (``None``
+# for an input that does not require grad) and the weight-shaped sum of g x^T
+# over the terms.
 
 
 class _Parts:
@@ -450,13 +461,13 @@ class _Parts:
         if sum(s[0] for s in shapes) != weight.shape[1]:
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
-        self.shapes = shapes
+        self.parts = parts
         bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.terms = [((slice(None), slice(bounds[i], bounds[i + 1])),
                        p.data.reshape(shapes[i][0], -1)) for i, p in enumerate(parts)]
 
     def conv(self, weight: np.ndarray, dtype) -> np.ndarray:
-        out = np.empty((weight.shape[0],) + self.shapes[0][1:], dtype=dtype)
+        out = np.empty((weight.shape[0],) + self.parts[0].data.shape[1:], dtype=dtype)
         _gemm_accumulate(out.reshape(weight.shape[0], -1),
                          ((weight[idx], xm) for idx, xm in self.terms))
         return out
@@ -469,9 +480,10 @@ class _Parts:
     def backward(self, g: np.ndarray, weight: np.ndarray):
         m = np.empty_like(weight)
         grads = []
-        for (idx, xm), shape in zip(self.terms, self.shapes):
+        for (idx, xm), part in zip(self.terms, self.parts):
             m[idx] = g @ xm.T
-            grads.append((weight[idx].T @ g).reshape(shape))
+            grads.append((weight[idx].T @ g).reshape(part.data.shape)
+                         if part.requires_grad else None)
         return grads, m
 
 
@@ -485,9 +497,10 @@ class _TapGrid:
     tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
     it is, so no tap is copied; products over the padded width are cropped
     to H x W once (``conv``), and gradients enter with zero spill columns
-    (``widen``) and leave cropped the same way (``backward``). From a
-    dilation of max(H, W) on, every off-centre tap reads only padding, so a
-    larger one is clamped to it.
+    (``widen``). An input that requires grad gets its gradient as the taps'
+    products summed into a flat buffer laid out like the input's, cropped to
+    H x W (``backward``). From a dilation of max(H, W) on, every off-centre
+    tap reads only padding, so a larger one is clamped to it.
     """
 
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
@@ -502,7 +515,8 @@ class _TapGrid:
             raise ParameterError(f"{op} kernel size must be odd, got {k}")
         if int(dilation) < 1:
             raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
-        x = parts[0].data
+        self.input = parts[0]
+        x = self.input.data
         if weight.shape[1] != x.shape[0]:
             raise DimensionError(f"{op} weight {weight.shape} does not match input {x.shape}")
         c, self.h, self.w = x.shape
@@ -544,10 +558,13 @@ class _TapGrid:
         return wide.reshape(g.shape[0], self.cols)
 
     def backward(self, g: np.ndarray, weight: np.ndarray):
-        gflat = np.zeros_like(self.flat)
         m = np.empty_like(weight)
-        for (idx, xm), win in zip(self.terms, self.windows):
+        for idx, xm in self.terms:
             m[idx] = g @ xm.T
+        if not self.input.requires_grad:
+            return (None,), m
+        gflat = np.zeros_like(self.flat)
+        for (idx, _), win in zip(self.terms, self.windows):
             gflat[:, win] += weight[idx].T @ g
         return (self._image(gflat)[:, self.pad:self.pad + self.h,
                                    self.pad:self.pad + self.w],), m

@@ -80,7 +80,8 @@ class TestUsageErrors:
         ("grad-check", "grad_instances=0"), ("equiv-check", "equiv_instances=0"),
         ("train", "ppm_bins="), ("train", "aspp_rates=-5"), ("train", "aspp_rates=0"),
         ("gen-data", "ppm_bins=0,2"), ("equiv-check", "equiv_tolerance=-1"),
-        ("grad-check", "grad_tolerance=-1")])
+        ("grad-check", "grad_tolerance=-1"), ("train", "noise=-1"), ("train", "jitter=-1"),
+        ("train", "momentum=-1"), ("train", "weight_decay=-1")])
     def test_bad_values_exit_two_without_traceback(self, tmp_path, capsys, cmd, bad):
         code = cli_main([cmd, "--set", "iterations=1", "--set", bad,
                          "--set", f"data_dir={tmp_path / 'data'}",
@@ -88,6 +89,7 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
         assert bad.split("=")[0] in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
@@ -273,7 +275,7 @@ class TestBench:
         for model in region:
             assert model.params.config.relation_scale == 1.0 / np.sqrt(4)
             if model.cfg.module == "da":
-                assert model.params.da_maps.out_channels == 5
+                assert model.params.da_maps.weight.shape[0] == 5
         payload = json.loads((tmp_path / "out" / "bench.json").read_text())
         assert payload["bench_config"]["attention_scale"] == "rsqrt_key"
         assert payload["bench_config"]["da_regions"] == 5

@@ -460,7 +460,7 @@ class TestOcrForward:
         z, aux = stage(x, None)
         # auxiliary regions still carry one row per class
         assert aux.data.shape == (2, 6)
-        assert z.pixels().data.shape[0] == stage.fuse_transform.out_channels
+        assert z.pixels().data.shape[0] == stage.fuse_transform.weight.shape[0]
 
     def test_stem_reroutes_pipeline_but_not_region_head(self, rng):
         stage = region_stage(in_channels=3, num_classes=2, use_stem=True)

@@ -348,13 +348,14 @@ class TestEngineSurface:
     TAPE_NAMES = {"cross_entropy_logits": "cross_entropy"}
 
     @staticmethod
-    def training_tape(module):
-        """One tiny forward, combined loss and backward; the input features
-        require grad, so ops applied to them directly are recorded too."""
+    def training_tape(module, input_grad=True):
+        """One tiny forward, combined loss and backward; by default the input
+        features require grad, so ops applied to them directly are recorded
+        too."""
         rng = np.random.default_rng(3)
         model = build_model(small_config(module, aspp_rates=(1, 2), ppm_bins=(1, 2)),
                             image_size=4)
-        x = feature_map(rng, 5, 4, 4, requires_grad=True)
+        x = feature_map(rng, 5, 4, 4, requires_grad=input_grad)
         labels = LabelMap(rng.integers(0, 3, size=(4, 4)), 3)
         out = model.forward(x, labels)
         loss = combined_loss(out.final_logits, out.aux_logits, labels, LossConfig())
@@ -440,3 +441,11 @@ class TestEngineSurface:
         assert all(node.grad is None for node in tape.nodes)
         assert x.tensor.grad is not None and x.tensor.grad.shape == x.tensor.shape
         assert all(p.grad is not None for p in model.parameters())
+
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_frozen_input_leaves_parameter_gradients_bitwise(self, module):
+        model, _, _ = self.training_tape(module)
+        frozen, x, _ = self.training_tape(module, input_grad=False)
+        assert x.tensor.grad is None
+        for p, q in zip(model.parameters(), frozen.parameters()):
+            assert np.array_equal(p.grad, q.grad)

@@ -833,6 +833,55 @@ class TestGradientsEveryOp:
         assert max_grad_fd_error([x], fwd) < self.TOL
 
 
+class TestFrozenInputs:
+    """A backward returns None for a parent that does not require grad, and
+    every other slot is bitwise what it is when all parents require grad."""
+
+    @staticmethod
+    def slots(build, leaves, frozen=None):
+        tensors = [tensor(d, requires_grad=i != frozen) for i, d in enumerate(leaves)]
+        out = build(*tensors)
+        return out._backward_fn(np.random.default_rng(5).normal(0, 1, out.shape))
+
+    def cases(self, rng):
+        gain, shift, inv_std, mean = affine_args(rng, 3)
+        bn = (gain.data, shift.data)
+
+        def block(n_parts):
+            return lambda *t: T.conv_bn_relu(t[:n_parts], *t[n_parts:], inv_std, mean)
+
+        x3 = rng.normal(0, 1, (2, 5, 4))
+        return {
+            "matmul": (T.matmul, [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2))], (0, 1)),
+            "add": (T.add, [rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (2, 3))], (0, 1)),
+            "relation_softmax": (lambda q, k: T.relation_softmax(q, k, 0.6),
+                                 [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4))], (0, 1)),
+            "concat0": (T.concat0, [rng.normal(0, 1, (c, 2, 2)) for c in (1, 3, 2)], (0, 1, 2)),
+            "conv1x1": (T.conv1x1, [x3, rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)], (0,)),
+            "conv_spatial": (lambda x, w: T.conv_spatial(x, w, dilation=2),
+                             [x3, rng.normal(0, 1, (3, 2, 3, 3))], (0,)),
+            "conv_bn_relu_pointwise": (block(1), [x3, rng.normal(0, 1, (3, 2)), *bn], (0,)),
+            "conv_bn_relu_parts": (block(2), [rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (3, 6)),
+                                              rng.normal(0, 1, (3, 5)), *bn], (0, 1)),
+            "conv_bn_relu_3x3": (block(1), [x3, rng.normal(0, 1, (3, 2, 3, 3)), *bn], (0,)),
+        }
+
+    @pytest.mark.parametrize("op", [
+        "matmul", "add", "relation_softmax", "concat0", "conv1x1", "conv_spatial",
+        "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_3x3"])
+    def test_frozen_parent_gets_no_gradient(self, rng, monkeypatch, op):
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row relation blocks
+        build, leaves, frozen_slots = self.cases(rng)[op]
+        full = self.slots(build, leaves)
+        assert all(g is not None for g in full)
+        for frozen in frozen_slots:
+            got = self.slots(build, leaves, frozen)
+            assert got[frozen] is None
+            for i, (g, want) in enumerate(zip(got, full)):
+                if i != frozen:
+                    assert np.array_equal(g, want), (op, frozen, i)
+
+
 # ---------------------------------------------------------------------------
 # tracked allocation accounting
 
