@@ -162,6 +162,8 @@ def _read_pnm_header(f) -> tuple[bytes, int, int]:
     w, h, maxval = (int(v) for v in fields[:3])
     if maxval != 255:
         raise DataError(f"unsupported maxval {maxval}; expected 255")
+    if w < 1 or h < 1:
+        raise DataError(f"empty pixmap: {w}x{h}; width and height must be at least 1")
     return magic, w, h
 
 

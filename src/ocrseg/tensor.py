@@ -5,14 +5,16 @@ Layout ops (``reshape``, ``transpose``) return views of their input's buffer
 and allocate nothing; every other op writes into a fresh buffer it allocates
 itself. No op writes into a buffer it did not allocate, so a view stays valid
 for as long as it lives. Each op result carries a backward closure and a
-creation index; ``backward`` linearizes the subgraph reachable from a scalar
-loss into a :class:`GradTape` (creation order is a valid topological order)
-and replays it exactly once in reverse. Only leaves (parameters, inputs)
-keep a gradient; an op result's is dropped once its backward has run.
+creation index; ``backward`` replays the subgraph reachable from a scalar
+loss once, in reverse creation order (a valid topological order), and
+consumes it as it goes: each op result drops its closure and parents, so
+the graph's buffers are freed during the replay and a second backward
+through it raises ``StateError``. Only leaves (parameters, inputs) keep a
+gradient; an op result's is dropped once its backward has run.
 
 A backward computes nothing for an input that does not require grad and
 returns ``None`` in its slot; it reads ``requires_grad`` when it runs, as
-the tape does, so a forward pays nothing for the rule. A convolution's
+the replay does, so a forward pays nothing for the rule. A convolution's
 weight, bias and batchnorm slots are always formed.
 """
 from __future__ import annotations
@@ -111,14 +113,15 @@ class AllocationTracker:
 
 
 # ---------------------------------------------------------------------------
-# tensor and tape
+# tensor and graph
 
 
 class Tensor:
-    """Dense real-valued array that participates in the gradient tape when
+    """Dense real-valued array that is recorded in the autodiff graph when
     ``requires_grad`` is set. Only a leaf (a tensor no recorded op produced,
     such as a parameter) keeps a ``grad``, of ``data``'s shape, after
-    backward; an op result's gradient lives only while the tape replays."""
+    backward; an op result's gradient lives only while ``backward`` replays
+    it."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
                  "_index", "_opname")
@@ -161,84 +164,67 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-class GradTape:
-    """Topologically ordered record of the ops reachable from one result.
-
-    ``nodes`` holds op-result tensors in ascending creation index, which is a
-    topological order because an op's inputs always predate its output. The
-    tape is single-use: replaying it twice would double-accumulate the
-    leaves' gradients.
-    """
-
-    def __init__(self, nodes: list[Tensor]) -> None:
-        self.nodes = nodes
-        self.consumed = False
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "GradTape":
-        seen: set[int] = set()
-        nodes: list[Tensor] = []
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen or t._backward_fn is None:
-                continue
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-        nodes.sort(key=lambda t: t._index)
-        return cls(nodes)
-
-    def run(self, root: Tensor) -> None:
-        """Propagate d(root)/d(node) backward through the nodes. An op result's
-        gradient is held only until its own backward has consumed it; a
-        leaf's is added to its ``grad``."""
-        if self.consumed:
-            raise StateError("gradient tape already replayed; tapes are single-use")
-        self.consumed = True
-        # owner buffers of the gradients charged so far, by id; the weak
-        # reference tells a live owner from a freed one whose id was reused
-        charged: dict[int, weakref.ref] | None = {} if _TRACKER_STACK else None
-        pending: dict[int, np.ndarray] = {id(root): np.ones((), dtype=root.dtype)}
-        for t in reversed(self.nodes):
-            out_grad = pending.pop(id(t), None)
-            if out_grad is None:
-                continue  # recorded but not on a path to the root
-            grads = t._backward_fn(out_grad)
-            for parent, g in zip(t._parents, grads):
-                if g is None or not parent.requires_grad:
-                    continue
-                # the sum of two 0-d arrays is a numpy scalar, not a buffer
-                if parent._backward_fn is None:
-                    parent.grad = kept = (g if parent.grad is None
-                                          else np.asarray(parent.grad + g))
-                else:
-                    key = id(parent)
-                    pending[key] = kept = (g if key not in pending
-                                           else np.asarray(pending[key] + g))
-                if charged is not None:
-                    while isinstance(kept.base, np.ndarray):
-                        kept = kept.base
-                    ref = charged.get(id(kept))
-                    if ref is None or ref() is not kept:
-                        charged[id(kept)] = weakref.ref(kept)
-                        _charge(kept)
+# a replayed result's closure: with None it would pass for a leaf, and a later
+# backward through it would silently give it a gradient
+def _replayed(g):
+    raise StateError("graph already replayed; backward consumes the graph it "
+                     "replays, so build a new loss")
 
 
-def backward(loss: Tensor) -> GradTape:
+def backward(loss: Tensor) -> list[Tensor]:
     """Add d(loss)/d(leaf) to ``grad`` of every requires_grad leaf reachable
-    from ``loss``; op results keep no gradient.
+    from ``loss``, consuming the graph as it replays it; op results keep no
+    gradient, and each one's is held only until its own backward has run.
 
-    ``loss`` must be scalar. Returns the (now consumed) tape.
+    ``loss`` must be scalar. Returns the replayed op results in creation
+    order.
     """
     if loss.data.shape != ():
         raise ParameterError(
             f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ParameterError("loss does not require grad; nothing to differentiate")
-    tape = GradTape.trace(loss)
-    tape.run(loss)
-    return tape
+    seen: set[int] = set()
+    nodes: list[Tensor] = []
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._backward_fn is None:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t._parents)
+    nodes.sort(key=lambda t: t._index)
+    # owner buffers of the gradients charged so far, by id; the weak
+    # reference tells a live owner from a freed one whose id was reused
+    charged: dict[int, weakref.ref] | None = {} if _TRACKER_STACK else None
+    pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
+    for t in reversed(nodes):
+        parents, backward_fn = t._parents, t._backward_fn
+        t._parents, t._backward_fn = (), _replayed
+        out_grad = pending.pop(id(t), None)
+        if out_grad is None:
+            continue  # recorded but not on a path to the loss
+        grads = backward_fn(out_grad)
+        for parent, g in zip(parents, grads):
+            if g is None or not parent.requires_grad:
+                continue
+            # the sum of two 0-d arrays is a numpy scalar, not a buffer
+            if parent._backward_fn is None:
+                parent.grad = kept = (g if parent.grad is None
+                                      else np.asarray(parent.grad + g))
+            else:
+                key = id(parent)
+                pending[key] = kept = (g if key not in pending
+                                       else np.asarray(pending[key] + g))
+            if charged is not None:
+                while isinstance(kept.base, np.ndarray):
+                    kept = kept.base
+                ref = charged.get(id(kept))
+                if ref is None or ref() is not kept:
+                    charged[id(kept)] = weakref.ref(kept)
+                    _charge(kept)
+    return nodes
 
 
 def zero_grads(tensors) -> None:

@@ -25,7 +25,7 @@ def rel_err(a: float, b: float, floor: float = 1e-3) -> float:
 
 
 def max_grad_fd_error(params, forward, h=1e-6):
-    """Worst relative disagreement between tape gradients and central
+    """Worst relative disagreement between backward's gradients and central
     differences, swept over every entry of every parameter."""
     loss = forward()
     T.backward(loss)

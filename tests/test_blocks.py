@@ -65,7 +65,7 @@ class TestTransformBlock:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_runs_as_conv_then_one_fused_op(self, rng):
-        # one tape op per block call: the GEMM (or the 3x3 taps), the frozen
+        # one recorded op per block call: the GEMM (or the 3x3 taps), the frozen
         # BN and the ReLU all happen inside it
         block = TransformBlock.create(rng, 3, 4)
         x = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)

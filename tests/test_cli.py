@@ -146,6 +146,20 @@ class TestHostileData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 12", b"12 0"])
+    def test_empty_pixmap_exits_one(self, tmp_path, capsys, size):
+        # an empty image and label map used to agree in shape and end in a
+        # raw numpy reduction error
+        assert run_cli("gen-data", tmp_path) == 0
+        scene = tmp_path / "data" / "train" / "scene_0000"
+        scene.with_suffix(".ppm").write_bytes(b"P6\n" + size + b"\n255\n")
+        scene.with_suffix(".pgm").write_bytes(b"P5\n" + size + b"\n255\n")
+        capsys.readouterr()
+        assert run_cli("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: empty pixmap") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 def edit_checkpoint(path, edit):
     """Rewrite a checkpoint file after ``edit(entries, body)`` returns the

@@ -190,6 +190,15 @@ class TestPixmapIO:
         with pytest.raises(DataError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n0 2\n255\n", b"P5\n2 0\n255\n",
+                                        b"P6\n0 0\n255\n"])
+    def test_empty_pixmap(self, tmp_path, header):
+        path = str(tmp_path / "empty.pnm")
+        with open(path, "wb") as f:
+            f.write(header + bytes(6))
+        with pytest.raises(DataError, match="empty pixmap"):
+            (read_ppm if header.startswith(b"P6") else read_pgm)(path)
+
     def test_writer_input_checks(self, tmp_path):
         with pytest.raises(DataError):
             write_ppm(str(tmp_path / "x.ppm"), np.zeros((2, 2), dtype=np.uint8))

@@ -344,14 +344,14 @@ class TestEngineSurface:
     backward leaves gradients on leaves only, every package module reads
     each name it imports, and every error class is raised somewhere."""
 
-    # public op functions whose tape name differs from the function name
-    TAPE_NAMES = {"cross_entropy_logits": "cross_entropy"}
+    # public op functions whose recorded name differs from the function name
+    OP_NAMES = {"cross_entropy_logits": "cross_entropy"}
 
     @staticmethod
-    def training_tape(module, input_grad=True):
+    def training_step(module, input_grad=True):
         """One tiny forward, combined loss and backward; by default the input
         features require grad, so ops applied to them directly are recorded
-        too."""
+        too. Returns the model, the input and the replayed op results."""
         rng = np.random.default_rng(3)
         model = build_model(small_config(module, aspp_rates=(1, 2), ppm_bins=(1, 2)),
                             image_size=4)
@@ -368,9 +368,9 @@ class TestEngineSurface:
                and inspect.signature(fn).return_annotation in ("Tensor", T.Tensor)}
         recorded = set()
         for module in MODULE_CHOICES:
-            recorded |= {node._opname for node in self.training_tape(module)[2].nodes}
+            recorded |= {node._opname for node in self.training_step(module)[2]}
         assert "conv_bn_relu" in ops and "backward" not in ops
-        missing = sorted(op for op in ops if self.TAPE_NAMES.get(op, op) not in recorded)
+        missing = sorted(op for op in ops if self.OP_NAMES.get(op, op) not in recorded)
         assert not missing, f"tensor ops no scheme's training step runs: {missing}"
 
     @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
@@ -436,16 +436,16 @@ class TestEngineSurface:
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_only_leaves_keep_gradients(self, module):
-        model, x, tape = self.training_tape(module)
-        assert tape.nodes
-        assert all(node.grad is None for node in tape.nodes)
+        model, x, nodes = self.training_step(module)
+        assert nodes
+        assert all(node.grad is None for node in nodes)
         assert x.tensor.grad is not None and x.tensor.grad.shape == x.tensor.shape
         assert all(p.grad is not None for p in model.parameters())
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_frozen_input_leaves_parameter_gradients_bitwise(self, module):
-        model, _, _ = self.training_tape(module)
-        frozen, x, _ = self.training_tape(module, input_grad=False)
+        model, _, _ = self.training_step(module)
+        frozen, x, _ = self.training_step(module, input_grad=False)
         assert x.tensor.grad is None
         for p, q in zip(model.parameters(), frozen.parameters()):
             assert np.array_equal(p.grad, q.grad)

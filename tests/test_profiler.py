@@ -2,6 +2,7 @@
 the empirical peak-memory/wall-time bench."""
 import ast
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +24,17 @@ from ocrseg.blocks import Conv1x1Head
 from conftest import quadratic_share
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``'s ``WORKLOADS``, imported as
+    ``perfbench/run.py`` imports it."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return workloads.WORKLOADS
 
 
 def small_bench(**overrides):
@@ -201,14 +213,15 @@ class TestWhatTheBenchmarkReads:
     """Names the benchmark under ``perfbench/`` reads from the package: a
     rename fails here, not in the benchmark."""
 
-    def test_infer_ocr_128_prepare_checks_pass(self, tmp_path, monkeypatch):
-        # the benchmark's own call, imported as perfbench/run.py imports it
+    @pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+    def test_workload_checks_pass(self, name, tmp_path):
+        # the benchmark's own calls: an output the benchmark would count as
+        # incorrect fails here
         import ocrseg
-        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-        import workloads
-        workload = workloads.InferOcr128(ocrseg, 0, str(tmp_path))
+        workload = benchmark_workloads()[name](ocrseg, 0, str(tmp_path))
         workload.setup()
         assert workload.prepare_checks() == []
+        assert workload.check(workload.op()) is None
 
     def test_flop_keys_are_the_ones_the_stage_table_sums(self):
         layers = ast.parse((REPO / "perfbench" / "layers.py").read_text())

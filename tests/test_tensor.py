@@ -2,6 +2,7 @@
 gradients against central finite differences, and allocation tracking."""
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -703,11 +704,39 @@ class TestAutogradBasics:
             T.backward(sum_all(x))
 
     def test_tape_is_single_use(self, rng):
+        # backward consumes the graph it replays; a second replay would
+        # double-accumulate the leaves' gradients
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
         loss = dot_all(x, x)
-        tape = T.backward(loss)
+        T.backward(loss)
+        first = x.grad.copy()
         with pytest.raises(StateError):
-            tape.run(loss)
+            T.backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_loss_on_a_replayed_result_raises(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
+        doubled = T.scale(x, 2.0)
+        T.backward(sum_all(doubled))
+        with pytest.raises(StateError):
+            T.backward(sum_all(doubled))
+        assert doubled.grad is None
+
+    def test_backward_frees_the_graph(self, rng):
+        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        hidden = T.scale(x, 2.0)
+        buffer = weakref.ref(hidden.data)
+        loss = sum_all(hidden)
+        del hidden
+        assert buffer() is not None  # the graph still holds it
+        T.backward(loss)
+        assert buffer() is None
+        assert np.isclose(float(loss.data), 2.0 * float(x.data.sum()))
+
+    def test_backward_returns_the_replayed_results_in_creation_order(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
+        nodes = T.backward(sum_all(T.scale(x, 2.0)))
+        assert [n._opname for n in nodes] == ["scale", "reshape", "matmul", "reshape"]
 
     def test_no_grad_suppresses_recording(self, rng):
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
@@ -968,7 +997,7 @@ class TestAllocationTracker:
 
     def test_summed_scalar_gradient_is_an_array(self, rng):
         # a 0-d result read twice sums two 0-d gradients, which numpy
-        # returns as a scalar unless the tape keeps the sum a buffer
+        # returns as a scalar unless backward keeps the sum a buffer
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
         total = sum_all(x)
         with T.AllocationTracker():

@@ -86,6 +86,18 @@ class TestTrainModel:
         with pytest.raises(DataError):
             train_model(tiny_config(), [])
 
+    def test_peak_does_not_grow_with_iterations(self):
+        # backward frees each graph it replays, so the next iteration's
+        # forward never runs while the previous graph is still held
+        def peak(iterations):
+            cfg = RunConfig(grid=32, train_scenes=2, iterations=iterations)
+            pairs = tiny_pairs(cfg, 2, 0)
+            with T.AllocationTracker() as tracker:
+                train_model(cfg, pairs)
+            return tracker.peak_bytes
+
+        assert peak(3) == peak(1) > 0
+
     def test_log_csv_format(self):
         text = train_log_csv([TrainRow(0, 0.5, 1.25), TrainRow(1, 0.25, 0.75)])
         assert text == "iteration,lr,loss\n0,0.5,1.25\n1,0.25,0.75\n"
