@@ -240,23 +240,18 @@ def self_attention_context(x: FeatureMap,
                            context_transform: TransformBlock | None,
                            value_transform: TransformBlock | None,
                            output_transform: TransformBlock | None,
-                           scale: float = 1.0,
-                           return_relations: bool = False):
+                           scale: float = 1.0) -> FeatureMap:
     """Dense pairwise context: every pixel attends over every pixel. The
-    relation matrix is N x N, the quadratic-cost baseline."""
+    relation matrix is N x N, the quadratic-cost baseline; ``T.attend``
+    forms it a row block at a time."""
     px = x.pixels()
     q = px if pixel_transform is None else pixel_transform(px)
     k = px if context_transform is None else context_transform(px)
-    weights = T.relation_softmax(q, k, scale)  # (N, N)
     vals = px if value_transform is None else value_transform(px)  # (C_v, N)
-    ctx = T.matmul(weights, T.transpose(vals))  # (N, C_v)
-    y = T.transpose(ctx)
+    y = T.transpose(T.attend(q, k, vals, scale))  # (C_v, N)
     if output_transform is not None:
         y = output_transform(y)
-    fm = FeatureMap.from_pixels(y, x.height, x.width)
-    if return_relations:
-        return fm, RelationMatrix(weights, x.height, x.width)
-    return fm
+    return FeatureMap.from_pixels(y, x.height, x.width)
 
 
 def global_context(x: FeatureMap,
@@ -288,13 +283,14 @@ def aspp_lite(x: FeatureMap,
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],
-             projections: Sequence[Conv1x1Head]) -> FeatureMap:
+             projections: Sequence[Conv1x1Head]) -> list[T.Tensor]:
     """Pooling pyramid: per bin size, average-pool to bin x bin, project with
-    a 1x1 conv, nearest-upsample back, and concatenate with x."""
+    a 1x1 conv and nearest-upsample back. Returns x and the branches as the
+    column parts of their channel concatenation, which is never built."""
     limit = min(x.height, x.width)
     for b in bins:
         if b > limit:
             raise ConfigError(f"bin {b} exceeds the {x.height}x{x.width} input")
-    ups = [T.upsample_nearest(proj(T.avg_pool2d(x.tensor, b, b)), x.height, x.width)
-           for b, proj in zip(bins, projections)]
-    return FeatureMap(T.concat0(x.tensor, *ups))
+    return [x.tensor, *(T.upsample_nearest(proj(T.avg_pool2d(x.tensor, b, b)),
+                                           x.height, x.width)
+                        for b, proj in zip(bins, projections))]

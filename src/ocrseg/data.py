@@ -145,25 +145,26 @@ def write_pgm(path: str, labels: np.ndarray) -> None:
         f.write(labels.tobytes())
 
 
-def _read_pnm_header(f) -> tuple[bytes, int, int]:
+def _read_pnm_header(f, path: str) -> tuple[bytes, int, int]:
     magic = f.read(2)
     if magic not in (b"P5", b"P6"):
-        raise DataError(f"unsupported magic {magic!r}; expected P5 or P6")
+        raise DataError(f"{path}: unsupported magic {magic!r}; expected P5 or P6")
     fields = []
     while len(fields) < 3:
         line = f.readline()
         if not line:
-            raise DataError("truncated pixmap header")
+            raise DataError(f"{path}: truncated pixmap header")
         text = line.split(b"#", 1)[0]
         fields.extend(text.split())
     if not all(v.isdigit() for v in fields[:3]):
-        raise DataError(f"pixmap header fields {fields[:3]!r} are not all "
+        raise DataError(f"{path}: pixmap header fields {fields[:3]!r} are not all "
                         f"non-negative integers")
     w, h, maxval = (int(v) for v in fields[:3])
     if maxval != 255:
-        raise DataError(f"unsupported maxval {maxval}; expected 255")
+        raise DataError(f"{path}: unsupported maxval {maxval}; expected 255")
     if w < 1 or h < 1:
-        raise DataError(f"empty pixmap: {w}x{h}; width and height must be at least 1")
+        raise DataError(f"{path}: empty pixmap: {w}x{h}; width and height "
+                        f"must be at least 1")
     return magic, w, h
 
 
@@ -178,7 +179,7 @@ def _read_pixels(f, path: str, count: int) -> bytes:
 
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f)
+        magic, w, h = _read_pnm_header(f, path)
         if magic != b"P6":
             raise DataError(f"{path} is not a P6 pixmap")
         raw = _read_pixels(f, path, w * h * 3)
@@ -187,7 +188,7 @@ def read_ppm(path: str) -> np.ndarray:
 
 def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f)
+        magic, w, h = _read_pnm_header(f, path)
         if magic != b"P5":
             raise DataError(f"{path} is not a P5 graymap")
         raw = _read_pixels(f, path, w * h)

@@ -370,7 +370,8 @@ class AsppStage:
 
 
 class PpmStage:
-    """Pooling pyramid with the standard 3x3 fuse conv on the concatenation."""
+    """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
+    which the fuse reads as column parts."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -386,8 +387,7 @@ class PpmStage:
         self.out_channels = cfg.mid_channels
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        cat = ppm_lite(x, self.bins, self.projections)
-        return FeatureMap(self.fuse(cat.tensor)), None
+        return FeatureMap(self.fuse(*ppm_lite(x, self.bins, self.projections))), None
 
     def flops(self, n: int) -> dict[str, int]:
         cfg = self.config

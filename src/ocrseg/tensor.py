@@ -70,8 +70,8 @@ def _charge(buf: np.ndarray) -> None:
 
 
 class AllocationTracker:
-    """Tracks bytes held by Tensor data buffers and by the gradients a
-    backward creates inside its scope.
+    """Tracks bytes held by Tensor data buffers, by ``attend``'s relation
+    buffer and by the gradients a backward creates inside its scope.
 
     Only a tensor that owns its buffer (``data.base is None``) is charged; a
     view of another buffer adds nothing. A gradient charges the buffer it
@@ -165,7 +165,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
 
 
 # a replayed result's closure: with None it would pass for a leaf, and a later
-# backward through it would silently give it a gradient
+# backward through it would silently give it a gradient; ``backward`` calls it
+# when its walk reaches one, before the replay changes any gradient
 def _replayed(g):
     raise StateError("graph already replayed; backward consumes the graph it "
                      "replays, so build a new loss")
@@ -194,6 +195,8 @@ def backward(loss: Tensor) -> list[Tensor]:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
+    if any(t._backward_fn is _replayed for t in nodes):
+        _replayed(None)  # refuse before any leaf is given a gradient
     nodes.sort(key=lambda t: t._index)
     # owner buffers of the gradients charged so far, by id; the weak
     # reference tells a live owner from a freed one whose id was reused
@@ -354,6 +357,53 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _result(s, (x,), back, "softmax_rows")
 
 
+def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
+    """Checks ``q`` (d, N) and ``k`` (d, M) and returns the temperature
+    1/``scale``, the dtype and the row blocks of their (N, M) relation: each
+    block is ``_ACCUMULATE_BYTES`` // (itemsize * M) rows."""
+    _require_2d(q, f"{op} queries")
+    _require_2d(k, f"{op} keys")
+    if q.data.shape[0] != k.data.shape[0]:
+        raise DimensionError(
+            f"{op} key widths differ: {q.data.shape} vs {k.data.shape}")
+    temperature = 1.0 / _positive("relation scale", scale)
+    dtype = np.result_type(q.data, k.data)
+    n, m = q.data.shape[1], k.data.shape[1]
+    step = max(1, _ACCUMULATE_BYTES // (dtype.itemsize * max(m, 1)))
+    return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: float,
+                    block: np.ndarray) -> None:
+    """Write the rows ``rows`` of the relation's row softmax into ``block``:
+    the product, then the normalisation while the block is in cache."""
+    np.matmul(q[:, rows].T, k, out=block)
+    block /= temperature
+    _normalize_rows(block)
+
+
+def _relation_grad(q: Tensor, k: Tensor, s: np.ndarray, blocks, temperature: float,
+                   block_grad) -> tuple:
+    """(dq, dk) of the relation ``s`` in its row blocks, given the gradient
+    ``block_grad(rows)`` of each block: the logits' gradient ds of a block,
+    then dq = (ds k^T)^T and dk = q ds."""
+    if not (q.requires_grad or k.requires_grad):
+        return None, None
+    dq_t = np.empty((s.shape[0], q.data.shape[0]), dtype=s.dtype) if q.requires_grad else None
+    dk = None
+    for rows in blocks:
+        ds = _softmax_grad(s[rows], block_grad(rows), temperature)
+        if dq_t is not None:
+            np.matmul(ds, k.data.T, out=dq_t[rows])
+        if not k.requires_grad:
+            continue
+        if dk is None:
+            dk = q.data[:, rows] @ ds
+        else:
+            dk += q.data[:, rows] @ ds
+    return None if dq_t is None else dq_t.T, dk
+
+
 def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """Row softmax of ``scale * q^T k`` for (d, N) queries ``q`` and (d, M)
     keys ``k``: the (N, M) relation weights, in the one buffer the op
@@ -362,42 +412,54 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
     The product is written a block of rows at a time straight into the
     output, and each block is normalised while it is still in cache, as
     ``softmax_rows`` normalises at temperature 1/scale. The backward runs in
-    the same row blocks: the logits' gradient ds of each block, then
-    dq = (ds k^T)^T and dk = q ds.
+    the same row blocks.
     """
-    _require_2d(q, "relation_softmax queries")
-    _require_2d(k, "relation_softmax keys")
-    if q.data.shape[0] != k.data.shape[0]:
-        raise DimensionError(
-            f"relation_softmax key widths differ: {q.data.shape} vs {k.data.shape}")
-    temperature = 1.0 / _positive("relation scale", scale)
-    d, n = q.data.shape
-    m = k.data.shape[1]
-    s = np.empty((n, m), dtype=np.result_type(q.data, k.data))
-    step = max(1, _ACCUMULATE_BYTES // (s.itemsize * max(m, 1)))
-    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    temperature, dtype, blocks = _relation_rows("relation_softmax", q, k, scale)
+    s = np.empty((q.data.shape[1], k.data.shape[1]), dtype=dtype)
     for rows in blocks:
-        block = s[rows]
-        np.matmul(q.data[:, rows].T, k.data, out=block)
-        block /= temperature
-        _normalize_rows(block)
+        _relation_block(q.data, k.data, rows, temperature, s[rows])
 
     def back(g):
-        dq_t = np.empty((n, d), dtype=s.dtype) if q.requires_grad else None
-        dk = None
-        for rows in blocks:
-            ds = _softmax_grad(s[rows], g[rows], temperature)
-            if dq_t is not None:
-                np.matmul(ds, k.data.T, out=dq_t[rows])
-            if not k.requires_grad:
-                continue
-            if dk is None:
-                dk = q.data[:, rows] @ ds
-            else:
-                dk += q.data[:, rows] @ ds
-        return None if dq_t is None else dq_t.T, dk
+        return _relation_grad(q, k, s, blocks, temperature, lambda rows: g[rows])
 
     return _result(s, (q, k), back, "relation_softmax")
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Attention context softmax(scale * q^T k) v^T for (d, N) queries ``q``,
+    (d, M) keys ``k`` and (C_v, M) values ``v``: the (N, C_v) array that
+    ``matmul(relation_softmax(q, k, scale), transpose(v))`` returns, bitwise
+    when each block's products exceed 10^6 multiply-adds (below that,
+    OpenBLAS's small-matrix kernel sums in another order).
+
+    Each row block of the relation is normalised as ``relation_softmax``
+    normalises it and multiplied by the values at once. When the op records
+    a backward, the blocks are rows of one (N, M) buffer that the backward
+    keeps; otherwise they reuse one block-sized buffer, so nothing N x M is
+    allocated. The backward forms dv = (s^T g)^T and, per block, the
+    weights' gradient g v, so no (N, M) gradient exists either.
+    """
+    temperature, dtype, blocks = _relation_rows("attend", q, k, scale)
+    _require_2d(v, "attend values")
+    n, m = q.data.shape[1], k.data.shape[1]
+    if v.data.shape[1] != m:
+        raise DimensionError(f"attend values {v.data.shape} do not match keys {k.data.shape}")
+    records = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    s = np.empty((blocks[0].stop if blocks and not records else n, m), dtype=dtype)
+    if _TRACKER_STACK:
+        _charge(s)  # no tensor owns it
+    ctx = np.empty((n, v.data.shape[0]), dtype=np.result_type(s, v.data))
+    for rows in blocks:
+        block = s[rows] if records else s[:rows.stop - rows.start]
+        _relation_block(q.data, k.data, rows, temperature, block)
+        np.matmul(block, v.data.T, out=ctx[rows])
+
+    def back(g):
+        dq, dk = _relation_grad(q, k, s, blocks, temperature,
+                                lambda rows: g[rows] @ v.data)
+        return dq, dk, (s.T @ g).T if v.requires_grad else None
+
+    return _result(ctx, (q, k, v), back, "attend")
 
 
 # Bytes of one block of a blocked product: the temporary through which a
@@ -474,8 +536,11 @@ class _Parts:
 
 
 class _TapGrid:
-    """A (C, H, W) input zero-padded once for a dilated k x k kernel, stored
-    flat as (C, Hp*Wp + 2*pad) with Hp, Wp = H + 2*pad, W + 2*pad.
+    """(C_i, H, W) column parts with equal H and W, zero-padded once for a
+    dilated k x k kernel into one flat (C, Hp*Wp + 2*pad) buffer, C the sum
+    of the C_i and Hp, Wp = H + 2*pad, W + 2*pad; each part fills its own
+    channel slice, so the buffer is the padded concatenation, never built
+    unpadded.
 
     Tap (ky, kx) reads the strided (C, H*Wp) window ``flat[:, o:o + H*Wp]``,
     o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
@@ -483,17 +548,19 @@ class _TapGrid:
     tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
     it is, so no tap is copied; products over the padded width are cropped
     to H x W once (``conv``), and gradients enter with zero spill columns
-    (``widen``). An input that requires grad gets its gradient as the taps'
-    products summed into a flat buffer laid out like the input's, cropped to
-    H x W (``backward``). From a dilation of max(H, W) on, every off-centre
-    tap reads only padding, so a larger one is clamped to it.
+    (``widen``). When a part requires grad, the taps' input products are
+    summed into a flat buffer laid out like the input's, and each such part
+    gets its channel slice of it, cropped to H x W (``backward``). From a
+    dilation of max(H, W) on, every off-centre tap reads only padding, so a
+    larger one is clamped to it.
     """
 
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
                  dilation: int) -> None:
-        if len(parts) != 1 or parts[0].data.ndim != 3:
-            raise DimensionError(f"{op} takes one (C, H, W) input, "
-                                 f"got {[p.data.shape for p in parts]}")
+        shapes = [p.data.shape for p in parts]
+        if not shapes or any(len(s) != 3 or s[1:] != shapes[0][1:] for s in shapes):
+            raise DimensionError(f"{op} takes (C_i, H, W) parts with equal H and W, "
+                                 f"got {shapes}")
         if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
             raise DimensionError(f"{op} weight must be (C_out, C_in, k, k), got {weight.shape}")
         k = weight.shape[2]
@@ -501,17 +568,21 @@ class _TapGrid:
             raise ParameterError(f"{op} kernel size must be odd, got {k}")
         if int(dilation) < 1:
             raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
-        self.input = parts[0]
-        x = self.input.data
-        if weight.shape[1] != x.shape[0]:
-            raise DimensionError(f"{op} weight {weight.shape} does not match input {x.shape}")
-        c, self.h, self.w = x.shape
+        if weight.shape[1] != sum(s[0] for s in shapes):
+            raise DimensionError(f"{op} weight {weight.shape} does not match input "
+                                 f"channels {[s[0] for s in shapes]}")
+        self.parts = parts
+        _, self.h, self.w = shapes[0]
         dilation = min(int(dilation), max(self.h, self.w, 1))
         self.pad = pad = (k // 2) * dilation
         self.wp = wp = self.w + 2 * pad
         self.cols = self.h * wp
-        self.flat = np.zeros((c, (self.h + 2 * pad) * wp + 2 * pad), dtype=x.dtype)
-        self._image(self.flat)[:, pad:pad + self.h, pad:pad + self.w] = x
+        self.flat = np.zeros((weight.shape[1], (self.h + 2 * pad) * wp + 2 * pad),
+                             dtype=np.result_type(*(p.data for p in parts)))
+        self.bounds = np.cumsum([0] + [s[0] for s in shapes])
+        image = self._image(self.flat)
+        for part, c0, c1 in zip(parts, self.bounds, self.bounds[1:]):
+            image[c0:c1, pad:pad + self.h, pad:pad + self.w] = part.data
         self.windows, self.terms = [], []
         for ky in range(k):
             for kx in range(k):
@@ -547,13 +618,14 @@ class _TapGrid:
         m = np.empty_like(weight)
         for idx, xm in self.terms:
             m[idx] = g @ xm.T
-        if not self.input.requires_grad:
-            return (None,), m
+        if not any(p.requires_grad for p in self.parts):
+            return [None] * len(self.parts), m
         gflat = np.zeros_like(self.flat)
         for (idx, _), win in zip(self.terms, self.windows):
             gflat[:, win] += weight[idx].T @ g
-        return (self._image(gflat)[:, self.pad:self.pad + self.h,
-                                   self.pad:self.pad + self.w],), m
+        crop = self._image(gflat)[:, self.pad:self.pad + self.h, self.pad:self.pad + self.w]
+        return [crop[c0:c1] if p.requires_grad else None
+                for p, c0, c1 in zip(self.parts, self.bounds, self.bounds[1:])], m
 
 
 def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -602,14 +674,16 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
 
     A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
     tensor or a sequence of column parts whose channels add up to C_in
-    (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves one zero-padded
-    (C_in, H, W) tensor, its taps reading windows of one flat padded buffer
-    (``_TapGrid``). Each part's or tap's product accumulates into the output,
-    which then takes the batchnorm and the ReLU in place. When ``trace`` is
-    a list, the smallest absolute pre-activation is appended to it. The
-    backward reads the ReLU mask off the output: with g' the masked gradient
-    and M = g' x^T per part or tap, the weight gets s * M, the gain (sum of
-    W * M - mean * g_shift) * inv_std, and the input (s * W)^T g'.
+    (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves a zero-padded
+    (C_in, H, W) input, given whole or as (C_i, H, W) column parts, its taps
+    reading windows of one flat padded buffer (``_TapGrid``). Each part's or
+    tap's product accumulates into the output, which then takes the
+    batchnorm and the ReLU in place. When ``trace`` is a list, the smallest
+    absolute pre-activation is appended to it. The backward reads the ReLU
+    mask off the output: with g' the masked gradient and M = g' x^T per part
+    or tap, the weight gets s * M, the gain (sum of W * M - mean * g_shift) *
+    inv_std, and the input (s * W)^T g', whose scaled weight is formed only
+    when some input part requires grad.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if weight.data.ndim == 2:
@@ -636,7 +710,9 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
         g = layout.widen(g, out > 0.0)
         g_shift = g.sum(axis=1)
         s_w = s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
-        gparts, m = layout.backward(g, weight.data * s_w)
+        # without an input gradient the weight gives only the shape of m
+        scaled = any(p.requires_grad for p in parts)
+        gparts, m = layout.backward(g, weight.data * s_w if scaled else weight.data)
         # per term, in term order: one sum over the whole weight rounds differently
         g_wm = np.zeros_like(g_shift)
         for idx, _ in layout.terms:

@@ -157,7 +157,8 @@ class TestHostileData:
         capsys.readouterr()
         assert run_cli("train", tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: empty pixmap") and err.count("\n") == 1
+        assert err.startswith(f"error: {scene.with_suffix('.ppm')}: empty pixmap")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
 

@@ -15,7 +15,7 @@ from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix, SoftRegionSe
                             region_representations, scaled_rates,
                             self_attention_context, transpose_reps)
 from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
-from ocrseg.models import ModelConfig
+from ocrseg.models import ModelConfig, build_model
 
 import oracles
 from conftest import dot_all, feature_map, identity_block, region_stage, tensor
@@ -471,15 +471,21 @@ class TestOcrForward:
         assert np.max(np.abs(aux.data - head_logits)) < 1e-12
 
 
+def attention_weights(q, k, scale=1.0):
+    """The (N, N) weights that self-attention applies to its values, read
+    exactly as the context of identity values."""
+    return T.attend(q, k, tensor(np.eye(k.shape[1])), scale).data
+
+
 class TestSelfAttention:
     def test_identical_pixels_uniform(self, rng):
         col = rng.normal(0, 1, 3)
-        data = np.repeat(col[:, None], 4, axis=1).reshape(3, 2, 2)
+        x = FeatureMap(tensor(np.repeat(col[:, None], 4, axis=1).reshape(3, 2, 2)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        fm, rel = self_attention_context(FeatureMap(tensor(data)), None, None,
-                                         delta, rho, return_relations=True)
-        assert np.max(np.abs(rel.weights.data - 0.25)) < 1e-12
+        fm = self_attention_context(x, None, None, delta, rho)
+        weights = attention_weights(x.pixels(), x.pixels())
+        assert np.max(np.abs(weights - 0.25)) < 1e-12
         want = oracles.apply_block_loops(
             rho, oracles.apply_block_loops(delta, col[:, None]))
         assert np.max(np.abs(fm.pixels().data - want)) < 1e-12
@@ -498,24 +504,23 @@ class TestSelfAttention:
         delta = TransformBlock.create(rng, 3, 5)
         rho = TransformBlock.create(rng, 5, 5)
         scale = 0.5
-        fm, rel = self_attention_context(x, phi, psi, delta, rho, scale=scale,
-                                         return_relations=True)
+        fm = self_attention_context(x, phi, psi, delta, rho, scale=scale)
+        weights = attention_weights(phi(x.pixels()), psi(x.pixels()), scale)
         px = x.pixels().data
         q = oracles.apply_block_loops(phi, px)
         k = oracles.apply_block_loops(psi, px)
         w = oracles.relations_loops(q, k, scale)
-        assert np.max(np.abs(rel.weights.data - w)) < 1e-12
+        assert np.max(np.abs(weights - w)) < 1e-12
         vals = oracles.apply_block_loops(delta, px)
         want = oracles.apply_block_loops(rho, oracles.aggregate_loops(w, vals.T).T)
         assert np.max(np.abs(fm.pixels().data - want)) < 1e-12
 
     def test_rows_are_simplex(self, rng):
         x = feature_map(rng, 3, 3, 3)
-        _, rel = self_attention_context(x, None, None, None, None,
-                                        return_relations=True)
-        sums = rel.weights.data.sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) < 1e-9
-        assert np.all(rel.weights.data >= 0)
+        weights = attention_weights(x.pixels(), x.pixels())
+        assert weights.shape == (9, 9)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
+        assert np.all(weights >= 0)
 
     def test_bad_scale(self, rng):
         with pytest.raises(ParameterError):
@@ -688,36 +693,42 @@ class TestPpmLite:
     def test_global_bin_constant_branch(self, rng):
         x = feature_map(rng, 3, 4, 4)
         proj = Conv1x1Head.create(rng, 3, 2, bias=False)
-        out = ppm_lite(x, (1,), (proj,))
-        branch = out.tensor.data[3:]
+        out = np.concatenate([p.data for p in ppm_lite(x, (1,), (proj,))])
+        branch = out[3:]
         assert branch.shape == (2, 4, 4)
         assert np.max(np.abs(branch - branch[:, :1, :1])) < 1e-12
 
     def test_full_bin_identity_projection_recovers_input(self, rng):
         x = feature_map(rng, 3, 4, 4)
         ident = Conv1x1Head(tensor(np.eye(3)))
-        out = ppm_lite(x, (4,), (ident,))
-        assert np.max(np.abs(out.tensor.data[3:] - x.tensor.data)) < 1e-12
+        out = np.concatenate([p.data for p in ppm_lite(x, (4,), (ident,))])
+        assert np.max(np.abs(out[3:] - x.tensor.data)) < 1e-12
 
     def test_matches_pool_project_upsample_loops(self, rng):
         x = rng.normal(0, 1, (3, 4, 4))
         projs = [Conv1x1Head.create(rng, 3, 2, bias=False) for _ in range(2)]
-        out = ppm_lite(FeatureMap(tensor(x)), (1, 2), projs)
+        out = np.concatenate([p.data for p in ppm_lite(FeatureMap(tensor(x)), (1, 2), projs)])
         pieces = [x]
         for b, proj in zip((1, 2), projs):
             pooled = oracles.avg_pool_loops(x, b, b)
             projected = oracles.conv1x1_loops(pooled, proj.weight.data)
             pieces.append(oracles.upsample_nearest_loops(projected, 4, 4))
         want = np.concatenate(pieces)
-        assert np.max(np.abs(out.tensor.data - want)) < 1e-12
+        assert np.max(np.abs(out - want)) < 1e-12
 
-    def test_branches_concatenated_in_one_copy(self, rng, monkeypatch):
-        calls = []
-        real = T.concat0
-        monkeypatch.setattr(T, "concat0", lambda *p: calls.append(len(p)) or real(*p))
-        projs = [Conv1x1Head.create(rng, 3, 2, bias=False) for _ in range(4)]
-        out = ppm_lite(feature_map(rng, 3, 6, 6), (1, 2, 3, 6), projs)
-        assert calls == [5] and out.channels == 3 + 4 * 2
+    def test_fuse_reads_the_parts_without_concat(self, rng, monkeypatch):
+        def no_concat(*parts):
+            raise AssertionError("the pyramid must not concatenate its parts")
+
+        fused = []
+        real = T.conv_bn_relu
+        monkeypatch.setattr(T, "concat0", no_concat)
+        monkeypatch.setattr(T, "conv_bn_relu",
+                            lambda x, *a: fused.append(len(x)) or real(x, *a))
+        model = build_model(ModelConfig(module="ppm_lite", in_channels=8, num_classes=3,
+                                        key_channels=4, mid_channels=6), image_size=6)
+        out = model.forward(feature_map(rng, 8, 6, 6))
+        assert fused == [5] and out.final_logits.shape == (3, 36)
 
     def test_bin_larger_than_image(self, rng):
         x = feature_map(rng, 3, 4, 4)

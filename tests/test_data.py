@@ -196,8 +196,9 @@ class TestPixmapIO:
         path = str(tmp_path / "empty.pnm")
         with open(path, "wb") as f:
             f.write(header + bytes(6))
-        with pytest.raises(DataError, match="empty pixmap"):
+        with pytest.raises(DataError, match="empty pixmap") as err:
             (read_ppm if header.startswith(b"P6") else read_pgm)(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_writer_input_checks(self, tmp_path):
         with pytest.raises(DataError):

@@ -136,24 +136,85 @@ class TestRelationSoftmax:
         with pytest.raises(DimensionError):
             T.relation_softmax(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), 1.0)
 
-    def test_self_attention_holds_one_relation_buffer(self, rng):
-        # the dense baseline's N x N weights stay materialised, but no second
-        # N x N array (the pre-softmax logits) may coexist with them
-        side = 32
-        n = side * side
-        model = build_model(ModelConfig(module="self_attn", in_channels=5, num_classes=3,
-                                        key_channels=4, mid_channels=6, seed=7),
-                            image_size=side)
-        x = FeatureMap(tensor(rng.normal(0, 1, (5, side, side))))
-        with T.no_grad():
-            model.forward(x)  # warm-up
-            tracemalloc.start()
-            try:
-                model.forward(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert 8 * n * n <= peak < 1.5 * 8 * n * n
+
+def self_attn_peak(rng, side, train):
+    """``tracemalloc`` peak of one self_attn forward (no_grad) or one training
+    step (forward and backward), after a warm-up."""
+    model = build_model(ModelConfig(module="self_attn", in_channels=5, num_classes=3,
+                                    key_channels=4, mid_channels=6, seed=7),
+                        image_size=side)
+    x = FeatureMap(tensor(rng.normal(0, 1, (5, side, side))))
+    labels = rng.integers(0, 3, side * side)
+
+    def step():
+        if not train:
+            with T.no_grad():
+                return model.forward(x)
+        T.backward(T.cross_entropy_logits(model.forward(x).final_logits, labels))
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAttend:
+    @staticmethod
+    def two_op(q, k, v, scale):
+        """The relation, then the product with the values: the pair that the
+        fused op replaces."""
+        return T.matmul(T.relation_softmax(q, k, scale), T.transpose(v))
+
+    # blocks of 600 (one block), 256 (the last 88) and 112 rows (the last
+    # 40). Every block's product has over 10^6 multiply-adds: OpenBLAS takes
+    # a small-matrix kernel, which sums in another order, below that
+    @pytest.mark.parametrize("rows", [600, 256, 112])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_relation_then_matmul(self, rng, monkeypatch, rows, dtype):
+        n, m, c_v = 600, 1000, 64
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", np.dtype(dtype).itemsize * m * rows)
+        data = [rng.normal(0, 1, shape).astype(dtype) for shape in ((8, n), (8, m), (c_v, m))]
+        g = rng.normal(0, 1, (n, c_v)).astype(dtype)
+        for scale in (1.0, 0.3):
+            with T.no_grad():
+                got = T.attend(*(T.Tensor(d) for d in data), scale).data
+                want = self.two_op(*(T.Tensor(d) for d in data), scale).data
+            assert got.dtype == dtype and got.shape == (n, c_v)
+            assert np.array_equal(got, want)
+            grads = []
+            for op in (T.attend, self.two_op):
+                leaves = [T.Tensor(d, requires_grad=True) for d in data]
+                out = op(*leaves, scale)
+                assert np.array_equal(out.data, want)
+                T.backward(dot_all(out, T.Tensor(g)))
+                grads.append([t.grad for t in leaves])
+            for got_grad, want_grad in zip(*grads):
+                assert got_grad.dtype == dtype and np.array_equal(got_grad, want_grad)
+
+    def test_shape_and_scale_checks(self):
+        q, k = tensor(np.ones((2, 3))), tensor(np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            T.attend(q, k, tensor(np.ones((5, 3))), 1.0)  # values do not match keys
+        with pytest.raises(DimensionError):
+            T.attend(q, tensor(np.ones((3, 4))), tensor(np.ones((5, 4))), 1.0)
+        with pytest.raises(DimensionError):
+            T.attend(q, k, tensor(np.ones(4)), 1.0)
+        with pytest.raises(ParameterError):
+            T.attend(q, k, tensor(np.ones((5, 4))), 0.0)
+
+    def test_no_grad_self_attention_holds_no_relation(self, rng):
+        # under no_grad the dense baseline's N x N weights exist only one row
+        # block at a time; a whole relation buffer is 8 N^2 bytes
+        side = 48
+        assert self_attn_peak(rng, side, train=False) < 8 * side ** 4 / 4
+
+    def test_training_step_holds_one_relation(self, rng):
+        # the backward keeps the N x N weights and forms no N x N gradient
+        side = 48
+        assert self_attn_peak(rng, side, train=True) < 1.5 * 8 * side ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +451,12 @@ class TestConvBnRelu:
         with pytest.raises(DimensionError):
             T.conv_bn_relu((), w, *args)
         w3, *args3 = block_args(rng, 2, 3, kernel=3)
-        with pytest.raises(DimensionError):  # kxk takes one (C, H, W) input
-            T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 3, 3)))),
-                           w3, *args3)
+        for other in ((1, 4, 3), (1, 3, 4)):  # kxk parts must agree in H and W
+            with pytest.raises(DimensionError):
+                T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones(other))),
+                               w3, *args3)
+        with pytest.raises(DimensionError):
+            T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 9)))), w3, *args3)
         with pytest.raises(DimensionError):
             T.conv_bn_relu(tensor(np.ones((2, 9))), w3, *args3)
         with pytest.raises(DimensionError):
@@ -722,6 +786,20 @@ class TestAutogradBasics:
             T.backward(sum_all(doubled))
         assert doubled.grad is None
 
+    def test_refused_backward_changes_no_gradient(self, rng):
+        # the replayed result is reached after the fresh branch to y would
+        # have been replayed, so a refusal found only in the replay came too
+        # late to keep y's gradient
+        x = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+        y = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+        doubled = T.scale(x, 2.0)
+        T.backward(sum_all(doubled))
+        first = x.grad.copy()
+        with pytest.raises(StateError):
+            T.backward(T.add(sum_all(doubled), sum_all(T.scale(y, 3.0))))
+        assert y.grad is None
+        assert np.array_equal(x.grad, first)
+
     def test_backward_frees_the_graph(self, rng):
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
         hidden = T.scale(x, 2.0)
@@ -808,6 +886,14 @@ class TestGradientsEveryOp:
         fwd = lambda: projected(T.relation_softmax(q, k, 0.6), np.random.default_rng(22))
         assert max_grad_fd_error([q, k], fwd) < self.TOL
 
+    def test_attend(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 3)  # 3-row blocks
+        q = tensor(rng.normal(0, 1, (3, 7)), requires_grad=True)
+        k = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
+        v = tensor(rng.normal(0, 1, (2, 4)), requires_grad=True)
+        fwd = lambda: projected(T.attend(q, k, v, 0.6), np.random.default_rng(25))
+        assert max_grad_fd_error([q, k, v], fwd) < self.TOL
+
     def test_conv1x1(self, rng):
         x = tensor(rng.normal(0, 1, (3, 2, 2)), requires_grad=True)
         w = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
@@ -835,7 +921,7 @@ class TestGradientsEveryOp:
 
     def test_affine_relu(self, rng):
         # the fused block: every part, the weight, gain and shift, for a
-        # one-part, a two-part and a 3x3 call
+        # one-part, a two-part, a 3x3 and a two-part 3x3 call
         cases = [
             ((tensor(rng.normal(0, 1, (3, 5)), requires_grad=True),),
              block_args(rng, 3, 3)),
@@ -844,6 +930,9 @@ class TestGradientsEveryOp:
              block_args(rng, 5, 3)),
             ((tensor(rng.normal(0, 1, (2, 3, 3)), requires_grad=True),),
              block_args(rng, 2, 2, kernel=3)),
+            ((tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True),
+              tensor(rng.normal(0, 1, (2, 3, 4)), requires_grad=True)),
+             block_args(rng, 3, 2, kernel=3)),
         ]
         for parts, (w, gain, shift, inv_std, mean) in cases:
             trace = []
@@ -885,6 +974,9 @@ class TestFrozenInputs:
             "add": (T.add, [rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (2, 3))], (0, 1)),
             "relation_softmax": (lambda q, k: T.relation_softmax(q, k, 0.6),
                                  [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4))], (0, 1)),
+            "attend": (lambda q, k, v: T.attend(q, k, v, 0.6),
+                       [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4)),
+                        rng.normal(0, 1, (2, 4))], (0, 1, 2)),
             "concat0": (T.concat0, [rng.normal(0, 1, (c, 2, 2)) for c in (1, 3, 2)], (0, 1, 2)),
             "conv1x1": (T.conv1x1, [x3, rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)], (0,)),
             "conv_spatial": (lambda x, w: T.conv_spatial(x, w, dilation=2),
@@ -893,11 +985,14 @@ class TestFrozenInputs:
             "conv_bn_relu_parts": (block(2), [rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (3, 6)),
                                               rng.normal(0, 1, (3, 5)), *bn], (0, 1)),
             "conv_bn_relu_3x3": (block(1), [x3, rng.normal(0, 1, (3, 2, 3, 3)), *bn], (0,)),
+            "conv_bn_relu_3x3_parts": (block(2), [rng.normal(0, 1, (1, 5, 4)), x3,
+                                                  rng.normal(0, 1, (3, 3, 3, 3)), *bn], (0, 1)),
         }
 
     @pytest.mark.parametrize("op", [
-        "matmul", "add", "relation_softmax", "concat0", "conv1x1", "conv_spatial",
-        "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_3x3"])
+        "matmul", "add", "relation_softmax", "attend", "concat0", "conv1x1",
+        "conv_spatial", "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_3x3",
+        "conv_bn_relu_3x3_parts"])
     def test_frozen_parent_gets_no_gradient(self, rng, monkeypatch, op):
         monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row relation blocks
         build, leaves, frozen_slots = self.cases(rng)[op]
