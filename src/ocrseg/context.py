@@ -284,13 +284,13 @@ def aspp_lite(x: FeatureMap,
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],
              projections: Sequence[Conv1x1Head]) -> list[T.Tensor]:
-    """Pooling pyramid: per bin size, average-pool to bin x bin, project with
-    a 1x1 conv and nearest-upsample back. Returns x and the branches as the
-    column parts of their channel concatenation, which is never built."""
+    """Pooling pyramid: per bin size, average-pool to bin x bin and project
+    with a 1x1 conv. Returns x and the (C_b, bin, bin) branches as the column
+    parts of their channel concatenation at x's size, which is never built:
+    a kxk fuse nearest-upsamples each branch as it pads it."""
     limit = min(x.height, x.width)
     for b in bins:
         if b > limit:
             raise ConfigError(f"bin {b} exceeds the {x.height}x{x.width} input")
-    return [x.tensor, *(T.upsample_nearest(proj(T.avg_pool2d(x.tensor, b, b)),
-                                           x.height, x.width)
+    return [x.tensor, *(proj(T.avg_pool2d(x.tensor, b, b))
                         for b, proj in zip(bins, projections))]

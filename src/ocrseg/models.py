@@ -371,7 +371,8 @@ class AsppStage:
 
 class PpmStage:
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
-    which the fuse reads as column parts."""
+    which the fuse reads as column parts, upsampling the bin-size branches
+    as it pads them."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg

@@ -20,6 +20,7 @@ weight, bias and batchnorm slots are always formed.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 import weakref
 from typing import Callable, Sequence
@@ -71,7 +72,8 @@ def _charge(buf: np.ndarray) -> None:
 
 class AllocationTracker:
     """Tracks bytes held by Tensor data buffers, by ``attend``'s relation
-    buffer and by the gradients a backward creates inside its scope.
+    buffer, by a kxk conv's flat padded input (``_TapGrid``) and by the
+    gradients a backward creates inside its scope.
 
     Only a tensor that owns its buffer (``data.base is None``) is charged; a
     view of another buffer adds nothing. A gradient charges the buffer it
@@ -273,7 +275,7 @@ def transpose(t: Tensor) -> Tensor:
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     """View of ``t`` with a new shape; numpy copies only when the input's
     strides cannot express it (e.g. flattening a transposed view)."""
-    if int(np.prod(shape)) != t.data.size:
+    if math.prod(shape) != t.data.size:
         raise DimensionError(f"cannot reshape {t.data.shape} to {shape}")
     out = t.data.reshape(shape)
 
@@ -535,12 +537,38 @@ class _Parts:
         return grads, m
 
 
+class _Nearest:
+    """Nearest-neighbour map of an h x w grid onto out_h x out_w, no smaller:
+    output row y reads source row y*h // out_h, so each source row covers
+    one run of output rows, in order, and likewise each column."""
+
+    def __init__(self, h: int, w: int, out_h: int, out_w: int) -> None:
+        self.cols = np.arange(out_w) * w // out_w
+        rows = np.arange(out_h) * h // out_h
+        self.row_starts = np.searchsorted(rows, np.arange(h))
+        self.col_starts = np.searchsorted(self.cols, np.arange(w))
+        self.row_runs = np.append(self.row_starts, out_h)
+
+    def fill(self, dst: np.ndarray, src: np.ndarray) -> None:
+        """Write the upsampled (C, h, w) ``src`` into (C, out_h, out_w)
+        ``dst``, one source row at a time."""
+        for r, (y0, y1) in enumerate(zip(self.row_runs, self.row_runs[1:])):
+            dst[:, y0:y1] = src[:, r:r + 1, self.cols]
+
+    def grad(self, g: np.ndarray) -> np.ndarray:
+        """Sum of the (C, out_h, out_w) gradient ``g`` over each source
+        cell's block: the (C, h, w) gradient of the source."""
+        rows = np.add.reduceat(g, self.row_starts, axis=1)
+        return np.add.reduceat(rows, self.col_starts, axis=2)
+
+
 class _TapGrid:
-    """(C_i, H, W) column parts with equal H and W, zero-padded once for a
-    dilated k x k kernel into one flat (C, Hp*Wp + 2*pad) buffer, C the sum
-    of the C_i and Hp, Wp = H + 2*pad, W + 2*pad; each part fills its own
-    channel slice, so the buffer is the padded concatenation, never built
-    unpadded.
+    """(C_i, H, W) column parts, zero-padded once for a dilated k x k kernel
+    into one flat (C, Hp*Wp + 2*pad) buffer, C the sum of the C_i and
+    Hp, Wp = H + 2*pad, W + 2*pad; each part fills its own channel slice, so
+    the buffer is the padded concatenation, never built unpadded. The first
+    part sets H x W; a smaller part is nearest-upsampled to it as it is
+    padded (``_Nearest``), and its gradient is summed back to its own size.
 
     Tap (ky, kx) reads the strided (C, H*Wp) window ``flat[:, o:o + H*Wp]``,
     o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
@@ -558,9 +586,12 @@ class _TapGrid:
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
                  dilation: int) -> None:
         shapes = [p.data.shape for p in parts]
-        if not shapes or any(len(s) != 3 or s[1:] != shapes[0][1:] for s in shapes):
-            raise DimensionError(f"{op} takes (C_i, H, W) parts with equal H and W, "
-                                 f"got {shapes}")
+        if not shapes or any(len(s) != 3 for s in shapes):
+            raise DimensionError(f"{op} takes (C_i, H, W) parts, got {shapes}")
+        _, h, w = shapes[0]
+        if any(s[1:] != (h, w) and not (0 < s[1] <= h and 0 < s[2] <= w) for s in shapes):
+            raise DimensionError(f"{op} parts may be smaller than the first, not larger "
+                                 f"or empty, got {shapes}")
         if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
             raise DimensionError(f"{op} weight must be (C_out, C_in, k, k), got {weight.shape}")
         k = weight.shape[2]
@@ -572,17 +603,24 @@ class _TapGrid:
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
         self.parts = parts
-        _, self.h, self.w = shapes[0]
+        self.h, self.w = h, w
         dilation = min(int(dilation), max(self.h, self.w, 1))
         self.pad = pad = (k // 2) * dilation
         self.wp = wp = self.w + 2 * pad
         self.cols = self.h * wp
         self.flat = np.zeros((weight.shape[1], (self.h + 2 * pad) * wp + 2 * pad),
                              dtype=np.result_type(*(p.data for p in parts)))
+        if _TRACKER_STACK:
+            _charge(self.flat)  # no tensor owns it
         self.bounds = np.cumsum([0] + [s[0] for s in shapes])
+        self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
         image = self._image(self.flat)
-        for part, c0, c1 in zip(parts, self.bounds, self.bounds[1:]):
-            image[c0:c1, pad:pad + self.h, pad:pad + self.w] = part.data
+        for part, near, c0, c1 in zip(parts, self.maps, self.bounds, self.bounds[1:]):
+            dst = image[c0:c1, pad:pad + self.h, pad:pad + self.w]
+            if near is None:
+                dst[...] = part.data
+            else:
+                near.fill(dst, part.data)
         self.windows, self.terms = [], []
         for ky in range(k):
             for kx in range(k):
@@ -624,8 +662,10 @@ class _TapGrid:
         for (idx, _), win in zip(self.terms, self.windows):
             gflat[:, win] += weight[idx].T @ g
         crop = self._image(gflat)[:, self.pad:self.pad + self.h, self.pad:self.pad + self.w]
-        return [crop[c0:c1] if p.requires_grad else None
-                for p, c0, c1 in zip(self.parts, self.bounds, self.bounds[1:])], m
+        return [None if not p.requires_grad else
+                crop[c0:c1] if near is None else near.grad(crop[c0:c1])
+                for p, near, c0, c1 in zip(self.parts, self.maps, self.bounds,
+                                           self.bounds[1:])], m
 
 
 def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -675,8 +715,9 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
     tensor or a sequence of column parts whose channels add up to C_in
     (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves a zero-padded
-    (C_in, H, W) input, given whole or as (C_i, H, W) column parts, its taps
-    reading windows of one flat padded buffer (``_TapGrid``). Each part's or
+    (C_in, H, W) input, given whole or as (C_i, H, W) column parts, of which
+    all but the first may be smaller and are nearest-upsampled to H x W, its
+    taps reading windows of one flat padded buffer (``_TapGrid``). Each part's or
     tap's product accumulates into the output, which then takes the
     batchnorm and the ReLU in place. When ``trace`` is a list, the smallest
     absolute pre-activation is appended to it. The backward reads the ReLU
@@ -760,16 +801,16 @@ def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     c, h, w = x.data.shape
     if out_h < h or out_w < w:
         raise ParameterError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
-    src_r = np.arange(out_h) * h // out_h
-    src_c = np.arange(out_w) * w // out_w
-    out = x.data[:, src_r][:, :, src_c]
+    if h == 0 < out_h or w == 0 < out_w:
+        raise ParameterError(f"cannot upsample an empty {h}x{w} input to {out_h}x{out_w}")
+    near = _Nearest(h, w, out_h, out_w)
+    out = np.empty((c, out_h, out_w), dtype=x.dtype)
+    near.fill(out, x.data)
 
     def back(g):
-        # every source row and column is hit, in order: sum each one's block
-        rows = np.add.reduceat(g, np.searchsorted(src_r, np.arange(h)), axis=1)
-        return (np.add.reduceat(rows, np.searchsorted(src_c, np.arange(w)), axis=2),)
+        return (near.grad(g),)
 
-    return _result(np.ascontiguousarray(out), (x,), back, "upsample_nearest")
+    return _result(out, (x,), back, "upsample_nearest")
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import Conv1x1Head, TransformBlock
+from ocrseg.blocks import Conv1x1Head, Conv3x3Block, TransformBlock
 from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix, SoftRegionSet,
                             acf_scheme_relations, aspp_lite, augment,
                             compute_soft_regions, da_scheme_relations,
@@ -690,13 +690,24 @@ class TestScaledRates:
 
 
 class TestPpmLite:
+    @staticmethod
+    def fused_both_ways(rng, parts, height, width):
+        """A 3x3 fuse of the pyramid's parts as returned, and of the parts
+        with each branch upsampled first."""
+        fuse = Conv3x3Block.create(rng, sum(p.shape[0] for p in parts), 3)
+        up = [parts[0], *(T.upsample_nearest(p, height, width) for p in parts[1:])]
+        return fuse(*parts).data, fuse(*up).data
+
     def test_global_bin_constant_branch(self, rng):
         x = feature_map(rng, 3, 4, 4)
         proj = Conv1x1Head.create(rng, 3, 2, bias=False)
-        out = np.concatenate([p.data for p in ppm_lite(x, (1,), (proj,))])
-        branch = out[3:]
-        assert branch.shape == (2, 4, 4)
-        assert np.max(np.abs(branch - branch[:, :1, :1])) < 1e-12
+        parts = ppm_lite(x, (1,), (proj,))
+        want = oracles.conv1x1_loops(oracles.avg_pool_loops(x.tensor.data, 1, 1),
+                                     proj.weight.data)
+        assert parts[1].shape == (2, 1, 1)
+        assert np.max(np.abs(parts[1].data - want)) < 1e-12
+        got, upsampled = self.fused_both_ways(rng, parts, 4, 4)
+        assert np.max(np.abs(got - upsampled)) < 1e-12
 
     def test_full_bin_identity_projection_recovers_input(self, rng):
         x = feature_map(rng, 3, 4, 4)
@@ -705,30 +716,33 @@ class TestPpmLite:
         assert np.max(np.abs(out[3:] - x.tensor.data)) < 1e-12
 
     def test_matches_pool_project_upsample_loops(self, rng):
-        x = rng.normal(0, 1, (3, 4, 4))
+        x = rng.normal(0, 1, (3, 5, 7))
         projs = [Conv1x1Head.create(rng, 3, 2, bias=False) for _ in range(2)]
-        out = np.concatenate([p.data for p in ppm_lite(FeatureMap(tensor(x)), (1, 2), projs)])
-        pieces = [x]
-        for b, proj in zip((1, 2), projs):
-            pooled = oracles.avg_pool_loops(x, b, b)
-            projected = oracles.conv1x1_loops(pooled, proj.weight.data)
-            pieces.append(oracles.upsample_nearest_loops(projected, 4, 4))
-        want = np.concatenate(pieces)
-        assert np.max(np.abs(out - want)) < 1e-12
+        parts = ppm_lite(FeatureMap(tensor(x)), (2, 3), projs)
+        assert parts[0].data is x
+        for part, b, proj in zip(parts[1:], (2, 3), projs):
+            want = oracles.conv1x1_loops(oracles.avg_pool_loops(x, b, b), proj.weight.data)
+            assert part.shape == (2, b, b)
+            assert np.max(np.abs(part.data - want)) < 1e-12
+        got, upsampled = self.fused_both_ways(rng, parts, 5, 7)
+        assert np.max(np.abs(got - upsampled)) < 1e-12
 
     def test_fuse_reads_the_parts_without_concat(self, rng, monkeypatch):
-        def no_concat(*parts):
-            raise AssertionError("the pyramid must not concatenate its parts")
+        def forbidden(*args):
+            raise AssertionError("the pyramid must neither concatenate nor upsample")
 
         fused = []
         real = T.conv_bn_relu
-        monkeypatch.setattr(T, "concat0", no_concat)
+        monkeypatch.setattr(T, "concat0", forbidden)
+        monkeypatch.setattr(T, "upsample_nearest", forbidden)
         monkeypatch.setattr(T, "conv_bn_relu",
-                            lambda x, *a: fused.append(len(x)) or real(x, *a))
+                            lambda x, *a: fused.append([p.shape for p in x]) or real(x, *a))
         model = build_model(ModelConfig(module="ppm_lite", in_channels=8, num_classes=3,
-                                        key_channels=4, mid_channels=6), image_size=6)
-        out = model.forward(feature_map(rng, 8, 6, 6))
-        assert fused == [5] and out.final_logits.shape == (3, 36)
+                                        key_channels=4, mid_channels=6), image_size=12)
+        with T.no_grad():
+            out = model.forward(feature_map(rng, 8, 12, 12))
+        assert fused == [[(8, 12, 12), *((2, b, b) for b in (1, 2, 3, 6))]]
+        assert out.final_logits.shape == (3, 144)
 
     def test_bin_larger_than_image(self, rng):
         x = feature_map(rng, 3, 4, 4)

@@ -451,7 +451,8 @@ class TestConvBnRelu:
         with pytest.raises(DimensionError):
             T.conv_bn_relu((), w, *args)
         w3, *args3 = block_args(rng, 2, 3, kernel=3)
-        for other in ((1, 4, 3), (1, 3, 4)):  # kxk parts must agree in H and W
+        # a kxk part may be smaller than the first, not larger or empty
+        for other in ((1, 4, 3), (1, 3, 4), (1, 0, 2), (1, 2, 0)):
             with pytest.raises(DimensionError):
                 T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones(other))),
                                w3, *args3)
@@ -632,16 +633,49 @@ class TestTapGrid:
         assert min(trace) > 1e-3  # every finite difference stays off the kink
 
     def test_tracker_charges_one_owned_output(self, rng):
+        # the output, and while the op runs its flat padded input, which no
+        # tensor owns: 3 channels of (6 + 2*pad) x (5 + 2*pad) + 2*pad doubles
         x = tensor(rng.normal(0, 1, (3, 6, 5)))
         k = tensor(rng.normal(0, 1, (4, 3, 3, 3)))
         wt, *bn = block_args(rng, 3, 4, kernel=3)
-        for call in (lambda: T.conv_spatial(x, k, dilation=2),
-                     lambda: T.conv_bn_relu(x, wt, *bn)):
+        for call, pad in ((lambda: T.conv_spatial(x, k, dilation=2), 2),
+                          (lambda: T.conv_bn_relu(x, wt, *bn), 1)):
+            flat = 3 * ((6 + 2 * pad) * (5 + 2 * pad) + 2 * pad) * 8
             with T.no_grad(), T.AllocationTracker() as tracker:
                 out = call()
                 assert out.data.base is None and out.data.flags.c_contiguous
                 assert out.shape == (4, 6, 5)
-                assert tracker.current_bytes == tracker.peak_bytes == out.data.nbytes
+                assert tracker.current_bytes == out.data.nbytes
+                assert tracker.peak_bytes == out.data.nbytes + flat
+
+    # (C_out, full-size part (C, H, W), smaller parts' (C, h, w)): non-square
+    # grids, bins that do not divide the side, a part as tall as the first
+    SMALL_PARTS = [(3, (2, 7, 5), [(2, 3, 2)]),
+                   (2, (1, 6, 9), [(3, 1, 1), (2, 2, 2), (1, 3, 3), (2, 6, 9)]),
+                   (4, (2, 5, 4), [(1, 5, 1), (2, 2, 4)])]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_small_parts_bitwise_equal_upsample_then_fuse(self, rng, dtype):
+        for c_out, first, small in self.SMALL_PARTS:
+            shapes = [first, *small]
+            arrays = [rng.normal(0, 1, s) for s in shapes] + [
+                rng.normal(0, 1, (c_out, sum(s[0] for s in shapes), 3, 3)),
+                rng.uniform(0.5, 1.5, c_out), rng.normal(0, 1, c_out)]
+            inv_std, mean = rng.uniform(0.5, 2.0, c_out), rng.normal(0, 1, c_out)
+            runs = []
+            for upsample in (False, True):
+                leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+                parts = leaves[:len(shapes)]
+                fed = [parts[0], *(T.upsample_nearest(p, *first[1:]) if upsample else p
+                                   for p in parts[1:])]
+                out = T.conv_bn_relu(fed, *leaves[len(shapes):], inv_std.astype(dtype),
+                                     mean.astype(dtype))
+                T.backward(projected(out, np.random.default_rng(23)))
+                runs.append([out.data, *(t.grad for t in leaves)])
+            assert runs[0][0].dtype == dtype
+            for got, want in zip(*runs):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
 
 
 class TestPoolingAndResize:
@@ -680,6 +714,11 @@ class TestPoolingAndResize:
     def test_upsample_cannot_shrink(self):
         with pytest.raises(ParameterError):
             T.upsample_nearest(tensor(np.ones((1, 4, 4))), 2, 4)
+
+    def test_upsample_from_an_empty_side_rejected(self):
+        for shape in ((1, 0, 2), (1, 2, 0)):
+            with pytest.raises(ParameterError):
+                T.upsample_nearest(tensor(np.ones(shape)), 3, 3)
 
     def test_full_bin_pool_then_upsample_roundtrip(self, rng):
         x = rng.normal(0, 1, (3, 4, 4))
@@ -921,7 +960,8 @@ class TestGradientsEveryOp:
 
     def test_affine_relu(self, rng):
         # the fused block: every part, the weight, gain and shift, for a
-        # one-part, a two-part, a 3x3 and a two-part 3x3 call
+        # one-part, a two-part, a 3x3, a two-part 3x3 and a 3x3 call whose
+        # second part is upsampled from 2x3 to 5x4
         cases = [
             ((tensor(rng.normal(0, 1, (3, 5)), requires_grad=True),),
              block_args(rng, 3, 3)),
@@ -932,6 +972,9 @@ class TestGradientsEveryOp:
              block_args(rng, 2, 2, kernel=3)),
             ((tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True),
               tensor(rng.normal(0, 1, (2, 3, 4)), requires_grad=True)),
+             block_args(rng, 3, 2, kernel=3)),
+            ((tensor(rng.normal(0, 1, (1, 5, 4)), requires_grad=True),
+              tensor(rng.normal(0, 1, (2, 2, 3)), requires_grad=True)),
              block_args(rng, 3, 2, kernel=3)),
         ]
         for parts, (w, gain, shift, inv_std, mean) in cases:
@@ -987,12 +1030,15 @@ class TestFrozenInputs:
             "conv_bn_relu_3x3": (block(1), [x3, rng.normal(0, 1, (3, 2, 3, 3)), *bn], (0,)),
             "conv_bn_relu_3x3_parts": (block(2), [rng.normal(0, 1, (1, 5, 4)), x3,
                                                   rng.normal(0, 1, (3, 3, 3, 3)), *bn], (0, 1)),
+            "conv_bn_relu_3x3_small_parts": (block(2), [x3, rng.normal(0, 1, (1, 2, 3)),
+                                                        rng.normal(0, 1, (3, 3, 3, 3)), *bn],
+                                             (0, 1)),
         }
 
     @pytest.mark.parametrize("op", [
         "matmul", "add", "relation_softmax", "attend", "concat0", "conv1x1",
         "conv_spatial", "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_3x3",
-        "conv_bn_relu_3x3_parts"])
+        "conv_bn_relu_3x3_parts", "conv_bn_relu_3x3_small_parts"])
     def test_frozen_parent_gets_no_gradient(self, rng, monkeypatch, op):
         monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row relation blocks
         build, leaves, frozen_slots = self.cases(rng)[op]
