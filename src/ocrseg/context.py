@@ -208,10 +208,12 @@ def ocr_aggregate(relations: RelationMatrix, reps: RegionReps,
 
 def augment(x: FeatureMap, y: FeatureMap, fuse_transform: TransformBlock) -> FeatureMap:
     """Fuse pixel and contextual features: g applied to their channel concat,
-    which the block reads as two column parts without building it."""
-    if (x.height, x.width) != (y.height, y.width):
-        raise DimensionError(
-            f"spatial sizes differ: {x.height}x{x.width} vs {y.height}x{y.width}")
+    which the block reads as two column parts without building it. A 1 x 1
+    context ``y`` is one context for every pixel: the block adds its one
+    product to every column."""
+    if (y.height, y.width) not in ((x.height, x.width), (1, 1)):
+        raise DimensionError(f"context size {y.height}x{y.width} is neither the "
+                             f"features' {x.height}x{x.width} nor 1x1")
     z = fuse_transform(x.pixels(), y.pixels())
     return FeatureMap.from_pixels(z, x.height, x.width)
 
@@ -259,11 +261,11 @@ def global_context(x: FeatureMap,
                    output_transform: TransformBlock | None) -> FeatureMap:
     """Uniform relations: every pixel receives the same pooled context, the
     w = 1/N special case of relational aggregation and the 1 x 1 bin of the
-    pooling pyramid."""
+    pooling pyramid. Returns that context once, as a (C, 1, 1) map, which
+    ``augment`` fuses into every pixel."""
     vals = x.tensor if value_transform is None else value_transform(x.tensor)
     pooled = T.avg_pool2d(vals, 1, 1)  # (C_v, 1, 1)
-    y = pooled if output_transform is None else output_transform(pooled)
-    return FeatureMap(T.upsample_nearest(y, x.height, x.width))
+    return FeatureMap(pooled if output_transform is None else output_transform(pooled))
 
 
 def scaled_rates(base_rates: Sequence[int], height: int,
@@ -277,9 +279,9 @@ def scaled_rates(base_rates: Sequence[int], height: int,
 def aspp_lite(x: FeatureMap,
               branches: Sequence[tuple[int, T.Tensor]]) -> FeatureMap:
     """Multi-scale context from parallel dilated convs, one per (rate,
-    (C_out, C_in, k, k) kernel) branch, channel-concatenated."""
-    return FeatureMap(T.concat0(*(T.conv_spatial(x.tensor, kern, dilation=rate)
-                                  for rate, kern in branches)))
+    (C_out, C_in, k, k) kernel) branch, each in its channel slice of one
+    output, in branch order."""
+    return FeatureMap(T.conv_spatial(x.tensor, branches))
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],

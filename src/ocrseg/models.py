@@ -330,7 +330,8 @@ class SelfAttentionStage(RelationalStage):
 
 
 class GlobalStage(RelationalStage):
-    """Single pooled context shared by every pixel."""
+    """Single pooled context shared by every pixel: a (C, 1, 1) map that
+    the fuse adds to every pixel's column."""
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
         return global_context(feats, self.value_transform, self.output_transform), None
@@ -349,7 +350,8 @@ def _dilated_kernel(rng: np.random.Generator, in_channels: int, out_channels: in
 
 
 class AsppStage:
-    """Parallel dilated convolutions of the raw map, concatenated."""
+    """Parallel dilated convolutions of the raw map, one ``conv_spatial``
+    whose output holds each branch in its channel slice."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg

@@ -285,24 +285,6 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (t,), back, "reshape")
 
 
-def concat0(*parts: Tensor) -> Tensor:
-    """Concatenate along axis 0 (the channel axis for pixel matrices), in one
-    copy however many parts there are."""
-    if not parts:
-        raise DimensionError("concat0 needs at least one part")
-    if any(p.data.shape[1:] != parts[0].data.shape[1:] for p in parts):
-        raise DimensionError(
-            f"concat0 trailing dims differ: {' vs '.join(str(p.data.shape) for p in parts)}")
-    out = np.concatenate([p.data for p in parts], axis=0)
-    splits = np.cumsum([p.data.shape[0] for p in parts[:-1]])
-
-    def back(g):
-        return tuple(gp if p.requires_grad else None
-                     for p, gp in zip(parts, np.split(g, splits, axis=0)))
-
-    return _result(out, parts, back, "concat0")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
@@ -476,7 +458,8 @@ _ACCUMULATE_BYTES = 1 << 22
 def _gemm_accumulate(out2: np.ndarray, terms) -> None:
     """Write the sum of ``w @ x`` over ``terms`` (pairs of (M, K_t) and (K_t, N)
     matrices) into ``out2`` (M, N). The first product goes straight into
-    ``out2``; each later one is added a block of columns at a time."""
+    ``out2``; each later one is added a block of columns at a time, and a
+    later (K_t, 1) ``x`` adds its one column of products to every column."""
     m, n = out2.shape
     cols = max(1, min(n, _ACCUMULATE_BYTES // (out2.itemsize * max(m, 1))))
     for i, (w, x) in enumerate(terms):
@@ -485,7 +468,7 @@ def _gemm_accumulate(out2: np.ndarray, terms) -> None:
             continue
         for j in range(0, n, cols):
             block = out2[:, j:j + cols]  # ``out2[...] += `` would copy it back
-            block += w @ x[:, j:j + cols]
+            block += w @ (x if x.shape[1] == 1 else x[:, j:j + cols])
 
 
 # The two input layouts of a convolution. Each holds ``terms``, pairs of a
@@ -497,17 +480,21 @@ def _gemm_accumulate(out2: np.ndarray, terms) -> None:
 
 
 class _Parts:
-    """Pointwise input as column parts: (C_i, ...) tensors with equal
-    trailing dims whose channels add up to the weight's C_in. Each part
-    meets its own weight columns, so the parts are never concatenated."""
+    """Pointwise input as column parts: (C_i, ...) tensors whose channels add
+    up to the weight's C_in. Each part meets its own weight columns, so the
+    parts are never concatenated. A later part has the first's trailing dims
+    or is one column, (C_i, 1) or (C_i, 1, 1): its product is added to every
+    output column, and its backward sums the gradient over the columns once."""
 
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray) -> None:
         shapes = [p.data.shape for p in parts]
         if not shapes:
             raise DimensionError(f"{op} needs at least one input part")
-        if any(len(s) not in (2, 3) or s[1:] != shapes[0][1:] for s in shapes):
-            raise DimensionError(f"{op} input must be 2-D or 3-D, with equal "
-                                 f"trailing dims across parts, got {shapes}")
+        dims = shapes[0][1:]
+        if len(shapes[0]) not in (2, 3) or any(
+                s[1:] not in (dims, (1,) * len(dims)) for s in shapes):
+            raise DimensionError(f"{op} input must be 2-D or 3-D, each later part with "
+                                 f"the first's trailing dims or one column, got {shapes}")
         if sum(s[0] for s in shapes) != weight.shape[1]:
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
@@ -531,8 +518,9 @@ class _Parts:
         m = np.empty_like(weight)
         grads = []
         for (idx, xm), part in zip(self.terms, self.parts):
-            m[idx] = g @ xm.T
-            grads.append((weight[idx].T @ g).reshape(part.data.shape)
+            gp = g if xm.shape[1] == g.shape[1] else g.sum(axis=1, keepdims=True)
+            m[idx] = gp @ xm.T
+            grads.append((weight[idx].T @ gp).reshape(part.data.shape)
                          if part.requires_grad else None)
         return grads, m
 
@@ -574,12 +562,12 @@ class _TapGrid:
     o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
     (y + ky*d, x + kx*d), so the first W columns of each Wp-wide row are the
     tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
-    it is, so no tap is copied; products over the padded width are cropped
-    to H x W once (``conv``), and gradients enter with zero spill columns
-    (``widen``). When a part requires grad, the taps' input products are
-    summed into a flat buffer laid out like the input's, and each such part
-    gets its channel slice of it, cropped to H x W (``backward``). From a
-    dilation of max(H, W) on, every off-centre tap reads only padding, so a
+    it is, so no tap is copied; the product over the padded width is handed
+    out as its H x W crop (``conv``), and gradients enter with zero spill
+    columns (``widen``). When a part requires grad, the taps' input products
+    are summed into a flat buffer laid out like the input's, and each such
+    part gets its channel slice of it, cropped to H x W (``backward``). From
+    a dilation of max(H, W) on, every off-centre tap reads only padding, so a
     larger one is clamped to it.
     """
 
@@ -634,13 +622,13 @@ class _TapGrid:
             flat.shape[0], -1, self.wp)
 
     def conv(self, weight: np.ndarray, dtype) -> np.ndarray:
-        """Sum of the taps' products as a fresh (C_out, H, W) array: one
-        (C_out, H*Wp) product over the padded width, cropped once. The output
-        is allocated after the product, so it never coexists with the
-        accumulation's temporary."""
-        wide = np.empty((weight.shape[0], self.cols), dtype=dtype)
-        _gemm_accumulate(wide, ((weight[idx], xm) for idx, xm in self.terms))
-        return wide.reshape(weight.shape[0], self.h, self.wp)[:, :, :self.w].copy()
+        """Sum of the taps' products: one fresh (C_out, H, Wp) product over
+        the padded width, returned as its (C_out, H, W) crop, a view unless
+        there is no padding."""
+        wide = np.empty((weight.shape[0], self.h, self.wp), dtype=dtype)
+        _gemm_accumulate(wide.reshape(weight.shape[0], self.cols),
+                         ((weight[idx], xm) for idx, xm in self.terms))
+        return wide[:, :, :self.w] if self.pad else wide
 
     def widen(self, g: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """(C_out, H*Wp) copy of ``g`` (C_out, H, W), times ``mask`` if given,
@@ -690,19 +678,43 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, parents, back, "conv1x1")
 
 
-def conv_spatial(x: Tensor, weight: Tensor, dilation: int = 1) -> Tensor:
-    """Bias-free dilated 2-D convolution with zero padding that preserves H x W.
+def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]]) -> Tensor:
+    """Bias-free dilated 2-D convolutions of one (C_in, H, W) input, zero-padded
+    to keep H x W: one per (dilation, (C_i, C_in, k, k) weight) branch with
+    odd k, each written into its channel slice of the output, in branch order.
 
-    ``x`` is (C_in, H, W); ``weight`` is (C_out, C_in, k, k) with odd k.
+    The widest dilation runs first. Unless the op records a backward, each
+    branch's padded input (``_TapGrid``) is freed before the output is
+    allocated or the next branch is built, so the output never coexists with
+    the widest one. The backward sums the branches' input gradients.
     """
-    grid = _TapGrid("conv_spatial", (x,), weight.data, dilation)
-    out = grid.conv(weight.data, x.dtype)
+    if not branches:
+        raise DimensionError("conv_spatial needs at least one (dilation, weight) branch")
+    weights = [w for _, w in branches]
+    bounds = np.cumsum([0] + [w.data.shape[0] for w in weights])
+    records = _grad_enabled and any(t.requires_grad for t in (x, *weights))
+    grids, out = {}, None
+    for i in sorted(range(len(branches)), key=lambda i: -branches[i][0]):
+        grids[i] = _TapGrid("conv_spatial", (x,), weights[i].data, branches[i][0])
+        crop = grids[i].conv(weights[i].data, x.dtype)
+        if not records:
+            del grids[i]
+        if out is None:
+            out = np.empty((bounds[-1],) + x.data.shape[1:], dtype=x.dtype)
+            if _TRACKER_STACK:
+                _charge(out)  # the op result is a view of it, charged here once
+        out[bounds[i]:bounds[i + 1]] = crop
+        del crop
 
     def back(g):
-        (gx,), gw = grid.backward(grid.widen(g), weight.data)
-        return gx, gw
+        gx, gws = None, [None] * len(weights)
+        for i, grid in grids.items():  # gx is None for all or for none
+            (gi,), gws[i] = grid.backward(grid.widen(g[bounds[i]:bounds[i + 1]]),
+                                          weights[i].data)
+            gx = gi if gx is None else gx + gi
+        return (gx, *gws)
 
-    return _result(out, (x, weight), back, "conv_spatial")
+    return _result(out[...], (x, *weights), back, "conv_spatial")
 
 
 def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
@@ -713,18 +725,19 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     ``s = gain * inv_std`` and ``b = shift - mean * s``.
 
     A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
-    tensor or a sequence of column parts whose channels add up to C_in
-    (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves a zero-padded
-    (C_in, H, W) input, given whole or as (C_i, H, W) column parts, of which
-    all but the first may be smaller and are nearest-upsampled to H x W, its
-    taps reading windows of one flat padded buffer (``_TapGrid``). Each part's or
-    tap's product accumulates into the output, which then takes the
-    batchnorm and the ReLU in place. When ``trace`` is a list, the smallest
-    absolute pre-activation is appended to it. The backward reads the ReLU
-    mask off the output: with g' the masked gradient and M = g' x^T per part
-    or tap, the weight gets s * M, the gain (sum of W * M - mean * g_shift) *
-    inv_std, and the input (s * W)^T g', whose scaled weight is formed only
-    when some input part requires grad.
+    tensor or a sequence of column parts whose channels add up to C_in, of
+    which all but the first may be one column, standing for that column at
+    every position (``_Parts``). A (C_out, C_in, k, k) ``weight`` convolves a
+    zero-padded (C_in, H, W) input, given whole or as (C_i, H, W) column
+    parts, of which all but the first may be smaller and are
+    nearest-upsampled to H x W, its taps reading windows of one flat padded
+    buffer (``_TapGrid``). Each part's or tap's product accumulates into the
+    output, which then takes the batchnorm and the ReLU in place. When
+    ``trace`` is a list, the smallest absolute pre-activation is appended to
+    it. The backward reads the ReLU mask off the output: with g' the masked
+    gradient and M = g' x^T per part or tap, the weight gets s * M, the gain
+    (sum of W * M - mean * g_shift) * inv_std, and the input (s * W)^T g',
+    whose scaled weight is formed only when some input part requires grad.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if weight.data.ndim == 2:
@@ -738,7 +751,8 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
             raise DimensionError(
                 f"conv_bn_relu {name} shape {arr.shape} does not match {c_out} channels")
 
-    out = layout.conv(weight.data, np.result_type(weight.data, *(p.data for p in parts)))
+    out = np.ascontiguousarray(
+        layout.conv(weight.data, np.result_type(weight.data, *(p.data for p in parts))))
     out2 = out.reshape(c_out, -1)
     s = gain.data * inv_std
     out2 *= s[:, None]
@@ -792,25 +806,6 @@ def avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return (gx,)
 
     return _result(out, (x,), back, "avg_pool2d")
-
-
-def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbor upsampling of (C, h, w) to (C, out_h, out_w)."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"upsample input must be (C, h, w), got {x.data.shape}")
-    c, h, w = x.data.shape
-    if out_h < h or out_w < w:
-        raise ParameterError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
-    if h == 0 < out_h or w == 0 < out_w:
-        raise ParameterError(f"cannot upsample an empty {h}x{w} input to {out_h}x{out_w}")
-    near = _Nearest(h, w, out_h, out_w)
-    out = np.empty((c, out_h, out_w), dtype=x.dtype)
-    near.fill(out, x.data)
-
-    def back(g):
-        return (near.grad(g),)
-
-    return _result(out, (x,), back, "upsample_nearest")
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray,

@@ -131,6 +131,17 @@ def upsample_nearest_loops(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def upsample_nearest_adjoint_loops(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Gradient of ``upsample_nearest_loops``' (C, h, w) input given its
+    output's gradient ``g``: each output pixel's entry added to its source."""
+    c, out_h, out_w = g.shape
+    out = np.zeros((c, h, w), dtype=g.dtype)
+    for i in range(out_h):
+        for j in range(out_w):
+            out[:, i * h // out_h, j * w // out_w] += g[:, i, j]
+    return out
+
+
 def cross_entropy_loops(logits: np.ndarray, labels: np.ndarray,
                         ignore_index: int = 255) -> float:
     """Mean per-pixel negative log-softmax probability of the true class."""

@@ -196,15 +196,18 @@ class TestForward:
     @pytest.mark.parametrize(
         "module", [m for m in MODULE_CHOICES if issubclass(STAGES[m], RelationalStage)])
     def test_relational_fuse_builds_no_concatenation(self, rng, monkeypatch, module):
-        def no_concat(*args):
-            raise AssertionError("the fuse must not concatenate its inputs")
-
-        monkeypatch.setattr(T, "concat0", no_concat)
+        # the fuse, the stage's last block, reads the stemmed features and the
+        # context as two column parts; global's context is one column
+        fused = []
+        real = T.conv_bn_relu
+        monkeypatch.setattr(T, "conv_bn_relu",
+                            lambda x, *a: fused.append([p.shape for p in x]) or real(x, *a))
         model = build_model(small_config(module, use_stem=True), image_size=8)
         x = feature_map(rng, 5, 8, 8)
         labels = LabelMap(rng.integers(0, 3, (8, 8)), 3) if model.needs_labels else None
         out = model.forward(x, labels)
         assert out.final_logits.data.shape == (3, 64)
+        assert fused[-1] == [(6, 64), (6, 1 if module == "global" else 64)]
 
     def test_gt_scheme_requires_labels(self, rng):
         model = build_model(small_config("gt_ocr"))

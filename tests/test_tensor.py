@@ -239,24 +239,10 @@ class TestElementwiseAndShapes:
                              tensor(one), tensor(np.zeros(1)), one, np.zeros(1)).data
         assert np.array_equal(out, [[0.0, 0.0, 2.5]])
 
-    def test_transpose_reshape_concat(self):
+    def test_transpose_reshape(self):
         x = tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert np.array_equal(T.transpose(x).data, x.data.T)
         assert np.array_equal(T.reshape(x, (3, 2)).data, x.data.reshape(3, 2))
-        y = tensor([[7.0, 8.0, 9.0]])
-        cat = T.concat0(x, y)
-        assert cat.shape == (3, 3)
-        assert np.array_equal(cat.data[2], [7.0, 8.0, 9.0])
-
-    def test_concat0_takes_any_number_of_parts(self, rng):
-        parts = [tensor(rng.normal(0, 1, (c, 2, 3))) for c in (2, 1, 3)]
-        cat = T.concat0(*parts)
-        assert np.array_equal(cat.data, np.concatenate([p.data for p in parts]))
-        assert np.array_equal(T.concat0(parts[0]).data, parts[0].data)
-        with pytest.raises(DimensionError):
-            T.concat0(parts[0], tensor(np.ones((1, 2, 4))), parts[1])
-        with pytest.raises(DimensionError):
-            T.concat0()
 
     def test_layout_ops_are_views(self, rng):
         x = tensor(rng.normal(0, 1, (2, 6)))
@@ -432,6 +418,12 @@ class TestConvBnRelu:
             three = T.conv_bn_relu((tensor(a), tensor(b), tensor(c)), w, *args).data
             assert np.max(np.abs(two - whole)) < 1e-12
             assert np.max(np.abs(three - whole)) < 1e-12
+            # a one-column part stands for itself at every position
+            col = c[(slice(None),) + (slice(0, 1),) * len(shape)]
+            spread = np.broadcast_to(col, c.shape)
+            whole = T.conv_bn_relu(tensor(np.concatenate([a, b, spread])), w, *args).data
+            one = T.conv_bn_relu((tensor(np.concatenate([a, b])), tensor(col)), w, *args).data
+            assert np.max(np.abs(one - whole)) < 1e-12
 
     def test_single_precision_stays_single(self, rng):
         x = T.Tensor(rng.normal(0, 1, (3, 6)).astype(np.float32))
@@ -448,14 +440,15 @@ class TestConvBnRelu:
             T.conv_bn_relu((tensor(np.ones((3, 2))), tensor(np.ones((1, 2)))), w, *args)
         with pytest.raises(DimensionError):  # trailing dims differ
             T.conv_bn_relu((tensor(np.ones((3, 2))), tensor(np.ones((2, 3)))), w, *args)
+        # a later part has the first's trailing dims or is one column of the
+        # same rank; a one-column first part takes no wider later part
+        for first, other in (((3, 4), (2, 2)), ((3, 2, 2), (2, 1, 2)), ((3, 2, 2), (2, 1)),
+                             ((3, 1), (2, 4)), ((3, 1, 1), (2, 2, 2))):
+            with pytest.raises(DimensionError):
+                T.conv_bn_relu((tensor(np.ones(first)), tensor(np.ones(other))), w, *args)
         with pytest.raises(DimensionError):
             T.conv_bn_relu((), w, *args)
         w3, *args3 = block_args(rng, 2, 3, kernel=3)
-        # a kxk part may be smaller than the first, not larger or empty
-        for other in ((1, 4, 3), (1, 3, 4), (1, 0, 2), (1, 2, 0)):
-            with pytest.raises(DimensionError):
-                T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones(other))),
-                               w3, *args3)
         with pytest.raises(DimensionError):
             T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 9)))), w3, *args3)
         with pytest.raises(DimensionError):
@@ -513,26 +506,33 @@ class TestConvSpatial:
         for c in range(2):
             w[c, c, 1, 1] = 1.0
         for dilation in (1, 2):
-            out = T.conv_spatial(tensor(x), tensor(w), dilation=dilation)
+            out = T.conv_spatial(tensor(x), [(dilation, tensor(w))])
             assert np.max(np.abs(out.data - x)) < 1e-15
 
     def test_matches_direct_summation(self, rng):
         x = rng.normal(0, 1, (2, 4, 4))
         w = rng.normal(0, 1, (3, 2, 3, 3))
         for dilation in (1, 2):
-            got = T.conv_spatial(tensor(x), tensor(w), dilation=dilation).data
+            got = T.conv_spatial(tensor(x), [(dilation, tensor(w))]).data
             want = oracles.conv_spatial_loops(x, w, dilation)
             assert np.max(np.abs(got - want)) < 1e-12
+        # branches in any dilation order land in branch order
+        w2 = rng.normal(0, 1, (2, 2, 3, 3))
+        got = T.conv_spatial(tensor(x), [(1, tensor(w)), (3, tensor(w2)), (2, tensor(w))]).data
+        want = np.concatenate([oracles.conv_spatial_loops(x, w, 1),
+                               oracles.conv_spatial_loops(x, w2, 3),
+                               oracles.conv_spatial_loops(x, w, 2)])
+        assert got.shape == (8, 4, 4) and np.max(np.abs(got - want)) < 1e-12
 
     def test_single_pixel_only_center_tap(self, rng):
         x = rng.normal(0, 1, (1, 1, 1))
         w = rng.normal(0, 1, (1, 1, 3, 3))
-        out = T.conv_spatial(tensor(x), tensor(w), dilation=2)
+        out = T.conv_spatial(tensor(x), [(2, tensor(w))])
         assert abs(float(out.data[0, 0, 0]) - float(w[0, 0, 1, 1] * x[0, 0, 0])) < 1e-15
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
-            T.conv_spatial(tensor(np.ones((1, 3, 3))), tensor(np.ones((1, 1, 2, 2))))
+            T.conv_spatial(tensor(np.ones((1, 3, 3))), [(1, tensor(np.ones((1, 1, 2, 2))))])
 
 
 class TestTapGrid:
@@ -548,7 +548,7 @@ class TestTapGrid:
             x = rng.normal(0, 1, (c_in, h, w))
             k = rng.normal(0, 1, (c_out, c_in, 3, 3))
             b = rng.normal(0, 1, c_out)
-            got = T.conv_spatial(tensor(x), tensor(k), dilation=d).data
+            got = T.conv_spatial(tensor(x), [(d, tensor(k))]).data
             assert np.array_equal(got, oracles.conv_taps_copy(x, k, d))
 
     @pytest.mark.parametrize("block_bytes", [8 * 8 * 12, 8 * 8 * 7])
@@ -560,7 +560,7 @@ class TestTapGrid:
         monkeypatch.setattr(T, "_ACCUMULATE_BYTES", block_bytes)
         x = rng.normal(0, 1, (16, 12, 10))
         k = rng.normal(0, 1, (8, 16, 3, 3))
-        got = T.conv_spatial(tensor(x), tensor(k)).data
+        got = T.conv_spatial(tensor(x), [(1, tensor(k))]).data
         assert np.max(np.abs(got - oracles.conv_taps_copy(x, k))) < 1e-12
 
     def test_conv_bn_relu_bitwise_equals_tap_copies(self, rng):
@@ -580,7 +580,7 @@ class TestTapGrid:
         for c_in, c_out, h, w, d in self.SHAPES:
             x = rng.normal(0, 1, (c_in, h, w))
             k = rng.normal(0, 1, (c_out, c_in, 3, 3))
-            got = T.conv_spatial(tensor(x), tensor(k), dilation=d).data
+            got = T.conv_spatial(tensor(x), [(d, tensor(k))]).data
             assert np.max(np.abs(got - oracles.conv_spatial_loops(x, k, d))) < 1e-12
             wt, gain, shift, _, _ = block_args(rng, c_in, c_out, kernel=3)
             var, mean = bn_stats(rng, c_out)
@@ -595,8 +595,7 @@ class TestTapGrid:
         x = tensor(rng.normal(0, 1, (2, 4, 3)), requires_grad=True)
         w = tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
         for d in (2, 3):
-            fwd = lambda: projected(T.conv_spatial(x, w, dilation=d),
-                                    np.random.default_rng(19))
+            fwd = lambda: projected(T.conv_spatial(x, [(d, w)]), np.random.default_rng(19))
             assert max_grad_fd_error([x, w], fwd) < TestGradientsEveryOp.TOL
 
     @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 3, 5)])
@@ -610,7 +609,7 @@ class TestTapGrid:
             x, w = tensor(x0, requires_grad=True), tensor(w0, requires_grad=True)
             tracemalloc.start()
             try:
-                out = T.conv_spatial(x, w, dilation=d)
+                out = T.conv_spatial(x, [(d, w)])
                 T.backward(projected(out, np.random.default_rng(21)))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -633,20 +632,24 @@ class TestTapGrid:
         assert min(trace) > 1e-3  # every finite difference stays off the kink
 
     def test_tracker_charges_one_owned_output(self, rng):
-        # the output, and while the op runs its flat padded input, which no
+        # the output, and while the op runs each flat padded input, which no
         # tensor owns: 3 channels of (6 + 2*pad) x (5 + 2*pad) + 2*pad doubles
         x = tensor(rng.normal(0, 1, (3, 6, 5)))
         k = tensor(rng.normal(0, 1, (4, 3, 3, 3)))
         wt, *bn = block_args(rng, 3, 4, kernel=3)
-        for call, pad in ((lambda: T.conv_spatial(x, k, dilation=2), 2),
-                          (lambda: T.conv_bn_relu(x, wt, *bn), 1)):
-            flat = 3 * ((6 + 2 * pad) * (5 + 2 * pad) + 2 * pad) * 8
-            with T.no_grad(), T.AllocationTracker() as tracker:
-                out = call()
-                assert out.data.base is None and out.data.flags.c_contiguous
-                assert out.shape == (4, 6, 5)
-                assert tracker.current_bytes == out.data.nbytes
-                assert tracker.peak_bytes == out.data.nbytes + flat
+        flat = {pad: 3 * ((6 + 2 * pad) * (5 + 2 * pad) + 2 * pad) * 8 for pad in (1, 2, 4)}
+        with T.no_grad(), T.AllocationTracker() as tracker:
+            out = T.conv_bn_relu(x, wt, *bn)
+            assert out.data.base is None and out.data.flags.c_contiguous
+            assert tracker.current_bytes == out.data.nbytes
+            assert tracker.peak_bytes == out.data.nbytes + flat[1]
+        # conv_spatial charges its output once, when it allocates it: after
+        # the widest branch's buffer is freed, and before the next is built
+        with T.no_grad(), T.AllocationTracker() as tracker:
+            out = T.conv_spatial(x, [(2, k), (4, k), (1, k)])
+            assert out.shape == (12, 6, 5) and out.data.flags.c_contiguous
+            assert tracker.current_bytes == out.data.nbytes
+            assert tracker.peak_bytes == max(flat[4], flat[2] + out.data.nbytes)
 
     # (C_out, full-size part (C, H, W), smaller parts' (C, h, w)): non-square
     # grids, bins that do not divide the side, a part as tall as the first
@@ -665,16 +668,35 @@ class TestTapGrid:
             runs = []
             for upsample in (False, True):
                 leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-                parts = leaves[:len(shapes)]
-                fed = [parts[0], *(T.upsample_nearest(p, *first[1:]) if upsample else p
-                                   for p in parts[1:])]
-                out = T.conv_bn_relu(fed, *leaves[len(shapes):], inv_std.astype(dtype),
-                                     mean.astype(dtype))
+                if upsample:  # the reference's later parts are upsampled leaves
+                    leaves[1:len(shapes)] = [
+                        T.Tensor(oracles.upsample_nearest_loops(a, *first[1:]).astype(dtype),
+                                 requires_grad=True) for a in arrays[1:len(shapes)]]
+                out = T.conv_bn_relu(leaves[:len(shapes)], *leaves[len(shapes):],
+                                     inv_std.astype(dtype), mean.astype(dtype))
                 T.backward(projected(out, np.random.default_rng(23)))
                 runs.append([out.data, *(t.grad for t in leaves)])
-            assert runs[0][0].dtype == dtype
-            for got, want in zip(*runs):
-                assert got.shape == want.shape and np.array_equal(got, want)
+            (out, *grads), (ref_out, *ref_grads) = runs
+            assert out.dtype == dtype and np.array_equal(out, ref_out)
+            tol = 1e-12 if dtype == np.float64 else 1e-4
+            for i, (got, want) in enumerate(zip(grads, ref_grads)):
+                if 0 < i < len(shapes):  # a later part: the adjoint of its upsampling
+                    want = oracles.upsample_nearest_adjoint_loops(want, *shapes[i][1:])
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+                else:
+                    assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_branches_bitwise_equal_concatenated_single_branches(self, rng, dtype):
+        x = T.Tensor(rng.normal(0, 1, (3, 9, 7)).astype(dtype))
+        branches = [(d, T.Tensor(rng.normal(0, 1, (c, 3, 3, 3)).astype(dtype)))
+                    for d, c in ((1, 4), (5, 2), (3, 3), (12, 1))]
+        for grad in (False, True):
+            x.requires_grad = grad
+            got = T.conv_spatial(x, branches).data
+            want = np.concatenate([T.conv_spatial(x, [b]).data for b in branches])
+            assert got.dtype == dtype and np.array_equal(got, want)
 
 
 
@@ -690,18 +712,24 @@ class TestPoolingAndResize:
         with pytest.raises(ParameterError):
             T.avg_pool2d(tensor(np.ones((1, 3, 3))), 0, 2)
 
+    @staticmethod
+    def upsampled(x, out_h, out_w):
+        """``x`` through the kxk fuse's nearest map, ``T._Nearest``."""
+        out = np.empty(x.shape[:1] + (out_h, out_w))
+        T._Nearest(*x.shape[1:], out_h, out_w).fill(out, x)
+        return out
+
     def test_upsample_matches_loop(self, rng):
         x = rng.normal(0, 1, (2, 2, 3))
-        got = T.upsample_nearest(tensor(x), 5, 7).data
+        got = self.upsampled(x, 5, 7)
         assert np.array_equal(got, oracles.upsample_nearest_loops(x, 5, 7))
 
     @pytest.mark.parametrize("size", [(2, 3, 5, 7), (1, 1, 4, 6), (3, 2, 3, 2)])
     def test_upsample_backward_is_the_loop_adjoint(self, rng, size):
         # uneven ratios: source cells cover blocks of unequal size
         h, w, out_h, out_w = size
-        x = tensor(rng.normal(0, 1, (2, h, w)), requires_grad=True)
         g = rng.normal(0, 1, (2, out_h, out_w))
-        T.backward(dot_all(T.upsample_nearest(x, out_h, out_w), tensor(g)))
+        got = T._Nearest(h, w, out_h, out_w).grad(g)
         want = np.zeros((2, h, w))
         for i in range(h):
             for j in range(w):
@@ -709,22 +737,27 @@ class TestPoolingAndResize:
                 basis[:, i, j] = 1.0
                 up = oracles.upsample_nearest_loops(basis, out_h, out_w)
                 want[:, i, j] = (up * g).sum(axis=(1, 2))
-        assert np.max(np.abs(x.grad - want)) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got - oracles.upsample_nearest_adjoint_loops(g, h, w))) < 1e-12
 
-    def test_upsample_cannot_shrink(self):
-        with pytest.raises(ParameterError):
-            T.upsample_nearest(tensor(np.ones((1, 4, 4))), 2, 4)
+    def test_upsample_cannot_shrink(self, rng):
+        # a kxk block's later part may be smaller than the first, not larger
+        w, *args = block_args(rng, 2, 3, kernel=3)
+        for other in ((1, 4, 3), (1, 3, 4)):
+            with pytest.raises(DimensionError):
+                T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones(other))), w, *args)
 
-    def test_upsample_from_an_empty_side_rejected(self):
-        for shape in ((1, 0, 2), (1, 2, 0)):
-            with pytest.raises(ParameterError):
-                T.upsample_nearest(tensor(np.ones(shape)), 3, 3)
+    def test_upsample_from_an_empty_side_rejected(self, rng):
+        w, *args = block_args(rng, 2, 3, kernel=3)
+        for other in ((1, 0, 2), (1, 2, 0)):
+            with pytest.raises(DimensionError):
+                T.conv_bn_relu((tensor(np.ones((1, 3, 3))), tensor(np.ones(other))), w, *args)
 
     def test_full_bin_pool_then_upsample_roundtrip(self, rng):
         x = rng.normal(0, 1, (3, 4, 4))
         pooled = T.avg_pool2d(tensor(x), 4, 4)
-        back = T.upsample_nearest(pooled, 4, 4)
-        assert np.max(np.abs(back.data - x)) < 1e-15
+        back = self.upsampled(pooled.data, 4, 4)
+        assert np.max(np.abs(back - x)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -875,21 +908,10 @@ class TestGradientsEveryOp:
         fwd = lambda: projected(T.matmul(a, b), np.random.default_rng(7))
         assert max_grad_fd_error([a, b], fwd) < self.TOL
 
-    def test_transpose_reshape_concat(self, rng):
+    def test_transpose_reshape(self, rng):
         a = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-        b = tensor(rng.normal(0, 1, (1, 3)), requires_grad=True)
-
-        def fwd():
-            cat = T.concat0(T.reshape(T.transpose(a), (2, 3)), b)
-            return projected(cat, np.random.default_rng(8))
-
-        assert max_grad_fd_error([a, b], fwd) < self.TOL
-
-    def test_concat0_many_parts(self, rng):
-        parts = [tensor(rng.normal(0, 1, (c, 2, 2)), requires_grad=True)
-                 for c in (1, 3, 2)]
-        fwd = lambda: projected(T.concat0(*parts), np.random.default_rng(21))
-        assert max_grad_fd_error(parts, fwd) < self.TOL
+        fwd = lambda: projected(T.reshape(T.transpose(a), (2, 3)), np.random.default_rng(8))
+        assert max_grad_fd_error([a], fwd) < self.TOL
 
     def test_add_scale(self, rng):
         a = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
@@ -941,11 +963,13 @@ class TestGradientsEveryOp:
         assert max_grad_fd_error([x, w, b], fwd) < self.TOL
 
     def test_conv_spatial(self, rng):
-        x = tensor(rng.normal(0, 1, (2, 3, 3)), requires_grad=True)
+        # two branches at two dilations: the input gradient sums both
+        x = tensor(rng.normal(0, 1, (2, 3, 4)), requires_grad=True)
         w = tensor(rng.normal(0, 1, (2, 2, 3, 3)), requires_grad=True)
-        fwd = lambda: projected(T.conv_spatial(x, w, dilation=2),
-                                np.random.default_rng(15))
-        assert max_grad_fd_error([x, w], fwd) < self.TOL
+        w2 = tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
+        for branches in ([(2, w)], [(1, w), (2, w2)]):
+            fwd = lambda: projected(T.conv_spatial(x, branches), np.random.default_rng(15))
+            assert max_grad_fd_error([x, *(k for _, k in branches)], fwd) < self.TOL
 
     def test_avg_pool(self, rng):
         x = tensor(rng.normal(0, 1, (2, 5, 5)), requires_grad=True)
@@ -953,15 +977,24 @@ class TestGradientsEveryOp:
         assert max_grad_fd_error([x], fwd) < self.TOL
 
     def test_upsample(self, rng):
-        x = tensor(rng.normal(0, 1, (2, 2, 2)), requires_grad=True)
-        fwd = lambda: projected(T.upsample_nearest(x, 5, 4),
-                                np.random.default_rng(17))
-        assert max_grad_fd_error([x], fwd) < self.TOL
+        # a 3x3 block's second part, nearest-upsampled from 2x3 to 5x4 as the
+        # block pads it: every part, the weight, gain and shift
+        parts = (tensor(rng.normal(0, 1, (1, 5, 4)), requires_grad=True),
+                 tensor(rng.normal(0, 1, (2, 2, 3)), requires_grad=True))
+        w, gain, shift, inv_std, mean = block_args(rng, 3, 2, kernel=3)
+        trace = []
+
+        def fwd():
+            out = T.conv_bn_relu(parts, w, gain, shift, inv_std, mean, trace=trace)
+            return projected(out, np.random.default_rng(17))
+
+        assert max_grad_fd_error([*parts, w, gain, shift], fwd) < self.TOL
+        assert min(trace) > 1e-3  # every finite difference stays off the kink
 
     def test_affine_relu(self, rng):
         # the fused block: every part, the weight, gain and shift, for a
-        # one-part, a two-part, a 3x3, a two-part 3x3 and a 3x3 call whose
-        # second part is upsampled from 2x3 to 5x4
+        # one-part, a two-part, a 3x3 and a two-part 3x3 call, and a call
+        # whose second part is one column, read at every position
         cases = [
             ((tensor(rng.normal(0, 1, (3, 5)), requires_grad=True),),
              block_args(rng, 3, 3)),
@@ -973,9 +1006,9 @@ class TestGradientsEveryOp:
             ((tensor(rng.normal(0, 1, (1, 3, 4)), requires_grad=True),
               tensor(rng.normal(0, 1, (2, 3, 4)), requires_grad=True)),
              block_args(rng, 3, 2, kernel=3)),
-            ((tensor(rng.normal(0, 1, (1, 5, 4)), requires_grad=True),
-              tensor(rng.normal(0, 1, (2, 2, 3)), requires_grad=True)),
-             block_args(rng, 3, 2, kernel=3)),
+            ((tensor(rng.normal(0, 1, (2, 3, 2)), requires_grad=True),
+              tensor(rng.normal(0, 1, (3, 1, 1)), requires_grad=True)),
+             block_args(rng, 5, 3)),
         ]
         for parts, (w, gain, shift, inv_std, mean) in cases:
             trace = []
@@ -1020,13 +1053,15 @@ class TestFrozenInputs:
             "attend": (lambda q, k, v: T.attend(q, k, v, 0.6),
                        [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4)),
                         rng.normal(0, 1, (2, 4))], (0, 1, 2)),
-            "concat0": (T.concat0, [rng.normal(0, 1, (c, 2, 2)) for c in (1, 3, 2)], (0, 1, 2)),
             "conv1x1": (T.conv1x1, [x3, rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)], (0,)),
-            "conv_spatial": (lambda x, w: T.conv_spatial(x, w, dilation=2),
-                             [x3, rng.normal(0, 1, (3, 2, 3, 3))], (0,)),
+            "conv_spatial": (lambda x, w, w2: T.conv_spatial(x, [(2, w), (1, w2)]),
+                             [x3, rng.normal(0, 1, (3, 2, 3, 3)),
+                              rng.normal(0, 1, (2, 2, 3, 3))], (0,)),
             "conv_bn_relu_pointwise": (block(1), [x3, rng.normal(0, 1, (3, 2)), *bn], (0,)),
             "conv_bn_relu_parts": (block(2), [rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (3, 6)),
                                               rng.normal(0, 1, (3, 5)), *bn], (0, 1)),
+            "conv_bn_relu_one_column_part": (block(2), [x3, rng.normal(0, 1, (3, 1, 1)),
+                                                        rng.normal(0, 1, (3, 5)), *bn], (0, 1)),
             "conv_bn_relu_3x3": (block(1), [x3, rng.normal(0, 1, (3, 2, 3, 3)), *bn], (0,)),
             "conv_bn_relu_3x3_parts": (block(2), [rng.normal(0, 1, (1, 5, 4)), x3,
                                                   rng.normal(0, 1, (3, 3, 3, 3)), *bn], (0, 1)),
@@ -1036,9 +1071,9 @@ class TestFrozenInputs:
         }
 
     @pytest.mark.parametrize("op", [
-        "matmul", "add", "relation_softmax", "attend", "concat0", "conv1x1",
-        "conv_spatial", "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_3x3",
-        "conv_bn_relu_3x3_parts", "conv_bn_relu_3x3_small_parts"])
+        "matmul", "add", "relation_softmax", "attend", "conv1x1", "conv_spatial",
+        "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_one_column_part",
+        "conv_bn_relu_3x3", "conv_bn_relu_3x3_parts", "conv_bn_relu_3x3_small_parts"])
     def test_frozen_parent_gets_no_gradient(self, rng, monkeypatch, op):
         monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row relation blocks
         build, leaves, frozen_slots = self.cases(rng)[op]
@@ -1102,8 +1137,8 @@ class TestAllocationTracker:
         x = T.Tensor(rng.normal(0, 1, (2, 3, 4)))
         w = T.Tensor(rng.normal(0, 1, (5, 2)))
         k = T.Tensor(rng.normal(0, 1, (5, 2, 3, 3)))
-        ops = (lambda: T.conv1x1(x, w), lambda: T.conv_spatial(x, k),
-               lambda: T.upsample_nearest(x, 6, 8), lambda: T.avg_pool2d(x, 1, 2))
+        ops = (lambda: T.conv1x1(x, w), lambda: T.conv_spatial(x, [(1, k)]),
+               lambda: T.conv_spatial(x, [(1, k), (2, k)]), lambda: T.avg_pool2d(x, 1, 2))
         for op in ops:
             with T.AllocationTracker() as tracker:
                 out = op()
