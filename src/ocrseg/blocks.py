@@ -1,5 +1,6 @@
-"""Parameterized building blocks: pointwise transform blocks (1x1 conv ->
-frozen-stats batchnorm -> ReLU), a 3x3 stem variant, linear heads, and SGD."""
+"""Parameterized building blocks: transform blocks (1x1 or 3x3 conv ->
+frozen-stats batchnorm -> ReLU), linear heads, the one conv weight draw they
+share, and SGD."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -26,6 +27,15 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
 
+def conv_weight(rng: np.random.Generator, in_channels: int, out_channels: int,
+                kernel: int = 1, dtype=np.float64) -> T.Tensor:
+    """A trainable (C_out, C_in) weight, or (C_out, C_in, k, k) for kernel
+    k > 1, drawn by ``uniform_init`` at fan-in C_in * k^2."""
+    shape = (out_channels, in_channels) + ((kernel, kernel) if kernel > 1 else ())
+    return T.Tensor(uniform_init(rng, shape, in_channels * kernel * kernel, dtype),
+                    requires_grad=True)
+
+
 class ShapeOnlyRng:
     """Stands in for a ``np.random.Generator`` when only parameter shapes are
     wanted: every draw is a read-only zero-stride view of one zero, so a
@@ -46,8 +56,7 @@ class Conv1x1Head:
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
                bias: bool = True, dtype=np.float64) -> "Conv1x1Head":
-        w = T.Tensor(uniform_init(rng, (out_channels, in_channels), in_channels, dtype),
-                     requires_grad=True)
+        w = conv_weight(rng, in_channels, out_channels, dtype=dtype)
         b = None
         if bias:
             b = T.Tensor(uniform_init(rng, (out_channels,), in_channels, dtype),
@@ -65,12 +74,14 @@ class Conv1x1Head:
 
 
 class TransformBlock:
-    """1x1 conv -> batchnorm with frozen stats -> ReLU.
+    """1x1 or 3x3 conv -> batchnorm with frozen stats -> ReLU.
 
     ``bn_mean`` and ``bn_var`` are fixed statistics (never updated, never
-    trained); ``bn_scale`` and ``bn_shift`` are learnable. Operates on any
-    (C_in, M) matrix: pixels, regions, or attention outputs as columns. The
-    whole block is one ``conv_bn_relu`` op.
+    trained); ``bn_scale`` and ``bn_shift`` are learnable. A 1x1 block
+    operates on any (C_in, M) matrix: pixels, regions, or attention outputs
+    as columns. A 3x3 block (dilation 1, zero padding) operates on (C_in, H,
+    W) and accumulates the nine taps before the BN and ReLU. The whole block
+    is one ``conv_bn_relu`` op.
     """
 
     def __init__(self, weight: T.Tensor, bn_scale: T.Tensor, bn_shift: T.Tensor,
@@ -85,9 +96,8 @@ class TransformBlock:
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
-               dtype=np.float64) -> "TransformBlock":
-        w = T.Tensor(uniform_init(rng, (out_channels, in_channels), in_channels, dtype),
-                     requires_grad=True)
+               kernel: int = 1, dtype=np.float64) -> "TransformBlock":
+        w = conv_weight(rng, in_channels, out_channels, kernel, dtype)
         scale = T.Tensor(np.ones(out_channels, dtype=dtype), requires_grad=True)
         # nonzero shift keeps structurally zero input columns (empty regions,
         # ignored pixels) off the rectifier kink
@@ -107,25 +117,6 @@ class TransformBlock:
         return [(prefix + "weight", self.weight),
                 (prefix + "bn_scale", self.bn_scale),
                 (prefix + "bn_shift", self.bn_shift)]
-
-
-class Conv3x3Block(TransformBlock):
-    """3x3 conv (dilation 1, zero padding) -> frozen-stats BN -> ReLU.
-
-    Operates on (C_in, H, W) through the pointwise block's fused op, which
-    accumulates the nine taps into its output before the BN and ReLU.
-    """
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
-               dtype=np.float64) -> "Conv3x3Block":
-        w = T.Tensor(uniform_init(rng, (out_channels, in_channels, 3, 3),
-                                  in_channels * 9, dtype), requires_grad=True)
-        scale = T.Tensor(np.ones(out_channels, dtype=dtype), requires_grad=True)
-        shift = T.Tensor(rng.uniform(-0.1, 0.1, out_channels).astype(dtype),
-                         requires_grad=True)
-        return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
-                   np.ones(out_channels, dtype=dtype))
 
 
 class Sgd:

@@ -72,8 +72,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         # feat_channels reaches the model config as in_channels: checked
         # first, so that its error names the key that was set
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.feat_channels < 0:
             raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
         self.model_config()

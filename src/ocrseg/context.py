@@ -64,14 +64,15 @@ class FeatureMap:
 def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str) -> None:
     """Every row of ``mat`` sums to 1 within ``SIMPLEX_TOL`` (float32 rows:
     ``SIMPLEX_TOL_SINGLE``), except rows in ``exempt``, which must be all
-    zero. Reports the first offending row."""
+    zero. A row holding NaN sums to no number and is flagged. Reports the
+    first offending row."""
     if mat.size == 0:
         return
     tol = SIMPLEX_TOL_SINGLE if mat.dtype == np.float32 else SIMPLEX_TOL
     if mat.min() < -tol:
         raise ParameterError(f"{what} contains negative weights")
     sums = mat.sum(axis=1)
-    off = np.abs(sums - 1.0) > tol
+    off = ~(np.abs(sums - 1.0) <= tol)
     flagged = np.unique(np.array([int(i) for i in exempt], dtype=np.int64))
     flagged = flagged[(flagged >= 0) & (flagged < mat.shape[0])]
     off[flagged] = False
@@ -114,25 +115,6 @@ class SoftRegionSet:
 
 
 @dataclass
-class RegionReps:
-    """One pooled representation per region: (K, C)."""
-
-    reps: T.Tensor
-
-    def __post_init__(self) -> None:
-        if self.reps.data.ndim != 2:
-            raise DimensionError(f"region reps must be (K, C), got {self.reps.data.shape}")
-
-    @property
-    def num_regions(self) -> int:
-        return self.reps.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.reps.shape[1]
-
-
-@dataclass
 class RelationMatrix:
     """Pixel-to-region relation weights: (N, K), each row a distribution.
     Rows listed in ``zero_rows`` are all-zero (e.g. ignored pixels)."""
@@ -169,36 +151,30 @@ def compute_soft_regions(x: FeatureMap, head: Conv1x1Head) -> SoftRegionSet:
     return SoftRegionSet(logits, normalized, x.height, x.width)
 
 
-def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> RegionReps:
-    """Weighted sum of pixel features per region: (K, N) @ (N, C) -> (K, C)."""
-    return RegionReps(T.matmul(regions.normalized, x_pixels))
+def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tensor:
+    """Weighted sum of pixel features per region, (K, N) @ (N, C), as a
+    (C, K) view with one column per region: the layout the blocks read."""
+    return T.transpose(T.matmul(regions.normalized, x_pixels))
 
 
-def pixel_region_relations(x: FeatureMap, reps: RegionReps,
+def pixel_region_relations(x: FeatureMap, reps: T.Tensor,
                            pixel_transform: TransformBlock | None,
                            region_transform: TransformBlock | None,
                            scale: float = 1.0) -> RelationMatrix:
     """Relation of every pixel to every region: softmax over regions of the
     scaled key-space dot products. ``None`` transforms mean identity."""
     q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
-    k = transpose_reps(reps) if region_transform is None else region_transform(
-        transpose_reps(reps))
+    k = reps if region_transform is None else region_transform(reps)
     weights = T.relation_softmax(q, k, scale)  # (N, K)
     return RelationMatrix(weights, x.height, x.width)
 
 
-def transpose_reps(reps: RegionReps) -> T.Tensor:
-    """Region reps as a (C, K) column-per-region matrix for block transforms."""
-    return T.transpose(reps.reps)
-
-
-def ocr_aggregate(relations: RelationMatrix, reps: RegionReps,
+def ocr_aggregate(relations: RelationMatrix, reps: T.Tensor,
                   value_transform: TransformBlock | None,
                   output_transform: TransformBlock | None) -> FeatureMap:
     """Per pixel, the relation-weighted sum of transformed region reps, passed
     through the output transform: the contextual representation y."""
-    vals = transpose_reps(reps) if value_transform is None else value_transform(
-        transpose_reps(reps))  # (C_v, K)
+    vals = reps if value_transform is None else value_transform(reps)  # (C_v, K)
     ctx = T.matmul(relations.weights, T.transpose(vals))  # (N, C_v)
     y = T.transpose(ctx)
     if output_transform is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import flopcount as F
 from . import tensor as T
-from .blocks import Conv1x1Head, Conv3x3Block, TransformBlock, uniform_init
+from .blocks import Conv1x1Head, TransformBlock, conv_weight
 from .context import (FeatureMap, acf_scheme_relations, aspp_lite, augment,
                       compute_soft_regions, da_scheme_relations, global_context,
                       ocr_aggregate, pixel_region_relations, ppm_lite,
@@ -56,6 +56,8 @@ class ModelConfig:
         if self.attention_scale not in _SCALE_MODES:
             raise ConfigError(f"attention_scale must be one of {_SCALE_MODES}, "
                               f"got {self.attention_scale!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.da_regions < 0:
             raise ConfigError(f"da_regions must be >= 0, got {self.da_regions}")
         for key in ("aspp_rates", "ppm_bins"):
@@ -178,8 +180,8 @@ class RelationalStage:
         cfg = self.config = model.cfg
         self.pipe_in = cfg.mid_channels if cfg.use_stem else cfg.in_channels
         self.out_channels = cfg.mid_channels
-        self.stem = model.draw("stem", Conv3x3Block.create, cfg.in_channels,
-                               cfg.mid_channels) if cfg.use_stem else None
+        self.stem = model.draw("stem", TransformBlock.create, cfg.in_channels,
+                               cfg.mid_channels, 3) if cfg.use_stem else None
         self._draw(model)
 
     def _draw(self, model: SegmentationModel) -> None:
@@ -261,7 +263,7 @@ class RegionStage(RelationalStage):
         # supervised classifier above still feeds the auxiliary loss.
         pooled = regions if self.da_maps is None else compute_soft_regions(
             feats, self.da_maps)
-        reps = region_representations(T.transpose(feats.pixels()), pooled)
+        reps = region_representations(T.transpose(feats.pixels()), pooled)  # (C, K)
         if module == "ocr":
             relations = pixel_region_relations(feats, reps, self.pixel_transform,
                                                self.region_transform,
@@ -343,12 +345,6 @@ class GlobalStage(RelationalStage):
                 "output_transform": F.block_flops(d, self.config.mid_channels, 1)}
 
 
-def _dilated_kernel(rng: np.random.Generator, in_channels: int, out_channels: int,
-                    dtype) -> T.Tensor:
-    return T.Tensor(uniform_init(rng, (out_channels, in_channels, 3, 3),
-                                 in_channels * 9, dtype), requires_grad=True)
-
-
 class AsppStage:
     """Parallel dilated convolutions of the raw map, one ``conv_spatial``
     whose output holds each branch in its channel slice."""
@@ -357,8 +353,8 @@ class AsppStage:
         cfg = self.config = model.cfg
         self.branch_channels = cfg.key_channels
         rates = scaled_rates(cfg.aspp_rates, image_size, image_size)
-        self.branches = [(rate, model.draw(f"branch_{i}.weight", _dilated_kernel,
-                                           cfg.in_channels, self.branch_channels))
+        self.branches = [(rate, model.draw(f"branch_{i}.weight", conv_weight,
+                                           cfg.in_channels, self.branch_channels, 3))
                          for i, rate in enumerate(rates)]
         self.out_channels = self.branch_channels * len(rates)
 
@@ -385,8 +381,8 @@ class PpmStage:
                                        bias=False)
                             for i in range(len(self.bins))]
         self.cat_channels = cfg.in_channels + self.branch_channels * len(self.bins)
-        self.fuse = model.draw("fuse", Conv3x3Block.create, self.cat_channels,
-                               cfg.mid_channels)
+        self.fuse = model.draw("fuse", TransformBlock.create, self.cat_channels,
+                               cfg.mid_channels, 3)
         self.out_channels = cfg.mid_channels
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):

@@ -306,6 +306,6 @@ def simplex_rows_error(mat: np.ndarray, exempt, what: str) -> str | None:
         if i in exempt_set:
             if np.any(mat[i] != 0.0):
                 return f"{what} row {i} is flagged empty but not zero"
-        elif abs(s - 1.0) > 1e-9:
+        elif not abs(s - 1.0) <= 1e-9:
             return f"{what} row {i} sums to {s!r}, expected 1"
     return None

@@ -296,7 +296,7 @@ def test_module_outputs_match_loop_oracles(capsys):
 
     reps = region_representations(T.transpose(feats.pixels()), regions)
     want_reps = oracles.region_reps_loops(want_norm, feats_flat.T)
-    assert float(np.abs(reps.reps.data - want_reps).max()) <= stage_tol
+    assert float(np.abs(reps.data - want_reps.T).max()) <= stage_tol
 
     relations = pixel_region_relations(feats, reps, p.pixel_transform,
                                        p.region_transform,

@@ -10,7 +10,7 @@ from ocrseg.attention import (EquivalenceMapping, EquivalenceReport,
                               encoder_cross_attention, scaled_dot_attention,
                               transformer_equivalence_check)
 from ocrseg.blocks import Conv1x1Head, TransformBlock
-from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix,
+from ocrseg.context import (FeatureMap, RelationMatrix,
                             compute_soft_regions, ocr_aggregate,
                             pixel_region_relations, region_representations)
 from ocrseg.errors import ConfigError, DimensionError, ParameterError
@@ -147,7 +147,7 @@ class TestDecoderCrossAttention:
         pooled = region_representations(T.transpose(x.pixels()), regions)
         _, reps = decoder_cross_attention(T.transpose(x.pixels()),
                                           head.weight)
-        assert np.max(np.abs(reps.data - pooled.reps.data)) < 1e-12
+        assert np.max(np.abs(reps.data - pooled.data.T)) < 1e-12
 
     def test_logits_computed_once(self, rng, monkeypatch):
         calls = []
@@ -191,14 +191,14 @@ class TestEncoderCrossAttention:
 
     def test_matches_region_aggregation(self, rng):
         x = feature_map(rng, 3, 2, 3)
-        reps = RegionReps(tensor(rng.normal(0, 1, (4, 3))))
+        reps = tensor(rng.normal(0, 1, (4, 3)).T)
         value = TransformBlock.create(rng, 3, 5)
         output = TransformBlock.create(rng, 5, 5)
         scale = rsqrt_scale(3)
         relations = pixel_region_relations(x, reps, None, None, scale=scale)
         y_ctx = ocr_aggregate(relations, reps, value, output)
-        region_values = T.transpose(value(T.transpose(reps.reps)))
-        y_att = encoder_cross_attention(T.transpose(x.pixels()), reps.reps,
+        region_values = T.transpose(value(reps))
+        y_att = encoder_cross_attention(T.transpose(x.pixels()), T.transpose(reps),
                                         region_values, output, scale=scale)
         assert np.max(np.abs(y_ctx.pixels().data - y_att.data.T)) < 1e-10
 

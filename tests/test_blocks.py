@@ -4,8 +4,8 @@ import pytest
 
 import ocrseg.tensor as T
 from ocrseg import blocks
-from ocrseg.blocks import (BN_EPS, Conv1x1Head, Conv3x3Block, Sgd,
-                           TransformBlock, uniform_init)
+from ocrseg.blocks import (BN_EPS, Conv1x1Head, Sgd, TransformBlock, conv_weight,
+                           uniform_init)
 from ocrseg.errors import DimensionError, ParameterError
 
 import oracles
@@ -28,6 +28,18 @@ class TestUniformInit:
     def test_fan_in_must_be_positive(self, rng):
         with pytest.raises(ParameterError):
             uniform_init(rng, (2, 2), 0)
+
+
+class TestConvWeight:
+    @pytest.mark.parametrize("kernel, shape", [(1, (5, 4)), (3, (5, 4, 3, 3))])
+    def test_shape_and_fan_in(self, kernel, shape):
+        w = conv_weight(np.random.default_rng(2), 4, 5, kernel)
+        want = uniform_init(np.random.default_rng(2), shape, 4 * kernel * kernel)
+        assert w.requires_grad and w.shape == shape
+        assert np.array_equal(w.data, want)
+
+    def test_dtype(self, rng):
+        assert conv_weight(rng, 2, 3, 3, np.float32).dtype == np.float32
 
 
 class TestTransformBlock:
@@ -77,7 +89,7 @@ class TestTransformBlock:
         out = block(a, b)
         assert out._opname == "conv_bn_relu"
         assert out._parents[:2] == (a, b)
-        stem = Conv3x3Block.create(rng, 2, 3)
+        stem = TransformBlock.create(rng, 2, 3, 3)
         img = tensor(rng.normal(0, 1, (2, 4, 4)), requires_grad=True)
         out = stem(img)
         assert out._opname == "conv_bn_relu"
@@ -85,7 +97,7 @@ class TestTransformBlock:
 
     def test_tracker_charges_one_output_per_call(self, rng):
         block = TransformBlock.create(rng, 5, 4)
-        stem = Conv3x3Block.create(rng, 2, 3)
+        stem = TransformBlock.create(rng, 2, 3, 3)
         x = tensor(rng.normal(0, 1, (5, 6)), requires_grad=True)
         a = tensor(rng.normal(0, 1, (2, 6)), requires_grad=True)
         b = tensor(rng.normal(0, 1, (3, 6)), requires_grad=True)
@@ -111,7 +123,7 @@ class TestTransformBlock:
 
     def test_preact_trace_one_entry_per_call(self, rng):
         block = TransformBlock.create(rng, 3, 4)
-        stem = Conv3x3Block.create(rng, 2, 3)
+        stem = TransformBlock.create(rng, 2, 3, 3)
         blocks._PREACT_TRACE = trace = []
         try:
             for _ in range(3):
@@ -155,8 +167,10 @@ class TestTransformBlock:
 
 
 class TestConv3x3Block:
+    """A transform block at kernel 3."""
+
     def test_matches_spatial_loop_composition(self, rng):
-        block = Conv3x3Block.create(rng, 2, 3)
+        block = TransformBlock.create(rng, 2, 3, 3)
         x = rng.normal(0, 1, (2, 4, 4))
         got = block(tensor(x)).data  # (3, 4, 4)
         pre = oracles.conv_spatial_loops(x, block.weight.data, dilation=1)
@@ -168,12 +182,12 @@ class TestConv3x3Block:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_requires_spatial_input(self, rng):
-        block = Conv3x3Block.create(rng, 2, 3)
+        block = TransformBlock.create(rng, 2, 3, 3)
         with pytest.raises(DimensionError):
             block(tensor(np.ones((2, 16))))
 
     def test_init_bound_uses_nine_tap_fan_in(self, rng):
-        block = Conv3x3Block.create(rng, 4, 4)
+        block = TransformBlock.create(rng, 4, 4, 3)
         assert np.all(np.abs(block.weight.data) <= 1.0 / np.sqrt(4 * 9))
 
 

@@ -11,7 +11,7 @@ from ocrseg.config import RunConfig, load_config, parse_assignments
 from ocrseg.data import MAX_CLASSES, MIN_CLASSES, MIN_GRID
 from ocrseg.errors import ConfigError
 from ocrseg.models import build_model
-from ocrseg.train import save_checkpoint
+from ocrseg.train import load_checkpoint, save_checkpoint
 
 
 def tiny_overrides(tmp_path, **extra):
@@ -196,6 +196,21 @@ class TestHostileCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error:") and problem in err
         assert "Traceback" not in err
+
+    def test_eval_rejects_a_nan_weight(self, tmp_path, capsys):
+        # the NaN reaches the region head's softmax, whose rows then hold NaN
+        assert run_cli("train", tmp_path) == 0
+        path = str(tmp_path / "out" / "checkpoint.ckpt")
+        cfg = load_config(None, [o[len("--set="):] for o in tiny_overrides(tmp_path)])
+        model = build_model(cfg.model_config(), image_size=cfg.grid)
+        load_checkpoint(path, model)
+        model.stage.region_head.weight.data[0, 0] = np.nan
+        save_checkpoint(path, model)
+        capsys.readouterr()
+        assert run_cli("eval", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "SoftRegionSet.normalized" in err
 
 
 class TestTrainEval:

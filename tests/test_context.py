@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import Conv1x1Head, Conv3x3Block, TransformBlock
-from ocrseg.context import (FeatureMap, RegionReps, RelationMatrix, SoftRegionSet,
+from ocrseg.blocks import Conv1x1Head, TransformBlock
+from ocrseg.context import (FeatureMap, RelationMatrix, SoftRegionSet,
                             acf_scheme_relations, aspp_lite, augment,
                             compute_soft_regions, da_scheme_relations,
                             global_context, ocr_aggregate,
                             pixel_region_relations, ppm_lite,
                             region_representations, scaled_rates,
-                            self_attention_context, transpose_reps)
+                            self_attention_context)
 from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
 from ocrseg.models import ModelConfig, build_model
 
@@ -78,6 +78,15 @@ class TestSimplexValidation:
             RelationMatrix(tensor([[0.5, 0.5 + 1e-8], [0.25, 0.75]]), 1, 2)
         assert RelationMatrix(tensor([[0.5, 0.5 + 1e-10], [0.25, 0.75]]),
                               1, 2).num_regions == 2
+
+    def test_nan_row_rejected(self):
+        rows = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(ParameterError, match="row 1 sums to"):
+            RelationMatrix(tensor(rows), 1, 2)
+        with pytest.raises(ParameterError, match="row 1 sums to"):
+            region_set(rows, 1, 2)
+        with pytest.raises(ParameterError, match="row 1 is flagged empty"):
+            RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
 
     def test_exempt_rows_must_be_zero(self):
         rows = np.array([[0.5, 0.5], [0.3, 0.3]])
@@ -189,20 +198,20 @@ class TestRegionRepresentations:
         regions = region_set([[1.0, 0.0], [0.0, 1.0]], 1, 2)
         pixels = tensor([[1.0, 2.0], [3.0, 4.0]])  # (N, C)
         reps = region_representations(pixels, regions)
-        assert np.array_equal(reps.reps.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(reps.data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_uniform_row_is_mean_pooling(self, rng):
         pixels = rng.normal(0, 1, (4, 3))
         regions = region_set(np.full((1, 4), 0.25), 2, 2)
         reps = region_representations(tensor(pixels), regions)
-        assert np.max(np.abs(reps.reps.data[0] - pixels.mean(axis=0))) < 1e-12
+        assert np.max(np.abs(reps.data[:, 0] - pixels.mean(axis=0))) < 1e-12
 
     def test_matches_summation_loop(self, rng):
         norm = oracles.softmax_rows_loops(rng.normal(0, 1, (3, 4)))
         pixels = rng.normal(0, 1, (4, 3))
         reps = region_representations(tensor(pixels), region_set(norm, 2, 2))
         want = oracles.region_reps_loops(norm, pixels)
-        assert np.max(np.abs(reps.reps.data - want)) < 1e-12
+        assert np.max(np.abs(reps.data - want.T)) < 1e-12
 
     def test_pixel_count_mismatch(self, rng):
         regions = region_set(np.full((1, 4), 0.25), 2, 2)
@@ -213,13 +222,13 @@ class TestRegionRepresentations:
 class TestPixelRegionRelations:
     def test_single_region_all_ones(self, rng):
         x = feature_map(rng, 3, 2, 2)
-        reps = RegionReps(tensor(rng.normal(0, 1, (1, 3))))
+        reps = tensor(rng.normal(0, 1, (1, 3)).T)
         rel = pixel_region_relations(x, reps, None, None)
         assert np.array_equal(rel.weights.data, np.ones((4, 1)))
 
     def test_identity_keys_hand_value(self):
         x = FeatureMap(tensor(np.array([1.0, 0.0]).reshape(2, 1, 1)))
-        reps = RegionReps(tensor([[1.0, 0.0], [0.0, 1.0]]))
+        reps = tensor([[1.0, 0.0], [0.0, 1.0]])
         ident = identity_block(2)
         rel = pixel_region_relations(x, reps, ident, ident, scale=1.0)
         assert abs(rel.weights.data[0, 0] - 0.7311) < 1e-4
@@ -228,19 +237,19 @@ class TestPixelRegionRelations:
     def test_identical_regions_half_half(self, rng):
         x = feature_map(rng, 3, 2, 2)
         row = rng.normal(0, 1, 3)
-        reps = RegionReps(tensor(np.stack([row, row])))
+        reps = tensor(np.stack([row, row], axis=1))
         rel = pixel_region_relations(x, reps, None, None)
         assert np.max(np.abs(rel.weights.data - 0.5)) < 1e-12
 
     def test_matches_loop_oracle_with_transforms(self, rng):
         x = feature_map(rng, 3, 2, 3)
-        reps = RegionReps(tensor(rng.normal(0, 1, (4, 3))))
+        reps = tensor(rng.normal(0, 1, (4, 3)).T)
         phi = TransformBlock.create(rng, 3, 5)
         psi = TransformBlock.create(rng, 3, 5)
         for scale in (1.0, 0.5):
             rel = pixel_region_relations(x, reps, phi, psi, scale=scale)
             pixel_keys = oracles.apply_block_loops(phi, x.tensor.data.reshape(3, 6))
-            region_keys = oracles.apply_block_loops(psi, reps.reps.data.T)
+            region_keys = oracles.apply_block_loops(psi, reps.data)
             want = oracles.relations_loops(pixel_keys, region_keys, scale)
             assert np.max(np.abs(rel.weights.data - want)) < 1e-12
 
@@ -251,10 +260,10 @@ class TestPixelRegionRelations:
         rk = rng.normal(0, 1, (3, 2))
         shifts = rng.normal(0, 5, 4)
         x1 = FeatureMap(tensor(pk.reshape(3, 2, 2)))
-        reps1 = RegionReps(tensor(rk.T))
+        reps1 = tensor(rk)
         rel1 = pixel_region_relations(x1, reps1, None, None)
         x2 = FeatureMap(tensor(np.vstack([pk, shifts]).reshape(4, 2, 2)))
-        reps2 = RegionReps(tensor(np.vstack([rk, np.ones(2)]).T))
+        reps2 = tensor(np.vstack([rk, np.ones(2)]))
         rel2 = pixel_region_relations(x2, reps2, None, None)
         assert np.max(np.abs(rel1.weights.data - rel2.weights.data)) < 1e-9
         assert np.array_equal(np.argmax(rel1.weights.data, axis=1),
@@ -262,13 +271,13 @@ class TestPixelRegionRelations:
 
     def test_key_width_mismatch(self, rng):
         x = feature_map(rng, 3, 2, 2)
-        reps = RegionReps(tensor(rng.normal(0, 1, (2, 4))))
+        reps = tensor(rng.normal(0, 1, (2, 4)).T)
         with pytest.raises(DimensionError):
             pixel_region_relations(x, reps, None, None)
 
     def test_bad_scale(self, rng):
         x = feature_map(rng, 3, 2, 2)
-        reps = RegionReps(tensor(rng.normal(0, 1, (2, 3))))
+        reps = tensor(rng.normal(0, 1, (2, 3)).T)
         for scale in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError):
                 pixel_region_relations(x, reps, None, None, scale=scale)
@@ -276,13 +285,13 @@ class TestPixelRegionRelations:
 
 class TestOcrAggregate:
     def test_one_hot_weights_select_region(self, rng):
-        reps = RegionReps(tensor(rng.normal(0, 1, (3, 4))))
+        reps = tensor(rng.normal(0, 1, (3, 4)).T)
         delta = TransformBlock.create(rng, 4, 5)
         rho = TransformBlock.create(rng, 5, 5)
         hot = np.zeros((2, 3))
         hot[0, 2] = hot[1, 0] = 1.0
         y = ocr_aggregate(RelationMatrix(tensor(hot), 1, 2), reps, delta, rho)
-        vals = oracles.apply_block_loops(delta, reps.reps.data.T)  # (5, 3)
+        vals = oracles.apply_block_loops(delta, reps.data)  # (5, 3)
         want0 = oracles.apply_block_loops(rho, vals[:, [2]])
         want1 = oracles.apply_block_loops(rho, vals[:, [0]])
         assert np.max(np.abs(y.pixels().data[:, 0] - want0[:, 0])) < 1e-12
@@ -290,7 +299,7 @@ class TestOcrAggregate:
 
     def test_equal_regions_constant_output(self, rng):
         row = rng.normal(0, 1, 4)
-        reps = RegionReps(tensor(np.stack([row, row, row])))
+        reps = tensor(np.stack([row, row, row], axis=1))
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (6, 3)))
         y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 3), reps,
                           TransformBlock.create(rng, 4, 5),
@@ -299,12 +308,12 @@ class TestOcrAggregate:
         assert np.max(np.abs(cols - cols[:, [0]])) < 1e-12
 
     def test_matches_double_loop_oracle(self, rng):
-        reps = RegionReps(tensor(rng.normal(0, 1, (3, 4))))
+        reps = tensor(rng.normal(0, 1, (3, 4)).T)
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (4, 3)))
         delta = TransformBlock.create(rng, 4, 5)
         rho = TransformBlock.create(rng, 5, 6)
         y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 2), reps, delta, rho)
-        vals = oracles.apply_block_loops(delta, reps.reps.data.T)  # (5, K)
+        vals = oracles.apply_block_loops(delta, reps.data)  # (5, K)
         pre = oracles.aggregate_loops(weights, vals.T)  # (N, 5)
         want = oracles.apply_block_loops(rho, pre.T)
         assert np.max(np.abs(y.pixels().data - want)) < 1e-12
@@ -312,12 +321,12 @@ class TestOcrAggregate:
     def test_pre_output_stays_in_value_envelope(self, rng):
         for _ in range(10):
             k, c, n = (int(rng.integers(2, 6)) for _ in range(3))
-            reps = RegionReps(tensor(rng.normal(0, 1, (k, c))))
+            reps = tensor(rng.normal(0, 1, (k, c)).T)
             weights = oracles.softmax_rows_loops(rng.normal(0, 1, (n, k)))
             delta = TransformBlock.create(rng, c, 4)
             y = ocr_aggregate(RelationMatrix(tensor(weights), 1, n), reps,
                               delta, None)
-            vals = oracles.apply_block_loops(delta, reps.reps.data.T)
+            vals = oracles.apply_block_loops(delta, reps.data)
             low = vals.min(axis=1) - 1e-12
             high = vals.max(axis=1) + 1e-12
             cols = y.pixels().data
@@ -341,7 +350,7 @@ class TestOcrAggregate:
         assert np.max(np.abs(y.pixels().data - np.repeat(want, 4, axis=1))) < 1e-12
 
     def test_region_count_mismatch(self, rng):
-        reps = RegionReps(tensor(rng.normal(0, 1, (3, 4))))
+        reps = tensor(rng.normal(0, 1, (3, 4)).T)
         weights = np.ones((2, 2)) * 0.5
         with pytest.raises(DimensionError):
             ocr_aggregate(RelationMatrix(tensor(weights), 1, 2), reps, None, None)
@@ -707,7 +716,7 @@ class TestPpmLite:
     def fused_both_ways(rng, parts, height, width):
         """A 3x3 fuse of the pyramid's parts as returned, and of the parts
         with each branch upsampled first."""
-        fuse = Conv3x3Block.create(rng, sum(p.shape[0] for p in parts), 3)
+        fuse = TransformBlock.create(rng, sum(p.shape[0] for p in parts), 3, 3)
         up = [parts[0], *(tensor(oracles.upsample_nearest_loops(p.data, height, width))
                           for p in parts[1:])]
         return fuse(*parts).data, fuse(*up).data

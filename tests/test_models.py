@@ -1,6 +1,7 @@
 """Model assembly: one trainable segmentation head with a context stage per
 scheme, deterministic seeded construction and checkpointable state."""
 import ast
+import hashlib
 import inspect
 from pathlib import Path
 
@@ -38,6 +39,11 @@ class TestModelConfig:
             ModelConfig(in_channels=0)
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            ModelConfig(seed=-1)
+        assert ModelConfig(seed=0).seed == 0
 
     def test_bad_dtype(self):
         with pytest.raises(ConfigError):
@@ -152,6 +158,39 @@ class TestBuildModel:
                  for (_, ta), (_, tb) in zip(a.named_parameters(),
                                              b.named_parameters())]
         assert any(diffs)
+
+    # SHA-1 of each freshly drawn model at ModelConfig's defaults (seed 0):
+    # every parameter's name, then its bytes, in name order. A change to a
+    # draw's shape, order or values changes the checkpoint format.
+    INIT_DIGESTS = {
+        ("ocr", True): "ab4a24d4f226bb74d2bfc591fe23934cbd1e59a8",
+        ("ocr", False): "218c54e0c1072024aa9f6082a7ff664d374f81b8",
+        ("da", True): "eaab0fc84ceee663dae1d88e99effb4badd53d83",
+        ("da", False): "c6564c449d53f7d9759396588f526140d2f3d30d",
+        ("acf", True): "1e461a3f653115e5092d90476e2e14d2e516be83",
+        ("acf", False): "6932854cfac6ae16c865b5837de342f43c1cf9fc",
+        ("gt_ocr", True): "7fe3ea1e4d75a25d2ad01c4b74b900a5bea075a0",
+        ("gt_ocr", False): "7ab05a914de53861724f35dbd0d44f8805bdf1e4",
+        ("self_attn", True): "36cf039124c3ec5f3c8aafaa9c7ef5d395805b63",
+        ("self_attn", False): "f180d0e521390da4a021667ecda13d034dfe580e",
+        ("global", True): "2058f3fa546ded1d92f06435369fe5b30f232a1f",
+        ("global", False): "57a7edfbc52016b4db0e46f89401821126cc480d",
+        # the raw-map heads draw no stem
+        ("aspp_lite", True): "cc5d5e72d8da21e1b517a0f46f2bc4eaabae92a9",
+        ("aspp_lite", False): "cc5d5e72d8da21e1b517a0f46f2bc4eaabae92a9",
+        ("ppm_lite", True): "0dfa2b79911c56ff7cac401d09747c78a108ea05",
+        ("ppm_lite", False): "0dfa2b79911c56ff7cac401d09747c78a108ea05",
+    }
+
+    @pytest.mark.parametrize("use_stem", [True, False])
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_initial_draws_are_pinned(self, module, use_stem):
+        model = build_model(ModelConfig(module=module, use_stem=use_stem))
+        digest = hashlib.sha1()
+        for name, t in sorted(model.named_parameters()):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(t.data).tobytes())
+        assert digest.hexdigest() == self.INIT_DIGESTS[module, use_stem]
 
 
 class TestForward:

@@ -37,6 +37,14 @@ def benchmark_workloads():
     return workloads.WORKLOADS
 
 
+def layers_map(name):
+    """The literal top-level dict ``name`` of ``perfbench/layers.py``."""
+    layers = ast.parse((REPO / "perfbench" / "layers.py").read_text())
+    return next(ast.literal_eval(node.value) for node in layers.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name)
+
+
 def small_bench(**overrides):
     base = dict(channels=8, height=8, width=8, num_classes=3, key_channels=4,
                 mid_channels=8, repeats=5, warmup=2, seed=3)
@@ -187,6 +195,8 @@ class TestBenchConfig:
             BenchConfig(attention_scale="bogus")
         with pytest.raises(ConfigError):
             BenchConfig(da_regions=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            BenchConfig(seed=-1)
 
     def test_model_config_wiring(self):
         cfg = small_bench()
@@ -224,10 +234,7 @@ class TestWhatTheBenchmarkReads:
         assert workload.check(workload.op()) is None
 
     def test_flop_keys_are_the_ones_the_stage_table_sums(self):
-        layers = ast.parse((REPO / "perfbench" / "layers.py").read_text())
-        stages = next(ast.literal_eval(node.value) for node in layers.body
-                      if isinstance(node, ast.Assign)
-                      and getattr(node.targets[0], "id", None) == "STAGES")
+        stages = layers_map("STAGES")
         assert all(callable(getattr(context, fn))
                    for fns, _ in stages.values() for fn in fns)
         summed = {key for _, keys in stages.values() for key in keys}
@@ -241,6 +248,11 @@ class TestWhatTheBenchmarkReads:
             seen |= keys
         assert bench.model_config("da").da_regions > 0
         assert seen == summed
+
+    def test_baseline_functions_are_context_functions(self):
+        baselines = layers_map("BASELINES")
+        assert baselines
+        assert all(callable(getattr(context, fn)) for fn in baselines.values())
 
 
 class TestMeasurement:
