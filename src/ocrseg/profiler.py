@@ -107,12 +107,6 @@ def count_params(module) -> int:
     return sum(t.data.size for _, t in module.named_parameters())
 
 
-def count_flops(model: SegmentationModel, input_shape: tuple[int, int, int]) -> int:
-    """Closed-form FLOP count of one forward pass at ``input_shape`` (C, H, W)."""
-    _, h, w = input_shape
-    return model.analytic_flops(h, w)
-
-
 def bench_input(cfg: BenchConfig) -> FeatureMap:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xBE)))
     dt = np.float64 if cfg.precision == "double" else np.float32
@@ -155,7 +149,7 @@ def full_scale_table(modules=None) -> list[CostReport]:
         model = build_model(cfg, image_size=FULL_SCALE[1], rng=ShapeOnlyRng())
         reports.append(CostReport(
             module=name, params=count_params(model),
-            flops=count_flops(model, FULL_SCALE), input_shape=FULL_SCALE))
+            flops=model.analytic_flops(*FULL_SCALE[1:]), input_shape=FULL_SCALE))
     return reports
 
 
@@ -183,7 +177,7 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
         try:
             model = build_model(cfg.model_config(name), image_size=cfg.height)
             params = count_params(model)
-            flops = count_flops(model, cfg.input_shape)
+            flops = model.analytic_flops(cfg.height, cfg.width)
             peak = measure_peak_memory(model, fm)
             wall, spread = measure_wall_time(model, fm, cfg.repeats, cfg.warmup)
             reports.append(CostReport(name, params, flops, cfg.input_shape,

@@ -56,7 +56,6 @@ class LossConfig:
 
     final_weight: float = 1.0
     aux_weight: float = 0.4
-    ignore_index: int = IGNORE_INDEX
 
     def __post_init__(self) -> None:
         if self.final_weight < 0 or self.aux_weight < 0:
@@ -134,24 +133,15 @@ def gt_relations(labels: LabelMap, dtype=np.float64) -> RelationMatrix:
     return RelationMatrix(T.Tensor(weights), labels.height, labels.width, zero_rows)
 
 
-def pixel_cross_entropy(logits: T.Tensor, labels: LabelMap,
-                        ignore_index: int | None = None) -> T.Tensor:
-    """Mean cross entropy of (K, N) logits against the label map."""
-    ignore = labels.ignore_index if ignore_index is None else ignore_index
-    if logits.data.shape[0] < labels.num_classes:
-        raise DimensionError(
-            f"{logits.data.shape[0]} logit rows for {labels.num_classes} classes")
-    return T.cross_entropy_logits(logits, labels.flat, ignore_index=ignore)
-
-
 def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,
                   labels: LabelMap, cfg: LossConfig) -> T.Tensor:
-    """final_weight * CE(final) + aux_weight * CE(aux). ``aux_logits`` may be
-    None (models without a coarse head), dropping the auxiliary term."""
-    loss = T.scale(pixel_cross_entropy(final_logits, labels, cfg.ignore_index),
-                   cfg.final_weight)
+    """final_weight * CE(final) + aux_weight * CE(aux), as one op. ``aux_logits``
+    may be None (models without a coarse head), dropping the auxiliary term."""
+    terms = [(final_logits, cfg.final_weight)]
     if aux_logits is not None and cfg.aux_weight > 0:
-        aux = T.scale(pixel_cross_entropy(aux_logits, labels, cfg.ignore_index),
-                      cfg.aux_weight)
-        loss = T.add(loss, aux)
-    return loss
+        terms.append((aux_logits, cfg.aux_weight))
+    for logits, _ in terms:
+        if logits.data.shape[0] < labels.num_classes:
+            raise DimensionError(
+                f"{logits.data.shape[0]} logit rows for {labels.num_classes} classes")
+    return T.cross_entropy_logits(terms, labels.flat, ignore_index=labels.ignore_index)

@@ -285,27 +285,6 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (t,), back, "reshape")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data + b.data
-
-    def back(g):
-        return g if a.requires_grad else None, g if b.requires_grad else None
-
-    return _result(out, (a, b), back, "add")
-
-
-def scale(t: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    out = t.data * factor
-
-    def back(g):
-        return (np.asarray(g * factor),)
-
-    return _result(out, (t,), back, "scale")
-
-
 def _positive(name: str, value: float) -> float:
     """``value`` as a float, if it is finite and > 0."""
     value = float(value)
@@ -808,41 +787,50 @@ def avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _result(out, (x,), back, "avg_pool2d")
 
 
-def cross_entropy_logits(logits: Tensor, labels: np.ndarray,
+def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarray,
                          ignore_index: int = 255) -> Tensor:
-    """Mean pixel-wise cross entropy of (K, N) logits against N integer labels.
+    """Weighted sum of mean pixel-wise cross entropies: one term per (logits,
+    weight) pair, each (K_i, N) logits against the same N integer labels.
 
     Pixels labeled ``ignore_index`` contribute nothing. If every pixel is
-    ignored the loss is defined as 0 and a warning is emitted.
+    ignored each term is defined as 0 and a warning is emitted.
     """
-    _require_2d(logits, "cross_entropy logits")
+    terms = [(logits, float(weight)) for logits, weight in terms]
+    if not terms:
+        raise ParameterError("cross_entropy needs at least one (logits, weight) term")
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.data.shape[1]:
-        raise DimensionError(
-            f"labels shape {labels.shape} does not match logits {logits.data.shape}")
-    k = logits.data.shape[0]
-    valid = labels != ignore_index
-    if valid.any() and (labels[valid].min() < 0 or labels[valid].max() >= k):
-        raise DataError(
-            f"labels must lie in [0, {k}) or equal ignore_index {ignore_index}")
-    m = int(valid.sum())
-    if m == 0:
+    idx = np.where(labels != ignore_index)[0]
+    m = max(idx.size, 1)  # no valid pixel: the empty sum over 1 is +0.0
+    logps, total = [], None
+    for logits, weight in terms:
+        _require_2d(logits, "cross_entropy logits")
+        if labels.ndim != 1 or labels.shape[0] != logits.data.shape[1]:
+            raise DimensionError(f"labels shape {labels.shape} does not match "
+                                 f"logits {logits.data.shape}")
+        k = logits.data.shape[0]
+        if idx.size and (labels[idx].min() < 0 or labels[idx].max() >= k):
+            raise DataError(
+                f"labels must lie in [0, {k}) or equal ignore_index {ignore_index}")
+        z = logits.data - logits.data.max(axis=0, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))  # (K, N)
+        logps.append(logp)
+        picked = logp[labels[idx], idx]
+        term = np.asarray((0.0 - picked.sum()) / m, dtype=logits.dtype) * weight
+        total = term if total is None else total + term
+    if not idx.size:
         warnings.warn("cross entropy over fully ignored labels; loss defined as 0",
                       RuntimeWarning, stacklevel=2)
-    z = logits.data - logits.data.max(axis=0, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=0, keepdims=True))
-    logp = z - lse  # (K, N) log probabilities per pixel
-    idx = np.where(valid)[0]
-    picked = logp[labels[idx], idx]
-    m = max(m, 1)  # no valid pixel: the empty sum over 1 is +0.0
-    loss = (0.0 - picked.sum()) / m
 
     def back(g):
-        p = np.exp(logp)
-        gl = np.zeros_like(logits.data)
-        gl[:, idx] = p[:, idx]
-        gl[labels[idx], idx] -= 1.0
-        return (gl * (float(g) / m),)
+        grads = []
+        for (logits, weight), logp in zip(terms, logps):
+            if not logits.requires_grad:
+                grads.append(None)
+                continue
+            gl = np.zeros_like(logits.data)
+            gl[:, idx] = np.exp(logp)[:, idx]
+            gl[labels[idx], idx] -= 1.0
+            grads.append(gl * (float(g * weight) / m))
+        return grads
 
-    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), back,
-                   "cross_entropy")
+    return _result(np.asarray(total), [t for t, _ in terms], back, "cross_entropy")

@@ -62,8 +62,7 @@ def train_model(cfg: RunConfig,
     for it in range(cfg.iterations):
         feats, labels = pairs[int(order.integers(len(pairs)))]
         out = model.forward(feats, labels)
-        aux = out.aux_logits if cfg.aux_supervision else None
-        loss = combined_loss(out.final_logits, aux, labels, loss_cfg)
+        loss = combined_loss(out.final_logits, out.aux_logits, labels, loss_cfg)
         value = float(loss.data)
         if not math.isfinite(value):
             raise TrainingDiverged(
@@ -257,6 +256,9 @@ def load_checkpoint(path: str, model: SegmentationModel) -> None:
             spans.append((offset, offset + nbytes, entry["name"]))
         flat = np.frombuffer(body[offset:offset + nbytes],
                              dtype=np.dtype(entry["dtype"]))
+        if not np.isfinite(flat).all():
+            raise DataError(f"checkpoint entry {entry['name']!r} holds a "
+                            f"non-finite value: {path}")
         state[entry["name"]] = flat.reshape(entry["shape"]).copy()
     spans.sort()  # by offset: an overlap shows between neighbours
     for (_, end, first), (begin, _, second) in zip(spans, spans[1:]):

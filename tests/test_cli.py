@@ -197,20 +197,41 @@ class TestHostileCheckpoint:
         assert err.startswith("error:") and problem in err
         assert "Traceback" not in err
 
-    def test_eval_rejects_a_nan_weight(self, tmp_path, capsys):
-        # the NaN reaches the region head's softmax, whose rows then hold NaN
-        assert run_cli("train", tmp_path) == 0
+    @staticmethod
+    def poison(tmp_path, weight, value):
+        """Write ``value`` into the first entry of the trained checkpoint's
+        ``weight`` (a function of the model)."""
         path = str(tmp_path / "out" / "checkpoint.ckpt")
         cfg = load_config(None, [o[len("--set="):] for o in tiny_overrides(tmp_path)])
         model = build_model(cfg.model_config(), image_size=cfg.grid)
         load_checkpoint(path, model)
-        model.stage.region_head.weight.data[0, 0] = np.nan
+        weight(model).data[0, 0] = value
         save_checkpoint(path, model)
+        return path
+
+    def test_eval_rejects_a_nan_weight(self, tmp_path, capsys):
+        # refused as it is loaded, before the NaN reaches the region softmax
+        assert run_cli("train", tmp_path) == 0
+        path = self.poison(tmp_path, lambda m: m.stage.region_head.weight, np.nan)
         capsys.readouterr()
         assert run_cli("eval", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "SoftRegionSet.normalized" in err
+        assert "'region_head.weight'" in err and path in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_eval_rejects_a_non_finite_final_head_weight(self, tmp_path, capsys, value):
+        # no simplex check reaches the final head: argmax alone would label
+        # every pixel with the NaN row's class
+        assert run_cli("train", tmp_path) == 0
+        path = self.poison(tmp_path, lambda m: m.final_head.weight, value)
+        trained = (tmp_path / "out" / "eval.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli("eval", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'final_head.weight'" in err and path in err
+        assert (tmp_path / "out" / "eval.csv").read_bytes() == trained
 
 
 class TestTrainEval:

@@ -460,6 +460,38 @@ class TestEngineSurface:
                       and not (name.startswith("__") and name.endswith("__")))
         assert not dead, f"definitions nothing in the package reads: {dead}"
 
+    def test_every_public_tensor_function_is_called_by_the_package(self):
+        """An engine function that only the tests call is kept for them alone."""
+        tree = ast.parse((PACKAGE_DIR / "tensor.py").read_text(encoding="utf-8"))
+        public = {node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        called = set()
+        for path in PACKAGE_DIR.glob("*.py"):
+            if path.name == "tensor.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # ``from . import tensor as T`` binds T; ``from .tensor import f`` binds f
+            aliases, direct = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for alias in node.names:
+                        if node.module is None and alias.name == "tensor":
+                            aliases.add(alias.asname or alias.name)
+                        elif node.module == "tensor":
+                            direct.add(alias.name)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                        and fn.value.id in aliases):
+                    called.add(fn.attr)
+                elif isinstance(fn, ast.Name) and fn.id in direct:
+                    called.add(fn.id)
+        assert {"backward", "cross_entropy_logits", "conv_bn_relu"} <= public
+        uncalled = sorted(public - called)
+        assert not uncalled, f"tensor functions no other package module calls: {uncalled}"
+
     def test_every_error_class_is_raised(self):
         classes = [node for node in ast.parse(
             (PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")).body

@@ -15,9 +15,9 @@ from ocrseg.errors import ConfigError
 from ocrseg.models import ModelConfig, build_model, full_scale_config
 from ocrseg.profiler import (BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
                              EXPECTED_FLOP_RANK, FULL_SCALE, bench_input,
-                             bench_report, bench_to_json, count_flops,
-                             count_params, full_scale_table,
-                             measure_peak_memory, measure_wall_time,
+                             bench_report, bench_to_json, count_params,
+                             full_scale_table, measure_peak_memory,
+                             measure_wall_time,
                              rank_matches_expected, reports_to_csv)
 from ocrseg.blocks import Conv1x1Head
 
@@ -85,10 +85,12 @@ class TestCountParams:
 
 class TestCountFlops:
     def test_matches_model_breakdown(self):
-        cfg = ModelConfig(module="ocr", in_channels=5, num_classes=3,
-                          key_channels=4, mid_channels=6)
-        model = build_model(cfg)
-        assert count_flops(model, (5, 8, 8)) == model.analytic_flops(8, 8)
+        # the bench bills each head its model's breakdown at the bench shape
+        bench = small_bench(height=8, width=6, modules=("ocr",))
+        reports, _, errors = bench_report(bench)
+        breakdown = build_model(bench.model_config("ocr")).flop_breakdown(8, 6)
+        assert not errors
+        assert reports[0].flops == sum(breakdown.values())
 
     def test_self_attention_quadratic_term_scaling(self):
         cfg = small_bench().model_config("self_attn")
@@ -142,7 +144,7 @@ class TestFullScaleTable:
         ocr = next(r for r in reports if r.module == "ocr")
         drawn = build_model(full_scale_config("ocr"), image_size=FULL_SCALE[1])
         assert ocr.params == count_params(drawn)
-        assert ocr.flops == count_flops(drawn, FULL_SCALE)
+        assert ocr.flops == drawn.analytic_flops(*FULL_SCALE[1:])
 
     def test_rank_matcher_logic(self):
         good = {"da": 1, "ocr": 2, "aspp_lite": 3, "self_attn": 5, "ppm_lite": 4}

@@ -11,7 +11,7 @@ from ocrseg.errors import (ConfigError, DataError, DimensionError,
                            ParameterError)
 from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
                                 combined_loss, gt_regions, gt_relations,
-                                pixel_cross_entropy, poly_lr)
+                                poly_lr)
 
 import oracles
 from conftest import feature_map, identity_block, region_stage, tensor
@@ -19,6 +19,12 @@ from conftest import feature_map, identity_block, region_stage, tensor
 
 def label_map(array, num_classes):
     return LabelMap(np.asarray(array, dtype=np.int64), num_classes)
+
+
+def final_loss(logits, labels):
+    """The combined loss of a model without an auxiliary head: the final
+    logits' mean cross entropy at weight 1."""
+    return combined_loss(logits, None, labels, LossConfig())
 
 
 def gt_stage(**settings):
@@ -237,12 +243,12 @@ class TestPixelCrossEntropy:
         labels = np.array([[0, 1, 2, 1]], dtype=np.int64)
         for p, lab in enumerate(labels.ravel()):
             logits[lab, p] = 1000.0
-        loss = pixel_cross_entropy(tensor(logits), label_map(labels, 3))
+        loss = final_loss(tensor(logits), label_map(labels, 3))
         assert float(loss.data) < 1e-6
 
     def test_uniform_logits_log_k(self):
-        loss = pixel_cross_entropy(tensor(np.zeros((4, 6))),
-                                   label_map(np.zeros((2, 3), dtype=np.int64), 4))
+        loss = final_loss(tensor(np.zeros((4, 6))),
+                          label_map(np.zeros((2, 3), dtype=np.int64), 4))
         assert abs(float(loss.data) - math.log(4.0)) < 1e-6
 
     def test_matches_scalar_loop(self, rng):
@@ -250,7 +256,7 @@ class TestPixelCrossEntropy:
         labels = rng.integers(0, 3, (2, 4))
         labels[0, 1] = 255
         lm = label_map(labels, 3)
-        loss = pixel_cross_entropy(tensor(logits), lm)
+        loss = final_loss(tensor(logits), lm)
         want = oracles.cross_entropy_loops(logits, lm.flat)
         assert abs(float(loss.data) - want) < 1e-12
 
@@ -258,14 +264,14 @@ class TestPixelCrossEntropy:
         for _ in range(10):
             logits = rng.normal(0, 3, (4, 6))
             labels = rng.integers(0, 4, (2, 3))
-            loss = pixel_cross_entropy(tensor(logits), label_map(labels, 4))
+            loss = final_loss(tensor(logits), label_map(labels, 4))
             assert float(loss.data) >= 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
         base = rng.normal(0, 1, (3, 5))
         labels = label_map(rng.integers(0, 3, (1, 5)), 3)
         logits = tensor(base.copy(), requires_grad=True)
-        loss = pixel_cross_entropy(logits, labels)
+        loss = final_loss(logits, labels)
         T.backward(loss)
         h = 1e-6
         worst = 0.0
@@ -274,7 +280,7 @@ class TestPixelCrossEntropy:
                 probe = base.copy()
                 probe[idx] = at
                 with T.no_grad():
-                    out = pixel_cross_entropy(tensor(probe), labels)
+                    out = final_loss(tensor(probe), labels)
                 return float(out.data)
             fd = (value(base[idx] + h) - value(base[idx] - h)) / (2 * h)
             denom = max(abs(fd), abs(logits.grad[idx]), 1e-3)
@@ -282,9 +288,14 @@ class TestPixelCrossEntropy:
         assert worst < 1e-4
 
     def test_too_few_logit_rows(self):
+        lm = label_map(np.full((1, 4), 2, dtype=np.int64), 3)
         with pytest.raises(DimensionError):
-            pixel_cross_entropy(tensor(np.zeros((2, 4))),
-                                label_map(np.full((1, 4), 2, dtype=np.int64), 3))
+            final_loss(tensor(np.zeros((2, 4))), lm)
+        # the auxiliary term is checked too, even where its labels fit
+        lm = label_map(np.zeros((1, 4), dtype=np.int64), 3)
+        with pytest.raises(DimensionError, match="2 logit rows for 3 classes"):
+            combined_loss(tensor(np.zeros((3, 4))), tensor(np.zeros((2, 4))), lm,
+                          LossConfig())
 
 
 class TestCombinedLoss:
@@ -294,8 +305,8 @@ class TestCombinedLoss:
         lm = label_map(rng.integers(0, 3, (2, 3)), 3)
         cfg = LossConfig(final_weight=1.0, aux_weight=0.0)
         loss = combined_loss(logits, aux, lm, cfg)
-        assert abs(float(loss.data)
-                   - float(pixel_cross_entropy(logits, lm).data)) < 1e-15
+        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat)
+        assert abs(float(loss.data) - float(want.data)) < 1e-15
 
     def test_uniform_logits_weighted_log_k(self):
         lm = label_map(np.zeros((2, 2), dtype=np.int64), 4)
@@ -318,5 +329,13 @@ class TestCombinedLoss:
         logits = tensor(rng.normal(0, 1, (3, 4)))
         lm = label_map(rng.integers(0, 3, (1, 4)), 3)
         loss = combined_loss(logits, None, lm, LossConfig(aux_weight=0.4))
-        assert abs(float(loss.data)
-                   - float(pixel_cross_entropy(logits, lm).data)) < 1e-15
+        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat)
+        assert abs(float(loss.data) - float(want.data)) < 1e-15
+
+    def test_label_map_ignore_index_is_the_one_used(self, rng):
+        logits = rng.normal(0, 1, (3, 6))
+        labels = np.array([[0, 9, 2], [1, 9, 0]])
+        lm = LabelMap(labels, 3, ignore_index=9)
+        loss = combined_loss(tensor(logits), tensor(logits), lm, LossConfig())
+        want = 1.4 * oracles.cross_entropy_loops(logits, lm.flat, ignore_index=9)
+        assert abs(float(loss.data) - want) < 1e-12

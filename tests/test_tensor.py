@@ -144,13 +144,12 @@ def self_attn_peak(rng, side, train):
                                     key_channels=4, mid_channels=6, seed=7),
                         image_size=side)
     x = FeatureMap(tensor(rng.normal(0, 1, (5, side, side))))
-    labels = rng.integers(0, 3, side * side)
 
     def step():
         if not train:
             with T.no_grad():
                 return model.forward(x)
-        T.backward(T.cross_entropy_logits(model.forward(x).final_logits, labels))
+        T.backward(sum_all(model.forward(x).final_logits))
 
     step()
     tracemalloc.start()
@@ -222,15 +221,6 @@ class TestAttend:
 
 
 class TestElementwiseAndShapes:
-    def test_add_scale(self):
-        a, b = tensor([[1.0, -2.0]]), tensor([[3.0, 5.0]])
-        assert np.array_equal(T.add(a, b).data, [[4.0, 3.0]])
-        assert np.array_equal(T.scale(a, -2.0).data, [[-2.0, 4.0]])
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.add(tensor(np.ones((2, 2))), tensor(np.ones((2, 3))))
-
     def test_relu(self):
         # the engine's one rectifier is the epilogue of conv_bn_relu; a unit
         # weight and a neutral affine leave only the ReLU
@@ -769,24 +759,24 @@ class TestCrossEntropy:
         logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2, 1])
         logits[labels, np.arange(4)] = 1000.0
-        loss = T.cross_entropy_logits(tensor(logits), labels)
+        loss = T.cross_entropy_logits([(tensor(logits), 1.0)], labels)
         assert float(loss.data) < 1e-6
 
     def test_uniform_logits_log_k(self):
-        loss = T.cross_entropy_logits(tensor(np.zeros((4, 5))),
+        loss = T.cross_entropy_logits([(tensor(np.zeros((4, 5))), 1.0)],
                                       np.array([0, 1, 2, 3, 0]))
         assert abs(float(loss.data) - np.log(4.0)) < 1e-6
 
     def test_matches_scalar_loop(self, rng):
         logits = rng.normal(0, 2, (3, 8))
         labels = rng.integers(0, 3, 8)
-        got = float(T.cross_entropy_logits(tensor(logits), labels).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_ignored_pixels_excluded(self, rng):
         logits = rng.normal(0, 2, (3, 6))
         labels = np.array([0, 255, 2, 255, 1, 0])
-        got = float(T.cross_entropy_logits(tensor(logits), labels).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_all_ignored_warns_and_zero(self):
@@ -794,7 +784,7 @@ class TestCrossEntropy:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             logits = tensor(np.zeros((2, 3)), requires_grad=True)
-            loss = T.cross_entropy_logits(logits, labels)
+            loss = T.cross_entropy_logits([(logits, 1.0)], labels)
         assert float(loss.data) == 0.0 and not np.signbit(loss.data)
         assert any("ignored" in str(w.message) for w in caught)
         T.backward(loss)
@@ -802,7 +792,36 @@ class TestCrossEntropy:
 
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
-            T.cross_entropy_logits(tensor(np.zeros((2, 3))), np.array([0, 2, 1]))
+            T.cross_entropy_logits([(tensor(np.zeros((2, 3))), 1.0)], np.array([0, 2, 1]))
+
+    def test_weighted_terms(self, rng):
+        # the weighted sum of each term's own loss, summed in term order, and
+        # each logits' gradient is its term's scaled by the weight
+        a, b = rng.normal(0, 2, (3, 6)), rng.normal(0, 2, (4, 6))
+        labels = np.array([0, 255, 2, 1, 1, 0])
+        ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
+        loss = T.cross_entropy_logits([(ta, 0.7), (tb, 0.4)], labels)
+        alone = [tensor(x, requires_grad=True) for x in (a, b)]
+        singles = [float(T.cross_entropy_logits([(t, 1.0)], labels).data) for t in alone]
+        assert float(loss.data) == singles[0] * 0.7 + singles[1] * 0.4
+        want = (0.7 * oracles.cross_entropy_loops(a, labels)
+                + 0.4 * oracles.cross_entropy_loops(b, labels))
+        assert abs(float(loss.data) - want) < 1e-12
+        T.backward(loss)
+        for t, w, single in zip((ta, tb), (0.7, 0.4), alone):
+            T.backward(T.cross_entropy_logits([(single, 1.0)], labels))
+            assert np.max(np.abs(t.grad - w * single.grad)) < 1e-15
+
+    def test_terms_are_checked(self):
+        labels = np.array([0, 2, 1])
+        with pytest.raises(ParameterError):
+            T.cross_entropy_logits([], labels)
+        with pytest.raises(DataError):  # the second term has too few rows
+            T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
+                                    (tensor(np.zeros((2, 3))), 0.4)], labels)
+        with pytest.raises(DimensionError):
+            T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
+                                    (tensor(np.zeros((3, 4))), 0.4)], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +851,7 @@ class TestAutogradBasics:
     def test_non_scalar_loss_rejected(self, rng):
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
         with pytest.raises(ParameterError):
-            T.backward(T.scale(x, 2.0))
+            T.backward(T.reshape(x, (4,)))
 
     def test_graphless_loss_rejected(self):
         x = tensor(np.ones((2, 2)))  # requires_grad=False
@@ -852,11 +871,11 @@ class TestAutogradBasics:
 
     def test_loss_on_a_replayed_result_raises(self, rng):
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
-        doubled = T.scale(x, 2.0)
-        T.backward(sum_all(doubled))
+        flat = T.reshape(x, (4,))
+        T.backward(sum_all(flat))
         with pytest.raises(StateError):
-            T.backward(sum_all(doubled))
-        assert doubled.grad is None
+            T.backward(sum_all(flat))
+        assert flat.grad is None
 
     def test_refused_backward_changes_no_gradient(self, rng):
         # the replayed result is reached after the fresh branch to y would
@@ -864,17 +883,17 @@ class TestAutogradBasics:
         # late to keep y's gradient
         x = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
         y = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-        doubled = T.scale(x, 2.0)
-        T.backward(sum_all(doubled))
+        flat = T.reshape(x, (6,))
+        T.backward(sum_all(flat))
         first = x.grad.copy()
         with pytest.raises(StateError):
-            T.backward(T.add(sum_all(doubled), sum_all(T.scale(y, 3.0))))
+            T.backward(dot_all(flat, T.reshape(y, (6,))))
         assert y.grad is None
         assert np.array_equal(x.grad, first)
 
     def test_backward_frees_the_graph(self, rng):
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        hidden = T.scale(x, 2.0)
+        hidden = T.matmul(x, tensor(2.0 * np.eye(4)))  # owns its buffer
         buffer = weakref.ref(hidden.data)
         loss = sum_all(hidden)
         del hidden
@@ -885,8 +904,8 @@ class TestAutogradBasics:
 
     def test_backward_returns_the_replayed_results_in_creation_order(self, rng):
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
-        nodes = T.backward(sum_all(T.scale(x, 2.0)))
-        assert [n._opname for n in nodes] == ["scale", "reshape", "matmul", "reshape"]
+        nodes = T.backward(sum_all(T.transpose(x)))
+        assert [n._opname for n in nodes] == ["transpose", "reshape", "matmul", "reshape"]
 
     def test_no_grad_suppresses_recording(self, rng):
         x = tensor(rng.normal(0, 1, (2, 2)), requires_grad=True)
@@ -912,16 +931,6 @@ class TestGradientsEveryOp:
         a = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
         fwd = lambda: projected(T.reshape(T.transpose(a), (2, 3)), np.random.default_rng(8))
         assert max_grad_fd_error([a], fwd) < self.TOL
-
-    def test_add_scale(self, rng):
-        a = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-        b = tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-
-        def fwd():
-            return projected(T.scale(T.add(a, T.scale(b, -0.6)), 1.7),
-                             np.random.default_rng(9))
-
-        assert max_grad_fd_error([a, b], fwd) < self.TOL
 
     def test_relu_away_from_kink(self, rng):
         # the rectifier of conv_bn_relu behind a unit weight and a neutral
@@ -1022,9 +1031,12 @@ class TestGradientsEveryOp:
 
     def test_cross_entropy(self, rng):
         x = tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
+        y = tensor(rng.normal(0, 2, (4, 6)), requires_grad=True)
         labels = np.array([0, 1, 2, 255, 1, 0])
-        fwd = lambda: T.cross_entropy_logits(x, labels)
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0)], labels)
         assert max_grad_fd_error([x], fwd) < self.TOL
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0), (y, 0.4)], labels)
+        assert max_grad_fd_error([x, y], fwd) < self.TOL
 
 
 class TestFrozenInputs:
@@ -1047,7 +1059,9 @@ class TestFrozenInputs:
         x3 = rng.normal(0, 1, (2, 5, 4))
         return {
             "matmul": (T.matmul, [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2))], (0, 1)),
-            "add": (T.add, [rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (2, 3))], (0, 1)),
+            "cross_entropy": (lambda a, b: T.cross_entropy_logits([(a, 1.0), (b, 0.4)],
+                                                                  np.array([0, 2, 255, 1])),
+                              [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 4))], (0, 1)),
             "relation_softmax": (lambda q, k: T.relation_softmax(q, k, 0.6),
                                  [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4))], (0, 1)),
             "attend": (lambda q, k, v: T.attend(q, k, v, 0.6),
@@ -1071,7 +1085,7 @@ class TestFrozenInputs:
         }
 
     @pytest.mark.parametrize("op", [
-        "matmul", "add", "relation_softmax", "attend", "conv1x1", "conv_spatial",
+        "matmul", "cross_entropy", "relation_softmax", "attend", "conv1x1", "conv_spatial",
         "conv_bn_relu_pointwise", "conv_bn_relu_parts", "conv_bn_relu_one_column_part",
         "conv_bn_relu_3x3", "conv_bn_relu_3x3_parts", "conv_bn_relu_3x3_small_parts"])
     def test_frozen_parent_gets_no_gradient(self, rng, monkeypatch, op):
@@ -1162,32 +1176,32 @@ class TestAllocationTracker:
         assert tracker.peak_bytes >= a.grad.nbytes + b.grad.nbytes
 
     def test_scalar_gradient_is_not_charged(self, rng):
-        # scale's backward hands on a 0-d gradient as an array, which the
-        # tracker charges like any other buffer
+        # the loss's reshape hands on a view of the 0-d seed gradient, which
+        # the tracker charges like any other buffer
         x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        loss = T.scale(sum_all(x), 0.5)
+        loss = dot_all(x, tensor(np.full((3, 4), 0.5)))
         with T.AllocationTracker() as tracker:
             T.backward(loss)
         assert np.array_equal(x.grad, np.full((3, 4), 0.5))
         assert tracker.peak_bytes >= x.grad.nbytes
 
     def test_summed_scalar_gradient_is_an_array(self, rng):
-        # a 0-d result read twice sums two 0-d gradients, which numpy
+        # a 0-d leaf read twice sums two 0-d gradients, which numpy
         # returns as a scalar unless backward keeps the sum a buffer
-        x = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        total = sum_all(x)
+        x = tensor(rng.normal(0, 1, ()), requires_grad=True)
         with T.AllocationTracker():
-            T.backward(T.add(total, total))
-        assert np.array_equal(x.grad, np.full((3, 4), 2.0))
+            T.backward(dot_all(T.reshape(x, (1,)), T.reshape(x, (1,))))
+        assert isinstance(x.grad, np.ndarray)
+        assert x.grad == 2.0 * x.data
 
     def test_shared_gradient_charged_once(self, rng):
-        # add's backward hands one array to both parents
+        # each reshape's backward hands on a view of the gradient it got, so
+        # both pending gradients and the leaf's share one buffer
         a = tensor(rng.normal(0, 1, (10, 10)), requires_grad=True)
-        b = tensor(rng.normal(0, 1, (10, 10)), requires_grad=True)
-        loss = projected(T.add(a, b), np.random.default_rng(24))
+        loss = projected(T.reshape(T.reshape(a, (100,)), (4, 25)), np.random.default_rng(24))
         with T.AllocationTracker() as tracker:
             T.backward(loss)
-            assert a.grad is b.grad
+            assert a.grad.base is not None
             assert tracker.current_bytes == a.grad.nbytes
 
     def test_repeated_runs_identical_peaks(self, rng):
