@@ -103,8 +103,9 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
                                   region_scale: float = 1.0,
                                   relation_scale: float | None = None
                                   ) -> EquivalenceReport:
-    """Run the mapped stage's own ``context`` and its attention rephrasing on
-    the same features and compare the contextual outputs.
+    """Run the mapped stage's own ``context`` (its whole-image part, then its
+    tail on the whole image) and its attention rephrasing on the same
+    features and compare the contextual outputs.
 
     The stage's region softmax runs at unit scale and its relation softmax
     at ``config.relation_scale``; the attention path's decoder runs at unit
@@ -124,7 +125,8 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
     if stage.region_head.bias is not None:
         raise ConfigError("query correspondence requires a bias-free region head")
 
-    y_ctx, _ = stage.context(x, x, None)
+    tail, _ = stage.context(x, x, None)
+    y_ctx = tail(x)  # the whole image as one band, as training runs it
 
     # Attention path: decoder over pixels, encoder back onto its outputs.
     feats_nc = T.transpose(x.pixels())  # (N, C)

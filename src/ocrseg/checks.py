@@ -73,7 +73,7 @@ def _grad_instance(seed: int, index: int):
         if index % 3 == 0:
             raw[0, 0] = IGNORE_INDEX
         labels = LabelMap(raw, classes, IGNORE_INDEX)
-        loss_cfg = LossConfig(final_weight=1.0, aux_weight=0.4)
+        loss_cfg = LossConfig()
 
         def objective(model=model, feats=feats, labels=labels, loss_cfg=loss_cfg):
             out = model.forward(feats, labels)

@@ -27,9 +27,11 @@ SIMPLEX_TOL_SINGLE = 1e-5
 
 @dataclass
 class FeatureMap:
-    """A (C, H, W) tensor of per-pixel features."""
+    """A (C, H, W) tensor of per-pixel features. ``top`` is the image row of
+    its first row: 0 for a whole image, the band's offset for a band of one."""
 
     tensor: T.Tensor
+    top: int = 0
 
     def __post_init__(self) -> None:
         if self.tensor.data.ndim != 3:
@@ -60,12 +62,21 @@ class FeatureMap:
     def from_pixels(cls, pixels: T.Tensor, height: int, width: int) -> "FeatureMap":
         return cls(T.reshape(pixels, (pixels.shape[0], height, width)))
 
+    def band(self, r0: int, r1: int) -> "FeatureMap":
+        """Rows r0:r1: the map itself when they are all of it, otherwise a
+        leaf over a view of its buffer, which allocates nothing and records
+        no gradient (a band of a no-grad forward)."""
+        if (r0, r1) == (0, self.height):
+            return self
+        return FeatureMap(T.Tensor(self.tensor.data[:, r0:r1]), self.top + r0)
 
-def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str) -> None:
+
+def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str,
+                        first: int = 0) -> None:
     """Every row of ``mat`` sums to 1 within ``SIMPLEX_TOL`` (float32 rows:
     ``SIMPLEX_TOL_SINGLE``), except rows in ``exempt``, which must be all
     zero. A row holding NaN sums to no number and is flagged. Reports the
-    first offending row."""
+    first offending row, numbered from ``first``."""
     if mat.size == 0:
         return
     tol = SIMPLEX_TOL_SINGLE if mat.dtype == np.float32 else SIMPLEX_TOL
@@ -79,10 +90,11 @@ def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str) -> No
     not_zero = flagged[np.any(mat[flagged] != 0.0, axis=1)]
     bad_sum = np.flatnonzero(off)
     if not_zero.size and (not bad_sum.size or not_zero[0] < bad_sum[0]):
-        raise ParameterError(f"{what} row {not_zero[0]} is flagged empty but not zero")
+        raise ParameterError(
+            f"{what} row {first + not_zero[0]} is flagged empty but not zero")
     if bad_sum.size:
         i = bad_sum[0]
-        raise ParameterError(f"{what} row {i} sums to {sums[i]!r}, expected 1")
+        raise ParameterError(f"{what} row {first + i} sums to {sums[i]!r}, expected 1")
 
 
 @dataclass
@@ -117,12 +129,15 @@ class SoftRegionSet:
 @dataclass
 class RelationMatrix:
     """Pixel-to-region relation weights: (N, K), each row a distribution.
-    Rows listed in ``zero_rows`` are all-zero (e.g. ignored pixels)."""
+    Rows listed in ``zero_rows`` are all-zero (e.g. ignored pixels). ``top``
+    is the image row of the first of the height x width pixels, as in
+    ``FeatureMap``; a failed check names the pixel's row in the image."""
 
     weights: T.Tensor
     height: int
     width: int
     zero_rows: tuple[int, ...] = ()
+    top: int = 0
 
     def __post_init__(self) -> None:
         if self.weights.data.ndim != 2:
@@ -132,7 +147,8 @@ class RelationMatrix:
             raise DimensionError(
                 f"relation weights {self.weights.data.shape} do not cover "
                 f"{self.height}x{self.width} pixels")
-        _check_simplex_rows(self.weights.data, self.zero_rows, "RelationMatrix.weights")
+        _check_simplex_rows(self.weights.data, self.zero_rows, "RelationMatrix.weights",
+                            self.top * self.width)
 
     @property
     def num_regions(self) -> int:
@@ -166,7 +182,7 @@ def pixel_region_relations(x: FeatureMap, reps: T.Tensor,
     q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
     k = reps if region_transform is None else region_transform(reps)
     weights = T.relation_softmax(q, k, scale)  # (N, K)
-    return RelationMatrix(weights, x.height, x.width)
+    return RelationMatrix(weights, x.height, x.width, top=x.top)
 
 
 def ocr_aggregate(relations: RelationMatrix, reps: T.Tensor,
@@ -199,14 +215,16 @@ def da_scheme_relations(feats: FeatureMap, predictor: Conv1x1Head) -> RelationMa
     regions of a pointwise head, no region features involved."""
     logits = predictor(feats.pixels())  # (K~, N)
     weights = T.softmax_rows(T.transpose(logits))
-    return RelationMatrix(weights, feats.height, feats.width)
+    return RelationMatrix(weights, feats.height, feats.width, top=feats.top)
 
 
-def acf_scheme_relations(regions: SoftRegionSet) -> RelationMatrix:
+def acf_scheme_relations(logits: T.Tensor, height: int, width: int,
+                         top: int = 0) -> RelationMatrix:
     """Relations read off the coarse classification posterior: per-pixel
-    softmax over regions of the same classifier logits."""
-    weights = T.softmax_rows(T.transpose(regions.logits))
-    return RelationMatrix(weights, regions.height, regions.width)
+    softmax over regions of the region classifier's (K, N) ``logits`` at the
+    height x width pixels from image row ``top`` on."""
+    weights = T.softmax_rows(T.transpose(logits))
+    return RelationMatrix(weights, height, width, top=top)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ from .supervision import LabelMap, gt_regions, gt_relations
 
 _SCALE_MODES = ("unit", "rsqrt_key")
 
+# Bytes of the widest buffer one band of a relational stage's tail allocates
+# (pixel keys, relations, context, fused features or logits; see
+# ``_band_height``): at the bench widths (128 mid channels, float64) a band of
+# 1,024 pixels, 8 rows at 128x128. There, on a 2-vCPU VM, ocr's no-grad
+# tracemalloc peak read 40.3 MB whole and 18.2, 11.6, 8.3 and 6.7 MB at bands
+# of 32, 16, 8 and 4 rows, and its median forward 87, 76, 75, 78 and 83 ms;
+# at 2 and 1 rows the per-band work took it to 98 and 106 ms.
+_BAND_BYTES = 1 << 20
+
 
 @dataclass
 class ModelConfig:
@@ -97,6 +106,8 @@ class SegmentationModel:
     values are the checkpoint format. A stage has ``out_channels``, maps
     ``(x, labels)`` to the features the final head reads plus the auxiliary
     logits (or None), and gives its closed-form FLOP terms with ``flops(n)``.
+    A ``RelationalStage`` also splits that map into its whole-image part and
+    a tail that runs on a band of image rows (``prepare``).
     """
 
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
@@ -152,9 +163,38 @@ class SegmentationModel:
         for name, tensor in own.items():
             tensor.data[...] = state[name]
 
+    def _band_height(self, x: FeatureMap) -> int:
+        """Image rows per band of the tail: all of them when the forward
+        records a backward or the stage reads neighbouring rows (kxk convs),
+        otherwise as many as keep the widest per-band buffer within
+        ``_BAND_BYTES``."""
+        cfg = self.cfg
+        if T._grad_enabled or not isinstance(self.stage, RelationalStage):
+            return x.height
+        widest = max(cfg.key_channels, cfg.mid_channels, cfg.num_classes,
+                     cfg.da_regions)
+        row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * max(x.width, 1)
+        return max(1, _BAND_BYTES // row_bytes)
+
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        z, aux = self.stage(x, labels)
-        return ModelOutput(self.final_head(z.pixels()), aux)
+        """The stage's whole-image part, then its tail and the final head one
+        band of image rows at a time, each band's logits written into one
+        (K, N) buffer. With one band the final head's result is returned as
+        it is, so a forward that records a backward runs its ops in one order
+        whatever the image size."""
+        step = self._band_height(x)
+        if step >= x.height:
+            z, aux = self.stage(x, labels)
+            return ModelOutput(self.final_head(z.pixels()), aux)
+        fuse, aux = self.stage.prepare(x, labels)
+        logits = None
+        for r0 in range(0, x.height, step):
+            r1 = min(r0 + step, x.height)
+            band = self.final_head(fuse(r0, r1).pixels()).data
+            if logits is None:
+                logits = T.Tensor(np.empty((band.shape[0], x.num_pixels), dtype=band.dtype))
+            logits.data[:, r0 * x.width:r1 * x.width] = band
+        return ModelOutput(logits, aux)
 
     def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
         n = height * width
@@ -172,9 +212,11 @@ class RelationalStage:
     context. Every relational scheme draws the stem first and the value,
     output and fuse transforms in ``_draw_shared``; a subclass draws its own
     parameters around them in ``_draw`` and supplies ``context_flops`` and
-    ``context(x, feats, labels)``, which maps the raw and stemmed features to
-    the context map and the auxiliary logits (or None). Each block attribute
-    is named as its checkpoint entry."""
+    ``context(x, feats, labels)``. That runs the context's whole-image part
+    on the raw and stemmed features and returns its tail, which maps a band
+    of the stemmed features (``FeatureMap.band``) to the band's context map,
+    and the auxiliary logits (or None). Each block attribute is named as its
+    checkpoint entry."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -197,10 +239,22 @@ class RelationalStage:
                                          self.pipe_in + cfg.mid_channels,
                                          cfg.mid_channels)
 
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+    def prepare(self, x: FeatureMap, labels: LabelMap | None):
+        """The stem and the context's whole-image part. Returns
+        ``fuse(r0, r1)``, the fused features of image rows r0:r1, and the
+        auxiliary logits (or None)."""
         feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
-        y, aux = self.context(x, feats, labels)
-        return augment(feats, y, self.fuse_transform), aux
+        tail, aux = self.context(x, feats, labels)
+
+        def fuse(r0: int, r1: int) -> FeatureMap:
+            band = feats.band(r0, r1)
+            return augment(band, tail(band), self.fuse_transform)
+
+        return fuse, aux
+
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+        fuse, aux = self.prepare(x, labels)
+        return fuse(0, x.height), aux
 
     def flops(self, n: int) -> dict[str, int]:
         cfg = self.config
@@ -251,12 +305,13 @@ class RegionStage(RelationalStage):
                                           self.pipe_in, self.regions, bias=False)
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        module = self.config.module
+        cfg = self.config
+        module = cfg.module
+        dtype = x.tensor.dtype
         if module == "gt_ocr":
             if labels is None:
                 raise ConfigError("gt_ocr forward requires a label map")
-            regions = gt_regions(labels, dtype=x.tensor.dtype)
-            relations = gt_relations(labels, dtype=x.tensor.dtype)
+            regions = gt_regions(labels, dtype=dtype)
         else:
             regions = compute_soft_regions(x, self.region_head)
         # Wider unsupervised region maps: the pipeline pools these while the
@@ -264,16 +319,28 @@ class RegionStage(RelationalStage):
         pooled = regions if self.da_maps is None else compute_soft_regions(
             feats, self.da_maps)
         reps = region_representations(T.transpose(feats.pixels()), pooled)  # (C, K)
-        if module == "ocr":
-            relations = pixel_region_relations(feats, reps, self.pixel_transform,
-                                               self.region_transform,
-                                               scale=self.config.relation_scale)
-        elif module == "da":
-            relations = da_scheme_relations(feats, self.da_predictor)
-        elif module == "acf":
-            relations = acf_scheme_relations(regions)
-        y = ocr_aggregate(relations, reps, self.value_transform, self.output_transform)
-        return y, None if module == "gt_ocr" else regions.logits
+        # once pooled, the regions are dropped but for their logits
+        logits = None if module == "gt_ocr" else regions.logits
+        keys = self.region_transform(reps) if module == "ocr" else None
+        values = self.value_transform(reps)
+
+        def tail(band: FeatureMap) -> FeatureMap:
+            if module == "ocr":
+                relations = pixel_region_relations(band, keys, self.pixel_transform,
+                                                   None, scale=cfg.relation_scale)
+            elif module == "da":
+                relations = da_scheme_relations(band, self.da_predictor)
+            elif module == "acf":
+                c0 = band.top * band.width
+                cols = logits if band is feats else T.Tensor(
+                    logits.data[:, c0:c0 + band.num_pixels])  # a view, as bands are
+                relations = acf_scheme_relations(cols, band.height, band.width, band.top)
+            else:
+                relations = gt_relations(labels, dtype, band.top,
+                                         band.top + band.height)
+            return ocr_aggregate(relations, values, None, self.output_transform)
+
+        return tail, logits
 
     def context_flops(self, n: int) -> dict[str, int]:
         cfg = self.config
@@ -315,10 +382,15 @@ class SelfAttentionStage(RelationalStage):
         self._draw_shared(model)
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        return self_attention_context(
+        # The attention runs on the whole image: a band's queries would split
+        # its row blocks where the whole image's do not, and BLAS sums a
+        # smaller block in another order, so its logits would not keep their
+        # bits. The tail reads its band of the context map.
+        y = self_attention_context(
             feats, self.pixel_transform, self.context_transform,
             self.value_transform, self.output_transform,
-            scale=self.config.relation_scale), None
+            scale=self.config.relation_scale)
+        return (lambda band: y.band(band.top, band.top + band.height)), None
 
     def context_flops(self, n: int) -> dict[str, int]:
         c, d = self.pipe_in, self.config.key_channels
@@ -336,7 +408,8 @@ class GlobalStage(RelationalStage):
     the fuse adds to every pixel's column."""
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        return global_context(feats, self.value_transform, self.output_transform), None
+        y = global_context(feats, self.value_transform, self.output_transform)
+        return (lambda band: y), None
 
     def context_flops(self, n: int) -> dict[str, int]:
         d = self.config.key_channels

@@ -119,18 +119,21 @@ def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
                          labels.height, labels.width, tuple(empty))
 
 
-def gt_relations(labels: LabelMap, dtype=np.float64) -> RelationMatrix:
-    """One-hot ground-truth relations: pixel i relates only to the region of
-    its own label. Ignored pixels get a zero row and are flagged. The matrix
-    takes ``dtype``, as ``gt_regions`` does."""
+def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,
+                 bottom: int | None = None) -> RelationMatrix:
+    """One-hot ground-truth relations of the pixels in label rows top:bottom
+    (all of them by default): pixel i relates only to the region of its own
+    label. Ignored pixels get a zero row and are flagged. The matrix takes
+    ``dtype``, as ``gt_regions`` does."""
     k = labels.num_classes
-    flat = labels.flat
+    rows = labels.labels[top:bottom]
+    flat = rows.ravel()
     n = flat.size
     weights = np.zeros((n, k), dtype=dtype)
     valid = flat != labels.ignore_index
     weights[np.where(valid)[0], flat[valid]] = 1.0
     zero_rows = tuple(int(i) for i in np.where(~valid)[0])
-    return RelationMatrix(T.Tensor(weights), labels.height, labels.width, zero_rows)
+    return RelationMatrix(T.Tensor(weights), *rows.shape, zero_rows, top)
 
 
 def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,

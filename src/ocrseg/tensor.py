@@ -300,10 +300,15 @@ def _normalize_rows(s: np.ndarray) -> None:
     s /= s.sum(axis=1, keepdims=True)
 
 
-def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float) -> np.ndarray:
+def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float,
+                  fresh: bool = False) -> np.ndarray:
     """Gradient of the logits of row softmax ``s`` at ``temperature``, given
-    the gradient ``g`` of ``s``."""
-    return s * (g - (g * s).sum(axis=1, keepdims=True)) / temperature
+    the gradient ``g`` of ``s``. A ``fresh`` g, one the caller allocated and
+    nothing else reads, is overwritten with it, in the same arithmetic."""
+    ds = np.subtract(g, (g * s).sum(axis=1, keepdims=True), out=g if fresh else None)
+    ds *= s
+    ds /= temperature
+    return ds
 
 
 def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -346,24 +351,25 @@ def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: floa
 
 
 def _relation_grad(q: Tensor, k: Tensor, s: np.ndarray, blocks, temperature: float,
-                   block_grad) -> tuple:
+                   block_grad, fresh: bool = False) -> tuple:
     """(dq, dk) of the relation ``s`` in its row blocks, given the gradient
-    ``block_grad(rows)`` of each block: the logits' gradient ds of a block,
-    then dq = (ds k^T)^T and dk = q ds."""
+    ``block_grad(rows)`` of each block (``fresh`` as ``_softmax_grad`` takes
+    it): the logits' gradient ds of a block, then dq = (ds k^T)^T and
+    dk = q ds. Each block's ds is freed before the next block's is formed."""
     if not (q.requires_grad or k.requires_grad):
         return None, None
     dq_t = np.empty((s.shape[0], q.data.shape[0]), dtype=s.dtype) if q.requires_grad else None
     dk = None
     for rows in blocks:
-        ds = _softmax_grad(s[rows], block_grad(rows), temperature)
+        ds = _softmax_grad(s[rows], block_grad(rows), temperature, fresh)
         if dq_t is not None:
             np.matmul(ds, k.data.T, out=dq_t[rows])
-        if not k.requires_grad:
-            continue
-        if dk is None:
-            dk = q.data[:, rows] @ ds
-        else:
-            dk += q.data[:, rows] @ ds
+        if k.requires_grad:
+            if dk is None:
+                dk = q.data[:, rows] @ ds
+            else:
+                dk += q.data[:, rows] @ ds
+        del ds
     return None if dq_t is None else dq_t.T, dk
 
 
@@ -419,7 +425,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 
     def back(g):
         dq, dk = _relation_grad(q, k, s, blocks, temperature,
-                                lambda rows: g[rows] @ v.data)
+                                lambda rows: g[rows] @ v.data, fresh=True)
         return dq, dk, (s.T @ g).T if v.requires_grad else None
 
     return _result(ctx, (q, k, v), back, "attend")

@@ -276,13 +276,16 @@ class TestEquivalenceCheck:
     def test_fault_in_the_stage_fails_the_gate(self, rng, monkeypatch,
                                                scale_mode, fault):
         # the gate runs the stage's own context, so a fault in the relation
-        # step the stage calls must surface as a discrepancy
+        # step the stage calls must surface as a discrepancy. The stage hands
+        # that step region keys already transformed (a None region transform),
+        # so the swap keys the pixels with the region transform.
         real = models.pixel_region_relations
 
-        def faulty(x, reps, pixel_transform, region_transform, scale):
+        def faulty(x, keys, pixel_transform, region_transform, scale):
             if fault == "swapped_keys":
-                return real(x, reps, region_transform, pixel_transform, scale=scale)
-            return real(x, reps, pixel_transform, region_transform, scale=1.0)
+                return real(x, keys, stage.region_transform, region_transform,
+                            scale=scale)
+            return real(x, keys, pixel_transform, region_transform, scale=1.0)
 
         monkeypatch.setattr(models, "pixel_region_relations", faulty)
         stage = region_stage(in_channels=4, num_classes=3, attention_scale=scale_mode)

@@ -53,6 +53,17 @@ class TestFeatureMap:
         assert np.array_equal(fm.tensor.grad, weights)
 
 
+    def test_band_is_a_view_of_its_rows(self, rng):
+        data = rng.normal(0, 1, (2, 5, 3))
+        fm = FeatureMap(tensor(data))
+        assert fm.band(0, 5) is fm
+        band = fm.band(2, 4)
+        assert (band.top, band.height, band.width) == (2, 2, 3)
+        assert np.shares_memory(band.tensor.data, data)
+        assert np.array_equal(band.tensor.data, data[:, 2:4])
+        assert band.band(1, 2).top == 3
+
+
 class TestSimplexValidation:
     def test_negative_entry_rejected(self):
         bad = np.array([[1.2, -0.2], [0.5, 0.5]])
@@ -606,32 +617,26 @@ class TestSchemeRelations:
                                 Conv1x1Head.create(rng, 5, 4))
 
     def test_acf_uniform_logits(self):
-        regions = region_set(np.full((3, 4), 0.25), 2, 2,
-                             logits=np.ones((3, 4)))
-        rel = acf_scheme_relations(regions)
+        rel = acf_scheme_relations(tensor(np.ones((3, 4))), 2, 2)
         assert np.max(np.abs(rel.weights.data - 1.0 / 3.0)) < 1e-15
 
     def test_acf_peaked_logits_near_one_hot(self, rng):
         logits = rng.normal(0, 1, (3, 4))
         logits[1] += 50.0
-        norm = oracles.softmax_rows_loops(logits)
-        rel = acf_scheme_relations(region_set(norm, 2, 2, logits=logits))
+        rel = acf_scheme_relations(tensor(logits), 2, 2)
         assert np.all(rel.weights.data[:, 1] > 1.0 - 1e-9)
 
     def test_acf_matches_per_pixel_softmax(self, rng):
         logits = rng.normal(0, 2, (3, 6))
-        norm = oracles.softmax_rows_loops(logits)
-        rel = acf_scheme_relations(region_set(norm, 2, 3, logits=logits))
+        rel = acf_scheme_relations(tensor(logits), 2, 3)
         want = oracles.softmax_rows_loops(logits.T)
         assert np.max(np.abs(rel.weights.data - want)) < 1e-12
 
     def test_acf_shift_invariance(self, rng):
         logits = rng.normal(0, 1, (3, 4))
         shifted = logits + rng.normal(0, 4, 4)[None, :]  # per-pixel shifts
-        rel_a = acf_scheme_relations(
-            region_set(oracles.softmax_rows_loops(logits), 2, 2, logits=logits))
-        rel_b = acf_scheme_relations(
-            region_set(oracles.softmax_rows_loops(shifted), 2, 2, logits=shifted))
+        rel_a = acf_scheme_relations(tensor(logits), 2, 2)
+        rel_b = acf_scheme_relations(tensor(shifted), 2, 2)
         assert np.max(np.abs(rel_a.weights.data - rel_b.weights.data)) < 1e-9
 
 

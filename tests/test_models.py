@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocrseg.models as models
 import ocrseg.tensor as T
 from ocrseg.context import FeatureMap, self_attention_context
-from ocrseg.errors import ConfigError
+from ocrseg.errors import ConfigError, ParameterError
 from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
                            PpmStage, RegionStage, RelationalStage, SegmentationModel,
                            SelfAttentionStage, STAGES, build_model,
@@ -78,7 +79,8 @@ class TestModelConfig:
         assert small_config("self_attn", key_channels=9).relation_scale == 1.0
         stage = build_model(cfg).stage
         feats = feature_map(rng, cfg.mid_channels, 3, 3)
-        got, _ = stage.context(None, feats, None)
+        tail, _ = stage.context(None, feats, None)
+        got = tail(feats)  # the whole image as one band
         for scale, same in ((1.0 / 3.0, True), (1.0, False)):
             want = self_attention_context(
                 feats, stage.pixel_transform, stage.context_transform,
@@ -271,6 +273,135 @@ class TestForward:
         assert frozen
         assert all(n.startswith(("region_head", "pixel_transform",
                                  "region_transform")) for n in frozen)
+
+
+RELATIONAL = tuple(m for m in MODULE_CHOICES if issubclass(STAGES[m], RelationalStage))
+
+
+def banded_forward(monkeypatch, model, x, labels=None, rows=None):
+    """No-grad forward with a band budget of ``rows`` image rows of the
+    model's widest tail buffer (None: the whole image). Returns the output
+    and the band heights the final head read."""
+    cfg = model.cfg
+    widest = max(cfg.key_channels, cfg.mid_channels, cfg.num_classes, cfg.da_regions)
+    row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * x.width
+    monkeypatch.setattr(models, "_BAND_BYTES", (rows or x.height) * row_bytes)
+    head, seen = model.final_head, []
+    monkeypatch.setattr(model, "final_head",
+                        lambda px: seen.append(px.shape[1] // x.width) or head(px))
+    try:
+        with T.no_grad():
+            return model.forward(x, labels), seen
+    finally:
+        model.final_head = head
+
+
+def band_inputs(rng, module, height, width, dtype=np.float64):
+    """Features and labels (a few ignored pixels) for a small_config head."""
+    x = FeatureMap(T.Tensor(rng.normal(0, 1, (5, height, width)).astype(dtype)))
+    raw = rng.integers(0, 3, (height, width))
+    raw[rng.random((height, width)) < 0.1] = 255
+    return x, LabelMap(raw, 3) if module == "gt_ocr" else None
+
+
+class TestBandTail:
+    """Under no_grad a relational stage's tail and the final head run one band
+    of image rows at a time; the logits are bitwise those of one band."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert np.array_equal(got.final_logits.data, want.final_logits.data)
+        assert got.final_logits.data.dtype == want.final_logits.data.dtype
+        if want.aux_logits is None:
+            assert got.aux_logits is None
+        else:
+            assert np.array_equal(got.aux_logits.data, want.aux_logits.data)
+
+    @pytest.mark.parametrize("use_stem", [False, True])
+    @pytest.mark.parametrize("module", RELATIONAL)
+    def test_ragged_last_band(self, rng, monkeypatch, module, use_stem):
+        model = build_model(small_config(module, use_stem=use_stem,
+                                         da_regions=5 if module == "da" else 0),
+                            image_size=37)
+        x, labels = band_inputs(rng, module, 37, 53)
+        whole, one = banded_forward(monkeypatch, model, x, labels)
+        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=5)
+        assert one == [37] and heights == [5] * 7 + [2]
+        self.assert_same(banded, whole)
+
+    @pytest.mark.parametrize("module", RELATIONAL)
+    def test_one_row_bands(self, rng, monkeypatch, module):
+        model = build_model(small_config(module), image_size=9)
+        x, labels = band_inputs(rng, module, 9, 11)
+        whole, _ = banded_forward(monkeypatch, model, x, labels)
+        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=1)
+        assert heights == [1] * 9
+        self.assert_same(banded, whole)
+
+    @pytest.mark.parametrize("module", RELATIONAL)
+    def test_single_precision(self, rng, monkeypatch, module):
+        model = build_model(small_config(module, dtype="single"), image_size=16)
+        x, labels = band_inputs(rng, module, 16, 13, np.float32)
+        whole, _ = banded_forward(monkeypatch, model, x, labels)
+        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=3)
+        assert heights == [3] * 5 + [1]
+        assert banded.final_logits.data.dtype == np.float32
+        self.assert_same(banded, whole)
+
+    def test_oracle_relations_across_a_band_border(self, rng, monkeypatch):
+        model = build_model(small_config("gt_ocr"), image_size=8)
+        x, _ = band_inputs(rng, "ocr", 8, 7)
+        raw = rng.integers(0, 3, (8, 7))
+        raw[3, 1:4] = raw[4, 2:6] = 255  # both sides of the border below row 3
+        labels = LabelMap(raw, 3)
+        whole, _ = banded_forward(monkeypatch, model, x, labels)
+        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=4)
+        assert heights == [4, 4]
+        self.assert_same(banded, whole)
+
+    def test_zero_width_map_is_one_band(self):
+        model = build_model(small_config("self_attn"), image_size=8)
+        with T.no_grad():
+            out = model.forward(FeatureMap(T.Tensor(np.zeros((5, 3, 0)))))
+        assert out.final_logits.shape == (3, 0)
+
+    # tensor ops of one recorded forward at 12x12 with a stem, as before the
+    # tail ran in bands
+    RECORDED_OPS = {"ocr": 24, "da": 24, "acf": 22, "gt_ocr": 17, "self_attn": 15,
+                    "global": 10, "aspp_lite": 3, "ppm_lite": 9}
+
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_recording_forward_runs_one_band(self, rng, monkeypatch, module):
+        cfg = ModelConfig(module=module, in_channels=8, num_classes=4, key_channels=4,
+                          mid_channels=6, use_stem=True, seed=3, ppm_bins=(1, 2, 3))
+        model = build_model(cfg, image_size=12)
+        x = feature_map(rng, 8, 12, 12)
+        labels = LabelMap(rng.integers(0, 4, (12, 12)), 4)
+        monkeypatch.setattr(models, "_BAND_BYTES", 1)  # one-row bands under no_grad
+        ops = []
+        real = T._result
+        monkeypatch.setattr(T, "_result", lambda *a: ops.append(a[-1]) or real(*a))
+        out = model.forward(x, labels)
+        assert len(ops) == self.RECORDED_OPS[module]
+        # the final head's own result, which the backward replays
+        assert ops[-1] == "conv1x1" and out.final_logits.requires_grad
+
+    def test_nan_in_a_later_band_names_the_image_pixel(self, rng, monkeypatch):
+        model = build_model(small_config("ocr"), image_size=8)
+        x = feature_map(rng, 5, 8, 6)
+        real = models.pixel_region_relations
+
+        def poisoned(band, *args, **kwargs):
+            if band.top == 4:  # the second band: a NaN at its pixel (1, 3)
+                data = band.tensor.data.copy()
+                data[:, 1, 3] = np.nan
+                band = FeatureMap(T.Tensor(data), band.top)
+            return real(band, *args, **kwargs)
+
+        monkeypatch.setattr(models, "pixel_region_relations", poisoned)
+        # the pixel is row 5 * 6 + 3 of the image's relations, row 9 of the band's
+        with pytest.raises(ParameterError, match=r"RelationMatrix.weights row 33 sums"):
+            banded_forward(monkeypatch, model, x, rows=4)
 
 
 class TestDaScheme:

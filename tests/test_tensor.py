@@ -215,6 +215,15 @@ class TestAttend:
         side = 48
         assert self_attn_peak(rng, side, train=True) < 1.5 * 8 * side ** 4
 
+    def test_backward_scratch_is_two_row_blocks(self, rng):
+        # beyond the kept relation, the backward holds a block's gradient,
+        # normalised in place, and one temporary; dropping each block's
+        # logits gradient before the next one is formed took the excess from
+        # 3.28 blocks (56.2 MB in all) to 2.27 (52.0 MB)
+        side = 48
+        excess = self_attn_peak(rng, side, train=True) - 8 * side ** 4
+        assert excess < 2.75 * T._ACCUMULATE_BYTES
+
 
 # ---------------------------------------------------------------------------
 # elementwise and shape ops
