@@ -106,12 +106,13 @@ class TransformBlock:
         return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
                    np.ones(out_channels, dtype=dtype))
 
-    def __call__(self, *parts: T.Tensor) -> T.Tensor:
+    def __call__(self, *parts: T.Tensor, rows: tuple[int, int] | None = None) -> T.Tensor:
         """The block applied to its input, given whole or as column parts
-        that the block reads as one channel concatenation; one tensor op."""
+        that the block reads as one channel concatenation; one tensor op. A
+        3x3 block computes output rows r0:r1 only when given ``rows``."""
         inv_std = 1.0 / np.sqrt(self.bn_var + BN_EPS)
         return T.conv_bn_relu(parts, self.weight, self.bn_scale, self.bn_shift,
-                              inv_std, self.bn_mean, _PREACT_TRACE)
+                              inv_std, self.bn_mean, _PREACT_TRACE, rows)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, T.Tensor]]:
         return [(prefix + "weight", self.weight),

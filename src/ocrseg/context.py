@@ -239,12 +239,14 @@ def self_attention_context(x: FeatureMap,
                            scale: float = 1.0) -> FeatureMap:
     """Dense pairwise context: every pixel attends over every pixel. The
     relation matrix is N x N, the quadratic-cost baseline; ``T.attend``
-    forms it a row block at a time."""
+    forms it a row block at a time. Its inputs are dropped once it returns,
+    so a no-grad forward frees them before the output transform."""
     px = x.pixels()
     q = px if pixel_transform is None else pixel_transform(px)
     k = px if context_transform is None else context_transform(px)
     vals = px if value_transform is None else value_transform(px)  # (C_v, N)
     y = T.transpose(T.attend(q, k, vals, scale))  # (C_v, N)
+    del px, q, k, vals
     if output_transform is not None:
         y = output_transform(y)
     return FeatureMap.from_pixels(y, x.height, x.width)
@@ -270,12 +272,13 @@ def scaled_rates(base_rates: Sequence[int], height: int,
     return tuple(max(1, int(round(r * factor))) for r in base_rates)
 
 
-def aspp_lite(x: FeatureMap,
-              branches: Sequence[tuple[int, T.Tensor]]) -> FeatureMap:
+def aspp_lite(x: FeatureMap, branches: Sequence[tuple[int, T.Tensor]],
+              r0: int = 0, r1: int | None = None) -> FeatureMap:
     """Multi-scale context from parallel dilated convs, one per (rate,
     (C_out, C_in, k, k) kernel) branch, each in its channel slice of one
-    output, in branch order."""
-    return FeatureMap(T.conv_spatial(x.tensor, branches))
+    output, in branch order: the band of image rows r0:r1 (all by default)."""
+    r1 = x.height if r1 is None else r1
+    return FeatureMap(T.conv_spatial(x.tensor, branches, (r0, r1)), x.top + r0)
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],

@@ -103,11 +103,11 @@ class SegmentationModel:
     ``stage(model, image_size)`` builds the stage, drawing its parameters
     through ``draw`` from ``rng`` (by default the stream seeded with
     ``cfg.seed``); the final head is drawn last. Names, draw order and
-    values are the checkpoint format. A stage has ``out_channels``, maps
-    ``(x, labels)`` to the features the final head reads plus the auxiliary
-    logits (or None), and gives its closed-form FLOP terms with ``flops(n)``.
-    A ``RelationalStage`` also splits that map into its whole-image part and
-    a tail that runs on a band of image rows (``prepare``).
+    values are the checkpoint format. A stage (``Stage``) has
+    ``out_channels`` and ``halo``, splits its map from ``(x, labels)`` to the
+    features the final head reads into a whole-image part and a fuse that
+    runs on a band of image rows (``prepare``), and gives its closed-form
+    FLOP terms with ``flops(n)``.
     """
 
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
@@ -164,29 +164,29 @@ class SegmentationModel:
             tensor.data[...] = state[name]
 
     def _band_height(self, x: FeatureMap) -> int:
-        """Image rows per band of the tail: all of them when the forward
-        records a backward or the stage reads neighbouring rows (kxk convs),
-        otherwise as many as keep the widest per-band buffer within
-        ``_BAND_BYTES``."""
+        """Image rows per band of the stage's fuse: all of them when the
+        forward records a backward, otherwise as many as keep the widest
+        per-band output buffer within ``_BAND_BYTES``, but no fewer than the
+        2 * ``stage.halo`` rows a band's kxk taps read beyond it, so that at
+        most half of a band's padded input is halo."""
         cfg = self.cfg
-        if T._grad_enabled or not isinstance(self.stage, RelationalStage):
+        if T._grad_enabled:
             return x.height
-        widest = max(cfg.key_channels, cfg.mid_channels, cfg.num_classes,
+        widest = max(cfg.key_channels, self.stage.out_channels, cfg.num_classes,
                      cfg.da_regions)
         row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * max(x.width, 1)
-        return max(1, _BAND_BYTES // row_bytes)
+        return max(1, _BAND_BYTES // row_bytes, 2 * self.stage.halo)
 
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
-        """The stage's whole-image part, then its tail and the final head one
+        """The stage's whole-image part, then its fuse and the final head one
         band of image rows at a time, each band's logits written into one
         (K, N) buffer. With one band the final head's result is returned as
         it is, so a forward that records a backward runs its ops in one order
         whatever the image size."""
+        fuse, aux = self.stage.prepare(x, labels)
         step = self._band_height(x)
         if step >= x.height:
-            z, aux = self.stage(x, labels)
-            return ModelOutput(self.final_head(z.pixels()), aux)
-        fuse, aux = self.stage.prepare(x, labels)
+            return ModelOutput(self.final_head(fuse(0, x.height).pixels()), aux)
         logits = None
         for r0 in range(0, x.height, step):
             r1 = min(r0 + step, x.height)
@@ -207,7 +207,20 @@ class SegmentationModel:
         return sum(self.flop_breakdown(height, width).values())
 
 
-class RelationalStage:
+class Stage:
+    """A context stage. ``prepare(x, labels)`` runs its whole-image part and
+    returns ``fuse(r0, r1)``, the features of image rows r0:r1 that the final
+    head reads, and the auxiliary logits (or None); a band's fuse reads
+    ``halo`` image rows above and below it."""
+
+    halo = 0
+
+    def __call__(self, x: FeatureMap, labels: LabelMap | None):
+        fuse, aux = self.prepare(x, labels)
+        return fuse(0, x.height), aux
+
+
+class RelationalStage(Stage):
     """Optional 3x3 stem, a relational context, then the fuse of features and
     context. Every relational scheme draws the stem first and the value,
     output and fuse transforms in ``_draw_shared``; a subclass draws its own
@@ -251,10 +264,6 @@ class RelationalStage:
             return augment(band, tail(band), self.fuse_transform)
 
         return fuse, aux
-
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        fuse, aux = self.prepare(x, labels)
-        return fuse(0, x.height), aux
 
     def flops(self, n: int) -> dict[str, int]:
         cfg = self.config
@@ -418,9 +427,10 @@ class GlobalStage(RelationalStage):
                 "output_transform": F.block_flops(d, self.config.mid_channels, 1)}
 
 
-class AsppStage:
+class AsppStage(Stage):
     """Parallel dilated convolutions of the raw map, one ``conv_spatial``
-    whose output holds each branch in its channel slice."""
+    whose output holds each branch in its channel slice; a band's taps read
+    the widest rate's rows beyond it."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -430,9 +440,10 @@ class AsppStage:
                                            cfg.in_channels, self.branch_channels, 3))
                          for i, rate in enumerate(rates)]
         self.out_channels = self.branch_channels * len(rates)
+        self.halo = max(rates)
 
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        return aspp_lite(x, self.branches), None
+    def prepare(self, x: FeatureMap, labels: LabelMap | None):
+        return (lambda r0, r1: aspp_lite(x, self.branches, r0, r1)), None
 
     def flops(self, n: int) -> dict[str, int]:
         return {f"branch_{i}": F.conv_kxk_flops(self.config.in_channels,
@@ -440,10 +451,13 @@ class AsppStage:
                 for i in range(len(self.branches))}
 
 
-class PpmStage:
+class PpmStage(Stage):
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
     which the fuse reads as column parts, upsampling the bin-size branches
-    as it pads them."""
+    as it pads them. The pooled, projected branches are the whole-image
+    part; a band's fuse reads one row beyond it."""
+
+    halo = 1
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -458,8 +472,9 @@ class PpmStage:
                                cfg.mid_channels, 3)
         self.out_channels = cfg.mid_channels
 
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        return FeatureMap(self.fuse(*ppm_lite(x, self.bins, self.projections))), None
+    def prepare(self, x: FeatureMap, labels: LabelMap | None):
+        parts = ppm_lite(x, self.bins, self.projections)
+        return (lambda r0, r1: FeatureMap(self.fuse(*parts, rows=(r0, r1)), r0)), None
 
     def flops(self, n: int) -> dict[str, int]:
         cfg = self.config

@@ -522,11 +522,13 @@ class _Nearest:
         self.col_starts = np.searchsorted(self.cols, np.arange(w))
         self.row_runs = np.append(self.row_starts, out_h)
 
-    def fill(self, dst: np.ndarray, src: np.ndarray) -> None:
-        """Write the upsampled (C, h, w) ``src`` into (C, out_h, out_w)
-        ``dst``, one source row at a time."""
-        for r, (y0, y1) in enumerate(zip(self.row_runs, self.row_runs[1:])):
-            dst[:, y0:y1] = src[:, r:r + 1, self.cols]
+    def fill(self, dst: np.ndarray, src: np.ndarray, y0: int, y1: int) -> None:
+        """Write output rows y0:y1 of the upsampled (C, h, w) ``src`` into
+        (C, y1 - y0, out_w) ``dst``, one source row's run at a time."""
+        for r, (a, b) in enumerate(zip(self.row_runs, self.row_runs[1:])):
+            a, b = max(a, y0), min(b, y1)
+            if a < b:
+                dst[:, a - y0:b - y0] = src[:, r:r + 1, self.cols]
 
     def grad(self, g: np.ndarray) -> np.ndarray:
         """Sum of the (C, out_h, out_w) gradient ``g`` over each source
@@ -537,27 +539,32 @@ class _Nearest:
 
 class _TapGrid:
     """(C_i, H, W) column parts, zero-padded once for a dilated k x k kernel
-    into one flat (C, Hp*Wp + 2*pad) buffer, C the sum of the C_i and
-    Hp, Wp = H + 2*pad, W + 2*pad; each part fills its own channel slice, so
-    the buffer is the padded concatenation, never built unpadded. The first
-    part sets H x W; a smaller part is nearest-upsampled to it as it is
-    padded (``_Nearest``), and its gradient is summed back to its own size.
+    that writes output rows r0:r1 (all H by default), into one flat
+    (C, Hp*Wp + 2*pad) buffer, C the sum of the C_i, Hp, Wp = h + 2*pad,
+    W + 2*pad and h = r1 - r0: the band's rows and the pad rows above and
+    below it that its taps read, filled from image rows
+    max(0, r0 - pad):min(H, r1 + pad) and zero outside the image. Each part
+    fills its own channel slice, so the buffer is the padded concatenation,
+    never built unpadded. The first part sets H x W; a smaller part is
+    nearest-upsampled to it as it is padded (``_Nearest``), and its gradient
+    is summed back to its own size.
 
-    Tap (ky, kx) reads the strided (C, H*Wp) window ``flat[:, o:o + H*Wp]``,
+    Tap (ky, kx) reads the strided (C, h*Wp) window ``flat[:, o:o + h*Wp]``,
     o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
     (y + ky*d, x + kx*d), so the first W columns of each Wp-wide row are the
-    tap's H x W patch and the last 2*pad are spill. BLAS reads the window as
+    tap's h x W patch and the last 2*pad are spill. BLAS reads the window as
     it is, so no tap is copied; the product over the padded width is handed
-    out as its H x W crop (``conv``), and gradients enter with zero spill
+    out as its h x W crop (``conv``), and gradients enter with zero spill
     columns (``widen``). When a part requires grad, the taps' input products
     are summed into a flat buffer laid out like the input's, and each such
-    part gets its channel slice of it, cropped to H x W (``backward``). From
-    a dilation of max(H, W) on, every off-centre tap reads only padding, so a
-    larger one is clamped to it.
+    part gets its channel slice of it, cropped to H x W (``backward``); an
+    op that records a backward takes all H rows, and any other range is a
+    ``ParameterError``. From a dilation of max(H, W) on, every off-centre
+    tap reads only padding, so a larger one is clamped to it.
     """
 
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
-                 dilation: int) -> None:
+                 dilation: int, rows: tuple[int, int] | None, records: bool) -> None:
         shapes = [p.data.shape for p in parts]
         if not shapes or any(len(s) != 3 for s in shapes):
             raise DimensionError(f"{op} takes (C_i, H, W) parts, got {shapes}")
@@ -575,9 +582,15 @@ class _TapGrid:
         if weight.shape[1] != sum(s[0] for s in shapes):
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
+        r0, r1 = (0, h) if rows is None else rows
+        if not 0 <= r0 <= r1 <= h:
+            raise ParameterError(f"{op} rows {r0}:{r1} are not rows of a {h}-row input")
+        if records and (r0, r1) != (0, h):
+            raise ParameterError(f"{op} records a backward, which takes all {h} "
+                                 f"rows, not rows {r0}:{r1}")
         self.parts = parts
-        self.h, self.w = h, w
-        dilation = min(int(dilation), max(self.h, self.w, 1))
+        self.h, self.w = r1 - r0, w
+        dilation = min(int(dilation), max(h, w, 1))
         self.pad = pad = (k // 2) * dilation
         self.wp = wp = self.w + 2 * pad
         self.cols = self.h * wp
@@ -587,13 +600,14 @@ class _TapGrid:
             _charge(self.flat)  # no tensor owns it
         self.bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
-        image = self._image(self.flat)
+        # the image rows the band's taps read, at their rows of the grid
+        y0, y1 = max(0, r0 - pad), min(h, r1 + pad)
+        image = self._image(self.flat)[:, y0 - r0 + pad:y1 - r0 + pad, pad:pad + w]
         for part, near, c0, c1 in zip(parts, self.maps, self.bounds, self.bounds[1:]):
-            dst = image[c0:c1, pad:pad + self.h, pad:pad + self.w]
             if near is None:
-                dst[...] = part.data
+                image[c0:c1] = part.data[:, y0:y1]
             else:
-                near.fill(dst, part.data)
+                near.fill(image[c0:c1], part.data, y0, y1)
         self.windows, self.terms = [], []
         for ky in range(k):
             for kx in range(k):
@@ -663,15 +677,20 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, parents, back, "conv1x1")
 
 
-def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]]) -> Tensor:
+def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]],
+                 rows: tuple[int, int] | None = None) -> Tensor:
     """Bias-free dilated 2-D convolutions of one (C_in, H, W) input, zero-padded
     to keep H x W: one per (dilation, (C_i, C_in, k, k) weight) branch with
     odd k, each written into its channel slice of the output, in branch order.
+    ``rows`` = (r0, r1) computes only those output rows, a (C, r1 - r0, W)
+    output bitwise equal to that slice of the whole one, from the input rows
+    the band's taps read (``_TapGrid``); an op that records a backward takes
+    the whole image, the default.
 
     The widest dilation runs first. Unless the op records a backward, each
-    branch's padded input (``_TapGrid``) is freed before the output is
-    allocated or the next branch is built, so the output never coexists with
-    the widest one. The backward sums the branches' input gradients.
+    branch's padded input is freed before the output is allocated or the next
+    branch is built, so the output never coexists with the widest padded
+    input. The backward sums the branches' input gradients.
     """
     if not branches:
         raise DimensionError("conv_spatial needs at least one (dilation, weight) branch")
@@ -680,12 +699,13 @@ def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]]) -> Tensor:
     records = _grad_enabled and any(t.requires_grad for t in (x, *weights))
     grids, out = {}, None
     for i in sorted(range(len(branches)), key=lambda i: -branches[i][0]):
-        grids[i] = _TapGrid("conv_spatial", (x,), weights[i].data, branches[i][0])
+        grids[i] = _TapGrid("conv_spatial", (x,), weights[i].data, branches[i][0],
+                            rows, records)
         crop = grids[i].conv(weights[i].data, x.dtype)
         if not records:
             del grids[i]
         if out is None:
-            out = np.empty((bounds[-1],) + x.data.shape[1:], dtype=x.dtype)
+            out = np.empty((bounds[-1],) + crop.shape[1:], dtype=x.dtype)
             if _TRACKER_STACK:
                 _charge(out)  # the op result is a view of it, charged here once
         out[bounds[i]:bounds[i + 1]] = crop
@@ -704,7 +724,8 @@ def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]]) -> Tensor:
 
 def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
                  shift: Tensor, inv_std: np.ndarray, mean: np.ndarray,
-                 trace: list | None = None) -> Tensor:
+                 trace: list | None = None,
+                 rows: tuple[int, int] | None = None) -> Tensor:
     """One transform block, ``relu(s * (W x) + b)`` per output channel, in the
     one buffer the op allocates; the frozen statistics fold into
     ``s = gain * inv_std`` and ``b = shift - mean * s``.
@@ -716,7 +737,8 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     zero-padded (C_in, H, W) input, given whole or as (C_i, H, W) column
     parts, of which all but the first may be smaller and are
     nearest-upsampled to H x W, its taps reading windows of one flat padded
-    buffer (``_TapGrid``). Each part's or tap's product accumulates into the
+    buffer (``_TapGrid``); ``rows`` = (r0, r1) gives only those output rows,
+    as ``conv_spatial`` does. Each part's or tap's product accumulates into the
     output, which then takes the batchnorm and the ReLU in place. When
     ``trace`` is a list, the smallest absolute pre-activation is appended to
     it. The backward reads the ReLU mask off the output: with g' the masked
@@ -726,9 +748,13 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if weight.data.ndim == 2:
+        if rows is not None:
+            raise ParameterError("conv_bn_relu rows apply to a k x k weight")
         layout = _Parts("conv_bn_relu", parts, weight.data)
     else:
-        layout = _TapGrid("conv_bn_relu", parts, weight.data, 1)
+        records = _grad_enabled and any(
+            t.requires_grad for t in (*parts, weight, gain, shift))
+        layout = _TapGrid("conv_bn_relu", parts, weight.data, 1, rows, records)
     c_out = weight.data.shape[0]
     for name, arr in (("gain", gain.data), ("shift", shift.data),
                       ("inv_std", inv_std), ("mean", mean)):

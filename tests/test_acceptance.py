@@ -405,6 +405,7 @@ def test_cost_rank_and_measured_budget(capsys):
     assert full["ocr"] <= 1.1 * full["da"]
     by = {r.module: r for r in measured}
     assert by["ocr"].peak_bytes < by["self_attn"].peak_bytes
+    assert extras["verdicts"]["ocr_peak_below_ppm_lite"]
     assert by["ocr"].wall_ms < by["self_attn"].wall_ms
     _emit(capsys, "cost rank and budget",
           f"full-scale GFLOPs da {full['da'] / 1e9:.1f} <= "

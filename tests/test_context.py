@@ -551,6 +551,20 @@ class TestSelfAttention:
             self_attention_context(feature_map(rng, 2, 2, 2), None, None,
                                    None, None, scale=0.0)
 
+    def test_attention_inputs_freed_before_the_output_transform(self, rng):
+        # 8 x 8 pixels, 8 key channels, 128 output channels: under no_grad
+        # the output transform's result meets only the attention context,
+        # (8 + 128) * 64 doubles, which tops the attention's own peak (q, k,
+        # the values, the context and its 64 x 64 relation); with q, k and
+        # the values still held it read (4 * 8 + 128) * 64 doubles
+        x = feature_map(rng, 3, 8, 8)
+        blocks = [TransformBlock.create(rng, 3, 8) for _ in range(3)]
+        rho = TransformBlock.create(rng, 8, 128)
+        with T.no_grad(), T.AllocationTracker() as tracker:
+            y = self_attention_context(x, *blocks, rho)
+        assert y.channels == 128
+        assert tracker.peak_bytes == (8 + 128) * 64 * 8
+
 
 class TestGlobalContext:
     def test_spatially_constant(self, rng):

@@ -280,10 +280,12 @@ RELATIONAL = tuple(m for m in MODULE_CHOICES if issubclass(STAGES[m], Relational
 
 def banded_forward(monkeypatch, model, x, labels=None, rows=None):
     """No-grad forward with a band budget of ``rows`` image rows of the
-    model's widest tail buffer (None: the whole image). Returns the output
-    and the band heights the final head read."""
+    model's widest per-band output buffer (None: the whole image), so bands
+    of max(rows, 2 * stage.halo) rows. Returns the output and the band
+    heights the final head read."""
     cfg = model.cfg
-    widest = max(cfg.key_channels, cfg.mid_channels, cfg.num_classes, cfg.da_regions)
+    widest = max(cfg.key_channels, model.stage.out_channels, cfg.num_classes,
+                 cfg.da_regions)
     row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * x.width
     monkeypatch.setattr(models, "_BAND_BYTES", (rows or x.height) * row_bytes)
     head, seen = model.final_head, []
@@ -305,8 +307,9 @@ def band_inputs(rng, module, height, width, dtype=np.float64):
 
 
 class TestBandTail:
-    """Under no_grad a relational stage's tail and the final head run one band
-    of image rows at a time; the logits are bitwise those of one band."""
+    """Under no_grad a stage's fuse (a relational stage's tail, the kxk
+    heads' convolutions) and the final head run one band of image rows at a
+    time; the logits are bitwise those of one band."""
 
     @staticmethod
     def assert_same(got, want):
@@ -317,8 +320,12 @@ class TestBandTail:
         else:
             assert np.array_equal(got.aux_logits.data, want.aux_logits.data)
 
-    @pytest.mark.parametrize("use_stem", [False, True])
-    @pytest.mark.parametrize("module", RELATIONAL)
+    # band heights of a 5-row budget on 37 rows: aspp_lite's rates scale to
+    # (1, 3, 7) at 37 pixels, so its bands are 2 * 7 rows
+    RAGGED = {"aspp_lite": [14, 14, 9]}
+
+    @pytest.mark.parametrize("module,use_stem", [
+        (m, s) for m in MODULE_CHOICES for s in (False, True) if m in RELATIONAL or not s])
     def test_ragged_last_band(self, rng, monkeypatch, module, use_stem):
         model = build_model(small_config(module, use_stem=use_stem,
                                          da_regions=5 if module == "da" else 0),
@@ -326,27 +333,69 @@ class TestBandTail:
         x, labels = band_inputs(rng, module, 37, 53)
         whole, one = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=5)
-        assert one == [37] and heights == [5] * 7 + [2]
+        assert one == [37] and heights == self.RAGGED.get(module, [5] * 7 + [2])
         self.assert_same(banded, whole)
 
-    @pytest.mark.parametrize("module", RELATIONAL)
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_one_row_bands(self, rng, monkeypatch, module):
         model = build_model(small_config(module), image_size=9)
         x, labels = band_inputs(rng, module, 9, 11)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
+        monkeypatch.setattr(model.stage, "halo", 0)  # kxk bands thinner than the rule's
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=1)
         assert heights == [1] * 9
         self.assert_same(banded, whole)
 
-    @pytest.mark.parametrize("module", RELATIONAL)
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_single_precision(self, rng, monkeypatch, module):
         model = build_model(small_config(module, dtype="single"), image_size=16)
         x, labels = band_inputs(rng, module, 16, 13, np.float32)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=3)
-        assert heights == [3] * 5 + [1]
+        # aspp_lite's rates scale to (1, 2, 3) at 16 pixels
+        assert heights == ([6, 6, 4] if module == "aspp_lite" else [3] * 5 + [1])
         assert banded.final_logits.data.dtype == np.float32
         self.assert_same(banded, whole)
+
+    @staticmethod
+    def assert_bands_of_the_fuse(model, x, rows):
+        """Each band of ``rows`` image rows of the stage's fuse is bitwise its
+        slice of the whole image's."""
+        with T.no_grad():
+            fuse, _ = model.stage.prepare(x, None)
+            whole = fuse(0, x.height).tensor.data
+            for r0 in range(0, x.height, rows):
+                r1 = min(r0 + rows, x.height)
+                band = fuse(r0, r1)
+                assert band.top == r0 and np.array_equal(band.tensor.data, whole[:, r0:r1])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_dilations_taller_than_the_band(self, rng, monkeypatch, rows):
+        # at 64 pixels the rates stay as set: 9 is the image's height and 30
+        # is past its width, so every band is thinner than its halo, and the
+        # rule runs the image as one band of its 2 * 30
+        model = build_model(small_config("aspp_lite", aspp_rates=(1, 4, 9, 30)),
+                            image_size=64)
+        x, _ = band_inputs(rng, "aspp_lite", 9, 11)
+        _, heights = banded_forward(monkeypatch, model, x, rows=1)
+        assert model.stage.halo == 30 and heights == [9]
+        self.assert_bands_of_the_fuse(model, x, rows)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_pyramid_runs_across_band_borders(self, rng, rows):
+        # on 9 rows bin 2 repeats its rows over 0:5 and 5:9 and bin 4 over
+        # 0:3, 3:5, 5:7 and 7:9, so bands of 2, 3 and 4 rows cut runs
+        model = build_model(small_config("ppm_lite", ppm_bins=(2, 4, 5)), image_size=9)
+        x, _ = band_inputs(rng, "ppm_lite", 9, 11)
+        self.assert_bands_of_the_fuse(model, x, rows)
+
+    @pytest.mark.parametrize("module,halo,heights", [("aspp_lite", 12, [24, 24, 16]),
+                                                     ("ppm_lite", 1, [2] * 32)])
+    def test_kxk_bands_cover_twice_the_halo(self, rng, monkeypatch, module, halo, heights):
+        model = build_model(small_config(module, ppm_bins=(1, 2, 3)), image_size=64)
+        x, _ = band_inputs(rng, module, 64, 3)
+        assert model.stage.halo == halo
+        assert banded_forward(monkeypatch, model, x, rows=1)[1] == heights
 
     def test_oracle_relations_across_a_band_border(self, rng, monkeypatch):
         model = build_model(small_config("gt_ocr"), image_size=8)

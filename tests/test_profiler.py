@@ -276,6 +276,17 @@ class TestMeasurement:
         model = build_model(cfg.model_config("ocr"), image_size=cfg.height)
         assert measure_peak_memory(model, bench_input(cfg)) <= 3_600_000
 
+    @pytest.mark.parametrize("module,bound", [("aspp_lite", 9_600_000),
+                                              ("ppm_lite", 6_800_000)])
+    def test_banded_kxk_peak(self, module, bound):
+        # at the bench widths a 64x64 aspp_lite forward runs in bands of
+        # 2 * 12 rows (its rate-12 halo) and ppm_lite in bands of 16 rows:
+        # 9,555,968 and 6,726,656 tracked bytes, against 18,145,280 and
+        # 22,070,272 when the whole image was one band
+        cfg = BenchConfig()
+        model = build_model(cfg.model_config(module), image_size=cfg.height)
+        assert measure_peak_memory(model, bench_input(cfg)) <= bound
+
     def test_repeated_peaks_identical(self):
         cfg = small_bench()
         fm = bench_input(cfg)

@@ -697,6 +697,68 @@ class TestTapGrid:
             want = np.concatenate([T.conv_spatial(x, [b]).data for b in branches])
             assert got.dtype == dtype and np.array_equal(got, want)
 
+    @staticmethod
+    def bands(h):
+        """Row ranges: one-row bands at the top, middle and bottom, ragged
+        ones, the whole image and an empty band."""
+        return {(0, 1), (h // 2, h // 2 + 1), (h - 1, h), (0, 2), (1, h - 1),
+                (2, h), (0, h), (h // 2, h // 2)}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_rows_bitwise_equal_the_whole_slice(self, rng, kernel, dtype):
+        # rows r0:r1 read the rows r0 - pad:r1 + pad, zero outside the image;
+        # dilations H - 1 and H + 3 (clamped to max(H, W)) give halos taller
+        # than every band, and a later part is upsampled as its rows are read
+        h, w = 7, 5
+        x = T.Tensor(rng.normal(0, 1, (3, h, w)).astype(dtype))
+        small = [T.Tensor(rng.normal(0, 1, s).astype(dtype)) for s in ((2, 3, 2), (1, 1, 1))]
+        weight = T.Tensor(rng.normal(0, 1, (4, 6, kernel, kernel)).astype(dtype))
+        spatial = [(d, T.Tensor(rng.normal(0, 1, (2, 3, kernel, kernel)).astype(dtype)))
+                   for d in (1, 2, h - 1, h + 3)]
+        gain, shift, inv_std, mean = affine_args(rng, 4)
+        bn = (gain, shift, inv_std.astype(dtype), mean.astype(dtype))
+        with T.no_grad():
+            for d, k in spatial:
+                whole = T.conv_spatial(x, [(d, k)]).data
+                for r0, r1 in self.bands(h):
+                    got = T.conv_spatial(x, [(d, k)], (r0, r1)).data
+                    assert got.dtype == dtype and got.shape == (2, r1 - r0, w)
+                    assert np.array_equal(got, whole[:, r0:r1])
+            whole = T.conv_spatial(x, spatial).data
+            whole_block = T.conv_bn_relu([x, *small], weight, *bn).data
+            for r0, r1 in self.bands(h):
+                assert np.array_equal(T.conv_spatial(x, spatial, (r0, r1)).data,
+                                      whole[:, r0:r1])
+                got = T.conv_bn_relu([x, *small], weight, *bn, rows=(r0, r1)).data
+                assert got.dtype == dtype and np.array_equal(got, whole_block[:, r0:r1])
+
+    def test_a_band_pads_only_its_rows(self, rng):
+        # rows 2:4 of a 3 x 9 x 5 input at pad 1: a flat (3, 4*7 + 2) buffer
+        x = tensor(rng.normal(0, 1, (3, 9, 5)))
+        wt, *bn = block_args(rng, 3, 4, kernel=3)
+        with T.no_grad(), T.AllocationTracker() as tracker:
+            out = T.conv_bn_relu(x, wt, *bn, rows=(2, 4))
+            assert out.shape == (4, 2, 5)
+            assert tracker.peak_bytes == out.data.nbytes + 3 * (4 * 7 + 2) * 8
+
+    def test_recording_or_out_of_range_rows_rejected(self, rng):
+        x = tensor(rng.normal(0, 1, (2, 4, 3)))
+        k = tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
+        wt, *bn = block_args(rng, 2, 3, kernel=3)
+        with pytest.raises(ParameterError, match="records a backward"):
+            T.conv_spatial(x, [(1, k)], (0, 2))
+        with pytest.raises(ParameterError, match="records a backward"):
+            T.conv_bn_relu(x, wt, *bn, rows=(1, 4))
+        # the whole image records as the default does
+        assert T.conv_bn_relu(x, wt, *bn, rows=(0, 4)).requires_grad
+        with T.no_grad():
+            for rows in ((-1, 2), (3, 2), (0, 5)):
+                with pytest.raises(ParameterError, match="rows"):
+                    T.conv_spatial(x, [(1, k)], rows)
+            with pytest.raises(ParameterError, match="k x k"):
+                T.conv_bn_relu(x, *block_args(rng, 2, 3), rows=(0, 2))
+
 
 
 class TestPoolingAndResize:
@@ -715,13 +777,24 @@ class TestPoolingAndResize:
     def upsampled(x, out_h, out_w):
         """``x`` through the kxk fuse's nearest map, ``T._Nearest``."""
         out = np.empty(x.shape[:1] + (out_h, out_w))
-        T._Nearest(*x.shape[1:], out_h, out_w).fill(out, x)
+        T._Nearest(*x.shape[1:], out_h, out_w).fill(out, x, 0, out_h)
         return out
 
     def test_upsample_matches_loop(self, rng):
         x = rng.normal(0, 1, (2, 2, 3))
         got = self.upsampled(x, 5, 7)
         assert np.array_equal(got, oracles.upsample_nearest_loops(x, 5, 7))
+
+    def test_upsample_rows_match_the_whole_slice(self, rng):
+        # output rows y0:y1, one source row's run of rows cut at either end
+        x = rng.normal(0, 1, (2, 3, 2))
+        want = oracles.upsample_nearest_loops(x, 8, 5)
+        near = T._Nearest(3, 2, 8, 5)
+        for y0 in range(8):
+            for y1 in range(y0, 9):
+                out = np.full((2, y1 - y0, 5), np.nan)
+                near.fill(out, x, y0, y1)
+                assert np.array_equal(out, want[:, y0:y1])
 
     @pytest.mark.parametrize("size", [(2, 3, 5, 7), (1, 1, 4, 6), (3, 2, 3, 2)])
     def test_upsample_backward_is_the_loop_adjoint(self, rng, size):
