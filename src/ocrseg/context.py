@@ -159,12 +159,17 @@ class RelationMatrix:
 # pipeline stages
 
 
-def compute_soft_regions(x: FeatureMap, head: Conv1x1Head) -> SoftRegionSet:
+def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
+                         keep_logits: bool = True) -> SoftRegionSet:
     """Classifier logits per region, spatially softmaxed: each region row is a
-    distribution over the image's pixels."""
+    distribution over the image's pixels. Under no_grad, a set whose logits
+    nothing reads (``keep_logits=False``) normalises them in place, in
+    ``softmax_rows``' arithmetic, and holds its maps as its logits."""
     logits = head(x.pixels())  # (K, N)
-    normalized = T.softmax_rows(logits)
-    return SoftRegionSet(logits, normalized, x.height, x.width)
+    if keep_logits or T._grad_enabled:
+        return SoftRegionSet(logits, T.softmax_rows(logits), x.height, x.width)
+    T._normalize_rows(logits.data)  # softmax_rows at temperature 1
+    return SoftRegionSet(logits, logits, x.height, x.width)
 
 
 def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tensor:
@@ -236,20 +241,33 @@ def self_attention_context(x: FeatureMap,
                            context_transform: TransformBlock | None,
                            value_transform: TransformBlock | None,
                            output_transform: TransformBlock | None,
-                           scale: float = 1.0) -> FeatureMap:
-    """Dense pairwise context: every pixel attends over every pixel. The
-    relation matrix is N x N, the quadratic-cost baseline; ``T.attend``
-    forms it a row block at a time. Its inputs are dropped once it returns,
-    so a no-grad forward frees them before the output transform."""
+                           scale: float = 1.0):
+    """Dense pairwise context, the quadratic-cost baseline, split as a banded
+    forward runs it: the keys and values of every pixel of ``x``, then
+    ``tail(band)``, the context map of a band of x's rows (``FeatureMap.band``;
+    ``tail(x)`` is the whole image's): the band's queries attend over every
+    pixel, the N x N relation formed a row block at a time (``T.attend``),
+    then the output transform. A forward that records a backward forms the
+    whole image's queries first, so its ops run in the order q, k, values.
+    Bands run top to bottom; the one that ends at x's last row drops the
+    keys and values before its output transform."""
+    def project(block, px):
+        return px if block is None else block(px)
+
     px = x.pixels()
-    q = px if pixel_transform is None else pixel_transform(px)
-    k = px if context_transform is None else context_transform(px)
-    vals = px if value_transform is None else value_transform(px)  # (C_v, N)
-    y = T.transpose(T.attend(q, k, vals, scale))  # (C_v, N)
-    del px, q, k, vals
-    if output_transform is not None:
-        y = output_transform(y)
-    return FeatureMap.from_pixels(y, x.height, x.width)
+    q = project(pixel_transform, px) if T._grad_enabled else None
+    kv = [project(context_transform, px), project(value_transform, px)]  # (d, N), (C_v, N)
+
+    def tail(band: FeatureMap) -> FeatureMap:
+        y = T.transpose(T.attend(q if band is x and q is not None else
+                                 project(pixel_transform, band.pixels()), *kv, scale))
+        if band.top + band.height == x.height:
+            kv.clear()
+        if output_transform is not None:
+            y = output_transform(y)
+        return FeatureMap.from_pixels(y, band.height, band.width)
+
+    return tail
 
 
 def global_context(x: FeatureMap,

@@ -26,13 +26,13 @@ from .supervision import LabelMap, gt_regions, gt_relations
 
 _SCALE_MODES = ("unit", "rsqrt_key")
 
-# Bytes of the widest buffer one band of a relational stage's tail allocates
-# (pixel keys, relations, context, fused features or logits; see
-# ``_band_height``): at the bench widths (128 mid channels, float64) a band of
-# 1,024 pixels, 8 rows at 128x128. There, on a 2-vCPU VM, ocr's no-grad
-# tracemalloc peak read 40.3 MB whole and 18.2, 11.6, 8.3 and 6.7 MB at bands
-# of 32, 16, 8 and 4 rows, and its median forward 87, 76, 75, 78 and 83 ms;
-# at 2 and 1 rows the per-band work took it to 98 and 106 ms.
+# Bytes the widest buffer of one band of a stage's fuse reaches: a band is the
+# smallest power of two rows that reach it (``_band_height``), at the bench
+# widths in float64 16 rows at 64x64 and 8 at 128x128 for every head. There,
+# on a 2-vCPU VM, ocr's no-grad tracemalloc peak at 128x128 read 40.3 MB whole
+# and 18.2, 11.6, 8.3 and 6.7 MB in bands of 32, 16, 8 and 4 rows, its median
+# forward 87, 76, 75, 78 and 83 ms (98 and 106 ms at 2 and 1 rows); aspp_lite's
+# 64x64 forward took 125 ms in 8-row bands (rounding down) and 109 ms in 16.
 _BAND_BYTES = 1 << 20
 
 
@@ -104,10 +104,10 @@ class SegmentationModel:
     through ``draw`` from ``rng`` (by default the stream seeded with
     ``cfg.seed``); the final head is drawn last. Names, draw order and
     values are the checkpoint format. A stage (``Stage``) has
-    ``out_channels`` and ``halo``, splits its map from ``(x, labels)`` to the
-    features the final head reads into a whole-image part and a fuse that
-    runs on a band of image rows (``prepare``), and gives its closed-form
-    FLOP terms with ``flops(n)``.
+    ``out_channels``, splits its map from ``(x, labels)`` to the features the
+    final head reads into a whole-image part and a fuse that runs on a band
+    of image rows (``prepare``; under no_grad, in the bands of one rule,
+    ``_band_height``), and gives its closed-form FLOP terms with ``flops(n)``.
     """
 
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
@@ -165,17 +165,18 @@ class SegmentationModel:
 
     def _band_height(self, x: FeatureMap) -> int:
         """Image rows per band of the stage's fuse: all of them when the
-        forward records a backward, otherwise as many as keep the widest
-        per-band output buffer within ``_BAND_BYTES``, but no fewer than the
-        2 * ``stage.halo`` rows a band's kxk taps read beyond it, so that at
-        most half of a band's padded input is halo."""
+        forward records a backward, otherwise the smallest power of two rows
+        whose widest per-band buffer reaches ``_BAND_BYTES``, rounded up to a
+        multiple of the stage's ``_row_unit(x)``, and at most the image's."""
         cfg = self.cfg
         if T._grad_enabled:
             return x.height
         widest = max(cfg.key_channels, self.stage.out_channels, cfg.num_classes,
                      cfg.da_regions)
         row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * max(x.width, 1)
-        return max(1, _BAND_BYTES // row_bytes, 2 * self.stage.halo)
+        rows = 1 << (-(-_BAND_BYTES // row_bytes) - 1).bit_length()
+        unit = self.stage._row_unit(x)
+        return min(-(-rows // unit) * unit, x.height)
 
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
         """The stage's whole-image part, then its fuse and the final head one
@@ -210,10 +211,11 @@ class SegmentationModel:
 class Stage:
     """A context stage. ``prepare(x, labels)`` runs its whole-image part and
     returns ``fuse(r0, r1)``, the features of image rows r0:r1 that the final
-    head reads, and the auxiliary logits (or None); a band's fuse reads
-    ``halo`` image rows above and below it."""
+    head reads, and the auxiliary logits (or None); bands run top to bottom,
+    their heights multiples of ``_row_unit(x)`` rows but for the last."""
 
-    halo = 0
+    def _row_unit(self, x: FeatureMap) -> int:
+        return 1
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):
         fuse, aux = self.prepare(x, labels)
@@ -326,7 +328,7 @@ class RegionStage(RelationalStage):
         # Wider unsupervised region maps: the pipeline pools these while the
         # supervised classifier above still feeds the auxiliary loss.
         pooled = regions if self.da_maps is None else compute_soft_regions(
-            feats, self.da_maps)
+            feats, self.da_maps, keep_logits=False)
         reps = region_representations(T.transpose(feats.pixels()), pooled)  # (C, K)
         # once pooled, the regions are dropped but for their logits
         logits = None if module == "gt_ocr" else regions.logits
@@ -390,16 +392,18 @@ class SelfAttentionStage(RelationalStage):
                                             self.pipe_in, cfg.key_channels)
         self._draw_shared(model)
 
+    def _row_unit(self, x: FeatureMap) -> int:
+        """Rows whose pixels fill whole row blocks of ``T.attend`` over the
+        image's pixels, so a band's queries keep the whole image's blocks."""
+        b = T._relation_block_rows(np.result_type(self.config.np_dtype, x.tensor.dtype),
+                                   x.num_pixels)
+        return b // int(np.gcd(b, x.width))
+
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        # The attention runs on the whole image: a band's queries would split
-        # its row blocks where the whole image's do not, and BLAS sums a
-        # smaller block in another order, so its logits would not keep their
-        # bits. The tail reads its band of the context map.
-        y = self_attention_context(
+        return self_attention_context(
             feats, self.pixel_transform, self.context_transform,
             self.value_transform, self.output_transform,
-            scale=self.config.relation_scale)
-        return (lambda band: y.band(band.top, band.top + band.height)), None
+            scale=self.config.relation_scale), None
 
     def context_flops(self, n: int) -> dict[str, int]:
         c, d = self.pipe_in, self.config.key_channels
@@ -430,7 +434,7 @@ class GlobalStage(RelationalStage):
 class AsppStage(Stage):
     """Parallel dilated convolutions of the raw map, one ``conv_spatial``
     whose output holds each branch in its channel slice; a band's taps read
-    the widest rate's rows beyond it."""
+    only their rows of the image (``T._TapGrid``)."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -440,7 +444,6 @@ class AsppStage(Stage):
                                            cfg.in_channels, self.branch_channels, 3))
                          for i, rate in enumerate(rates)]
         self.out_channels = self.branch_channels * len(rates)
-        self.halo = max(rates)
 
     def prepare(self, x: FeatureMap, labels: LabelMap | None):
         return (lambda r0, r1: aspp_lite(x, self.branches, r0, r1)), None
@@ -455,9 +458,7 @@ class PpmStage(Stage):
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
     which the fuse reads as column parts, upsampling the bin-size branches
     as it pads them. The pooled, projected branches are the whole-image
-    part; a band's fuse reads one row beyond it."""
-
-    halo = 1
+    part; a band's fuse reads one row above and below it."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg

@@ -327,8 +327,8 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 
 def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
     """Checks ``q`` (d, N) and ``k`` (d, M) and returns the temperature
-    1/``scale``, the dtype and the row blocks of their (N, M) relation: each
-    block is ``_ACCUMULATE_BYTES`` // (itemsize * M) rows."""
+    1/``scale``, the dtype and the row blocks of their (N, M) relation, of
+    ``_relation_block_rows`` rows each."""
     _require_2d(q, f"{op} queries")
     _require_2d(k, f"{op} keys")
     if q.data.shape[0] != k.data.shape[0]:
@@ -336,9 +336,13 @@ def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
             f"{op} key widths differ: {q.data.shape} vs {k.data.shape}")
     temperature = 1.0 / _positive("relation scale", scale)
     dtype = np.result_type(q.data, k.data)
-    n, m = q.data.shape[1], k.data.shape[1]
-    step = max(1, _ACCUMULATE_BYTES // (dtype.itemsize * max(m, 1)))
+    n, step = q.data.shape[1], _relation_block_rows(dtype, k.data.shape[1])
     return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _relation_block_rows(dtype, m: int) -> int:
+    """Rows of one row block of a relation over ``m`` keys in ``dtype``."""
+    return max(1, _ACCUMULATE_BYTES // (np.dtype(dtype).itemsize * max(m, 1)))
 
 
 def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: float,
@@ -346,7 +350,8 @@ def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: floa
     """Write the rows ``rows`` of the relation's row softmax into ``block``:
     the product, then the normalisation while the block is in cache."""
     np.matmul(q[:, rows].T, k, out=block)
-    block /= temperature
+    if temperature != 1.0:  # x / 1.0 is x
+        block /= temperature
     _normalize_rows(block)
 
 
@@ -540,27 +545,28 @@ class _Nearest:
 class _TapGrid:
     """(C_i, H, W) column parts, zero-padded once for a dilated k x k kernel
     that writes output rows r0:r1 (all H by default), into one flat
-    (C, Hp*Wp + 2*pad) buffer, C the sum of the C_i, Hp, Wp = h + 2*pad,
-    W + 2*pad and h = r1 - r0: the band's rows and the pad rows above and
-    below it that its taps read, filled from image rows
-    max(0, r0 - pad):min(H, r1 + pad) and zero outside the image. Each part
-    fills its own channel slice, so the buffer is the padded concatenation,
-    never built unpadded. The first part sets H x W; a smaller part is
-    nearest-upsampled to it as it is padded (``_Nearest``), and its gradient
-    is summed back to its own size.
+    (C, (h + (k-1)*g)*Wp + 2*pad) buffer, C the sum of the C_i, h = r1 - r0,
+    Wp = W + 2*pad: the k groups of h rows that tap rows ky read, the image's
+    rows from r0 + (ky - k//2)*d on (zero outside it), g = min(h, d) rows
+    apart. With g = d they overlap into the band and its pad rows; a band
+    thinner than d holds no row between them. Each part fills its own channel
+    slice, so the buffer is the padded concatenation, never built unpadded.
+    The first part sets H x W; a smaller part is nearest-upsampled to it as it
+    is padded (``_Nearest``), and its gradient is summed back to its own size.
 
     Tap (ky, kx) reads the strided (C, h*Wp) window ``flat[:, o:o + h*Wp]``,
-    o = (ky*Wp + kx) * dilation: column y*Wp + x of it is padded pixel
-    (y + ky*d, x + kx*d), so the first W columns of each Wp-wide row are the
-    tap's h x W patch and the last 2*pad are spill. BLAS reads the window as
-    it is, so no tap is copied; the product over the padded width is handed
-    out as its h x W crop (``conv``), and gradients enter with zero spill
-    columns (``widen``). When a part requires grad, the taps' input products
-    are summed into a flat buffer laid out like the input's, and each such
-    part gets its channel slice of it, cropped to H x W (``backward``); an
-    op that records a backward takes all H rows, and any other range is a
-    ``ParameterError``. From a dilation of max(H, W) on, every off-centre
-    tap reads only padding, so a larger one is clamped to it.
+    o = ky*g*Wp + kx*d: column y*Wp + x of it is the image pixel
+    (r0 + y + (ky - k//2)*d, x + (kx - k//2)*d), or zero padding, so the
+    first W columns of each Wp-wide row are the tap's h x W patch and the
+    last 2*pad are spill. BLAS reads the window as it is, so no tap is
+    copied; the product over the padded width is handed out as its h x W
+    crop (``conv``), and gradients enter with zero spill columns (``widen``).
+    When a part requires grad, the taps' input products are summed into a
+    flat buffer laid out like the input's, and each such part gets its
+    channel slice of it, cropped to H x W (``backward``); an op that records a
+    backward takes all H rows, and any other range is a ``ParameterError``.
+    From a dilation of max(H, W) on, every off-centre tap reads only padding,
+    so a larger one is clamped to it.
     """
 
     def __init__(self, op: str, parts: Sequence[Tensor], weight: np.ndarray,
@@ -590,28 +596,32 @@ class _TapGrid:
                                  f"rows, not rows {r0}:{r1}")
         self.parts = parts
         self.h, self.w = r1 - r0, w
-        dilation = min(int(dilation), max(h, w, 1))
-        self.pad = pad = (k // 2) * dilation
+        d = min(int(dilation), max(h, w, 1))
+        self.pad = pad = (k // 2) * d
         self.wp = wp = self.w + 2 * pad
         self.cols = self.h * wp
-        self.flat = np.zeros((weight.shape[1], (self.h + 2 * pad) * wp + 2 * pad),
+        self.g = g = min(self.h, d)
+        self.flat = np.zeros((weight.shape[1], (self.h + (k - 1) * g) * wp + 2 * pad),
                              dtype=np.result_type(*(p.data for p in parts)))
         if _TRACKER_STACK:
             _charge(self.flat)  # no tensor owns it
         self.bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
-        # the image rows the band's taps read, at their rows of the grid
-        y0, y1 = max(0, r0 - pad), min(h, r1 + pad)
-        image = self._image(self.flat)[:, y0 - r0 + pad:y1 - r0 + pad, pad:pad + w]
-        for part, near, c0, c1 in zip(parts, self.maps, self.bounds, self.bounds[1:]):
-            if near is None:
-                image[c0:c1] = part.data[:, y0:y1]
-            else:
-                near.fill(image[c0:c1], part.data, y0, y1)
+        # (first grid row, first image row, rows) of each run the taps read
+        runs = ([(0, r0 - pad, self.h + 2 * pad)] if g == d else
+                [(ky * g, r0 + (ky - k // 2) * d, self.h) for ky in range(k)])
+        for j, a, n in runs:
+            y0, y1 = (min(max(y, 0), h) for y in (a, a + n))  # empty: all padding
+            image = self._image(self.flat)[:, j + y0 - a:j + y1 - a, pad:pad + w]
+            for part, near, c0, c1 in zip(parts, self.maps, self.bounds, self.bounds[1:]):
+                if near is None:
+                    image[c0:c1] = part.data[:, y0:y1]
+                else:
+                    near.fill(image[c0:c1], part.data, y0, y1)
         self.windows, self.terms = [], []
         for ky in range(k):
             for kx in range(k):
-                o = (ky * wp + kx) * dilation
+                o = ky * g * wp + kx * d
                 self.windows.append(slice(o, o + self.cols))
                 self.terms.append(((slice(None), slice(None), ky, kx),
                                    self.flat[:, self.windows[-1]]))
@@ -648,7 +658,8 @@ class _TapGrid:
         gflat = np.zeros_like(self.flat)
         for (idx, _), win in zip(self.terms, self.windows):
             gflat[:, win] += weight[idx].T @ g
-        crop = self._image(gflat)[:, self.pad:self.pad + self.h, self.pad:self.pad + self.w]
+        top = weight.shape[2] // 2 * self.g  # the band's grid rows
+        crop = self._image(gflat)[:, top:top + self.h, self.pad:self.pad + self.w]
         return [None if not p.requires_grad else
                 crop[c0:c1] if near is None else near.grad(crop[c0:c1])
                 for p, near, c0, c1 in zip(self.parts, self.maps, self.bounds,

@@ -16,6 +16,7 @@ from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
                            PpmStage, RegionStage, RelationalStage, SegmentationModel,
                            SelfAttentionStage, STAGES, build_model,
                            full_scale_config)
+from ocrseg.profiler import BenchConfig, bench_input
 from ocrseg.supervision import LabelMap, LossConfig, combined_loss
 
 from conftest import feature_map, tensor
@@ -84,7 +85,7 @@ class TestModelConfig:
         for scale, same in ((1.0 / 3.0, True), (1.0, False)):
             want = self_attention_context(
                 feats, stage.pixel_transform, stage.context_transform,
-                stage.value_transform, stage.output_transform, scale=scale)
+                stage.value_transform, stage.output_transform, scale=scale)(feats)
             assert np.array_equal(got.tensor.data, want.tensor.data) == same
 
 
@@ -281,8 +282,9 @@ RELATIONAL = tuple(m for m in MODULE_CHOICES if issubclass(STAGES[m], Relational
 def banded_forward(monkeypatch, model, x, labels=None, rows=None):
     """No-grad forward with a band budget of ``rows`` image rows of the
     model's widest per-band output buffer (None: the whole image), so bands
-    of max(rows, 2 * stage.halo) rows. Returns the output and the band
-    heights the final head read."""
+    of the smallest power of two rows >= ``rows``, rounded up to a multiple
+    of the stage's row unit. Returns the output and the band heights the
+    final head read."""
     cfg = model.cfg
     widest = max(cfg.key_channels, model.stage.out_channels, cfg.num_classes,
                  cfg.da_regions)
@@ -296,6 +298,12 @@ def banded_forward(monkeypatch, model, x, labels=None, rows=None):
             return model.forward(x, labels), seen
     finally:
         model.final_head = head
+
+
+def attend_blocks(monkeypatch, x, rows, dtype=np.float64):
+    """Makes ``T.attend``'s row blocks over x's pixels ``rows`` image rows."""
+    monkeypatch.setattr(T, "_ACCUMULATE_BYTES",
+                        np.dtype(dtype).itemsize * x.num_pixels * x.width * rows)
 
 
 def band_inputs(rng, module, height, width, dtype=np.float64):
@@ -320,9 +328,9 @@ class TestBandTail:
         else:
             assert np.array_equal(got.aux_logits.data, want.aux_logits.data)
 
-    # band heights of a 5-row budget on 37 rows: aspp_lite's rates scale to
-    # (1, 3, 7) at 37 pixels, so its bands are 2 * 7 rows
-    RAGGED = {"aspp_lite": [14, 14, 9]}
+    # band heights of a 5-row budget on 37 rows: 8, a power of two; self_attn's
+    # row blocks at 37 x 53 are 267 pixels, so its bands would be 267 rows
+    RAGGED = {"self_attn": [37]}
 
     @pytest.mark.parametrize("module,use_stem", [
         (m, s) for m in MODULE_CHOICES for s in (False, True) if m in RELATIONAL or not s])
@@ -333,15 +341,16 @@ class TestBandTail:
         x, labels = band_inputs(rng, module, 37, 53)
         whole, one = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=5)
-        assert one == [37] and heights == self.RAGGED.get(module, [5] * 7 + [2])
+        assert one == [37] and heights == self.RAGGED.get(module, [8] * 4 + [5])
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_one_row_bands(self, rng, monkeypatch, module):
         model = build_model(small_config(module), image_size=9)
         x, labels = band_inputs(rng, module, 9, 11)
+        if module == "self_attn":  # whole-row blocks, so no band is rounded up
+            attend_blocks(monkeypatch, x, 1)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
-        monkeypatch.setattr(model.stage, "halo", 0)  # kxk bands thinner than the rule's
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=1)
         assert heights == [1] * 9
         self.assert_same(banded, whole)
@@ -350,10 +359,11 @@ class TestBandTail:
     def test_single_precision(self, rng, monkeypatch, module):
         model = build_model(small_config(module, dtype="single"), image_size=16)
         x, labels = band_inputs(rng, module, 16, 13, np.float32)
+        if module == "self_attn":
+            attend_blocks(monkeypatch, x, 1, np.float32)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=3)
-        # aspp_lite's rates scale to (1, 2, 3) at 16 pixels
-        assert heights == ([6, 6, 4] if module == "aspp_lite" else [3] * 5 + [1])
+        assert heights == [4] * 4
         assert banded.final_logits.data.dtype == np.float32
         self.assert_same(banded, whole)
 
@@ -372,13 +382,17 @@ class TestBandTail:
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
     def test_dilations_taller_than_the_band(self, rng, monkeypatch, rows):
         # at 64 pixels the rates stay as set: 9 is the image's height and 30
-        # is past its width, so every band is thinner than its halo, and the
-        # rule runs the image as one band of its 2 * 30
-        model = build_model(small_config("aspp_lite", aspp_rates=(1, 4, 9, 30)),
-                            image_size=64)
+        # is past its width, so every band is thinner than the rates, and
+        # its taps read their k groups of rows, not the rows between them;
+        # 4 x 3 channels meet the final head (16 may round a band's product
+        # apart, see test_wide_band_products_within_four_ulps)
+        model = build_model(small_config("aspp_lite", aspp_rates=(1, 4, 9, 30),
+                                         key_channels=3), image_size=64)
         x, _ = band_inputs(rng, "aspp_lite", 9, 11)
-        _, heights = banded_forward(monkeypatch, model, x, rows=1)
-        assert model.stage.halo == 30 and heights == [9]
+        whole, _ = banded_forward(monkeypatch, model, x)
+        banded, heights = banded_forward(monkeypatch, model, x, rows=rows)
+        assert heights == {1: [1] * 9, 2: [2] * 4 + [1]}.get(rows, [4, 4, 1])
+        self.assert_same(banded, whole)
         self.assert_bands_of_the_fuse(model, x, rows)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
@@ -389,13 +403,86 @@ class TestBandTail:
         x, _ = band_inputs(rng, "ppm_lite", 9, 11)
         self.assert_bands_of_the_fuse(model, x, rows)
 
-    @pytest.mark.parametrize("module,halo,heights", [("aspp_lite", 12, [24, 24, 16]),
-                                                     ("ppm_lite", 1, [2] * 32)])
-    def test_kxk_bands_cover_twice_the_halo(self, rng, monkeypatch, module, halo, heights):
+    @pytest.mark.parametrize("module", ["ocr", "self_attn", "aspp_lite", "ppm_lite"])
+    @pytest.mark.parametrize("rows,height", [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16),
+                                             (17, 32), (33, 64), (100, 64)])
+    def test_bands_are_powers_of_two(self, rng, monkeypatch, module, rows, height):
+        # the smallest power of two rows whose widest band buffer reaches the
+        # budget, at most the image's 64 rows, whatever the kxk rates
         model = build_model(small_config(module, ppm_bins=(1, 2, 3)), image_size=64)
         x, _ = band_inputs(rng, module, 64, 3)
-        assert model.stage.halo == halo
-        assert banded_forward(monkeypatch, model, x, rows=1)[1] == heights
+        attend_blocks(monkeypatch, x, 1)
+        assert banded_forward(monkeypatch, model, x, rows=rows)[1] == [height] * (64 // height)
+
+    @pytest.mark.parametrize("block,rows,heights", [(5, 1, [5] * 12 + [4]), (6, 1, [2] * 32),
+                                                    (12, 3, [4] * 16), (12, 5, [8] * 8),
+                                                    (9, 5, [9] * 7 + [1])])
+    def test_attention_bands_fill_whole_row_blocks(self, rng, monkeypatch, block, rows,
+                                                   heights):
+        # attend's row blocks of ``block`` pixels on 3-pixel rows: a band is
+        # rounded up to a multiple of block / gcd(block, 3) rows, so every
+        # band border is a block border of the whole image's relation
+        model = build_model(small_config("self_attn"), image_size=64)
+        x, _ = band_inputs(rng, "self_attn", 64, 3)
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * block)
+        whole, _ = banded_forward(monkeypatch, model, x)
+        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
+        assert got == heights
+        self.assert_same(banded, whole)
+
+    @pytest.mark.parametrize("use_stem", [False, True])
+    @pytest.mark.parametrize("block_rows,rows,heights", [(1, 1, [1] * 37),
+                                                         (2, 1, [2] * 18 + [1]),
+                                                         (1, 5, [8] * 4 + [5]),
+                                                         (2, 5, [8] * 4 + [5])])
+    def test_attention_bands_keep_the_bits_on_ragged_rows(self, rng, monkeypatch, use_stem,
+                                                         block_rows, rows, heights):
+        # at 37 x 53 with row blocks of 53 or 106 pixels every band starts at
+        # a block border, the last band's ragged block included
+        model = build_model(small_config("self_attn", use_stem=use_stem), image_size=37)
+        x, _ = band_inputs(rng, "self_attn", 37, 53)
+        attend_blocks(monkeypatch, x, block_rows)
+        whole, _ = banded_forward(monkeypatch, model, x)
+        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
+        assert got == heights
+        self.assert_same(banded, whole)
+
+    @pytest.mark.parametrize("module", ["ocr", "da", "acf", "global"])
+    @pytest.mark.parametrize("channels", [16, 32])
+    def test_wide_band_products_within_four_ulps(self, rng, monkeypatch, module, channels):
+        """With 16 or more channels read into a band's products, OpenBLAS may
+        sum a band's narrower product in another order than the whole
+        image's, so banded logits equal one band's only up to rounding: at
+        37 x 53 each is within 4 ulps of one band's largest |logit| (at
+        most 2 ulps, 1.1e-16, measured; the logits are below 1). The
+        auxiliary logits are the whole-image part's and keep their bits."""
+        model = build_model(small_config(module, key_channels=channels,
+                                         mid_channels=channels,
+                                         da_regions=5 if module == "da" else 0),
+                            image_size=37)
+        x, _ = band_inputs(rng, module, 37, 53)
+        whole, _ = banded_forward(monkeypatch, model, x)
+        ulp = np.spacing(np.abs(whole.final_logits.data).max())
+        for rows in (1, 2, 4, 8, 16):
+            banded, _ = banded_forward(monkeypatch, model, x, rows=rows)
+            assert np.abs(banded.final_logits.data - whole.final_logits.data).max() <= 4 * ulp
+            if whole.aux_logits is not None:
+                assert np.array_equal(banded.aux_logits.data, whole.aux_logits.data)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_bench_shape_bands_keep_the_bits(self, monkeypatch, precision):
+        # every head at the bench widths, 64 x 64: its bands (16 rows in
+        # double, 32 in single) give the logits of one band, bitwise
+        cfg = BenchConfig(precision=precision)
+        x = bench_input(cfg)
+        for module in ("ocr", "da", "acf", "self_attn", "global", "aspp_lite", "ppm_lite"):
+            model = build_model(cfg.model_config(module), image_size=cfg.height)
+            with T.no_grad():
+                banded, step = model.forward(x), model._band_height(x)
+            with monkeypatch.context() as m:
+                whole, one = banded_forward(m, model, x)
+            assert step == {"double": 16, "single": 32}[precision] and one == [64]
+            self.assert_same(banded, whole)
 
     def test_oracle_relations_across_a_band_border(self, rng, monkeypatch):
         model = build_model(small_config("gt_ocr"), image_size=8)

@@ -597,6 +597,14 @@ class TestTapGrid:
             fwd = lambda: projected(T.conv_spatial(x, [(d, w)]), np.random.default_rng(19))
             assert max_grad_fd_error([x, w], fwd) < TestGradientsEveryOp.TOL
 
+    def test_recorded_grid_of_row_groups_gradients(self, rng):
+        # on 3 x 6 pixels dilation 4 is taller than the image, so the grid a
+        # recording op keeps holds its taps' three row groups 3 rows apart
+        x = tensor(rng.normal(0, 1, (2, 3, 6)), requires_grad=True)
+        w = tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
+        fwd = lambda: projected(T.conv_spatial(x, [(4, w)]), np.random.default_rng(19))
+        assert max_grad_fd_error([x, w], fwd) < TestGradientsEveryOp.TOL
+
     @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 3, 5)])
     def test_dilation_past_the_image_allocates_nothing_more(self, rng, shape):
         # from a dilation of max(H, W) on every off-centre tap reads only
@@ -707,9 +715,10 @@ class TestTapGrid:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_rows_bitwise_equal_the_whole_slice(self, rng, kernel, dtype):
-        # rows r0:r1 read the rows r0 - pad:r1 + pad, zero outside the image;
-        # dilations H - 1 and H + 3 (clamped to max(H, W)) give halos taller
-        # than every band, and a later part is upsampled as its rows are read
+        # rows r0:r1 read the rows their taps reach, zero outside the image;
+        # dilations H - 1 and H + 3 (clamped to max(H, W)) are wider than
+        # every band but the whole image, whose grids hold only the taps' row
+        # groups, and a later part is upsampled as its rows are read
         h, w = 7, 5
         x = T.Tensor(rng.normal(0, 1, (3, h, w)).astype(dtype))
         small = [T.Tensor(rng.normal(0, 1, s).astype(dtype)) for s in ((2, 3, 2), (1, 1, 1))]
@@ -741,6 +750,24 @@ class TestTapGrid:
             out = T.conv_bn_relu(x, wt, *bn, rows=(2, 4))
             assert out.shape == (4, 2, 5)
             assert tracker.peak_bytes == out.data.nbytes + 3 * (4 * 7 + 2) * 8
+
+    @pytest.mark.parametrize("dilation,grid_rows", [(1, 4), (2, 6), (3, 6), (4, 6)])
+    def test_a_band_thinner_than_the_dilation_pads_its_tap_groups(self, rng, dilation,
+                                                                  grid_rows):
+        # rows 2:4 of a 3 x 9 x 5 input: the three tap rows read 2-row groups
+        # d rows apart, laid out min(2, d) rows apart: 2 + 2 * min(2, d) rows
+        # of 5 + 2 * d columns, against 2 + 2 * d rows when the grid held
+        # every row between them; conv_spatial frees the grid before it
+        # allocates its output
+        x = tensor(rng.normal(0, 1, (3, 9, 5)))
+        k = tensor(rng.normal(0, 1, (4, 3, 3, 3)))
+        with T.no_grad():
+            whole = T.conv_spatial(x, [(dilation, k)]).data
+            with T.AllocationTracker() as tracker:
+                out = T.conv_spatial(x, [(dilation, k)], (2, 4))
+        assert np.array_equal(out.data, whole[:, 2:4])
+        flat = 3 * (grid_rows * (5 + 2 * dilation) + 2 * dilation) * 8
+        assert tracker.peak_bytes == flat
 
     def test_recording_or_out_of_range_rows_rejected(self, rng):
         x = tensor(rng.normal(0, 1, (2, 4, 3)))
