@@ -236,38 +236,34 @@ def acf_scheme_relations(logits: T.Tensor, height: int, width: int,
 # baseline context schemes
 
 
+def self_attention_keys(px: T.Tensor, context_transform: TransformBlock | None,
+                        value_transform: TransformBlock | None):
+    """The (d, N) keys and (C_v, N) values of the (C, N) pixels ``px`` that
+    ``self_attention_context``'s queries attend over."""
+    return (px if context_transform is None else context_transform(px),
+            px if value_transform is None else value_transform(px))
+
+
 def self_attention_context(x: FeatureMap,
                            pixel_transform: TransformBlock | None,
                            context_transform: TransformBlock | None,
                            value_transform: TransformBlock | None,
                            output_transform: TransformBlock | None,
-                           scale: float = 1.0):
-    """Dense pairwise context, the quadratic-cost baseline, split as a banded
-    forward runs it: the keys and values of every pixel of ``x``, then
-    ``tail(band)``, the context map of a band of x's rows (``FeatureMap.band``;
-    ``tail(x)`` is the whole image's): the band's queries attend over every
-    pixel, the N x N relation formed a row block at a time (``T.attend``),
-    then the output transform. A forward that records a backward forms the
-    whole image's queries first, so its ops run in the order q, k, values.
-    Bands run top to bottom; the one that ends at x's last row drops the
-    keys and values before its output transform."""
-    def project(block, px):
-        return px if block is None else block(px)
-
+                           scale: float = 1.0, memory=None) -> FeatureMap:
+    """Dense pairwise context: every pixel of ``x`` attends over every pixel
+    of ``memory``, the keys and values of an image that x is a band of
+    (``self_attention_keys``), by default x's own, formed after its queries.
+    The relation matrix is N x N, the quadratic-cost baseline; ``T.attend``
+    forms it a row block at a time. Its inputs are dropped once it returns,
+    so a no-grad forward frees those it formed before the output transform."""
     px = x.pixels()
-    q = project(pixel_transform, px) if T._grad_enabled else None
-    kv = [project(context_transform, px), project(value_transform, px)]  # (d, N), (C_v, N)
-
-    def tail(band: FeatureMap) -> FeatureMap:
-        y = T.transpose(T.attend(q if band is x and q is not None else
-                                 project(pixel_transform, band.pixels()), *kv, scale))
-        if band.top + band.height == x.height:
-            kv.clear()
-        if output_transform is not None:
-            y = output_transform(y)
-        return FeatureMap.from_pixels(y, band.height, band.width)
-
-    return tail
+    q = px if pixel_transform is None else pixel_transform(px)
+    k, vals = memory or self_attention_keys(px, context_transform, value_transform)
+    y = T.transpose(T.attend(q, k, vals, scale))  # (C_v, N)
+    del px, q, k, vals
+    if output_transform is not None:
+        y = output_transform(y)
+    return FeatureMap.from_pixels(y, x.height, x.width)
 
 
 def global_context(x: FeatureMap,

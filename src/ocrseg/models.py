@@ -18,9 +18,9 @@ from . import flopcount as F
 from . import tensor as T
 from .blocks import Conv1x1Head, TransformBlock, conv_weight
 from .context import (FeatureMap, acf_scheme_relations, aspp_lite, augment,
-                      compute_soft_regions, da_scheme_relations, global_context,
-                      ocr_aggregate, pixel_region_relations, ppm_lite,
-                      region_representations, scaled_rates, self_attention_context)
+                      compute_soft_regions, da_scheme_relations, global_context, ocr_aggregate,
+                      pixel_region_relations, ppm_lite, region_representations, scaled_rates,
+                      self_attention_context, self_attention_keys)
 from .errors import ConfigError
 from .supervision import LabelMap, gt_regions, gt_relations
 
@@ -393,17 +393,18 @@ class SelfAttentionStage(RelationalStage):
         self._draw_shared(model)
 
     def _row_unit(self, x: FeatureMap) -> int:
-        """Rows whose pixels fill whole row blocks of ``T.attend`` over the
-        image's pixels, so a band's queries keep the whole image's blocks."""
-        b = T._relation_block_rows(np.result_type(self.config.np_dtype, x.tensor.dtype),
-                                   x.num_pixels)
-        return b // int(np.gcd(b, x.width))
+        """Rows whose pixels fill whole row blocks of the attention over the
+        image's pixels; its queries and keys are x's in the parameters' dtype."""
+        return T._attend_rows(np.result_type(self.config.np_dtype, x.tensor.dtype),
+                              x.num_pixels, x.width)
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        return self_attention_context(
-            feats, self.pixel_transform, self.context_transform,
-            self.value_transform, self.output_transform,
-            scale=self.config.relation_scale), None
+        # a recording forward runs one band, forming q, then k and values
+        memory = None if T._grad_enabled else self_attention_keys(
+            feats.pixels(), self.context_transform, self.value_transform)
+        return (lambda band: self_attention_context(
+            band, self.pixel_transform, self.context_transform, self.value_transform,
+            self.output_transform, self.config.relation_scale, memory)), None
 
     def context_flops(self, n: int) -> dict[str, int]:
         c, d = self.pipe_in, self.config.key_channels

@@ -328,7 +328,7 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
     """Checks ``q`` (d, N) and ``k`` (d, M) and returns the temperature
     1/``scale``, the dtype and the row blocks of their (N, M) relation, of
-    ``_relation_block_rows`` rows each."""
+    ``_attend_rows(dtype, M)`` rows each."""
     _require_2d(q, f"{op} queries")
     _require_2d(k, f"{op} keys")
     if q.data.shape[0] != k.data.shape[0]:
@@ -336,13 +336,16 @@ def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
             f"{op} key widths differ: {q.data.shape} vs {k.data.shape}")
     temperature = 1.0 / _positive("relation scale", scale)
     dtype = np.result_type(q.data, k.data)
-    n, step = q.data.shape[1], _relation_block_rows(dtype, k.data.shape[1])
+    n, step = q.data.shape[1], _attend_rows(dtype, k.data.shape[1])
     return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _relation_block_rows(dtype, m: int) -> int:
-    """Rows of one row block of a relation over ``m`` keys in ``dtype``."""
-    return max(1, _ACCUMULATE_BYTES // (np.dtype(dtype).itemsize * max(m, 1)))
+def _attend_rows(dtype, m: int, width: int = 1) -> int:
+    """Rows of ``width`` queries that fill whole blocks of ``_ACCUMULATE_BYTES``
+    of a relation over ``m`` keys in ``dtype``, the queries' and keys' result
+    type: bands of queries in multiples of it keep their rows' bits."""
+    block = max(1, _ACCUMULATE_BYTES // (np.dtype(dtype).itemsize * max(m, 1)))
+    return block // math.gcd(block, width)
 
 
 def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: float,
@@ -608,8 +611,8 @@ class _TapGrid:
         self.bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
         # (first grid row, first image row, rows) of each run the taps read
-        runs = ([(0, r0 - pad, self.h + 2 * pad)] if g == d else
-                [(ky * g, r0 + (ky - k // 2) * d, self.h) for ky in range(k)])
+        runs = [(ky * g, r0 + (ky - k // 2) * d, g if ky < k - 1 else self.h)
+                for ky in range(k)]
         for j, a, n in runs:
             y0, y1 = (min(max(y, 0), h) for y in (a, a + n))  # empty: all padding
             image = self._image(self.flat)[:, j + y0 - a:j + y1 - a, pad:pad + w]

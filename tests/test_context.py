@@ -523,7 +523,7 @@ class TestSelfAttention:
         x = FeatureMap(tensor(np.repeat(col[:, None], 4, axis=1).reshape(3, 2, 2)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        fm = self_attention_context(x, None, None, delta, rho)(x)
+        fm = self_attention_context(x, None, None, delta, rho)
         weights = attention_weights(x.pixels(), x.pixels())
         assert np.max(np.abs(weights - 0.25)) < 1e-12
         want = oracles.apply_block_loops(
@@ -533,7 +533,7 @@ class TestSelfAttention:
     def test_single_pixel(self, rng):
         x = feature_map(rng, 3, 1, 1)
         delta = TransformBlock.create(rng, 3, 4)
-        y = self_attention_context(x, None, None, delta, None)(x)
+        y = self_attention_context(x, None, None, delta, None)
         want = oracles.apply_block_loops(delta, x.pixels().data)
         assert np.max(np.abs(y.pixels().data - want)) < 1e-12
 
@@ -544,7 +544,7 @@ class TestSelfAttention:
         delta = TransformBlock.create(rng, 3, 5)
         rho = TransformBlock.create(rng, 5, 5)
         scale = 0.5
-        fm = self_attention_context(x, phi, psi, delta, rho, scale=scale)(x)
+        fm = self_attention_context(x, phi, psi, delta, rho, scale=scale)
         weights = attention_weights(phi(x.pixels()), psi(x.pixels()), scale)
         px = x.pixels().data
         q = oracles.apply_block_loops(phi, px)
@@ -564,8 +564,8 @@ class TestSelfAttention:
 
     def test_bad_scale(self, rng):
         with pytest.raises(ParameterError):
-            x = feature_map(rng, 2, 2, 2)
-            self_attention_context(x, None, None, None, None, scale=0.0)(x)
+            self_attention_context(feature_map(rng, 2, 2, 2), None, None,
+                                   None, None, scale=0.0)
 
     def test_attention_inputs_freed_before_the_output_transform(self, rng):
         # 8 x 8 pixels, 8 key channels, 128 output channels: under no_grad
@@ -577,7 +577,7 @@ class TestSelfAttention:
         blocks = [TransformBlock.create(rng, 3, 8) for _ in range(3)]
         rho = TransformBlock.create(rng, 8, 128)
         with T.no_grad(), T.AllocationTracker() as tracker:
-            y = self_attention_context(x, *blocks, rho)(x)
+            y = self_attention_context(x, *blocks, rho)
         assert y.channels == 128
         assert tracker.peak_bytes == (8 + 128) * 64 * 8
 
@@ -615,7 +615,7 @@ class TestGlobalContext:
             bn_var=np.ones(3))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        attn = self_attention_context(x, None, flat_keys, delta, rho)(x)
+        attn = self_attention_context(x, None, flat_keys, delta, rho)
         pooled = global_context(x, delta, rho)  # (4, 1, 1), the same at every pixel
         assert np.max(np.abs(attn.tensor.data - pooled.tensor.data)) < 1e-12
 
