@@ -180,28 +180,18 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.command == "gen-data":
-            return _cmd_gen_data(cfg)
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "eval":
-            return _cmd_eval(cfg, args.checkpoint)
-        if args.command == "ablate":
-            return _cmd_ablate(cfg)
-        if args.command == "bench":
-            return _cmd_bench(cfg)
-        if args.command == "equiv-check":
-            return _cmd_equiv_check(cfg)
-        if args.command == "grad-check":
-            return _cmd_grad_check(cfg)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        commands = {
+            "gen-data": _cmd_gen_data, "train": _cmd_train,
+            "eval": lambda cfg: _cmd_eval(cfg, args.checkpoint),
+            "ablate": _cmd_ablate, "bench": _cmd_bench,
+            "equiv-check": _cmd_equiv_check, "grad-check": _cmd_grad_check}
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (OcrsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0  # pragma: no cover
 
 
 def main() -> None:

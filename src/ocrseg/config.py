@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from .data import COORD_CHANNELS, read_text_lines, scene_shape_problem
 from .errors import ConfigError
 from .models import ModelConfig
+from .supervision import LossConfig, PolySchedule
 
 
 @dataclass
@@ -37,7 +38,6 @@ class RunConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
     poly_power: float = 0.9
-    poly_literal: bool = False
     final_weight: float = 1.0
     aux_weight: float = 0.4
     aux_supervision: bool = True
@@ -75,6 +75,15 @@ class RunConfig:
         if self.feat_channels < 0:
             raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
         self.model_config()
+        # the run's loss weights and schedule, built here so that a bad
+        # weight or rate fails the config, not the training runs inside it
+        # (aux_weight is checked even where aux_supervision drops its loss;
+        # iterations=0 never consults the schedule, which wants max_iter >= 1)
+        self.loss = LossConfig(self.final_weight, self.aux_weight)
+        if not self.aux_supervision:
+            self.loss.aux_weight = 0.0
+        self.schedule = PolySchedule(self.base_lr, max(self.iterations, 1),
+                                     self.poly_power)
         if self.equiv_instances < 1 or self.grad_instances < 1:
             raise ConfigError("equiv_instances and grad_instances must be >= 1")
         # the gradient suite passes on error < tolerance, the equivalence

@@ -121,10 +121,6 @@ class SoftRegionSet:
         _check_simplex_rows(self.normalized.data, self.empty_regions,
                             "SoftRegionSet.normalized")
 
-    @property
-    def num_regions(self) -> int:
-        return self.logits.shape[0]
-
 
 @dataclass
 class RelationMatrix:
@@ -150,10 +146,6 @@ class RelationMatrix:
         _check_simplex_rows(self.weights.data, self.zero_rows, "RelationMatrix.weights",
                             self.top * self.width)
 
-    @property
-    def num_regions(self) -> int:
-        return self.weights.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # pipeline stages
@@ -168,7 +160,7 @@ def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
     logits = head(x.pixels())  # (K, N)
     if keep_logits or T._grad_enabled:
         return SoftRegionSet(logits, T.softmax_rows(logits), x.height, x.width)
-    T._normalize_rows(logits.data)  # softmax_rows at temperature 1
+    T._normalize_rows(logits.data)  # softmax_rows' arithmetic, in place
     return SoftRegionSet(logits, logits, x.height, x.width)
 
 
@@ -178,25 +170,24 @@ def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tens
     return T.transpose(T.matmul(regions.normalized, x_pixels))
 
 
-def pixel_region_relations(x: FeatureMap, reps: T.Tensor,
+def pixel_region_relations(x: FeatureMap, keys: T.Tensor,
                            pixel_transform: TransformBlock | None,
-                           region_transform: TransformBlock | None,
                            scale: float = 1.0) -> RelationMatrix:
     """Relation of every pixel to every region: softmax over regions of the
-    scaled key-space dot products. ``None`` transforms mean identity."""
+    scaled dot products of the pixels' queries with the (d, K) region
+    ``keys``, which arrive already transformed (once per image). A ``None``
+    pixel transform means identity."""
     q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
-    k = reps if region_transform is None else region_transform(reps)
-    weights = T.relation_softmax(q, k, scale)  # (N, K)
+    weights = T.relation_softmax(q, keys, scale)  # (N, K)
     return RelationMatrix(weights, x.height, x.width, top=x.top)
 
 
-def ocr_aggregate(relations: RelationMatrix, reps: T.Tensor,
-                  value_transform: TransformBlock | None,
+def ocr_aggregate(relations: RelationMatrix, values: T.Tensor,
                   output_transform: TransformBlock | None) -> FeatureMap:
-    """Per pixel, the relation-weighted sum of transformed region reps, passed
+    """Per pixel, the relation-weighted sum of the (C_v, K) region
+    ``values``, which arrive already transformed (once per image), passed
     through the output transform: the contextual representation y."""
-    vals = reps if value_transform is None else value_transform(reps)  # (C_v, K)
-    ctx = T.matmul(relations.weights, T.transpose(vals))  # (N, C_v)
+    ctx = T.matmul(relations.weights, T.transpose(values))  # (N, C_v)
     y = T.transpose(ctx)
     if output_transform is not None:
         y = output_transform(y)

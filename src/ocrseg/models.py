@@ -113,7 +113,6 @@ class SegmentationModel:
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
                  rng=None) -> None:
         self.cfg = cfg
-        self.needs_labels = cfg.module == "gt_ocr"
         self._named: list[tuple[str, T.Tensor]] = []
         self._rng = (np.random.default_rng(np.random.SeedSequence(cfg.seed))
                      if rng is None else rng)
@@ -338,7 +337,7 @@ class RegionStage(RelationalStage):
         def tail(band: FeatureMap) -> FeatureMap:
             if module == "ocr":
                 relations = pixel_region_relations(band, keys, self.pixel_transform,
-                                                   None, scale=cfg.relation_scale)
+                                                   scale=cfg.relation_scale)
             elif module == "da":
                 relations = da_scheme_relations(band, self.da_predictor)
             elif module == "acf":
@@ -349,7 +348,7 @@ class RegionStage(RelationalStage):
             else:
                 relations = gt_relations(labels, dtype, band.top,
                                          band.top + band.height)
-            return ocr_aggregate(relations, values, None, self.output_transform)
+            return ocr_aggregate(relations, values, self.output_transform)
 
         return tail, logits
 

@@ -138,13 +138,11 @@ def measure_wall_time(model: SegmentationModel, fm: FeatureMap,
     return statistics.median(samples), max(samples) - min(samples)
 
 
-def full_scale_table(modules=None) -> list[CostReport]:
-    """Analytic params/FLOPs of each scheme at the full production scale,
-    counted on shape-only models that hold no weights."""
-    names = tuple(modules) if modules is not None else tuple(
-        m for group in EXPECTED_FLOP_RANK for m in group)
+def full_scale_table() -> list[CostReport]:
+    """Analytic params/FLOPs of each ranked scheme at the full production
+    scale, counted on shape-only models that hold no weights."""
     reports = []
-    for name in names:
+    for name in (m for group in EXPECTED_FLOP_RANK for m in group):
         cfg = full_scale_config(name, num_classes=FULL_SCALE_CLASSES)
         model = build_model(cfg, image_size=FULL_SCALE[1], rng=ShapeOnlyRng())
         reports.append(CostReport(

@@ -58,22 +58,20 @@ class LossConfig:
     aux_weight: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.final_weight < 0 or self.aux_weight < 0:
-            raise ConfigError("loss weights must be >= 0")
+        for key in ("final_weight", "aux_weight"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
 class PolySchedule:
-    """Polynomial decay from ``base_lr`` to 0 over ``max_iter`` steps.
-
-    The conventional factor is (1 - iter/max_iter)^power. ``literal`` selects
-    the alternative parenthesization 1 - (iter/max_iter)^power.
-    """
+    """Polynomial decay from ``base_lr`` to 0 over ``max_iter`` steps: the
+    factor (1 - iter/max_iter)^power, ``power`` being the config's
+    ``poly_power``."""
 
     base_lr: float
     max_iter: int
     power: float = 0.9
-    literal: bool = False
 
     def __post_init__(self) -> None:
         if self.base_lr <= 0:
@@ -81,7 +79,7 @@ class PolySchedule:
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.power <= 0:
-            raise ConfigError(f"power must be > 0, got {self.power}")
+            raise ConfigError(f"poly_power must be > 0, got {self.power}")
 
 
 def poly_lr(schedule: PolySchedule, iteration: int) -> float:
@@ -89,11 +87,7 @@ def poly_lr(schedule: PolySchedule, iteration: int) -> float:
     if iteration < 0:
         raise ParameterError(f"iteration must be >= 0, got {iteration}")
     frac = min(iteration, schedule.max_iter) / schedule.max_iter
-    if schedule.literal:
-        factor = 1.0 - frac ** schedule.power
-    else:
-        factor = (1.0 - frac) ** schedule.power
-    return schedule.base_lr * factor
+    return schedule.base_lr * (1.0 - frac) ** schedule.power
 
 
 def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:

@@ -54,20 +54,13 @@ class no_grad:
 # allocation accounting
 
 
-_TRACKER_STACK: list["AllocationTracker"] = []
-
-
-def _release_bytes(trackers: tuple["AllocationTracker", ...], nbytes: int) -> None:
-    for tracker in trackers:
-        tracker._free(nbytes)
+_TRACKER: AllocationTracker | None = None
 
 
 def _charge(buf: np.ndarray) -> None:
-    """Charge ``buf``'s bytes to the active trackers until it is freed."""
-    trackers = tuple(t for t in _TRACKER_STACK if t.active)
-    for tracker in trackers:
-        tracker._alloc(buf.nbytes)
-    weakref.finalize(buf, _release_bytes, trackers, buf.nbytes)
+    """Charge ``buf``'s bytes to the open tracker until it is freed."""
+    _TRACKER._alloc(buf.nbytes)
+    weakref.finalize(buf, _TRACKER._free, buf.nbytes)
 
 
 class AllocationTracker:
@@ -82,26 +75,28 @@ class AllocationTracker:
     its owner tensor.
     Peak is monotone nondecreasing within the scope; a new scope starts from
     zero. Buffers allocated before the scope opened are never charged, so a
-    measurement excludes its inputs by construction.
+    measurement excludes its inputs by construction. One scope is open at a
+    time: opening a tracker inside another is a ``StateError``.
     """
 
     def __init__(self) -> None:
         self.current_bytes = 0
         self.peak_bytes = 0
-        self.active = False
         self._opened = False
 
     def __enter__(self) -> "AllocationTracker":
-        if self.active or self._opened:
+        global _TRACKER
+        if self._opened:
             raise StateError("AllocationTracker scopes are single-use; create a new one")
-        self.active = True
+        if _TRACKER is not None:
+            raise StateError("an AllocationTracker is already open; one scope at a time")
         self._opened = True
-        _TRACKER_STACK.append(self)
+        _TRACKER = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.active = False
-        _TRACKER_STACK.remove(self)
+        global _TRACKER
+        _TRACKER = None
         return False
 
     def _alloc(self, nbytes: int) -> None:
@@ -110,7 +105,7 @@ class AllocationTracker:
             self.peak_bytes = self.current_bytes
 
     def _free(self, nbytes: int) -> None:
-        if self.active:
+        if _TRACKER is self:
             self.current_bytes -= nbytes
 
 
@@ -139,7 +134,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], tuple] | None = None
         self._index = next(_node_ids)
         self._opname = "leaf"
-        if _TRACKER_STACK and self.data.base is None:
+        if _TRACKER is not None and self.data.base is None:
             _charge(self.data)
 
     @property
@@ -202,7 +197,7 @@ def backward(loss: Tensor) -> list[Tensor]:
     nodes.sort(key=lambda t: t._index)
     # owner buffers of the gradients charged so far, by id; the weak
     # reference tells a live owner from a freed one whose id was reused
-    charged: dict[int, weakref.ref] | None = {} if _TRACKER_STACK else None
+    charged: dict[int, weakref.ref] | None = {} if _TRACKER is not None else None
     pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
     for t in reversed(nodes):
         parents, backward_fn = t._parents, t._backward_fn
@@ -285,14 +280,6 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (t,), back, "reshape")
 
 
-def _positive(name: str, value: float) -> float:
-    """``value`` as a float, if it is finite and > 0."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
 def _normalize_rows(s: np.ndarray) -> None:
     """Row-wise softmax of the logits ``s``, in place, with max subtraction."""
     s -= s.max(axis=1, keepdims=True)
@@ -311,16 +298,15 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float,
     return ds
 
 
-def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise softmax with max subtraction; logits are divided by
-    ``temperature`` first. Rows of the result lie on the probability simplex."""
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax with max subtraction, in a copy of the logits laid
+    out as they are. Rows of the result lie on the probability simplex."""
     _require_2d(x, "softmax_rows input")
-    temperature = _positive("softmax temperature", temperature)
-    s = x.data / temperature
+    s = x.data.copy(order="K")
     _normalize_rows(s)
 
     def back(g):
-        return (_softmax_grad(s, g, temperature),)
+        return (_softmax_grad(s, g, 1.0),)
 
     return _result(s, (x,), back, "softmax_rows")
 
@@ -334,7 +320,10 @@ def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
     if q.data.shape[0] != k.data.shape[0]:
         raise DimensionError(
             f"{op} key widths differ: {q.data.shape} vs {k.data.shape}")
-    temperature = 1.0 / _positive("relation scale", scale)
+    scale = float(scale)
+    if not np.isfinite(scale) or scale <= 0.0:
+        raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
+    temperature = 1.0 / scale
     dtype = np.result_type(q.data, k.data)
     n, step = q.data.shape[1], _attend_rows(dtype, k.data.shape[1])
     return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
@@ -387,9 +376,9 @@ def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
     allocates.
 
     The product is written a block of rows at a time straight into the
-    output, and each block is normalised while it is still in cache, as
-    ``softmax_rows`` normalises at temperature 1/scale. The backward runs in
-    the same row blocks.
+    output, divided by the temperature 1/scale and normalised as
+    ``softmax_rows`` normalises while it is still in cache. The backward runs
+    in the same row blocks.
     """
     temperature, dtype, blocks = _relation_rows("relation_softmax", q, k, scale)
     s = np.empty((q.data.shape[1], k.data.shape[1]), dtype=dtype)
@@ -423,7 +412,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         raise DimensionError(f"attend values {v.data.shape} do not match keys {k.data.shape}")
     records = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     s = np.empty((blocks[0].stop if blocks and not records else n, m), dtype=dtype)
-    if _TRACKER_STACK:
+    if _TRACKER is not None:
         _charge(s)  # no tensor owns it
     ctx = np.empty((n, v.data.shape[0]), dtype=np.result_type(s, v.data))
     for rows in blocks:
@@ -606,7 +595,7 @@ class _TapGrid:
         self.g = g = min(self.h, d)
         self.flat = np.zeros((weight.shape[1], (self.h + (k - 1) * g) * wp + 2 * pad),
                              dtype=np.result_type(*(p.data for p in parts)))
-        if _TRACKER_STACK:
+        if _TRACKER is not None:
             _charge(self.flat)  # no tensor owns it
         self.bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
@@ -720,7 +709,7 @@ def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]],
             del grids[i]
         if out is None:
             out = np.empty((bounds[-1],) + crop.shape[1:], dtype=x.dtype)
-            if _TRACKER_STACK:
+            if _TRACKER is not None:
                 _charge(out)  # the op result is a view of it, charged here once
         out[bounds[i]:bounds[i + 1]] = crop
         del crop

@@ -19,7 +19,7 @@ from .blocks import Sgd
 from .data import SyntheticScene, lift_weights, scene_features, scene_label_map
 from .errors import ConfigError, DataError, TrainingDiverged
 from .models import SegmentationModel, build_model
-from .supervision import LabelMap, LossConfig, PolySchedule, combined_loss, poly_lr
+from .supervision import LabelMap, combined_loss, poly_lr
 
 ABLATION_SCHEMES = ("ocr", "da", "acf")
 
@@ -50,24 +50,17 @@ def train_model(cfg: RunConfig,
     model = build_model(cfg.model_config(), image_size=cfg.grid)
     opt = Sgd(model.parameters(), momentum=cfg.momentum,
               weight_decay=cfg.weight_decay)
-    # iterations=0 means "checkpoint the initialization"; the schedule is
-    # never consulted then, but its constructor still wants max_iter >= 1.
-    schedule = PolySchedule(cfg.base_lr, max(cfg.iterations, 1), cfg.poly_power,
-                            literal=cfg.poly_literal)
-    loss_cfg = LossConfig(
-        final_weight=cfg.final_weight,
-        aux_weight=cfg.aux_weight if cfg.aux_supervision else 0.0)
     order = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     rows = []
     for it in range(cfg.iterations):
         feats, labels = pairs[int(order.integers(len(pairs)))]
         out = model.forward(feats, labels)
-        loss = combined_loss(out.final_logits, out.aux_logits, labels, loss_cfg)
+        loss = combined_loss(out.final_logits, out.aux_logits, labels, cfg.loss)
         value = float(loss.data)
         if not math.isfinite(value):
             raise TrainingDiverged(
                 f"non-finite loss {value} at iteration {it}")
-        lr = poly_lr(schedule, it)
+        lr = poly_lr(cfg.schedule, it)
         T.backward(loss)
         opt.step(lr)
         opt.zero_grad()

@@ -26,17 +26,17 @@ def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_vec(row, temperature: float = 1.0) -> np.ndarray:
+def softmax_vec(row) -> np.ndarray:
     """Scalar-math softmax of one vector with max subtraction."""
-    vals = [float(v) / temperature for v in row]
+    vals = [float(v) for v in row]
     top = max(vals)
     exps = [math.exp(v - top) for v in vals]
     total = sum(exps)
     return np.array([e / total for e in exps])
 
 
-def softmax_rows_loops(mat: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    return np.stack([softmax_vec(row, temperature) for row in mat])
+def softmax_rows_loops(mat: np.ndarray) -> np.ndarray:
+    return np.stack([softmax_vec(row) for row in mat])
 
 
 def conv1x1_loops(x: np.ndarray, weight: np.ndarray,

@@ -66,7 +66,7 @@ def test_simplex_rows_are_distributions(capsys):
         check(regions.normalized.data)
         reps = region_representations(T.transpose(x.pixels()), regions)
         scale = 1.0 if i % 2 == 0 else 1.0 / float(np.sqrt(c))
-        rel = pixel_region_relations(x, reps, None, None, scale=scale)
+        rel = pixel_region_relations(x, reps, None, scale=scale)
         check(rel.weights.data)
         queries = T.Tensor(rng.normal(size=(int(rng.integers(1, 6)), c)))
         keys = T.Tensor(rng.normal(size=(k, c)))
@@ -298,8 +298,8 @@ def test_module_outputs_match_loop_oracles(capsys):
     want_reps = oracles.region_reps_loops(want_norm, feats_flat.T)
     assert float(np.abs(reps.data - want_reps.T).max()) <= stage_tol
 
-    relations = pixel_region_relations(feats, reps, p.pixel_transform,
-                                       p.region_transform,
+    relations = pixel_region_relations(feats, p.region_transform(reps),
+                                       p.pixel_transform,
                                        scale=p.config.relation_scale)
     want_rel = oracles.relations_loops(
         oracles.apply_block_loops(p.pixel_transform, feats_flat),
@@ -307,7 +307,7 @@ def test_module_outputs_match_loop_oracles(capsys):
         p.config.relation_scale)
     assert float(np.abs(relations.weights.data - want_rel).max()) <= stage_tol
 
-    y = ocr_aggregate(relations, reps, p.value_transform, p.output_transform)
+    y = ocr_aggregate(relations, p.value_transform(reps), p.output_transform)
     want_y = oracles.apply_block_loops(
         p.output_transform,
         oracles.aggregate_loops(

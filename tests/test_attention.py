@@ -195,11 +195,11 @@ class TestEncoderCrossAttention:
         value = TransformBlock.create(rng, 3, 5)
         output = TransformBlock.create(rng, 5, 5)
         scale = rsqrt_scale(3)
-        relations = pixel_region_relations(x, reps, None, None, scale=scale)
-        y_ctx = ocr_aggregate(relations, reps, value, output)
-        region_values = T.transpose(value(reps))
+        relations = pixel_region_relations(x, reps, None, scale=scale)
+        values = value(reps)
+        y_ctx = ocr_aggregate(relations, values, output)
         y_att = encoder_cross_attention(T.transpose(x.pixels()), T.transpose(reps),
-                                        region_values, output, scale=scale)
+                                        T.transpose(values), output, scale=scale)
         assert np.max(np.abs(y_ctx.pixels().data - y_att.data.T)) < 1e-10
 
     def test_gradient_through_fused_relation(self, rng):
@@ -277,15 +277,14 @@ class TestEquivalenceCheck:
                                                scale_mode, fault):
         # the gate runs the stage's own context, so a fault in the relation
         # step the stage calls must surface as a discrepancy. The stage hands
-        # that step region keys already transformed (a None region transform),
-        # so the swap keys the pixels with the region transform.
+        # that step region keys already transformed, so the swap keys the
+        # pixels with the region transform.
         real = models.pixel_region_relations
 
-        def faulty(x, keys, pixel_transform, region_transform, scale):
+        def faulty(x, keys, pixel_transform, scale):
             if fault == "swapped_keys":
-                return real(x, keys, stage.region_transform, region_transform,
-                            scale=scale)
-            return real(x, keys, pixel_transform, region_transform, scale=1.0)
+                return real(x, keys, stage.region_transform, scale=scale)
+            return real(x, keys, pixel_transform, scale=1.0)
 
         monkeypatch.setattr(models, "pixel_region_relations", faulty)
         stage = region_stage(in_channels=4, num_classes=3, attention_scale=scale_mode)

@@ -81,7 +81,9 @@ class TestUsageErrors:
         ("train", "ppm_bins="), ("train", "aspp_rates=-5"), ("train", "aspp_rates=0"),
         ("gen-data", "ppm_bins=0,2"), ("equiv-check", "equiv_tolerance=-1"),
         ("grad-check", "grad_tolerance=-1"), ("train", "noise=-1"), ("train", "jitter=-1"),
-        ("train", "momentum=-1"), ("train", "weight_decay=-1")])
+        ("train", "momentum=-1"), ("train", "weight_decay=-1"),
+        ("ablate", "base_lr=0"), ("train", "poly_power=-1"),
+        ("ablate", "aux_weight=-1"), ("train", "final_weight=-1")])
     def test_bad_values_exit_two_without_traceback(self, tmp_path, capsys, cmd, bad):
         code = cli_main([cmd, "--set", "iterations=1", "--set", bad,
                          "--set", f"data_dir={tmp_path / 'data'}",
@@ -397,7 +399,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig(shapes_min=3, shapes_max=2)
         for bad in (dict(seed=-1), dict(feat_channels=-1), dict(equiv_instances=0),
-                    dict(grad_instances=0)):
+                    dict(grad_instances=0), dict(aux_weight=-1, aux_supervision=False)):
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
         assert RunConfig(iterations=0).iterations == 0

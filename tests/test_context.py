@@ -78,7 +78,7 @@ class TestSimplexValidation:
     def test_float32_rows_use_the_single_tolerance(self):
         # float32 softmax rows miss 1 by a few 1e-7; 1e-4 is still an error
         near = np.array([[0.5, 0.5 + 4e-7], [0.25, 0.75]], dtype=np.float32)
-        assert RelationMatrix(T.Tensor(near), 1, 2).num_regions == 2
+        assert RelationMatrix(T.Tensor(near), 1, 2).weights.shape[1] == 2
         off = np.array([[0.5, 0.5 + 1e-4], [0.25, 0.75]], dtype=np.float32)
         with pytest.raises(ParameterError) as err:
             RelationMatrix(T.Tensor(off), 1, 2)
@@ -88,7 +88,7 @@ class TestSimplexValidation:
         with pytest.raises(ParameterError):
             RelationMatrix(tensor([[0.5, 0.5 + 1e-8], [0.25, 0.75]]), 1, 2)
         assert RelationMatrix(tensor([[0.5, 0.5 + 1e-10], [0.25, 0.75]]),
-                              1, 2).num_regions == 2
+                              1, 2).weights.shape[1] == 2
 
     def test_nan_row_rejected(self):
         rows = np.array([[0.5, 0.5], [np.nan, 0.5]])
@@ -105,7 +105,7 @@ class TestSimplexValidation:
             RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
         rows[1] = 0.0
         rel = RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
-        assert rel.num_regions == 2
+        assert rel.weights.shape[1] == 2
 
     def test_negative_entry_message(self):
         bad = np.array([[1.2, -0.2], [0.5, 0.5]])
@@ -136,7 +136,7 @@ class TestSimplexValidation:
     def test_exempt_rows_need_not_sum_to_one(self):
         rows = np.array([[0.0, 0.0], [0.25, 0.75], [0.0, 0.0]])
         rel = RelationMatrix(tensor(rows), 1, 3, zero_rows=(0, 2, 2, 7, -1))
-        assert rel.num_regions == 2
+        assert rel.weights.shape[1] == 2
         with pytest.raises(ParameterError, match="row 0 sums to"):
             RelationMatrix(tensor(rows), 1, 3, zero_rows=(2,))
 
@@ -250,14 +250,14 @@ class TestPixelRegionRelations:
     def test_single_region_all_ones(self, rng):
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (1, 3)).T)
-        rel = pixel_region_relations(x, reps, None, None)
+        rel = pixel_region_relations(x, reps, None)
         assert np.array_equal(rel.weights.data, np.ones((4, 1)))
 
     def test_identity_keys_hand_value(self):
         x = FeatureMap(tensor(np.array([1.0, 0.0]).reshape(2, 1, 1)))
         reps = tensor([[1.0, 0.0], [0.0, 1.0]])
         ident = identity_block(2)
-        rel = pixel_region_relations(x, reps, ident, ident, scale=1.0)
+        rel = pixel_region_relations(x, ident(reps), ident, scale=1.0)
         assert abs(rel.weights.data[0, 0] - 0.7311) < 1e-4
         assert abs(rel.weights.data[0, 1] - 0.2689) < 1e-4
 
@@ -265,7 +265,7 @@ class TestPixelRegionRelations:
         x = feature_map(rng, 3, 2, 2)
         row = rng.normal(0, 1, 3)
         reps = tensor(np.stack([row, row], axis=1))
-        rel = pixel_region_relations(x, reps, None, None)
+        rel = pixel_region_relations(x, reps, None)
         assert np.max(np.abs(rel.weights.data - 0.5)) < 1e-12
 
     def test_matches_loop_oracle_with_transforms(self, rng):
@@ -274,7 +274,7 @@ class TestPixelRegionRelations:
         phi = TransformBlock.create(rng, 3, 5)
         psi = TransformBlock.create(rng, 3, 5)
         for scale in (1.0, 0.5):
-            rel = pixel_region_relations(x, reps, phi, psi, scale=scale)
+            rel = pixel_region_relations(x, psi(reps), phi, scale=scale)
             pixel_keys = oracles.apply_block_loops(phi, x.tensor.data.reshape(3, 6))
             region_keys = oracles.apply_block_loops(psi, reps.data)
             want = oracles.relations_loops(pixel_keys, region_keys, scale)
@@ -288,10 +288,10 @@ class TestPixelRegionRelations:
         shifts = rng.normal(0, 5, 4)
         x1 = FeatureMap(tensor(pk.reshape(3, 2, 2)))
         reps1 = tensor(rk)
-        rel1 = pixel_region_relations(x1, reps1, None, None)
+        rel1 = pixel_region_relations(x1, reps1, None)
         x2 = FeatureMap(tensor(np.vstack([pk, shifts]).reshape(4, 2, 2)))
         reps2 = tensor(np.vstack([rk, np.ones(2)]))
-        rel2 = pixel_region_relations(x2, reps2, None, None)
+        rel2 = pixel_region_relations(x2, reps2, None)
         assert np.max(np.abs(rel1.weights.data - rel2.weights.data)) < 1e-9
         assert np.array_equal(np.argmax(rel1.weights.data, axis=1),
                               np.argmax(rel2.weights.data, axis=1))
@@ -300,14 +300,14 @@ class TestPixelRegionRelations:
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (2, 4)).T)
         with pytest.raises(DimensionError):
-            pixel_region_relations(x, reps, None, None)
+            pixel_region_relations(x, reps, None)
 
     def test_bad_scale(self, rng):
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (2, 3)).T)
         for scale in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError):
-                pixel_region_relations(x, reps, None, None, scale=scale)
+                pixel_region_relations(x, reps, None, scale=scale)
 
 
 class TestOcrAggregate:
@@ -317,7 +317,7 @@ class TestOcrAggregate:
         rho = TransformBlock.create(rng, 5, 5)
         hot = np.zeros((2, 3))
         hot[0, 2] = hot[1, 0] = 1.0
-        y = ocr_aggregate(RelationMatrix(tensor(hot), 1, 2), reps, delta, rho)
+        y = ocr_aggregate(RelationMatrix(tensor(hot), 1, 2), delta(reps), rho)
         vals = oracles.apply_block_loops(delta, reps.data)  # (5, 3)
         want0 = oracles.apply_block_loops(rho, vals[:, [2]])
         want1 = oracles.apply_block_loops(rho, vals[:, [0]])
@@ -328,8 +328,8 @@ class TestOcrAggregate:
         row = rng.normal(0, 1, 4)
         reps = tensor(np.stack([row, row, row], axis=1))
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (6, 3)))
-        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 3), reps,
-                          TransformBlock.create(rng, 4, 5),
+        delta = TransformBlock.create(rng, 4, 5)
+        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 3), delta(reps),
                           TransformBlock.create(rng, 5, 5))
         cols = y.pixels().data
         assert np.max(np.abs(cols - cols[:, [0]])) < 1e-12
@@ -339,7 +339,7 @@ class TestOcrAggregate:
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (4, 3)))
         delta = TransformBlock.create(rng, 4, 5)
         rho = TransformBlock.create(rng, 5, 6)
-        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 2), reps, delta, rho)
+        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 2), delta(reps), rho)
         vals = oracles.apply_block_loops(delta, reps.data)  # (5, K)
         pre = oracles.aggregate_loops(weights, vals.T)  # (N, 5)
         want = oracles.apply_block_loops(rho, pre.T)
@@ -351,8 +351,7 @@ class TestOcrAggregate:
             reps = tensor(rng.normal(0, 1, (k, c)).T)
             weights = oracles.softmax_rows_loops(rng.normal(0, 1, (n, k)))
             delta = TransformBlock.create(rng, c, 4)
-            y = ocr_aggregate(RelationMatrix(tensor(weights), 1, n), reps,
-                              delta, None)
+            y = ocr_aggregate(RelationMatrix(tensor(weights), 1, n), delta(reps), None)
             vals = oracles.apply_block_loops(delta, reps.data)
             low = vals.min(axis=1) - 1e-12
             high = vals.max(axis=1) + 1e-12
@@ -366,11 +365,11 @@ class TestOcrAggregate:
         norm = oracles.softmax_rows_loops(rng.normal(0, 1, (1, 4)))
         reps = region_representations(T.transpose(x.pixels()),
                                       region_set(norm, 2, 2))
-        rel = pixel_region_relations(x, reps, None, None)
+        rel = pixel_region_relations(x, reps, None)
         assert np.array_equal(rel.weights.data, np.ones((4, 1)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        y = ocr_aggregate(rel, reps, delta, rho)
+        y = ocr_aggregate(rel, delta(reps), rho)
         pooled = (norm[0][:, None] * x.pixels().data.T).sum(axis=0)
         want = oracles.apply_block_loops(
             rho, oracles.apply_block_loops(delta, pooled[:, None]))
@@ -380,7 +379,7 @@ class TestOcrAggregate:
         reps = tensor(rng.normal(0, 1, (3, 4)).T)
         weights = np.ones((2, 2)) * 0.5
         with pytest.raises(DimensionError):
-            ocr_aggregate(RelationMatrix(tensor(weights), 1, 2), reps, None, None)
+            ocr_aggregate(RelationMatrix(tensor(weights), 1, 2), reps, None)
 
 
 class TestAugment:

@@ -202,7 +202,7 @@ class TestForward:
         model = build_model(small_config(module), image_size=8)
         x = feature_map(rng, 5, 8, 8)
         labels = LabelMap(rng.integers(0, 3, (8, 8)), 3) \
-            if model.needs_labels else None
+            if model.cfg.module == "gt_ocr" else None
         out = model.forward(x, labels)
         assert out.final_logits.data.shape == (3, 64)
 
@@ -246,7 +246,7 @@ class TestForward:
                             lambda x, *a: fused.append([p.shape for p in x]) or real(x, *a))
         model = build_model(small_config(module, use_stem=True), image_size=8)
         x = feature_map(rng, 5, 8, 8)
-        labels = LabelMap(rng.integers(0, 3, (8, 8)), 3) if model.needs_labels else None
+        labels = LabelMap(rng.integers(0, 3, (8, 8)), 3) if model.cfg.module == "gt_ocr" else None
         out = model.forward(x, labels)
         assert out.final_logits.data.shape == (3, 64)
         assert fused[-1] == [(6, 64), (6, 1 if module == "global" else 64)]
@@ -259,11 +259,6 @@ class TestForward:
         labels = LabelMap(rng.integers(0, 3, (8, 8)), 3)
         out = model.forward(x, labels)
         assert out.aux_logits is None
-
-    def test_needs_labels_flag(self):
-        for module in MODULE_CHOICES:
-            model = build_model(small_config(module), image_size=8)
-            assert model.needs_labels == (module == "gt_ocr")
 
     def test_gt_scheme_freezes_region_machinery(self):
         learned = build_model(small_config("ocr"))
@@ -733,6 +728,32 @@ class TestEngineSurface:
                       if name not in read
                       and not (name.startswith("__") and name.endswith("__")))
         assert not dead, f"definitions nothing in the package reads: {dead}"
+
+    def test_every_member_is_read(self):
+        """A method, property or ``self.`` attribute of a package class that
+        nothing in the package reads as an attribute is dead; dunder methods
+        are exempt, as the language calls them."""
+        defined, read = {}, set()
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.FunctionDef) and node in cls.body:
+                        name = node.name
+                    elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        name = node.attr
+                    else:
+                        continue
+                    if not (name.startswith("__") and name.endswith("__")):
+                        defined.setdefault(f"{cls.name}.{name}", (name, path.name, node.lineno))
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        dead = sorted(f"{member} ({path}:{line})"
+                      for member, (name, path, line) in defined.items() if name not in read)
+        assert not dead, f"members nothing in the package reads: {dead}"
 
     def test_every_public_tensor_function_is_called_by_the_package(self):
         """An engine function that only the tests call is kept for them alone."""

@@ -85,10 +85,6 @@ class TestPolySchedule:
         values = [poly_lr(sched, i) for i in range(65)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_literal_parenthesization(self):
-        sched = PolySchedule(0.01, 100, literal=True)
-        assert abs(poly_lr(sched, 50) - 0.01 * (1.0 - 0.5 ** 0.9)) < 1e-12
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             PolySchedule(0.0, 100)

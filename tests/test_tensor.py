@@ -89,21 +89,18 @@ class TestSoftmaxRows:
 
     def test_matches_scalar_oracle(self, rng):
         logits = rng.normal(0, 3, (4, 5))
-        got = T.softmax_rows(tensor(logits), temperature=0.7).data
-        want = oracles.softmax_rows_loops(logits, temperature=0.7)
+        got = T.softmax_rows(tensor(logits)).data
+        want = oracles.softmax_rows_loops(logits)
         assert np.max(np.abs(got - want)) < 1e-12
-
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_temperature(self, temperature):
-        with pytest.raises(ParameterError):
-            T.softmax_rows(tensor([[1.0, 2.0]]), temperature=temperature)
 
 
 class TestRelationSoftmax:
     @staticmethod
     def two_op(q, k, scale):
-        """The product, then the row softmax: the pair the fused op replaces."""
-        return T.softmax_rows(T.matmul(T.transpose(q), k), temperature=1.0 / scale).data
+        """The product of the scaled queries, then the row softmax: the pair
+        the fused op replaces. A power-of-two scale scales exactly."""
+        q = T.Tensor(q.data * scale)
+        return T.softmax_rows(T.matmul(T.transpose(q), k)).data
 
     # (N, M, dtype): at the default 4 MiB budget a float64 block of 4096
     # columns is 128 rows and a float32 one 256 rows
@@ -1054,7 +1051,7 @@ class TestGradientsEveryOp:
 
     def test_softmax_rows(self, rng):
         x = tensor(rng.normal(0, 2, (3, 4)), requires_grad=True)
-        fwd = lambda: projected(T.softmax_rows(x, temperature=0.8),
+        fwd = lambda: projected(T.softmax_rows(x),
                                 np.random.default_rng(12))
         assert max_grad_fd_error([x], fwd) < self.TOL
 
@@ -1236,6 +1233,19 @@ class TestAllocationTracker:
         with pytest.raises(StateError):
             with tracker:
                 pass
+
+    def test_one_tracker_open_at_a_time(self):
+        with T.AllocationTracker() as outer:
+            inner = T.AllocationTracker()
+            with pytest.raises(StateError, match="already open"):
+                with inner:
+                    pass
+            buf = T.Tensor(np.zeros(100))
+        assert outer.peak_bytes == 800 and inner.peak_bytes == 0
+        del buf
+        with T.AllocationTracker() as after:  # the scope closed cleanly
+            T.Tensor(np.zeros(10))
+        assert after.peak_bytes == 80
 
     def test_release_lowers_current_not_peak(self):
         with T.AllocationTracker() as tracker:
