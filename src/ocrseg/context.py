@@ -227,31 +227,20 @@ def acf_scheme_relations(logits: T.Tensor, height: int, width: int,
 # baseline context schemes
 
 
-def self_attention_keys(px: T.Tensor, context_transform: TransformBlock | None,
-                        value_transform: TransformBlock | None):
-    """The (d, N) keys and (C_v, N) values of the (C, N) pixels ``px`` that
-    ``self_attention_context``'s queries attend over."""
-    return (px if context_transform is None else context_transform(px),
-            px if value_transform is None else value_transform(px))
-
-
-def self_attention_context(x: FeatureMap,
-                           pixel_transform: TransformBlock | None,
-                           context_transform: TransformBlock | None,
-                           value_transform: TransformBlock | None,
+def self_attention_context(x: FeatureMap, pixel_transform: TransformBlock | None,
+                           memory: tuple[T.Tensor, T.Tensor],
                            output_transform: TransformBlock | None,
-                           scale: float = 1.0, memory=None) -> FeatureMap:
+                           scale: float = 1.0) -> FeatureMap:
     """Dense pairwise context: every pixel of ``x`` attends over every pixel
-    of ``memory``, the keys and values of an image that x is a band of
-    (``self_attention_keys``), by default x's own, formed after its queries.
-    The relation matrix is N x N, the quadratic-cost baseline; ``T.attend``
-    forms it a row block at a time. Its inputs are dropped once it returns,
-    so a no-grad forward frees those it formed before the output transform."""
+    of ``memory``, the (d, N) keys and (C_v, N) values of the image that x is
+    a band of (or is). The relation matrix is N x N, the quadratic-cost
+    baseline; ``T.attend`` forms it a row block at a time. Its inputs are
+    dropped once it returns, so a no-grad forward frees the queries before
+    the output transform."""
     px = x.pixels()
     q = px if pixel_transform is None else pixel_transform(px)
-    k, vals = memory or self_attention_keys(px, context_transform, value_transform)
-    y = T.transpose(T.attend(q, k, vals, scale))  # (C_v, N)
-    del px, q, k, vals
+    y = T.transpose(T.attend(q, *memory, scale))  # (C_v, N)
+    del px, q
     if output_transform is not None:
         y = output_transform(y)
     return FeatureMap.from_pixels(y, x.height, x.width)

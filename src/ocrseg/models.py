@@ -20,7 +20,7 @@ from .blocks import Conv1x1Head, TransformBlock, conv_weight
 from .context import (FeatureMap, acf_scheme_relations, aspp_lite, augment,
                       compute_soft_regions, da_scheme_relations, global_context, ocr_aggregate,
                       pixel_region_relations, ppm_lite, region_representations, scaled_rates,
-                      self_attention_context, self_attention_keys)
+                      self_attention_context)
 from .errors import ConfigError
 from .supervision import LabelMap, gt_regions, gt_relations
 
@@ -165,8 +165,8 @@ class SegmentationModel:
     def _band_height(self, x: FeatureMap) -> int:
         """Image rows per band of the stage's fuse: all of them when the
         forward records a backward, otherwise the smallest power of two rows
-        whose widest per-band buffer reaches ``_BAND_BYTES``, rounded up to a
-        multiple of the stage's ``_row_unit(x)``, and at most the image's."""
+        whose widest per-band buffer reaches ``_BAND_BYTES``, at most the
+        image's."""
         cfg = self.cfg
         if T._grad_enabled:
             return x.height
@@ -174,8 +174,7 @@ class SegmentationModel:
                      cfg.da_regions)
         row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * max(x.width, 1)
         rows = 1 << (-(-_BAND_BYTES // row_bytes) - 1).bit_length()
-        unit = self.stage._row_unit(x)
-        return min(-(-rows // unit) * unit, x.height)
+        return min(rows, x.height)
 
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
         """The stage's whole-image part, then its fuse and the final head one
@@ -211,10 +210,7 @@ class Stage:
     """A context stage. ``prepare(x, labels)`` runs its whole-image part and
     returns ``fuse(r0, r1)``, the features of image rows r0:r1 that the final
     head reads, and the auxiliary logits (or None); bands run top to bottom,
-    their heights multiples of ``_row_unit(x)`` rows but for the last."""
-
-    def _row_unit(self, x: FeatureMap) -> int:
-        return 1
+    all of one height but the last."""
 
     def __call__(self, x: FeatureMap, labels: LabelMap | None):
         fuse, aux = self.prepare(x, labels)
@@ -391,19 +387,12 @@ class SelfAttentionStage(RelationalStage):
                                             self.pipe_in, cfg.key_channels)
         self._draw_shared(model)
 
-    def _row_unit(self, x: FeatureMap) -> int:
-        """Rows whose pixels fill whole row blocks of the attention over the
-        image's pixels; its queries and keys are x's in the parameters' dtype."""
-        return T._attend_rows(np.result_type(self.config.np_dtype, x.tensor.dtype),
-                              x.num_pixels, x.width)
-
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
-        # a recording forward runs one band, forming q, then k and values
-        memory = None if T._grad_enabled else self_attention_keys(
-            feats.pixels(), self.context_transform, self.value_transform)
+        px = feats.pixels()
+        memory = (self.context_transform(px), self.value_transform(px))
         return (lambda band: self_attention_context(
-            band, self.pixel_transform, self.context_transform, self.value_transform,
-            self.output_transform, self.config.relation_scale, memory)), None
+            band, self.pixel_transform, memory, self.output_transform,
+            self.config.relation_scale)), None
 
     def context_flops(self, n: int) -> dict[str, int]:
         c, d = self.pipe_in, self.config.key_channels

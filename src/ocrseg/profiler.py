@@ -56,7 +56,6 @@ class BenchConfig:
     warmup: int = 2
     precision: str = "double"
     seed: int = 0
-    modules: tuple[str, ...] = DEFAULT_BENCH_MODULES
 
     def __post_init__(self) -> None:
         if self.repeats < 5:
@@ -162,16 +161,17 @@ def rank_matches_expected(flops_by_module: dict[str, int]) -> bool:
 
 
 def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, str]]:
-    """Measure every configured module at the bench shape and judge the
-    direction claims. A module failure isolates to its row; the run continues.
+    """Measure every module of ``DEFAULT_BENCH_MODULES`` at the bench shape
+    and judge the direction claims. A module failure isolates to its row; the
+    run continues.
 
     Returns (measured reports, verdicts, errors). Verdicts that lack an
-    operand (module missing or failed) are vacuously true.
+    operand (a module that failed) are vacuously true.
     """
     fm = bench_input(cfg)
     reports: list[CostReport] = []
     errors: dict[str, str] = {}
-    for name in cfg.modules:
+    for name in DEFAULT_BENCH_MODULES:
         try:
             model = build_model(cfg.model_config(name), image_size=cfg.height)
             params = count_params(model)
@@ -236,7 +236,7 @@ def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,
             "attention_scale": cfg.attention_scale, "da_regions": cfg.da_regions,
             "repeats": cfg.repeats, "warmup": cfg.warmup,
             "precision": cfg.precision, "seed": cfg.seed,
-            "modules": list(cfg.modules),
+            "modules": list(DEFAULT_BENCH_MODULES),
         },
         "full_scale": [report_obj(r, False) for r in extras["full_scale"]],
         "measured": [report_obj(r, True) for r in measured],

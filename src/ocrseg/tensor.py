@@ -313,8 +313,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
     """Checks ``q`` (d, N) and ``k`` (d, M) and returns the temperature
-    1/``scale``, the dtype and the row blocks of their (N, M) relation, of
-    ``_attend_rows(dtype, M)`` rows each."""
+    1/``scale``, the dtype and the row blocks of their (N, M) relation: as
+    many rows as fill ``_ACCUMULATE_BYTES`` in that dtype, at least one."""
     _require_2d(q, f"{op} queries")
     _require_2d(k, f"{op} keys")
     if q.data.shape[0] != k.data.shape[0]:
@@ -325,16 +325,9 @@ def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
         raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
     temperature = 1.0 / scale
     dtype = np.result_type(q.data, k.data)
-    n, step = q.data.shape[1], _attend_rows(dtype, k.data.shape[1])
+    n, m = q.data.shape[1], k.data.shape[1]
+    step = max(1, _ACCUMULATE_BYTES // (dtype.itemsize * max(m, 1)))
     return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _attend_rows(dtype, m: int, width: int = 1) -> int:
-    """Rows of ``width`` queries that fill whole blocks of ``_ACCUMULATE_BYTES``
-    of a relation over ``m`` keys in ``dtype``, the queries' and keys' result
-    type: bands of queries in multiples of it keep their rows' bits."""
-    block = max(1, _ACCUMULATE_BYTES // (np.dtype(dtype).itemsize * max(m, 1)))
-    return block // math.gcd(block, width)
 
 
 def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: float,
@@ -398,11 +391,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     when each block's products exceed 10^6 multiply-adds (below that,
     OpenBLAS's small-matrix kernel sums in another order).
 
-    Each row block of the relation is normalised as ``relation_softmax``
-    normalises it and multiplied by the values at once. When the op records
-    a backward, the blocks are rows of one (N, M) buffer that the backward
-    keeps; otherwise they reuse one block-sized buffer, so nothing N x M is
-    allocated. The backward forms dv = (s^T g)^T and, per block, the
+    Each row block of the relation (``_relation_rows``) is normalised as
+    ``relation_softmax`` normalises it and multiplied by the values at once,
+    so a band of the queries whose borders are not block borders of the
+    whole image's relation may round its rows apart from the whole's. When
+    the op records a backward, the blocks are rows of one (N, M) buffer that
+    the backward keeps; otherwise they reuse one block-sized buffer, so
+    nothing N x M is allocated. The backward forms dv = (s^T g)^T and, per block, the
     weights' gradient g v, so no (N, M) gradient exists either.
     """
     temperature, dtype, blocks = _relation_rows("attend", q, k, scale)

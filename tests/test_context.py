@@ -522,7 +522,7 @@ class TestSelfAttention:
         x = FeatureMap(tensor(np.repeat(col[:, None], 4, axis=1).reshape(3, 2, 2)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        fm = self_attention_context(x, None, None, delta, rho)
+        fm = self_attention_context(x, None, (x.pixels(), delta(x.pixels())), rho)
         weights = attention_weights(x.pixels(), x.pixels())
         assert np.max(np.abs(weights - 0.25)) < 1e-12
         want = oracles.apply_block_loops(
@@ -532,7 +532,7 @@ class TestSelfAttention:
     def test_single_pixel(self, rng):
         x = feature_map(rng, 3, 1, 1)
         delta = TransformBlock.create(rng, 3, 4)
-        y = self_attention_context(x, None, None, delta, None)
+        y = self_attention_context(x, None, (x.pixels(), delta(x.pixels())), None)
         want = oracles.apply_block_loops(delta, x.pixels().data)
         assert np.max(np.abs(y.pixels().data - want)) < 1e-12
 
@@ -543,7 +543,8 @@ class TestSelfAttention:
         delta = TransformBlock.create(rng, 3, 5)
         rho = TransformBlock.create(rng, 5, 5)
         scale = 0.5
-        fm = self_attention_context(x, phi, psi, delta, rho, scale=scale)
+        fm = self_attention_context(x, phi, (psi(x.pixels()), delta(x.pixels())), rho,
+                                    scale=scale)
         weights = attention_weights(phi(x.pixels()), psi(x.pixels()), scale)
         px = x.pixels().data
         q = oracles.apply_block_loops(phi, px)
@@ -562,21 +563,23 @@ class TestSelfAttention:
         assert np.all(weights >= 0)
 
     def test_bad_scale(self, rng):
+        x = feature_map(rng, 2, 2, 2)
         with pytest.raises(ParameterError):
-            self_attention_context(feature_map(rng, 2, 2, 2), None, None,
-                                   None, None, scale=0.0)
+            self_attention_context(x, None, (x.pixels(), x.pixels()), None, scale=0.0)
 
     def test_attention_inputs_freed_before_the_output_transform(self, rng):
-        # 8 x 8 pixels, 8 key channels, 128 output channels: under no_grad
-        # the output transform's result meets only the attention context,
-        # (8 + 128) * 64 doubles, which tops the attention's own peak (q, k,
-        # the values, the context and its 64 x 64 relation); with q, k and
-        # the values still held it read (4 * 8 + 128) * 64 doubles
+        # 8 x 8 pixels, 8 key channels, 128 output channels, keys and values
+        # formed before the scope: under no_grad the output transform's
+        # result meets only the attention context, (8 + 128) * 64 doubles,
+        # which tops the attention's own peak (q, the context and its 64 x 64
+        # relation); with q still held it would read (2 * 8 + 128) * 64
         x = feature_map(rng, 3, 8, 8)
-        blocks = [TransformBlock.create(rng, 3, 8) for _ in range(3)]
+        phi, psi, delta = [TransformBlock.create(rng, 3, 8) for _ in range(3)]
         rho = TransformBlock.create(rng, 8, 128)
-        with T.no_grad(), T.AllocationTracker() as tracker:
-            y = self_attention_context(x, *blocks, rho)
+        with T.no_grad():
+            memory = (psi(x.pixels()), delta(x.pixels()))
+            with T.AllocationTracker() as tracker:
+                y = self_attention_context(x, phi, memory, rho)
         assert y.channels == 128
         assert tracker.peak_bytes == (8 + 128) * 64 * 8
 
@@ -614,7 +617,8 @@ class TestGlobalContext:
             bn_var=np.ones(3))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        attn = self_attention_context(x, None, flat_keys, delta, rho)
+        attn = self_attention_context(x, None, (flat_keys(x.pixels()), delta(x.pixels())),
+                                      rho)
         pooled = global_context(x, delta, rho)  # (4, 1, 1), the same at every pixel
         assert np.max(np.abs(attn.tensor.data - pooled.tensor.data)) < 1e-12
 

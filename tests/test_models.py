@@ -16,7 +16,7 @@ from ocrseg.models import (AsppStage, GlobalStage, ModelConfig, MODULE_CHOICES,
                            PpmStage, RegionStage, RelationalStage, SegmentationModel,
                            SelfAttentionStage, STAGES, build_model,
                            full_scale_config)
-from ocrseg.profiler import BenchConfig, bench_input
+from ocrseg.profiler import BenchConfig, bench_input, measure_peak_memory
 from ocrseg.supervision import LabelMap, LossConfig, combined_loss
 
 from conftest import feature_map, tensor
@@ -83,9 +83,10 @@ class TestModelConfig:
         tail, _ = stage.context(None, feats, None)
         got = tail(feats)  # the whole image as one band
         for scale, same in ((1.0 / 3.0, True), (1.0, False)):
-            want = self_attention_context(
-                feats, stage.pixel_transform, stage.context_transform,
-                stage.value_transform, stage.output_transform, scale=scale)
+            memory = (stage.context_transform(feats.pixels()),
+                      stage.value_transform(feats.pixels()))
+            want = self_attention_context(feats, stage.pixel_transform, memory,
+                                          stage.output_transform, scale=scale)
             assert np.array_equal(got.tensor.data, want.tensor.data) == same
 
 
@@ -277,9 +278,8 @@ RELATIONAL = tuple(m for m in MODULE_CHOICES if issubclass(STAGES[m], Relational
 def banded_forward(monkeypatch, model, x, labels=None, rows=None):
     """No-grad forward with a band budget of ``rows`` image rows of the
     model's widest per-band output buffer (None: the whole image), so bands
-    of the smallest power of two rows >= ``rows``, rounded up to a multiple
-    of the stage's row unit. Returns the output and the band heights the
-    final head read."""
+    of the smallest power of two rows >= ``rows``. Returns the output and the
+    band heights the final head read."""
     cfg = model.cfg
     widest = max(cfg.key_channels, model.stage.out_channels, cfg.num_classes,
                  cfg.da_regions)
@@ -293,12 +293,6 @@ def banded_forward(monkeypatch, model, x, labels=None, rows=None):
             return model.forward(x, labels), seen
     finally:
         model.final_head = head
-
-
-def attend_blocks(monkeypatch, x, rows, dtype=np.float64):
-    """Makes ``T.attend``'s row blocks over x's pixels ``rows`` image rows."""
-    monkeypatch.setattr(T, "_ACCUMULATE_BYTES",
-                        np.dtype(dtype).itemsize * x.num_pixels * x.width * rows)
 
 
 def band_inputs(rng, module, height, width, dtype=np.float64):
@@ -323,9 +317,14 @@ class TestBandTail:
         else:
             assert np.array_equal(got.aux_logits.data, want.aux_logits.data)
 
-    # band heights of a 5-row budget on 37 rows: 8, a power of two; self_attn's
-    # row blocks at 37 x 53 are 267 pixels, so its bands would be 267 rows
-    RAGGED = {"self_attn": [37]}
+    @staticmethod
+    def assert_within_four_ulps(got, want):
+        """Banded logits within 4 ulps of one band's largest |logit|; the
+        auxiliary logits are the whole-image part's and keep their bits."""
+        ulp = np.spacing(np.abs(want.final_logits.data).max())
+        assert np.abs(got.final_logits.data - want.final_logits.data).max() <= 4 * ulp
+        if want.aux_logits is not None:
+            assert np.array_equal(got.aux_logits.data, want.aux_logits.data)
 
     @pytest.mark.parametrize("module,use_stem", [
         (m, s) for m in MODULE_CHOICES for s in (False, True) if m in RELATIONAL or not s])
@@ -334,17 +333,17 @@ class TestBandTail:
                                          da_regions=5 if module == "da" else 0),
                             image_size=37)
         x, labels = band_inputs(rng, module, 37, 53)
+        if module == "self_attn":  # one-row attend blocks: band borders are block borders
+            monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * x.width)
         whole, one = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=5)
-        assert one == [37] and heights == self.RAGGED.get(module, [8] * 4 + [5])
+        assert one == [37] and heights == [8] * 4 + [5]  # a 5-row budget on 37 rows
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_one_row_bands(self, rng, monkeypatch, module):
         model = build_model(small_config(module), image_size=9)
         x, labels = band_inputs(rng, module, 9, 11)
-        if module == "self_attn":  # whole-row blocks, so no band is rounded up
-            attend_blocks(monkeypatch, x, 1)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=1)
         assert heights == [1] * 9
@@ -354,8 +353,6 @@ class TestBandTail:
     def test_single_precision(self, rng, monkeypatch, module):
         model = build_model(small_config(module, dtype="single"), image_size=16)
         x, labels = band_inputs(rng, module, 16, 13, np.float32)
-        if module == "self_attn":
-            attend_blocks(monkeypatch, x, 1, np.float32)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
         banded, heights = banded_forward(monkeypatch, model, x, labels, rows=3)
         assert heights == [4] * 4
@@ -406,41 +403,20 @@ class TestBandTail:
         # budget, at most the image's 64 rows, whatever the kxk rates
         model = build_model(small_config(module, ppm_bins=(1, 2, 3)), image_size=64)
         x, _ = band_inputs(rng, module, 64, 3)
-        attend_blocks(monkeypatch, x, 1)
         assert banded_forward(monkeypatch, model, x, rows=rows)[1] == [height] * (64 // height)
 
-    @pytest.mark.parametrize("block,rows,heights", [(5, 1, [5] * 12 + [4]), (6, 1, [2] * 32),
-                                                    (12, 3, [4] * 16), (12, 5, [8] * 8),
-                                                    (9, 5, [9] * 7 + [1])])
-    def test_attention_bands_fill_whole_row_blocks(self, rng, monkeypatch, block, rows,
-                                                   heights):
-        # attend's row blocks of ``block`` pixels on 3-pixel rows: a band is
-        # rounded up to a multiple of block / gcd(block, 3) rows, so every
-        # band border is a block border of the whole image's relation
-        model = build_model(small_config("self_attn"), image_size=64)
-        x, _ = band_inputs(rng, "self_attn", 64, 3)
-        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * block)
-        whole, _ = banded_forward(monkeypatch, model, x)
-        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
-        assert got == heights
-        self.assert_same(banded, whole)
-
     @pytest.mark.parametrize("use_stem", [False, True])
-    @pytest.mark.parametrize("block_rows,rows,heights", [(1, 1, [1] * 37),
-                                                         (2, 1, [2] * 18 + [1]),
-                                                         (1, 5, [8] * 4 + [5]),
-                                                         (2, 5, [8] * 4 + [5])])
-    def test_attention_bands_keep_the_bits_on_ragged_rows(self, rng, monkeypatch, use_stem,
-                                                         block_rows, rows, heights):
-        # at 37 x 53 with row blocks of 53 or 106 pixels every band starts at
-        # a block border, the last band's ragged block included
+    @pytest.mark.parametrize("rows,heights", [(1, [1] * 37), (5, [8] * 4 + [5])])
+    def test_ragged_attention_bands_within_four_ulps(self, rng, monkeypatch, use_stem, rows,
+                                                     heights):
+        # at 37 x 53 attend's row blocks over the whole image are 267 pixels,
+        # so bands start inside them, the last band's ragged block included
         model = build_model(small_config("self_attn", use_stem=use_stem), image_size=37)
         x, _ = band_inputs(rng, "self_attn", 37, 53)
-        attend_blocks(monkeypatch, x, block_rows)
         whole, _ = banded_forward(monkeypatch, model, x)
         banded, got = banded_forward(monkeypatch, model, x, rows=rows)
         assert got == heights
-        self.assert_same(banded, whole)
+        self.assert_within_four_ulps(banded, whole)
 
     # aspp_lite's rates as set at 64 pixels: 30 is taller than every band
     WIDE = {"da": dict(da_regions=5), "aspp_lite": dict(aspp_rates=(1, 4, 9, 30))}
@@ -454,22 +430,17 @@ class TestBandTail:
         image's, so banded logits equal one band's only up to rounding: at
         37 x 53 each is within 4 ulps of one band's largest |logit| (2 ulps
         measured at most on these inputs, 3 on other draws for aspp_lite,
-        whose taps read row groups of bands thinner than its rates;
-        self_attn's bands fill whole row blocks of its attention). The
-        auxiliary logits are the whole-image part's and keep their bits."""
+        whose taps read row groups of bands thinner than its rates; self_attn's
+        bands also split the row blocks of its attention)."""
         model = build_model(small_config(module, key_channels=channels,
                                          mid_channels=channels, **self.WIDE.get(module, {})),
                             image_size=64 if module == "aspp_lite" else 37)
         x, _ = band_inputs(rng, module, 37, 53)
-        attend_blocks(monkeypatch, x, 1)
         whole, _ = banded_forward(monkeypatch, model, x)
-        ulp = np.spacing(np.abs(whole.final_logits.data).max())
         for rows in (1, 2, 4, 8, 16):
             banded, heights = banded_forward(monkeypatch, model, x, rows=rows)
             assert heights[0] == rows
-            assert np.abs(banded.final_logits.data - whole.final_logits.data).max() <= 4 * ulp
-            if whole.aux_logits is not None:
-                assert np.array_equal(banded.aux_logits.data, whole.aux_logits.data)
+            self.assert_within_four_ulps(banded, whole)
 
     @pytest.mark.parametrize("precision", ["double", "single"])
     def test_bench_shape_bands_keep_the_bits(self, monkeypatch, precision):
@@ -485,6 +456,17 @@ class TestBandTail:
                 whole, one = banded_forward(m, model, x)
             assert step == {"double": 16, "single": 32}[precision] and one == [64]
             self.assert_same(banded, whole)
+
+    def test_attention_bands_follow_the_one_rule(self):
+        # self_attn at the bench widths on 48 x 97 runs 16-row bands, as
+        # every head does, and tracks 11,472,384 B; 48-row bands (the whole
+        # image) would track 14,303,232 B
+        cfg = BenchConfig(height=48, width=97)
+        model = build_model(cfg.model_config("self_attn"), image_size=cfg.height)
+        x = bench_input(cfg)
+        with T.no_grad():
+            assert model._band_height(x) == 16
+        assert measure_peak_memory(model, x) <= 11_600_000
 
     def test_oracle_relations_across_a_band_border(self, rng, monkeypatch):
         model = build_model(small_config("gt_ocr"), image_size=8)
@@ -504,8 +486,10 @@ class TestBandTail:
         assert out.final_logits.shape == (3, 0)
 
     # tensor ops of one recorded forward at 12x12 with a stem, as before the
-    # tail ran in bands
-    RECORDED_OPS = {"ocr": 24, "da": 24, "acf": 22, "gt_ocr": 17, "self_attn": 15,
+    # tail ran in bands; self_attn forms its keys and values from one pixel
+    # view of the whole image and its queries from the band's, a second
+    # reshape view that allocates nothing
+    RECORDED_OPS = {"ocr": 24, "da": 24, "acf": 22, "gt_ocr": 17, "self_attn": 16,
                     "global": 10, "aspp_lite": 3, "ppm_lite": 9}
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)

@@ -52,6 +52,19 @@ def small_bench(**overrides):
     return BenchConfig(**base)
 
 
+def fail_modules(monkeypatch, cfg, failing):
+    """Makes ``bench_report``'s model of each module in ``failing`` fail to
+    build with a ``ConfigError``."""
+    real = cfg.model_config
+
+    def model_config(module):
+        if module in failing:
+            raise ConfigError(f"no {module} here")
+        return real(module)
+
+    monkeypatch.setattr(cfg, "model_config", model_config)
+
+
 class TestFlopConventions:
     def test_matmul(self):
         assert F.matmul_flops(2, 3, 4) == 48
@@ -86,11 +99,12 @@ class TestCountParams:
 class TestCountFlops:
     def test_matches_model_breakdown(self):
         # the bench bills each head its model's breakdown at the bench shape
-        bench = small_bench(height=8, width=6, modules=("ocr",))
+        bench = small_bench(height=8, width=6)
         reports, _, errors = bench_report(bench)
-        breakdown = build_model(bench.model_config("ocr")).flop_breakdown(8, 6)
-        assert not errors
-        assert reports[0].flops == sum(breakdown.values())
+        assert not errors and [r.module for r in reports] == list(DEFAULT_BENCH_MODULES)
+        for report in reports:
+            breakdown = build_model(bench.model_config(report.module)).flop_breakdown(8, 6)
+            assert report.flops == sum(breakdown.values())
 
     def test_self_attention_quadratic_term_scaling(self):
         cfg = small_bench().model_config("self_attn")
@@ -322,22 +336,27 @@ class TestMeasurement:
 
 
 class TestBenchReport:
-    def test_single_module_vacuous_verdicts(self):
-        cfg = small_bench(modules=("ocr",))
+    def test_single_module_vacuous_verdicts(self, monkeypatch):
+        cfg = small_bench()
+        others = [m for m in DEFAULT_BENCH_MODULES if m != "ocr"]
+        fail_modules(monkeypatch, cfg, others)
         reports, extras, errors = bench_report(cfg)
         assert [r.module for r in reports] == ["ocr"]
-        assert errors == {}
+        assert sorted(errors) == sorted(others)
         assert all(extras["verdicts"].values())
         assert reports[0].peak_bytes > 0
         assert reports[0].wall_ms is not None
 
-    def test_module_failure_isolates(self):
-        cfg = small_bench(modules=("ocr", "warp_drive"))
+    def test_module_failure_isolates(self, monkeypatch):
+        cfg = small_bench()
+        fail_modules(monkeypatch, cfg, ["self_attn"])
         reports, extras, errors = bench_report(cfg)
-        assert [r.module for r in reports] == ["ocr"]
-        assert "warp_drive" in errors
-        assert "ConfigError" in errors["warp_drive"]
-        assert all(extras["verdicts"].values())
+        assert [r.module for r in reports] == [m for m in DEFAULT_BENCH_MODULES
+                                               if m != "self_attn"]
+        assert errors == {"self_attn": "ConfigError: no self_attn here"}
+        verdicts = extras["verdicts"]
+        assert verdicts["ocr_peak_below_self_attention"]
+        assert verdicts["ocr_time_below_self_attention"]
 
     def test_default_module_list(self):
         assert DEFAULT_BENCH_MODULES == ("ocr", "da", "self_attn", "global",
