@@ -406,6 +406,25 @@ class TestBandTail:
         assert banded_forward(monkeypatch, model, x, rows=rows)[1] == [height] * (64 // height)
 
     @pytest.mark.parametrize("use_stem", [False, True])
+    @pytest.mark.parametrize("block_rows,rows,heights", [(1, 1, [1] * 37),
+                                                         (2, 1, [1] * 37),
+                                                         (1, 5, [8] * 4 + [5]),
+                                                         (2, 5, [8] * 4 + [5])])
+    def test_attention_bands_keep_the_bits_on_ragged_rows(self, rng, monkeypatch, use_stem,
+                                                         block_rows, rows, heights):
+        # at 37 x 53 with attend's row blocks of 53 or 106 pixels over the
+        # whole image, 8-row bands start at block borders (the last band's
+        # ragged block included) and 1-row bands at or halfway into a block:
+        # a band's rows of the relation keep their bits either way
+        model = build_model(small_config("self_attn", use_stem=use_stem), image_size=37)
+        x, _ = band_inputs(rng, "self_attn", 37, 53)
+        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * x.width * block_rows)
+        whole, _ = banded_forward(monkeypatch, model, x)
+        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
+        assert got == heights
+        self.assert_same(banded, whole)
+
+    @pytest.mark.parametrize("use_stem", [False, True])
     @pytest.mark.parametrize("rows,heights", [(1, [1] * 37), (5, [8] * 4 + [5])])
     def test_ragged_attention_bands_within_four_ulps(self, rng, monkeypatch, use_stem, rows,
                                                      heights):
