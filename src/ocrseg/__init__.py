@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = ("tensor", "blocks", "context", "attention", "supervision",
                "flopcount", "models", "profiler", "data", "config", "train",
-               "cli", "errors")
+               "cli", "errors", "checks")
 
 
 def __getattr__(name):

@@ -1,14 +1,14 @@
-"""Scaled dot-product attention units and the correspondence between the
-category-query attention pipeline and the region-context pipeline.
+"""The correspondence between the category-query attention pipeline and the
+region-context pipeline, stated as two ``attend`` calls.
 
-A decoder-style cross-attention whose queries are the region classifier's
-rows reproduces soft region extraction and region pooling; an encoder-style
-cross-attention from pixels onto those pooled outputs, with the value and
-output transforms absorbed into the value projection and the feed-forward,
-reproduces the contextual aggregation. The equivalence checker runs a no-stem
-ocr region stage's own ``context`` (the code that trains) and this attention
-form built from the same stage's blocks on one instance, and reports their
-maximum discrepancy.
+A decoder cross-attention whose queries are the region classifier's rows,
+over the pixels as keys and values, reproduces soft region extraction and
+region pooling; an encoder cross-attention from the pixels' queries onto
+those pooled outputs, with the value and output transforms as the value
+projection and the feed-forward, reproduces the contextual aggregation. The
+equivalence checker runs a no-stem ocr region stage's own ``context`` (the
+code that trains) and this attention form built from the same stage's blocks
+on one instance, and reports their maximum discrepancy.
 """
 from __future__ import annotations
 
@@ -17,46 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import TransformBlock
 from .context import FeatureMap
 from .errors import ConfigError, ParameterError
 from .models import RegionStage
-
-
-def scaled_dot_attention(queries: T.Tensor, keys: T.Tensor, values: T.Tensor,
-                         scale: float = 1.0) -> tuple[T.Tensor, T.Tensor]:
-    """Softmax(scale * Q K^T) V for queries (Nq, d), keys (Nkv, d) and values
-    (Nkv, dv). Returns (weights (Nq, Nkv), output (Nq, dv))."""
-    weights = T.relation_softmax(T.transpose(queries), T.transpose(keys), scale)
-    return weights, T.matmul(weights, values)
-
-
-def decoder_cross_attention(image_features: T.Tensor,
-                            queries: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """Category queries (K, C) attend over pixels; keys and values are both
-    the (N, C) image features. Returns (region_maps, region_reps): the
-    pre-softmax logits (K, N) and the attention outputs (K, C).
-
-    With queries equal to the region classifier's weight rows, region_maps
-    equal that classifier's logits and region_reps equal the softly pooled
-    region representations: the softmax runs at unit scale, as the region
-    stage's does.
-    """
-    region_maps = T.matmul(queries, T.transpose(image_features))  # (K, N)
-    weights = T.softmax_rows(region_maps)
-    return region_maps, T.matmul(weights, image_features)
-
-
-def encoder_cross_attention(pixel_queries: T.Tensor, region_keys: T.Tensor,
-                            region_values: T.Tensor, ffn: TransformBlock | None,
-                            scale: float = 1.0) -> T.Tensor:
-    """Pixels attend over the decoder's region outputs; the feed-forward plays
-    the output transform. Returns the (N, C_out) contextual features."""
-    _, ctx = scaled_dot_attention(pixel_queries, region_keys, region_values,
-                                  scale)  # (N, dv)
-    if ffn is None:
-        return ctx
-    return T.transpose(ffn(T.transpose(ctx)))
 
 
 @dataclass
@@ -128,17 +91,16 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
     tail, _ = stage.context(x, x, None)
     y_ctx = tail(x)  # the whole image as one band, as training runs it
 
-    # Attention path: decoder over pixels, encoder back onto its outputs.
-    feats_nc = T.transpose(x.pixels())  # (N, C)
-    _, reps_att = decoder_cross_attention(feats_nc, stage.region_head.weight)
-    pixel_q = T.transpose(stage.pixel_transform(x.pixels()))  # (N, key)
-    region_k = T.transpose(stage.region_transform(T.transpose(reps_att)))  # (K, key)
-    region_v = T.transpose(stage.value_transform(T.transpose(reps_att)))  # (K, Cv)
-    y_att = encoder_cross_attention(pixel_q, region_k, region_v,
-                                    stage.output_transform,
-                                    scale=mapping.encoder_scale)  # (N, C_out)
+    # Attention path: the decoder's category queries attend over the pixels,
+    # then the pixels' queries attend over the decoder's (K, C) outputs.
+    pixels = x.pixels()  # (C, N)
+    reps = T.transpose(T.attend(T.transpose(stage.region_head.weight), pixels,
+                                pixels, 1.0))  # (C, K)
+    ctx = T.attend(stage.pixel_transform(pixels), stage.region_transform(reps),
+                   stage.value_transform(reps), mapping.encoder_scale)  # (N, Cv)
+    y_att = stage.output_transform(T.transpose(ctx))  # (C_out, N)
 
-    diff = float(np.abs(y_ctx.pixels().data - T.transpose(y_att).data).max())
+    diff = float(np.abs(y_ctx.pixels().data - y_att.data).max())
     passed = diff <= tolerance
     if passed:
         detail = "paths agree under the mapped parameters"

@@ -10,13 +10,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ParameterError
 
-BN_EPS = 1e-5
-
-# When a list is installed here, every block forward appends the minimum
-# absolute pre-activation it saw. The gradient checker uses this to reject
-# instances whose finite differences would straddle a ReLU kink.
-_PREACT_TRACE: list | None = None
-
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
                  fan_in: int, dtype=np.float64) -> np.ndarray:
@@ -76,7 +69,7 @@ class Conv1x1Head:
 class TransformBlock:
     """1x1 or 3x3 conv -> batchnorm with frozen stats -> ReLU.
 
-    ``bn_mean`` and ``bn_var`` are fixed statistics (never updated, never
+    The statistics are fixed at mean 0 and variance 1 (never updated, never
     trained); ``bn_scale`` and ``bn_shift`` are learnable. A 1x1 block
     operates on any (C_in, M) matrix: pixels, regions, or attention outputs
     as columns. A 3x3 block (dilation 1, zero padding) operates on (C_in, H,
@@ -84,15 +77,10 @@ class TransformBlock:
     is one ``conv_bn_relu`` op.
     """
 
-    def __init__(self, weight: T.Tensor, bn_scale: T.Tensor, bn_shift: T.Tensor,
-                 bn_mean: np.ndarray, bn_var: np.ndarray) -> None:
-        if np.any(bn_var < 0):
-            raise ParameterError("bn_var entries must be nonnegative")
+    def __init__(self, weight: T.Tensor, bn_scale: T.Tensor, bn_shift: T.Tensor) -> None:
         self.weight = weight
         self.bn_scale = bn_scale
         self.bn_shift = bn_shift
-        self.bn_mean = np.asarray(bn_mean, dtype=weight.dtype)
-        self.bn_var = np.asarray(bn_var, dtype=weight.dtype)
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
@@ -103,16 +91,13 @@ class TransformBlock:
         # ignored pixels) off the rectifier kink
         shift = T.Tensor(rng.uniform(-0.1, 0.1, out_channels).astype(dtype),
                          requires_grad=True)
-        return cls(w, scale, shift, np.zeros(out_channels, dtype=dtype),
-                   np.ones(out_channels, dtype=dtype))
+        return cls(w, scale, shift)
 
     def __call__(self, *parts: T.Tensor, rows: tuple[int, int] | None = None) -> T.Tensor:
         """The block applied to its input, given whole or as column parts
         that the block reads as one channel concatenation; one tensor op. A
         3x3 block computes output rows r0:r1 only when given ``rows``."""
-        inv_std = 1.0 / np.sqrt(self.bn_var + BN_EPS)
-        return T.conv_bn_relu(parts, self.weight, self.bn_scale, self.bn_shift,
-                              inv_std, self.bn_mean, _PREACT_TRACE, rows)
+        return T.conv_bn_relu(parts, self.weight, self.bn_scale, self.bn_shift, rows)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, T.Tensor]]:
         return [(prefix + "weight", self.weight),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks
 from . import tensor as T
 from .attention import EquivalenceMapping, EquivalenceReport, \
     transformer_equivalence_check
@@ -79,12 +78,12 @@ def _grad_instance(seed: int, index: int):
             out = model.forward(feats, labels)
             return combined_loss(out.final_logits, out.aux_logits, labels, loss_cfg)
 
-        blocks._PREACT_TRACE = trace = []
+        T._PREACT_TRACE = trace = []
         try:
             with T.no_grad():
                 objective()
         finally:
-            blocks._PREACT_TRACE = None
+            T._PREACT_TRACE = None
         if not trace or min(trace) > _KINK_MARGIN:
             return module, model, objective
     raise RuntimeError(

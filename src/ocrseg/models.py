@@ -212,10 +212,6 @@ class Stage:
     head reads, and the auxiliary logits (or None); bands run top to bottom,
     all of one height but the last."""
 
-    def __call__(self, x: FeatureMap, labels: LabelMap | None):
-        fuse, aux = self.prepare(x, labels)
-        return fuse(0, x.height), aux
-
 
 class RelationalStage(Stage):
     """Optional 3x3 stem, a relational context, then the fuse of features and

@@ -195,8 +195,7 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
     verdicts = {
         "full_scale_flops_rank_matches_expected": rank_matches_expected(full_flops),
         "ocr_flops_within_1p1x_double_attention":
-            ("ocr" not in full_flops or "da" not in full_flops
-             or full_flops["ocr"] <= 1.1 * full_flops["da"]),
+            full_flops["ocr"] <= 1.1 * full_flops["da"],
         "ocr_peak_below_self_attention": _lt("peak_bytes", "ocr", "self_attn"),
         "ocr_time_below_self_attention": _lt("wall_ms", "ocr", "self_attn"),
         "ocr_peak_below_ppm_lite": _lt("peak_bytes", "ocr", "ppm_lite"),

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError, StateError
 
 DEFAULT_DTYPE = np.float64
+BN_EPS = 1e-5
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -55,6 +56,11 @@ class no_grad:
 
 
 _TRACKER: AllocationTracker | None = None
+
+# While a list is installed here, every ``conv_bn_relu`` appends the smallest
+# absolute pre-activation it saw. The gradient checker uses this to reject
+# instances whose finite differences would straddle a ReLU kink.
+_PREACT_TRACE: list | None = None
 
 
 def _charge(buf: np.ndarray) -> None:
@@ -721,12 +727,11 @@ def conv_spatial(x: Tensor, branches: Sequence[tuple[int, Tensor]],
 
 
 def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
-                 shift: Tensor, inv_std: np.ndarray, mean: np.ndarray,
-                 trace: list | None = None,
-                 rows: tuple[int, int] | None = None) -> Tensor:
-    """One transform block, ``relu(s * (W x) + b)`` per output channel, in the
-    one buffer the op allocates; the frozen statistics fold into
-    ``s = gain * inv_std`` and ``b = shift - mean * s``.
+                 shift: Tensor, rows: tuple[int, int] | None = None) -> Tensor:
+    """One transform block, ``relu(s * (W x) + shift)`` per output channel, in
+    the one buffer the op allocates; a batchnorm frozen at mean 0 and variance
+    1 folds into ``s = gain * inv_std``, with ``inv_std = 1 / sqrt(1 + BN_EPS)``
+    in the gain's dtype.
 
     A (C_out, C_in) ``weight`` is pointwise, and ``x`` is one (C_in, ...)
     tensor or a sequence of column parts whose channels add up to C_in, of
@@ -737,12 +742,12 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     nearest-upsampled to H x W, its taps reading windows of one flat padded
     buffer (``_TapGrid``); ``rows`` = (r0, r1) gives only those output rows,
     as ``conv_spatial`` does. Each part's or tap's product accumulates into the
-    output, which then takes the batchnorm and the ReLU in place. When
-    ``trace`` is a list, the smallest absolute pre-activation is appended to
-    it. The backward reads the ReLU mask off the output: with g' the masked
-    gradient and M = g' x^T per part or tap, the weight gets s * M, the gain
-    (sum of W * M - mean * g_shift) * inv_std, and the input (s * W)^T g',
-    whose scaled weight is formed only when some input part requires grad.
+    output, which then takes the batchnorm and the ReLU in place. While
+    ``_PREACT_TRACE`` is a list, the smallest absolute pre-activation is
+    appended to it. The backward reads the ReLU mask off the output: with g'
+    the masked gradient and M = g' x^T per part or tap, the weight gets s * M,
+    the gain (sum of W * M) * inv_std, and the input (s * W)^T g', whose
+    scaled weight is formed only when some input part requires grad.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     if weight.data.ndim == 2:
@@ -754,8 +759,7 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
             t.requires_grad for t in (*parts, weight, gain, shift))
         layout = _TapGrid("conv_bn_relu", parts, weight.data, 1, rows, records)
     c_out = weight.data.shape[0]
-    for name, arr in (("gain", gain.data), ("shift", shift.data),
-                      ("inv_std", inv_std), ("mean", mean)):
+    for name, arr in (("gain", gain.data), ("shift", shift.data)):
         if arr.shape != (c_out,):
             raise DimensionError(
                 f"conv_bn_relu {name} shape {arr.shape} does not match {c_out} channels")
@@ -763,11 +767,12 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     out = np.ascontiguousarray(
         layout.conv(weight.data, np.result_type(weight.data, *(p.data for p in parts))))
     out2 = out.reshape(c_out, -1)
+    inv_std = 1.0 / np.sqrt(np.ones((), gain.dtype) + BN_EPS)
     s = gain.data * inv_std
     out2 *= s[:, None]
-    out2 += (shift.data - mean * s)[:, None]
-    if trace is not None and out.size:
-        trace.append(float(np.abs(out2).min()))
+    out2 += shift.data[:, None]
+    if _PREACT_TRACE is not None and out.size:
+        _PREACT_TRACE.append(float(np.abs(out2).min()))
     np.maximum(out2, 0.0, out=out2)
 
     def back(g):
@@ -782,7 +787,7 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
         for idx, _ in layout.terms:
             g_wm += (weight.data[idx] * m[idx]).sum(axis=1)
         m *= s_w
-        return (*gparts, m, (g_wm - mean * g_shift) * inv_std, g_shift)
+        return (*gparts, m, g_wm * inv_std, g_shift)
 
     return _result(out, (*parts, weight, gain, shift), back, "conv_bn_relu")
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg.blocks import BN_EPS, TransformBlock
+from ocrseg.blocks import TransformBlock
 from ocrseg.context import FeatureMap
 from ocrseg.models import ModelConfig, build_model
 from ocrseg.profiler import BenchConfig
@@ -59,14 +59,19 @@ def projected(out, rng):
     return dot_all(out, T.Tensor(rng.normal(0.0, 1.0, out.data.shape)))
 
 
+def run_stage(stage, x, labels=None):
+    """A context stage on the whole image as one band: (features, aux logits)."""
+    fuse, aux = stage.prepare(x, labels)
+    return fuse(0, x.height), aux
+
+
 def identity_block(channels, dtype=np.float64):
     """Pass-through transform block (on nonnegative inputs): identity weight,
     and a BN scale of sqrt(1 + eps) that cancels the unit frozen variance."""
     w = T.Tensor(np.eye(channels, dtype=dtype))
-    scale = T.Tensor(np.full(channels, np.sqrt(1.0 + BN_EPS), dtype=dtype))
+    scale = T.Tensor(np.full(channels, np.sqrt(1.0 + T.BN_EPS), dtype=dtype))
     shift = T.Tensor(np.zeros(channels, dtype=dtype))
-    return TransformBlock(w, scale, shift, np.zeros(channels, dtype=dtype),
-                          np.ones(channels, dtype=dtype))
+    return TransformBlock(w, scale, shift)
 
 
 def quadratic_share(module, sides=(64, 128, 256), bench=None):

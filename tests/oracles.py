@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ocrseg.blocks import BN_EPS
+from ocrseg.tensor import BN_EPS
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,37 +160,35 @@ def cross_entropy_loops(logits: np.ndarray, labels: np.ndarray,
 
 
 def transform_loops(x: np.ndarray, weight: np.ndarray, bn_scale: np.ndarray,
-                    bn_shift: np.ndarray, bn_mean: np.ndarray,
-                    bn_var: np.ndarray, eps: float) -> np.ndarray:
-    """conv1x1 -> frozen-statistics batchnorm -> ReLU, column by column."""
+                    bn_shift: np.ndarray) -> np.ndarray:
+    """conv1x1 -> batchnorm frozen at mean 0 and variance 1 -> ReLU, column
+    by column."""
     pre = conv1x1_loops(x, weight)
     c_out = pre.shape[0]
     flat = pre.reshape(c_out, -1)
     out = np.zeros_like(flat)
+    inv = 1.0 / math.sqrt(1.0 + BN_EPS)
     for c in range(c_out):
-        inv = 1.0 / math.sqrt(float(bn_var[c]) + eps)
         for p in range(flat.shape[1]):
-            v = (float(flat[c, p]) - float(bn_mean[c])) * inv
+            v = float(flat[c, p]) * inv
             v = v * float(bn_scale[c]) + float(bn_shift[c])
             out[c, p] = v if v > 0.0 else 0.0
     return out.reshape(pre.shape)
 
 
-def bn_chain(h: np.ndarray, gain: np.ndarray, shift: np.ndarray,
-             inv_std: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def bn_chain(h: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """The unfused frozen-BN chain on a (C, M) pre-activation, one NumPy step
-    per stage in this order: center, scale by gain * inv_std, shift,
-    rectify."""
-    centered = h + (-mean)[:, None]
-    scaled = centered * (gain * inv_std)[:, None]
+    per stage in this order: normalise by the unit variance, scale by gain,
+    shift, rectify."""
+    normalised = h / np.sqrt(1.0 + BN_EPS)
+    scaled = normalised * gain[:, None]
     return np.maximum(scaled + shift[:, None], 0.0)
 
 
 def apply_block_loops(block, x: np.ndarray) -> np.ndarray:
     """transform_loops driven by a live block's parameter arrays."""
     return transform_loops(x, block.weight.data, block.bn_scale.data,
-                           block.bn_shift.data, block.bn_mean, block.bn_var,
-                           BN_EPS)
+                           block.bn_shift.data)
 
 
 def region_reps_loops(m_norm: np.ndarray, pixels: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Scaled dot-product attention building blocks and the machine-checked
+"""Scaled dot-product attention as the engine forms it, the decoder and
+encoder cross-attentions of the attention form, and the machine-checked
 correspondence between the attention pipeline and the region-context one."""
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 import ocrseg.models as models
 import ocrseg.tensor as T
 from ocrseg.attention import (EquivalenceMapping, EquivalenceReport,
-                              decoder_cross_attention,
-                              encoder_cross_attention, scaled_dot_attention,
                               transformer_equivalence_check)
 from ocrseg.blocks import Conv1x1Head, TransformBlock
 from ocrseg.context import (FeatureMap, RelationMatrix,
@@ -36,38 +35,12 @@ class TestRsqrtScale:
             ModelConfig(key_channels=0, attention_scale="rsqrt_key")
 
 
-class TestAttentionBundle:
-    """Attention inputs (queries, keys, values, scale) that the ops reject."""
-
-    def test_width_mismatch(self, rng):
-        with pytest.raises(DimensionError):
-            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
-                                 tensor(rng.normal(0, 1, (4, 2))),
-                                 tensor(rng.normal(0, 1, (4, 5))))
-
-    def test_key_value_row_mismatch(self, rng):
-        with pytest.raises(DimensionError):
-            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
-                                 tensor(rng.normal(0, 1, (4, 3))),
-                                 tensor(rng.normal(0, 1, (3, 5))))
-
-    def test_bad_scale(self, rng):
-        q = tensor(rng.normal(0, 1, (2, 3)))
-        k = tensor(rng.normal(0, 1, (4, 3)))
-        v = tensor(rng.normal(0, 1, (4, 5)))
-        for scale in (0.0, -2.0, float("inf")):
-            with pytest.raises(ParameterError):
-                scaled_dot_attention(q, k, v, scale=scale)
-
-    def test_requires_2d(self, rng):
-        with pytest.raises(DimensionError):
-            scaled_dot_attention(tensor(rng.normal(0, 1, 3)),
-                                 tensor(rng.normal(0, 1, (4, 3))),
-                                 tensor(rng.normal(0, 1, (4, 5))))
-        with pytest.raises(DimensionError):
-            scaled_dot_attention(tensor(rng.normal(0, 1, (2, 3))),
-                                 tensor(rng.normal(0, 1, (4, 3, 1))),
-                                 tensor(rng.normal(0, 1, (4, 5))))
+def scaled_dot(queries, keys, values, scale=1.0):
+    """Softmax(scale * Q K^T) V for queries (Nq, d), keys (Nkv, d) and values
+    (Nkv, dv), by the engine's two attention ops: (weights, output)."""
+    q, k = T.transpose(queries), T.transpose(keys)
+    return (T.relation_softmax(q, k, scale),
+            T.attend(q, k, T.transpose(values), scale))
 
 
 class TestScaledDotAttention:
@@ -75,7 +48,7 @@ class TestScaledDotAttention:
         key = rng.normal(0, 1, 3)
         keys = np.repeat(key[None, :], 4, axis=0)
         values = rng.normal(0, 1, (4, 5))
-        weights, out = scaled_dot_attention(
+        weights, out = scaled_dot(
             tensor(rng.normal(0, 1, (2, 3))), tensor(keys), tensor(values))
         assert np.max(np.abs(weights.data - 0.25)) < 1e-12
         assert np.max(np.abs(out.data - values.mean(axis=0))) < 1e-12
@@ -84,7 +57,7 @@ class TestScaledDotAttention:
         queries = tensor([[10.0, 0.0]])
         keys = tensor([[200.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # gaps >= 1000
         values = tensor([[1.0, -2.0], [5.0, 5.0], [7.0, 7.0]])
-        _, out = scaled_dot_attention(queries, keys, values)
+        _, out = scaled_dot(queries, keys, values)
         assert np.max(np.abs(out.data[0] - np.array([1.0, -2.0]))) < 1e-9
 
     def test_matches_scalar_oracle(self, rng):
@@ -92,8 +65,7 @@ class TestScaledDotAttention:
         k = rng.normal(0, 1, (3, 2))
         v = rng.normal(0, 1, (3, 4))
         scale = 0.7
-        weights, out = scaled_dot_attention(tensor(q), tensor(k), tensor(v),
-                                            scale=scale)
+        weights, out = scaled_dot(tensor(q), tensor(k), tensor(v), scale=scale)
         want_w = oracles.relations_loops(q.T, k.T, scale)
         assert np.max(np.abs(weights.data - want_w)) < 1e-12
         want_out = oracles.aggregate_loops(want_w, v)
@@ -103,7 +75,7 @@ class TestScaledDotAttention:
         for _ in range(10):
             nq, nk = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             v = rng.normal(0, 1, (nk, 3))
-            weights, out = scaled_dot_attention(
+            weights, out = scaled_dot(
                 tensor(rng.normal(0, 1, (nq, 4))), tensor(rng.normal(0, 1, (nk, 4))),
                 tensor(v), scale=rsqrt_scale(4))
             assert np.all(weights.data >= 0)
@@ -118,76 +90,55 @@ class TestScaledDotAttention:
         k = rng.normal(0, 1, (5, 4))
         v = rng.normal(0, 1, (5, 2))
         shift = rng.normal(0, 3, 4)
-        w1, _ = scaled_dot_attention(tensor(q), tensor(k), tensor(v))
-        w2, _ = scaled_dot_attention(tensor(q), tensor(k + shift[None, :]), tensor(v))
+        w1, _ = scaled_dot(tensor(q), tensor(k), tensor(v))
+        w2, _ = scaled_dot(tensor(q), tensor(k + shift[None, :]), tensor(v))
         assert np.max(np.abs(w1.data - w2.data)) < 1e-9
 
 
 class TestDecoderCrossAttention:
-    def test_queries_equal_classifier_rows(self, rng):
-        x = feature_map(rng, 3, 2, 3)
-        head = Conv1x1Head.create(rng, 3, 4, bias=False)
-        regions = compute_soft_regions(x, head)
-        maps, _ = decoder_cross_attention(T.transpose(x.pixels()),
-                                          head.weight)
-        assert np.array_equal(maps.data, regions.logits.data)
-        softmaxed = T.softmax_rows(maps)
-        assert np.array_equal(softmaxed.data, regions.normalized.data)
+    """The region head's (K, C) rows attend over the (C, N) pixels as keys
+    and values at unit scale; the outputs are the (K, C) region
+    representations."""
 
     def test_single_pixel_reps_equal_pixel(self, rng):
-        feats = rng.normal(0, 1, (1, 3))
-        _, reps = decoder_cross_attention(tensor(feats),
-                                          tensor(rng.normal(0, 1, (4, 3))))
-        assert np.max(np.abs(reps.data - np.repeat(feats, 4, axis=0))) < 1e-12
+        pixel = tensor(rng.normal(0, 1, (3, 1)))
+        queries = tensor(rng.normal(0, 1, (3, 4)))
+        reps = T.attend(queries, pixel, pixel, 1.0)
+        assert np.max(np.abs(reps.data - np.repeat(pixel.data.T, 4, axis=0))) < 1e-12
 
     def test_reps_match_region_pooling(self, rng):
         x = feature_map(rng, 3, 2, 3)
         head = Conv1x1Head.create(rng, 3, 4, bias=False)
         regions = compute_soft_regions(x, head)
         pooled = region_representations(T.transpose(x.pixels()), regions)
-        _, reps = decoder_cross_attention(T.transpose(x.pixels()),
-                                          head.weight)
+        reps = T.attend(T.transpose(head.weight), x.pixels(), x.pixels(), 1.0)
         assert np.max(np.abs(reps.data - pooled.data.T)) < 1e-12
 
-    def test_logits_computed_once(self, rng, monkeypatch):
-        calls = []
-        real = T.matmul
-
-        def counting(a, b):
-            calls.append((a.shape, b.shape))
-            return real(a, b)
-
-        monkeypatch.setattr(T, "matmul", counting)
-        maps, reps = decoder_cross_attention(tensor(rng.normal(0, 1, (6, 3))),
-                                             tensor(rng.normal(0, 1, (4, 3))))
-        # one (K, N) logit product and one (K, N) @ (N, C) aggregation
-        assert calls == [((4, 3), (3, 6)), ((4, 6), (6, 3))]
-        assert maps.shape == (4, 6) and reps.shape == (4, 3)
-
     def test_requires_2d_features(self, rng):
+        pixels = tensor(rng.normal(0, 1, (3, 2, 2)))
         with pytest.raises(DimensionError):
-            decoder_cross_attention(tensor(rng.normal(0, 1, (2, 2, 3))),
-                                    tensor(rng.normal(0, 1, (2, 3))))
+            T.attend(tensor(rng.normal(0, 1, (3, 2))), pixels, pixels, 1.0)
 
 
 class TestEncoderCrossAttention:
+    """The (d, N) pixel queries attend over (d, K) region keys and (C_v, K)
+    values; the output transform plays the feed-forward."""
+
     def test_single_key_broadcasts_ffn_of_value(self, rng):
-        pixel_q = rng.normal(0, 1, (5, 3))
-        value = rng.normal(0, 1, (1, 4))
+        value = rng.normal(0, 1, (4, 1))
         ffn = TransformBlock.create(rng, 4, 4)
-        out = encoder_cross_attention(tensor(pixel_q),
-                                      tensor(rng.normal(0, 1, (1, 3))),
-                                      tensor(value), ffn)
-        want = oracles.apply_block_loops(ffn, value.T)[:, 0]
-        assert np.max(np.abs(out.data - want[None, :])) < 1e-12
+        ctx = T.attend(tensor(rng.normal(0, 1, (3, 5))), tensor(rng.normal(0, 1, (3, 1))),
+                       tensor(value), 1.0)
+        out = ffn(T.transpose(ctx))  # (4, 5)
+        want = oracles.apply_block_loops(ffn, value)
+        assert np.max(np.abs(out.data - want)) < 1e-12
 
     def test_identical_keys_average_values(self, rng):
-        key = rng.normal(0, 1, 3)
-        values = rng.normal(0, 1, (4, 2))
-        out = encoder_cross_attention(tensor(rng.normal(0, 1, (6, 3))),
-                                      tensor(np.repeat(key[None, :], 4, axis=0)),
-                                      tensor(values), None)
-        assert np.max(np.abs(out.data - values.mean(axis=0))) < 1e-12
+        key = rng.normal(0, 1, (3, 1))
+        values = rng.normal(0, 1, (2, 4))
+        out = T.attend(tensor(rng.normal(0, 1, (3, 6))), tensor(np.repeat(key, 4, axis=1)),
+                       tensor(values), 1.0)
+        assert np.max(np.abs(out.data - values.mean(axis=1))) < 1e-12
 
     def test_matches_region_aggregation(self, rng):
         x = feature_map(rng, 3, 2, 3)
@@ -198,18 +149,16 @@ class TestEncoderCrossAttention:
         relations = pixel_region_relations(x, reps, None, scale=scale)
         values = value(reps)
         y_ctx = ocr_aggregate(relations, values, output)
-        y_att = encoder_cross_attention(T.transpose(x.pixels()), T.transpose(reps),
-                                        T.transpose(values), output, scale=scale)
-        assert np.max(np.abs(y_ctx.pixels().data - y_att.data.T)) < 1e-10
+        y_att = output(T.transpose(T.attend(x.pixels(), reps, values, scale)))
+        assert np.max(np.abs(y_ctx.pixels().data - y_att.data)) < 1e-10
 
     def test_gradient_through_fused_relation(self, rng):
         # pixel queries, region keys and region values all receive
         # central-difference gradients through the relation op
-        q = tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
-        k = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        v = tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
-        fwd = lambda: projected(encoder_cross_attention(q, k, v, None, scale=0.7),
-                                np.random.default_rng(25))
+        q = tensor(rng.normal(0, 1, (4, 6)), requires_grad=True)
+        k = tensor(rng.normal(0, 1, (4, 3)), requires_grad=True)
+        v = tensor(rng.normal(0, 1, (5, 3)), requires_grad=True)
+        fwd = lambda: projected(T.attend(q, k, v, 0.7), np.random.default_rng(25))
         assert max_grad_fd_error([q, k, v], fwd) < 1e-4
 
 

@@ -3,9 +3,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
-from ocrseg import blocks
-from ocrseg.blocks import (BN_EPS, Conv1x1Head, Sgd, TransformBlock, conv_weight,
-                           uniform_init)
+from ocrseg.blocks import Conv1x1Head, Sgd, TransformBlock, conv_weight, uniform_init
 from ocrseg.errors import DimensionError, ParameterError
 
 import oracles
@@ -50,12 +48,11 @@ class TestTransformBlock:
         assert np.max(np.abs(out.data - x)) < 1e-12
 
     def test_neutral_params_match_identity(self, rng):
-        # scale sqrt(1+eps) exactly cancels the 1/sqrt(var+eps) normalizer
+        # scale sqrt(1+eps) exactly cancels the 1/sqrt(1+eps) normalizer
         block = TransformBlock(
             weight=tensor(np.eye(2)),
-            bn_scale=tensor(np.full(2, np.sqrt(1.0 + BN_EPS))),
-            bn_shift=tensor(np.zeros(2)),
-            bn_mean=np.zeros(2), bn_var=np.ones(2))
+            bn_scale=tensor(np.full(2, np.sqrt(1.0 + T.BN_EPS))),
+            bn_shift=tensor(np.zeros(2)))
         x = np.abs(rng.normal(0, 1, (2, 4)))
         assert np.max(np.abs(block(tensor(x)).data - x)) < 1e-12
 
@@ -69,8 +66,8 @@ class TestTransformBlock:
 
     def test_matches_composition_oracle(self, rng):
         block = TransformBlock.create(rng, 3, 4)
-        block.bn_mean[:] = rng.normal(0, 1, 4)
-        block.bn_var[:] = rng.uniform(0.5, 2.0, 4)
+        block.bn_scale.data[:] = rng.uniform(0.5, 1.5, 4)
+        block.bn_shift.data[:] = rng.normal(0, 1, 4)
         x = rng.normal(0, 1, (3, 5))
         got = block(tensor(x)).data
         want = oracles.apply_block_loops(block, x)
@@ -124,14 +121,14 @@ class TestTransformBlock:
     def test_preact_trace_one_entry_per_call(self, rng):
         block = TransformBlock.create(rng, 3, 4)
         stem = TransformBlock.create(rng, 2, 3, 3)
-        blocks._PREACT_TRACE = trace = []
+        T._PREACT_TRACE = trace = []
         try:
             for _ in range(3):
                 block(tensor(rng.normal(0, 1, (3, 5))))
             block(tensor(rng.normal(0, 1, (1, 5))), tensor(rng.normal(0, 1, (2, 5))))
             stem(tensor(rng.normal(0, 1, (2, 4, 4))))
         finally:
-            blocks._PREACT_TRACE = None
+            T._PREACT_TRACE = None
         assert len(trace) == 5
         assert all(v >= 0.0 for v in trace)
 
@@ -140,18 +137,10 @@ class TestTransformBlock:
             block = TransformBlock.create(rng, 3, 8)
             assert np.all(np.abs(block.bn_shift.data) <= 0.1)
 
-    def test_negative_variance_rejected(self, rng):
-        with pytest.raises(ParameterError):
-            TransformBlock(weight=tensor(np.eye(2)),
-                           bn_scale=tensor(np.ones(2)),
-                           bn_shift=tensor(np.zeros(2)),
-                           bn_mean=np.zeros(2), bn_var=np.array([1.0, -0.1]))
-
     def test_bn_shape_mismatch_rejected(self, rng):
         block = TransformBlock(weight=tensor(np.eye(2)),
                                bn_scale=tensor(np.ones(3)),
-                               bn_shift=tensor(np.zeros(2)),
-                               bn_mean=np.zeros(2), bn_var=np.ones(2))
+                               bn_shift=tensor(np.zeros(2)))
         with pytest.raises(DimensionError):
             block(tensor(np.ones((2, 5))))
 
@@ -176,8 +165,7 @@ class TestConv3x3Block:
         pre = oracles.conv_spatial_loops(x, block.weight.data, dilation=1)
         want = oracles.transform_loops(
             pre.reshape(3, -1), np.eye(3), block.bn_scale.data,
-            block.bn_shift.data, block.bn_mean, block.bn_var,
-            BN_EPS).reshape(3, 4, 4)
+            block.bn_shift.data).reshape(3, 4, 4)
         assert got.shape == (3, 4, 4)
         assert np.max(np.abs(got - want)) < 1e-12
 

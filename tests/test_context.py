@@ -18,7 +18,8 @@ from ocrseg.errors import (ConfigError, DimensionError, ParameterError)
 from ocrseg.models import ModelConfig, build_model
 
 import oracles
-from conftest import dot_all, feature_map, identity_block, region_stage, tensor
+from conftest import (dot_all, feature_map, identity_block, region_stage, run_stage,
+                      tensor)
 
 
 def region_set(normalized, height, width, logits=None, empty=()):
@@ -396,7 +397,7 @@ class TestAugment:
         selector = np.hstack([np.zeros((3, 2)), np.eye(3)])  # keep only y half
         block = TransformBlock(
             weight=tensor(selector), bn_scale=tensor(np.ones(3)),
-            bn_shift=tensor(np.zeros(3)), bn_mean=np.zeros(3), bn_var=np.ones(3))
+            bn_shift=tensor(np.zeros(3)))
         z = augment(x, y, block)
         assert np.array_equal(z.tensor.data, np.zeros((3, 2, 2)))
 
@@ -456,7 +457,7 @@ class TestOcrForward:
     def test_single_pixel_single_region_collapse(self, rng):
         stage = region_stage(in_channels=3, num_classes=1)
         x = feature_map(rng, 3, 1, 1)
-        z, aux = stage(x, None)
+        z, aux = run_stage(stage, x)
         assert aux.data.shape == (1, 1)
         f = x.pixels()  # the single pixel is the region rep
         y = stage.output_transform(stage.value_transform(f))
@@ -469,14 +470,14 @@ class TestOcrForward:
         stage = region_stage(scheme, in_channels=4, num_classes=3)
         data = rng.normal(0, 1, (4, 6))
         perm = rng.permutation(6)
-        z1, _ = stage(FeatureMap(tensor(data.reshape(4, 2, 3))), None)
-        z2, _ = stage(FeatureMap(tensor(data[:, perm].reshape(4, 2, 3))), None)
+        z1, _ = run_stage(stage, FeatureMap(tensor(data.reshape(4, 2, 3))))
+        z2, _ = run_stage(stage, FeatureMap(tensor(data[:, perm].reshape(4, 2, 3))))
         assert np.max(np.abs(z2.pixels().data - z1.pixels().data[:, perm])) < 1e-10
 
     def test_full_composition_against_loop_oracle(self, rng):
         stage = region_stage(in_channels=4, num_classes=3)
         x = feature_map(rng, 4, 8, 8)
-        z, aux = stage(x, None)
+        z, aux = run_stage(stage, x)
 
         px = x.tensor.data.reshape(4, 64)
         logits = oracles.conv1x1_loops(px, stage.region_head.weight.data)
@@ -496,7 +497,7 @@ class TestOcrForward:
     def test_da_wide_regions_use_unsupervised_maps(self, rng):
         stage = region_stage("da", in_channels=3, num_classes=2, da_regions=5)
         x = feature_map(rng, 3, 2, 3)
-        z, aux = stage(x, None)
+        z, aux = run_stage(stage, x)
         # auxiliary regions still carry one row per class
         assert aux.data.shape == (2, 6)
         assert z.pixels().data.shape[0] == stage.fuse_transform.weight.shape[0]
@@ -504,7 +505,7 @@ class TestOcrForward:
     def test_stem_reroutes_pipeline_but_not_region_head(self, rng):
         stage = region_stage(in_channels=3, num_classes=2, use_stem=True)
         x = feature_map(rng, 3, 3, 3)
-        _, aux = stage(x, None)
+        _, aux = run_stage(stage, x)
         head_logits = oracles.conv1x1_loops(x.tensor.data.reshape(3, 9),
                                             stage.region_head.weight.data)
         assert np.max(np.abs(aux.data - head_logits)) < 1e-12
@@ -613,8 +614,7 @@ class TestGlobalContext:
         x = feature_map(rng, 3, 2, 3)
         flat_keys = TransformBlock(
             weight=tensor(np.zeros((3, 3))), bn_scale=tensor(np.ones(3)),
-            bn_shift=tensor(np.full(3, 0.3)), bn_mean=np.zeros(3),
-            bn_var=np.ones(3))
+            bn_shift=tensor(np.full(3, 0.3)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
         attn = self_attention_context(x, None, (flat_keys(x.pixels()), delta(x.pixels())),

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocrseg
 import ocrseg.models as models
 import ocrseg.tensor as T
 from ocrseg.context import FeatureMap, self_attention_context
@@ -706,29 +707,31 @@ class TestEngineSurface:
 
     def test_every_top_level_definition_is_read(self):
         """A module-level function, class or constant that nothing in the
-        package reads (as a name, an attribute or an import) is dead."""
-        defined, read = {}, set()
+        package reads (as a name, an attribute or an import), apart from its
+        own definition, is dead."""
+        defined, reads = {}, []  # name -> (where, its statement); (statement, names read)
         for path in sorted(PACKAGE_DIR.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in tree.body:
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
                 where = f"{path.name}:{node.lineno}"
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defined[node.name] = where
+                    defined[node.name] = (where, node)
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     for target in targets:
                         for name in ast.walk(target):
                             if isinstance(name, ast.Name):
-                                defined[name.id] = where
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    read.add(node.name)
-        dead = sorted(f"{name} ({where})" for name, where in defined.items()
-                      if name not in read
+                                defined[name.id] = (where, node)
+                read = set()
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                        read.add(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        read.add(sub.attr)
+                    elif isinstance(sub, ast.alias):
+                        read.add(sub.name)
+                reads.append((node, read))
+        dead = sorted(f"{name} ({where})" for name, (where, own) in defined.items()
+                      if not any(name in read for node, read in reads if node is not own)
                       and not (name.startswith("__") and name.endswith("__")))
         assert not dead, f"definitions nothing in the package reads: {dead}"
 
@@ -789,6 +792,11 @@ class TestEngineSurface:
         assert {"backward", "cross_entropy_logits", "conv_bn_relu"} <= public
         uncalled = sorted(public - called)
         assert not uncalled, f"tensor functions no other package module calls: {uncalled}"
+
+    def test_every_module_is_reachable_through_the_package(self):
+        stems = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+        assert sorted(ocrseg._SUBMODULES) == stems
+        assert ocrseg.checks.run_gradient_suite
 
     def test_every_error_class_is_raised(self):
         classes = [node for node in ast.parse(

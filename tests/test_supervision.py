@@ -14,7 +14,7 @@ from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
                                 poly_lr)
 
 import oracles
-from conftest import feature_map, identity_block, region_stage, tensor
+from conftest import feature_map, identity_block, region_stage, run_stage, tensor
 
 
 def label_map(array, num_classes):
@@ -160,7 +160,7 @@ class TestGtOcrForward:
         stage.fuse_transform = identity_block(8)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 3)))))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z, _ = stage(x, labels)
+        z, _ = run_stage(stage, x, labels)
         y = z.pixels().data[3:]
         flat = labels.flat
         for a in range(6):
@@ -172,7 +172,7 @@ class TestGtOcrForward:
         stage = gt_stage(in_channels=3, num_classes=1, mid_channels=4)
         stage.fuse_transform = identity_block(7)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
-        z, _ = stage(x, label_map(np.zeros((2, 2), dtype=np.int64), 1))
+        z, _ = run_stage(stage, x, label_map(np.zeros((2, 2), dtype=np.int64), 1))
         y = z.pixels().data[3:]
         assert np.max(np.abs(y - y[:, [0]])) < 1e-12
 
@@ -182,7 +182,7 @@ class TestGtOcrForward:
         labels[1, 3] = 255
         lm = label_map(labels, 3)
         x = feature_map(rng, 3, 4, 4)
-        z, aux = stage(x, lm)
+        z, aux = run_stage(stage, x, lm)
         assert aux is None
 
         px = x.tensor.data.reshape(3, 16)
@@ -202,14 +202,14 @@ class TestGtOcrForward:
         stage.fuse_transform = identity_block(7)
         data = np.abs(rng.normal(0, 1, (3, 2, 3)))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
-        z1, _ = stage(FeatureMap(tensor(data)), labels)
+        z1, _ = run_stage(stage, FeatureMap(tensor(data)), labels)
 
         replaced = data.reshape(3, 6).copy()
         flat = labels.flat
         for k in range(2):
             members = flat == k
             replaced[:, members] = replaced[:, members].mean(axis=1, keepdims=True)
-        z2, _ = stage(FeatureMap(tensor(replaced.reshape(3, 2, 3))), labels)
+        z2, _ = run_stage(stage, FeatureMap(tensor(replaced.reshape(3, 2, 3))), labels)
         y1 = z1.pixels().data[3:]
         y2 = z2.pixels().data[3:]
         assert np.max(np.abs(y1 - y2)) < 1e-10
@@ -217,19 +217,19 @@ class TestGtOcrForward:
     def test_shape_mismatch(self, rng):
         stage = gt_stage(in_channels=3, num_classes=2)
         with pytest.raises(DimensionError):
-            stage(feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2))
+            run_stage(stage, feature_map(rng, 3, 2, 2), label_map([[0, 1]], 2))
         with pytest.raises(DimensionError):  # as many pixels, transposed
-            stage(feature_map(rng, 3, 3, 2), label_map([[0, 1, 0], [1, 0, 1]], 2))
+            run_stage(stage, feature_map(rng, 3, 3, 2), label_map([[0, 1, 0], [1, 0, 1]], 2))
         with pytest.raises(ConfigError):
-            stage(feature_map(rng, 3, 2, 2), None)
+            run_stage(stage, feature_map(rng, 3, 2, 2), None)
 
     def test_runs_neither_region_head_nor_relation_step(self, rng):
         stage = gt_stage(in_channels=3, num_classes=2)
         x = feature_map(rng, 3, 2, 3)
         labels = label_map([[0, 1, 0], [1, 1, 255]], 2)
-        want, _ = stage(x, labels)
+        want, _ = run_stage(stage, x, labels)
         stage.region_head = stage.pixel_transform = stage.region_transform = None
-        got, _ = stage(x, labels)
+        got, _ = run_stage(stage, x, labels)
         assert np.array_equal(got.pixels().data, want.pixels().data)
 
 
