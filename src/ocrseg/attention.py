@@ -100,7 +100,7 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
                    stage.value_transform(reps), mapping.encoder_scale)  # (N, Cv)
     y_att = stage.output_transform(T.transpose(ctx))  # (C_out, N)
 
-    diff = float(np.abs(y_ctx.pixels().data - y_att.data).max())
+    diff = float(np.abs(y_ctx.data - y_att.data).max())
     passed = diff <= tolerance
     if passed:
         detail = "paths agree under the mapped parameters"

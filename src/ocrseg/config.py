@@ -107,6 +107,9 @@ class RunConfig:
         problem = scene_shape_problem(self.grid, self.classes)
         if problem is not None:
             raise ConfigError(f"classes/grid: {problem}")
+        # every module's config carries the bins; ppm_lite pools the grid by them
+        if max(self.ppm_bins) > self.grid:
+            raise ConfigError(f"ppm_bins must be <= grid {self.grid}, got {self.ppm_bins}")
 
     @property
     def in_channels(self) -> int:

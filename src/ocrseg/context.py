@@ -58,10 +58,6 @@ class FeatureMap:
         """Flatten to a (C, N) matrix; pixel order is row-major."""
         return T.reshape(self.tensor, (self.channels, self.num_pixels))
 
-    @classmethod
-    def from_pixels(cls, pixels: T.Tensor, height: int, width: int) -> "FeatureMap":
-        return cls(T.reshape(pixels, (pixels.shape[0], height, width)))
-
     def band(self, r0: int, r1: int) -> "FeatureMap":
         """Rows r0:r1: the map itself when they are all of it, otherwise a
         leaf over a view of its buffer, which allocates nothing and records
@@ -105,19 +101,9 @@ class SoftRegionSet:
 
     logits: T.Tensor
     normalized: T.Tensor
-    height: int
-    width: int
     empty_regions: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.logits.data.shape != self.normalized.data.shape:
-            raise DimensionError(
-                f"logits {self.logits.data.shape} and normalized "
-                f"{self.normalized.data.shape} shapes differ")
-        if self.normalized.data.shape[1] != self.height * self.width:
-            raise DimensionError(
-                f"normalized shape {self.normalized.data.shape} does not cover "
-                f"{self.height}x{self.width} pixels")
         _check_simplex_rows(self.normalized.data, self.empty_regions,
                             "SoftRegionSet.normalized")
 
@@ -125,26 +111,17 @@ class SoftRegionSet:
 @dataclass
 class RelationMatrix:
     """Pixel-to-region relation weights: (N, K), each row a distribution.
-    Rows listed in ``zero_rows`` are all-zero (e.g. ignored pixels). ``top``
-    is the image row of the first of the height x width pixels, as in
-    ``FeatureMap``; a failed check names the pixel's row in the image."""
+    ``first`` is the image pixel of row 0 (a band's rows start past 0), so a
+    failed check names the pixel in the image. Rows listed in ``zero_rows``
+    are all-zero (e.g. ignored pixels)."""
 
     weights: T.Tensor
-    height: int
-    width: int
+    first: int
     zero_rows: tuple[int, ...] = ()
-    top: int = 0
 
     def __post_init__(self) -> None:
-        if self.weights.data.ndim != 2:
-            raise DimensionError(
-                f"relation weights must be (N, K), got {self.weights.data.shape}")
-        if self.weights.data.shape[0] != self.height * self.width:
-            raise DimensionError(
-                f"relation weights {self.weights.data.shape} do not cover "
-                f"{self.height}x{self.width} pixels")
         _check_simplex_rows(self.weights.data, self.zero_rows, "RelationMatrix.weights",
-                            self.top * self.width)
+                            self.first)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +136,9 @@ def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
     ``softmax_rows``' arithmetic, and holds its maps as its logits."""
     logits = head(x.pixels())  # (K, N)
     if keep_logits or T._grad_enabled:
-        return SoftRegionSet(logits, T.softmax_rows(logits), x.height, x.width)
+        return SoftRegionSet(logits, T.softmax_rows(logits))
     T._normalize_rows(logits.data)  # softmax_rows' arithmetic, in place
-    return SoftRegionSet(logits, logits, x.height, x.width)
+    return SoftRegionSet(logits, logits)
 
 
 def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tensor:
@@ -170,40 +147,30 @@ def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tens
     return T.transpose(T.matmul(regions.normalized, x_pixels))
 
 
-def pixel_region_relations(x: FeatureMap, keys: T.Tensor,
-                           pixel_transform: TransformBlock | None,
-                           scale: float = 1.0) -> RelationMatrix:
+def pixel_region_relations(x: FeatureMap, keys: T.Tensor, pixel_transform: TransformBlock,
+                           scale: float) -> RelationMatrix:
     """Relation of every pixel to every region: softmax over regions of the
     scaled dot products of the pixels' queries with the (d, K) region
-    ``keys``, which arrive already transformed (once per image). A ``None``
-    pixel transform means identity."""
-    q = x.pixels() if pixel_transform is None else pixel_transform(x.pixels())
-    weights = T.relation_softmax(q, keys, scale)  # (N, K)
-    return RelationMatrix(weights, x.height, x.width, top=x.top)
+    ``keys``, which arrive already transformed (once per image)."""
+    weights = T.relation_softmax(pixel_transform(x.pixels()), keys, scale)  # (N, K)
+    return RelationMatrix(weights, x.top * x.width)
 
 
 def ocr_aggregate(relations: RelationMatrix, values: T.Tensor,
-                  output_transform: TransformBlock | None) -> FeatureMap:
+                  output_transform: TransformBlock) -> T.Tensor:
     """Per pixel, the relation-weighted sum of the (C_v, K) region
     ``values``, which arrive already transformed (once per image), passed
-    through the output transform: the contextual representation y."""
+    through the output transform: the (C, N) contextual representation y."""
     ctx = T.matmul(relations.weights, T.transpose(values))  # (N, C_v)
-    y = T.transpose(ctx)
-    if output_transform is not None:
-        y = output_transform(y)
-    return FeatureMap.from_pixels(y, relations.height, relations.width)
+    return output_transform(T.transpose(ctx))
 
 
-def augment(x: FeatureMap, y: FeatureMap, fuse_transform: TransformBlock) -> FeatureMap:
-    """Fuse pixel and contextual features: g applied to their channel concat,
-    which the block reads as two column parts without building it. A 1 x 1
-    context ``y`` is one context for every pixel: the block adds its one
-    product to every column."""
-    if (y.height, y.width) not in ((x.height, x.width), (1, 1)):
-        raise DimensionError(f"context size {y.height}x{y.width} is neither the "
-                             f"features' {x.height}x{x.width} nor 1x1")
-    z = fuse_transform(x.pixels(), y.pixels())
-    return FeatureMap.from_pixels(z, x.height, x.width)
+def augment(x: FeatureMap, y: T.Tensor, fuse_transform: TransformBlock) -> T.Tensor:
+    """Fuse pixel and contextual features into a (C, N) matrix: g applied to
+    their channel concat, which the block reads as two column parts without
+    building it. A (C_y, 1) context ``y`` is one context for every pixel:
+    the block adds its one product to every column."""
+    return fuse_transform(x.pixels(), y)
 
 
 def da_scheme_relations(feats: FeatureMap, predictor: Conv1x1Head) -> RelationMatrix:
@@ -211,51 +178,43 @@ def da_scheme_relations(feats: FeatureMap, predictor: Conv1x1Head) -> RelationMa
     regions of a pointwise head, no region features involved."""
     logits = predictor(feats.pixels())  # (K~, N)
     weights = T.softmax_rows(T.transpose(logits))
-    return RelationMatrix(weights, feats.height, feats.width, top=feats.top)
+    return RelationMatrix(weights, feats.top * feats.width)
 
 
-def acf_scheme_relations(logits: T.Tensor, height: int, width: int,
-                         top: int = 0) -> RelationMatrix:
+def acf_scheme_relations(logits: T.Tensor, first: int) -> RelationMatrix:
     """Relations read off the coarse classification posterior: per-pixel
     softmax over regions of the region classifier's (K, N) ``logits`` at the
-    height x width pixels from image row ``top`` on."""
+    N pixels from image pixel ``first`` on."""
     weights = T.softmax_rows(T.transpose(logits))
-    return RelationMatrix(weights, height, width, top=top)
+    return RelationMatrix(weights, first)
 
 
 # ---------------------------------------------------------------------------
 # baseline context schemes
 
 
-def self_attention_context(x: FeatureMap, pixel_transform: TransformBlock | None,
+def self_attention_context(x: FeatureMap, pixel_transform: TransformBlock,
                            memory: tuple[T.Tensor, T.Tensor],
-                           output_transform: TransformBlock | None,
-                           scale: float = 1.0) -> FeatureMap:
+                           output_transform: TransformBlock,
+                           scale: float) -> T.Tensor:
     """Dense pairwise context: every pixel of ``x`` attends over every pixel
     of ``memory``, the (d, N) keys and (C_v, N) values of the image that x is
-    a band of (or is). The relation matrix is N x N, the quadratic-cost
-    baseline; ``T.attend`` forms it a row block at a time. Its inputs are
-    dropped once it returns, so a no-grad forward frees the queries before
-    the output transform."""
-    px = x.pixels()
-    q = px if pixel_transform is None else pixel_transform(px)
-    y = T.transpose(T.attend(q, *memory, scale))  # (C_v, N)
-    del px, q
-    if output_transform is not None:
-        y = output_transform(y)
-    return FeatureMap.from_pixels(y, x.height, x.width)
+    a band of (or is), then the output transform: a (C, N) context. The
+    relation matrix is N x N, the quadratic-cost baseline; ``T.attend`` forms
+    it a row block at a time. Its inputs are dropped once it returns, so a
+    no-grad forward frees the queries before the output transform."""
+    y = T.transpose(T.attend(pixel_transform(x.pixels()), *memory, scale))  # (C_v, N)
+    return output_transform(y)
 
 
-def global_context(x: FeatureMap,
-                   value_transform: TransformBlock | None,
-                   output_transform: TransformBlock | None) -> FeatureMap:
+def global_context(x: FeatureMap, value_transform: TransformBlock,
+                   output_transform: TransformBlock) -> T.Tensor:
     """Uniform relations: every pixel receives the same pooled context, the
     w = 1/N special case of relational aggregation and the 1 x 1 bin of the
-    pooling pyramid. Returns that context once, as a (C, 1, 1) map, which
+    pooling pyramid. Returns that context once, as one (C, 1) column, which
     ``augment`` fuses into every pixel."""
-    vals = x.tensor if value_transform is None else value_transform(x.tensor)
-    pooled = T.avg_pool2d(vals, 1, 1)  # (C_v, 1, 1)
-    return FeatureMap(pooled if output_transform is None else output_transform(pooled))
+    pooled = T.avg_pool2d(value_transform(x.tensor), 1, 1)  # (C_v, 1, 1)
+    return output_transform(T.reshape(pooled, (pooled.shape[0], 1)))
 
 
 def scaled_rates(base_rates: Sequence[int], height: int,
@@ -267,12 +226,13 @@ def scaled_rates(base_rates: Sequence[int], height: int,
 
 
 def aspp_lite(x: FeatureMap, branches: Sequence[tuple[int, T.Tensor]],
-              r0: int = 0, r1: int | None = None) -> FeatureMap:
+              r0: int, r1: int) -> T.Tensor:
     """Multi-scale context from parallel dilated convs, one per (rate,
     (C_out, C_in, k, k) kernel) branch, each in its channel slice of one
-    output, in branch order: the band of image rows r0:r1 (all by default)."""
-    r1 = x.height if r1 is None else r1
-    return FeatureMap(T.conv_spatial(x.tensor, branches, (r0, r1)), x.top + r0)
+    output, in branch order: the (C, (r1 - r0) * W) pixels of image rows
+    r0:r1."""
+    out = T.conv_spatial(x.tensor, branches, (r0, r1))
+    return T.reshape(out, (out.shape[0], (r1 - r0) * x.width))
 
 
 def ppm_lite(x: FeatureMap, bins: Sequence[int],

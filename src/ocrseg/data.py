@@ -76,9 +76,8 @@ class SyntheticScene:
 
 
 def generate_scene(rng: np.random.Generator, grid: int, num_classes: int,
-                   noise: float = 30.0, jitter: float = 8.0,
-                   shapes_min: int = 2, shapes_max: int = 4,
-                   ignore_fraction: float = 0.0) -> SyntheticScene:
+                   noise: float, jitter: float, shapes_min: int, shapes_max: int,
+                   ignore_fraction: float) -> SyntheticScene:
     """Place shapes_min..shapes_max random shapes; overlaps belong to the
     later shape. ``noise`` and ``jitter`` are 8-bit color units."""
     problem = scene_shape_problem(grid, num_classes)
@@ -104,15 +103,13 @@ def generate_scene(rng: np.random.Generator, grid: int, num_classes: int,
     labels = labels.astype(np.uint8)
     if ignore_fraction > 0.0:
         drop = rng.random((grid, grid)) < ignore_fraction
-        labels[drop] = 255
+        labels[drop] = IGNORE_INDEX
     return SyntheticScene(image, labels)
 
 
 def generate_scenes(seed: int, count: int, grid: int, num_classes: int,
-                    noise: float = 30.0, jitter: float = 8.0,
-                    shapes_min: int = 2, shapes_max: int = 4,
-                    ignore_fraction: float = 0.0,
-                    stream: int = 0) -> list[SyntheticScene]:
+                    noise: float, jitter: float, shapes_min: int, shapes_max: int,
+                    ignore_fraction: float, stream: int) -> list[SyntheticScene]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
     return [generate_scene(rng, grid, num_classes, noise, jitter,
                            shapes_min, shapes_max, ignore_fraction)

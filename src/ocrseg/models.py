@@ -21,7 +21,7 @@ from .context import (FeatureMap, acf_scheme_relations, aspp_lite, augment,
                       compute_soft_regions, da_scheme_relations, global_context, ocr_aggregate,
                       pixel_region_relations, ppm_lite, region_representations, scaled_rates,
                       self_attention_context)
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .supervision import LabelMap, gt_regions, gt_relations
 
 _SCALE_MODES = ("unit", "rsqrt_key")
@@ -103,11 +103,13 @@ class SegmentationModel:
     ``stage(model, image_size)`` builds the stage, drawing its parameters
     through ``draw`` from ``rng`` (by default the stream seeded with
     ``cfg.seed``); the final head is drawn last. Names, draw order and
-    values are the checkpoint format. A stage (``Stage``) has
-    ``out_channels``, splits its map from ``(x, labels)`` to the features the
-    final head reads into a whole-image part and a fuse that runs on a band
-    of image rows (``prepare``; under no_grad, in the bands of one rule,
-    ``_band_height``), and gives its closed-form FLOP terms with ``flops(n)``.
+    values are the checkpoint format. A stage has ``out_channels``, gives
+    its closed-form FLOP terms with ``flops(n)`` and splits its map from
+    ``(x, labels)`` to the features the final head reads: ``prepare(x,
+    labels)`` runs the whole-image part and returns ``fuse(r0, r1)``, the
+    (C, (r1 - r0) * W) features of image rows r0:r1, and the auxiliary
+    logits (or None). Bands run top to bottom, all of one height but the
+    last (under no_grad, that of one rule, ``_band_height``).
     """
 
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
@@ -185,11 +187,11 @@ class SegmentationModel:
         fuse, aux = self.stage.prepare(x, labels)
         step = self._band_height(x)
         if step >= x.height:
-            return ModelOutput(self.final_head(fuse(0, x.height).pixels()), aux)
+            return ModelOutput(self.final_head(fuse(0, x.height)), aux)
         logits = None
         for r0 in range(0, x.height, step):
             r1 = min(r0 + step, x.height)
-            band = self.final_head(fuse(r0, r1).pixels()).data
+            band = self.final_head(fuse(r0, r1)).data
             if logits is None:
                 logits = T.Tensor(np.empty((band.shape[0], x.num_pixels), dtype=band.dtype))
             logits.data[:, r0 * x.width:r1 * x.width] = band
@@ -206,23 +208,16 @@ class SegmentationModel:
         return sum(self.flop_breakdown(height, width).values())
 
 
-class Stage:
-    """A context stage. ``prepare(x, labels)`` runs its whole-image part and
-    returns ``fuse(r0, r1)``, the features of image rows r0:r1 that the final
-    head reads, and the auxiliary logits (or None); bands run top to bottom,
-    all of one height but the last."""
-
-
-class RelationalStage(Stage):
+class RelationalStage:
     """Optional 3x3 stem, a relational context, then the fuse of features and
     context. Every relational scheme draws the stem first and the value,
     output and fuse transforms in ``_draw_shared``; a subclass draws its own
     parameters around them in ``_draw`` and supplies ``context_flops`` and
     ``context(x, feats, labels)``. That runs the context's whole-image part
     on the raw and stemmed features and returns its tail, which maps a band
-    of the stemmed features (``FeatureMap.band``) to the band's context map,
-    and the auxiliary logits (or None). Each block attribute is named as its
-    checkpoint entry."""
+    of the stemmed features (``FeatureMap.band``) to the band's (C, N)
+    context, or to one (C, 1) column for every pixel, and the auxiliary
+    logits (or None). Each block attribute is named as its checkpoint entry."""
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -247,12 +242,12 @@ class RelationalStage(Stage):
 
     def prepare(self, x: FeatureMap, labels: LabelMap | None):
         """The stem and the context's whole-image part. Returns
-        ``fuse(r0, r1)``, the fused features of image rows r0:r1, and the
-        auxiliary logits (or None)."""
+        ``fuse(r0, r1)``, the (C, N) fused features of image rows r0:r1, and
+        the auxiliary logits (or None)."""
         feats = x if self.stem is None else FeatureMap(self.stem(x.tensor))
         tail, aux = self.context(x, feats, labels)
 
-        def fuse(r0: int, r1: int) -> FeatureMap:
+        def fuse(r0: int, r1: int) -> T.Tensor:
             band = feats.band(r0, r1)
             return augment(band, tail(band), self.fuse_transform)
 
@@ -313,6 +308,9 @@ class RegionStage(RelationalStage):
         if module == "gt_ocr":
             if labels is None:
                 raise ConfigError("gt_ocr forward requires a label map")
+            if (labels.height, labels.width) != (x.height, x.width):
+                raise DimensionError(f"labels {labels.height}x{labels.width} do not "
+                                     f"match the {x.height}x{x.width} features")
             regions = gt_regions(labels, dtype=dtype)
         else:
             regions = compute_soft_regions(x, self.region_head)
@@ -326,17 +324,17 @@ class RegionStage(RelationalStage):
         keys = self.region_transform(reps) if module == "ocr" else None
         values = self.value_transform(reps)
 
-        def tail(band: FeatureMap) -> FeatureMap:
+        def tail(band: FeatureMap) -> T.Tensor:
             if module == "ocr":
                 relations = pixel_region_relations(band, keys, self.pixel_transform,
-                                                   scale=cfg.relation_scale)
+                                                   cfg.relation_scale)
             elif module == "da":
                 relations = da_scheme_relations(band, self.da_predictor)
             elif module == "acf":
                 c0 = band.top * band.width
                 cols = logits if band is feats else T.Tensor(
                     logits.data[:, c0:c0 + band.num_pixels])  # a view, as bands are
-                relations = acf_scheme_relations(cols, band.height, band.width, band.top)
+                relations = acf_scheme_relations(cols, c0)
             else:
                 relations = gt_relations(labels, dtype, band.top,
                                          band.top + band.height)
@@ -402,7 +400,7 @@ class SelfAttentionStage(RelationalStage):
 
 
 class GlobalStage(RelationalStage):
-    """Single pooled context shared by every pixel: a (C, 1, 1) map that
+    """Single pooled context shared by every pixel: a (C, 1) column that
     the fuse adds to every pixel's column."""
 
     def context(self, x: FeatureMap, feats: FeatureMap, labels: LabelMap | None):
@@ -416,7 +414,7 @@ class GlobalStage(RelationalStage):
                 "output_transform": F.block_flops(d, self.config.mid_channels, 1)}
 
 
-class AsppStage(Stage):
+class AsppStage:
     """Parallel dilated convolutions of the raw map, one ``conv_spatial``
     whose output holds each branch in its channel slice; a band's taps read
     only their rows of the image (``T._TapGrid``)."""
@@ -439,7 +437,7 @@ class AsppStage(Stage):
                 for i in range(len(self.branches))}
 
 
-class PpmStage(Stage):
+class PpmStage:
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
     which the fuse reads as column parts, upsampling the bin-size branches
     as it pads them. The pooled, projected branches are the whole-image
@@ -460,7 +458,8 @@ class PpmStage(Stage):
 
     def prepare(self, x: FeatureMap, labels: LabelMap | None):
         parts = ppm_lite(x, self.bins, self.projections)
-        return (lambda r0, r1: FeatureMap(self.fuse(*parts, rows=(r0, r1)), r0)), None
+        return (lambda r0, r1: T.reshape(self.fuse(*parts, rows=(r0, r1)),
+                                         (self.out_channels, (r1 - r0) * x.width))), None
 
     def flops(self, n: int) -> dict[str, int]:
         cfg = self.config

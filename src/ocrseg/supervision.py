@@ -109,8 +109,7 @@ def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
             normalized[c] = member[c] / counts[c]
         else:
             empty.append(c)
-    return SoftRegionSet(T.Tensor(member), T.Tensor(normalized),
-                         labels.height, labels.width, tuple(empty))
+    return SoftRegionSet(T.Tensor(member), T.Tensor(normalized), tuple(empty))
 
 
 def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,
@@ -127,7 +126,7 @@ def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,
     valid = flat != labels.ignore_index
     weights[np.where(valid)[0], flat[valid]] = 1.0
     zero_rows = tuple(int(i) for i in np.where(~valid)[0])
-    return RelationMatrix(T.Tensor(weights), *rows.shape, zero_rows, top)
+    return RelationMatrix(T.Tensor(weights), top * labels.width, zero_rows)
 
 
 def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,

@@ -823,7 +823,7 @@ def avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarray,
-                         ignore_index: int = 255) -> Tensor:
+                         ignore_index: int) -> Tensor:
     """Weighted sum of mean pixel-wise cross entropies: one term per (logits,
     weight) pair, each (K_i, N) logits against the same N integer labels.
 

@@ -23,7 +23,7 @@ from ocrseg.train import (evaluate_model, prepare_features, run_ablation,
                           train_model)
 
 import oracles
-from conftest import quadratic_share
+from conftest import identity_block, quadratic_share
 
 
 def _emit(capsys, name, detail, elapsed, budget=None):
@@ -65,7 +65,7 @@ def test_simplex_rows_are_distributions(capsys):
         check(regions.normalized.data)
         reps = region_representations(T.transpose(x.pixels()), regions)
         scale = 1.0 if i % 2 == 0 else 1.0 / float(np.sqrt(c))
-        rel = pixel_region_relations(x, reps, None, scale=scale)
+        rel = pixel_region_relations(x, reps, identity_block(c), scale)
         check(rel.weights.data)
         queries = T.Tensor(rng.normal(size=(int(rng.integers(1, 6)), c)))
         keys = T.Tensor(rng.normal(size=(k, c)))
@@ -297,8 +297,7 @@ def test_module_outputs_match_loop_oracles(capsys):
     assert float(np.abs(reps.data - want_reps.T).max()) <= stage_tol
 
     relations = pixel_region_relations(feats, p.region_transform(reps),
-                                       p.pixel_transform,
-                                       scale=p.config.relation_scale)
+                                       p.pixel_transform, p.config.relation_scale)
     want_rel = oracles.relations_loops(
         oracles.apply_block_loops(p.pixel_transform, feats_flat),
         oracles.apply_block_loops(p.region_transform, want_reps.T),
@@ -311,12 +310,12 @@ def test_module_outputs_match_loop_oracles(capsys):
         oracles.aggregate_loops(
             want_rel, oracles.apply_block_loops(p.value_transform,
                                                 want_reps.T).T).T)
-    assert float(np.abs(y.pixels().data - want_y).max()) <= stage_tol
+    assert float(np.abs(y.data - want_y).max()) <= stage_tol
 
     z = augment(feats, y, p.fuse_transform)
     want_z = oracles.apply_block_loops(
         p.fuse_transform, np.concatenate([feats_flat, want_y], axis=0))
-    assert float(np.abs(z.pixels().data - want_z).max()) <= stage_tol
+    assert float(np.abs(z.data - want_z).max()) <= stage_tol
 
     _emit(capsys, "oracle equivalence",
           f"{count} composed forwards across {len(MODULE_CHOICES)} modules "

@@ -146,11 +146,12 @@ class TestEncoderCrossAttention:
         value = TransformBlock.create(rng, 3, 5)
         output = TransformBlock.create(rng, 5, 5)
         scale = rsqrt_scale(3)
-        relations = pixel_region_relations(x, reps, None, scale=scale)
+        query = TransformBlock.create(rng, 3, 3)
+        relations = pixel_region_relations(x, reps, query, scale)
         values = value(reps)
         y_ctx = ocr_aggregate(relations, values, output)
-        y_att = output(T.transpose(T.attend(x.pixels(), reps, values, scale)))
-        assert np.max(np.abs(y_ctx.pixels().data - y_att.data)) < 1e-10
+        y_att = output(T.transpose(T.attend(query(x.pixels()), reps, values, scale)))
+        assert np.max(np.abs(y_ctx.data - y_att.data)) < 1e-10
 
     def test_gradient_through_fused_relation(self, rng):
         # pixel queries, region keys and region values all receive

@@ -83,7 +83,8 @@ class TestUsageErrors:
         ("grad-check", "grad_tolerance=-1"), ("train", "noise=-1"), ("train", "jitter=-1"),
         ("train", "momentum=-1"), ("train", "weight_decay=-1"),
         ("ablate", "base_lr=0"), ("train", "poly_power=-1"),
-        ("ablate", "aux_weight=-1"), ("train", "final_weight=-1")])
+        ("ablate", "aux_weight=-1"), ("train", "final_weight=-1"),
+        ("train", "ppm_bins=1,2,40")])
     def test_bad_values_exit_two_without_traceback(self, tmp_path, capsys, cmd, bad):
         code = cli_main([cmd, "--set", "iterations=1", "--set", bad,
                          "--set", f"data_dir={tmp_path / 'data'}",
@@ -398,12 +399,15 @@ class TestConfigParsing:
             RunConfig(ignore_fraction=1.0)
         with pytest.raises(ConfigError):
             RunConfig(shapes_min=3, shapes_max=2)
+        # a pyramid bin larger than the grid fails at load, whatever the module
         for bad in (dict(seed=-1), dict(feat_channels=-1), dict(equiv_instances=0),
-                    dict(grad_instances=0), dict(aux_weight=-1, aux_supervision=False)):
+                    dict(grad_instances=0), dict(aux_weight=-1, aux_supervision=False),
+                    dict(ppm_bins=(1, 2, 40)), dict(module="ppm_lite", ppm_bins=(1, 2, 40))):
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
         assert RunConfig(iterations=0).iterations == 0
         assert RunConfig(feat_channels=0).in_channels == 2
+        assert RunConfig(module="ppm_lite", ppm_bins=(1, 32)).ppm_bins == (1, 32)
 
     def test_data_shape_limits_come_from_the_data_module(self):
         for classes in (MIN_CLASSES, MAX_CLASSES):

@@ -22,12 +22,11 @@ from conftest import (dot_all, feature_map, identity_block, region_stage, run_st
                       tensor)
 
 
-def region_set(normalized, height, width, logits=None, empty=()):
+def region_set(normalized, logits=None, empty=()):
     """Build a SoftRegionSet straight from a normalized array."""
     norm = np.asarray(normalized, dtype=np.float64)
     raw = norm if logits is None else np.asarray(logits, dtype=np.float64)
-    return SoftRegionSet(tensor(raw), tensor(norm), height, width,
-                         empty_regions=tuple(empty))
+    return SoftRegionSet(tensor(raw), tensor(norm), empty_regions=tuple(empty))
 
 
 class TestFeatureMap:
@@ -35,8 +34,6 @@ class TestFeatureMap:
         data = rng.normal(0, 1, (2, 2, 3))
         fm = FeatureMap(tensor(data))
         assert np.array_equal(fm.pixels().data, data.reshape(2, 6))
-        back = FeatureMap.from_pixels(fm.pixels(), 2, 3)
-        assert np.array_equal(back.tensor.data, data)
 
     def test_requires_3d(self):
         with pytest.raises(DimensionError):
@@ -47,10 +44,8 @@ class TestFeatureMap:
         fm = FeatureMap(tensor(data, requires_grad=True))
         px = fm.pixels()
         assert np.shares_memory(px.data, fm.tensor.data)
-        back = FeatureMap.from_pixels(px, 2, 3)
-        assert np.shares_memory(back.tensor.data, fm.tensor.data)
         weights = rng.normal(0, 1, (2, 2, 3))
-        T.backward(dot_all(back.tensor, tensor(weights)))
+        T.backward(dot_all(px, tensor(weights.reshape(2, 6))))
         assert np.array_equal(fm.tensor.grad, weights)
 
 
@@ -69,77 +64,77 @@ class TestSimplexValidation:
     def test_negative_entry_rejected(self):
         bad = np.array([[1.2, -0.2], [0.5, 0.5]])
         with pytest.raises(ParameterError):
-            RelationMatrix(tensor(bad), 1, 2)
+            RelationMatrix(tensor(bad), 0)
 
     def test_non_unit_row_rejected(self):
         bad = np.array([[0.6, 0.6], [0.5, 0.5]])
         with pytest.raises(ParameterError):
-            RelationMatrix(tensor(bad), 1, 2)
+            RelationMatrix(tensor(bad), 0)
 
     def test_float32_rows_use_the_single_tolerance(self):
         # float32 softmax rows miss 1 by a few 1e-7; 1e-4 is still an error
         near = np.array([[0.5, 0.5 + 4e-7], [0.25, 0.75]], dtype=np.float32)
-        assert RelationMatrix(T.Tensor(near), 1, 2).weights.shape[1] == 2
+        assert RelationMatrix(T.Tensor(near), 0).weights.shape[1] == 2
         off = np.array([[0.5, 0.5 + 1e-4], [0.25, 0.75]], dtype=np.float32)
         with pytest.raises(ParameterError) as err:
-            RelationMatrix(T.Tensor(off), 1, 2)
+            RelationMatrix(T.Tensor(off), 0)
         assert "row 0 sums to" in str(err.value)
 
     def test_float64_tolerance_stays_1e_9(self):
         with pytest.raises(ParameterError):
-            RelationMatrix(tensor([[0.5, 0.5 + 1e-8], [0.25, 0.75]]), 1, 2)
+            RelationMatrix(tensor([[0.5, 0.5 + 1e-8], [0.25, 0.75]]), 0)
         assert RelationMatrix(tensor([[0.5, 0.5 + 1e-10], [0.25, 0.75]]),
-                              1, 2).weights.shape[1] == 2
+                              0).weights.shape[1] == 2
 
     def test_nan_row_rejected(self):
         rows = np.array([[0.5, 0.5], [np.nan, 0.5]])
         with pytest.raises(ParameterError, match="row 1 sums to"):
-            RelationMatrix(tensor(rows), 1, 2)
+            RelationMatrix(tensor(rows), 0)
         with pytest.raises(ParameterError, match="row 1 sums to"):
-            region_set(rows, 1, 2)
+            region_set(rows)
         with pytest.raises(ParameterError, match="row 1 is flagged empty"):
-            RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
+            RelationMatrix(tensor(rows), 0, zero_rows=(1,))
 
     def test_exempt_rows_must_be_zero(self):
         rows = np.array([[0.5, 0.5], [0.3, 0.3]])
         with pytest.raises(ParameterError):
-            RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
+            RelationMatrix(tensor(rows), 0, zero_rows=(1,))
         rows[1] = 0.0
-        rel = RelationMatrix(tensor(rows), 1, 2, zero_rows=(1,))
+        rel = RelationMatrix(tensor(rows), 0, zero_rows=(1,))
         assert rel.weights.shape[1] == 2
 
     def test_negative_entry_message(self):
         bad = np.array([[1.2, -0.2], [0.5, 0.5]])
         with pytest.raises(ParameterError) as err:
-            RelationMatrix(tensor(bad), 1, 2)
+            RelationMatrix(tensor(bad), 0)
         assert str(err.value) == "RelationMatrix.weights contains negative weights"
 
     def test_flagged_nonzero_row_message(self):
         rows = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1e-300]])
         with pytest.raises(ParameterError) as err:
-            RelationMatrix(tensor(rows), 1, 3, zero_rows=(2,))
+            RelationMatrix(tensor(rows), 0, zero_rows=(2,))
         assert str(err.value) == "RelationMatrix.weights row 2 is flagged empty but not zero"
 
     def test_first_off_sum_row_reported(self):
         rows = np.array([[0.5, 0.5], [0.6, 0.6], [0.1, 0.1], [1.0, 0.0]])
         with pytest.raises(ParameterError) as err:
-            RelationMatrix(tensor(rows), 2, 2)
+            RelationMatrix(tensor(rows), 0)
         want = f"RelationMatrix.weights row 1 sums to {rows[1].sum()!r}, expected 1"
         assert str(err.value) == want
 
     def test_earliest_offender_wins_across_kinds(self):
         rows = np.array([[0.5, 0.5], [0.2, 0.2], [0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(ParameterError, match="row 0 is flagged empty"):
-            RelationMatrix(tensor(rows), 2, 2, zero_rows=(3, 0))
+            RelationMatrix(tensor(rows), 0, zero_rows=(3, 0))
         with pytest.raises(ParameterError, match="row 1 sums to"):
-            RelationMatrix(tensor(rows), 2, 2, zero_rows=(3, 2))
+            RelationMatrix(tensor(rows), 0, zero_rows=(3, 2))
 
     def test_exempt_rows_need_not_sum_to_one(self):
         rows = np.array([[0.0, 0.0], [0.25, 0.75], [0.0, 0.0]])
-        rel = RelationMatrix(tensor(rows), 1, 3, zero_rows=(0, 2, 2, 7, -1))
+        rel = RelationMatrix(tensor(rows), 0, zero_rows=(0, 2, 2, 7, -1))
         assert rel.weights.shape[1] == 2
         with pytest.raises(ParameterError, match="row 0 sums to"):
-            RelationMatrix(tensor(rows), 1, 3, zero_rows=(2,))
+            RelationMatrix(tensor(rows), 0, zero_rows=(2,))
 
     def test_matches_row_loop_on_random_matrices(self, rng):
         for _ in range(300):
@@ -153,18 +148,11 @@ class TestSimplexValidation:
                 mat[rng.integers(n), rng.integers(k)] += rng.choice([-2e-9, 0.3, 1e-10])
             want = oracles.simplex_rows_error(mat, exempt, "M")
             if want is None:
-                RelationMatrix(tensor(mat), 1, n, zero_rows=exempt)
+                RelationMatrix(tensor(mat), 0, zero_rows=exempt)
                 continue
             with pytest.raises(ParameterError) as err:
-                RelationMatrix(tensor(mat), 1, n, zero_rows=exempt)
+                RelationMatrix(tensor(mat), 0, zero_rows=exempt)
             assert str(err.value) == want.replace("M", "RelationMatrix.weights", 1)
-
-    def test_region_set_shape_checks(self):
-        norm = np.array([[1.0, 0.0]])
-        with pytest.raises(DimensionError):
-            SoftRegionSet(tensor(np.ones((2, 2))), tensor(norm), 1, 2)
-        with pytest.raises(DimensionError):
-            SoftRegionSet(tensor(norm), tensor(norm), 2, 2)
 
 
 class TestComputeSoftRegions:
@@ -223,26 +211,26 @@ class TestComputeSoftRegions:
 
 class TestRegionRepresentations:
     def test_one_hot_row_selects_pixel(self):
-        regions = region_set([[1.0, 0.0], [0.0, 1.0]], 1, 2)
+        regions = region_set([[1.0, 0.0], [0.0, 1.0]])
         pixels = tensor([[1.0, 2.0], [3.0, 4.0]])  # (N, C)
         reps = region_representations(pixels, regions)
         assert np.array_equal(reps.data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_uniform_row_is_mean_pooling(self, rng):
         pixels = rng.normal(0, 1, (4, 3))
-        regions = region_set(np.full((1, 4), 0.25), 2, 2)
+        regions = region_set(np.full((1, 4), 0.25))
         reps = region_representations(tensor(pixels), regions)
         assert np.max(np.abs(reps.data[:, 0] - pixels.mean(axis=0))) < 1e-12
 
     def test_matches_summation_loop(self, rng):
         norm = oracles.softmax_rows_loops(rng.normal(0, 1, (3, 4)))
         pixels = rng.normal(0, 1, (4, 3))
-        reps = region_representations(tensor(pixels), region_set(norm, 2, 2))
+        reps = region_representations(tensor(pixels), region_set(norm))
         want = oracles.region_reps_loops(norm, pixels)
         assert np.max(np.abs(reps.data - want.T)) < 1e-12
 
     def test_pixel_count_mismatch(self, rng):
-        regions = region_set(np.full((1, 4), 0.25), 2, 2)
+        regions = region_set(np.full((1, 4), 0.25))
         with pytest.raises(DimensionError):
             region_representations(tensor(rng.normal(0, 1, (5, 3))), regions)
 
@@ -251,14 +239,14 @@ class TestPixelRegionRelations:
     def test_single_region_all_ones(self, rng):
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (1, 3)).T)
-        rel = pixel_region_relations(x, reps, None)
+        rel = pixel_region_relations(x, reps, identity_block(3), 1.0)
         assert np.array_equal(rel.weights.data, np.ones((4, 1)))
 
     def test_identity_keys_hand_value(self):
         x = FeatureMap(tensor(np.array([1.0, 0.0]).reshape(2, 1, 1)))
         reps = tensor([[1.0, 0.0], [0.0, 1.0]])
         ident = identity_block(2)
-        rel = pixel_region_relations(x, ident(reps), ident, scale=1.0)
+        rel = pixel_region_relations(x, ident(reps), ident, 1.0)
         assert abs(rel.weights.data[0, 0] - 0.7311) < 1e-4
         assert abs(rel.weights.data[0, 1] - 0.2689) < 1e-4
 
@@ -266,7 +254,7 @@ class TestPixelRegionRelations:
         x = feature_map(rng, 3, 2, 2)
         row = rng.normal(0, 1, 3)
         reps = tensor(np.stack([row, row], axis=1))
-        rel = pixel_region_relations(x, reps, None)
+        rel = pixel_region_relations(x, reps, TransformBlock.create(rng, 3, 3), 1.0)
         assert np.max(np.abs(rel.weights.data - 0.5)) < 1e-12
 
     def test_matches_loop_oracle_with_transforms(self, rng):
@@ -275,7 +263,7 @@ class TestPixelRegionRelations:
         phi = TransformBlock.create(rng, 3, 5)
         psi = TransformBlock.create(rng, 3, 5)
         for scale in (1.0, 0.5):
-            rel = pixel_region_relations(x, psi(reps), phi, scale=scale)
+            rel = pixel_region_relations(x, psi(reps), phi, scale)
             pixel_keys = oracles.apply_block_loops(phi, x.tensor.data.reshape(3, 6))
             region_keys = oracles.apply_block_loops(psi, reps.data)
             want = oracles.relations_loops(pixel_keys, region_keys, scale)
@@ -283,16 +271,17 @@ class TestPixelRegionRelations:
 
     def test_shift_invariance_per_pixel(self, rng):
         # appending a constant key channel shifts a whole logit row; the
-        # softmax output and the per-pixel argmax region must not move
-        pk = rng.normal(0, 1, (3, 4))
+        # softmax output and the per-pixel argmax region must not move (the
+        # pixel keys are nonnegative, which the identity block passes)
+        pk = np.abs(rng.normal(0, 1, (3, 4)))
         rk = rng.normal(0, 1, (3, 2))
-        shifts = rng.normal(0, 5, 4)
+        shifts = np.abs(rng.normal(0, 5, 4))
         x1 = FeatureMap(tensor(pk.reshape(3, 2, 2)))
         reps1 = tensor(rk)
-        rel1 = pixel_region_relations(x1, reps1, None)
+        rel1 = pixel_region_relations(x1, reps1, identity_block(3), 1.0)
         x2 = FeatureMap(tensor(np.vstack([pk, shifts]).reshape(4, 2, 2)))
         reps2 = tensor(np.vstack([rk, np.ones(2)]))
-        rel2 = pixel_region_relations(x2, reps2, None)
+        rel2 = pixel_region_relations(x2, reps2, identity_block(4), 1.0)
         assert np.max(np.abs(rel1.weights.data - rel2.weights.data)) < 1e-9
         assert np.array_equal(np.argmax(rel1.weights.data, axis=1),
                               np.argmax(rel2.weights.data, axis=1))
@@ -301,14 +290,14 @@ class TestPixelRegionRelations:
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (2, 4)).T)
         with pytest.raises(DimensionError):
-            pixel_region_relations(x, reps, None)
+            pixel_region_relations(x, reps, identity_block(3), 1.0)
 
     def test_bad_scale(self, rng):
         x = feature_map(rng, 3, 2, 2)
         reps = tensor(rng.normal(0, 1, (2, 3)).T)
         for scale in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError):
-                pixel_region_relations(x, reps, None, scale=scale)
+                pixel_region_relations(x, reps, identity_block(3), scale)
 
 
 class TestOcrAggregate:
@@ -318,33 +307,32 @@ class TestOcrAggregate:
         rho = TransformBlock.create(rng, 5, 5)
         hot = np.zeros((2, 3))
         hot[0, 2] = hot[1, 0] = 1.0
-        y = ocr_aggregate(RelationMatrix(tensor(hot), 1, 2), delta(reps), rho)
+        y = ocr_aggregate(RelationMatrix(tensor(hot), 0), delta(reps), rho)
         vals = oracles.apply_block_loops(delta, reps.data)  # (5, 3)
         want0 = oracles.apply_block_loops(rho, vals[:, [2]])
         want1 = oracles.apply_block_loops(rho, vals[:, [0]])
-        assert np.max(np.abs(y.pixels().data[:, 0] - want0[:, 0])) < 1e-12
-        assert np.max(np.abs(y.pixels().data[:, 1] - want1[:, 0])) < 1e-12
+        assert np.max(np.abs(y.data[:, 0] - want0[:, 0])) < 1e-12
+        assert np.max(np.abs(y.data[:, 1] - want1[:, 0])) < 1e-12
 
     def test_equal_regions_constant_output(self, rng):
         row = rng.normal(0, 1, 4)
         reps = tensor(np.stack([row, row, row], axis=1))
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (6, 3)))
         delta = TransformBlock.create(rng, 4, 5)
-        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 3), delta(reps),
+        y = ocr_aggregate(RelationMatrix(tensor(weights), 0), delta(reps),
                           TransformBlock.create(rng, 5, 5))
-        cols = y.pixels().data
-        assert np.max(np.abs(cols - cols[:, [0]])) < 1e-12
+        assert np.max(np.abs(y.data - y.data[:, [0]])) < 1e-12
 
     def test_matches_double_loop_oracle(self, rng):
         reps = tensor(rng.normal(0, 1, (3, 4)).T)
         weights = oracles.softmax_rows_loops(rng.normal(0, 1, (4, 3)))
         delta = TransformBlock.create(rng, 4, 5)
         rho = TransformBlock.create(rng, 5, 6)
-        y = ocr_aggregate(RelationMatrix(tensor(weights), 2, 2), delta(reps), rho)
+        y = ocr_aggregate(RelationMatrix(tensor(weights), 0), delta(reps), rho)
         vals = oracles.apply_block_loops(delta, reps.data)  # (5, K)
         pre = oracles.aggregate_loops(weights, vals.T)  # (N, 5)
         want = oracles.apply_block_loops(rho, pre.T)
-        assert np.max(np.abs(y.pixels().data - want)) < 1e-12
+        assert np.max(np.abs(y.data - want)) < 1e-12
 
     def test_pre_output_stays_in_value_envelope(self, rng):
         for _ in range(10):
@@ -352,12 +340,13 @@ class TestOcrAggregate:
             reps = tensor(rng.normal(0, 1, (k, c)).T)
             weights = oracles.softmax_rows_loops(rng.normal(0, 1, (n, k)))
             delta = TransformBlock.create(rng, c, 4)
-            y = ocr_aggregate(RelationMatrix(tensor(weights), 1, n), delta(reps), None)
+            # the values are nonnegative, which the identity block passes
+            y = ocr_aggregate(RelationMatrix(tensor(weights), 0), delta(reps),
+                              identity_block(4))
             vals = oracles.apply_block_loops(delta, reps.data)
             low = vals.min(axis=1) - 1e-12
             high = vals.max(axis=1) + 1e-12
-            cols = y.pixels().data
-            assert np.all(cols >= low[:, None]) and np.all(cols <= high[:, None])
+            assert np.all(y.data >= low[:, None]) and np.all(y.data <= high[:, None])
 
     def test_single_region_is_global_pool_of_that_region(self, rng):
         # K=1: relations are forced to 1, so every pixel receives the same
@@ -365,8 +354,8 @@ class TestOcrAggregate:
         x = feature_map(rng, 3, 2, 2)
         norm = oracles.softmax_rows_loops(rng.normal(0, 1, (1, 4)))
         reps = region_representations(T.transpose(x.pixels()),
-                                      region_set(norm, 2, 2))
-        rel = pixel_region_relations(x, reps, None)
+                                      region_set(norm))
+        rel = pixel_region_relations(x, reps, identity_block(3), 1.0)
         assert np.array_equal(rel.weights.data, np.ones((4, 1)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
@@ -374,55 +363,56 @@ class TestOcrAggregate:
         pooled = (norm[0][:, None] * x.pixels().data.T).sum(axis=0)
         want = oracles.apply_block_loops(
             rho, oracles.apply_block_loops(delta, pooled[:, None]))
-        assert np.max(np.abs(y.pixels().data - np.repeat(want, 4, axis=1))) < 1e-12
+        assert np.max(np.abs(y.data - np.repeat(want, 4, axis=1))) < 1e-12
 
     def test_region_count_mismatch(self, rng):
         reps = tensor(rng.normal(0, 1, (3, 4)).T)
         weights = np.ones((2, 2)) * 0.5
         with pytest.raises(DimensionError):
-            ocr_aggregate(RelationMatrix(tensor(weights), 1, 2), reps, None)
+            ocr_aggregate(RelationMatrix(tensor(weights), 0), reps, identity_block(4))
 
 
 class TestAugment:
     def test_identity_on_concat_recovers_both(self, rng):
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (2, 2, 2)))))
-        y = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
+        y = tensor(np.abs(rng.normal(0, 1, (3, 4))))
         z = augment(x, y, identity_block(5))
-        assert np.max(np.abs(z.tensor.data[:2] - x.tensor.data)) < 1e-12
-        assert np.max(np.abs(z.tensor.data[2:] - y.tensor.data)) < 1e-12
+        assert np.max(np.abs(z.data[:2] - x.pixels().data)) < 1e-12
+        assert np.max(np.abs(z.data[2:] - y.data)) < 1e-12
 
     def test_zero_context_selector_gives_zero(self, rng):
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
-        y = FeatureMap(tensor(np.zeros((3, 2, 2))))
+        y = tensor(np.zeros((3, 4)))
         selector = np.hstack([np.zeros((3, 2)), np.eye(3)])  # keep only y half
         block = TransformBlock(
             weight=tensor(selector), bn_scale=tensor(np.ones(3)),
             bn_shift=tensor(np.zeros(3)))
         z = augment(x, y, block)
-        assert np.array_equal(z.tensor.data, np.zeros((3, 2, 2)))
+        assert np.array_equal(z.data, np.zeros((3, 4)))
 
     def test_matches_concat_transform_oracle(self, rng):
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 3))))
-        y = FeatureMap(tensor(rng.normal(0, 1, (3, 2, 3))))
+        y = tensor(rng.normal(0, 1, (3, 6)))
         g = TransformBlock.create(rng, 5, 4)
         z = augment(x, y, g)
-        stacked = np.vstack([x.tensor.data.reshape(2, 6), y.tensor.data.reshape(3, 6)])
+        stacked = np.vstack([x.tensor.data.reshape(2, 6), y.data])
         want = oracles.apply_block_loops(g, stacked)
-        assert np.max(np.abs(z.pixels().data - want)) < 1e-12
+        assert np.max(np.abs(z.data - want)) < 1e-12
 
     def test_spatial_mismatch(self, rng):
-        # a context is the features' size or 1x1, nothing else
+        # a context has the features' pixels or one column, nothing else:
+        # the fuse block's column parts reject any other
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
-        for shape in ((3, 2, 3), (3, 1, 2), (3, 2, 1)):
-            with pytest.raises(DimensionError, match="nor 1x1"):
-                augment(x, FeatureMap(tensor(rng.normal(0, 1, shape))), identity_block(5))
+        for cols in (6, 2, 3):
+            with pytest.raises(DimensionError, match="one column"):
+                augment(x, tensor(rng.normal(0, 1, (3, cols))), identity_block(5))
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 1, 1))))
-        with pytest.raises(DimensionError):  # a 1x1 map takes no larger context
-            augment(x, FeatureMap(tensor(rng.normal(0, 1, (3, 2, 2)))), identity_block(5))
+        with pytest.raises(DimensionError, match="one column"):  # a pixel takes no more
+            augment(x, tensor(rng.normal(0, 1, (3, 4))), identity_block(5))
 
     def test_channel_mismatch(self, rng):
         x = FeatureMap(tensor(rng.normal(0, 1, (2, 2, 2))))
-        y = FeatureMap(tensor(rng.normal(0, 1, (3, 2, 2))))
+        y = tensor(rng.normal(0, 1, (3, 4)))
         for wrong in (4, 6):
             with pytest.raises(DimensionError):
                 augment(x, y, TransformBlock.create(rng, wrong, 3))
@@ -430,17 +420,17 @@ class TestAugment:
     def test_fuse_allocates_no_concatenation(self, rng):
         # (16 + 16) x 16384 float64 would be 4 MiB; the fuse output is 0.5 MiB
         x = feature_map(rng, 16, 128, 128, requires_grad=True)
-        y = feature_map(rng, 16, 128, 128, requires_grad=True)
+        y = feature_map(rng, 16, 128, 128, requires_grad=True).pixels()
         g = TransformBlock.create(rng, 32, 4)
         concat_bytes = 32 * 128 * 128 * 8
         with T.AllocationTracker() as tracker:
             z = augment(x, y, g)
-        assert tracker.peak_bytes == z.tensor.data.nbytes
-        out = z.tensor
+        assert tracker.peak_bytes == z.data.nbytes
+        out = z
         while out._opname != "conv_bn_relu":
             out = out._parents[0]
-        assert all(np.shares_memory(p.data, src.tensor.data)
-                   for p, src in zip(out._parents[:2], (x, y)))
+        assert all(np.shares_memory(p.data, src.data)
+                   for p, src in zip(out._parents[:2], (x.tensor, y)))
         with T.no_grad():
             tracemalloc.start()
             try:
@@ -463,7 +453,7 @@ class TestOcrForward:
         y = stage.output_transform(stage.value_transform(f))
         want = oracles.apply_block_loops(
             stage.fuse_transform, np.vstack([f.data, y.data]))
-        assert np.max(np.abs(z.pixels().data - want)) < 1e-10
+        assert np.max(np.abs(z.data - want)) < 1e-10
 
     @pytest.mark.parametrize("scheme", ["ocr", "da", "acf"])
     def test_permutation_equivariance(self, rng, scheme):
@@ -472,7 +462,7 @@ class TestOcrForward:
         perm = rng.permutation(6)
         z1, _ = run_stage(stage, FeatureMap(tensor(data.reshape(4, 2, 3))))
         z2, _ = run_stage(stage, FeatureMap(tensor(data[:, perm].reshape(4, 2, 3))))
-        assert np.max(np.abs(z2.pixels().data - z1.pixels().data[:, perm])) < 1e-10
+        assert np.max(np.abs(z2.data - z1.data[:, perm])) < 1e-10
 
     def test_full_composition_against_loop_oracle(self, rng):
         stage = region_stage(in_channels=4, num_classes=3)
@@ -492,7 +482,7 @@ class TestOcrForward:
         pre = oracles.aggregate_loops(rel, vals.T)
         y = oracles.apply_block_loops(stage.output_transform, pre.T)
         want = oracles.apply_block_loops(stage.fuse_transform, np.vstack([px, y]))
-        assert np.max(np.abs(z.pixels().data - want)) < 1e-10
+        assert np.max(np.abs(z.data - want)) < 1e-10
 
     def test_da_wide_regions_use_unsupervised_maps(self, rng):
         stage = region_stage("da", in_channels=3, num_classes=2, da_regions=5)
@@ -500,7 +490,7 @@ class TestOcrForward:
         z, aux = run_stage(stage, x)
         # auxiliary regions still carry one row per class
         assert aux.data.shape == (2, 6)
-        assert z.pixels().data.shape[0] == stage.fuse_transform.weight.shape[0]
+        assert z.shape == (stage.fuse_transform.weight.shape[0], 6)
 
     def test_stem_reroutes_pipeline_but_not_region_head(self, rng):
         stage = region_stage(in_channels=3, num_classes=2, use_stem=True)
@@ -523,19 +513,24 @@ class TestSelfAttention:
         x = FeatureMap(tensor(np.repeat(col[:, None], 4, axis=1).reshape(3, 2, 2)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        fm = self_attention_context(x, None, (x.pixels(), delta(x.pixels())), rho)
-        weights = attention_weights(x.pixels(), x.pixels())
+        # identical keys: uniform weights, whatever the queries
+        phi = TransformBlock.create(rng, 3, 3)
+        y = self_attention_context(x, phi, (x.pixels(), delta(x.pixels())), rho, 1.0)
+        weights = attention_weights(phi(x.pixels()), x.pixels())
         assert np.max(np.abs(weights - 0.25)) < 1e-12
         want = oracles.apply_block_loops(
             rho, oracles.apply_block_loops(delta, col[:, None]))
-        assert np.max(np.abs(fm.pixels().data - want)) < 1e-12
+        assert np.max(np.abs(y.data - want)) < 1e-12
 
     def test_single_pixel(self, rng):
+        # one pixel attends only to itself: its context is rho(delta(x))
         x = feature_map(rng, 3, 1, 1)
         delta = TransformBlock.create(rng, 3, 4)
-        y = self_attention_context(x, None, (x.pixels(), delta(x.pixels())), None)
-        want = oracles.apply_block_loops(delta, x.pixels().data)
-        assert np.max(np.abs(y.pixels().data - want)) < 1e-12
+        rho = TransformBlock.create(rng, 4, 5)
+        y = self_attention_context(x, identity_block(3), (x.pixels(), delta(x.pixels())),
+                                   rho, 1.0)
+        want = oracles.apply_block_loops(rho, oracles.apply_block_loops(delta, x.pixels().data))
+        assert np.max(np.abs(y.data - want)) < 1e-12
 
     def test_matches_double_loop(self, rng):
         x = feature_map(rng, 3, 2, 2)
@@ -544,8 +539,8 @@ class TestSelfAttention:
         delta = TransformBlock.create(rng, 3, 5)
         rho = TransformBlock.create(rng, 5, 5)
         scale = 0.5
-        fm = self_attention_context(x, phi, (psi(x.pixels()), delta(x.pixels())), rho,
-                                    scale=scale)
+        y = self_attention_context(x, phi, (psi(x.pixels()), delta(x.pixels())), rho,
+                                   scale)
         weights = attention_weights(phi(x.pixels()), psi(x.pixels()), scale)
         px = x.pixels().data
         q = oracles.apply_block_loops(phi, px)
@@ -554,7 +549,7 @@ class TestSelfAttention:
         assert np.max(np.abs(weights - w)) < 1e-12
         vals = oracles.apply_block_loops(delta, px)
         want = oracles.apply_block_loops(rho, oracles.aggregate_loops(w, vals.T).T)
-        assert np.max(np.abs(fm.pixels().data - want)) < 1e-12
+        assert np.max(np.abs(y.data - want)) < 1e-12
 
     def test_rows_are_simplex(self, rng):
         x = feature_map(rng, 3, 3, 3)
@@ -566,7 +561,8 @@ class TestSelfAttention:
     def test_bad_scale(self, rng):
         x = feature_map(rng, 2, 2, 2)
         with pytest.raises(ParameterError):
-            self_attention_context(x, None, (x.pixels(), x.pixels()), None, scale=0.0)
+            self_attention_context(x, identity_block(2), (x.pixels(), x.pixels()),
+                                   identity_block(2), 0.0)
 
     def test_attention_inputs_freed_before_the_output_transform(self, rng):
         # 8 x 8 pixels, 8 key channels, 128 output channels, keys and values
@@ -580,21 +576,21 @@ class TestSelfAttention:
         with T.no_grad():
             memory = (psi(x.pixels()), delta(x.pixels()))
             with T.AllocationTracker() as tracker:
-                y = self_attention_context(x, phi, memory, rho)
-        assert y.channels == 128
+                y = self_attention_context(x, phi, memory, rho, 1.0)
+        assert y.shape == (128, 64)
         assert tracker.peak_bytes == (8 + 128) * 64 * 8
 
 
 class TestGlobalContext:
     def test_spatially_constant(self, rng):
-        # one (C, 1, 1) context, which the fuse reads at every pixel
+        # one (C, 1) context, which the fuse reads at every pixel
         x = feature_map(rng, 3, 3, 2)
         y = global_context(x, TransformBlock.create(rng, 3, 4),
                            TransformBlock.create(rng, 4, 4))
-        assert y.tensor.shape == (4, 1, 1)
+        assert y.shape == (4, 1)
         fuse = TransformBlock.create(rng, 7, 5)
-        spread = FeatureMap(tensor(np.repeat(y.pixels().data, 6, axis=1).reshape(4, 3, 2)))
-        got, want = augment(x, y, fuse).tensor.data, augment(x, spread, fuse).tensor.data
+        spread = tensor(np.repeat(y.data, 6, axis=1))
+        got, want = augment(x, y, fuse).data, augment(x, spread, fuse).data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_matches_mean_then_output_oracle(self, rng):
@@ -605,8 +601,8 @@ class TestGlobalContext:
         vals = oracles.apply_block_loops(delta, x.pixels().data)
         mean = vals.mean(axis=1, keepdims=True)
         want = oracles.apply_block_loops(rho, mean)
-        assert y.tensor.shape == (5, 1, 1)
-        assert np.max(np.abs(y.pixels().data - want)) < 1e-12
+        assert y.shape == (5, 1)
+        assert np.max(np.abs(y.data - want)) < 1e-12
 
     def test_equals_self_attention_under_uniform_weights(self, rng):
         # a zero-weight context transform makes every key identical, which
@@ -617,10 +613,10 @@ class TestGlobalContext:
             bn_shift=tensor(np.full(3, 0.3)))
         delta = TransformBlock.create(rng, 3, 4)
         rho = TransformBlock.create(rng, 4, 4)
-        attn = self_attention_context(x, None, (flat_keys(x.pixels()), delta(x.pixels())),
-                                      rho)
-        pooled = global_context(x, delta, rho)  # (4, 1, 1), the same at every pixel
-        assert np.max(np.abs(attn.tensor.data - pooled.tensor.data)) < 1e-12
+        attn = self_attention_context(x, TransformBlock.create(rng, 3, 3),
+                                      (flat_keys(x.pixels()), delta(x.pixels())), rho, 1.0)
+        pooled = global_context(x, delta, rho)  # (4, 1), the same at every pixel
+        assert np.max(np.abs(attn.data - pooled.data)) < 1e-12
 
 
 class TestSchemeRelations:
@@ -650,26 +646,26 @@ class TestSchemeRelations:
                                 Conv1x1Head.create(rng, 5, 4))
 
     def test_acf_uniform_logits(self):
-        rel = acf_scheme_relations(tensor(np.ones((3, 4))), 2, 2)
+        rel = acf_scheme_relations(tensor(np.ones((3, 4))), 0)
         assert np.max(np.abs(rel.weights.data - 1.0 / 3.0)) < 1e-15
 
     def test_acf_peaked_logits_near_one_hot(self, rng):
         logits = rng.normal(0, 1, (3, 4))
         logits[1] += 50.0
-        rel = acf_scheme_relations(tensor(logits), 2, 2)
+        rel = acf_scheme_relations(tensor(logits), 0)
         assert np.all(rel.weights.data[:, 1] > 1.0 - 1e-9)
 
     def test_acf_matches_per_pixel_softmax(self, rng):
         logits = rng.normal(0, 2, (3, 6))
-        rel = acf_scheme_relations(tensor(logits), 2, 3)
+        rel = acf_scheme_relations(tensor(logits), 0)
         want = oracles.softmax_rows_loops(logits.T)
         assert np.max(np.abs(rel.weights.data - want)) < 1e-12
 
     def test_acf_shift_invariance(self, rng):
         logits = rng.normal(0, 1, (3, 4))
         shifted = logits + rng.normal(0, 4, 4)[None, :]  # per-pixel shifts
-        rel_a = acf_scheme_relations(tensor(logits), 2, 2)
-        rel_b = acf_scheme_relations(tensor(shifted), 2, 2)
+        rel_a = acf_scheme_relations(tensor(logits), 0)
+        rel_b = acf_scheme_relations(tensor(shifted), 0)
         assert np.max(np.abs(rel_a.weights.data - rel_b.weights.data)) < 1e-9
 
 
@@ -685,33 +681,37 @@ class TestAsppLite:
 
     def test_center_delta_kernels_replicate_input(self, rng):
         x = feature_map(rng, 2, 4, 4)
-        out = aspp_lite(x, self._delta_branches(2, (1, 2, 3)))
-        assert out.channels == 6
+        out = aspp_lite(x, self._delta_branches(2, (1, 2, 3)), 0, 4)
+        assert out.shape == (6, 16)
         for branch in range(3):
-            sl = out.tensor.data[2 * branch:2 * branch + 2]
-            assert np.max(np.abs(sl - x.tensor.data)) < 1e-15
+            sl = out.data[2 * branch:2 * branch + 2]
+            assert np.max(np.abs(sl - x.pixels().data)) < 1e-15
 
     def test_single_pixel_center_tap_only(self, rng):
         x = rng.normal(0, 1, (2, 1, 1))
         kern = rng.normal(0, 1, (1, 2, 3, 3))
-        out = aspp_lite(FeatureMap(tensor(x)), [(2, tensor(kern))])
+        out = aspp_lite(FeatureMap(tensor(x)), [(2, tensor(kern))], 0, 1)
         want = sum(kern[0, c, 1, 1] * x[c, 0, 0] for c in range(2))
-        assert abs(out.tensor.data[0, 0, 0] - want) < 1e-12
+        assert abs(out.data[0, 0] - want) < 1e-12
 
     def test_matches_direct_summation(self, rng):
         x = rng.normal(0, 1, (2, 4, 4))
         k1 = rng.normal(0, 1, (3, 2, 3, 3))
         k2 = rng.normal(0, 1, (3, 2, 3, 3))
-        out = aspp_lite(FeatureMap(tensor(x)), [(1, tensor(k1)), (2, tensor(k2))])
+        fm = FeatureMap(tensor(x))
         want = np.concatenate([oracles.conv_spatial_loops(x, k1, 1),
                                oracles.conv_spatial_loops(x, k2, 2)])
-        assert np.max(np.abs(out.tensor.data - want)) < 1e-12
+        for r0, r1 in ((0, 4), (1, 3)):
+            out = aspp_lite(fm, [(1, tensor(k1)), (2, tensor(k2))], r0, r1)
+            assert np.max(np.abs(out.data - want[:, r0:r1].reshape(6, -1))) < 1e-12
 
     def test_branches_concatenated_in_one_copy(self, rng):
         # each branch is copied once, into its slice of the one op's output:
         # no second op stacks them
         x = feature_map(rng, 2, 4, 4, requires_grad=True)
-        out = aspp_lite(x, self._delta_branches(2, (1, 2, 3))).tensor
+        out = aspp_lite(x, self._delta_branches(2, (1, 2, 3)), 0, 4)
+        assert out._opname == "reshape" and np.shares_memory(out.data, out._parents[0].data)
+        out = out._parents[0]
         assert out._opname == "conv_spatial" and out._parents[0] is x.tensor
         assert len(out._parents) == 4 and out.data.flags.c_contiguous
         assert not hasattr(T, "concat0") and not hasattr(T, "upsample_nearest")
@@ -719,13 +719,13 @@ class TestAsppLite:
     def test_spec_validation(self, rng):
         x = feature_map(rng, 1, 4, 4)
         with pytest.raises(ParameterError):
-            aspp_lite(x, [(2, tensor(np.ones((1, 1, 2, 2))))])  # even
+            aspp_lite(x, [(2, tensor(np.ones((1, 1, 2, 2))))], 0, 4)  # even
         with pytest.raises(ParameterError):
-            aspp_lite(x, [(0, tensor(np.ones((1, 1, 3, 3))))])  # rate < 1
+            aspp_lite(x, [(0, tensor(np.ones((1, 1, 3, 3))))], 0, 4)  # rate < 1
         with pytest.raises(DimensionError):
-            aspp_lite(x, [(1, tensor(np.ones((1, 1, 3))))])  # not 4-D
+            aspp_lite(x, [(1, tensor(np.ones((1, 1, 3))))], 0, 4)  # not 4-D
         with pytest.raises(DimensionError, match="conv_spatial"):
-            aspp_lite(x, [])
+            aspp_lite(x, [], 0, 4)
         with pytest.raises(DimensionError, match="conv_spatial"):
             T.conv_spatial(x.tensor, [])
         for rates in ((0, 6), (-5,), ()):
@@ -734,7 +734,7 @@ class TestAsppLite:
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            aspp_lite(feature_map(rng, 2, 4, 4), self._delta_branches(3, (1,)))
+            aspp_lite(feature_map(rng, 2, 4, 4), self._delta_branches(3, (1,)), 0, 4)
 
 
 class TestScaledRates:

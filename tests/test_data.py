@@ -3,11 +3,27 @@ seeded feature lift."""
 import numpy as np
 import pytest
 
+from ocrseg.config import RunConfig
 from ocrseg.data import (COORD_CHANNELS, PALETTE, SyntheticScene,
                          generate_scene, generate_scenes, lift_weights,
                          load_dataset, read_pgm, read_ppm, scene_features,
                          scene_label_map, write_dataset, write_pgm, write_ppm)
 from ocrseg.errors import DataError
+
+_RUN = RunConfig()
+# the scene settings of a default run, which the generator no longer restates
+RUN_SCENE = {key: getattr(_RUN, key) for key in
+             ("noise", "jitter", "shapes_min", "shapes_max", "ignore_fraction")}
+
+
+def scene_of(rng, grid, num_classes, **settings):
+    """``generate_scene`` at a default run's settings, but for ``settings``."""
+    return generate_scene(rng, grid, num_classes, **{**RUN_SCENE, **settings})
+
+
+def scenes_of(seed, count, grid, num_classes, stream=0):
+    """``generate_scenes`` at a default run's settings."""
+    return generate_scenes(seed, count, grid, num_classes, **RUN_SCENE, stream=stream)
 
 
 def replay_scene(seed, grid, num_classes, noise, jitter, smin, smax):
@@ -43,15 +59,14 @@ def replay_scene(seed, grid, num_classes, noise, jitter, smin, smax):
 class TestGenerateScene:
     def test_matches_rasterization_replay(self):
         for seed in (11, 12, 13):
-            scene = generate_scene(np.random.default_rng(seed), 16, 4,
-                                   noise=20.0, jitter=5.0,
-                                   shapes_min=2, shapes_max=4)
+            scene = scene_of(np.random.default_rng(seed), 16, 4,
+                             noise=20.0, jitter=5.0, shapes_min=2, shapes_max=4)
             image, labels = replay_scene(seed, 16, 4, 20.0, 5.0, 2, 4)
             assert np.array_equal(scene.labels, labels)
             assert np.array_equal(scene.image, image)
 
     def test_two_classes_two_label_values(self, rng):
-        scene = generate_scene(rng, 16, 2)
+        scene = scene_of(rng, 16, 2)
         values = set(np.unique(scene.labels))
         assert values <= {0, 1}
 
@@ -59,38 +74,38 @@ class TestGenerateScene:
         # a scene can be fully covered, so look across several draws
         saw_background = False
         for _ in range(10):
-            scene = generate_scene(rng, 16, 4)
+            scene = scene_of(rng, 16, 4)
             if (scene.labels == 0).any():
                 saw_background = True
         assert saw_background
 
     def test_labels_stay_in_range(self, rng):
         for _ in range(10):
-            scene = generate_scene(rng, 12, 5)
+            scene = scene_of(rng, 12, 5)
             assert scene.labels.max() < 5
 
     def test_ignore_fraction_marks_pixels(self, rng):
-        scene = generate_scene(rng, 16, 3, ignore_fraction=0.4)
+        scene = scene_of(rng, 16, 3, ignore_fraction=0.4)
         ignored = int((scene.labels == 255).sum())
         assert 0 < ignored < 16 * 16
-        clean = generate_scene(rng, 16, 3, ignore_fraction=0.0)
+        clean = scene_of(rng, 16, 3, ignore_fraction=0.0)
         assert not (clean.labels == 255).any()
 
     def test_validation(self, rng):
         with pytest.raises(DataError):
-            generate_scene(rng, 16, 1)
+            scene_of(rng, 16, 1)
         with pytest.raises(DataError):
-            generate_scene(rng, 16, 9)
+            scene_of(rng, 16, 9)
         with pytest.raises(DataError):
-            generate_scene(rng, 7, 3)
+            scene_of(rng, 7, 3)
 
     def test_batch_determinism(self):
-        a = generate_scenes(5, 4, 12, 3)
-        b = generate_scenes(5, 4, 12, 3)
+        a = scenes_of(5, 4, 12, 3)
+        b = scenes_of(5, 4, 12, 3)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.image, sb.image)
             assert np.array_equal(sa.labels, sb.labels)
-        other = generate_scenes(5, 4, 12, 3, stream=1)
+        other = scenes_of(5, 4, 12, 3, stream=1)
         assert any(not np.array_equal(sa.labels, so.labels)
                    for sa, so in zip(a, other))
 
@@ -209,8 +224,8 @@ class TestPixmapIO:
 
 class TestDatasetRoundTrip:
     def test_write_then_load(self, tmp_path):
-        train = generate_scenes(2, 3, 12, 3)
-        eval_scenes = generate_scenes(2, 2, 12, 3, stream=1)
+        train = scenes_of(2, 3, 12, 3)
+        eval_scenes = scenes_of(2, 2, 12, 3, stream=1)
         write_dataset(str(tmp_path), train, eval_scenes)
         loaded = load_dataset(str(tmp_path))
         assert len(loaded["train"]) == 3
@@ -238,7 +253,7 @@ class TestDatasetRoundTrip:
     def test_scene_paths_stay_inside_the_data_dir(self, tmp_path, absolute):
         # readable scene files one level up: only the manifest entry is wrong
         data = tmp_path / "data"
-        write_dataset(str(data), generate_scenes(2, 1, 12, 3), [])
+        write_dataset(str(data), scenes_of(2, 1, 12, 3), [])
         for name in ("outside.ppm", "outside.pgm"):
             (tmp_path / name).write_bytes(
                 (data / "train" / ("scene_0000" + name[-4:])).read_bytes())
@@ -263,7 +278,7 @@ class TestFeatureLift:
         assert not np.array_equal(a, lift_weights(4, 14))
 
     def test_scene_features_layout(self, rng):
-        scene = generate_scene(rng, 8, 3)
+        scene = scene_of(rng, 8, 3)
         lift = lift_weights(0, 5)
         fm = scene_features(scene, lift)
         assert fm.tensor.data.shape == (5 + COORD_CHANNELS, 8, 8)
@@ -276,7 +291,7 @@ class TestFeatureLift:
         assert np.array_equal(px[6], xs)
 
     def test_scene_label_map(self, rng):
-        scene = generate_scene(rng, 8, 3, ignore_fraction=0.3)
+        scene = scene_of(rng, 8, 3, ignore_fraction=0.3)
         lm = scene_label_map(scene, 3)
         assert lm.num_classes == 3
         assert lm.ignore_index == 255

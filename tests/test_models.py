@@ -87,8 +87,8 @@ class TestModelConfig:
             memory = (stage.context_transform(feats.pixels()),
                       stage.value_transform(feats.pixels()))
             want = self_attention_context(feats, stage.pixel_transform, memory,
-                                          stage.output_transform, scale=scale)
-            assert np.array_equal(got.tensor.data, want.tensor.data) == same
+                                          stage.output_transform, scale)
+            assert np.array_equal(got.data, want.data) == same
 
 
 class TestBuildModel:
@@ -363,14 +363,14 @@ class TestBandTail:
     @staticmethod
     def assert_bands_of_the_fuse(model, x, rows):
         """Each band of ``rows`` image rows of the stage's fuse is bitwise its
-        slice of the whole image's."""
+        columns of the whole image's."""
         with T.no_grad():
             fuse, _ = model.stage.prepare(x, None)
-            whole = fuse(0, x.height).tensor.data
+            whole = fuse(0, x.height).data
             for r0 in range(0, x.height, rows):
                 r1 = min(r0 + rows, x.height)
-                band = fuse(r0, r1)
-                assert band.top == r0 and np.array_equal(band.tensor.data, whole[:, r0:r1])
+                band = fuse(r0, r1).data
+                assert np.array_equal(band, whole[:, r0 * x.width:r1 * x.width])
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
     def test_dilations_taller_than_the_band(self, rng, monkeypatch, rows):
@@ -499,18 +499,39 @@ class TestBandTail:
         assert heights == [4, 4]
         self.assert_same(banded, whole)
 
+    @pytest.mark.parametrize("module", MODULE_CHOICES)
+    def test_each_band_fuse_is_what_the_final_head_reads(self, rng, monkeypatch, module):
+        # every band's fuse(r0, r1) is the (C, (r1 - r0) * W) tensor that the
+        # final head reads, itself: no view or copy between them
+        model = build_model(small_config(module), image_size=9)
+        x, labels = band_inputs(rng, module, 9, 11)
+        prepare, head, fused, read = model.stage.prepare, model.final_head, [], []
+
+        def recording(x, labels):
+            fuse, aux = prepare(x, labels)
+            return (lambda r0, r1: fused.append((r0, r1, fuse(r0, r1))) or fused[-1][2]), aux
+
+        monkeypatch.setattr(model.stage, "prepare", recording)
+        monkeypatch.setattr(model, "final_head", lambda px: read.append(px) or head(px))
+        assert banded_forward(monkeypatch, model, x, labels, rows=4)[1] == [4, 4, 1]
+        assert [(r0, r1) for r0, r1, _ in fused] == [(0, 4), (4, 8), (8, 9)]
+        for (r0, r1, y), px in zip(fused, read, strict=True):
+            assert px is y and y.shape == (model.stage.out_channels, (r1 - r0) * x.width)
+
     def test_zero_width_map_is_one_band(self):
         model = build_model(small_config("self_attn"), image_size=8)
         with T.no_grad():
             out = model.forward(FeatureMap(T.Tensor(np.zeros((5, 3, 0)))))
         assert out.final_logits.shape == (3, 0)
 
-    # tensor ops of one recorded forward at 12x12 with a stem, as before the
-    # tail ran in bands; self_attn forms its keys and values from one pixel
-    # view of the whole image and its queries from the band's, a second
-    # reshape view that allocates nothing
-    RECORDED_OPS = {"ocr": 24, "da": 24, "acf": 22, "gt_ocr": 17, "self_attn": 16,
-                    "global": 10, "aspp_lite": 3, "ppm_lite": 9}
+    # tensor ops of one recorded forward at 12x12 with a stem; the tail
+    # hands (C, N) pixels to the fuse and the fuse to the final head, with no
+    # reshape between them (global reshapes its pooled context to one
+    # column, the kxk heads their output once); self_attn forms its keys and
+    # values from one pixel view of the whole image and its queries from the
+    # band's, a second reshape view that allocates nothing
+    RECORDED_OPS = {"ocr": 20, "da": 20, "acf": 18, "gt_ocr": 13, "self_attn": 12,
+                    "global": 8, "aspp_lite": 3, "ppm_lite": 9}
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
     def test_recording_forward_runs_one_band(self, rng, monkeypatch, module):

@@ -9,7 +9,7 @@ import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import (ConfigError, DataError, DimensionError,
                            ParameterError)
-from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
+from ocrseg.supervision import (IGNORE_INDEX, LabelMap, LossConfig, PolySchedule,
                                 combined_loss, gt_regions, gt_relations,
                                 poly_lr)
 
@@ -161,7 +161,7 @@ class TestGtOcrForward:
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 3)))))
         labels = label_map([[0, 1, 0], [1, 0, 1]], 2)
         z, _ = run_stage(stage, x, labels)
-        y = z.pixels().data[3:]
+        y = z.data[3:]
         flat = labels.flat
         for a in range(6):
             for b in range(6):
@@ -173,7 +173,7 @@ class TestGtOcrForward:
         stage.fuse_transform = identity_block(7)
         x = FeatureMap(tensor(np.abs(rng.normal(0, 1, (3, 2, 2)))))
         z, _ = run_stage(stage, x, label_map(np.zeros((2, 2), dtype=np.int64), 1))
-        y = z.pixels().data[3:]
+        y = z.data[3:]
         assert np.max(np.abs(y - y[:, [0]])) < 1e-12
 
     def test_matches_loop_composition(self, rng):
@@ -194,7 +194,7 @@ class TestGtOcrForward:
         y = oracles.apply_block_loops(stage.output_transform, pre.T)
         want = oracles.apply_block_loops(stage.fuse_transform,
                                          np.vstack([px, y]))
-        assert np.max(np.abs(z.pixels().data - want)) < 1e-12
+        assert np.max(np.abs(z.data - want)) < 1e-12
 
     def test_mean_replacement_leaves_context_unchanged(self, rng):
         # the context half only sees per-class means of the pixel features
@@ -210,8 +210,8 @@ class TestGtOcrForward:
             members = flat == k
             replaced[:, members] = replaced[:, members].mean(axis=1, keepdims=True)
         z2, _ = run_stage(stage, FeatureMap(tensor(replaced.reshape(3, 2, 3))), labels)
-        y1 = z1.pixels().data[3:]
-        y2 = z2.pixels().data[3:]
+        y1 = z1.data[3:]
+        y2 = z2.data[3:]
         assert np.max(np.abs(y1 - y2)) < 1e-10
 
     def test_shape_mismatch(self, rng):
@@ -230,7 +230,7 @@ class TestGtOcrForward:
         want, _ = run_stage(stage, x, labels)
         stage.region_head = stage.pixel_transform = stage.region_transform = None
         got, _ = run_stage(stage, x, labels)
-        assert np.array_equal(got.pixels().data, want.pixels().data)
+        assert np.array_equal(got.data, want.data)
 
 
 class TestPixelCrossEntropy:
@@ -301,7 +301,7 @@ class TestCombinedLoss:
         lm = label_map(rng.integers(0, 3, (2, 3)), 3)
         cfg = LossConfig(final_weight=1.0, aux_weight=0.0)
         loss = combined_loss(logits, aux, lm, cfg)
-        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat)
+        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat, IGNORE_INDEX)
         assert abs(float(loss.data) - float(want.data)) < 1e-15
 
     def test_uniform_logits_weighted_log_k(self):
@@ -325,7 +325,7 @@ class TestCombinedLoss:
         logits = tensor(rng.normal(0, 1, (3, 4)))
         lm = label_map(rng.integers(0, 3, (1, 4)), 3)
         loss = combined_loss(logits, None, lm, LossConfig(aux_weight=0.4))
-        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat)
+        want = T.cross_entropy_logits([(logits, 1.0)], lm.flat, IGNORE_INDEX)
         assert abs(float(loss.data) - float(want.data)) < 1e-15
 
     def test_label_map_ignore_index_is_the_one_used(self, rng):

@@ -11,6 +11,7 @@ import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import DataError, DimensionError, ParameterError, StateError
 from ocrseg.models import ModelConfig, build_model
+from ocrseg.supervision import IGNORE_INDEX
 
 import oracles
 from conftest import dot_all, max_grad_fd_error, projected, sum_all, tensor
@@ -847,24 +848,24 @@ class TestCrossEntropy:
         logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2, 1])
         logits[labels, np.arange(4)] = 1000.0
-        loss = T.cross_entropy_logits([(tensor(logits), 1.0)], labels)
+        loss = T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX)
         assert float(loss.data) < 1e-6
 
     def test_uniform_logits_log_k(self):
         loss = T.cross_entropy_logits([(tensor(np.zeros((4, 5))), 1.0)],
-                                      np.array([0, 1, 2, 3, 0]))
+                                      np.array([0, 1, 2, 3, 0]), IGNORE_INDEX)
         assert abs(float(loss.data) - np.log(4.0)) < 1e-6
 
     def test_matches_scalar_loop(self, rng):
         logits = rng.normal(0, 2, (3, 8))
         labels = rng.integers(0, 3, 8)
-        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_ignored_pixels_excluded(self, rng):
         logits = rng.normal(0, 2, (3, 6))
         labels = np.array([0, 255, 2, 255, 1, 0])
-        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_all_ignored_warns_and_zero(self):
@@ -872,7 +873,7 @@ class TestCrossEntropy:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             logits = tensor(np.zeros((2, 3)), requires_grad=True)
-            loss = T.cross_entropy_logits([(logits, 1.0)], labels)
+            loss = T.cross_entropy_logits([(logits, 1.0)], labels, IGNORE_INDEX)
         assert float(loss.data) == 0.0 and not np.signbit(loss.data)
         assert any("ignored" in str(w.message) for w in caught)
         T.backward(loss)
@@ -880,7 +881,8 @@ class TestCrossEntropy:
 
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
-            T.cross_entropy_logits([(tensor(np.zeros((2, 3))), 1.0)], np.array([0, 2, 1]))
+            T.cross_entropy_logits([(tensor(np.zeros((2, 3))), 1.0)], np.array([0, 2, 1]),
+                                   IGNORE_INDEX)
 
     def test_weighted_terms(self, rng):
         # the weighted sum of each term's own loss, summed in term order, and
@@ -888,28 +890,29 @@ class TestCrossEntropy:
         a, b = rng.normal(0, 2, (3, 6)), rng.normal(0, 2, (4, 6))
         labels = np.array([0, 255, 2, 1, 1, 0])
         ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
-        loss = T.cross_entropy_logits([(ta, 0.7), (tb, 0.4)], labels)
+        loss = T.cross_entropy_logits([(ta, 0.7), (tb, 0.4)], labels, IGNORE_INDEX)
         alone = [tensor(x, requires_grad=True) for x in (a, b)]
-        singles = [float(T.cross_entropy_logits([(t, 1.0)], labels).data) for t in alone]
+        singles = [float(T.cross_entropy_logits([(t, 1.0)], labels, IGNORE_INDEX).data)
+                   for t in alone]
         assert float(loss.data) == singles[0] * 0.7 + singles[1] * 0.4
         want = (0.7 * oracles.cross_entropy_loops(a, labels)
                 + 0.4 * oracles.cross_entropy_loops(b, labels))
         assert abs(float(loss.data) - want) < 1e-12
         T.backward(loss)
         for t, w, single in zip((ta, tb), (0.7, 0.4), alone):
-            T.backward(T.cross_entropy_logits([(single, 1.0)], labels))
+            T.backward(T.cross_entropy_logits([(single, 1.0)], labels, IGNORE_INDEX))
             assert np.max(np.abs(t.grad - w * single.grad)) < 1e-15
 
     def test_terms_are_checked(self):
         labels = np.array([0, 2, 1])
         with pytest.raises(ParameterError):
-            T.cross_entropy_logits([], labels)
+            T.cross_entropy_logits([], labels, IGNORE_INDEX)
         with pytest.raises(DataError):  # the second term has too few rows
             T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
-                                    (tensor(np.zeros((2, 3))), 0.4)], labels)
+                                    (tensor(np.zeros((2, 3))), 0.4)], labels, IGNORE_INDEX)
         with pytest.raises(DimensionError):
             T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
-                                    (tensor(np.zeros((3, 4))), 0.4)], labels)
+                                    (tensor(np.zeros((3, 4))), 0.4)], labels, IGNORE_INDEX)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,9 +1124,9 @@ class TestGradientsEveryOp:
         x = tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
         y = tensor(rng.normal(0, 2, (4, 6)), requires_grad=True)
         labels = np.array([0, 1, 2, 255, 1, 0])
-        fwd = lambda: T.cross_entropy_logits([(x, 1.0)], labels)
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0)], labels, IGNORE_INDEX)
         assert max_grad_fd_error([x], fwd) < self.TOL
-        fwd = lambda: T.cross_entropy_logits([(x, 1.0), (y, 0.4)], labels)
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0), (y, 0.4)], labels, IGNORE_INDEX)
         assert max_grad_fd_error([x, y], fwd) < self.TOL
 
 
@@ -1147,7 +1150,8 @@ class TestFrozenInputs:
         return {
             "matmul": (T.matmul, [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2))], (0, 1)),
             "cross_entropy": (lambda a, b: T.cross_entropy_logits([(a, 1.0), (b, 0.4)],
-                                                                  np.array([0, 2, 255, 1])),
+                                                                  np.array([0, 2, 255, 1]),
+                                                                  IGNORE_INDEX),
                               [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 4))], (0, 1)),
             "relation_softmax": (lambda q, k: T.relation_softmax(q, k, 0.6),
                                  [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4))], (0, 1)),

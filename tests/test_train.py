@@ -30,9 +30,8 @@ def tiny_config(**overrides):
 
 def tiny_pairs(cfg, count, stream):
     scenes = generate_scenes(cfg.seed, count, cfg.grid, cfg.classes,
-                             noise=cfg.noise, jitter=cfg.jitter,
-                             shapes_min=cfg.shapes_min,
-                             shapes_max=cfg.shapes_max, stream=stream)
+                             cfg.noise, cfg.jitter, cfg.shapes_min,
+                             cfg.shapes_max, cfg.ignore_fraction, stream=stream)
     return prepare_features(scenes, cfg)
 
 

@@ -9,9 +9,12 @@ what this prints in each:
 It hashes every head's no-grad final and auxiliary logits (all modules, at the
 bench widths, at 64x64 and 128x128, in double and single precision); each
 module's 30-iteration ``ocrseg train`` checkpoint, log and eval; the default
-train's; the ``grad-check`` and ``equiv-check`` reports; and ``bench.json``
-without its wall-clock fields. The package is imported from the ``src``
-directory next to this script. It takes about a minute on one core.
+train's; a ``gen-data`` dataset (its manifest and each split's scene files),
+a 30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
+30-iteration ``ablate``'s ``ablation.csv`` on it; the ``grad-check`` and
+``equiv-check`` reports; and ``bench.json`` without its wall-clock fields.
+The package is imported from the ``src`` directory next to this script. It
+takes about a minute on one core.
 """
 from __future__ import annotations
 
@@ -70,11 +73,12 @@ def logits() -> None:
                       flush=True)
 
 
-def run(tmp: str, name: str, *argv: str) -> str:
+def run(tmp: str, name: str, *argv: str, data_dir: str | None = None) -> str:
     """Runs one CLI command into its own output directory, which it returns;
-    the scenes are generated in memory."""
+    the scenes are read from ``data_dir``, or generated in memory."""
     out = os.path.join(tmp, name.replace("/", "_"))
-    args = [*argv, "--set", f"out_dir={out}", "--set", f"data_dir={tmp}/no-data"]
+    data_dir = data_dir or os.path.join(tmp, "no-data")
+    args = [*argv, "--set", f"out_dir={out}", "--set", f"data_dir={data_dir}"]
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(args)
     print(f"{name}/exit {code}", flush=True)
@@ -90,6 +94,7 @@ def runs(tmp: str) -> None:
     out = run(tmp, "train", "train")
     for f in RUN_FILES:
         print(f"train/{f} {file_sha(os.path.join(out, f))}", flush=True)
+    dataset(tmp)
     for command, report in (("grad-check", "grad_report.json"),
                             ("equiv-check", "equiv_report.json")):
         out = run(tmp, command, command)
@@ -102,6 +107,29 @@ def runs(tmp: str) -> None:
         del row["wall_ms"], row["wall_ms_spread"]
     text = json.dumps(bench, sort_keys=True, indent=2)
     print(f"bench/bench.json-without-wall-clock {sha(text.encode())}", flush=True)
+
+
+def dataset(tmp: str) -> None:
+    """gen-data, then train, eval --checkpoint and ablate on its files."""
+    data = os.path.join(tmp, "dataset")
+    run(tmp, "gen-data", "gen-data", data_dir=data)
+    print(f"gen-data/manifest.txt {file_sha(os.path.join(data, 'manifest.txt'))}",
+          flush=True)
+    for split in ("train", "eval"):
+        names = sorted(os.listdir(os.path.join(data, split)))
+        digest = sha("".join(f"{n} {file_sha(os.path.join(data, split, n))}\n"
+                             for n in names).encode())
+        print(f"gen-data/{split}/{len(names)}-files {digest}", flush=True)
+    short = ("--set", "iterations=30")
+    out = run(tmp, "data/train", "train", *short, data_dir=data)
+    for f in RUN_FILES:
+        print(f"data/train/{f} {file_sha(os.path.join(out, f))}", flush=True)
+    out = run(tmp, "data/eval", "eval", "--checkpoint",
+              os.path.join(out, "checkpoint.ckpt"), data_dir=data)
+    print(f"data/eval/eval.csv {file_sha(os.path.join(out, 'eval.csv'))}", flush=True)
+    out = run(tmp, "data/ablate", "ablate", *short, data_dir=data)
+    print(f"data/ablate/ablation.csv {file_sha(os.path.join(out, 'ablation.csv'))}",
+          flush=True)
 
 
 def main() -> None:
