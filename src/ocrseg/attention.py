@@ -1,5 +1,5 @@
 """The correspondence between the category-query attention pipeline and the
-region-context pipeline, stated as two ``attend`` calls.
+region-context pipeline, stated as two attention calls.
 
 A decoder cross-attention whose queries are the region classifier's rows,
 over the pixels as keys and values, reproduces soft region extraction and
@@ -7,8 +7,8 @@ region pooling; an encoder cross-attention from the pixels' queries onto
 those pooled outputs, with the value and output transforms as the value
 projection and the feed-forward, reproduces the contextual aggregation. The
 equivalence checker runs a no-stem ocr region stage's own ``context`` (the
-code that trains) and this attention form built from the same stage's blocks
-on one instance, and reports their maximum discrepancy.
+code that trains) and this attention form, in NumPy around the same stage's
+blocks, on one instance, and reports their maximum discrepancy.
 """
 from __future__ import annotations
 
@@ -61,6 +61,14 @@ class EquivalenceReport:
                 f"{self.detail}")
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(scale * q^T k) v^T of (d, N) queries, (d, M) keys and (C_v, M)
+    values in plain NumPy, sharing no kernel with the stage it checks."""
+    logits = scale * (q.T @ k)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ v.T
+
+
 def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
                                   tolerance: float = 1e-10,
                                   region_scale: float = 1.0,
@@ -94,11 +102,11 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
     # Attention path: the decoder's category queries attend over the pixels,
     # then the pixels' queries attend over the decoder's (K, C) outputs.
     pixels = x.pixels()  # (C, N)
-    reps = T.transpose(T.attend(T.transpose(stage.region_head.weight), pixels,
-                                pixels, 1.0))  # (C, K)
-    ctx = T.attend(stage.pixel_transform(pixels), stage.region_transform(reps),
-                   stage.value_transform(reps), mapping.encoder_scale)  # (N, Cv)
-    y_att = stage.output_transform(T.transpose(ctx))  # (C_out, N)
+    reps = T.Tensor(_attend(stage.region_head.weight.data.T, pixels.data, pixels.data,
+                            1.0).T)  # (C, K)
+    ctx = _attend(stage.pixel_transform(pixels).data, stage.region_transform(reps).data,
+                  stage.value_transform(reps).data, mapping.encoder_scale)  # (N, Cv)
+    y_att = stage.output_transform(T.Tensor(ctx.T))  # (C_out, N)
 
     diff = float(np.abs(y_ctx.data - y_att.data).max())
     passed = diff <= tolerance

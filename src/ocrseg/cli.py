@@ -35,11 +35,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _scenes(cfg: RunConfig) -> dict[str, list[D.SyntheticScene]]:
-    """On-disk dataset when one exists, otherwise the same scenes that
-    gen-data would write, regenerated in memory."""
+    """On-disk dataset when one exists, its scenes checked against ``grid``,
+    otherwise the same scenes that gen-data would write, regenerated in memory."""
     manifest = os.path.join(cfg.data_dir, D.MANIFEST_NAME)
     if os.path.exists(manifest):
-        return D.load_dataset(cfg.data_dir)
+        scenes = D.load_dataset(cfg.data_dir)
+        for scene in scenes["train"] + scenes["eval"]:
+            if (scene.height, scene.width) != (cfg.grid, cfg.grid):
+                raise ConfigError(f"grid is {cfg.grid} but {cfg.data_dir} holds a "
+                                  f"{scene.height}x{scene.width} scene")
+        return scenes
     return {"train": _generate_split(cfg, cfg.train_scenes, stream=0),
             "eval": _generate_split(cfg, cfg.eval_scenes, stream=1)}
 

@@ -95,11 +95,10 @@ def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str,
 
 @dataclass
 class SoftRegionSet:
-    """Per-region spatial weights: ``logits`` (K, N) and ``normalized`` (K, N),
-    each normalized row a distribution over pixels. Rows listed in
-    ``empty_regions`` are all-zero (a region with no support)."""
+    """Per-region spatial weights: ``normalized`` (K, N), each row a
+    distribution over pixels. Rows listed in ``empty_regions`` are all-zero
+    (a region with no support)."""
 
-    logits: T.Tensor
     normalized: T.Tensor
     empty_regions: tuple[int, ...] = ()
 
@@ -128,17 +127,15 @@ class RelationMatrix:
 # pipeline stages
 
 
-def compute_soft_regions(x: FeatureMap, head: Conv1x1Head,
-                         keep_logits: bool = True) -> SoftRegionSet:
-    """Classifier logits per region, spatially softmaxed: each region row is a
-    distribution over the image's pixels. Under no_grad, a set whose logits
-    nothing reads (``keep_logits=False``) normalises them in place, in
-    ``softmax_rows``' arithmetic, and holds its maps as its logits."""
-    logits = head(x.pixels())  # (K, N)
+def compute_soft_regions(logits: T.Tensor, keep_logits: bool = True) -> SoftRegionSet:
+    """The (K, N) region logits spatially softmaxed: each region row is a
+    distribution over the image's pixels. Under no_grad, logits that nothing
+    else reads (``keep_logits=False``) are normalised in place, in
+    ``softmax_rows``' arithmetic, and the set holds their buffer."""
     if keep_logits or T._grad_enabled:
-        return SoftRegionSet(logits, T.softmax_rows(logits))
-    T._normalize_rows(logits.data)  # softmax_rows' arithmetic, in place
-    return SoftRegionSet(logits, logits)
+        return SoftRegionSet(T.softmax_rows(logits))
+    T._normalize_rows(logits.data)
+    return SoftRegionSet(logits)
 
 
 def region_representations(x_pixels: T.Tensor, regions: SoftRegionSet) -> T.Tensor:

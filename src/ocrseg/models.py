@@ -311,16 +311,14 @@ class RegionStage(RelationalStage):
             if (labels.height, labels.width) != (x.height, x.width):
                 raise DimensionError(f"labels {labels.height}x{labels.width} do not "
                                      f"match the {x.height}x{x.width} features")
-            regions = gt_regions(labels, dtype=dtype)
+            regions, logits = gt_regions(labels, dtype=dtype), None
         else:
-            regions = compute_soft_regions(x, self.region_head)
-        # Wider unsupervised region maps: the pipeline pools these while the
-        # supervised classifier above still feeds the auxiliary loss.
-        pooled = regions if self.da_maps is None else compute_soft_regions(
-            feats, self.da_maps, keep_logits=False)
-        reps = region_representations(T.transpose(feats.pixels()), pooled)  # (C, K)
-        # once pooled, the regions are dropped but for their logits
-        logits = None if module == "gt_ocr" else regions.logits
+            logits = self.region_head(x.pixels())  # (K, N), the auxiliary output
+            # Wider unsupervised region maps: the pipeline pools these, and
+            # the supervised classifier's logits only feed the auxiliary loss.
+            regions = (compute_soft_regions(logits) if self.da_maps is None else
+                       compute_soft_regions(self.da_maps(feats.pixels()), keep_logits=False))
+        reps = region_representations(T.transpose(feats.pixels()), regions)  # (C, K)
         keys = self.region_transform(reps) if module == "ocr" else None
         values = self.value_transform(reps)
 
@@ -349,9 +347,10 @@ class RegionStage(RelationalStage):
         out: dict[str, int] = {}
         if module != "gt_ocr":
             out["region_head"] = F.conv1x1_flops(cfg.in_channels, k, n)
-            out["region_softmax"] = F.softmax_flops(k, n)
-        if self.da_maps is not None:
+        if self.da_maps is not None:  # pooled in place of the classifier's softmax
             out["da_maps"] = F.conv1x1_flops(c, r, n) + F.softmax_flops(r, n)
+        elif module != "gt_ocr":
+            out["region_softmax"] = F.softmax_flops(k, n)
         out["region_pool"] = F.matmul_flops(r, n, c)
         if module == "ocr":
             out["pixel_keys"] = F.block_flops(c, d, n)

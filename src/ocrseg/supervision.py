@@ -91,25 +91,17 @@ def poly_lr(schedule: PolySchedule, iteration: int) -> float:
 
 
 def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
-    """One-hot ground-truth regions, spatially normalized: row k weights the
-    pixels labeled k uniformly (1/count). Classes with no pixels yield an
-    all-zero row and are flagged; ignored pixels belong to no region. The
-    tensors take ``dtype``, the precision of the features they pool."""
-    k = labels.num_classes
+    """Ground-truth regions, spatially normalized: row k weights the pixels
+    labeled k uniformly (1/count, divided in ``dtype``, the precision of the
+    features they pool). Classes with no pixels yield an all-zero row and are
+    flagged; ignored pixels belong to no region."""
     flat = labels.flat
-    n = flat.size
-    member = np.zeros((k, n), dtype=dtype)
-    valid = flat != labels.ignore_index
-    member[flat[valid], np.where(valid)[0]] = 1.0
-    counts = member.sum(axis=1)
-    normalized = np.zeros_like(member)
-    empty = []
-    for c in range(k):
-        if counts[c] > 0:
-            normalized[c] = member[c] / counts[c]
-        else:
-            empty.append(c)
-    return SoftRegionSet(T.Tensor(member), T.Tensor(normalized), tuple(empty))
+    pixels = np.flatnonzero(flat != labels.ignore_index)
+    counts = np.bincount(flat[pixels], minlength=labels.num_classes).astype(dtype)
+    normalized = np.zeros((labels.num_classes, flat.size), dtype=dtype)
+    normalized[flat[pixels], pixels] = 1 / counts[flat[pixels]]
+    empty = tuple(int(c) for c in np.flatnonzero(counts == 0))
+    return SoftRegionSet(T.Tensor(normalized), empty)
 
 
 def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,

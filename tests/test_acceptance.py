@@ -61,7 +61,7 @@ def test_simplex_rows_are_distributions(capsys):
         c = int(rng.integers(2, 7))
         x = FeatureMap(T.Tensor(rng.normal(0.0, 3.0, (c, h, w))))
         head = Conv1x1Head.create(rng, c, k)
-        regions = compute_soft_regions(x, head)
+        regions = compute_soft_regions(head(x.pixels()))
         check(regions.normalized.data)
         reps = region_representations(T.transpose(x.pixels()), regions)
         scale = 1.0 if i % 2 == 0 else 1.0 / float(np.sqrt(c))
@@ -282,7 +282,7 @@ def test_module_outputs_match_loop_oracles(capsys):
     x_arr = rng.normal(0.0, 1.5, (5, 4, 4))
     x = FeatureMap(T.Tensor(x_arr))
 
-    regions = compute_soft_regions(x, p.region_head)
+    regions = compute_soft_regions(p.region_head(x.pixels()))
     want_norm = oracles.softmax_rows_loops(
         _head_loops(p.region_head, x_arr.reshape(5, 16)))
     assert float(np.abs(regions.normalized.data - want_norm).max()) <= stage_tol

@@ -109,7 +109,7 @@ class TestDecoderCrossAttention:
     def test_reps_match_region_pooling(self, rng):
         x = feature_map(rng, 3, 2, 3)
         head = Conv1x1Head.create(rng, 3, 4, bias=False)
-        regions = compute_soft_regions(x, head)
+        regions = compute_soft_regions(head(x.pixels()))
         pooled = region_representations(T.transpose(x.pixels()), regions)
         reps = T.attend(T.transpose(head.weight), x.pixels(), x.pixels(), 1.0)
         assert np.max(np.abs(reps.data - pooled.data.T)) < 1e-12
@@ -222,13 +222,17 @@ class TestEquivalenceCheck:
                 transformer_equivalence_check(x, mapping, **restated)
 
     @pytest.mark.parametrize("scale_mode, fault", [
-        ("unit", "swapped_keys"), ("rsqrt_key", "unit_scale")])
+        ("unit", "swapped_keys"), ("rsqrt_key", "unit_scale"),
+        ("rsqrt_key", "multiplied_temperature")])
     def test_fault_in_the_stage_fails_the_gate(self, rng, monkeypatch,
                                                scale_mode, fault):
         # the gate runs the stage's own context, so a fault in the relation
         # step the stage calls must surface as a discrepancy. The stage hands
         # that step region keys already transformed, so the swap keys the
-        # pixels with the region transform.
+        # pixels with the region transform. Multiplying by the temperature
+        # instead of dividing is a fault in the relation kernel the stage
+        # shares with ``T.attend``: the gate's attention side is plain NumPy,
+        # so it shows too.
         real = models.pixel_region_relations
 
         def faulty(x, keys, pixel_transform, scale):
@@ -236,7 +240,15 @@ class TestEquivalenceCheck:
                 return real(x, keys, stage.region_transform, scale=scale)
             return real(x, keys, pixel_transform, scale=1.0)
 
-        monkeypatch.setattr(models, "pixel_region_relations", faulty)
+        def faulty_kernel(q, k, rows, temperature, block):
+            np.matmul(q[:, rows].T, k, out=block)
+            block *= temperature
+            T._normalize_rows(block)
+
+        if fault == "multiplied_temperature":
+            monkeypatch.setattr(T, "_relation_block", faulty_kernel)
+        else:
+            monkeypatch.setattr(models, "pixel_region_relations", faulty)
         stage = region_stage(in_channels=4, num_classes=3, attention_scale=scale_mode)
         report = transformer_equivalence_check(
             feature_map(rng, 4, 3, 3), EquivalenceMapping.from_params(stage),

@@ -96,6 +96,24 @@ class TestUsageErrors:
         assert bad.split("=")[0] in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()
 
+    def test_dataset_of_another_grid_exits_two(self, tmp_path, capsys):
+        # scenes written at grid=16, read by runs whose grid is the default 32:
+        # the model's dilation rates and the ppm_bins bound would be set for
+        # the wrong size
+        data = tmp_path / "data"
+        assert cli_main(["gen-data", "--set", "grid=16", "--set", "train_scenes=2",
+                         "--set", "eval_scenes=1", "--set", f"data_dir={data}"]) == 0
+        capsys.readouterr()
+        for cmd in ("train", "eval", "ablate"):
+            code = cli_main([cmd, "--set", "module=aspp_lite", "--set", "iterations=1",
+                             "--set", f"data_dir={data}",
+                             "--set", f"out_dir={tmp_path / 'out'}"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1 and "grid" in err and "16x16" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert cli_main(["gen-data", "--config", "/no/such/file.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -22,11 +22,10 @@ from conftest import (dot_all, feature_map, identity_block, region_stage, run_st
                       tensor)
 
 
-def region_set(normalized, logits=None, empty=()):
+def region_set(normalized, empty=()):
     """Build a SoftRegionSet straight from a normalized array."""
-    norm = np.asarray(normalized, dtype=np.float64)
-    raw = norm if logits is None else np.asarray(logits, dtype=np.float64)
-    return SoftRegionSet(tensor(raw), tensor(norm), empty_regions=tuple(empty))
+    return SoftRegionSet(tensor(np.asarray(normalized, dtype=np.float64)),
+                         empty_regions=tuple(empty))
 
 
 class TestFeatureMap:
@@ -159,21 +158,22 @@ class TestComputeSoftRegions:
     def test_zero_classifier_uniform_rows(self):
         x = feature_map(np.random.default_rng(0), 3, 2, 2)
         head = Conv1x1Head(tensor(np.zeros((2, 3))))
-        regions = compute_soft_regions(x, head)
+        regions = compute_soft_regions(head(x.pixels()))
         assert np.allclose(regions.normalized.data, 0.25, atol=1e-15)
 
     def test_single_pixel_column_of_ones(self, rng):
         x = feature_map(rng, 3, 1, 1)
         head = Conv1x1Head.create(rng, 3, 4)
-        regions = compute_soft_regions(x, head)
+        regions = compute_soft_regions(head(x.pixels()))
         assert np.array_equal(regions.normalized.data, np.ones((4, 1)))
 
     def test_hand_logits_match_scalar_softmax(self):
         # pixels form an identity, so logits == head weight rows
         x = FeatureMap(tensor(np.eye(4).reshape(4, 2, 2)))
         w = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        regions = compute_soft_regions(x, Conv1x1Head(tensor(w)))
-        assert np.max(np.abs(regions.logits.data - w)) < 1e-15
+        logits = Conv1x1Head(tensor(w))(x.pixels())
+        assert np.max(np.abs(logits.data - w)) < 1e-15
+        regions = compute_soft_regions(logits)
         want = oracles.softmax_rows_loops(w)
         assert np.max(np.abs(regions.normalized.data - want)) < 1e-12
 
@@ -182,7 +182,7 @@ class TestComputeSoftRegions:
             k = int(rng.integers(1, 9))
             x = feature_map(rng, 4, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
             head = Conv1x1Head.create(rng, 4, k)
-            regions = compute_soft_regions(x, head)
+            regions = compute_soft_regions(head(x.pixels()))
             rows = regions.normalized.data
             assert np.all(rows >= 0)
             assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-9
@@ -190,23 +190,25 @@ class TestComputeSoftRegions:
     def test_channel_mismatch(self, rng):
         x = feature_map(rng, 3, 2, 2)
         with pytest.raises(DimensionError):
-            compute_soft_regions(x, Conv1x1Head.create(rng, 5, 2))
+            compute_soft_regions(Conv1x1Head.create(rng, 5, 2)(x.pixels()))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_unkept_logits_normalised_in_place(self, rng, dtype):
         # under no_grad the maps overwrite their logits, bitwise the maps of
-        # softmax_rows, so the set holds one (K, N) buffer; a recording
+        # softmax_rows, so the set holds the one (K, N) buffer; a recording
         # forward keeps both
         x = FeatureMap(T.Tensor(rng.normal(0, 3, (4, 5, 6)).astype(dtype)))
         head = Conv1x1Head(T.Tensor(rng.normal(0, 1, (7, 4)).astype(dtype)))
-        want = compute_soft_regions(x, head).normalized.data
+        want = compute_soft_regions(head(x.pixels())).normalized.data
         with T.no_grad(), T.AllocationTracker() as tracker:
-            got = compute_soft_regions(x, head, keep_logits=False)
-        assert got.logits is got.normalized and np.array_equal(got.normalized.data, want)
+            logits = head(x.pixels())
+            got = compute_soft_regions(logits, keep_logits=False)
+        assert got.normalized is logits and np.array_equal(got.normalized.data, want)
         assert got.normalized.data.dtype == dtype and tracker.peak_bytes == want.nbytes
         head.weight.requires_grad = True
-        kept = compute_soft_regions(x, head, keep_logits=False)
-        assert kept.logits is not kept.normalized
+        logits = head(x.pixels())
+        kept = compute_soft_regions(logits, keep_logits=False)
+        assert kept.normalized is not logits and np.array_equal(kept.normalized.data, want)
 
 
 class TestRegionRepresentations:

@@ -640,6 +640,15 @@ class TestFlopBreakdown:
         assert all(isinstance(v, int) and v > 0 for v in breakdown.values())
         assert model.analytic_flops(8, 8) == sum(breakdown.values())
 
+    @pytest.mark.parametrize("module,settings,billed", [
+        ("ocr", {}, True), ("acf", {}, True), ("da", {}, True),
+        ("da", {"da_regions": 7}, False), ("gt_ocr", {}, False)])
+    def test_region_softmax_billed_where_it_runs(self, module, settings, billed):
+        # da with its own maps pools those and never forms the classifier's
+        # softmax; gt_ocr runs no classifier
+        model = build_model(small_config(module, **settings), image_size=8)
+        assert ("region_softmax" in model.flop_breakdown(8, 8)) == billed
+
     def test_stem_toggle(self):
         with_stem = build_model(small_config("ocr", use_stem=True))
         without = build_model(small_config("ocr", use_stem=False))

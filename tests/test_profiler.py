@@ -313,6 +313,17 @@ class TestMeasurement:
         model = build_model(cfg.model_config(module), image_size=cfg.height)
         assert measure_peak_memory(model, bench_input(cfg)) <= bound
 
+    @pytest.mark.parametrize("precision,bound", [("double", 11_100_000),
+                                                 ("single", 5_600_000)])
+    def test_da_maps_peak_at_128(self, precision, bound):
+        # at the bench widths, 128x128: da pools its 64 maps and forms only
+        # the logits of the classifier, whose softmax nothing reads:
+        # 11,042,816 and 5,521,408 tracked bytes, against 13,533,184 and
+        # 6,766,592 while that softmax was formed
+        cfg = BenchConfig(height=128, width=128, precision=precision)
+        model = build_model(cfg.model_config("da"), image_size=cfg.height)
+        assert measure_peak_memory(model, bench_input(cfg)) <= bound
+
     def test_repeated_peaks_identical(self):
         cfg = small_bench()
         fm = bench_input(cfg)

@@ -8,9 +8,10 @@ what this prints in each:
 
 It hashes every head's no-grad final and auxiliary logits (all modules, at the
 bench widths, at 64x64 and 128x128, in double and single precision); each
-module's 30-iteration ``ocrseg train`` checkpoint, log and eval; the default
-train's; a ``gen-data`` dataset (its manifest and each split's scene files),
-a 30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
+module's 30-iteration ``ocrseg train`` checkpoint, log and eval, and da's
+with its own region maps (``da_regions=8``); the default train's; a
+``gen-data`` dataset (its manifest and each split's scene files), a
+30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
 30-iteration ``ablate``'s ``ablation.csv`` on it; the ``grad-check`` and
 ``equiv-check`` reports; and ``bench.json`` without its wall-clock fields.
 The package is imported from the ``src`` directory next to this script. It
@@ -86,11 +87,12 @@ def run(tmp: str, name: str, *argv: str, data_dir: str | None = None) -> str:
 
 
 def runs(tmp: str) -> None:
-    for module in MODULE_CHOICES:
-        out = run(tmp, f"train30/{module}", "train", "--set", f"module={module}",
-                  "--set", "iterations=30")
+    trains = [(module, ("--set", f"module={module}")) for module in MODULE_CHOICES]
+    trains.append(("da_maps", ("--set", "module=da", "--set", "da_regions=8")))
+    for name, settings in trains:
+        out = run(tmp, f"train30/{name}", "train", *settings, "--set", "iterations=30")
         for f in RUN_FILES:
-            print(f"train30/{module}/{f} {file_sha(os.path.join(out, f))}", flush=True)
+            print(f"train30/{name}/{f} {file_sha(os.path.join(out, f))}", flush=True)
     out = run(tmp, "train", "train")
     for f in RUN_FILES:
         print(f"train/{f} {file_sha(os.path.join(out, f))}", flush=True)
