@@ -78,8 +78,11 @@ def _check_simplex_rows(mat: np.ndarray, exempt: Sequence[int], what: str,
     tol = SIMPLEX_TOL_SINGLE if mat.dtype == np.float32 else SIMPLEX_TOL
     if mat.min() < -tol:
         raise ParameterError(f"{what} contains negative weights")
-    sums = mat.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= tol)
+    sums = T._reduce_rows(np.add, mat)[:, 0]
+    deviation = np.abs(sums - 1.0)
+    if not len(exempt) and deviation.max() <= tol:  # a NaN row fails the test
+        return
+    off = ~(deviation <= tol)
     flagged = np.unique(np.array([int(i) for i in exempt], dtype=np.int64))
     flagged = flagged[(flagged >= 0) & (flagged < mat.shape[0])]
     off[flagged] = False

@@ -263,8 +263,10 @@ def lift_weights(seed: int, feat_channels: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(feat_channels, 3))
 
 
-def scene_features(scene: SyntheticScene, lift: np.ndarray) -> FeatureMap:
-    """Lifted colors plus two coordinate channels in [0, 1]."""
+def scene_features(scene: SyntheticScene, lift: np.ndarray,
+                   dtype=np.float64) -> FeatureMap:
+    """Lifted colors plus two coordinate channels in [0, 1], formed in
+    float64 and held in ``dtype``."""
     h, w = scene.height, scene.width
     colors = scene.image.reshape(-1, 3).T.astype(np.float64) / 255.0 - 0.5
     lifted = lift @ colors  # (C_feat, N)
@@ -272,7 +274,7 @@ def scene_features(scene: SyntheticScene, lift: np.ndarray) -> FeatureMap:
     xs = np.tile(np.linspace(0.0, 1.0, w), h)[None, :]
     feats = np.concatenate([lifted, ys, xs], axis=0)
     c = feats.shape[0]
-    return FeatureMap(T.Tensor(feats.reshape(c, h, w)))
+    return FeatureMap(T.Tensor(feats.reshape(c, h, w), dtype=dtype))
 
 
 def scene_label_map(scene: SyntheticScene, num_classes: int) -> LabelMap:

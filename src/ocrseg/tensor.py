@@ -31,6 +31,8 @@ from .errors import DataError, DimensionError, ParameterError, StateError
 
 DEFAULT_DTYPE = np.float64
 BN_EPS = 1e-5
+# the frozen batchnorm's normaliser 1 / sqrt(1 + BN_EPS), in each dtype
+_INV_STD = {np.dtype(t): 1.0 / np.sqrt(np.ones((), t) + BN_EPS) for t in (np.float32, np.float64)}
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -158,12 +160,10 @@ class Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], tuple], opname: str) -> Tensor:
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs, dtype=data.dtype)
-    if needs:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-        out._opname = opname
+    out = Tensor(data, dtype=data.dtype)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad, out._parents, out._backward_fn, out._opname = (
+            True, tuple(parents), backward_fn, opname)
     return out
 
 
@@ -188,31 +188,30 @@ def backward(loss: Tensor) -> list[Tensor]:
             f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ParameterError("loss does not require grad; nothing to differentiate")
-    seen: set[int] = set()
+    # tensors hash by identity, so they key the walk and the gradients
+    seen: set[Tensor] = set()
     nodes: list[Tensor] = []
     stack = [loss]
     while stack:
         t = stack.pop()
-        if id(t) in seen or t._backward_fn is None:
-            continue
-        seen.add(id(t))
-        nodes.append(t)
-        stack.extend(t._parents)
+        if t._backward_fn is not None and t not in seen:
+            seen.add(t)
+            nodes.append(t)
+            stack.extend(t._parents)
     if any(t._backward_fn is _replayed for t in nodes):
         _replayed(None)  # refuse before any leaf is given a gradient
     nodes.sort(key=lambda t: t._index)
     # owner buffers of the gradients charged so far, by id; the weak
     # reference tells a live owner from a freed one whose id was reused
     charged: dict[int, weakref.ref] | None = {} if _TRACKER is not None else None
-    pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.dtype)}
     for t in reversed(nodes):
         parents, backward_fn = t._parents, t._backward_fn
         t._parents, t._backward_fn = (), _replayed
-        out_grad = pending.pop(id(t), None)
+        out_grad = pending.pop(t, None)
         if out_grad is None:
             continue  # recorded but not on a path to the loss
-        grads = backward_fn(out_grad)
-        for parent, g in zip(parents, grads):
+        for parent, g in zip(parents, backward_fn(out_grad)):
             if g is None or not parent.requires_grad:
                 continue
             # the sum of two 0-d arrays is a numpy scalar, not a buffer
@@ -220,9 +219,8 @@ def backward(loss: Tensor) -> list[Tensor]:
                 parent.grad = kept = (g if parent.grad is None
                                       else np.asarray(parent.grad + g))
             else:
-                key = id(parent)
-                pending[key] = kept = (g if key not in pending
-                                       else np.asarray(pending[key] + g))
+                kept = pending.get(parent)
+                pending[parent] = kept = g if kept is None else np.asarray(kept + g)
             if charged is not None:
                 while isinstance(kept.base, np.ndarray):
                     kept = kept.base
@@ -286,11 +284,25 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(out, (t,), back, "reshape")
 
 
+# numpy reduces many short rows slowly (a (1024, 6) row max: 67 us, by columns
+# 4 us, on a 2-vCPU VM), so rows of fewer than 8 entries are reduced a column
+# at a time; numpy sums such a row in order from +0, as this does
+def _reduce_rows(ufunc: np.ufunc, s: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(s, axis=1, keepdims=True)``, ``ufunc`` ``np.add`` or
+    ``np.maximum``, of a 2-D ``s``; a zero maximum may differ in sign only."""
+    if not 0 < s.shape[1] < 8:
+        return ufunc.reduce(s, axis=1, keepdims=True)
+    out = s[:, :1] + 0.0
+    for j in range(1, s.shape[1]):
+        ufunc(out, s[:, j:j + 1], out=out)
+    return out
+
+
 def _normalize_rows(s: np.ndarray) -> None:
     """Row-wise softmax of the logits ``s``, in place, with max subtraction."""
-    s -= s.max(axis=1, keepdims=True)
+    s -= _reduce_rows(np.maximum, s)
     np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
+    s /= _reduce_rows(np.add, s)
 
 
 def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float,
@@ -298,9 +310,10 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float,
     """Gradient of the logits of row softmax ``s`` at ``temperature``, given
     the gradient ``g`` of ``s``. A ``fresh`` g, one the caller allocated and
     nothing else reads, is overwritten with it, in the same arithmetic."""
-    ds = np.subtract(g, (g * s).sum(axis=1, keepdims=True), out=g if fresh else None)
+    ds = np.subtract(g, _reduce_rows(np.add, g * s), out=g if fresh else None)
     ds *= s
-    ds /= temperature
+    if temperature != 1.0:  # x / 1.0 is x
+        ds /= temperature
     return ds
 
 
@@ -441,17 +454,23 @@ _ACCUMULATE_BYTES = 1 << 22
 def _gemm_accumulate(out2: np.ndarray, terms) -> None:
     """Write the sum of ``w @ x`` over ``terms`` (pairs of (M, K_t) and (K_t, N)
     matrices) into ``out2`` (M, N). The first product goes straight into
-    ``out2``; each later one is added a block of columns at a time, and a
-    later (K_t, 1) ``x`` adds its one column of products to every column."""
+    ``out2``; each later one is added a block of columns at a time, formed in
+    one scratch block that they share, and a later (K_t, 1) ``x`` adds its one
+    column of products to every column."""
     m, n = out2.shape
     cols = max(1, min(n, _ACCUMULATE_BYTES // (out2.itemsize * max(m, 1))))
+    scratch = None
     for i, (w, x) in enumerate(terms):
         if i == 0:
             np.matmul(w, x, out=out2)
-            continue
-        for j in range(0, n, cols):
-            block = out2[:, j:j + cols]  # ``out2[...] += `` would copy it back
-            block += w @ (x if x.shape[1] == 1 else x[:, j:j + cols])
+        elif x.shape[1] == 1:
+            out2 += w @ x
+        else:
+            if scratch is None or scratch.dtype != np.result_type(w, x):
+                scratch = np.empty((m, cols), dtype=np.result_type(w, x))
+            for j in range(0, n, cols):
+                block = out2[:, j:j + cols]  # ``out2[...] += `` would copy it back
+                block += np.matmul(w, x[:, j:j + cols], out=scratch[:, :block.shape[1]])
 
 
 # The two input layouts of a convolution. Each holds ``terms``, pairs of a
@@ -478,13 +497,13 @@ class _Parts:
                 s[1:] not in (dims, (1,) * len(dims)) for s in shapes):
             raise DimensionError(f"{op} input must be 2-D or 3-D, each later part with "
                                  f"the first's trailing dims or one column, got {shapes}")
-        if sum(s[0] for s in shapes) != weight.shape[1]:
+        bounds = list(itertools.accumulate((s[0] for s in shapes), initial=0))
+        if bounds[-1] != weight.shape[1]:
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
         self.parts = parts
-        bounds = np.cumsum([0] + [s[0] for s in shapes])
-        self.terms = [((slice(None), slice(bounds[i], bounds[i + 1])),
-                       p.data.reshape(shapes[i][0], -1)) for i, p in enumerate(parts)]
+        self.terms = [((slice(None), slice(c0, c1)), p.data.reshape(c1 - c0, -1))
+                      for p, c0, c1 in zip(parts, bounds, bounds[1:])]
 
     def conv(self, weight: np.ndarray, dtype) -> np.ndarray:
         out = np.empty((weight.shape[0],) + self.parts[0].data.shape[1:], dtype=dtype)
@@ -498,11 +517,11 @@ class _Parts:
         return g if mask is None else g * mask.reshape(g.shape)
 
     def backward(self, g: np.ndarray, weight: np.ndarray):
-        m = np.empty_like(weight)
+        m = np.empty(weight.shape, dtype=weight.dtype)
         grads = []
         for (idx, xm), part in zip(self.terms, self.parts):
             gp = g if xm.shape[1] == g.shape[1] else g.sum(axis=1, keepdims=True)
-            m[idx] = gp @ xm.T
+            np.matmul(gp, xm.T, out=m[idx])
             grads.append((weight[idx].T @ gp).reshape(part.data.shape)
                          if part.requires_grad else None)
         return grads, m
@@ -578,7 +597,8 @@ class _TapGrid:
             raise ParameterError(f"{op} kernel size must be odd, got {k}")
         if int(dilation) < 1:
             raise ParameterError(f"{op} dilation must be >= 1, got {dilation}")
-        if weight.shape[1] != sum(s[0] for s in shapes):
+        self.bounds = list(itertools.accumulate((s[0] for s in shapes), initial=0))
+        if weight.shape[1] != self.bounds[-1]:
             raise DimensionError(f"{op} weight {weight.shape} does not match input "
                                  f"channels {[s[0] for s in shapes]}")
         r0, r1 = (0, h) if rows is None else rows
@@ -598,7 +618,6 @@ class _TapGrid:
                              dtype=np.result_type(*(p.data for p in parts)))
         if _TRACKER is not None:
             _charge(self.flat)  # no tensor owns it
-        self.bounds = np.cumsum([0] + [s[0] for s in shapes])
         self.maps = [None if s[1:] == (h, w) else _Nearest(*s[1:], h, w) for s in shapes]
         # (first grid row, first image row, rows) of each run the taps read
         runs = [(ky * g, r0 + (ky - k // 2) * d, g if ky < k - 1 else self.h)
@@ -643,9 +662,12 @@ class _TapGrid:
         return wide.reshape(g.shape[0], self.cols)
 
     def backward(self, g: np.ndarray, weight: np.ndarray):
-        m = np.empty_like(weight)
-        for idx, xm in self.terms:
-            m[idx] = g @ xm.T
+        # m is a (C_out, C_in, k, k) view of the taps' (C_out, C_in) products
+        k = weight.shape[2]
+        taps = np.empty((k, k) + weight.shape[:2], dtype=weight.dtype)
+        for (_, _, ky, kx), xm in self.terms:
+            np.matmul(g, xm.T, out=taps[ky, kx])
+        m = taps.transpose(2, 3, 0, 1)
         if not any(p.requires_grad for p in self.parts):
             return [None] * len(self.parts), m
         gflat = np.zeros_like(self.flat)
@@ -767,7 +789,7 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
     out = np.ascontiguousarray(
         layout.conv(weight.data, np.result_type(weight.data, *(p.data for p in parts))))
     out2 = out.reshape(c_out, -1)
-    inv_std = 1.0 / np.sqrt(np.ones((), gain.dtype) + BN_EPS)
+    inv_std = _INV_STD[gain.dtype]
     s = gain.data * inv_std
     out2 *= s[:, None]
     out2 += shift.data[:, None]
@@ -777,15 +799,15 @@ def conv_bn_relu(x: Tensor | Sequence[Tensor], weight: Tensor, gain: Tensor,
 
     def back(g):
         g = layout.widen(g, out > 0.0)
-        g_shift = g.sum(axis=1)
+        g_shift = np.add.reduce(g, axis=1)
         s_w = s.reshape((c_out,) + (1,) * (weight.data.ndim - 1))
         # without an input gradient the weight gives only the shape of m
         scaled = any(p.requires_grad for p in parts)
         gparts, m = layout.backward(g, weight.data * s_w if scaled else weight.data)
         # per term, in term order: one sum over the whole weight rounds differently
-        g_wm = np.zeros_like(g_shift)
+        g_wm = np.zeros(c_out, dtype=g_shift.dtype)
         for idx, _ in layout.terms:
-            g_wm += (weight.data[idx] * m[idx]).sum(axis=1)
+            g_wm += np.add.reduce(weight.data[idx] * m[idx], axis=1)
         m *= s_w
         return (*gparts, m, g_wm * inv_std, g_shift)
 
@@ -836,6 +858,8 @@ def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarr
     labels = np.asarray(labels)
     idx = np.where(labels != ignore_index)[0]
     m = max(idx.size, 1)  # no valid pixel: the empty sum over 1 is +0.0
+    # with no pixel ignored the kept labels are all of them, in order
+    kept = labels if idx.size == labels.size else labels[idx]
     logps, total = [], None
     for logits, weight in terms:
         _require_2d(logits, "cross_entropy logits")
@@ -843,13 +867,13 @@ def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarr
             raise DimensionError(f"labels shape {labels.shape} does not match "
                                  f"logits {logits.data.shape}")
         k = logits.data.shape[0]
-        if idx.size and (labels[idx].min() < 0 or labels[idx].max() >= k):
+        if idx.size and (kept.min() < 0 or kept.max() >= k):
             raise DataError(
                 f"labels must lie in [0, {k}) or equal ignore_index {ignore_index}")
         z = logits.data - logits.data.max(axis=0, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))  # (K, N)
         logps.append(logp)
-        picked = logp[labels[idx], idx]
+        picked = logp[kept, idx]
         term = np.asarray((0.0 - picked.sum()) / m, dtype=logits.dtype) * weight
         total = term if total is None else total + term
     if not idx.size:
@@ -862,9 +886,10 @@ def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarr
             if not logits.requires_grad:
                 grads.append(None)
                 continue
-            gl = np.zeros_like(logits.data)
-            gl[:, idx] = np.exp(logp)[:, idx]
-            gl[labels[idx], idx] -= 1.0
+            gl = np.exp(logp)
+            if kept is not labels:  # ignored pixels get no gradient
+                gl[:, labels == ignore_index] = 0.0
+            gl[kept, idx] -= 1.0
             grads.append(gl * (float(g * weight) / m))
         return grads
 

@@ -26,11 +26,14 @@ ABLATION_SCHEMES = ("ocr", "da", "acf")
 
 def prepare_features(scenes: list[SyntheticScene],
                      cfg: RunConfig) -> list[tuple[FeatureMap, LabelMap]]:
-    """Lift every scene once; training then reuses the cached tensors."""
+    """Lift every scene once, in the run's precision, so a single-precision
+    run computes in float32 throughout; training then reuses the cached
+    tensors."""
     lift = lift_weights(cfg.seed, cfg.feat_channels)
+    dtype = cfg.model_config().np_dtype
     pairs = []
     for scene in scenes:
-        pairs.append((scene_features(scene, lift),
+        pairs.append((scene_features(scene, lift, dtype),
                       scene_label_map(scene, cfg.classes)))
     return pairs
 

@@ -2,12 +2,17 @@
 
 Everything here is deliberately elementary: explicit Python loops and scalar
 math, no vectorized shortcuts borrowed from the library under test. Slow is
-fine; these run on instances a few pixels wide.
+fine; these run on instances a few pixels wide. The exceptions are the
+bit-equality references (``conv_taps_copy`` and the ``frozen_*`` functions
+and ``check_simplex_rows_frozen`` at the end), which keep the engine's former
+NumPy arithmetic so that a rewritten op can be held to it bit for bit.
 """
 import math
 
 import numpy as np
 
+from ocrseg.context import SIMPLEX_TOL, SIMPLEX_TOL_SINGLE
+from ocrseg.errors import ParameterError
 from ocrseg.tensor import BN_EPS
 
 
@@ -307,3 +312,178 @@ def simplex_rows_error(mat: np.ndarray, exempt, what: str) -> str | None:
         elif not abs(s - 1.0) <= 1e-9:
             return f"{what} row {i} sums to {s!r}, expected 1"
     return None
+
+
+def check_simplex_rows_frozen(mat: np.ndarray, exempt, what: str, first: int = 0) -> None:
+    """``context._check_simplex_rows`` as it stood before its fast path for
+    rows none of which is exempt, kept verbatim: the rewritten check must
+    reject the same matrices with the same message."""
+    if mat.size == 0:
+        return
+    tol = SIMPLEX_TOL_SINGLE if mat.dtype == np.float32 else SIMPLEX_TOL
+    if mat.min() < -tol:
+        raise ParameterError(f"{what} contains negative weights")
+    sums = mat.sum(axis=1)
+    off = ~(np.abs(sums - 1.0) <= tol)
+    flagged = np.unique(np.array([int(i) for i in exempt], dtype=np.int64))
+    flagged = flagged[(flagged >= 0) & (flagged < mat.shape[0])]
+    off[flagged] = False
+    not_zero = flagged[np.any(mat[flagged] != 0.0, axis=1)]
+    bad_sum = np.flatnonzero(off)
+    if not_zero.size and (not bad_sum.size or not_zero[0] < bad_sum[0]):
+        raise ParameterError(
+            f"{what} row {first + not_zero[0]} is flagged empty but not zero")
+    if bad_sum.size:
+        i = bad_sum[0]
+        raise ParameterError(f"{what} row {first + i} sums to {sums[i]!r}, expected 1")
+
+
+# The engine's per-op arithmetic before its call overhead was cut, written
+# out as it ran: the references the rewritten ops must match bit for bit.
+
+
+def frozen_inv_std(dtype) -> np.floating:
+    return 1.0 / np.sqrt(np.ones((), dtype) + BN_EPS)
+
+
+def frozen_softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    s = x.copy()
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
+def frozen_softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    ds = g - (g * s).sum(axis=1, keepdims=True)
+    ds *= s
+    ds /= temperature
+    return ds
+
+
+def _pointwise_terms(parts):
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    return [((slice(None), slice(bounds[i], bounds[i + 1])), p.reshape(p.shape[0], -1))
+            for i, p in enumerate(parts)]
+
+
+def _tap_terms(x: np.ndarray, k: int, d: int):
+    """(terms, flat, wp): the windows of one zero-padded (C, H, W) input for
+    a k x k kernel at dilation d <= H, as the flat padded buffer lays them."""
+    c, h, w = x.shape
+    pad = (k // 2) * d
+    wp = w + 2 * pad
+    flat = np.zeros((c, (h + 2 * pad) * wp + 2 * pad), dtype=x.dtype)
+    flat[:, :(h + 2 * pad) * wp].reshape(c, -1, wp)[:, pad:pad + h, pad:pad + w] = x
+    terms = []
+    for ky in range(k):
+        for kx in range(k):
+            o = ky * d * wp + kx * d
+            terms.append(((slice(None), slice(None), ky, kx), slice(o, o + h * wp)))
+    return terms, flat, wp
+
+
+def _tap_backward(x, weight, d, gm, m):
+    """Fill ``m`` with the taps' products of the widened output gradient
+    ``gm`` (C_out, H*Wp) and the windows; return the input's gradient."""
+    c, h, w = x.shape
+    terms, flat, wp = _tap_terms(x, weight.shape[2], d)
+    gflat = np.zeros_like(flat)
+    for idx, win in terms:
+        m[idx] = gm @ flat[:, win].T
+        gflat[:, win] += weight[idx].T @ gm
+    pad = (weight.shape[2] // 2) * d
+    return gflat[:, :-2 * pad].reshape(c, -1, wp)[:, pad:pad + h, pad:pad + w]
+
+
+def frozen_conv_spatial(x, weight, d, g):
+    """(output, input gradient, weight gradient) of one dilated k x k
+    branch for the output gradient ``g``."""
+    c_out = weight.shape[0]
+    h, w = x.shape[1:]
+    terms, flat, wp = _tap_terms(x, weight.shape[2], d)
+    wide = np.empty((c_out, h, wp), dtype=x.dtype)
+    _products(weight, terms, [flat[:, win] for _, win in terms], wide.reshape(c_out, -1))
+    gw = np.zeros((c_out, h, wp), dtype=g.dtype)
+    gw[:, :, :w] = g
+    m = np.empty_like(weight)
+    gx = _tap_backward(x, weight, d, gw.reshape(c_out, -1), m)
+    return wide[:, :, :w], gx, m
+
+
+def _products(weight, terms, windows, out2):
+    for i, ((idx, _), xm) in enumerate(zip(terms, windows)):
+        if i == 0:
+            np.matmul(weight[idx], xm, out=out2)
+        else:
+            out2 += weight[idx] @ xm
+
+
+def frozen_conv_bn_relu(parts, weight, gain, shift, g, dilation=1):
+    """(output, gradients) of a frozen-BN block: pointwise on column parts
+    (each later part the first's trailing dims or one column), or a k x k
+    weight on one (C_in, H, W) input, whose gradient is formed too. The
+    gradients are those of the parts, weight, gain and shift for the output
+    gradient ``g``."""
+    c_out = weight.shape[0]
+    dtype = np.result_type(weight, *parts)
+    if weight.ndim == 2:
+        terms = _pointwise_terms(parts)
+        windows = [xm for _, xm in terms]
+        out = np.empty((c_out,) + parts[0].shape[1:], dtype=dtype)
+        _products(weight, terms, windows, out.reshape(c_out, -1))
+    else:
+        (x,) = parts
+        h, w = x.shape[1:]
+        terms, flat, wp = _tap_terms(x, weight.shape[2], dilation)
+        windows = [flat[:, win] for _, win in terms]
+        wide = np.empty((c_out, h, wp), dtype=dtype)
+        _products(weight, terms, windows, wide.reshape(c_out, -1))
+        out = np.ascontiguousarray(wide[:, :, :w])
+    out2 = out.reshape(c_out, -1)
+    inv_std = frozen_inv_std(gain.dtype)
+    s = gain * inv_std
+    out2 *= s[:, None]
+    out2 += shift[:, None]
+    np.maximum(out2, 0.0, out=out2)
+
+    mask = out > 0.0
+    s_w = s.reshape((c_out,) + (1,) * (weight.ndim - 1))
+    scaled = weight * s_w
+    m = np.empty_like(weight)
+    if weight.ndim == 2:
+        gm = g.reshape(c_out, -1) * mask.reshape(c_out, -1)
+        grads = []
+        for (idx, xm), part in zip(terms, parts):
+            gp = gm if xm.shape[1] == gm.shape[1] else gm.sum(axis=1, keepdims=True)
+            m[idx] = gp @ xm.T
+            grads.append((scaled[idx].T @ gp).reshape(part.shape))
+    else:
+        gw = np.zeros((c_out, h, wp), dtype=g.dtype)
+        np.multiply(g, mask, out=gw[:, :, :w])
+        gm = gw.reshape(c_out, -1)
+        grads = [_tap_backward(x, scaled, dilation, gm, m)]
+    g_shift = gm.sum(axis=1)
+    g_wm = np.zeros_like(g_shift)
+    for idx, _ in terms:
+        g_wm += (weight[idx] * m[idx]).sum(axis=1)
+    m *= s_w
+    return out, (*grads, m, g_wm * inv_std, g_shift)
+
+
+def frozen_cross_entropy(terms, labels: np.ndarray, ignore_index: int, g: float = 1.0):
+    """(loss, logit gradients) of the weighted sum of mean cross entropies
+    over the (logits, weight) ``terms``, for the loss gradient ``g``."""
+    idx = np.where(labels != ignore_index)[0]
+    m = max(idx.size, 1)
+    total, grads = None, []
+    for logits, weight in terms:
+        z = logits - logits.max(axis=0, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+        term = np.asarray((0.0 - logp[labels[idx], idx].sum()) / m, dtype=logits.dtype) * weight
+        total = term if total is None else total + term
+        gl = np.zeros_like(logits)
+        gl[:, idx] = np.exp(logp)[:, idx]
+        gl[labels[idx], idx] -= 1.0
+        grads.append(gl * (float(np.asarray(g, dtype=logits.dtype) * weight) / m))
+    return np.asarray(total), grads

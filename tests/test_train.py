@@ -11,7 +11,7 @@ from ocrseg.config import RunConfig
 from ocrseg.data import generate_scenes
 from ocrseg.errors import ConfigError, DataError, TrainingDiverged
 from ocrseg.models import build_model
-from ocrseg.supervision import LabelMap
+from ocrseg.supervision import LabelMap, combined_loss
 from ocrseg.train import (ABLATION_SCHEMES, AblationCell, EvalResult,
                           TrainRow, ablation_csv, evaluate_model,
                           load_checkpoint, prepare_features, run_ablation,
@@ -43,6 +43,30 @@ class TestPrepareFeatures:
         feats, labels = pairs[0]
         assert feats.tensor.data.shape == (cfg.in_channels, 12, 12)
         assert labels.num_classes == 3
+
+
+    def test_features_take_the_run_precision(self):
+        for precision, dtype in (("double", np.float64), ("single", np.float32)):
+            feats, _ = tiny_pairs(tiny_config(precision=precision), 1, 0)[0]
+            assert feats.tensor.dtype == dtype
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("module", ["ocr", "self_attn", "aspp_lite"])
+    def test_training_step_stays_float32(self, module):
+        # float64 features would promote every activation, the logits, the
+        # loss and the gradients to float64 under float32 parameters
+        cfg = tiny_config(precision="single", module=module)
+        feats, labels = tiny_pairs(cfg, 1, 0)[0]
+        model = build_model(cfg.model_config(), image_size=cfg.grid)
+        out = model.forward(feats, labels)
+        loss = combined_loss(out.final_logits, out.aux_logits, labels, cfg.loss)
+        T.backward(loss)
+        assert out.final_logits.dtype == np.float32
+        assert out.aux_logits is None or out.aux_logits.dtype == np.float32
+        assert loss.dtype == np.float32
+        for name, param in model.named_parameters():
+            assert param.grad is not None and param.grad.dtype == np.float32, name
 
 
 class TestTrainModel:

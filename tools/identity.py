@@ -8,10 +8,10 @@ what this prints in each:
 
 It hashes every head's no-grad final and auxiliary logits (all modules, at the
 bench widths, at 64x64 and 128x128, in double and single precision); each
-module's 30-iteration ``ocrseg train`` checkpoint, log and eval, and da's
-with its own region maps (``da_regions=8``); the default train's; a
-``gen-data`` dataset (its manifest and each split's scene files), a
-30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
+module's 30-iteration ``ocrseg train`` checkpoint, log and eval, da's with
+its own region maps (``da_regions=8``) and ocr's in single precision; the
+default train's; a ``gen-data`` dataset (its manifest and each split's scene
+files), a 30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
 30-iteration ``ablate``'s ``ablation.csv`` on it; the ``grad-check`` and
 ``equiv-check`` reports; and ``bench.json`` without its wall-clock fields.
 The package is imported from the ``src`` directory next to this script. It
@@ -89,6 +89,7 @@ def run(tmp: str, name: str, *argv: str, data_dir: str | None = None) -> str:
 def runs(tmp: str) -> None:
     trains = [(module, ("--set", f"module={module}")) for module in MODULE_CHOICES]
     trains.append(("da_maps", ("--set", "module=da", "--set", "da_regions=8")))
+    trains.append(("single", ("--set", "precision=single")))
     for name, settings in trains:
         out = run(tmp, f"train30/{name}", "train", *settings, "--set", "iterations=30")
         for f in RUN_FILES:
