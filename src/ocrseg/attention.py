@@ -93,8 +93,6 @@ def transformer_equivalence_check(x: FeatureMap, mapping: EquivalenceMapping,
         raise ParameterError(
             f"region_scale={region_scale!r}, relation_scale={relation_scale!r}: the "
             f"stage runs its region softmax at 1 and its relations at {stage_scale!r}")
-    if stage.region_head.bias is not None:
-        raise ConfigError("query correspondence requires a bias-free region head")
 
     tail, _ = stage.context(x, x, None)
     y_ctx = tail(x)  # the whole image as one band, as training runs it

@@ -23,36 +23,41 @@ from .supervision import IGNORE_INDEX, LabelMap, LossConfig, combined_loss
 
 _KINK_MARGIN = 1e-4
 _MAX_REDRAWS = 25
+# The central differences' step, and the magnitude below which ``rel_error``
+# measures absolute error.
+_STEP = 1e-6
+_REL_FLOOR = 1e-3
 
 
-def rel_error(a: float, b: float, floor: float = 1e-3) -> float:
+def rel_error(a: float, b: float) -> float:
     """|a - b| relative to the larger magnitude, floored so comparisons of
     near-zero gradients measure absolute error instead of noise ratios."""
-    return abs(a - b) / max(abs(a), abs(b), floor)
+    return abs(a - b) / max(abs(a), abs(b), _REL_FLOOR)
 
 
-def finite_difference_grad(param: T.Tensor, objective, h: float = 1e-6) -> np.ndarray:
+def finite_difference_grad(param: T.Tensor, objective) -> np.ndarray:
     """Central differences of ``objective()`` w.r.t. every entry of ``param``."""
-    if h <= 0:
-        raise ParameterError(f"step size must be > 0, got {h}")
     flat = param.data.reshape(-1)
     grad = np.zeros(flat.size)
     with T.no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _STEP
             hi = float(objective().data)
-            flat[i] = orig - h
+            flat[i] = orig - _STEP
             lo = float(objective().data)
             flat[i] = orig
-            grad[i] = (hi - lo) / (2.0 * h)
+            grad[i] = (hi - lo) / (2.0 * _STEP)
     return grad.reshape(param.data.shape)
 
 
 def _grad_instance(seed: int, index: int):
     """One tiny seeded model plus input and labels, redrawn until every
-    rectifier pre-activation clears the finite-difference stencil."""
+    rectifier pre-activation clears the finite-difference stencil. The scale,
+    stem and da-maps variants follow the module's own count, not ``index``,
+    whose parities the module cycle would fix per module."""
     module = MODULE_CHOICES[index % len(MODULE_CHOICES)]
+    variant = index // len(MODULE_CHOICES)
     height, width = 3, 4
     classes = 3
     for attempt in range(_MAX_REDRAWS):
@@ -60,9 +65,9 @@ def _grad_instance(seed: int, index: int):
         cfg = ModelConfig(
             module=module, in_channels=5, num_classes=classes, key_channels=4,
             mid_channels=6,
-            attention_scale="unit" if index % 2 == 0 else "rsqrt_key",
-            da_regions=5 if (module == "da" and index % 2 == 1) else 0,
-            use_stem=(module in ("ocr", "gt_ocr", "self_attn") and index % 4 < 2)
+            attention_scale="unit" if variant % 2 == 0 else "rsqrt_key",
+            da_regions=5 if (module == "da" and variant % 2 == 1) else 0,
+            use_stem=(module in ("ocr", "gt_ocr", "self_attn") and variant % 4 < 2)
             or module in ("da", "acf", "global"),
             aspp_rates=(1, 2), ppm_bins=(1, 2),
             seed=int(rng.integers(1 << 30)))
@@ -71,7 +76,7 @@ def _grad_instance(seed: int, index: int):
         raw = rng.integers(0, classes, size=(height, width))
         if index % 3 == 0:
             raw[0, 0] = IGNORE_INDEX
-        labels = LabelMap(raw, classes, IGNORE_INDEX)
+        labels = LabelMap(raw, classes)
         loss_cfg = LossConfig()
 
         def objective(model=model, feats=feats, labels=labels, loss_cfg=loss_cfg):
@@ -102,7 +107,6 @@ class GradInstance:
 class GradCheckReport:
     instances: list
     tolerance: float
-    step: float
 
     @property
     def max_rel_error(self) -> float:
@@ -117,7 +121,7 @@ class GradCheckReport:
         payload = {
             "suite": "gradient",
             "instances": len(self.instances),
-            "step": self.step,
+            "step": _STEP,
             "tolerance": self.tolerance,
             "max_rel_error": f"{self.max_rel_error:.6e}",
             "passed": self.passed,
@@ -139,8 +143,7 @@ class GradCheckReport:
                 f"(tolerance {self.tolerance:.1e})")
 
 
-def run_gradient_suite(instances: int = 50, seed: int = 0, h: float = 1e-6,
-                       tolerance: float = 1e-4) -> GradCheckReport:
+def run_gradient_suite(instances: int, seed: int, tolerance: float) -> GradCheckReport:
     if instances < 1:
         raise ParameterError(f"need at least one instance, got {instances}")
     results = []
@@ -153,14 +156,14 @@ def run_gradient_suite(instances: int = 50, seed: int = 0, h: float = 1e-6,
         for name, param in model.named_parameters():
             analytic = param.grad if param.grad is not None \
                 else np.zeros_like(param.data)
-            numeric = finite_difference_grad(param, objective, h)
+            numeric = finite_difference_grad(param, objective)
             err = max(rel_error(float(a), float(n))
                       for a, n in zip(analytic.reshape(-1), numeric.reshape(-1)))
             if err > worst:
                 worst, worst_name = err, name
         T.zero_grads(model.parameters())
         results.append(GradInstance(index, module, worst, worst_name))
-    return GradCheckReport(results, tolerance, h)
+    return GradCheckReport(results, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +221,8 @@ def _equivalence_model(rng: np.random.Generator, channels: int, classes: int,
     return build_model(cfg)
 
 
-def run_equivalence_suite(instances: int = 100, seed: int = 0,
-                          tolerance: float = 1e-10) -> EquivalenceSuiteReport:
+def run_equivalence_suite(instances: int, seed: int,
+                          tolerance: float) -> EquivalenceSuiteReport:
     if instances < 1:
         raise ParameterError(f"need at least one instance, got {instances}")
     reports = []

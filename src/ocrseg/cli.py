@@ -116,7 +116,6 @@ def _cmd_bench(cfg: RunConfig) -> int:
         num_classes=cfg.bench_classes, key_channels=cfg.bench_key_channels,
         mid_channels=cfg.bench_mid_channels, attention_scale=cfg.attention_scale,
         da_regions=cfg.da_regions or P.BenchConfig.da_regions,
-        repeats=cfg.bench_repeats, warmup=cfg.bench_warmup,
         precision=cfg.precision, seed=cfg.seed)
     reports, extras, errors = P.bench_report(bench)
     _write(os.path.join(cfg.out_dir, "bench.csv"), P.reports_to_csv(reports))
@@ -133,16 +132,14 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
 
 def _cmd_equiv_check(cfg: RunConfig) -> int:
-    suite = run_equivalence_suite(cfg.equiv_instances, cfg.seed,
-                                  cfg.equiv_tolerance)
+    suite = run_equivalence_suite(cfg.equiv_instances, cfg.seed, cfg.equiv_tolerance)
     _write(os.path.join(cfg.out_dir, "equiv_report.json"), suite.to_json())
     print(suite.summary())
     return 0 if suite.passed else 1
 
 
 def _cmd_grad_check(cfg: RunConfig) -> int:
-    suite = run_gradient_suite(cfg.grad_instances, cfg.seed,
-                               tolerance=cfg.grad_tolerance)
+    suite = run_gradient_suite(cfg.grad_instances, cfg.seed, cfg.grad_tolerance)
     _write(os.path.join(cfg.out_dir, "grad_report.json"), suite.to_json())
     print(suite.summary())
     return 0 if suite.passed else 1

@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from .data import COORD_CHANNELS, read_text_lines, scene_shape_problem
 from .errors import ConfigError
 from .models import ModelConfig
+from .profiler import BenchConfig
 from .supervision import LossConfig, PolySchedule
 
 
@@ -53,13 +54,12 @@ class RunConfig:
     ppm_bins: tuple[int, ...] = (1, 2, 3, 6)
     precision: str = "double"
 
-    bench_channels: int = 256
-    bench_size: int = 64
-    bench_classes: int = 19
-    bench_key_channels: int = 64
-    bench_mid_channels: int = 128
-    bench_repeats: int = 5
-    bench_warmup: int = 2
+    # the bench input's shape and widths, ``BenchConfig``'s by default
+    bench_channels: int = BenchConfig.channels
+    bench_size: int = BenchConfig.height
+    bench_classes: int = BenchConfig.num_classes
+    bench_key_channels: int = BenchConfig.key_channels
+    bench_mid_channels: int = BenchConfig.mid_channels
 
     equiv_instances: int = 100
     grad_instances: int = 50

@@ -8,6 +8,7 @@ channels; models never see raw RGB directly.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -120,76 +121,49 @@ def generate_scenes(seed: int, count: int, grid: int, num_classes: int,
 # portable pixmap / graymap I/O
 
 
-def write_ppm(path: str, image: np.ndarray) -> None:
-    """Binary P6, maxval 255."""
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise DataError(f"P6 writer needs (H, W, 3) uint8, got "
-                        f"{image.shape} {image.dtype}")
-    h, w = image.shape[:2]
+# The binary variants read and written, maxval 255, and each one's trailing
+# array axes: RGB for the P6 images, none for the P5 labels (255: ignored).
+_PNM_AXES = {b"P6": (3,), b"P5": ()}
+
+
+def write_pnm(path: str, magic: bytes, pixels: np.ndarray) -> None:
+    """Write (H, W, *axes) uint8 ``pixels`` as the binary variant ``magic``."""
+    h, w = pixels.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(image.tobytes())
+        f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        f.write(pixels.tobytes())
 
 
-def write_pgm(path: str, labels: np.ndarray) -> None:
-    """Binary P5, maxval 255; 255 is the ignore label."""
-    if labels.ndim != 2 or labels.dtype != np.uint8:
-        raise DataError(f"P5 writer needs (H, W) uint8, got "
-                        f"{labels.shape} {labels.dtype}")
-    h, w = labels.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(labels.tobytes())
-
-
-def _read_pnm_header(f, path: str) -> tuple[bytes, int, int]:
-    magic = f.read(2)
-    if magic not in (b"P5", b"P6"):
-        raise DataError(f"{path}: unsupported magic {magic!r}; expected P5 or P6")
-    fields = []
-    while len(fields) < 3:
-        line = f.readline()
-        if not line:
-            raise DataError(f"{path}: truncated pixmap header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(text.split())
-    if not all(v.isdigit() for v in fields[:3]):
-        raise DataError(f"{path}: pixmap header fields {fields[:3]!r} are not all "
-                        f"non-negative integers")
-    w, h, maxval = (int(v) for v in fields[:3])
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval}; expected 255")
-    if w < 1 or h < 1:
-        raise DataError(f"{path}: empty pixmap: {w}x{h}; width and height "
-                        f"must be at least 1")
-    return magic, w, h
-
-
-def _read_pixels(f, path: str, count: int) -> bytes:
-    """The ``count`` pixel bytes after the header; the header's claim is
-    checked against the bytes the file has left before anything is read."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if count > left:
-        raise DataError(f"{path}: expected {count} pixel bytes, got {max(left, 0)}")
-    return f.read(count)
-
-
-def read_ppm(path: str) -> np.ndarray:
+def read_pnm(path: str, magic: bytes) -> np.ndarray:
+    """The (H, W, *axes) uint8 array of the binary ``magic`` file at ``path``."""
     with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f, path)
-        if magic != b"P6":
-            raise DataError(f"{path} is not a P6 pixmap")
-        raw = _read_pixels(f, path, w * h * 3)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-def read_pgm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f, path)
-        if magic != b"P5":
-            raise DataError(f"{path} is not a P5 graymap")
-        raw = _read_pixels(f, path, w * h)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
+        found = f.read(2)
+        if found != magic:
+            raise DataError(f"{path}: magic {found!r}, expected {magic!r}")
+        fields = []
+        while len(fields) < 3:
+            line = f.readline()
+            if not line:
+                raise DataError(f"{path}: truncated pixmap header")
+            fields.extend(line.split(b"#", 1)[0].split())
+        if not all(v.isdigit() for v in fields[:3]):
+            raise DataError(f"{path}: pixmap header fields {fields[:3]!r} are not "
+                            f"all non-negative integers")
+        w, h, maxval = (int(v) for v in fields[:3])
+        if maxval != 255:
+            raise DataError(f"{path}: unsupported maxval {maxval}; expected 255")
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: empty pixmap: {w}x{h}; width and height "
+                            f"must be at least 1")
+        shape = (h, w, *_PNM_AXES[magic])
+        # the header's claim is checked against the bytes the file has left
+        # before anything is read
+        count = math.prod(shape)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if count > left:
+            raise DataError(f"{path}: expected {count} pixel bytes, got {max(left, 0)}")
+        raw = f.read(count)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape).copy()
 
 
 MANIFEST_NAME = "manifest.txt"
@@ -206,8 +180,8 @@ def write_dataset(out_dir: str, train: list[SyntheticScene],
         for i, scene in enumerate(scenes):
             img_rel = f"{split}/scene_{i:04d}.ppm"
             lab_rel = f"{split}/scene_{i:04d}.pgm"
-            write_ppm(os.path.join(out_dir, img_rel), scene.image)
-            write_pgm(os.path.join(out_dir, lab_rel), scene.labels)
+            write_pnm(os.path.join(out_dir, img_rel), b"P6", scene.image)
+            write_pnm(os.path.join(out_dir, lab_rel), b"P5", scene.labels)
             lines.append(f"{split} {img_rel} {lab_rel}")
     manifest = os.path.join(out_dir, MANIFEST_NAME)
     with open(manifest, "w", newline="\n") as f:
@@ -246,7 +220,8 @@ def load_dataset(data_dir: str) -> dict[str, list[SyntheticScene]]:
         paths = [os.path.realpath(os.path.join(root, p)) for p in (img_rel, lab_rel)]
         if any(os.path.commonpath([root, path]) != root for path in paths):
             raise DataError(f"{manifest}:{lineno}: a scene path leaves {data_dir}")
-        out[split].append(SyntheticScene(read_ppm(paths[0]), read_pgm(paths[1])))
+        out[split].append(SyntheticScene(read_pnm(paths[0], b"P6"),
+                                         read_pnm(paths[1], b"P5")))
     if not out["train"] and not out["eval"]:
         raise DataError(f"{manifest} lists no scenes")
     return out
@@ -278,4 +253,4 @@ def scene_features(scene: SyntheticScene, lift: np.ndarray,
 
 
 def scene_label_map(scene: SyntheticScene, num_classes: int) -> LabelMap:
-    return LabelMap(scene.labels.astype(np.int64), num_classes, IGNORE_INDEX)
+    return LabelMap(scene.labels.astype(np.int64), num_classes)

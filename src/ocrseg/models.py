@@ -25,6 +25,8 @@ from .errors import ConfigError, DimensionError
 from .supervision import LabelMap, gt_regions, gt_relations
 
 _SCALE_MODES = ("unit", "rsqrt_key")
+# The ``precision`` setting's values and the float dtype each computes in.
+PRECISIONS = {"double": np.float64, "single": np.float32}
 
 # Bytes the widest buffer of one band of a stage's fuse reaches: a band is the
 # smallest power of two rows that reach it (``_band_height``), at the bench
@@ -74,13 +76,13 @@ class ModelConfig:
             if not values or min(values) < 1:
                 raise ConfigError(f"{key} must be one or more integers >= 1, "
                                   f"got {values!r}")
-        if self.dtype not in ("double", "single"):
-            raise ConfigError(f"precision (dtype) must be 'double' or 'single', "
+        if self.dtype not in PRECISIONS:
+            raise ConfigError(f"precision (dtype) must be one of {tuple(PRECISIONS)}, "
                               f"got {self.dtype!r}")
 
     @property
     def np_dtype(self):
-        return np.float64 if self.dtype == "double" else np.float32
+        return PRECISIONS[self.dtype]
 
     @property
     def relation_scale(self) -> float:

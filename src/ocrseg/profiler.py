@@ -4,7 +4,8 @@ Analytic parameter and FLOP counts come from the models' closed-form
 breakdowns (conventions in :mod:`ocrseg.flopcount`). Empirical measurements
 run the same forward code: peak memory from the tensor engine's allocation
 tracker (inputs and parameters excluded by scoping), wall time as the median
-of R >= 5 timed runs after >= 2 warmups on a monotonic clock.
+of ``BENCH_REPEATS`` timed runs after ``BENCH_WARMUP`` warmups on a monotonic
+clock.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from . import tensor as T
 from .blocks import ShapeOnlyRng
 from .context import FeatureMap
 from .errors import ConfigError
-from .models import ModelConfig, SegmentationModel, build_model, full_scale_config
+from .models import PRECISIONS, ModelConfig, SegmentationModel, build_model, \
+    full_scale_config
 
 FULL_SCALE = (2048, 128, 128)
 FULL_SCALE_CLASSES = 19
@@ -37,12 +39,15 @@ CSV_HEADER = "module,params,flops,peak_bytes,wall_ms,input_shape"
 # themselves, so the JSON keeps them apart from the deterministic ones.
 TIMING_VERDICTS = ("ocr_time_below_self_attention", "ocr_time_below_ppm_lite")
 
+# Timed no-grad forwards per measured head, and the untimed ones before them.
+BENCH_REPEATS, BENCH_WARMUP = 5, 2
+
 
 @dataclass
 class BenchConfig:
     """Empirical measurement settings: the desk-scale input (a divided-down
-    full-scale map), the scheme settings of the measured heads, repetition
-    counts, and float precision. ``da_regions`` applies to the da head only."""
+    full-scale map), the scheme settings of the measured heads, and float
+    precision. ``da_regions`` applies to the da head only."""
 
     channels: int = 256
     height: int = 64
@@ -52,16 +57,10 @@ class BenchConfig:
     mid_channels: int = 128
     attention_scale: str = "unit"
     da_regions: int = 64
-    repeats: int = 5
-    warmup: int = 2
     precision: str = "double"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repeats < 5:
-            raise ConfigError(f"repeats must be >= 5, got {self.repeats}")
-        if self.warmup < 2:
-            raise ConfigError(f"warmup must be >= 2, got {self.warmup}")
         if min(self.channels, self.height, self.width) < 1:
             raise ConfigError("bench input shape entries must be >= 1")
         self.model_config("da")
@@ -108,8 +107,8 @@ def count_params(module) -> int:
 
 def bench_input(cfg: BenchConfig) -> FeatureMap:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xBE)))
-    dt = np.float64 if cfg.precision == "double" else np.float32
-    data = rng.standard_normal((cfg.channels, cfg.height, cfg.width)).astype(dt)
+    dtype = PRECISIONS[cfg.precision]
+    data = rng.standard_normal((cfg.channels, cfg.height, cfg.width)).astype(dtype)
     return FeatureMap(T.Tensor(data))
 
 
@@ -123,14 +122,13 @@ def measure_peak_memory(model: SegmentationModel, fm: FeatureMap) -> int:
     return tracker.peak_bytes
 
 
-def measure_wall_time(model: SegmentationModel, fm: FeatureMap,
-                      repeats: int, warmup: int) -> tuple[float, float]:
-    """(median_ms, spread_ms) over ``repeats`` timed no-grad forwards."""
+def measure_wall_time(model: SegmentationModel, fm: FeatureMap) -> tuple[float, float]:
+    """(median_ms, spread_ms) over ``BENCH_REPEATS`` timed no-grad forwards."""
     with T.no_grad():
-        for _ in range(warmup):
+        for _ in range(BENCH_WARMUP):
             model.forward(fm)
         samples = []
-        for _ in range(repeats):
+        for _ in range(BENCH_REPEATS):
             start = time.perf_counter()
             model.forward(fm)
             samples.append((time.perf_counter() - start) * 1e3)
@@ -177,7 +175,7 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
             params = count_params(model)
             flops = model.analytic_flops(cfg.height, cfg.width)
             peak = measure_peak_memory(model, fm)
-            wall, spread = measure_wall_time(model, fm, cfg.repeats, cfg.warmup)
+            wall, spread = measure_wall_time(model, fm)
             reports.append(CostReport(name, params, flops, cfg.input_shape,
                                       peak, wall, spread))
             del model
@@ -233,7 +231,7 @@ def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,
             "input_shape": list(cfg.input_shape), "num_classes": cfg.num_classes,
             "key_channels": cfg.key_channels, "mid_channels": cfg.mid_channels,
             "attention_scale": cfg.attention_scale, "da_regions": cfg.da_regions,
-            "repeats": cfg.repeats, "warmup": cfg.warmup,
+            "repeats": BENCH_REPEATS, "warmup": BENCH_WARMUP,
             "precision": cfg.precision, "seed": cfg.seed,
             "modules": list(DEFAULT_BENCH_MODULES),
         },

@@ -15,12 +15,11 @@ IGNORE_INDEX = 255
 
 @dataclass
 class LabelMap:
-    """Integer class labels per pixel, (H, W); ``ignore_index`` marks pixels
+    """Integer class labels per pixel, (H, W); ``IGNORE_INDEX`` marks pixels
     excluded from losses, metrics, and ground-truth regions."""
 
     labels: np.ndarray
     num_classes: int
-    ignore_index: int = IGNORE_INDEX
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels)
@@ -31,11 +30,11 @@ class LabelMap:
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         flat = self.labels.ravel()
-        bad = flat[(flat != self.ignore_index) & ((flat < 0) | (flat >= self.num_classes))]
+        bad = flat[(flat != IGNORE_INDEX) & ((flat < 0) | (flat >= self.num_classes))]
         if bad.size:
             raise DataError(
                 f"label {int(bad[0])} outside [0, {self.num_classes}) and not "
-                f"ignore_index {self.ignore_index}")
+                f"ignore_index {IGNORE_INDEX}")
 
     @property
     def height(self) -> int:
@@ -96,7 +95,7 @@ def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
     features they pool). Classes with no pixels yield an all-zero row and are
     flagged; ignored pixels belong to no region."""
     flat = labels.flat
-    pixels = np.flatnonzero(flat != labels.ignore_index)
+    pixels = np.flatnonzero(flat != IGNORE_INDEX)
     counts = np.bincount(flat[pixels], minlength=labels.num_classes).astype(dtype)
     normalized = np.zeros((labels.num_classes, flat.size), dtype=dtype)
     normalized[flat[pixels], pixels] = 1 / counts[flat[pixels]]
@@ -115,7 +114,7 @@ def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,
     flat = rows.ravel()
     n = flat.size
     weights = np.zeros((n, k), dtype=dtype)
-    valid = flat != labels.ignore_index
+    valid = flat != IGNORE_INDEX
     weights[np.where(valid)[0], flat[valid]] = 1.0
     zero_rows = tuple(int(i) for i in np.where(~valid)[0])
     return RelationMatrix(T.Tensor(weights), top * labels.width, zero_rows)
@@ -132,4 +131,4 @@ def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,
         if logits.data.shape[0] < labels.num_classes:
             raise DimensionError(
                 f"{logits.data.shape[0]} logit rows for {labels.num_classes} classes")
-    return T.cross_entropy_logits(terms, labels.flat, ignore_index=labels.ignore_index)
+    return T.cross_entropy_logits(terms, labels.flat, ignore_index=IGNORE_INDEX)

@@ -17,9 +17,9 @@ from .config import RunConfig
 from .context import FeatureMap
 from .blocks import Sgd
 from .data import SyntheticScene, lift_weights, scene_features, scene_label_map
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import DataError, OcrsegError, TrainingDiverged
 from .models import SegmentationModel, build_model
-from .supervision import LabelMap, combined_loss, poly_lr
+from .supervision import IGNORE_INDEX, LabelMap, combined_loss, poly_lr
 
 ABLATION_SCHEMES = ("ocr", "da", "acf")
 
@@ -110,7 +110,7 @@ def evaluate_model(model: SegmentationModel,
             # ties go to the lowest class index
             pred = np.argmax(out.final_logits.data, axis=0)
             gt = labels.labels.reshape(-1)
-            valid = gt != labels.ignore_index
+            valid = gt != IGNORE_INDEX
             np.add.at(conf, (gt[valid].astype(np.int64), pred[valid]), 1)
     total = int(conf.sum())
     if total == 0:
@@ -142,30 +142,27 @@ class AblationCell:
 
 def run_ablation(cfg: RunConfig,
                  train_pairs: list[tuple[FeatureMap, LabelMap]],
-                 eval_pairs: list[tuple[FeatureMap, LabelMap]],
-                 schemes: tuple[str, ...] = ABLATION_SCHEMES,
-                 ) -> list[AblationCell]:
+                 eval_pairs: list[tuple[FeatureMap, LabelMap]]) -> list[AblationCell]:
     cells = []
     for aux in (True, False):
-        for scheme in schemes:
+        for scheme in ABLATION_SCHEMES:
             run = replace(cfg, module=scheme, aux_supervision=aux)
             try:
                 model, _ = train_model(run, train_pairs)
                 result = evaluate_model(model, eval_pairs)
                 cells.append(AblationCell(scheme, aux, result.mean_iou,
                                           result.pixel_accuracy))
-            except (TrainingDiverged, DataError, ConfigError) as exc:
+            except OcrsegError as exc:  # a diverged da run fails in its relations
                 cells.append(AblationCell(scheme, aux, None, None, str(exc)))
     return cells
 
 
-def ablation_csv(cells: list[AblationCell],
-                 schemes: tuple[str, ...] = ABLATION_SCHEMES) -> str:
+def ablation_csv(cells: list[AblationCell]) -> str:
     by_key = {(c.scheme, c.aux_supervision): c for c in cells}
-    lines = ["supervision," + ",".join(schemes)]
+    lines = ["supervision," + ",".join(ABLATION_SCHEMES)]
     for aux, name in ((True, "with"), (False, "without")):
         row = [name]
-        for scheme in schemes:
+        for scheme in ABLATION_SCHEMES:
             cell = by_key.get((scheme, aux))
             if cell is None or cell.mean_iou is None:
                 row.append("")

@@ -84,7 +84,7 @@ def test_simplex_rows_are_distributions(capsys):
 
 def test_analytic_gradients_match_finite_differences(capsys):
     start = time.perf_counter()
-    report = run_gradient_suite(instances=50, seed=0, h=1e-6, tolerance=1e-4)
+    report = run_gradient_suite(instances=50, seed=0, tolerance=1e-4)
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
     _emit(capsys, "gradient suite",

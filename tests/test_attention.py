@@ -203,14 +203,6 @@ class TestEquivalenceCheck:
         report = transformer_equivalence_check(feature_map(rng, 3, 2, 2), mapping)
         assert report.passed
 
-    def test_biased_region_head_rejected(self, rng):
-        mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
-                                                              num_classes=2))
-        mapping.stage.region_head = Conv1x1Head.create(rng, 3, 2, bias=True)
-        with pytest.raises(ConfigError) as err:
-            transformer_equivalence_check(feature_map(rng, 3, 2, 2), mapping)
-        assert "bias-free" in str(err.value)
-
     def test_restated_scales_must_match_the_stage(self, rng):
         mapping = EquivalenceMapping.from_params(region_stage(in_channels=3,
                                                               num_classes=2))

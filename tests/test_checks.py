@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from ocrseg.attention import EquivalenceReport
-from ocrseg.checks import (GradCheckReport, GradInstance,
+from ocrseg.checks import (GradCheckReport, GradInstance, _grad_instance,
                            EquivalenceSuiteReport, finite_difference_grad,
                            rel_error, run_equivalence_suite,
                            run_gradient_suite)
 from ocrseg.errors import ParameterError
 from ocrseg.models import MODULE_CHOICES
 
-from conftest import dot_all, sum_all, tensor
+from conftest import dot_all, tensor
 
 
 class TestRelError:
@@ -38,15 +38,10 @@ class TestFiniteDifferenceGrad:
         assert np.max(np.abs(grad - 2 * data)) < 1e-6
         assert np.array_equal(param.data, data)  # restored in place
 
-    def test_rejects_bad_step(self, rng):
-        param = tensor(rng.normal(0, 1, 3), requires_grad=True)
-        with pytest.raises(ParameterError):
-            finite_difference_grad(param, lambda: sum_all(param), h=0.0)
-
 
 class TestGradientSuite:
     def test_small_sweep_passes_every_module(self):
-        report = run_gradient_suite(instances=8, seed=0)
+        report = run_gradient_suite(instances=8, seed=0, tolerance=1e-4)
         assert report.passed
         assert report.max_rel_error < 1e-4
         assert [i.module for i in report.instances] == list(MODULE_CHOICES)
@@ -59,23 +54,41 @@ class TestGradientSuite:
 
     def test_rejects_empty_suite(self):
         with pytest.raises(ParameterError):
-            run_gradient_suite(instances=0)
+            run_gradient_suite(instances=0, seed=0, tolerance=1e-4)
+
+    def test_default_instances_cover_every_variant(self):
+        # the variants cycle with each module's own count, not with the
+        # instance index, which fixes every parity per module when the
+        # module count is even; only the configs are read, no differences
+        seen = set()
+        for index in range(50):
+            _, model, _ = _grad_instance(0, index)
+            cfg = model.cfg
+            seen.add((cfg.module, cfg.attention_scale, cfg.use_stem, cfg.da_regions > 0))
+        for module in ("ocr", "self_attn"):
+            for scale in ("unit", "rsqrt_key"):
+                assert {(module, scale, True, False),
+                        (module, scale, False, False)} <= seen
+        assert {m[3] for m in seen if m[0] == "da"} == {False, True}
+        assert {m[2] for m in seen if m[0] == "gt_ocr"} == {False, True}
+        for module in MODULE_CHOICES:
+            assert {m[1] for m in seen if m[0] == module} == {"unit", "rsqrt_key"}
 
     def test_failing_report_renders_fail(self):
         report = GradCheckReport([GradInstance(0, "ocr", 5e-3, "fuse.weight")],
-                                 tolerance=1e-4, step=1e-6)
+                                 tolerance=1e-4)
         assert not report.passed
         assert report.summary().startswith("[FAIL]")
         assert json.loads(report.to_json())["passed"] is False
 
     def test_empty_report_max_is_zero(self):
-        report = GradCheckReport([], tolerance=1e-4, step=1e-6)
+        report = GradCheckReport([], tolerance=1e-4)
         assert report.max_rel_error == 0.0
 
 
 class TestEquivalenceSuite:
     def test_small_sweep_passes_with_control(self):
-        report = run_equivalence_suite(instances=5, seed=0)
+        report = run_equivalence_suite(instances=5, seed=0, tolerance=1e-10)
         assert report.all_mapped_passed
         assert report.max_discrepancy <= 1e-10
         assert not report.control.passed
@@ -90,7 +103,7 @@ class TestEquivalenceSuite:
 
     def test_rejects_empty_suite(self):
         with pytest.raises(ParameterError):
-            run_equivalence_suite(instances=0)
+            run_equivalence_suite(instances=0, seed=0, tolerance=1e-10)
 
     def test_undetected_control_fails_suite(self):
         sneaky = EquivalenceReport(0.0, 1e-10, True, "paths agree")

@@ -6,9 +6,10 @@ import pytest
 from ocrseg.config import RunConfig
 from ocrseg.data import (COORD_CHANNELS, PALETTE, SyntheticScene,
                          generate_scene, generate_scenes, lift_weights,
-                         load_dataset, read_pgm, read_ppm, scene_features,
-                         scene_label_map, write_dataset, write_pgm, write_ppm)
+                         load_dataset, read_pnm, scene_features,
+                         scene_label_map, write_dataset, write_pnm)
 from ocrseg.errors import DataError
+from ocrseg.supervision import IGNORE_INDEX
 
 _RUN = RunConfig()
 # the scene settings of a default run, which the generator no longer restates
@@ -127,21 +128,21 @@ class TestPixmapIO:
     def test_ppm_round_trip_exact(self, rng, tmp_path):
         image = rng.integers(0, 256, (5, 7, 3)).astype(np.uint8)
         path = str(tmp_path / "scene.ppm")
-        write_ppm(path, image)
-        assert np.array_equal(read_ppm(path), image)
+        write_pnm(path, b"P6", image)
+        assert np.array_equal(read_pnm(path, b"P6"), image)
 
     def test_pgm_round_trip_exact(self, rng, tmp_path):
         labels = rng.integers(0, 256, (6, 4)).astype(np.uint8)
         path = str(tmp_path / "scene.pgm")
-        write_pgm(path, labels)
-        assert np.array_equal(read_pgm(path), labels)
+        write_pnm(path, b"P5", labels)
+        assert np.array_equal(read_pnm(path, b"P5"), labels)
 
     def test_header_comments_are_skipped(self, tmp_path):
         path = str(tmp_path / "annotated.pgm")
         body = bytes(range(6))
         with open(path, "wb") as f:
             f.write(b"P5\n# made by hand\n3 2\n# and one more\n255\n" + body)
-        data = read_pgm(path)
+        data = read_pnm(path, b"P5")
         assert data.shape == (2, 3)
         assert data.tobytes() == body
 
@@ -150,27 +151,27 @@ class TestPixmapIO:
         with open(path, "wb") as f:
             f.write(b"P2\n3 2\n255\n")
         with pytest.raises(DataError):
-            read_pgm(path)
+            read_pnm(path, b"P5")
 
     def test_wrong_variant(self, tmp_path):
         path = str(tmp_path / "gray.pgm")
-        write_pgm(path, np.zeros((2, 2), dtype=np.uint8))
-        with pytest.raises(DataError):
-            read_ppm(path)
+        write_pnm(path, b"P5", np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(DataError, match="magic b'P5', expected b'P6'"):
+            read_pnm(path, b"P6")
 
     def test_truncated_pixels(self, tmp_path):
         path = str(tmp_path / "short.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(DataError):
-            read_pgm(path)
+            read_pnm(path, b"P5")
 
     def test_truncated_header(self, tmp_path):
         path = str(tmp_path / "stub.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n4")
         with pytest.raises(DataError):
-            read_pgm(path)
+            read_pnm(path, b"P5")
 
     @pytest.mark.parametrize("header", [b"P5\nfour 4\n255\n", b"P5\n4 4 0x10\n",
                                         b"P6\n-2 2\n255\n", b"P5\n4 4\n25.5\n"])
@@ -179,7 +180,7 @@ class TestPixmapIO:
         with open(path, "wb") as f:
             f.write(header + bytes(16 * 3))
         with pytest.raises(DataError):
-            (read_ppm if header.startswith(b"P6") else read_pgm)(path)
+            read_pnm(path, header[:2])
 
     @pytest.mark.parametrize("header", [b"P5", b"P5\n", b"P5 4 4", b"P5\n4 # 4 255\n"])
     def test_short_header(self, tmp_path, header):
@@ -187,7 +188,7 @@ class TestPixmapIO:
         with open(path, "wb") as f:
             f.write(header)
         with pytest.raises(DataError):
-            read_pgm(path)
+            read_pnm(path, b"P5")
 
     def test_header_size_bounded_by_file(self, tmp_path):
         # a claimed 10^6 x 10^6 image in a file of a few bytes is rejected
@@ -196,14 +197,14 @@ class TestPixmapIO:
         with open(path, "wb") as f:
             f.write(b"P6\n1000000 1000000\n255\n" + bytes(12))
         with pytest.raises(DataError, match="expected 3000000000000 pixel bytes, got 12"):
-            read_ppm(path)
+            read_pnm(path, b"P6")
 
     def test_unsupported_maxval(self, tmp_path):
         path = str(tmp_path / "deep.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n1 1\n65535\n\0\0")
         with pytest.raises(DataError):
-            read_pgm(path)
+            read_pnm(path, b"P5")
 
     @pytest.mark.parametrize("header", [b"P5\n0 2\n255\n", b"P5\n2 0\n255\n",
                                         b"P6\n0 0\n255\n"])
@@ -212,14 +213,8 @@ class TestPixmapIO:
         with open(path, "wb") as f:
             f.write(header + bytes(6))
         with pytest.raises(DataError, match="empty pixmap") as err:
-            (read_ppm if header.startswith(b"P6") else read_pgm)(path)
+            read_pnm(path, header[:2])
         assert str(err.value).startswith(f"{path}: ")
-
-    def test_writer_input_checks(self, tmp_path):
-        with pytest.raises(DataError):
-            write_ppm(str(tmp_path / "x.ppm"), np.zeros((2, 2), dtype=np.uint8))
-        with pytest.raises(DataError):
-            write_pgm(str(tmp_path / "x.pgm"), np.zeros((2, 2, 3), dtype=np.uint8))
 
 
 class TestDatasetRoundTrip:
@@ -294,5 +289,5 @@ class TestFeatureLift:
         scene = scene_of(rng, 8, 3, ignore_fraction=0.3)
         lm = scene_label_map(scene, 3)
         assert lm.num_classes == 3
-        assert lm.ignore_index == 255
+        assert np.any(lm.labels == IGNORE_INDEX)
         assert np.array_equal(lm.labels, scene.labels.astype(np.int64))

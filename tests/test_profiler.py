@@ -13,7 +13,7 @@ import ocrseg.context as context
 import ocrseg.flopcount as F
 from ocrseg.errors import ConfigError
 from ocrseg.models import ModelConfig, build_model, full_scale_config
-from ocrseg.profiler import (BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
+from ocrseg.profiler import (BENCH_REPEATS, BENCH_WARMUP, BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
                              EXPECTED_FLOP_RANK, FULL_SCALE, bench_input,
                              bench_report, bench_to_json, count_params,
                              full_scale_table, measure_peak_memory,
@@ -47,7 +47,7 @@ def layers_map(name):
 
 def small_bench(**overrides):
     base = dict(channels=8, height=8, width=8, num_classes=3, key_channels=4,
-                mid_channels=8, repeats=5, warmup=2, seed=3)
+                mid_channels=8, seed=3)
     base.update(overrides)
     return BenchConfig(**base)
 
@@ -195,14 +195,12 @@ class TestReportSerialization:
         assert set(payload) == {"bench_config", "full_scale", "measured",
                                 "verdicts", "timing_verdicts", "errors"}
         assert payload["measured"][0]["peak_bytes"] == 3
+        assert (payload["bench_config"]["repeats"],
+                payload["bench_config"]["warmup"]) == (BENCH_REPEATS, BENCH_WARMUP) == (5, 2)
 
 
 class TestBenchConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            BenchConfig(repeats=4)
-        with pytest.raises(ConfigError):
-            BenchConfig(warmup=1)
         with pytest.raises(ConfigError):
             BenchConfig(precision="half")
         with pytest.raises(ConfigError):
@@ -336,7 +334,7 @@ class TestMeasurement:
         cfg = small_bench()
         fm = bench_input(cfg)
         model = build_model(cfg.model_config("ocr"), image_size=cfg.height)
-        median, spread = measure_wall_time(model, fm, cfg.repeats, cfg.warmup)
+        median, spread = measure_wall_time(model, fm)
         assert median > 0.0
         assert spread >= 0.0
 

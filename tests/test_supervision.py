@@ -328,10 +328,3 @@ class TestCombinedLoss:
         want = T.cross_entropy_logits([(logits, 1.0)], lm.flat, IGNORE_INDEX)
         assert abs(float(loss.data) - float(want.data)) < 1e-15
 
-    def test_label_map_ignore_index_is_the_one_used(self, rng):
-        logits = rng.normal(0, 1, (3, 6))
-        labels = np.array([[0, 9, 2], [1, 9, 0]])
-        lm = LabelMap(labels, 3, ignore_index=9)
-        loss = combined_loss(tensor(logits), tensor(logits), lm, LossConfig())
-        want = 1.4 * oracles.cross_entropy_loops(logits, lm.flat, ignore_index=9)
-        assert abs(float(loss.data) - want) < 1e-12

@@ -286,6 +286,7 @@ class TestAblation:
         cfg = tiny_config(iterations=5)
         train_pairs = tiny_pairs(cfg, 4, 0)
         eval_pairs = tiny_pairs(cfg, 3, 1)
+        # ocr and acf fail on a non-finite loss, da already in its relations
         cells = run_ablation(cfg, train_pairs, eval_pairs)
         assert len(cells) == 6
         keys = {(c.scheme, c.aux_supervision) for c in cells}
@@ -301,8 +302,9 @@ class TestAblation:
         cfg = tiny_config(iterations=30, base_lr=1e10)
         train_pairs = tiny_pairs(cfg, 4, 0)
         eval_pairs = tiny_pairs(cfg, 3, 1)
-        cells = run_ablation(cfg, train_pairs, eval_pairs, schemes=("ocr",))
-        assert len(cells) == 2
+        # ocr and acf fail on a non-finite loss, da already in its relations
+        cells = run_ablation(cfg, train_pairs, eval_pairs)
+        assert len(cells) == 6
         for cell in cells:
             assert cell.error is not None
             assert cell.mean_iou is None
