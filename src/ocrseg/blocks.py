@@ -8,14 +8,12 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .errors import ParameterError
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
                  fan_in: int, dtype=np.float64) -> np.ndarray:
-    """Weights drawn uniformly from [-sqrt(1/fan_in), +sqrt(1/fan_in)]."""
-    if fan_in < 1:
-        raise ParameterError(f"fan_in must be >= 1, got {fan_in}")
+    """Weights drawn uniformly from [-sqrt(1/fan_in), +sqrt(1/fan_in)], for
+    a ``fan_in`` of at least 1."""
     bound = float(np.sqrt(1.0 / fan_in))
     return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
@@ -106,13 +104,11 @@ class TransformBlock:
 
 
 class Sgd:
-    """Plain SGD with optional momentum and L2 weight decay."""
+    """Plain SGD with optional momentum and L2 weight decay, both >= 0."""
 
     def __init__(self, params: Iterable[T.Tensor], momentum: float = 0.0,
                  weight_decay: float = 0.0) -> None:
         self.params = list(params)
-        if momentum < 0 or weight_decay < 0:
-            raise ParameterError("momentum and weight_decay must be >= 0")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self._velocity = [np.zeros_like(p.data) for p in self.params]

@@ -152,7 +152,8 @@ def pixel_region_relations(x: FeatureMap, keys: T.Tensor, pixel_transform: Trans
     """Relation of every pixel to every region: softmax over regions of the
     scaled dot products of the pixels' queries with the (d, K) region
     ``keys``, which arrive already transformed (once per image)."""
-    weights = T.relation_softmax(pixel_transform(x.pixels()), keys, scale)  # (N, K)
+    queries = pixel_transform(x.pixels())  # (d, N)
+    weights = T.softmax_rows(T.matmul(T.transpose(queries), keys), scale)  # (N, K)
     return RelationMatrix(weights, x.top * x.width)
 
 

@@ -8,9 +8,8 @@ import numpy as np
 
 from . import tensor as T
 from .context import RelationMatrix, SoftRegionSet
-from .errors import ConfigError, DataError, DimensionError, ParameterError
-
-IGNORE_INDEX = 255
+from .errors import ConfigError, DataError, DimensionError
+from .tensor import IGNORE_INDEX
 
 
 @dataclass
@@ -82,9 +81,7 @@ class PolySchedule:
 
 
 def poly_lr(schedule: PolySchedule, iteration: int) -> float:
-    """Learning rate at ``iteration``; clamped to 0 past ``max_iter``."""
-    if iteration < 0:
-        raise ParameterError(f"iteration must be >= 0, got {iteration}")
+    """Learning rate at ``iteration`` >= 0; clamped to 0 past ``max_iter``."""
     frac = min(iteration, schedule.max_iter) / schedule.max_iter
     return schedule.base_lr * (1.0 - frac) ** schedule.power
 
@@ -131,4 +128,4 @@ def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,
         if logits.data.shape[0] < labels.num_classes:
             raise DimensionError(
                 f"{logits.data.shape[0]} logit rows for {labels.num_classes} classes")
-    return T.cross_entropy_logits(terms, labels.flat, ignore_index=IGNORE_INDEX)
+    return T.cross_entropy_logits(terms, labels.flat)

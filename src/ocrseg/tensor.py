@@ -31,6 +31,7 @@ from .errors import DataError, DimensionError, ParameterError, StateError
 
 DEFAULT_DTYPE = np.float64
 BN_EPS = 1e-5
+IGNORE_INDEX = 255  # the label of pixels that no loss, metric or region counts
 # the frozen batchnorm's normaliser 1 / sqrt(1 + BN_EPS), in each dtype
 _INV_STD = {np.dtype(t): 1.0 / np.sqrt(np.ones((), t) + BN_EPS) for t in (np.float32, np.float64)}
 
@@ -298,8 +299,11 @@ def _reduce_rows(ufunc: np.ufunc, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize_rows(s: np.ndarray) -> None:
-    """Row-wise softmax of the logits ``s``, in place, with max subtraction."""
+def _normalize_rows(s: np.ndarray, temperature: float = 1.0) -> None:
+    """Row-wise softmax of the logits ``s`` divided by ``temperature``, in
+    place, with max subtraction."""
+    if temperature != 1.0:  # x / 1.0 is x
+        s /= temperature
     s -= _reduce_rows(np.maximum, s)
     np.exp(s, out=s)
     s /= _reduce_rows(np.add, s)
@@ -317,113 +321,61 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray, temperature: float,
     return ds
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction, in a copy of the logits laid
-    out as they are. Rows of the result lie on the probability simplex."""
-    _require_2d(x, "softmax_rows input")
-    s = x.data.copy(order="K")
-    _normalize_rows(s)
-
-    def back(g):
-        return (_softmax_grad(s, g, 1.0),)
-
-    return _result(s, (x,), back, "softmax_rows")
-
-
-def _relation_rows(op: str, q: Tensor, k: Tensor, scale: float):
-    """Checks ``q`` (d, N) and ``k`` (d, M) and returns the temperature
-    1/``scale``, the dtype and the row blocks of their (N, M) relation: as
-    many rows as fill ``_ACCUMULATE_BYTES`` in that dtype, at least one."""
-    _require_2d(q, f"{op} queries")
-    _require_2d(k, f"{op} keys")
-    if q.data.shape[0] != k.data.shape[0]:
-        raise DimensionError(
-            f"{op} key widths differ: {q.data.shape} vs {k.data.shape}")
+def _temperature(scale: float) -> float:
+    """The temperature 1/``scale`` of a relation's softmax."""
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ParameterError(f"relation scale must be finite and > 0, got {scale}")
-    temperature = 1.0 / scale
-    dtype = np.result_type(q.data, k.data)
-    n, m = q.data.shape[1], k.data.shape[1]
-    step = max(1, _ACCUMULATE_BYTES // (dtype.itemsize * max(m, 1)))
-    return temperature, dtype, [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    return 1.0 / scale
 
 
-def _relation_block(q: np.ndarray, k: np.ndarray, rows: slice, temperature: float,
-                    block: np.ndarray) -> None:
-    """Write the rows ``rows`` of the relation's row softmax into ``block``:
-    the product, then the normalisation while the block is in cache."""
-    np.matmul(q[:, rows].T, k, out=block)
-    if temperature != 1.0:  # x / 1.0 is x
-        block /= temperature
-    _normalize_rows(block)
-
-
-def _relation_grad(q: Tensor, k: Tensor, s: np.ndarray, blocks, temperature: float,
-                   block_grad, fresh: bool = False) -> tuple:
-    """(dq, dk) of the relation ``s`` in its row blocks, given the gradient
-    ``block_grad(rows)`` of each block (``fresh`` as ``_softmax_grad`` takes
-    it): the logits' gradient ds of a block, then dq = (ds k^T)^T and
-    dk = q ds. Each block's ds is freed before the next block's is formed."""
-    if not (q.requires_grad or k.requires_grad):
-        return None, None
-    dq_t = np.empty((s.shape[0], q.data.shape[0]), dtype=s.dtype) if q.requires_grad else None
-    dk = None
-    for rows in blocks:
-        ds = _softmax_grad(s[rows], block_grad(rows), temperature, fresh)
-        if dq_t is not None:
-            np.matmul(ds, k.data.T, out=dq_t[rows])
-        if k.requires_grad:
-            if dk is None:
-                dk = q.data[:, rows] @ ds
-            else:
-                dk += q.data[:, rows] @ ds
-        del ds
-    return None if dq_t is None else dq_t.T, dk
-
-
-def relation_softmax(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """Row softmax of ``scale * q^T k`` for (d, N) queries ``q`` and (d, M)
-    keys ``k``: the (N, M) relation weights, in the one buffer the op
-    allocates.
-
-    The product is written a block of rows at a time straight into the
-    output, divided by the temperature 1/scale and normalised as
-    ``softmax_rows`` normalises while it is still in cache. The backward runs
-    in the same row blocks.
-    """
-    temperature, dtype, blocks = _relation_rows("relation_softmax", q, k, scale)
-    s = np.empty((q.data.shape[1], k.data.shape[1]), dtype=dtype)
-    for rows in blocks:
-        _relation_block(q.data, k.data, rows, temperature, s[rows])
+def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
+    """Row-wise softmax of ``scale * x`` with max subtraction, in a copy of
+    the logits laid out as they are. Rows of the result lie on the
+    probability simplex."""
+    _require_2d(x, "softmax_rows input")
+    temperature = _temperature(scale)
+    s = x.data.copy(order="K")
+    _normalize_rows(s, temperature)
 
     def back(g):
-        return _relation_grad(q, k, s, blocks, temperature, lambda rows: g[rows])
+        return (_softmax_grad(s, g, temperature),)
 
-    return _result(s, (q, k), back, "relation_softmax")
+    return _result(s, (x,), back, "softmax_rows")
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """Attention context softmax(scale * q^T k) v^T for (d, N) queries ``q``,
     (d, M) keys ``k`` and (C_v, M) values ``v``: the (N, C_v) array that
-    ``matmul(relation_softmax(q, k, scale), transpose(v))`` returns, bitwise
-    when each block's products exceed 10^6 multiply-adds (below that,
-    OpenBLAS's small-matrix kernel sums in another order).
+    ``matmul(softmax_rows(matmul(transpose(q), k), scale), transpose(v))``
+    returns, bitwise when each block's products exceed 10^6 multiply-adds
+    (below that, OpenBLAS's small-matrix kernel sums in another order).
 
-    Each row block of the relation (``_relation_rows``) is normalised as
-    ``relation_softmax`` normalises it and multiplied by the values at once,
-    so a band of the queries whose borders are not block borders of the
-    whole image's relation may round its rows apart from the whole's. When
-    the op records a backward, the blocks are rows of one (N, M) buffer that
-    the backward keeps; otherwise they reuse one block-sized buffer, so
-    nothing N x M is allocated. The backward forms dv = (s^T g)^T and, per block, the
-    weights' gradient g v, so no (N, M) gradient exists either.
+    The relation is formed a block of rows at a time, as many as fill
+    ``_ACCUMULATE_BYTES``: each block's product is normalised as
+    ``softmax_rows`` normalises while it is in cache and multiplied by the
+    values at once, so a band of the queries whose borders are not block
+    borders of the whole image's relation may round its rows apart from the
+    whole's. When the op records a backward, the blocks are rows of one
+    (N, M) buffer that the backward keeps; otherwise they reuse one
+    block-sized buffer, so nothing N x M is allocated. The backward runs in
+    the same row blocks: per block, the weights' gradient g v, the logits'
+    gradient ds, dq = (ds k^T)^T and dk = q ds, each block's ds freed before
+    the next is formed; and dv = (s^T g)^T, so no (N, M) gradient exists.
     """
-    temperature, dtype, blocks = _relation_rows("attend", q, k, scale)
+    _require_2d(q, "attend queries")
+    _require_2d(k, "attend keys")
+    if q.data.shape[0] != k.data.shape[0]:
+        raise DimensionError(
+            f"attend key widths differ: {q.data.shape} vs {k.data.shape}")
+    temperature = _temperature(scale)
     _require_2d(v, "attend values")
     n, m = q.data.shape[1], k.data.shape[1]
     if v.data.shape[1] != m:
         raise DimensionError(f"attend values {v.data.shape} do not match keys {k.data.shape}")
+    dtype = np.result_type(q.data, k.data)
+    step = max(1, _ACCUMULATE_BYTES // (dtype.itemsize * max(m, 1)))
+    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
     records = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     s = np.empty((blocks[0].stop if blocks and not records else n, m), dtype=dtype)
     if _TRACKER is not None:
@@ -431,21 +383,33 @@ def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     ctx = np.empty((n, v.data.shape[0]), dtype=np.result_type(s, v.data))
     for rows in blocks:
         block = s[rows] if records else s[:rows.stop - rows.start]
-        _relation_block(q.data, k.data, rows, temperature, block)
+        np.matmul(q.data[:, rows].T, k.data, out=block)
+        _normalize_rows(block, temperature)
         np.matmul(block, v.data.T, out=ctx[rows])
 
     def back(g):
-        dq, dk = _relation_grad(q, k, s, blocks, temperature,
-                                lambda rows: g[rows] @ v.data, fresh=True)
-        return dq, dk, (s.T @ g).T if v.requires_grad else None
+        dq_t = np.empty((n, q.data.shape[0]), dtype=s.dtype) if q.requires_grad else None
+        dk = None
+        for rows in blocks if q.requires_grad or k.requires_grad else ():
+            ds = _softmax_grad(s[rows], g[rows] @ v.data, temperature, fresh=True)
+            if dq_t is not None:
+                np.matmul(ds, k.data.T, out=dq_t[rows])
+            if k.requires_grad:
+                if dk is None:
+                    dk = q.data[:, rows] @ ds
+                else:
+                    dk += q.data[:, rows] @ ds
+            del ds
+        dv = (s.T @ g).T if v.requires_grad else None
+        return None if dq_t is None else dq_t.T, dk, dv
 
     return _result(ctx, (q, k, v), back, "attend")
 
 
 # Bytes of one block of a blocked product: the temporary through which a
 # product is added into an output that already holds another one (a block of
-# columns), and the rows ``relation_softmax`` normalises while they are in
-# cache. Narrower blocks cost BLAS speed: with single-threaded OpenBLAS on a
+# columns), and the rows of ``attend``'s relation, normalised while they are
+# in cache. Narrower blocks cost BLAS speed: with single-threaded OpenBLAS on a
 # 2-vCPU VM, 1 MiB blocks made a 128-row product over 16384 columns about 10%
 # slower than whole.
 _ACCUMULATE_BYTES = 1 << 22
@@ -844,19 +808,18 @@ def avg_pool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _result(out, (x,), back, "avg_pool2d")
 
 
-def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarray,
-                         ignore_index: int) -> Tensor:
+def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarray) -> Tensor:
     """Weighted sum of mean pixel-wise cross entropies: one term per (logits,
     weight) pair, each (K_i, N) logits against the same N integer labels.
 
-    Pixels labeled ``ignore_index`` contribute nothing. If every pixel is
+    Pixels labeled ``IGNORE_INDEX`` contribute nothing. If every pixel is
     ignored each term is defined as 0 and a warning is emitted.
     """
     terms = [(logits, float(weight)) for logits, weight in terms]
     if not terms:
         raise ParameterError("cross_entropy needs at least one (logits, weight) term")
     labels = np.asarray(labels)
-    idx = np.where(labels != ignore_index)[0]
+    idx = np.where(labels != IGNORE_INDEX)[0]
     m = max(idx.size, 1)  # no valid pixel: the empty sum over 1 is +0.0
     # with no pixel ignored the kept labels are all of them, in order
     kept = labels if idx.size == labels.size else labels[idx]
@@ -869,7 +832,7 @@ def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarr
         k = logits.data.shape[0]
         if idx.size and (kept.min() < 0 or kept.max() >= k):
             raise DataError(
-                f"labels must lie in [0, {k}) or equal ignore_index {ignore_index}")
+                f"labels must lie in [0, {k}) or equal ignore_index {IGNORE_INDEX}")
         z = logits.data - logits.data.max(axis=0, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))  # (K, N)
         logps.append(logp)
@@ -888,7 +851,7 @@ def cross_entropy_logits(terms: Sequence[tuple[Tensor, float]], labels: np.ndarr
                 continue
             gl = np.exp(logp)
             if kept is not labels:  # ignored pixels get no gradient
-                gl[:, labels == ignore_index] = 0.0
+                gl[:, labels == IGNORE_INDEX] = 0.0
             gl[kept, idx] -= 1.0
             grads.append(gl * (float(g * weight) / m))
         return grads

@@ -70,7 +70,7 @@ def test_simplex_rows_are_distributions(capsys):
         queries = T.Tensor(rng.normal(size=(int(rng.integers(1, 6)), c)))
         keys = T.Tensor(rng.normal(size=(k, c)))
         rng.normal(size=(k, 2))  # an unread values draw; it keeps the seeded instances fixed
-        att = T.relation_softmax(T.transpose(queries), T.transpose(keys), scale)
+        att = T.softmax_rows(T.matmul(queries, T.transpose(keys)), scale)
         check(att.data)
 
     _emit(capsys, "simplex suite",

@@ -37,9 +37,10 @@ class TestRsqrtScale:
 
 def scaled_dot(queries, keys, values, scale=1.0):
     """Softmax(scale * Q K^T) V for queries (Nq, d), keys (Nkv, d) and values
-    (Nkv, dv), by the engine's two attention ops: (weights, output)."""
+    (Nkv, dv), by the engine's ops: (weights, output). The weights are the
+    scaled row softmax of the product, the output ``attend``'s."""
     q, k = T.transpose(queries), T.transpose(keys)
-    return (T.relation_softmax(q, k, scale),
+    return (T.softmax_rows(T.matmul(queries, k), scale),
             T.attend(q, k, T.transpose(values), scale))
 
 
@@ -222,9 +223,9 @@ class TestEquivalenceCheck:
         # step the stage calls must surface as a discrepancy. The stage hands
         # that step region keys already transformed, so the swap keys the
         # pixels with the region transform. Multiplying by the temperature
-        # instead of dividing is a fault in the relation kernel the stage
-        # shares with ``T.attend``: the gate's attention side is plain NumPy,
-        # so it shows too.
+        # instead of dividing is a fault in the row normaliser the stage's
+        # softmax shares with ``T.attend``: the gate's attention side is
+        # plain NumPy, so it shows too.
         real = models.pixel_region_relations
 
         def faulty(x, keys, pixel_transform, scale):
@@ -232,13 +233,14 @@ class TestEquivalenceCheck:
                 return real(x, keys, stage.region_transform, scale=scale)
             return real(x, keys, pixel_transform, scale=1.0)
 
-        def faulty_kernel(q, k, rows, temperature, block):
-            np.matmul(q[:, rows].T, k, out=block)
-            block *= temperature
-            T._normalize_rows(block)
+        real_normalize = T._normalize_rows
+
+        def multiplied(s, temperature=1.0):
+            s *= temperature
+            real_normalize(s)
 
         if fault == "multiplied_temperature":
-            monkeypatch.setattr(T, "_relation_block", faulty_kernel)
+            monkeypatch.setattr(T, "_normalize_rows", multiplied)
         else:
             monkeypatch.setattr(models, "pixel_region_relations", faulty)
         stage = region_stage(in_channels=4, num_classes=3, attention_scale=scale_mode)

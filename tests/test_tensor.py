@@ -11,7 +11,6 @@ import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import DataError, DimensionError, ParameterError, StateError
 from ocrseg.models import ModelConfig, build_model
-from ocrseg.supervision import IGNORE_INDEX
 
 import oracles
 from conftest import dot_all, max_grad_fd_error, projected, sum_all, tensor
@@ -96,18 +95,23 @@ class TestSoftmaxRows:
 
 
 class TestRelationSoftmax:
+    """A relation's weights, softmax_rows(matmul(transpose(q), k), scale): the
+    scaled row softmax of the queries' products with the keys."""
+
+    @staticmethod
+    def relation(q, k, scale):
+        return T.softmax_rows(T.matmul(T.transpose(q), k), scale)
+
     @staticmethod
     def two_op(q, k, scale):
-        """The product of the scaled queries, then the row softmax: the pair
-        the fused op replaces. A power-of-two scale scales exactly."""
+        """The product of the scaled queries, then the unscaled row softmax.
+        A power-of-two scale scales exactly."""
         q = T.Tensor(q.data * scale)
         return T.softmax_rows(T.matmul(T.transpose(q), k)).data
 
-    # (N, M, dtype): at the default 4 MiB budget a float64 block of 4096
-    # columns is 128 rows and a float32 one 256 rows
     @pytest.mark.parametrize("n, m, dtype", [
-        (300, 4096, np.float64),   # N not a multiple of the block rows
-        (50, 19, np.float64),      # N below one block
+        (300, 4096, np.float64),
+        (50, 19, np.float64),      # the ocr head's relation to 19 regions
         (70, 1, np.float64),       # one key: every weight is 1
         (600, 4096, np.float32),
     ])
@@ -115,7 +119,7 @@ class TestRelationSoftmax:
         q = T.Tensor(rng.normal(0, 1, (8, n)).astype(dtype))
         k = T.Tensor(rng.normal(0, 1, (8, m)).astype(dtype))
         for scale in (1.0, 0.125):
-            got = T.relation_softmax(q, k, scale).data
+            got = self.relation(q, k, scale).data
             assert got.dtype == dtype and got.shape == (n, m)
             assert np.array_equal(got, self.two_op(q, k, scale))
 
@@ -123,17 +127,20 @@ class TestRelationSoftmax:
         # queries may arrive as a transposed view, as the region head's rows
         # do in the attention form
         q_rows, k = tensor(rng.normal(0, 1, (5, 3))), tensor(rng.normal(0, 1, (3, 4)))
-        out = T.relation_softmax(T.transpose(q_rows), k, 1.0)
+        out = self.relation(T.transpose(q_rows), k, 1.0)
         assert out.data.base is None and out.data.flags.c_contiguous
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_scale(self, scale):
         with pytest.raises(ParameterError):
-            T.relation_softmax(tensor([[1.0, 2.0]]), tensor([[1.0]]), scale)
+            T.softmax_rows(tensor([[1.0, 2.0]]), scale)
 
     def test_key_width_mismatch(self):
+        q, k, v = tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), tensor(np.ones((4, 3)))
         with pytest.raises(DimensionError):
-            T.relation_softmax(tensor(np.ones((2, 3))), tensor(np.ones((3, 3))), 1.0)
+            self.relation(q, k, 1.0)
+        with pytest.raises(DimensionError):
+            T.attend(q, k, v, 1.0)
 
 
 def self_attn_peak(rng, side, train):
@@ -162,9 +169,9 @@ def self_attn_peak(rng, side, train):
 class TestAttend:
     @staticmethod
     def two_op(q, k, v, scale):
-        """The relation, then the product with the values: the pair that the
-        fused op replaces."""
-        return T.matmul(T.relation_softmax(q, k, scale), T.transpose(v))
+        """The relation, then the product with the values: what the fused op
+        forms in one."""
+        return T.matmul(T.softmax_rows(T.matmul(T.transpose(q), k), scale), T.transpose(v))
 
     # blocks of 600 (one block), 256 (the last 88) and 112 rows (the last
     # 40). Every block's product has over 10^6 multiply-adds: OpenBLAS takes
@@ -182,15 +189,25 @@ class TestAttend:
                 want = self.two_op(*(T.Tensor(d) for d in data), scale).data
             assert got.dtype == dtype and got.shape == (n, c_v)
             assert np.array_equal(got, want)
-            grads = []
-            for op in (T.attend, self.two_op):
-                leaves = [T.Tensor(d, requires_grad=True) for d in data]
-                out = op(*leaves, scale)
-                assert np.array_equal(out.data, want)
-                T.backward(dot_all(out, T.Tensor(g)))
-                grads.append([t.grad for t in leaves])
-            for got_grad, want_grad in zip(*grads):
-                assert got_grad.dtype == dtype and np.array_equal(got_grad, want_grad)
+            leaves = [T.Tensor(d, requires_grad=True) for d in data]
+            out = T.attend(*leaves, scale)
+            assert np.array_equal(out.data, want)
+            T.backward(dot_all(out, T.Tensor(g)))
+            # the backward runs in the same row blocks: each block's queries
+            # get the gradient of the two ops on that band of them, the keys
+            # the sum of the bands' in block order, the values the whole's
+            want_q, want_k = [], None
+            for r0 in range(0, n, rows):
+                band = [T.Tensor(d, requires_grad=True)
+                        for d in (data[0][:, r0:r0 + rows], *data[1:])]
+                T.backward(dot_all(self.two_op(*band, scale), T.Tensor(g[r0:r0 + rows])))
+                want_q.append(band[0].grad)
+                want_k = band[1].grad if want_k is None else want_k + band[1].grad
+            whole = [T.Tensor(d, requires_grad=True) for d in data]
+            T.backward(dot_all(self.two_op(*whole, scale), T.Tensor(g)))
+            wants = (np.concatenate(want_q, axis=1), want_k, whole[2].grad)
+            for leaf, want_grad in zip(leaves, wants, strict=True):
+                assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, want_grad)
 
     def test_shape_and_scale_checks(self):
         q, k = tensor(np.ones((2, 3))), tensor(np.ones((2, 4)))
@@ -848,24 +865,24 @@ class TestCrossEntropy:
         logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2, 1])
         logits[labels, np.arange(4)] = 1000.0
-        loss = T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX)
+        loss = T.cross_entropy_logits([(tensor(logits), 1.0)], labels)
         assert float(loss.data) < 1e-6
 
     def test_uniform_logits_log_k(self):
         loss = T.cross_entropy_logits([(tensor(np.zeros((4, 5))), 1.0)],
-                                      np.array([0, 1, 2, 3, 0]), IGNORE_INDEX)
+                                      np.array([0, 1, 2, 3, 0]))
         assert abs(float(loss.data) - np.log(4.0)) < 1e-6
 
     def test_matches_scalar_loop(self, rng):
         logits = rng.normal(0, 2, (3, 8))
         labels = rng.integers(0, 3, 8)
-        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_ignored_pixels_excluded(self, rng):
         logits = rng.normal(0, 2, (3, 6))
         labels = np.array([0, 255, 2, 255, 1, 0])
-        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels, IGNORE_INDEX).data)
+        got = float(T.cross_entropy_logits([(tensor(logits), 1.0)], labels).data)
         assert abs(got - oracles.cross_entropy_loops(logits, labels)) < 1e-12
 
     def test_all_ignored_warns_and_zero(self):
@@ -873,7 +890,7 @@ class TestCrossEntropy:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             logits = tensor(np.zeros((2, 3)), requires_grad=True)
-            loss = T.cross_entropy_logits([(logits, 1.0)], labels, IGNORE_INDEX)
+            loss = T.cross_entropy_logits([(logits, 1.0)], labels)
         assert float(loss.data) == 0.0 and not np.signbit(loss.data)
         assert any("ignored" in str(w.message) for w in caught)
         T.backward(loss)
@@ -881,8 +898,7 @@ class TestCrossEntropy:
 
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
-            T.cross_entropy_logits([(tensor(np.zeros((2, 3))), 1.0)], np.array([0, 2, 1]),
-                                   IGNORE_INDEX)
+            T.cross_entropy_logits([(tensor(np.zeros((2, 3))), 1.0)], np.array([0, 2, 1]))
 
     def test_weighted_terms(self, rng):
         # the weighted sum of each term's own loss, summed in term order, and
@@ -890,9 +906,9 @@ class TestCrossEntropy:
         a, b = rng.normal(0, 2, (3, 6)), rng.normal(0, 2, (4, 6))
         labels = np.array([0, 255, 2, 1, 1, 0])
         ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
-        loss = T.cross_entropy_logits([(ta, 0.7), (tb, 0.4)], labels, IGNORE_INDEX)
+        loss = T.cross_entropy_logits([(ta, 0.7), (tb, 0.4)], labels)
         alone = [tensor(x, requires_grad=True) for x in (a, b)]
-        singles = [float(T.cross_entropy_logits([(t, 1.0)], labels, IGNORE_INDEX).data)
+        singles = [float(T.cross_entropy_logits([(t, 1.0)], labels).data)
                    for t in alone]
         assert float(loss.data) == singles[0] * 0.7 + singles[1] * 0.4
         want = (0.7 * oracles.cross_entropy_loops(a, labels)
@@ -900,19 +916,19 @@ class TestCrossEntropy:
         assert abs(float(loss.data) - want) < 1e-12
         T.backward(loss)
         for t, w, single in zip((ta, tb), (0.7, 0.4), alone):
-            T.backward(T.cross_entropy_logits([(single, 1.0)], labels, IGNORE_INDEX))
+            T.backward(T.cross_entropy_logits([(single, 1.0)], labels))
             assert np.max(np.abs(t.grad - w * single.grad)) < 1e-15
 
     def test_terms_are_checked(self):
         labels = np.array([0, 2, 1])
         with pytest.raises(ParameterError):
-            T.cross_entropy_logits([], labels, IGNORE_INDEX)
+            T.cross_entropy_logits([], labels)
         with pytest.raises(DataError):  # the second term has too few rows
             T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
-                                    (tensor(np.zeros((2, 3))), 0.4)], labels, IGNORE_INDEX)
+                                    (tensor(np.zeros((2, 3))), 0.4)], labels)
         with pytest.raises(DimensionError):
             T.cross_entropy_logits([(tensor(np.zeros((3, 3))), 1.0),
-                                    (tensor(np.zeros((3, 4))), 0.4)], labels, IGNORE_INDEX)
+                                    (tensor(np.zeros((3, 4))), 0.4)], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,11 +1056,12 @@ class TestGradientsEveryOp:
                                 np.random.default_rng(12))
         assert max_grad_fd_error([x], fwd) < self.TOL
 
-    def test_relation_softmax(self, rng, monkeypatch):
-        monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * 4 * 2)  # 2-row blocks
+    def test_relation_softmax(self, rng):
+        # the scaled softmax of a relation's logits, through to q and k
         q = tensor(rng.normal(0, 1, (3, 7)), requires_grad=True)
         k = tensor(rng.normal(0, 1, (3, 4)), requires_grad=True)
-        fwd = lambda: projected(T.relation_softmax(q, k, 0.6), np.random.default_rng(22))
+        fwd = lambda: projected(T.softmax_rows(T.matmul(T.transpose(q), k), 0.6),
+                                np.random.default_rng(22))
         assert max_grad_fd_error([q, k], fwd) < self.TOL
 
     def test_attend(self, rng, monkeypatch):
@@ -1124,9 +1141,9 @@ class TestGradientsEveryOp:
         x = tensor(rng.normal(0, 2, (3, 6)), requires_grad=True)
         y = tensor(rng.normal(0, 2, (4, 6)), requires_grad=True)
         labels = np.array([0, 1, 2, 255, 1, 0])
-        fwd = lambda: T.cross_entropy_logits([(x, 1.0)], labels, IGNORE_INDEX)
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0)], labels)
         assert max_grad_fd_error([x], fwd) < self.TOL
-        fwd = lambda: T.cross_entropy_logits([(x, 1.0), (y, 0.4)], labels, IGNORE_INDEX)
+        fwd = lambda: T.cross_entropy_logits([(x, 1.0), (y, 0.4)], labels)
         assert max_grad_fd_error([x, y], fwd) < self.TOL
 
 
@@ -1150,11 +1167,12 @@ class TestFrozenInputs:
         return {
             "matmul": (T.matmul, [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 2))], (0, 1)),
             "cross_entropy": (lambda a, b: T.cross_entropy_logits([(a, 1.0), (b, 0.4)],
-                                                                  np.array([0, 2, 255, 1]),
-                                                                  IGNORE_INDEX),
+                                                                  np.array([0, 2, 255, 1])),
                               [rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (4, 4))], (0, 1)),
-            "relation_softmax": (lambda q, k: T.relation_softmax(q, k, 0.6),
-                                 [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4))], (0, 1)),
+            # one parent, so no slot to freeze: its one slot is formed. The
+            # relation's q and k slots are matmul's
+            "relation_softmax": (lambda x: T.softmax_rows(x, 0.6),
+                                 [rng.normal(0, 1, (7, 4))], ()),
             "attend": (lambda q, k, v: T.attend(q, k, v, 0.6),
                        [rng.normal(0, 1, (3, 7)), rng.normal(0, 1, (3, 4)),
                         rng.normal(0, 1, (2, 4))], (0, 1, 2)),

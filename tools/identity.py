@@ -9,7 +9,8 @@ what this prints in each:
 It hashes every head's no-grad final and auxiliary logits (all modules, at the
 bench widths, at 64x64 and 128x128, in double and single precision); each
 module's 30-iteration ``ocrseg train`` checkpoint, log and eval, da's with
-its own region maps (``da_regions=8``) and ocr's in single precision; the
+its own region maps (``da_regions=8``), ocr's in single precision and ocr's
+with its relation scaled by 1/sqrt(key channels) (``attention_scale=rsqrt_key``); the
 default train's; a ``gen-data`` dataset (its manifest and each split's scene
 files), a 30-iteration train on it, an ``eval --checkpoint`` of that checkpoint and a
 30-iteration ``ablate``'s ``ablation.csv`` on it; the ``grad-check`` and
@@ -90,6 +91,8 @@ def runs(tmp: str) -> None:
     trains = [(module, ("--set", f"module={module}")) for module in MODULE_CHOICES]
     trains.append(("da_maps", ("--set", "module=da", "--set", "da_regions=8")))
     trains.append(("single", ("--set", "precision=single")))
+    trains.append(("ocr_rsqrt_key", ("--set", "module=ocr",
+                                     "--set", "attention_scale=rsqrt_key")))
     for name, settings in trains:
         out = run(tmp, f"train30/{name}", "train", *settings, "--set", "iterations=30")
         for f in RUN_FILES:
