@@ -104,27 +104,15 @@ class TransformBlock:
 
 
 class Sgd:
-    """Plain SGD with optional momentum and L2 weight decay, both >= 0."""
+    """Plain SGD: each step subtracts ``lr`` times the gradient."""
 
-    def __init__(self, params: Iterable[T.Tensor], momentum: float = 0.0,
-                 weight_decay: float = 0.0) -> None:
+    def __init__(self, params: Iterable[T.Tensor]) -> None:
         self.params = list(params)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= lr * g
+        for p in self.params:
+            if p.grad is not None:
+                p.data -= lr * p.grad
 
     def zero_grad(self) -> None:
         T.zero_grads(self.params)

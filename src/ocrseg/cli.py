@@ -118,7 +118,6 @@ def _cmd_bench(cfg: RunConfig) -> int:
         da_regions=cfg.da_regions or P.BenchConfig.da_regions,
         precision=cfg.precision, seed=cfg.seed)
     reports, extras, errors = P.bench_report(bench)
-    _write(os.path.join(cfg.out_dir, "bench.csv"), P.reports_to_csv(reports))
     _write(os.path.join(cfg.out_dir, "bench.json"),
            P.bench_to_json(bench, reports, extras, errors))
     for report in reports:

@@ -9,12 +9,12 @@ from .data import COORD_CHANNELS, read_text_lines, scene_shape_problem
 from .errors import ConfigError
 from .models import ModelConfig
 from .profiler import BenchConfig
-from .supervision import LossConfig, PolySchedule
+from .supervision import LossConfig
 
 
 @dataclass
 class RunConfig:
-    """Everything a run needs: task shape, optimizer, scheme switches, paths.
+    """Everything a run needs: task shape, learning rate, scheme switches, paths.
 
     Parsed from a text file of ``key = value`` lines ('#' comments allowed)
     plus ``--set key=value`` overrides; unknown keys are rejected.
@@ -36,12 +36,9 @@ class RunConfig:
     # the transient. The region-oracle run gets its own 500-step budget.
     iterations: int = 150
     base_lr: float = 0.5
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     poly_power: float = 0.9
     final_weight: float = 1.0
     aux_weight: float = 0.4
-    aux_supervision: bool = True
 
     module: str = "ocr"
     feat_channels: int = 14
@@ -75,15 +72,12 @@ class RunConfig:
         if self.feat_channels < 0:
             raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
         self.model_config()
-        # the run's loss weights and schedule, built here so that a bad
-        # weight or rate fails the config, not the training runs inside it
-        # (aux_weight is checked even where aux_supervision drops its loss;
-        # iterations=0 never consults the schedule, which wants max_iter >= 1)
+        # the run's loss weights and rate, checked here so that a bad weight
+        # or rate fails the config, not the training runs inside it
         self.loss = LossConfig(self.final_weight, self.aux_weight)
-        if not self.aux_supervision:
-            self.loss.aux_weight = 0.0
-        self.schedule = PolySchedule(self.base_lr, max(self.iterations, 1),
-                                     self.poly_power)
+        for key in ("base_lr", "poly_power"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.equiv_instances < 1 or self.grad_instances < 1:
             raise ConfigError("equiv_instances and grad_instances must be >= 1")
         # the gradient suite passes on error < tolerance, the equivalence
@@ -99,7 +93,7 @@ class RunConfig:
         if not 0.0 <= self.ignore_fraction < 1.0:
             raise ConfigError(f"ignore_fraction must be in [0, 1), "
                               f"got {self.ignore_fraction}")
-        for key in ("noise", "jitter", "momentum", "weight_decay"):
+        for key in ("noise", "jitter"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.shapes_min < 1 or self.shapes_max < self.shapes_min:

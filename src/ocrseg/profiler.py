@@ -33,8 +33,6 @@ EXPECTED_FLOP_RANK = (("da",), ("ocr",), ("aspp_lite",), ("self_attn", "ppm_lite
 
 DEFAULT_BENCH_MODULES = ("ocr", "da", "self_attn", "global", "aspp_lite", "ppm_lite")
 
-CSV_HEADER = "module,params,flops,peak_bytes,wall_ms,input_shape"
-
 # Verdicts that compare wall times; they are no more repeatable than the times
 # themselves, so the JSON keeps them apart from the deterministic ones.
 TIMING_VERDICTS = ("ocr_time_below_self_attention", "ocr_time_below_ppm_lite")
@@ -92,12 +90,6 @@ class CostReport:
     peak_bytes: int | None = None
     wall_ms: float | None = None
     wall_ms_spread: float | None = None
-
-    def csv_row(self) -> str:
-        shape = "x".join(str(s) for s in (1,) + tuple(self.input_shape))
-        peak = "" if self.peak_bytes is None else str(self.peak_bytes)
-        wall = "" if self.wall_ms is None else f"{self.wall_ms:.3f}"
-        return f"{self.module},{self.params},{self.flops},{peak},{wall},{shape}"
 
 
 def count_params(module) -> int:
@@ -204,12 +196,6 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
-
-
-def reports_to_csv(reports: list[CostReport]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in reports)
-    return "\n".join(lines) + "\n"
 
 
 def bench_to_json(cfg: BenchConfig, measured: list[CostReport], extras: dict,

@@ -1,5 +1,4 @@
-"""Ground-truth region oracles, pixel-wise losses, and the polynomial
-learning-rate schedule."""
+"""Ground-truth region oracles and pixel-wise losses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -59,31 +58,6 @@ class LossConfig:
         for key in ("final_weight", "aux_weight"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-
-
-@dataclass
-class PolySchedule:
-    """Polynomial decay from ``base_lr`` to 0 over ``max_iter`` steps: the
-    factor (1 - iter/max_iter)^power, ``power`` being the config's
-    ``poly_power``."""
-
-    base_lr: float
-    max_iter: int
-    power: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.power <= 0:
-            raise ConfigError(f"poly_power must be > 0, got {self.power}")
-
-
-def poly_lr(schedule: PolySchedule, iteration: int) -> float:
-    """Learning rate at ``iteration`` >= 0; clamped to 0 past ``max_iter``."""
-    frac = min(iteration, schedule.max_iter) / schedule.max_iter
-    return schedule.base_lr * (1.0 - frac) ** schedule.power
 
 
 def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:

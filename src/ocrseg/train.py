@@ -19,7 +19,7 @@ from .blocks import Sgd
 from .data import SyntheticScene, lift_weights, scene_features, scene_label_map
 from .errors import DataError, OcrsegError, TrainingDiverged
 from .models import SegmentationModel, build_model
-from .supervision import IGNORE_INDEX, LabelMap, combined_loss, poly_lr
+from .supervision import IGNORE_INDEX, LabelMap, combined_loss
 
 ABLATION_SCHEMES = ("ocr", "da", "acf")
 
@@ -51,8 +51,7 @@ def train_model(cfg: RunConfig,
     if not pairs:
         raise DataError("no training scenes")
     model = build_model(cfg.model_config(), image_size=cfg.grid)
-    opt = Sgd(model.parameters(), momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
+    opt = Sgd(model.parameters())
     order = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     rows = []
     for it in range(cfg.iterations):
@@ -63,7 +62,7 @@ def train_model(cfg: RunConfig,
         if not math.isfinite(value):
             raise TrainingDiverged(
                 f"non-finite loss {value} at iteration {it}")
-        lr = poly_lr(cfg.schedule, it)
+        lr = cfg.base_lr * (1.0 - it / cfg.iterations) ** cfg.poly_power
         T.backward(loss)
         opt.step(lr)
         opt.zero_grad()
@@ -146,7 +145,7 @@ def run_ablation(cfg: RunConfig,
     cells = []
     for aux in (True, False):
         for scheme in ABLATION_SCHEMES:
-            run = replace(cfg, module=scheme, aux_supervision=aux)
+            run = replace(cfg, module=scheme, aux_weight=cfg.aux_weight if aux else 0.0)
             try:
                 model, _ = train_model(run, train_pairs)
                 result = evaluate_model(model, eval_pairs)

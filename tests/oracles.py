@@ -346,7 +346,8 @@ def frozen_inv_std(dtype) -> np.floating:
     return 1.0 / np.sqrt(np.ones((), dtype) + BN_EPS)
 
 
-def frozen_softmax_rows(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def frozen_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row softmax of unscaled logits; a scaled caller divides them first."""
     s = x.copy()
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)

@@ -447,14 +447,6 @@ def _masked_tree(root):
                     row["wall_ms"] = row["wall_ms_spread"] = None
                 payload["timing_verdicts"] = None
                 blob = json.dumps(payload, sort_keys=True).encode()
-            elif name == "bench.csv":
-                lines = []
-                for line in blob.decode().splitlines():
-                    parts = line.split(",")
-                    if parts[0] != "module":
-                        parts[4] = ""
-                    lines.append(",".join(parts))
-                blob = "\n".join(lines).encode()
             out[os.path.relpath(path, root)] = blob
     return out
 

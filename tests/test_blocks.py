@@ -197,22 +197,6 @@ class TestSgd:
         Sgd([p]).step(0.1)
         assert np.allclose(p.data, [[0.95, 2.1]], atol=1e-15)
 
-    def test_weight_decay_adds_to_gradient(self):
-        p = tensor([[2.0]], requires_grad=True)
-        p.grad = np.array([[1.0]])
-        Sgd([p], weight_decay=0.5).step(0.1)
-        # effective gradient 1 + 0.5*2 = 2
-        assert abs(p.data[0, 0] - (2.0 - 0.1 * 2.0)) < 1e-15
-
-    def test_momentum_accumulates(self):
-        p = tensor([[0.0]], requires_grad=True)
-        opt = Sgd([p], momentum=0.9)
-        p.grad = np.array([[1.0]])
-        opt.step(1.0)  # velocity 1, p -1
-        p.grad = np.array([[1.0]])
-        opt.step(1.0)  # velocity 1.9, p -2.9
-        assert abs(p.data[0, 0] + 2.9) < 1e-12
-
     def test_none_grads_skipped(self):
         p = tensor([[1.0]], requires_grad=True)
         Sgd([p]).step(10.0)

@@ -51,6 +51,17 @@ class TestUsageErrors:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["momentum=0.9", "weight_decay=0.1",
+                                     "aux_supervision=false"])
+    def test_removed_optimizer_and_supervision_keys_are_unknown(self, tmp_path,
+                                                                capsys, key):
+        code = cli_main(["train", "--set", key, "--set", f"out_dir={tmp_path / 'out'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"configuration error: unknown config key {key.split('=')[0]!r}"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_value(self, capsys):
         assert cli_main(["gen-data", "--set", "iterations=soon"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -81,7 +92,6 @@ class TestUsageErrors:
         ("train", "ppm_bins="), ("train", "aspp_rates=-5"), ("train", "aspp_rates=0"),
         ("gen-data", "ppm_bins=0,2"), ("equiv-check", "equiv_tolerance=-1"),
         ("grad-check", "grad_tolerance=-1"), ("train", "noise=-1"), ("train", "jitter=-1"),
-        ("train", "momentum=-1"), ("train", "weight_decay=-1"),
         ("ablate", "base_lr=0"), ("train", "poly_power=-1"),
         ("ablate", "aux_weight=-1"), ("train", "final_weight=-1"),
         ("train", "ppm_bins=1,2,40")])
@@ -314,11 +324,15 @@ class TestBench:
             tmp_path, bench_channels=8, bench_size=8, bench_classes=3,
             bench_key_channels=4, bench_mid_channels=8))
         assert code == 0
-        csv_lines = (tmp_path / "out" / "bench.csv").read_text().splitlines()
-        assert csv_lines[0] == "module,params,flops,peak_bytes,wall_ms,input_shape"
-        assert len(csv_lines) == 7  # six measured modules
+        assert sorted(os.listdir(tmp_path / "out")) == ["bench.json"]
         payload = json.loads((tmp_path / "out" / "bench.json").read_text())
         assert payload["errors"] == {}
+        # one record per measured module, each with the fields of its report
+        assert len(payload["measured"]) == 6
+        for row in payload["measured"]:
+            assert set(row) == {"module", "params", "flops", "peak_bytes", "wall_ms",
+                                "wall_ms_spread", "input_shape"}
+            assert row["input_shape"] == [8, 8, 8]
         assert payload["verdicts"]["full_scale_flops_rank_matches_expected"]
         printed = capsys.readouterr().out
         assert "verdict ocr_peak_below_self_attention:" in printed
@@ -419,7 +433,7 @@ class TestConfigParsing:
             RunConfig(shapes_min=3, shapes_max=2)
         # a pyramid bin larger than the grid fails at load, whatever the module
         for bad in (dict(seed=-1), dict(feat_channels=-1), dict(equiv_instances=0),
-                    dict(grad_instances=0), dict(aux_weight=-1, aux_supervision=False),
+                    dict(grad_instances=0),
                     dict(ppm_bins=(1, 2, 40)), dict(module="ppm_lite", ppm_bins=(1, 2, 40))):
             with pytest.raises(ConfigError):
                 RunConfig(**bad)

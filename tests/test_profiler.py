@@ -18,7 +18,7 @@ from ocrseg.profiler import (BENCH_REPEATS, BENCH_WARMUP, BenchConfig, CostRepor
                              bench_report, bench_to_json, count_params,
                              full_scale_table, measure_peak_memory,
                              measure_wall_time,
-                             rank_matches_expected, reports_to_csv)
+                             rank_matches_expected)
 from ocrseg.blocks import Conv1x1Head
 
 from conftest import quadratic_share
@@ -171,18 +171,6 @@ class TestFullScaleTable:
 
 
 class TestReportSerialization:
-    def test_csv_row_format(self):
-        full = CostReport("ocr", 10, 20, (2, 3, 4), peak_bytes=30, wall_ms=1.5)
-        assert full.csv_row() == "ocr,10,20,30,1.500,1x2x3x4"
-        bare = CostReport("ocr", 10, 20, (2, 3, 4))
-        assert bare.csv_row() == "ocr,10,20,,,1x2x3x4"
-
-    def test_csv_header(self):
-        text = reports_to_csv([CostReport("ocr", 1, 2, (1, 1, 1))])
-        lines = text.splitlines()
-        assert lines[0] == "module,params,flops,peak_bytes,wall_ms,input_shape"
-        assert len(lines) == 2
-
     def test_json_is_deterministic_and_structured(self):
         cfg = small_bench()
         measured = [CostReport("ocr", 1, 2, cfg.input_shape, 3, 4.0, 0.1)]

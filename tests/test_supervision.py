@@ -1,5 +1,5 @@
 """Ground-truth region substitution, pixel-wise losses, and the polynomial
-learning-rate schedule."""
+learning rate that the training loop runs."""
 import math
 
 import numpy as np
@@ -8,9 +8,11 @@ import pytest
 import ocrseg.tensor as T
 from ocrseg.context import FeatureMap
 from ocrseg.errors import ConfigError, DataError, DimensionError
-from ocrseg.supervision import (LabelMap, LossConfig, PolySchedule,
-                                combined_loss, gt_regions, gt_relations,
-                                poly_lr)
+from ocrseg.config import RunConfig
+from ocrseg.data import generate_scenes
+from ocrseg.supervision import (LabelMap, LossConfig, combined_loss, gt_regions,
+                                gt_relations)
+from ocrseg.train import prepare_features, train_model
 
 import oracles
 from conftest import feature_map, identity_block, region_stage, run_stage, tensor
@@ -64,33 +66,49 @@ class TestLossConfig:
             LossConfig(aux_weight=-0.1)
 
 
+def train_rates(iterations, base_lr=0.01, poly_power=0.9):
+    """The cfg and the per-iteration rates of a tiny ``train_model`` run."""
+    cfg = RunConfig(seed=4, grid=12, classes=3, iterations=iterations,
+                    base_lr=base_lr, poly_power=poly_power, feat_channels=6,
+                    key_channels=4, mid_channels=8)
+    scenes = generate_scenes(cfg.seed, 2, cfg.grid, cfg.classes, cfg.noise,
+                             cfg.jitter, cfg.shapes_min, cfg.shapes_max,
+                             cfg.ignore_fraction, stream=0)
+    _, rows = train_model(cfg, prepare_features(scenes, cfg))
+    assert [r.iteration for r in rows] == list(range(iterations))
+    return cfg, [r.lr for r in rows]
+
+
 class TestPolySchedule:
+    """The rate is base_lr * (1 - it/iterations)^poly_power, formed by
+    ``train_model`` at each iteration it runs."""
+
     def test_start_is_base_lr(self):
-        assert poly_lr(PolySchedule(0.01, 100), 0) == 0.01
+        _, rates = train_rates(4)
+        assert rates[0] == 0.01
 
     def test_end_is_zero(self):
-        assert poly_lr(PolySchedule(0.01, 100), 100) == 0.0
+        # the loop stops at the iteration where the rate would reach 0
+        cfg, rates = train_rates(4)
+        assert len(rates) == cfg.iterations
+        assert rates[-1] == 0.01 * (1.0 - 3 / 4) ** 0.9 > 0.0
 
     def test_midpoint_value(self):
-        lr = poly_lr(PolySchedule(0.01, 100), 50)
-        assert abs(lr - 0.01 * 0.5 ** 0.9) < 1e-9
-        assert abs(lr - 0.005359) < 1e-6
-
-    def test_clamps_past_max(self):
-        assert poly_lr(PolySchedule(0.01, 100), 150) == 0.0
+        _, rates = train_rates(4)
+        assert rates[2] == 0.01 * 0.5 ** 0.9
+        assert abs(rates[2] - 0.005359) < 1e-6
 
     def test_strictly_decreasing(self):
-        sched = PolySchedule(0.5, 64, power=0.9)
-        values = [poly_lr(sched, i) for i in range(65)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # a power other than the default, so that the loop is seen to read it
+        cfg, rates = train_rates(7, base_lr=0.5, poly_power=1.7)
+        assert rates == [cfg.base_lr * (1.0 - i / cfg.iterations) ** cfg.poly_power
+                         for i in range(cfg.iterations)]
+        assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            PolySchedule(0.0, 100)
-        with pytest.raises(ConfigError):
-            PolySchedule(0.01, 0)
-        with pytest.raises(ConfigError):
-            PolySchedule(0.01, 100, power=0.0)
+        for key in ("base_lr", "poly_power"):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig(**{key: 0.0})
 
 
 class TestGtRegions:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ocrseg.tensor as T
+import ocrseg.train as TR
 from ocrseg.config import RunConfig
 from ocrseg.data import generate_scenes
 from ocrseg.errors import ConfigError, DataError, TrainingDiverged
@@ -295,6 +296,31 @@ class TestAblation:
             assert cell.error is None
             assert 0.0 <= cell.mean_iou <= 1.0
             assert 0.0 <= cell.pixel_accuracy <= 1.0
+
+    def test_without_cell_is_a_train_at_zero_aux_weight(self, monkeypatch):
+        cfg = tiny_config(iterations=5)
+        train_pairs = tiny_pairs(cfg, 4, 0)
+        eval_pairs = tiny_pairs(cfg, 3, 1)
+        logs = {}
+
+        def logged(run, pairs):
+            model, rows = train_model(run, pairs)
+            logs[run.module, run.loss.aux_weight] = rows
+            return model, rows
+
+        monkeypatch.setattr(TR, "train_model", logged)
+        cells = {(c.scheme, c.aux_supervision): c
+                 for c in run_ablation(cfg, train_pairs, eval_pairs)}
+        for scheme in ABLATION_SCHEMES:
+            model, rows = train_model(replace(cfg, module=scheme, aux_weight=0.0),
+                                      train_pairs)
+            result = evaluate_model(model, eval_pairs)
+            cell = cells[(scheme, False)]
+            assert cell.mean_iou == result.mean_iou
+            assert cell.pixel_accuracy == result.pixel_accuracy
+            # the same losses, which the auxiliary term would change
+            assert logs[scheme, 0.0] == rows
+            assert logs[scheme, cfg.aux_weight] != rows
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
