@@ -112,9 +112,7 @@ def _cmd_ablate(cfg: RunConfig) -> int:
 
 def _cmd_bench(cfg: RunConfig) -> int:
     bench = P.BenchConfig(
-        channels=cfg.bench_channels, height=cfg.bench_size, width=cfg.bench_size,
-        num_classes=cfg.bench_classes, key_channels=cfg.bench_key_channels,
-        mid_channels=cfg.bench_mid_channels, attention_scale=cfg.attention_scale,
+        height=cfg.bench_size, width=cfg.bench_size, attention_scale=cfg.attention_scale,
         da_regions=cfg.da_regions or P.BenchConfig.da_regions,
         precision=cfg.precision, seed=cfg.seed)
     reports, extras, errors = P.bench_report(bench)
@@ -124,21 +122,21 @@ def _cmd_bench(cfg: RunConfig) -> int:
         print(f"{report.module}: params={report.params} flops={report.flops} "
               f"peak_bytes={report.peak_bytes}")
     for name, verdict in sorted(extras["verdicts"].items()):
-        print(f"verdict {name}: {'yes' if verdict else 'no'}")
+        print(f"verdict {name}: {'n/a' if verdict is None else 'yes' if verdict else 'no'}")
     for module, message in sorted(errors.items()):
         print(f"bench error for {module}: {message}", file=sys.stderr)
     return 1 if errors else 0
 
 
 def _cmd_equiv_check(cfg: RunConfig) -> int:
-    suite = run_equivalence_suite(cfg.equiv_instances, cfg.seed, cfg.equiv_tolerance)
+    suite = run_equivalence_suite(cfg.equiv_instances, cfg.seed)
     _write(os.path.join(cfg.out_dir, "equiv_report.json"), suite.to_json())
     print(suite.summary())
     return 0 if suite.passed else 1
 
 
 def _cmd_grad_check(cfg: RunConfig) -> int:
-    suite = run_gradient_suite(cfg.grad_instances, cfg.seed, cfg.grad_tolerance)
+    suite = run_gradient_suite(cfg.grad_instances, cfg.seed)
     _write(os.path.join(cfg.out_dir, "grad_report.json"), suite.to_json())
     print(suite.summary())
     return 0 if suite.passed else 1

@@ -36,32 +36,21 @@ class RunConfig:
     # the transient. The region-oracle run gets its own 500-step budget.
     iterations: int = 150
     base_lr: float = 0.5
-    poly_power: float = 0.9
-    final_weight: float = 1.0
-    aux_weight: float = 0.4
+    aux_weight: float = LossConfig.aux_weight
 
     module: str = "ocr"
     feat_channels: int = 14
-    key_channels: int = 16
-    mid_channels: int = 32
-    use_stem: bool = True
-    attention_scale: str = "unit"
-    da_regions: int = 0
-    aspp_rates: tuple[int, ...] = (1, 6, 12)
-    ppm_bins: tuple[int, ...] = (1, 2, 3, 6)
-    precision: str = "double"
+    key_channels: int = ModelConfig.key_channels
+    mid_channels: int = ModelConfig.mid_channels
+    attention_scale: str = ModelConfig.attention_scale
+    da_regions: int = ModelConfig.da_regions
+    precision: str = ModelConfig.dtype
 
-    # the bench input's shape and widths, ``BenchConfig``'s by default
-    bench_channels: int = BenchConfig.channels
+    # the bench input's side; its widths are ``BenchConfig``'s
     bench_size: int = BenchConfig.height
-    bench_classes: int = BenchConfig.num_classes
-    bench_key_channels: int = BenchConfig.key_channels
-    bench_mid_channels: int = BenchConfig.mid_channels
 
     equiv_instances: int = 100
     grad_instances: int = 50
-    equiv_tolerance: float = 1e-10
-    grad_tolerance: float = 1e-4
 
     data_dir: str = "data"
     out_dir: str = "out"
@@ -72,20 +61,13 @@ class RunConfig:
         if self.feat_channels < 0:
             raise ConfigError(f"feat_channels must be >= 0, got {self.feat_channels}")
         self.model_config()
-        # the run's loss weights and rate, checked here so that a bad weight
+        # the run's loss weight and rate, checked here so that a bad weight
         # or rate fails the config, not the training runs inside it
-        self.loss = LossConfig(self.final_weight, self.aux_weight)
-        for key in ("base_lr", "poly_power"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        self.loss = LossConfig(self.aux_weight)
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
         if self.equiv_instances < 1 or self.grad_instances < 1:
             raise ConfigError("equiv_instances and grad_instances must be >= 1")
-        # the gradient suite passes on error < tolerance, the equivalence
-        # suite on discrepancy <= tolerance: below these no run can pass
-        if self.grad_tolerance <= 0:
-            raise ConfigError(f"grad_tolerance must be > 0, got {self.grad_tolerance}")
-        if self.equiv_tolerance < 0:
-            raise ConfigError(f"equiv_tolerance must be >= 0, got {self.equiv_tolerance}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.train_scenes < 1 or self.eval_scenes < 1:
@@ -101,9 +83,6 @@ class RunConfig:
         problem = scene_shape_problem(self.grid, self.classes)
         if problem is not None:
             raise ConfigError(f"classes/grid: {problem}")
-        # every module's config carries the bins; ppm_lite pools the grid by them
-        if max(self.ppm_bins) > self.grid:
-            raise ConfigError(f"ppm_bins must be <= grid {self.grid}, got {self.ppm_bins}")
 
     @property
     def in_channels(self) -> int:
@@ -114,9 +93,7 @@ class RunConfig:
             module=module or self.module, in_channels=self.in_channels,
             num_classes=self.classes, key_channels=self.key_channels,
             mid_channels=self.mid_channels, attention_scale=self.attention_scale,
-            da_regions=self.da_regions, use_stem=self.use_stem,
-            aspp_rates=self.aspp_rates, ppm_bins=self.ppm_bins,
-            seed=self.seed, dtype=self.precision)
+            da_regions=self.da_regions, seed=self.seed, dtype=self.precision)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -133,15 +110,6 @@ def _coerce(key: str, raw: str):
             if not math.isfinite(value):
                 raise ValueError(f"not a finite number: {raw!r}")
             return value
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind.startswith("tuple"):
-            return tuple(int(v) for v in raw.split(",") if v.strip())
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None

@@ -23,7 +23,8 @@ from .errors import ConfigError
 from .models import PRECISIONS, ModelConfig, SegmentationModel, build_model, \
     full_scale_config
 
-FULL_SCALE = (2048, 128, 128)
+# The side of the full-scale input; its channels are ``full_scale_config``'s.
+FULL_SCALE_SIZE = 128
 FULL_SCALE_CLASSES = 19
 
 # Expected cost ordering of the context schemes at full scale, cheapest group
@@ -133,10 +134,11 @@ def full_scale_table() -> list[CostReport]:
     reports = []
     for name in (m for group in EXPECTED_FLOP_RANK for m in group):
         cfg = full_scale_config(name, num_classes=FULL_SCALE_CLASSES)
-        model = build_model(cfg, image_size=FULL_SCALE[1], rng=ShapeOnlyRng())
+        model = build_model(cfg, image_size=FULL_SCALE_SIZE, rng=ShapeOnlyRng())
         reports.append(CostReport(
             module=name, params=count_params(model),
-            flops=model.analytic_flops(*FULL_SCALE[1:]), input_shape=FULL_SCALE))
+            flops=model.analytic_flops(FULL_SCALE_SIZE, FULL_SCALE_SIZE),
+            input_shape=(cfg.in_channels, FULL_SCALE_SIZE, FULL_SCALE_SIZE)))
     return reports
 
 
@@ -155,8 +157,8 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
     and judge the direction claims. A module failure isolates to its row; the
     run continues.
 
-    Returns (measured reports, verdicts, errors). Verdicts that lack an
-    operand (a module that failed) are vacuously true.
+    Returns (measured reports, verdicts, errors). A verdict that lacks an
+    operand (a module that failed) is None: it was not judged.
     """
     fm = bench_input(cfg)
     reports: list[CostReport] = []
@@ -177,9 +179,9 @@ def bench_report(cfg: BenchConfig) -> tuple[list[CostReport], dict, dict[str, st
     full_flops = {r.module: r.flops for r in full}
     measured = {r.module: r for r in reports}
 
-    def _lt(metric: str, a: str, b: str) -> bool:
+    def _lt(metric: str, a: str, b: str) -> bool | None:
         if a not in measured or b not in measured:
-            return True  # vacuous
+            return None
         return getattr(measured[a], metric) < getattr(measured[b], metric)
 
     verdicts = {

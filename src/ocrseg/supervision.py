@@ -49,15 +49,13 @@ class LabelMap:
 
 @dataclass
 class LossConfig:
-    """Weights of the final and auxiliary pixel-wise cross entropies."""
+    """Weight of the auxiliary pixel-wise cross entropy; the final one's is 1."""
 
-    final_weight: float = 1.0
     aux_weight: float = 0.4
 
     def __post_init__(self) -> None:
-        for key in ("final_weight", "aux_weight"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.aux_weight < 0:
+            raise ConfigError(f"aux_weight must be >= 0, got {self.aux_weight}")
 
 
 def gt_regions(labels: LabelMap, dtype=np.float64) -> SoftRegionSet:
@@ -93,9 +91,9 @@ def gt_relations(labels: LabelMap, dtype=np.float64, top: int = 0,
 
 def combined_loss(final_logits: T.Tensor, aux_logits: T.Tensor | None,
                   labels: LabelMap, cfg: LossConfig) -> T.Tensor:
-    """final_weight * CE(final) + aux_weight * CE(aux), as one op. ``aux_logits``
-    may be None (models without a coarse head), dropping the auxiliary term."""
-    terms = [(final_logits, cfg.final_weight)]
+    """CE(final) + aux_weight * CE(aux), as one op. ``aux_logits`` may be
+    None (models without a coarse head), dropping the auxiliary term."""
+    terms = [(final_logits, 1.0)]
     if aux_logits is not None and cfg.aux_weight > 0:
         terms.append((aux_logits, cfg.aux_weight))
     for logits, _ in terms:

@@ -18,10 +18,12 @@ from .context import FeatureMap
 from .blocks import Sgd
 from .data import SyntheticScene, lift_weights, scene_features, scene_label_map
 from .errors import DataError, OcrsegError, TrainingDiverged
-from .models import SegmentationModel, build_model
+from .models import PRECISIONS, SegmentationModel, build_model
 from .supervision import IGNORE_INDEX, LabelMap, combined_loss
 
 ABLATION_SCHEMES = ("ocr", "da", "acf")
+# The exponent of the poly learning-rate decay.
+POLY_POWER = 0.9
 
 
 def prepare_features(scenes: list[SyntheticScene],
@@ -62,7 +64,7 @@ def train_model(cfg: RunConfig,
         if not math.isfinite(value):
             raise TrainingDiverged(
                 f"non-finite loss {value} at iteration {it}")
-        lr = cfg.base_lr * (1.0 - it / cfg.iterations) ** cfg.poly_power
+        lr = cfg.base_lr * (1.0 - it / cfg.iterations) ** POLY_POWER
         T.backward(loss)
         opt.step(lr)
         opt.zero_grad()
@@ -175,7 +177,7 @@ def ablation_csv(cells: list[AblationCell]) -> str:
 # checkpoints: tiny self-describing binary, byte-stable across runs
 
 _CKPT_MAGIC = b"OCRSEG1\n"
-_CKPT_DTYPES = ("float64", "float32")
+_CKPT_DTYPES = tuple(np.dtype(d).name for d in PRECISIONS.values())
 _CKPT_FIELDS = ("name", "shape", "dtype", "offset", "nbytes")
 
 

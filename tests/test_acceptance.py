@@ -84,7 +84,7 @@ def test_simplex_rows_are_distributions(capsys):
 
 def test_analytic_gradients_match_finite_differences(capsys):
     start = time.perf_counter()
-    report = run_gradient_suite(instances=50, seed=0, tolerance=1e-4)
+    report = run_gradient_suite(instances=50, seed=0)
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
     _emit(capsys, "gradient suite",
@@ -98,7 +98,7 @@ def test_analytic_gradients_match_finite_differences(capsys):
 
 def test_attention_form_matches_context_form(capsys):
     start = time.perf_counter()
-    report = run_equivalence_suite(instances=100, seed=0, tolerance=1e-10)
+    report = run_equivalence_suite(instances=100, seed=0)
     assert report.all_mapped_passed, report.summary()
     assert report.max_discrepancy <= 1e-10
     # the deliberately mis-scaled control must be caught, not pass silently
@@ -458,8 +458,7 @@ def test_cli_runs_are_reproducible(tmp_path, capsys):
         sets = [f"--set={k}={v}" for k, v in dict(
             grid=12, classes=3, train_scenes=4, eval_scenes=3, iterations=8,
             feat_channels=6, key_channels=4, mid_channels=8,
-            bench_channels=8, bench_size=8, bench_classes=3,
-            bench_key_channels=4, bench_mid_channels=8,
+            bench_size=8,
             equiv_instances=3, grad_instances=2,
             data_dir=str(base / "data"), out_dir=str(base / "out")).items()]
         for cmd in ("gen-data", "train", "ablate", "bench",

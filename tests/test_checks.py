@@ -41,8 +41,9 @@ class TestFiniteDifferenceGrad:
 
 class TestGradientSuite:
     def test_small_sweep_passes_every_module(self):
-        report = run_gradient_suite(instances=8, seed=0, tolerance=1e-4)
+        report = run_gradient_suite(instances=8, seed=0)
         assert report.passed
+        assert report.tolerance == 1e-4
         assert report.max_rel_error < 1e-4
         assert [i.module for i in report.instances] == list(MODULE_CHOICES)
         assert report.summary().startswith("[PASS] gradient check: 8 instances")
@@ -54,7 +55,7 @@ class TestGradientSuite:
 
     def test_rejects_empty_suite(self):
         with pytest.raises(ParameterError):
-            run_gradient_suite(instances=0, seed=0, tolerance=1e-4)
+            run_gradient_suite(instances=0, seed=0)
 
     def test_default_instances_cover_every_variant(self):
         # the variants cycle with each module's own count, not with the
@@ -88,7 +89,9 @@ class TestGradientSuite:
 
 class TestEquivalenceSuite:
     def test_small_sweep_passes_with_control(self):
-        report = run_equivalence_suite(instances=5, seed=0, tolerance=1e-10)
+        report = run_equivalence_suite(instances=5, seed=0)
+        assert report.tolerance == 1e-10
+        assert all(r.tolerance == 1e-10 for r in report.reports)
         assert report.all_mapped_passed
         assert report.max_discrepancy <= 1e-10
         assert not report.control.passed
@@ -103,7 +106,7 @@ class TestEquivalenceSuite:
 
     def test_rejects_empty_suite(self):
         with pytest.raises(ParameterError):
-            run_equivalence_suite(instances=0, seed=0, tolerance=1e-10)
+            run_equivalence_suite(instances=0, seed=0)
 
     def test_undetected_control_fails_suite(self):
         sneaky = EquivalenceReport(0.0, 1e-10, True, "paths agree")

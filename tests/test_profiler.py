@@ -14,7 +14,7 @@ import ocrseg.flopcount as F
 from ocrseg.errors import ConfigError
 from ocrseg.models import ModelConfig, build_model, full_scale_config
 from ocrseg.profiler import (BENCH_REPEATS, BENCH_WARMUP, BenchConfig, CostReport, DEFAULT_BENCH_MODULES,
-                             EXPECTED_FLOP_RANK, FULL_SCALE, bench_input,
+                             EXPECTED_FLOP_RANK, FULL_SCALE_SIZE, bench_input,
                              bench_report, bench_to_json, count_params,
                              full_scale_table, measure_peak_memory,
                              measure_wall_time,
@@ -142,7 +142,7 @@ class TestFullScaleTable:
         # reference totals for the standard widths, with 10% slack
         assert abs(flops["ocr"] - 3.40e11) <= 0.10 * 3.40e11
         assert abs(flops["self_attn"] - 6.19e11) <= 0.10 * 6.19e11
-        assert all(r.input_shape == FULL_SCALE for r in reports)
+        assert all(r.input_shape == (2048, FULL_SCALE_SIZE, FULL_SCALE_SIZE) for r in reports)
         assert all(r.peak_bytes is None and r.wall_ms is None for r in reports)
 
     def test_counts_without_allocating_weights(self):
@@ -156,9 +156,9 @@ class TestFullScaleTable:
         # the shape-only count equals the count on a model with drawn weights
         # (ocr is the smallest full-scale head: 10.5M parameters)
         ocr = next(r for r in reports if r.module == "ocr")
-        drawn = build_model(full_scale_config("ocr"), image_size=FULL_SCALE[1])
+        drawn = build_model(full_scale_config("ocr"), image_size=FULL_SCALE_SIZE)
         assert ocr.params == count_params(drawn)
-        assert ocr.flops == drawn.analytic_flops(*FULL_SCALE[1:])
+        assert ocr.flops == drawn.analytic_flops(FULL_SCALE_SIZE, FULL_SCALE_SIZE)
 
     def test_rank_matcher_logic(self):
         good = {"da": 1, "ocr": 2, "aspp_lite": 3, "self_attn": 5, "ppm_lite": 4}
@@ -174,7 +174,7 @@ class TestReportSerialization:
     def test_json_is_deterministic_and_structured(self):
         cfg = small_bench()
         measured = [CostReport("ocr", 1, 2, cfg.input_shape, 3, 4.0, 0.1)]
-        extras = {"full_scale": [CostReport("ocr", 1, 2, FULL_SCALE)],
+        extras = {"full_scale": [CostReport("ocr", 1, 2, (2048, 128, 128))],
                   "verdicts": {"some_direction": True}}
         a = bench_to_json(cfg, measured, extras, {})
         b = bench_to_json(cfg, measured, extras, {})
@@ -340,7 +340,12 @@ class TestBenchReport:
         reports, extras, errors = bench_report(cfg)
         assert [r.module for r in reports] == ["ocr"]
         assert sorted(errors) == sorted(others)
-        assert all(extras["verdicts"].values())
+        # every measured verdict lacks an operand and is left unjudged
+        verdicts = extras["verdicts"]
+        assert {name for name, v in verdicts.items() if v is None} == {
+            "ocr_peak_below_self_attention", "ocr_time_below_self_attention",
+            "ocr_peak_below_ppm_lite", "ocr_time_below_ppm_lite"}
+        assert verdicts["full_scale_flops_rank_matches_expected"] is True
         assert reports[0].peak_bytes > 0
         assert reports[0].wall_ms is not None
 
@@ -352,8 +357,9 @@ class TestBenchReport:
                                                if m != "self_attn"]
         assert errors == {"self_attn": "ConfigError: no self_attn here"}
         verdicts = extras["verdicts"]
-        assert verdicts["ocr_peak_below_self_attention"]
-        assert verdicts["ocr_time_below_self_attention"]
+        assert verdicts["ocr_peak_below_self_attention"] is None
+        assert verdicts["ocr_time_below_self_attention"] is None
+        assert verdicts["ocr_peak_below_ppm_lite"] in (True, False)
 
     def test_default_module_list(self):
         assert DEFAULT_BENCH_MODULES == ("ocr", "da", "self_attn", "global",

@@ -12,7 +12,7 @@ from ocrseg.config import RunConfig
 from ocrseg.data import generate_scenes
 from ocrseg.supervision import (LabelMap, LossConfig, combined_loss, gt_regions,
                                 gt_relations)
-from ocrseg.train import prepare_features, train_model
+from ocrseg.train import POLY_POWER, prepare_features, train_model
 
 import oracles
 from conftest import feature_map, identity_block, region_stage, run_stage, tensor
@@ -60,16 +60,14 @@ class TestLabelMap:
 
 class TestLossConfig:
     def test_negative_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            LossConfig(final_weight=-1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="aux_weight"):
             LossConfig(aux_weight=-0.1)
 
 
-def train_rates(iterations, base_lr=0.01, poly_power=0.9):
+def train_rates(iterations, base_lr=0.01):
     """The cfg and the per-iteration rates of a tiny ``train_model`` run."""
     cfg = RunConfig(seed=4, grid=12, classes=3, iterations=iterations,
-                    base_lr=base_lr, poly_power=poly_power, feat_channels=6,
+                    base_lr=base_lr, feat_channels=6,
                     key_channels=4, mid_channels=8)
     scenes = generate_scenes(cfg.seed, 2, cfg.grid, cfg.classes, cfg.noise,
                              cfg.jitter, cfg.shapes_min, cfg.shapes_max,
@@ -80,7 +78,7 @@ def train_rates(iterations, base_lr=0.01, poly_power=0.9):
 
 
 class TestPolySchedule:
-    """The rate is base_lr * (1 - it/iterations)^poly_power, formed by
+    """The rate is base_lr * (1 - it/iterations)^POLY_POWER, formed by
     ``train_model`` at each iteration it runs."""
 
     def test_start_is_base_lr(self):
@@ -94,21 +92,20 @@ class TestPolySchedule:
         assert rates[-1] == 0.01 * (1.0 - 3 / 4) ** 0.9 > 0.0
 
     def test_midpoint_value(self):
+        assert POLY_POWER == 0.9
         _, rates = train_rates(4)
         assert rates[2] == 0.01 * 0.5 ** 0.9
         assert abs(rates[2] - 0.005359) < 1e-6
 
     def test_strictly_decreasing(self):
-        # a power other than the default, so that the loop is seen to read it
-        cfg, rates = train_rates(7, base_lr=0.5, poly_power=1.7)
-        assert rates == [cfg.base_lr * (1.0 - i / cfg.iterations) ** cfg.poly_power
+        cfg, rates = train_rates(7, base_lr=0.5)
+        assert rates == [cfg.base_lr * (1.0 - i / cfg.iterations) ** POLY_POWER
                          for i in range(cfg.iterations)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_validation(self):
-        for key in ("base_lr", "poly_power"):
-            with pytest.raises(ConfigError, match=key):
-                RunConfig(**{key: 0.0})
+        with pytest.raises(ConfigError, match="base_lr"):
+            RunConfig(base_lr=0.0)
 
 
 class TestGtRegions:
@@ -314,7 +311,7 @@ class TestCombinedLoss:
         logits = tensor(rng.normal(0, 1, (3, 6)))
         aux = tensor(rng.normal(0, 1, (3, 6)))
         lm = label_map(rng.integers(0, 3, (2, 3)), 3)
-        cfg = LossConfig(final_weight=1.0, aux_weight=0.0)
+        cfg = LossConfig(aux_weight=0.0)
         loss = combined_loss(logits, aux, lm, cfg)
         want = T.cross_entropy_logits([(logits, 1.0)], lm.flat)
         assert abs(float(loss.data) - float(want.data)) < 1e-15
@@ -330,9 +327,9 @@ class TestCombinedLoss:
         aux = rng.normal(0, 1, (3, 6))
         labels = rng.integers(0, 3, (2, 3))
         lm = label_map(labels, 3)
-        cfg = LossConfig(final_weight=0.7, aux_weight=0.3)
+        cfg = LossConfig(aux_weight=0.3)
         loss = combined_loss(tensor(final), tensor(aux), lm, cfg)
-        want = (0.7 * oracles.cross_entropy_loops(final, lm.flat)
+        want = (oracles.cross_entropy_loops(final, lm.flat)
                 + 0.3 * oracles.cross_entropy_loops(aux, lm.flat))
         assert abs(float(loss.data) - want) < 1e-12
 
