@@ -2,11 +2,13 @@
 
 Thread-count environment variables are pinned before anything numerical is
 imported so measured timings and byte-for-byte reproducibility do not depend
-on the host's BLAS configuration.
+on the host's BLAS configuration; glibc's allocator is pinned too, so freed
+buffers stay in the process.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -17,7 +19,24 @@ def _pin_threads() -> None:
         os.environ.setdefault(var, "1")
 
 
+def _pin_allocator() -> None:
+    """Raise glibc's trim threshold to 256 MiB and its mmap threshold to 32
+    MiB. At the defaults glibc hands freed large buffers back to the kernel
+    and the next op faults them in again: in a fresh process on a 2-vCPU VM,
+    each default 150-iteration train with its eval took 48,400 minor faults
+    and 660-820 ms, against at most 5 faults and 549-567 ms pinned. Where
+    libc or ``mallopt`` is missing this does nothing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+
+
 _pin_threads()
+_pin_allocator()
 
 from . import data as D                                     # noqa: E402
 from . import profiler as P                                 # noqa: E402

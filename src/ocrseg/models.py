@@ -10,6 +10,8 @@ describe exactly the code that runs.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +30,74 @@ _SCALE_MODES = ("unit", "rsqrt_key")
 # The ``precision`` setting's values and the float dtype each computes in.
 PRECISIONS = {"double": np.float64, "single": np.float32}
 
-# Bytes the widest buffer of one band of a stage's fuse reaches: a band is the
-# smallest power of two rows that reach it (``_band_height``), at the bench
-# widths in float64 16 rows at 64x64 and 8 at 128x128 for every head. There,
-# on a 2-vCPU VM, ocr's no-grad tracemalloc peak at 128x128 read 40.3 MB whole
-# and 18.2, 11.6, 8.3 and 6.7 MB in bands of 32, 16, 8 and 4 rows, its median
-# forward 87, 76, 75, 78 and 83 ms (98 and 106 ms at 2 and 1 rows); aspp_lite's
-# 64x64 forward took 125 ms in 8-row bands (rounding down) and 109 ms in 16.
-_BAND_BYTES = 1 << 20
+# Bytes the widest buffer of one band of a stage's fuse reaches, per band
+# worker: a band is the smallest power of two rows that reach the stage's share
+# of ``_BAND_WORKERS * _BAND_BYTES`` (``_band_height``), so the bands in flight
+# hold about what one band of the whole budget holds, and the heights are the
+# same on every host. At the bench widths in float64 a relational head runs
+# 8-row bands at 64x64 and 4-row ones at 128x128, two at a time; the kxk heads
+# run one band at a time, twice as tall. The timings below are of one band of
+# the whole budget at a time, on a 2-vCPU VM: ocr's no-grad tracemalloc peak at
+# 128x128 read 40.3 MB whole and 18.2, 11.6, 8.3 and 6.7 MB in bands of 32,
+# 16, 8 and 4 rows, its median forward 87, 76, 75, 78 and 83 ms (98 and 106 ms
+# at 2 and 1 rows); aspp_lite's 64x64 forward took 125 ms in 8-row bands
+# (rounding down) and 109 ms in 16.
+_BAND_BYTES = 1 << 19
+
+# Threads a no-grad forward runs its bands on, at most: band i runs on worker
+# i mod W, W = min(the stage's ``band_workers``, usable CPUs, bands). BLAS stays
+# at one thread per call, so the bands of one forward use up to two cores.
+_BAND_WORKERS = 2
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_bands(run, count: int, workers: int) -> None:
+    """``run(i)`` for each band i < ``count``, band i on worker i mod W, W =
+    min(``workers``, usable CPUs, ``count``). The calling thread is worker 0;
+    the others are started here and joined before this returns. If bands
+    raise, the earliest one's exception is raised: a worker stops at its
+    first failure, and no band before a failed one is skipped. While an
+    ``AllocationTracker`` is open the same waves of W bands run on the calling
+    thread, each charged as if its bands ran at once
+    (``AllocationTracker.concurrent``), so the tracked peak is that of W
+    workers and does not vary from run to run."""
+    workers = min(workers, _usable_cpus(), count)
+    if T._TRACKER is not None:
+        for i in range(0, count, workers):
+            T._TRACKER.concurrent([lambda j=j: run(j)
+                                   for j in range(i, min(i + workers, count))])
+        return
+    failed: list[tuple[int, BaseException] | None] = [None] * workers
+
+    def work(k: int) -> None:
+        for i in range(k, count, workers):
+            if any(f is not None and f[0] < i for f in failed):
+                return
+            try:
+                run(i)
+            except Exception as exc:
+                failed[k] = (i, exc)
+                return
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    errors = [f for f in failed if f is not None]
+    if errors:
+        raise min(errors, key=lambda f: f[0])[1]
 
 
 @dataclass
@@ -110,8 +172,9 @@ class SegmentationModel:
     ``(x, labels)`` to the features the final head reads: ``prepare(x,
     labels)`` runs the whole-image part and returns ``fuse(r0, r1)``, the
     (C, (r1 - r0) * W) features of image rows r0:r1, and the auxiliary
-    logits (or None). Bands run top to bottom, all of one height but the
-    last (under no_grad, that of one rule, ``_band_height``).
+    logits (or None). Bands are all of one height but the last (under
+    no_grad, that of one rule, ``_band_height``), and under no_grad up to
+    ``_BAND_WORKERS`` of them run at once.
     """
 
     def __init__(self, cfg: ModelConfig, stage, image_size: int = 64,
@@ -169,7 +232,8 @@ class SegmentationModel:
     def _band_height(self, x: FeatureMap) -> int:
         """Image rows per band of the stage's fuse: all of them when the
         forward records a backward, otherwise the smallest power of two rows
-        whose widest per-band buffer reaches ``_BAND_BYTES``, at most the
+        whose widest per-band buffer reaches the share of one of the stage's
+        ``band_workers`` in ``_BAND_WORKERS * _BAND_BYTES``, at most the
         image's."""
         cfg = self.cfg
         if T._grad_enabled:
@@ -177,26 +241,30 @@ class SegmentationModel:
         widest = max(cfg.key_channels, self.stage.out_channels, cfg.num_classes,
                      cfg.da_regions)
         row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * max(x.width, 1)
-        rows = 1 << (-(-_BAND_BYTES // row_bytes) - 1).bit_length()
+        budget = _BAND_BYTES * _BAND_WORKERS // self.stage.band_workers
+        rows = 1 << (-(-budget // row_bytes) - 1).bit_length()
         return min(rows, x.height)
 
     def forward(self, x: FeatureMap, labels: LabelMap | None = None) -> ModelOutput:
         """The stage's whole-image part, then its fuse and the final head one
-        band of image rows at a time, each band's logits written into one
-        (K, N) buffer. With one band the final head's result is returned as
-        it is, so a forward that records a backward runs its ops in one order
-        whatever the image size."""
+        band of image rows at a time (``_run_bands``), each band's logits
+        written into its columns of one (K, N) buffer allocated before any
+        band runs. Each band runs the ops it runs alone, so the logits are
+        bitwise the same on any number of workers. With one band the final
+        head's result is returned as it is, so a forward that records a
+        backward runs its ops in one order whatever the image size."""
         fuse, aux = self.stage.prepare(x, labels)
         step = self._band_height(x)
         if step >= x.height:
             return ModelOutput(self.final_head(fuse(0, x.height)), aux)
-        logits = None
-        for r0 in range(0, x.height, step):
-            r1 = min(r0 + step, x.height)
-            band = self.final_head(fuse(r0, r1)).data
-            if logits is None:
-                logits = T.Tensor(np.empty((band.shape[0], x.num_pixels), dtype=band.dtype))
-            logits.data[:, r0 * x.width:r1 * x.width] = band
+        logits = T.Tensor(np.empty((self.cfg.num_classes, x.num_pixels),
+                                   dtype=np.result_type(self.cfg.np_dtype, x.tensor.dtype)))
+
+        def run(i: int) -> None:
+            r0, r1 = i * step, min((i + 1) * step, x.height)
+            logits.data[:, r0 * x.width:r1 * x.width] = self.final_head(fuse(r0, r1)).data
+
+        _run_bands(run, -(-x.height // step), self.stage.band_workers)
         return ModelOutput(logits, aux)
 
     def flop_breakdown(self, height: int, width: int) -> dict[str, int]:
@@ -220,6 +288,8 @@ class RelationalStage:
     of the stemmed features (``FeatureMap.band``) to the band's (C, N)
     context, or to one (C, 1) column for every pixel, and the auxiliary
     logits (or None). Each block attribute is named as its checkpoint entry."""
+
+    band_workers = _BAND_WORKERS
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
@@ -420,6 +490,12 @@ class AsppStage:
     whose output holds each branch in its channel slice; a band's taps read
     only their rows of the image (``T._TapGrid``)."""
 
+    # A band's tap grid holds k groups of its rows when it is thinner than a
+    # rate, so two bands of half the height hold more than one band of the
+    # whole budget (9.37 MB tracked at the bench widths and 64x64, against
+    # 8.04): the kxk heads run one band at a time.
+    band_workers = 1
+
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg
         self.branch_channels = cfg.key_channels
@@ -442,7 +518,11 @@ class PpmStage:
     """Pooling pyramid with the standard 3x3 fuse conv on the concatenation,
     which the fuse reads as column parts, upsampling the bin-size branches
     as it pads them. The pooled, projected branches are the whole-image
-    part; a band's fuse reads one row above and below it."""
+    part; a band's fuse reads one row above and below it. Its bands run one
+    at a time, as ``AsppStage``'s do: two bands of half the height hold two
+    halos and tracked 7.12 MB at the bench widths and 64x64, against 6.73."""
+
+    band_workers = 1
 
     def __init__(self, model: SegmentationModel, image_size: int) -> None:
         cfg = self.config = model.cfg

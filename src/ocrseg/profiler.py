@@ -62,6 +62,10 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if min(self.channels, self.height, self.width) < 1:
             raise ConfigError("bench input shape entries must be >= 1")
+        bins = max(ModelConfig().ppm_bins)
+        if min(self.height, self.width) < bins:
+            raise ConfigError(f"bench height and width (bench_size) must be >= {bins}, "
+                              f"ppm_lite's largest bin; got {self.height}x{self.width}")
         self.model_config("da")
 
     @property

@@ -82,7 +82,8 @@ class AllocationTracker:
     owns or views, once however many gradients share it. The charge is
     released when the buffer itself is freed, which a view can postpone past
     its owner tensor.
-    Peak is monotone nondecreasing within the scope; a new scope starts from
+    Peak is monotone nondecreasing within the scope, and runs that would run
+    at once are charged as one (``concurrent``); a new scope starts from
     zero. Buffers allocated before the scope opened are never charged, so a
     measurement excludes its inputs by construction. One scope is open at a
     time: opening a tracker inside another is a ``StateError``.
@@ -116,6 +117,21 @@ class AllocationTracker:
     def _free(self, nbytes: int) -> None:
         if _TRACKER is self:
             self.current_bytes -= nbytes
+
+    def concurrent(self, runs) -> None:
+        """Call each of ``runs`` in turn, charging the peak they would reach
+        together if they ran at once: the bytes held when the first starts
+        plus the sum of each one's own rise above what was held when it
+        started. That is the most the runs can hold at once, whatever their
+        threads' timing, and it does not vary from run to run."""
+        peak, held, rises = self.peak_bytes, self.current_bytes, 0
+        try:
+            for run in runs:
+                self.peak_bytes = start = self.current_bytes
+                run()
+                rises += self.peak_bytes - start
+        finally:
+            self.peak_bytes = max(peak, held + rises, self.peak_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +425,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 # Bytes of one block of a blocked product: the temporary through which a
 # product is added into an output that already holds another one (a block of
 # columns), and the rows of ``attend``'s relation, normalised while they are
-# in cache. Narrower blocks cost BLAS speed: with single-threaded OpenBLAS on a
-# 2-vCPU VM, 1 MiB blocks made a 128-row product over 16384 columns about 10%
-# slower than whole.
-_ACCUMULATE_BYTES = 1 << 22
+# in cache. It is a budget per band worker (``models._BAND_WORKERS``, two), so
+# two bands in flight hold what one 4 MiB block held. Narrower blocks cost
+# BLAS speed: with single-threaded OpenBLAS on a 2-vCPU VM, 1 MiB blocks made
+# a 128-row product over 16384 columns about 10% slower than whole.
+_ACCUMULATE_BYTES = 1 << 21
 
 
 def _gemm_accumulate(out2: np.ndarray, terms) -> None:

@@ -2,12 +2,15 @@
 and cross-run reproducibility of the on-disk outputs."""
 import json
 import os
-from dataclasses import fields
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ocrseg import checks
+from ocrseg import checks, cli
 from ocrseg.cli import cli_main
 from ocrseg.config import RunConfig, load_config, parse_assignments
 from ocrseg.data import MAX_CLASSES, MIN_CLASSES, MIN_GRID
@@ -336,19 +339,38 @@ class TestBench:
         printed = capsys.readouterr().out
         assert "verdict ocr_peak_below_self_attention:" in printed
 
-    def test_verdict_over_a_failed_head_is_not_judged(self, tmp_path, capsys):
-        # at 3x3 ppm_lite's bin of 6 does not fit, so its verdicts lack an operand
-        code = cli_main(["bench"] + tiny_overrides(tmp_path, bench_size=3))
+    def test_verdict_over_a_failed_head_is_not_judged(self, tmp_path, capsys, monkeypatch):
+        # a ppm_lite built with a bin of 9 does not fit the 8x8 input, so its
+        # verdicts lack an operand
+        import ocrseg.profiler as P
+        real = P.build_model
+
+        def build(cfg, *args, **kwargs):
+            if cfg.module == "ppm_lite":
+                cfg = replace(cfg, ppm_bins=(1, 2, 3, 9))
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(P, "build_model", build)
+        code = cli_main(["bench"] + tiny_overrides(tmp_path, bench_size=8))
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "bench error for ppm_lite: ConfigError: bin 6 exceeds the 3x3 input"]
+            "bench error for ppm_lite: ConfigError: bin 9 exceeds the 8x8 input"]
         assert "verdict ocr_peak_below_ppm_lite: n/a" in captured.out.splitlines()
         assert "verdict ocr_time_below_ppm_lite: n/a" in captured.out.splitlines()
         payload = json.loads((tmp_path / "out" / "bench.json").read_text())
         assert payload["verdicts"]["ocr_peak_below_ppm_lite"] is None
         assert payload["timing_verdicts"]["ocr_time_below_ppm_lite"] is None
         assert payload["verdicts"]["ocr_peak_below_self_attention"] in (True, False)
+
+    def test_side_below_the_largest_pyramid_bin_exits_2_before_writing(self, tmp_path,
+                                                                       capsys):
+        code = cli_main(["bench"] + tiny_overrides(tmp_path, bench_size=5))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: bench height and width (bench_size) must be >= 6, "
+            "ppm_lite's largest bin; got 5x5"]
+        assert not (tmp_path / "out").exists()
 
     def test_bench_builds_heads_with_the_run_scheme_settings(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -394,6 +416,28 @@ class TestChecks:
         monkeypatch.setattr(checks, "GRAD_TOLERANCE", 1e-18)
         assert run_cli("grad-check", tmp_path, grad_instances=3) == 1
         assert capsys.readouterr().out.startswith("[FAIL] gradient check")
+
+
+class TestAllocatorPin:
+    @pytest.mark.parametrize("libc", [
+        "raise OSError('libc.so.6: cannot open shared object file')",
+        "return object()  # a libc without mallopt"])
+    def test_missing_mallopt_leaves_the_cli_working(self, tmp_path, libc):
+        # a fresh process whose libc cannot be loaded, or has no mallopt,
+        # imports the CLI (which pins the allocator on import) and trains
+        src = Path(cli.__file__).parents[1]
+        code = "\n".join([
+            "import ctypes, sys",
+            "def load(name, *args, **kwargs):",
+            f"    {libc}",
+            "ctypes.CDLL = load",
+            "from ocrseg.cli import cli_main",
+            f"sys.exit(cli_main({['train'] + tiny_overrides(tmp_path)!r}))"])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "pixel_accuracy=" in done.stdout
+        assert (tmp_path / "out" / "checkpoint.ckpt").exists()
 
 
 class TestConfigParsing:

@@ -3,6 +3,10 @@ scheme, deterministic seeded construction and checkpointable state."""
 import ast
 import hashlib
 import inspect
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -280,20 +284,41 @@ def banded_forward(monkeypatch, model, x, labels=None, rows=None):
     """No-grad forward with a band budget of ``rows`` image rows of the
     model's widest per-band output buffer (None: the whole image), so bands
     of the smallest power of two rows >= ``rows``. Returns the output and the
-    band heights the final head read."""
+    bands the final head read, as (first row, height) pairs sorted by first
+    row: bands may run on two threads, so they reach the spies in any order.
+    Every tensor the final head reads is one band's fuse itself."""
     cfg = model.cfg
     widest = max(cfg.key_channels, model.stage.out_channels, cfg.num_classes,
                  cfg.da_regions)
     row_bytes = np.dtype(cfg.np_dtype).itemsize * widest * x.width
-    monkeypatch.setattr(models, "_BAND_BYTES", (rows or x.height) * row_bytes)
-    head, seen = model.final_head, []
-    monkeypatch.setattr(model, "final_head",
-                        lambda px: seen.append(px.shape[1] // x.width) or head(px))
+    share = models._BAND_WORKERS // model.stage.band_workers  # the rule's budget, in _BAND_BYTES
+    monkeypatch.setattr(models, "_BAND_BYTES", (rows or x.height) * row_bytes // share)
+    prepare, head, fused, read = model.stage.prepare, model.final_head, {}, []
+
+    def recording(x, labels):
+        fuse, aux = prepare(x, labels)
+
+        def spy(r0, r1):
+            y = fuse(r0, r1)
+            fused[id(y)] = (r0, r1 - r0, y)
+            return y
+
+        return spy, aux
+
+    model.stage.prepare = recording
+    model.final_head = lambda px: read.append(px) or head(px)
     try:
         with T.no_grad():
-            return model.forward(x, labels), seen
+            out = model.forward(x, labels)
     finally:
-        model.final_head = head
+        model.final_head, model.stage.prepare = head, prepare
+    assert all(fused[id(px)][2] is px for px in read)
+    return out, sorted(fused[id(px)][:2] for px in read)
+
+
+def split(height, rows):
+    """The (first row, height) bands of ``rows`` rows over ``height`` rows."""
+    return [(r0, min(rows, height - r0)) for r0 in range(0, height, rows)]
 
 
 def band_inputs(rng, module, height, width, dtype=np.float64):
@@ -337,8 +362,8 @@ class TestBandTail:
         if module == "self_attn":  # one-row attend blocks: band borders are block borders
             monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * x.width)
         whole, one = banded_forward(monkeypatch, model, x, labels)
-        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=5)
-        assert one == [37] and heights == [8] * 4 + [5]  # a 5-row budget on 37 rows
+        banded, bands = banded_forward(monkeypatch, model, x, labels, rows=5)
+        assert one == [(0, 37)] and bands == split(37, 8)  # a 5-row budget on 37 rows
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
@@ -346,8 +371,8 @@ class TestBandTail:
         model = build_model(small_config(module), image_size=9)
         x, labels = band_inputs(rng, module, 9, 11)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
-        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=1)
-        assert heights == [1] * 9
+        banded, bands = banded_forward(monkeypatch, model, x, labels, rows=1)
+        assert bands == split(9, 1)
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
@@ -355,8 +380,8 @@ class TestBandTail:
         model = build_model(small_config(module, dtype="single"), image_size=16)
         x, labels = band_inputs(rng, module, 16, 13, np.float32)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
-        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=3)
-        assert heights == [4] * 4
+        banded, bands = banded_forward(monkeypatch, model, x, labels, rows=3)
+        assert bands == split(16, 4)
         assert banded.final_logits.data.dtype == np.float32
         self.assert_same(banded, whole)
 
@@ -383,8 +408,8 @@ class TestBandTail:
                                          key_channels=3), image_size=64)
         x, _ = band_inputs(rng, "aspp_lite", 9, 11)
         whole, _ = banded_forward(monkeypatch, model, x)
-        banded, heights = banded_forward(monkeypatch, model, x, rows=rows)
-        assert heights == {1: [1] * 9, 2: [2] * 4 + [1]}.get(rows, [4, 4, 1])
+        banded, bands = banded_forward(monkeypatch, model, x, rows=rows)
+        assert bands == split(9, {3: 4}.get(rows, rows))
         self.assert_same(banded, whole)
         self.assert_bands_of_the_fuse(model, x, rows)
 
@@ -404,7 +429,7 @@ class TestBandTail:
         # budget, at most the image's 64 rows, whatever the kxk rates
         model = build_model(small_config(module, ppm_bins=(1, 2, 3)), image_size=64)
         x, _ = band_inputs(rng, module, 64, 3)
-        assert banded_forward(monkeypatch, model, x, rows=rows)[1] == [height] * (64 // height)
+        assert banded_forward(monkeypatch, model, x, rows=rows)[1] == split(64, height)
 
     @pytest.mark.parametrize("use_stem", [False, True])
     @pytest.mark.parametrize("block_rows,rows,heights", [(1, 1, [1] * 37),
@@ -421,8 +446,8 @@ class TestBandTail:
         x, _ = band_inputs(rng, "self_attn", 37, 53)
         monkeypatch.setattr(T, "_ACCUMULATE_BYTES", 8 * x.num_pixels * x.width * block_rows)
         whole, _ = banded_forward(monkeypatch, model, x)
-        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
-        assert got == heights
+        banded, bands = banded_forward(monkeypatch, model, x, rows=rows)
+        assert bands == split(37, heights[0]) and [h for _, h in bands] == heights
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("use_stem", [False, True])
@@ -434,8 +459,8 @@ class TestBandTail:
         model = build_model(small_config("self_attn", use_stem=use_stem), image_size=37)
         x, _ = band_inputs(rng, "self_attn", 37, 53)
         whole, _ = banded_forward(monkeypatch, model, x)
-        banded, got = banded_forward(monkeypatch, model, x, rows=rows)
-        assert got == heights
+        banded, bands = banded_forward(monkeypatch, model, x, rows=rows)
+        assert bands == split(37, heights[0]) and [h for _, h in bands] == heights
         self.assert_within_four_ulps(banded, whole)
 
     # aspp_lite's rates as set at 64 pixels: 30 is taller than every band
@@ -458,14 +483,15 @@ class TestBandTail:
         x, _ = band_inputs(rng, module, 37, 53)
         whole, _ = banded_forward(monkeypatch, model, x)
         for rows in (1, 2, 4, 8, 16):
-            banded, heights = banded_forward(monkeypatch, model, x, rows=rows)
-            assert heights[0] == rows
+            banded, bands = banded_forward(monkeypatch, model, x, rows=rows)
+            assert bands[0] == (0, rows)
             self.assert_within_four_ulps(banded, whole)
 
     @pytest.mark.parametrize("precision", ["double", "single"])
     def test_bench_shape_bands_keep_the_bits(self, monkeypatch, precision):
-        # every head at the bench widths, 64 x 64: its bands (16 rows in
-        # double, 32 in single) give the logits of one band, bitwise
+        # every head at the bench widths, 64 x 64: its bands (8 rows in
+        # double, 16 in single; twice that for the kxk heads, which run one
+        # band at a time) give the logits of one band, bitwise
         cfg = BenchConfig(precision=precision)
         x = bench_input(cfg)
         for module in ("ocr", "da", "acf", "self_attn", "global", "aspp_lite", "ppm_lite"):
@@ -474,18 +500,21 @@ class TestBandTail:
                 banded, step = model.forward(x), model._band_height(x)
             with monkeypatch.context() as m:
                 whole, one = banded_forward(m, model, x)
-            assert step == {"double": 16, "single": 32}[precision] and one == [64]
+            rows = {"double": 8, "single": 16}[precision]
+            assert step == rows * (2 if module in ("aspp_lite", "ppm_lite") else 1)
+            assert one == [(0, 64)]
             self.assert_same(banded, whole)
 
     def test_attention_bands_follow_the_one_rule(self):
-        # self_attn at the bench widths on 48 x 97 runs 16-row bands, as
-        # every head does, and tracks 11,472,384 B; 48-row bands (the whole
-        # image) would track 14,303,232 B
+        # self_attn at the bench widths on 48 x 97 runs 8-row bands, as
+        # every head does, and tracks 11,236,480 B with two bands in flight
+        # (8,355,968 B one at a time); 48-row bands (the whole image) would
+        # track 14,303,232 B
         cfg = BenchConfig(height=48, width=97)
         model = build_model(cfg.model_config("self_attn"), image_size=cfg.height)
         x = bench_input(cfg)
         with T.no_grad():
-            assert model._band_height(x) == 16
+            assert model._band_height(x) == 8
         assert measure_peak_memory(model, x) <= 11_600_000
 
     def test_oracle_relations_across_a_band_border(self, rng, monkeypatch):
@@ -495,8 +524,8 @@ class TestBandTail:
         raw[3, 1:4] = raw[4, 2:6] = 255  # both sides of the border below row 3
         labels = LabelMap(raw, 3)
         whole, _ = banded_forward(monkeypatch, model, x, labels)
-        banded, heights = banded_forward(monkeypatch, model, x, labels, rows=4)
-        assert heights == [4, 4]
+        banded, bands = banded_forward(monkeypatch, model, x, labels, rows=4)
+        assert bands == split(8, 4)
         self.assert_same(banded, whole)
 
     @pytest.mark.parametrize("module", MODULE_CHOICES)
@@ -509,14 +538,23 @@ class TestBandTail:
 
         def recording(x, labels):
             fuse, aux = prepare(x, labels)
-            return (lambda r0, r1: fused.append((r0, r1, fuse(r0, r1))) or fused[-1][2]), aux
+
+            def spy(r0, r1):  # bands may run on two threads: keep each its own y
+                y = fuse(r0, r1)
+                fused.append((r0, r1, y))
+                return y
+
+            return spy, aux
 
         monkeypatch.setattr(model.stage, "prepare", recording)
         monkeypatch.setattr(model, "final_head", lambda px: read.append(px) or head(px))
-        assert banded_forward(monkeypatch, model, x, labels, rows=4)[1] == [4, 4, 1]
+        assert banded_forward(monkeypatch, model, x, labels, rows=4)[1] == split(9, 4)
+        fused.sort(key=lambda band: band[0])
         assert [(r0, r1) for r0, r1, _ in fused] == [(0, 4), (4, 8), (8, 9)]
-        for (r0, r1, y), px in zip(fused, read, strict=True):
-            assert px is y and y.shape == (model.stage.out_channels, (r1 - r0) * x.width)
+        assert len(read) == len(fused)
+        for r0, r1, y in fused:
+            assert any(px is y for px in read)
+            assert y.shape == (model.stage.out_channels, (r1 - r0) * x.width)
 
     def test_zero_width_map_is_one_band(self):
         model = build_model(small_config("self_attn"), image_size=8)
@@ -566,6 +604,115 @@ class TestBandTail:
         # the pixel is row 5 * 6 + 3 of the image's relations, row 9 of the band's
         with pytest.raises(ParameterError, match=r"RelationMatrix.weights row 33 sums"):
             banded_forward(monkeypatch, model, x, rows=4)
+
+
+class TestBandWorkers:
+    """Under no_grad a relational head's bands run on up to two threads and a
+    kxk head's on one (``models._run_bands``); each band runs the ops it runs
+    alone, so the logits are bitwise those of one worker."""
+
+    BENCH_HEADS = ("ocr", "da", "acf", "self_attn", "global", "aspp_lite", "ppm_lite")
+
+    @staticmethod
+    def forward_on(monkeypatch, model, x, cpus):
+        """A no-grad forward on a host with ``cpus`` usable CPUs. Returns the
+        output, the band heights the final head read, sorted, and the threads
+        it ran on."""
+        head, heights, threads = model.final_head, [], set()
+
+        def spy(px):
+            heights.append(px.shape[1] // x.width)
+            threads.add(threading.get_ident())
+            return head(px)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            m.setattr(model, "final_head", spy)
+            with T.no_grad():
+                out = model.forward(x)
+        return out, sorted(heights), threads
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_two_workers_give_the_bits_of_one(self, monkeypatch, size, precision):
+        cfg = BenchConfig(height=size, width=size, precision=precision)
+        x = bench_input(cfg)
+        for module in self.BENCH_HEADS:
+            model = build_model(cfg.model_config(module), image_size=size)
+            two, heights, threads = self.forward_on(monkeypatch, model, x, cpus=2)
+            one, one_heights, one_thread = self.forward_on(monkeypatch, model, x, cpus=1)
+            assert len(threads) == model.stage.band_workers  # never more than two
+            assert one_thread == {threading.get_ident()} and one_heights == heights
+            TestBandTail.assert_same(two, one)
+
+    def test_bands_interleaved_at_every_switch_keep_the_bits(self, rng, monkeypatch):
+        # 32 one-row bands whose threads switch as often as the interpreter
+        # lets them: a band written into another's columns, or lost, would
+        # change the logits
+        model = build_model(small_config("ocr"), image_size=32)
+        x = feature_map(rng, 5, 32, 7)
+        monkeypatch.setattr(models, "_BAND_BYTES", 1)
+        one, heights, _ = self.forward_on(monkeypatch, model, x, cpus=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                two, two_heights, threads = self.forward_on(monkeypatch, model, x, cpus=2)
+                assert len(threads) == 2 and two_heights == heights == [1] * 32
+                TestBandTail.assert_same(two, one)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_usable_cpu_runs_one_worker_at_the_same_heights(self, monkeypatch):
+        cfg = BenchConfig()
+        x = bench_input(cfg)
+        model = build_model(cfg.model_config("ocr"), image_size=cfg.height)
+        two, heights, threads = self.forward_on(monkeypatch, model, x, cpus=2)
+        assert heights == [8] * 8 and len(threads) == 2
+        one, one_heights, one_thread = self.forward_on(monkeypatch, model, x, cpus=1)
+        assert one_heights == heights and one_thread == {threading.get_ident()}
+        TestBandTail.assert_same(one, two)
+        # without an affinity mask the CPU count is the host's
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert models._usable_cpus() == 1
+
+    def test_earliest_failing_band_is_raised_and_no_thread_outlives_forward(
+            self, rng, monkeypatch):
+        # four 4-row bands on two workers: worker 0 runs those at rows 0 and
+        # 8, worker 1 those at rows 4 and 12; a band that fails later in time
+        # but earlier in the image is the one raised
+        model = build_model(small_config("ocr"), image_size=16)
+        x = feature_map(rng, 5, 16, 6)
+        real, delays = models.pixel_region_relations, {}
+
+        def failing(band, *args, **kwargs):
+            if band.top in delays:
+                time.sleep(delays[band.top])
+                raise ValueError(f"band at row {band.top}")
+            return real(band, *args, **kwargs)
+
+        monkeypatch.setattr(models, "pixel_region_relations", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        for failures, first in [({4: 0.05, 8: 0.0}, 4), ({8: 0.05, 12: 0.0}, 8),
+                                ({12: 0.0}, 12)]:
+            delays.clear()
+            delays.update(failures)
+            with pytest.raises(ValueError, match=f"band at row {first}$"):
+                banded_forward(monkeypatch, model, x, rows=4)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("module", BENCH_HEADS)
+    def test_tracked_peak_is_repeatable_and_covers_one_worker(self, monkeypatch, module):
+        cfg = BenchConfig()
+        x = bench_input(cfg)
+        model = build_model(cfg.model_config(module), image_size=cfg.height)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        peaks = [measure_peak_memory(model, x) for _ in range(3)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = measure_peak_memory(model, x)
+        assert peaks[0] == peaks[1] == peaks[2] >= one
 
 
 class TestDaScheme:

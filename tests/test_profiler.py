@@ -200,6 +200,14 @@ class TestBenchConfig:
         with pytest.raises(ConfigError, match="seed"):
             BenchConfig(seed=-1)
 
+    @pytest.mark.parametrize("height,width", [(5, 6), (6, 5), (1, 1)])
+    def test_sides_below_the_largest_pyramid_bin_rejected(self, height, width):
+        # every measured head must run: ppm_lite pools a 6x6 bin
+        with pytest.raises(ConfigError, match=f"must be >= 6, ppm_lite's largest bin; "
+                                              f"got {height}x{width}"):
+            BenchConfig(height=height, width=width)
+        assert BenchConfig(height=6, width=6).input_shape == (256, 6, 6)
+
     def test_model_config_wiring(self):
         cfg = small_bench()
         mc = cfg.model_config("da")

@@ -1261,6 +1261,25 @@ class TestAllocationTracker:
         assert current < first
         assert peak >= first
 
+    def test_concurrent_runs_charge_the_sum_of_their_rises(self):
+        # held 800 B; the runs rise by 4000 B, 800 + 800 B (the 800 B kept)
+        # and 2400 B: at once they would hold 800 + 8000 B
+        kept = []
+
+        def run(freed, keep=0):
+            def body():
+                buf = T.Tensor(np.zeros(freed // 8))  # noqa: F841 freed on return
+                kept.append(T.Tensor(np.zeros(keep // 8)))
+            return body
+
+        with T.AllocationTracker() as tracker:
+            held = T.Tensor(np.zeros(100))  # noqa: F841 keeps buffer alive
+            tracker.concurrent([run(4000), run(800, keep=800), run(2400)])
+            current, peak = tracker.current_bytes, tracker.peak_bytes
+            tracker.concurrent([run(800)])  # below the peak: no change
+        assert current == 800 + 800 and peak == 800 + 8000
+        assert tracker.peak_bytes == peak
+
     def test_layout_views_add_no_bytes(self, rng):
         with T.AllocationTracker() as tracker:
             x = T.Tensor(rng.normal(0, 1, (4, 6)))
