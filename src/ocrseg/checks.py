@@ -239,7 +239,7 @@ def run_equivalence_suite(instances: int, seed: int) -> EquivalenceSuiteReport:
         scale_mode = "unit" if index % 2 == 0 else "rsqrt_key"
         model = _equivalence_model(rng, channels, classes, key, scale_mode)
         x = FeatureMap(T.Tensor(rng.normal(0.0, 1.5, (channels, height, width))))
-        mapping = EquivalenceMapping.from_params(model.params)
+        mapping = EquivalenceMapping.from_params(model.stage)
         reports.append(transformer_equivalence_check(x, mapping))
 
     # Control: the encoder runs at 1/sqrt(d) = 1/3 while the unit-scale stage
@@ -247,6 +247,6 @@ def run_equivalence_suite(instances: int, seed: int) -> EquivalenceSuiteReport:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4, instances, 1)))
     model = _equivalence_model(rng, 6, 4, 9, "unit")
     x = FeatureMap(T.Tensor(rng.normal(0.0, 1.5, (6, 3, 4))))
-    mapping = EquivalenceMapping.from_params(model.params, encoder_scale=1 / 3)
+    mapping = EquivalenceMapping.from_params(model.stage, encoder_scale=1 / 3)
     control = transformer_equivalence_check(x, mapping)
     return EquivalenceSuiteReport(reports, control, control.tolerance)

@@ -202,7 +202,8 @@ class SegmentationModel:
     @property
     def params(self):
         """The context stage, whose block attributes carry their checkpoint
-        names (``value_transform``, ...) and whose ``config`` is ``cfg``."""
+        names (``value_transform``, ...) and whose ``config`` is ``cfg``;
+        kept only for ``perfbench/workloads.py``, which still reads it."""
         return self.stage
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:

@@ -48,20 +48,20 @@ class BenchConfig:
     full-scale map), the scheme settings of the measured heads, and float
     precision. ``da_regions`` applies to the da head only."""
 
-    channels: int = 256
+    # the measured heads' widths, the same for every bench: constants, not fields
+    channels = 256
+    num_classes = FULL_SCALE_CLASSES
+    key_channels = 64
+    mid_channels = 128
+
     height: int = 64
     width: int = 64
-    num_classes: int = FULL_SCALE_CLASSES
-    key_channels: int = 64
-    mid_channels: int = 128
     attention_scale: str = "unit"
     da_regions: int = 64
     precision: str = "double"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.channels, self.height, self.width) < 1:
-            raise ConfigError("bench input shape entries must be >= 1")
         bins = max(ModelConfig().ppm_bins)
         if min(self.height, self.width) < bins:
             raise ConfigError(f"bench height and width (bench_size) must be >= {bins}, "

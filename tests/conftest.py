@@ -1,4 +1,6 @@
 """Shared fixtures and small builders for the test suite."""
+import ocrseg.cli  # noqa: F401  (pins BLAS to one thread, as a CLI run does, before numpy loads)
+
 import numpy as np
 import pytest
 

@@ -23,16 +23,17 @@ import oracles
 
 def tiny_config(**overrides):
     base = dict(seed=4, grid=12, classes=3, train_scenes=6, eval_scenes=4,
-                noise=25.0, iterations=10, base_lr=0.5, feat_channels=6,
+                iterations=10, base_lr=0.5, feat_channels=6,
                 key_channels=4, mid_channels=8)
     base.update(overrides)
     return RunConfig(**base)
 
 
-def tiny_pairs(cfg, count, stream):
+def tiny_pairs(cfg, count, stream, noise=25.0, ignore_fraction=RunConfig.ignore_fraction):
+    """Scenes of ``cfg``'s shape, at a tiny config's lower pixel noise."""
     scenes = generate_scenes(cfg.seed, count, cfg.grid, cfg.classes,
-                             cfg.noise, cfg.jitter, cfg.shapes_min,
-                             cfg.shapes_max, cfg.ignore_fraction, stream=stream)
+                             noise, cfg.jitter, cfg.shapes_min,
+                             cfg.shapes_max, ignore_fraction, stream=stream)
     return prepare_features(scenes, cfg)
 
 
@@ -115,7 +116,7 @@ class TestTrainModel:
         # forward never runs while the previous graph is still held
         def peak(iterations):
             cfg = RunConfig(grid=32, train_scenes=2, iterations=iterations)
-            pairs = tiny_pairs(cfg, 2, 0)
+            pairs = tiny_pairs(cfg, 2, 0, noise=cfg.noise)
             with T.AllocationTracker() as tracker:
                 train_model(cfg, pairs)
             return tracker.peak_bytes
@@ -129,8 +130,8 @@ class TestTrainModel:
 
 class TestEvaluateModel:
     def test_matches_hand_confusion(self, rng):
-        cfg = tiny_config(grid=8, ignore_fraction=0.2, iterations=0)
-        pairs = tiny_pairs(cfg, 3, 1)
+        cfg = tiny_config(grid=8, iterations=0)
+        pairs = tiny_pairs(cfg, 3, 1, ignore_fraction=0.2)
         model, _ = train_model(cfg, pairs)
         result = evaluate_model(model, pairs)
 

@@ -3,11 +3,12 @@
 
     python tools/linetrace.py
 
-Under ``sys.settrace`` it runs, into a temporary directory, every CLI command
-at its defaults (``train`` on scenes generated in memory, ``gen-data``, then
-``train`` and ``eval`` on the generated set, ``ablate``, ``bench``,
-``equiv-check`` and ``grad-check``) and each of the three benchmark workloads
-of ``perfbench/workloads.py`` (``setup``, ``prepare_checks``, ``op``,
+Under ``sys.settrace`` and ``threading.settrace`` (a band worker thread can
+run statements its caller never runs) it runs, into a temporary directory,
+every CLI command at its defaults (``train`` on scenes generated in memory,
+``gen-data``, then ``train`` and ``eval`` on the generated set, ``ablate``,
+``bench``, ``equiv-check`` and ``grad-check``) and each of the three benchmark
+workloads of ``perfbench/workloads.py`` (``setup``, ``prepare_checks``, ``op``,
 ``check``, ``memory`` and ``tracked_peak``, seed 0). A statement counts as
 executed when a line event fires on it, or on its header for a compound
 statement; docstrings and ``global`` declarations are not statements here.
@@ -25,6 +26,7 @@ import os
 import pkgutil
 import sys
 import tempfile
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -49,11 +51,13 @@ class LineTrace:
         return self._local
 
     def __enter__(self) -> "LineTrace":
+        threading.settrace(self._global)
         sys.settrace(self._global)
         return self
 
     def __exit__(self, *exc) -> None:
         sys.settrace(None)
+        threading.settrace(None)
 
 
 def cli_runs(tmp: str) -> None:
